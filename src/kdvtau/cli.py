@@ -40,38 +40,48 @@ SUITE_DEFAULT_DEPTH = {
 }
 
 
-def _wk_affine_table(max_m: int, max_n: int) -> gr.AffineTable:
-    K, L = max_m // 2, max_n // 2
-    table = gr.z_table_direct(gr.wk_G(K + L + 1), K, L).to_affine_table()
-    return _trim(table, max_m, max_n)
+def _affine_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) -> list[gr.AffineTable]:
+    """A_{m,n} for m <= max_m, n <= max_n of `point` (None: the Witten-Kontsevich
+    point), one table per (max_m, max_n) in `shapes`, from one Z-table build.
 
-
-def _trim(table: gr.AffineTable, max_m: int, max_n: int) -> gr.AffineTable:
-    entries = {
-        (m, n): v for (m, n), v in table.entries.items() if m <= max_m and n <= max_n
-    }
-    return gr.AffineTable(max_m, max_n, entries, table.source)
-
-
-def _point_affine_table(p: gr.GrassmannPoint, max_m: int, max_n: int) -> gr.AffineTable:
-    p = gr.normalize_point(p)
-    K, L = max_m // 2, max_n // 2
-    depth = K + L + 1
-    table = gr.z_table_direct(gr.build_G(p, depth), K, L).to_affine_table("custom")
-    return _trim(table, max_m, max_n)
+    The Z table with K = max_m // 2, L = max_n // 2 spans 2K+1 x 2L+1 scalar
+    coordinates; an even side is trimmed to the requested size.
+    """
+    zshapes = [(max_m // 2, max_n // 2) for max_m, max_n in shapes]
+    depth = max(K + L for K, L in zshapes) + 1
+    if point is None:
+        G, source = gr.wk_G(depth), "grassmann"
+    else:
+        G, source = gr.build_G(gr.normalize_point(point), depth), "custom"
+    tables = []
+    for z, (max_m, max_n) in zip(gr.z_tables_recursive(G, zshapes), shapes):
+        entries = z.to_affine_table(source).entries
+        corner = {(m, n): v for (m, n), v in entries.items() if m <= max_m and n <= max_n}
+        tables.append(gr.AffineTable(max_m, max_n, corner, source))
+    return tables
 
 
 def _load_point(path: str) -> gr.GrassmannPoint:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return gr.point_from_json(data)
+    try:
+        return gr.point_from_json(data)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ExactComputationError(f"malformed point file {path}: {exc}") from exc
 
 
-def _tau_for_point(p: gr.GrassmannPoint | None, degree: int) -> tau_mod.TauSeries:
-    size = max(degree - 1, 1)
-    if p is None:
-        return tau_mod.tau_truncated(_wk_affine_table(size, size), degree)
-    return tau_mod.tau_truncated(_point_affine_table(p, size, size), degree)
+def _int_at_least(low: int):
+    """argparse type for an integer >= low; anything else is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        if not (text.isdigit() and int(text) >= low):
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_count = _int_at_least(0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +98,14 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 def cmd_affine(args: argparse.Namespace) -> int:
     if args.source == "grassmann":
-        table = _wk_affine_table(args.max_m, args.max_n)
+        (table,) = _affine_tables(None, (args.max_m, args.max_n))
     else:
         table = zhou.zhou_affine_table(args.max_m, args.max_n)
     if args.format == "csv":
         text = table.to_csv_text()
     else:
         text = json.dumps(table.to_json_dict(), indent=None, separators=(",", ":")) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(args.output, text)
 
 
 def cmd_intersect(args: argparse.Namespace) -> int:
@@ -118,7 +123,8 @@ def cmd_intersect(args: argparse.Namespace) -> int:
         print(json.dumps(doc))
         return 0
     degree = max(spec.t_weight, 3)
-    t = _tau_for_point(None, degree)
+    (table,) = _affine_tables(None, (degree - 1, degree - 1))
+    t = tau_mod.tau_truncated(table, degree)
     result = tau_mod.intersection_number(spec, t)
     doc = {
         "spec": list(spec.exponents),
@@ -136,6 +142,8 @@ def _run_suite(suite: str, depth: int, flow: int, point: gr.GrassmannPoint | Non
         return [gr.verify_kac_schwarz(depth)]
     if suite == "recursion":
         G = gr.wk_G(2 * depth + 1)
+        # the recursion is checked on the closed-formula table: on the table it
+        # built itself it would hold by construction
         table = gr.z_table_direct(G, depth, depth)
         return [
             gr.verify_z_equivalence(G, depth, depth),
@@ -146,34 +154,36 @@ def _run_suite(suite: str, depth: int, flow: int, point: gr.GrassmannPoint | Non
     if suite == "symmetry":
         half = max(depth // 2, 1)
         G = gr.wk_G(2 * half + 1)
-        table = gr.z_table_direct(G, half, half)
+        table = gr.z_table_recursive(G, half, half)
         return [
             zhou.verify_b_symmetry(depth, depth),
             gr.verify_symmetry(table, G, half),
         ]
     if suite == "genfun":
         G = gr.wk_G(2 * depth + 1)
-        table = gr.z_table_direct(G, depth, depth)
+        table = gr.z_table_recursive(G, depth, depth)
         return [gr.verify_generating_function(G, table, depth)]
     if suite == "zhou-match":
-        return [zhou.verify_zhou_match(_wk_affine_table(depth, depth), depth, depth)]
-    if suite == "string":
-        t = _tau_for_point(point, depth)
+        (table,) = _affine_tables(None, (depth, depth))
+        return [zhou.verify_zhou_match(table, depth, depth)]
+    if suite in ("string", "kdv"):
+        size = max(depth - 1, 1)
+        (table,) = _affine_tables(point, (size, size))
+        t = tau_mod.tau_truncated(table, depth)
+        if suite == "kdv":
+            return [tau_mod.verify_kdv_flow(t, flow)]
         reports = [tau_mod.verify_string_equation(t)]
         if point is None:
             reports.append(tau_mod.verify_string_recursion(t))
             reports.append(tau_mod.verify_dimension_filter(t))
         return reports
-    if suite == "kdv":
-        t = _tau_for_point(point, depth)
-        return [tau_mod.verify_kdv_flow(t, flow)]
     if suite == "rmatrix":
         return [spin3.verify_R_from_G(depth)]
     if suite == "vmatrix":
         return [spin3.verify_v_relations(depth)]
     if suite == "thm2":
         G = gr.wk_G(3 * depth + 3 * depth + 5 + 1)
-        table = gr.z_table_direct(G, 3 * depth + 2, 3 * depth + 2)
+        table = gr.z_table_recursive(G, 3 * depth + 2, 3 * depth + 2)
         return [spin3.verify_thm2(table, depth, depth)]
     raise ValueError(f"unknown suite {suite!r}")
 
@@ -200,35 +210,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_grassmann(args: argparse.Namespace) -> int:
     point = _load_point(args.pointfile)
-    doc: dict = {}
-    csv_text = None
-    if args.affine:
-        max_m, max_n = args.affine
-        table = _point_affine_table(point, max_m, max_n)
-        if args.format == "csv":
-            csv_text = table.to_csv_text()
-        else:
-            doc["affine"] = table.to_json_dict()
+    degrees = []  # tau degrees the tasks need
     if args.tau is not None:
-        t = _tau_for_point(point, args.tau)
-        poly = tau_mod.to_t_variables(t) if args.tau_vars == "t" else t.poly
-        doc["tau"] = graded_poly_to_json(poly)
+        degrees.append(args.tau)
     if args.initial_data is not None:
-        t = _tau_for_point(point, args.initial_data + 2)
-        values = tau_mod.initial_data(t, args.initial_data)
-        doc["initial_data"] = [format_rational(v) for v in values]
-    if csv_text is not None and not doc:
-        text = csv_text
-    elif csv_text is not None:
+        degrees.append(args.initial_data + 2)
+    if args.affine is None and not degrees:
+        print("nothing to do: pass --affine/--tau/--initial-data", file=sys.stderr)
+        return 2
+    if args.affine is not None and args.format == "csv" and degrees:
         print("csv format is only available when --affine is the sole task", file=sys.stderr)
         return 2
-    else:
-        if not doc:
-            print("nothing to do: pass --affine/--tau/--initial-data", file=sys.stderr)
-            return 2
-        text = json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    # one Z table and one tau, each as deep as the deepest task needs; the
+    # tasks read corners of the table and truncations of the tau
+    shapes = [tuple(args.affine)] if args.affine is not None else []
+    if degrees:
+        size = max(max(degrees) - 1, 1)
+        shapes.append((size, size))
+    tables = _affine_tables(point, *shapes)
+    doc: dict = {}
+    if args.affine is not None:
+        if args.format == "csv":
+            return _emit(args.output, tables[0].to_csv_text())
+        doc["affine"] = tables[0].to_json_dict()
+    t = tau_mod.tau_truncated(tables[-1], max(degrees)) if degrees else None
+    if args.tau is not None:
+        tau_t = t.truncate(args.tau)
+        poly = tau_mod.to_t_variables(tau_t) if args.tau_vars == "t" else tau_t.poly
+        doc["tau"] = graded_poly_to_json(poly)
+    if args.initial_data is not None:
+        values = tau_mod.initial_data(t.truncate(args.initial_data + 2), args.initial_data)
+        doc["initial_data"] = [format_rational(v) for v in values]
+    return _emit(args.output, json.dumps(doc, indent=None, separators=(",", ":")) + "\n")
+
+
+def _emit(output: str | None, text: str) -> int:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -247,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="print a coefficient sequence")
     p.add_argument("--kind", choices=["c", "q", "b"], required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_count, required=True)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("affine", help="export an affine-coordinate table")
     p.add_argument("--source", choices=["grassmann", "zhou"], required=True)
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-m", type=_count, required=True)
+    p.add_argument("--max-n", type=_count, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_affine)
@@ -264,17 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITE_DEFAULT_DEPTH) + ["all"])
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--flow", type=int, default=1)
+    p.add_argument("--depth", type=_count, default=None)
+    p.add_argument("--flow", type=_int_at_least(1), default=1)
     p.add_argument("--point", default=None, help="JSON point file for string/kdv suites")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("grassmann", help="derive data from a point file")
     p.add_argument("pointfile")
-    p.add_argument("--affine", type=int, nargs=2, metavar=("MAX_M", "MAX_N"))
-    p.add_argument("--tau", type=int, default=None, metavar="DEGREE")
+    p.add_argument("--affine", type=_count, nargs=2, metavar=("MAX_M", "MAX_N"))
+    p.add_argument("--tau", type=_count, default=None, metavar="DEGREE")
     p.add_argument("--tau-vars", choices=["theta", "t"], default="t")
-    p.add_argument("--initial-data", type=int, default=None, metavar="N")
+    p.add_argument("--initial-data", type=_count, default=None, metavar="N")
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_grassmann)

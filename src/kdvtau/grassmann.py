@@ -14,9 +14,11 @@ coordinates are then
     Z_{k,l} = [[A_{2k+1,2l}, A_{2k+1,2l+1}], [A_{2k,2l}, A_{2k,2l+1}]]
 
 where A_{m,n} are the scalar affine coordinates of the point.  This module
-computes the Z table by two independent routes (a closed formula in the
-blocks of G and G^-1, and a seeded recursion), extracts scalar coordinates,
-and verifies the generating-series, recursion and symmetry identities.
+builds the Z table by the recursion Z_{k+1,l} = Z_{k,l+1} + Z_{k,0} Z_{0,l}
+seeded from G^-1 (the production route); the closed formula in the blocks of
+G and G^-1 is kept as the independent cross-check run by `verify recursion`.
+It also extracts scalar coordinates and verifies the generating-series,
+recursion and symmetry identities.
 
 The built-in point of chief interest is the Witten-Kontsevich point, whose
 spanning series c(lam) and q(lam) are power series in lam^-3:
@@ -37,7 +39,7 @@ from functools import lru_cache
 
 from .errors import ExactComputationError, InsufficientDepthError, OutOfRangeError
 from .exactnum import format_rational
-from .report import VerificationReport
+from .report import VerificationReport, first_failures
 from .series import (
     M2,
     LaurentSeries,
@@ -63,6 +65,7 @@ __all__ = [
     "wk_G",
     "z_table_direct",
     "z_table_recursive",
+    "z_tables_recursive",
     "affine_coordinate",
     "verify_generating_function",
     "verify_symmetry",
@@ -263,7 +266,7 @@ class AffineTable:
 
 
 # ---------------------------------------------------------------------------
-# Z tables by two independent routes
+# Z tables: the production recursion and the closed-formula cross-check
 # ---------------------------------------------------------------------------
 
 
@@ -275,7 +278,10 @@ def _require_depth(G: MatrixSeries, need: int) -> None:
 
 
 def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
-    """Closed formula Z_{k,l} = -sum_{j=0..k} G_j U_{k+l+1-j} (U_0 = I)."""
+    """Closed formula Z_{k,l} = -sum_{j=0..k} G_j U_{k+l+1-j} (U_0 = I).
+
+    O(K^3) block products; the cross-check for `z_table_recursive`.
+    """
     need = max_k + max_l + 1
     _require_depth(G, need)
     g = G.blocks(need)
@@ -294,40 +300,41 @@ def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
 
 
 def z_table_recursive(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
-    """Boundary-seeded recursion Z_{k+1,l} = Z_{k,l+1} + Z_{k,0} Z_{0,l}.
+    """Boundary-seeded recursion Z_{k+1,l} = Z_{k,l+1} + Z_{k,0} Z_{0,l}; see
+    `z_tables_recursive`."""
+    return z_tables_recursive(G, [(max_k, max_l)])[0]
 
-    The top row is seeded by Z_{0,l} = -U_{l+1}; every deeper row follows
-    from the recursion, filled along anti-diagonals k+l = const (increasing
-    k within a diagonal respects the data dependencies).  The left-column
-    boundary data Z_{k,0} = G_{k+1} is then checked against the recursion
-    output -- a disagreement would mean G * G^-1 != I.
+
+def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[ZTable]:
+    """One Z table per (max_k, max_l) in `shapes`, all from one recursion run.
+
+    The top row is seeded by Z_{0,l} = -U_{l+1} for l < need, where
+    need = max(max_k + max_l) + 1 is the depth the deepest shape needs, and
+    row k is computed from row k-1 and the top row, one entry shorter than
+    row k-1.  Row k thus holds Z_{k,l} for k + l < need, which covers every
+    shape, so no shape needs more depth of G than it would alone.  The
+    left-column boundary data Z_{k,0} = G_{k+1} is then checked against the
+    recursion output -- a disagreement would mean G * G^-1 != I.
     """
-    need = max_k + max_l + 1
+    need = max(K + L for K, L in shapes) + 1
     _require_depth(G, need)
     u = matrix_series_inverse(G, need).blocks(need)
+    top = [-u[l + 1] for l in range(need)]
+    rows = [top]
+    for k in range(1, max(K for K, _ in shapes) + 1):
+        prev = rows[-1]
+        rows.append([prev[l + 1] + (prev[0] @ top[l]) for l in range(need - k)])
 
-    # table[k][l] for k + l <= max_k + max_l, k <= max_k
-    width = max_k + max_l
-    table: dict[tuple[int, int], M2] = {}
-    for l in range(width + 1):
-        table[(0, l)] = -u[l + 1]
-    for s in range(1, width + 1):
-        for k in range(1, min(s, max_k) + 1):
-            l = s - k
-            table[(k, l)] = table[(k - 1, l + 1)] + (table[(k - 1, 0)] @ table[(0, l)])
-
-    for k in range(max_k + 1):
+    for k, row in enumerate(rows):
         expected = G.block(k + 1)
-        if table[(k, 0)] != expected:
+        if row[0] != expected:
             raise ExactComputationError(
-                f"recursion boundary mismatch at Z[{k},0]: {table[(k, 0)]} vs {expected}; "
+                f"recursion boundary mismatch at Z[{k},0]: {row[0]} vs {expected}; "
                 "the seeds are inconsistent (G times its inverse is not the identity)"
             )
-
-    rows = tuple(
-        tuple(table[(k, l)] for l in range(max_l + 1)) for k in range(max_k + 1)
-    )
-    return ZTable(max_k, max_l, rows)
+    return [
+        ZTable(K, L, tuple(tuple(row[: L + 1]) for row in rows[: K + 1])) for K, L in shapes
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +376,18 @@ def verify_generating_function(
                 notes="numerator not divisible by alpha - beta",
             )
 
-    failures = []
-    for k in range(depth + 1):
-        for l in range(depth + 1):
-            q = M2.zero()
-            for r in range(k + 1):
-                q = q + N(k - r, l + 1 + r)
-            if q != table.entry(k, l):
-                failures.append(f"(k,l)=({k},{l}): expansion {q} vs table {table.entry(k, l)}")
-                if len(failures) >= 3:
-                    break
-        if len(failures) >= 3:
-            break
+    def Q(k: int, l: int) -> M2:
+        q = M2.zero()
+        for r in range(k + 1):
+            q = q + N(k - r, l + 1 + r)
+        return q
+
+    failures = first_failures(
+        f"(k,l)=({k},{l}): expansion {q} vs table {table.entry(k, l)}"
+        for k in range(depth + 1)
+        for l in range(depth + 1)
+        if (q := Q(k, l)) != table.entry(k, l)
+    )
     return VerificationReport(suite, not failures, f"bi-degree {depth}", failures=failures)
 
 
@@ -403,17 +410,12 @@ def verify_symmetry(table: ZTable, G: MatrixSeries, depth: int) -> VerificationR
             suite, False, f"k,l <= {depth}", skipped=True,
             notes=f"det G != 1 (first deviation at lam^{e}); symmetry not applicable",
         )
-    failures = []
-    for k in range(depth + 1):
-        for l in range(depth + 1):
-            lhs = table.entry(l, k)
-            rhs = -table.entry(k, l).adjugate()
-            if lhs != rhs:
-                failures.append(f"(k,l)=({k},{l}): Z[{l},{k}]={lhs} vs -adj Z[{k},{l}]={rhs}")
-                if len(failures) >= 3:
-                    break
-        if len(failures) >= 3:
-            break
+    failures = first_failures(
+        f"(k,l)=({k},{l}): Z[{l},{k}]={lhs} vs -adj Z[{k},{l}]={rhs}"
+        for k in range(depth + 1)
+        for l in range(depth + 1)
+        if (lhs := table.entry(l, k)) != (rhs := -table.entry(k, l).adjugate())
+    )
     note = f"det G = 1 checked through lam^-{window}" if window is not None else "det G = 1 exact"
     return VerificationReport(suite, not failures, f"k,l <= {depth}", failures=failures, notes=note)
 
@@ -469,34 +471,25 @@ def verify_z_equivalence(G: MatrixSeries, max_k: int, max_l: int) -> Verificatio
     suite = "z-table-equivalence"
     direct = z_table_direct(G, max_k, max_l)
     recursive = z_table_recursive(G, max_k, max_l)
-    failures = []
-    for k in range(max_k + 1):
-        for l in range(max_l + 1):
-            if direct.entry(k, l) != recursive.entry(k, l):
-                failures.append(
-                    f"(k,l)=({k},{l}): direct {direct.entry(k,l)} vs recursive {recursive.entry(k,l)}"
-                )
-                if len(failures) >= 3:
-                    break
-        if len(failures) >= 3:
-            break
+    failures = first_failures(
+        f"(k,l)=({k},{l}): direct {direct.entry(k,l)} vs recursive {recursive.entry(k,l)}"
+        for k in range(max_k + 1)
+        for l in range(max_l + 1)
+        if direct.entry(k, l) != recursive.entry(k, l)
+    )
     return VerificationReport(suite, not failures, f"K=L checked to ({max_k},{max_l})", failures=failures)
 
 
 def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
     """Z_{k+1,l} - Z_{k,l+1} = Z_{k,0} Z_{0,l} on every stored index."""
     suite = "z-recursion"
-    failures = []
-    for k in range(table.max_k):
-        for l in range(table.max_l):
-            lhs = table.entry(k + 1, l) - table.entry(k, l + 1)
-            rhs = table.entry(k, 0) @ table.entry(0, l)
-            if lhs != rhs:
-                failures.append(f"(k,l)=({k},{l}): {lhs} vs {rhs}")
-                if len(failures) >= 3:
-                    break
-        if len(failures) >= 3:
-            break
+    failures = first_failures(
+        f"(k,l)=({k},{l}): {lhs} vs {rhs}"
+        for k in range(table.max_k)
+        for l in range(table.max_l)
+        if (lhs := table.entry(k + 1, l) - table.entry(k, l + 1))
+        != (rhs := table.entry(k, 0) @ table.entry(0, l))
+    )
     return VerificationReport(
         suite, not failures,
         f"k < {table.max_k}, l < {table.max_l}", failures=failures,
@@ -512,33 +505,30 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
     if k_max > table.max_l:
         raise InsufficientDepthError("Z table narrower than requested k range")
     Ginv = matrix_series_inverse(G)
-    failures = []
-    checked_l = None
-    for k in range(k_max + 1):
-        shifted = polynomial_part(Ginv.shift(k))
-        prod = G @ shifted
-        # valid window of prod: order - k; compare lam^-l-1 entries for l + 1 <= order - k
-        l_top = min(order - k - 1, table.max_k)
-        checked_l = l_top if checked_l is None else min(checked_l, l_top)
-        expect: dict[int, M2] = {k: M2.identity()}
-        for l in range(l_top + 1):
-            expect[-l - 1] = table.entry(l, k)
-        exps = set(expect)
-        for e in range(-(l_top + 1), k + 1):
-            got = M2(
-                prod.e11.coeff(e), prod.e12.coeff(e),
-                prod.e21.coeff(e), prod.e22.coeff(e),
-            )
-            want = expect.get(e, M2.zero())
-            if got != want:
-                failures.append(f"k={k}, lam^{e}: {got} vs {want}")
-                if len(failures) >= 3:
-                    break
-        if len(failures) >= 3:
-            break
+    windows: list[int] = []  # rows l checked for each k reached
+
+    def mismatches():
+        for k in range(k_max + 1):
+            prod = G @ polynomial_part(Ginv.shift(k))
+            # valid window of prod: order - k; compare lam^-l-1 entries for l + 1 <= order - k
+            l_top = min(order - k - 1, table.max_k)
+            windows.append(l_top)
+            expect: dict[int, M2] = {k: M2.identity()}
+            for l in range(l_top + 1):
+                expect[-l - 1] = table.entry(l, k)
+            for e in range(-(l_top + 1), k + 1):
+                got = M2(
+                    prod.e11.coeff(e), prod.e12.coeff(e),
+                    prod.e21.coeff(e), prod.e22.coeff(e),
+                )
+                want = expect.get(e, M2.zero())
+                if got != want:
+                    yield f"k={k}, lam^{e}: {got} vs {want}"
+
+    failures = first_failures(mismatches())
     return VerificationReport(
         suite, not failures,
-        f"k <= {k_max}, rows l <= {checked_l}", failures=failures,
+        f"k <= {k_max}, rows l <= {min(windows, default=None)}", failures=failures,
     )
 
 

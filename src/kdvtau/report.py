@@ -3,8 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterable
 
-__all__ = ["VerificationReport"]
+__all__ = ["MAX_FAILURES", "VerificationReport", "first_failures"]
+
+MAX_FAILURES = 3  # a report carries the first few mismatches, not all of them
+
+
+def first_failures(mismatches: Iterable[str]) -> list[str]:
+    """The first MAX_FAILURES messages of a lazy stream of mismatches.
+
+    The stream is not consumed further, so a verifier stops checking once
+    the cap is reached.
+    """
+    return list(islice(mismatches, MAX_FAILURES))
 
 
 @dataclass
@@ -31,6 +44,6 @@ class VerificationReport:
         msg = f"{self.suite}: {status} ({self.depth})"
         if self.notes:
             msg += f" -- {self.notes}"
-        for f in self.failures[:3]:
+        for f in self.failures[:MAX_FAILURES]:
             msg += f"\n  first failure: {f}"
         return msg

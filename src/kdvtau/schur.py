@@ -23,6 +23,7 @@ from typing import Callable, Iterator
 from .errors import DegreeExceededError, NonUnitError, OutOfRangeError
 from .exactnum import RationalLike, as_rational, format_rational
 from .grassmann import AffineTable
+from .series import _order_min
 
 __all__ = [
     "Partition",
@@ -157,11 +158,6 @@ _VAR_DEGREE: dict[str, Callable[[int], int]] = {
 def monomial_degree(kind: str, mon: Monomial) -> int:
     w = _VAR_DEGREE[kind]
     return sum(w(var) * exp for var, exp in mon)
-
-
-def _order_min(*bounds: int | None) -> int | None:
-    finite = [b for b in bounds if b is not None]
-    return min(finite) if finite else None
 
 
 @dataclass(frozen=True)
@@ -375,20 +371,16 @@ def graded_poly_to_json(p: GradedPoly) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _h_list(count: int) -> tuple[GradedPoly, ...]:
-    """h_0..h_count from the derivative recursion k h_k = sum_j j theta_j h_{k-j}."""
+def h_polys(max_degree: int) -> tuple[GradedPoly, ...]:
+    """Complete homogeneous polynomials h_0..h_max_degree (exact), from the
+    derivative recursion k h_k = sum_j j theta_j h_{k-j}."""
     hs = [GradedPoly.const("theta", 1)]
-    for k in range(1, count + 1):
+    for k in range(1, max_degree + 1):
         acc = GradedPoly.zero("theta")
         for j in range(1, k + 1):
             acc = acc + hs[k - j].scale(j) * GradedPoly.variable("theta", j)
         hs.append(acc.scale(Fraction(1, k)))
     return tuple(hs)
-
-
-def h_polys(max_degree: int) -> list[GradedPoly]:
-    """Complete homogeneous polynomials h_0..h_max_degree (exact)."""
-    return list(_h_list(max_degree))
 
 
 @lru_cache(maxsize=None)
@@ -402,7 +394,7 @@ def schur_poly(mu: Partition) -> GradedPoly:
     ell = mu.length
     if ell == 0:
         return GradedPoly.const("theta", 1)
-    hs = _h_list(mu.parts[0] + ell)
+    hs = h_polys(mu.parts[0] + ell)
 
     memo: dict[int, GradedPoly] = {}
     full_mask = (1 << ell) - 1

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .errors import InconsistentDivisionError, InsufficientDepthError, OutOfRangeError
 from .exactnum import format_rational
 from .grassmann import ZTable, wk_G, wk_c_coeff, wk_q_coeff
-from .report import VerificationReport
+from .report import VerificationReport, first_failures
 from .series import M2, matrix_series_inverse
 
 __all__ = [
@@ -104,37 +104,37 @@ def verify_R_from_G(depth: int) -> VerificationReport:
     R = r_matrix(depth)
     lam_order = 3 * (depth // 2) + 2
     U = matrix_series_inverse(wk_G(lam_order + 1), lam_order).blocks(lam_order)
-    failures = []
 
-    def check(label: str, got, want) -> None:
-        if got != want and len(failures) < 3:
-            failures.append(f"{label}: {got} vs {want}")
+    def comparisons():
+        for z_exp in range(depth + 1):
+            rb = R.block(z_exp)
+            if z_exp % 2 == 0:
+                k = z_exp // 2
+                yield f"(1,1) z^{z_exp}", rb.a11, U[3 * k].a11
+                yield f"(2,2) z^{z_exp}", rb.a22, U[3 * k].a22
+                yield f"(1,2) z^{z_exp}", rb.a12, 0
+                yield f"(2,1) z^{z_exp}", rb.a21, 0
+            else:
+                k = (z_exp - 1) // 2
+                yield f"(1,2) z^{z_exp}", rb.a12, U[3 * k + 1].a12
+                yield f"(2,1) z^{z_exp}", rb.a21, U[3 * k + 2].a21
+                yield f"(1,1) z^{z_exp}", rb.a11, 0
+                yield f"(2,2) z^{z_exp}", rb.a22, 0
+        # entries of U off the mod-3 pattern must vanish, or the correspondence
+        # above would miss nonzero data
+        for j in range(lam_order + 1):
+            u = U[j]
+            slots = {
+                0: (("(1,2)", u.a12), ("(2,1)", u.a21)),
+                1: (("(1,1)", u.a11), ("(2,1)", u.a21), ("(2,2)", u.a22)),
+                2: (("(1,1)", u.a11), ("(1,2)", u.a12), ("(2,2)", u.a22)),
+            }[j % 3]
+            for name, val in slots:
+                yield f"U_{j} {name}", val, 0
 
-    for z_exp in range(depth + 1):
-        rb = R.block(z_exp)
-        if z_exp % 2 == 0:
-            k = z_exp // 2
-            check(f"(1,1) z^{z_exp}", rb.a11, U[3 * k].a11)
-            check(f"(2,2) z^{z_exp}", rb.a22, U[3 * k].a22)
-            check(f"(1,2) z^{z_exp}", rb.a12, 0)
-            check(f"(2,1) z^{z_exp}", rb.a21, 0)
-        else:
-            k = (z_exp - 1) // 2
-            check(f"(1,2) z^{z_exp}", rb.a12, U[3 * k + 1].a12)
-            check(f"(2,1) z^{z_exp}", rb.a21, U[3 * k + 2].a21)
-            check(f"(1,1) z^{z_exp}", rb.a11, 0)
-            check(f"(2,2) z^{z_exp}", rb.a22, 0)
-    # entries of U off the mod-3 pattern must vanish, or the correspondence
-    # above would miss nonzero data
-    for j in range(lam_order + 1):
-        u = U[j]
-        slots = {
-            0: (("(1,2)", u.a12), ("(2,1)", u.a21)),
-            1: (("(1,1)", u.a11), ("(2,1)", u.a21), ("(2,2)", u.a22)),
-            2: (("(1,1)", u.a11), ("(1,2)", u.a12), ("(2,2)", u.a22)),
-        }[j % 3]
-        for name, val in slots:
-            check(f"U_{j} {name}", val, 0)
+    failures = first_failures(
+        f"{label}: {got} vs {want}" for label, got, want in comparisons() if got != want
+    )
     return VerificationReport(
         suite, not failures, f"z-degree {depth}, lam-order {lam_order}", failures=failures
     )
@@ -224,37 +224,35 @@ def verify_v_relations(size: int) -> VerificationReport:
     """
     suite = "v-relations"
     V = v_table(size + 1)
-    failures = []
-    for k in range(size + 1):
-        for l in range(size + 1):
-            lhs = V.entry(k, l + 1) + V.entry(k + 1, l)
-            rhs = -(V.entry(k, 0) @ V.entry(0, l))
-            if lhs != rhs:
-                failures.append(f"pairwise sum at (k,l)=({k},{l}): {lhs} vs {rhs}")
-            star = V.entry(k, l).swap_diagonal()
-            if star != V.entry(l, k):
-                failures.append(f"adjoint symmetry at (k,l)=({k},{l})")
-            if len(failures) >= 3:
-                break
-        if len(failures) >= 3:
-            break
-    # reconstruction: coefficient of w^i z^j in (w+z) * quotient equals the
-    # numerator block R*_i R_j (zero at the origin)
-    R = r_matrix(size + 1)
-    for i in range(size + 2):
-        for j in range(size + 2):
-            if i + j == 0:
-                continue
-            acc = M2.zero()
-            if i >= 1:
-                q = V.entry(i - 1, j)
-                acc = acc + (q if (i - 1 + j) % 2 == 0 else -q)
-            if j >= 1:
-                q = V.entry(i, j - 1)
-                acc = acc + (q if (i + j - 1) % 2 == 0 else -q)
-            want = R.star_block(i) @ R.block(j)
-            if acc != want and len(failures) < 3:
-                failures.append(f"reconstruction at w^{i} z^{j}: {acc} vs {want}")
+
+    def mismatches():
+        for k in range(size + 1):
+            for l in range(size + 1):
+                lhs = V.entry(k, l + 1) + V.entry(k + 1, l)
+                rhs = -(V.entry(k, 0) @ V.entry(0, l))
+                if lhs != rhs:
+                    yield f"pairwise sum at (k,l)=({k},{l}): {lhs} vs {rhs}"
+                if V.entry(k, l).swap_diagonal() != V.entry(l, k):
+                    yield f"adjoint symmetry at (k,l)=({k},{l})"
+        # reconstruction: coefficient of w^i z^j in (w+z) * quotient equals the
+        # numerator block R*_i R_j (zero at the origin)
+        R = r_matrix(size + 1)
+        for i in range(size + 2):
+            for j in range(size + 2):
+                if i + j == 0:
+                    continue
+                acc = M2.zero()
+                if i >= 1:
+                    q = V.entry(i - 1, j)
+                    acc = acc + (q if (i - 1 + j) % 2 == 0 else -q)
+                if j >= 1:
+                    q = V.entry(i, j - 1)
+                    acc = acc + (q if (i + j - 1) % 2 == 0 else -q)
+                want = R.star_block(i) @ R.block(j)
+                if acc != want:
+                    yield f"reconstruction at w^{i} z^{j}: {acc} vs {want}"
+
+    failures = first_failures(mismatches())
     return VerificationReport(
         suite, not failures, f"k,l <= {size}", failures=failures
     )
@@ -275,25 +273,25 @@ def verify_thm2(ztable: ZTable, K: int, L: int) -> VerificationReport:
             f"Z table {ztable.max_k}x{ztable.max_l} too small for K={K}, L={L}"
         )
     V = v_table(2 * max(K, L) + 1)
-    failures = []
+    Z = ztable.entry
 
-    def check(label: str, got: M2, want: M2) -> None:
-        if got != want and len(failures) < 3:
-            failures.append(f"{label}: {got} vs {want}")
+    def comparisons():
+        for k in range(K + 1):
+            for l in range(L + 1):
+                yield f"V[{2*k},{2*l+1}]", V.entry(2 * k, 2 * l + 1), Z(3 * k, 3 * l + 2)
+                yield f"V[{2*l+1},{2*k}]", V.entry(2 * l + 1, 2 * k), -Z(3 * l + 2, 3 * k)
+                yield (
+                    f"V[{2*k},{2*l}]",
+                    V.entry(2 * k, 2 * l),
+                    -Z(3 * k, 3 * l + 1) - Z(3 * k, 3 * l),
+                )
+                yield (
+                    f"V[{2*k+1},{2*l+1}]",
+                    V.entry(2 * k + 1, 2 * l + 1),
+                    Z(3 * k + 2, 3 * l + 2) + Z(3 * k + 2, 3 * l + 1),
+                )
 
-    for k in range(K + 1):
-        for l in range(L + 1):
-            Z = ztable.entry
-            check(f"V[{2*k},{2*l+1}]", V.entry(2 * k, 2 * l + 1), Z(3 * k, 3 * l + 2))
-            check(f"V[{2*l+1},{2*k}]", V.entry(2 * l + 1, 2 * k), -Z(3 * l + 2, 3 * k))
-            check(
-                f"V[{2*k},{2*l}]",
-                V.entry(2 * k, 2 * l),
-                -Z(3 * k, 3 * l + 1) - Z(3 * k, 3 * l),
-            )
-            check(
-                f"V[{2*k+1},{2*l+1}]",
-                V.entry(2 * k + 1, 2 * l + 1),
-                Z(3 * k + 2, 3 * l + 2) + Z(3 * k + 2, 3 * l + 1),
-            )
+    failures = first_failures(
+        f"{label}: {got} vs {want}" for label, got, want in comparisons() if got != want
+    )
     return VerificationReport(suite, not failures, f"k <= {K}, l <= {L}", failures=failures)

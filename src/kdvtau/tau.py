@@ -33,7 +33,7 @@ from functools import lru_cache
 from .errors import DegreeExceededError, InsufficientTableError
 from .exactnum import format_rational, odd_double_factorial
 from .grassmann import AffineTable
-from .report import VerificationReport
+from .report import VerificationReport, first_failures
 from .schur import (
     GradedPoly,
     Monomial,
@@ -49,7 +49,6 @@ __all__ = [
     "IntersectionResult",
     "tau_truncated",
     "to_t_variables",
-    "log_series",
     "free_energy",
     "intersection_number",
     "verify_string_equation",
@@ -71,6 +70,16 @@ class TauSeries:
     def __post_init__(self) -> None:
         if self.poly.constant_term() != 1:
             raise ValueError("a tau series has constant term 1")
+
+    def truncate(self, degree: int) -> "TauSeries":
+        """The same series, exact through the lower graded degree `degree`.
+
+        Schur polynomials are homogeneous, so this equals the tau series
+        assembled at `degree` from the same table.
+        """
+        if degree > self.degree:
+            raise DegreeExceededError(f"tau series is exact only through degree {self.degree}")
+        return TauSeries(self.poly.truncate(degree), degree, self.source)
 
 
 def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
@@ -117,14 +126,9 @@ def to_t_variables(tau: TauSeries) -> GradedPoly:
     return GradedPoly.make("t", out, tau.poly.bound)
 
 
-def log_series(p: GradedPoly, degree: int | None = None) -> GradedPoly:
-    """Exact log of a constant-term-1 graded polynomial, through `degree`."""
-    return graded_log(p, degree)
-
-
 def free_energy(tau: TauSeries) -> GradedPoly:
     """log Z in the coupling constants t."""
-    return log_series(to_t_variables(tau))
+    return graded_log(to_t_variables(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +290,11 @@ def verify_dimension_filter(tau: TauSeries) -> VerificationReport:
     """Every monomial of log Z must obey the dimension constraint."""
     suite = "dimension-filter"
     F = free_energy(tau)
-    failures = []
-    for mon, c in sorted(F.terms.items()):
-        ks = []
-        for var, exp in mon:
-            ks.extend([var] * exp)
-        spec = CorrelatorSpec.of(ks)
-        if not spec.is_valid:
-            failures.append(f"{spec} has coefficient {format_rational(c)}")
-            if len(failures) >= 3:
-                break
+    failures = first_failures(
+        f"{spec} has coefficient {format_rational(c)}"
+        for mon, c in sorted(F.terms.items())
+        if not (spec := CorrelatorSpec.of([var for var, exp in mon for _ in range(exp)])).is_valid
+    )
     return VerificationReport(
         suite, not failures, f"all stored monomials through degree {F.bound}", failures=failures
     )
@@ -323,23 +322,23 @@ def verify_string_recursion(tau: TauSeries) -> VerificationReport:
     suite = "string-recursion"
     F = free_energy(tau)
     bound = F.bound if F.bound is not None else tau.degree
-    failures = []
     checked = 0
-    for ks in _specs_with_weight_at_most(bound - 1):
-        if all(k == 0 for k in ks):
-            continue
-        lhs = _correlator(F, CorrelatorSpec.of(ks + (0,)))
-        rhs = Fraction(0)
-        for i, k in enumerate(ks):
-            if k >= 1:
-                rhs += _correlator(F, CorrelatorSpec.of(ks[:i] + (k - 1,) + ks[i + 1:]))
-        checked += 1
-        if lhs != rhs:
-            failures.append(
-                f"{CorrelatorSpec.of(ks + (0,))}: {format_rational(lhs)} vs {format_rational(rhs)}"
-            )
-            if len(failures) >= 3:
-                break
+
+    def mismatches():
+        nonlocal checked
+        for ks in _specs_with_weight_at_most(bound - 1):
+            if all(k == 0 for k in ks):
+                continue
+            lhs = _correlator(F, CorrelatorSpec.of(ks + (0,)))
+            rhs = Fraction(0)
+            for i, k in enumerate(ks):
+                if k >= 1:
+                    rhs += _correlator(F, CorrelatorSpec.of(ks[:i] + (k - 1,) + ks[i + 1:]))
+            checked += 1
+            if lhs != rhs:
+                yield f"{CorrelatorSpec.of(ks + (0,))}: {format_rational(lhs)} vs {format_rational(rhs)}"
+
+    failures = first_failures(mismatches())
     return VerificationReport(
         suite, not failures, f"{checked} specs within t-degree {bound}", failures=failures
     )

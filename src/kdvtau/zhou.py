@@ -44,7 +44,7 @@ from .exactnum import (
     odd_double_factorial,
 )
 from .grassmann import AffineTable
-from .report import VerificationReport
+from .report import VerificationReport, first_failures
 
 __all__ = [
     "ZhouIndex",
@@ -175,19 +175,12 @@ def zhou_affine_table(max_m: int, max_n: int) -> AffineTable:
 def verify_zhou_match(grassmann_table: AffineTable, max_m: int, max_n: int) -> VerificationReport:
     """Entrywise equality of the Grassmannian and closed-form tables."""
     suite = "zhou-match"
-    failures = []
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            lhs = grassmann_table.value(m, n)
-            rhs = rescale_B(m, n)
-            if lhs != rhs:
-                failures.append(
-                    f"({m},{n}): grassmann {format_rational(lhs)} vs closed form {format_rational(rhs)}"
-                )
-                if len(failures) >= 3:
-                    break
-        if len(failures) >= 3:
-            break
+    failures = first_failures(
+        f"({m},{n}): grassmann {format_rational(lhs)} vs closed form {format_rational(rhs)}"
+        for m in range(max_m + 1)
+        for n in range(max_n + 1)
+        if (lhs := grassmann_table.value(m, n)) != (rhs := rescale_B(m, n))
+    )
     return VerificationReport(suite, not failures, f"0 <= m,n <= {min(max_m, max_n)}", failures=failures)
 
 
@@ -259,31 +252,23 @@ def verify_combinatorial_identity(m: int, n: int) -> VerificationReport:
 def verify_two_step_recursion(max_sum: int) -> VerificationReport:
     """B_{m+2,n} - B_{m,n+2} = B_{m,0} B_{1,n} + B_{m,1} B_{0,n} for m+n <= max_sum."""
     suite = "two-step-recursion"
-    failures = []
-    for m in range(max_sum + 1):
-        for n in range(max_sum - m + 1):
-            lhs = rescale_B(m + 2, n) - rescale_B(m, n + 2)
-            rhs = rescale_B(m, 0) * rescale_B(1, n) + rescale_B(m, 1) * rescale_B(0, n)
-            if lhs != rhs:
-                failures.append(f"(m,n)=({m},{n}): {format_rational(lhs)} vs {format_rational(rhs)}")
-                if len(failures) >= 3:
-                    break
-        if len(failures) >= 3:
-            break
+    failures = first_failures(
+        f"(m,n)=({m},{n}): {format_rational(lhs)} vs {format_rational(rhs)}"
+        for m in range(max_sum + 1)
+        for n in range(max_sum - m + 1)
+        if (lhs := rescale_B(m + 2, n) - rescale_B(m, n + 2))
+        != (rhs := rescale_B(m, 0) * rescale_B(1, n) + rescale_B(m, 1) * rescale_B(0, n))
+    )
     return VerificationReport(suite, not failures, f"m+n <= {max_sum}", failures=failures)
 
 
 def verify_b_symmetry(max_m: int, max_n: int) -> VerificationReport:
     """B_{n,m} = (-1)^(m+n) B_{m,n} for all m <= max_m, n <= max_n."""
     suite = "coefficient-symmetry"
-    failures = []
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            sign = 1 if (m + n) % 2 == 0 else -1
-            if rescale_B(n, m) != sign * rescale_B(m, n):
-                failures.append(f"({m},{n})")
-                if len(failures) >= 3:
-                    break
-        if len(failures) >= 3:
-            break
+    failures = first_failures(
+        f"({m},{n})"
+        for m in range(max_m + 1)
+        for n in range(max_n + 1)
+        if rescale_B(n, m) != (1 if (m + n) % 2 == 0 else -1) * rescale_B(m, n)
+    )
     return VerificationReport(suite, not failures, f"m <= {max_m}, n <= {max_n}", failures=failures)

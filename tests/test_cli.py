@@ -241,3 +241,76 @@ def test_grassmann_malformed_file_exits_2(capsys, tmp_path):
     path.write_text("{this is not json")
     code, _, err = run(capsys, "grassmann", str(path), "--tau", "4")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract at the parse/load boundary
+# ---------------------------------------------------------------------------
+
+GOOD_SERIES = {"head": [], "tail_order": 1, "tail": ["1", "0"]}
+
+
+@pytest.mark.parametrize("argv,a_series", [
+    (["verify", "recursion", "--depth", "-3"], None),
+    (["grassmann", "POINT", "--tau", "-1"], None),
+    (["verify", "kdv", "--flow", "0"], None),
+    (["coeffs", "--kind", "c", "--max", "-2"], None),
+    (["affine", "--source", "grassmann", "--max-m", "-1", "--max-n", "2"], None),
+    (["grassmann", "POINT", "--affine", "-1", "2"], None),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": ["2", "0"]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": "x", "tail": ["1"]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": ["1", "1/0"]}),
+], ids=["depth", "tau", "flow", "max", "max-m", "affine",
+        "constant-term", "tail-order", "zero-denominator"])
+def test_bad_input_exits_2(capsys, tmp_path, argv, a_series):
+    if a_series is None:
+        path = write_example_point(tmp_path)
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"a": a_series, "b": GOOD_SERIES}))
+    try:
+        code = main([str(path) if arg == "POINT" else arg for arg in argv])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# one table and one tau per grassmann call
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tau_vars", ["t", "theta"])
+@pytest.mark.parametrize("degree,n", [(6, 2), (6, 4), (5, 5)])  # N + 2 <, =, > D
+def test_grassmann_combined_call_matches_separate_calls(capsys, tmp_path, monkeypatch,
+                                                        tau_vars, degree, n):
+    import kdvtau.grassmann as grassmann
+    import kdvtau.tau as tau
+
+    path = write_example_point(tmp_path)
+    separate = {}
+    for task in (["--affine", "7", "3"], ["--tau", str(degree), "--tau-vars", tau_vars],
+                 ["--initial-data", str(n)]):
+        code, out, _ = run(capsys, "grassmann", path, *task)
+        assert code == 0
+        separate.update(json.loads(out))
+
+    calls = {"tau": 0, "z": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tau, "tau_truncated", counted("tau", tau.tau_truncated))
+    monkeypatch.setattr(grassmann, "z_tables_recursive", counted("z", grassmann.z_tables_recursive))
+    code, out, _ = run(capsys, "grassmann", path, "--affine", "7", "3", "--tau", str(degree),
+                       "--tau-vars", tau_vars, "--initial-data", str(n))
+    assert code == 0
+    assert json.loads(out) == separate
+    assert list(json.loads(out)) == ["affine", "tau", "initial_data"]
+    assert calls == {"tau": 1, "z": 1}

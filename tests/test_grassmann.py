@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kdvtau.errors import InsufficientDepthError, OutOfRangeError
+import kdvtau.grassmann as grassmann
+from kdvtau.errors import ExactComputationError, InsufficientDepthError, OutOfRangeError
 from kdvtau.grassmann import (
     GrassmannPoint,
     affine_coordinate,
@@ -23,8 +24,10 @@ from kdvtau.grassmann import (
     wk_point,
     wk_q_coeff,
     z_table_direct,
+    z_table_recursive,
+    z_tables_recursive,
 )
-from kdvtau.series import M2, LaurentSeries, matrix_series_inverse
+from kdvtau.series import M2, LaurentSeries, MatrixSeries, matrix_series_inverse
 
 F = Fraction
 
@@ -188,9 +191,47 @@ def test_recursion_identity_on_direct_table(wk_G41):
     assert verify_z_recursion_identity(table).passed
 
 
+# (K, L) shapes off the square: the CLI asks for these (e.g. `affine --max-m 7 --max-n 3`)
+EDGE_SHAPES = [(3, 1), (1, 4), (0, 0), (0, 5), (5, 0), (4, 2)]
+
+
+@pytest.mark.parametrize("K,L", EDGE_SHAPES)
+def test_recursive_matches_direct_on_edge_shapes(wk_G41, K, L):
+    assert z_table_recursive(wk_G41, K, L) == z_table_direct(wk_G41, K, L)
+    G = build_G(normalize_point(GrassmannPoint(
+        LaurentSeries.from_dict({0: 1, -1: 2, -2: F(1, 3), -4: -1}, None),
+        LaurentSeries.from_dict({0: 1, -1: 1, -3: F(5, 2)}, None),
+    )), K + L + 1)
+    assert z_table_recursive(G, K, L) == z_table_direct(G, K, L)
+
+
+def test_one_recursion_run_serves_every_shape(wk_G41):
+    tables = z_tables_recursive(wk_G41, EDGE_SHAPES)
+    assert tables == [z_table_direct(wk_G41, K, L) for K, L in EDGE_SHAPES]
+
+
+@pytest.mark.parametrize("j", [1, 2, 4])
+def test_recursion_boundary_check_catches_a_corrupt_inverse(monkeypatch, wk_G41, j):
+    # Z[j-1,0] moves by exactly the corruption of U_j, so the left-column
+    # check Z[k,0] = G_{k+1} sees it whenever j - 1 <= max_k
+    true_inverse = grassmann.matrix_series_inverse
+
+    def corrupt_inverse(G, order=None):
+        U = true_inverse(G, order)
+        blocks = U.blocks(U.tail_order)
+        blocks[j] = blocks[j] + M2.of(0, 1, 0, 0)
+        return MatrixSeries.from_blocks(blocks, U.tail_order)
+
+    monkeypatch.setattr(grassmann, "matrix_series_inverse", corrupt_inverse)
+    with pytest.raises(ExactComputationError, match="boundary mismatch"):
+        z_table_recursive(wk_G41, 3, 3)
+
+
 def test_insufficient_depth_is_an_error():
     with pytest.raises(InsufficientDepthError):
         z_table_direct(wk_G(5), 3, 3)  # needs order 7
+    with pytest.raises(InsufficientDepthError):
+        z_table_recursive(wk_G(5), 3, 3)
 
 
 def test_example_point_affine_coordinates():

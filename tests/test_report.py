@@ -1,0 +1,142 @@
+"""The shared failure cap, and every capped verifier on an input with one bad entry."""
+
+from fractions import Fraction
+
+import pytest
+
+import kdvtau.grassmann as grassmann
+import kdvtau.spin3 as spin3
+import kdvtau.zhou as zhou
+from kdvtau.grassmann import AffineTable, ZTable, z_table_recursive
+from kdvtau.report import MAX_FAILURES, VerificationReport, first_failures
+from kdvtau.schur import GradedPoly
+from kdvtau.series import M2
+from kdvtau.tau import TauSeries, verify_dimension_filter, verify_string_recursion
+
+F = Fraction
+BUMP = M2.of(0, 1, 0, 0)
+
+
+def test_first_failures_stops_consuming_at_the_cap():
+    seen = []
+
+    def mismatches():
+        for i in range(10):
+            seen.append(i)
+            yield f"mismatch {i}"
+
+    assert first_failures(mismatches()) == ["mismatch 0", "mismatch 1", "mismatch 2"]
+    assert len(seen) == MAX_FAILURES
+
+
+def test_line_prints_at_most_the_cap():
+    rep = VerificationReport("s", False, "d", failures=[str(i) for i in range(5)])
+    assert rep.line().count("first failure") == MAX_FAILURES
+
+
+def bumped_z(table: ZTable, k: int, l: int) -> ZTable:
+    rows = [list(row) for row in table.blocks]
+    rows[k][l] = rows[k][l] + BUMP
+    return ZTable(table.max_k, table.max_l, tuple(tuple(row) for row in rows))
+
+
+def bumped_tau(tau: TauSeries, mon) -> TauSeries:
+    extra = GradedPoly.make("theta", {mon: 1}, tau.degree)
+    return TauSeries(tau.poly + extra, tau.degree, tau.source)
+
+
+def bumped_rescale_B(monkeypatch, row: int, col: int) -> None:
+    true_B = zhou.rescale_B
+    monkeypatch.setattr(
+        zhou, "rescale_B", lambda m, n: true_B(m, n) + (1 if (m, n) == (row, col) else 0)
+    )
+
+
+def case_generating_function(mp, G, tau):
+    table = bumped_z(z_table_recursive(G, 5, 5), 1, 2)
+    return grassmann.verify_generating_function(G, table, 5)
+
+
+def case_symmetry(mp, G, tau):
+    return grassmann.verify_symmetry(bumped_z(z_table_recursive(G, 4, 4), 1, 2), G, 4)
+
+
+def case_z_equivalence(mp, G, tau):
+    true_direct = grassmann.z_table_direct
+    mp.setattr(grassmann, "z_table_direct", lambda *a: bumped_z(true_direct(*a), 2, 1))
+    return grassmann.verify_z_equivalence(G, 4, 4)
+
+
+def case_z_recursion(mp, G, tau):
+    return grassmann.verify_z_recursion_identity(bumped_z(z_table_recursive(G, 5, 5), 2, 2))
+
+
+def case_z_generating_series(mp, G, tau):
+    table = bumped_z(z_table_recursive(G, 6, 6), 1, 1)
+    return grassmann.verify_z_generating_series(G, 3, table)
+
+
+def case_zhou_match(mp, G, tau):
+    table = zhou.zhou_affine_table(6, 6)
+    entries = dict(table.entries)
+    entries[(2, 3)] += 1
+    return zhou.verify_zhou_match(AffineTable(6, 6, entries, "custom"), 6, 6)
+
+
+def case_two_step_recursion(mp, G, tau):
+    bumped_rescale_B(mp, 4, 1)
+    return zhou.verify_two_step_recursion(6)
+
+
+def case_b_symmetry(mp, G, tau):
+    bumped_rescale_B(mp, 4, 1)
+    return zhou.verify_b_symmetry(6, 6)
+
+
+def case_dimension_filter(mp, G, tau):
+    return verify_dimension_filter(bumped_tau(tau, ((1, 2),)))  # <tau_0 tau_0> has no genus
+
+
+def case_string_recursion(mp, G, tau):
+    return verify_string_recursion(bumped_tau(tau, ((1, 3),)))  # moves <tau_0^3>
+
+
+def case_r_from_G(mp, G, tau):
+    true_R = spin3.r_matrix
+
+    def bumped(depth):
+        coeffs = list(true_R(depth).coeffs)
+        coeffs[2] = coeffs[2] + BUMP
+        return spin3.RMatrixSeries(tuple(coeffs))
+
+    mp.setattr(spin3, "r_matrix", bumped)
+    return spin3.verify_R_from_G(6)
+
+
+def case_v_relations(mp, G, tau):
+    true_V = spin3.v_table
+
+    def bumped(size):
+        V = true_V(size)
+        rows = [list(row) for row in V.blocks]
+        rows[1][1] = rows[1][1] + BUMP
+        return spin3.VTable(V.size, tuple(tuple(row) for row in rows))
+
+    mp.setattr(spin3, "v_table", bumped)
+    return spin3.verify_v_relations(3)
+
+
+def case_thm2(mp, G, tau):
+    return spin3.verify_thm2(bumped_z(z_table_recursive(G, 5, 5), 0, 2), 1, 1)
+
+
+@pytest.mark.parametrize("case", [
+    case_generating_function, case_symmetry, case_z_equivalence, case_z_recursion,
+    case_z_generating_series, case_zhou_match, case_two_step_recursion, case_b_symmetry,
+    case_dimension_filter, case_string_recursion, case_r_from_G, case_v_relations, case_thm2,
+], ids=lambda case: case.__name__[len("case_"):])
+def test_capped_verifier_fails_on_one_perturbed_entry(monkeypatch, wk_G41, wk_tau12, case):
+    rep = case(monkeypatch, wk_G41, wk_tau12)
+    assert not rep.passed and not rep.skipped
+    assert 1 <= len(rep.failures) <= MAX_FAILURES
+    assert rep.line().count("first failure") == len(rep.failures)

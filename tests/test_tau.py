@@ -4,13 +4,12 @@ import pytest
 
 from kdvtau.errors import DegreeExceededError, InsufficientTableError
 from kdvtau.grassmann import AffineTable
-from kdvtau.schur import GradedPoly, graded_exp
+from kdvtau.schur import GradedPoly, graded_exp, graded_log
 from kdvtau.tau import (
     CorrelatorSpec,
     free_energy,
     initial_data,
     intersection_number,
-    log_series,
     tau_truncated,
     to_t_variables,
     verify_dimension_filter,
@@ -112,9 +111,9 @@ def test_to_t_wk_degree3(wk_tau12):
 
 def test_log_series_examples(wk_tau12):
     one = GradedPoly.const("t", 1, 6)
-    assert log_series(one).is_zero()
+    assert graded_log(one).is_zero()
     Z = to_t_variables(wk_tau12)
-    L = log_series(Z)
+    L = graded_log(Z)
     assert L.terms[t_mon((0, 3))] == F(1, 6)
     assert L.terms[t_mon((1, 1))] == F(1, 24)
     assert graded_exp(L, 12).terms == Z.terms
