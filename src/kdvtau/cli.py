@@ -38,6 +38,7 @@ SUITE_DEFAULT_DEPTH = {
     "vmatrix": 3,
     "thm2": 3,
 }
+POINT_SUITES = ("string", "kdv")  # the suites that read a --point file
 
 
 def _affine_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) -> list[gr.AffineTable]:
@@ -146,7 +147,7 @@ def _run_suite(suite: str, depth: int, flow: int, point: gr.GrassmannPoint | Non
         # built itself it would hold by construction
         table = gr.z_table_direct(G, depth, depth)
         return [
-            gr.verify_z_equivalence(G, depth, depth),
+            gr.verify_z_equivalence(G, table),
             gr.verify_z_recursion_identity(table),
             gr.verify_z_generating_series(G, depth // 2, table),
             zhou.verify_two_step_recursion(2 * depth),
@@ -166,7 +167,7 @@ def _run_suite(suite: str, depth: int, flow: int, point: gr.GrassmannPoint | Non
     if suite == "zhou-match":
         (table,) = _affine_tables(None, (depth, depth))
         return [zhou.verify_zhou_match(table, depth, depth)]
-    if suite in ("string", "kdv"):
+    if suite in POINT_SUITES:
         size = max(depth - 1, 1)
         (table,) = _affine_tables(point, (size, size))
         t = tau_mod.tau_truncated(table, depth)
@@ -191,6 +192,9 @@ def _run_suite(suite: str, depth: int, flow: int, point: gr.GrassmannPoint | Non
 def cmd_verify(args: argparse.Namespace) -> int:
     point = None
     if args.point:
+        if args.suite not in POINT_SUITES:
+            print("error: --point applies only to the string and kdv suites", file=sys.stderr)
+            return 2
         point = _load_point(args.point)
     if args.suite == "all":
         runs = [(suite, None) for suite in SUITE_DEFAULT_DEPTH if suite != "kdv"]
@@ -284,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITE_DEFAULT_DEPTH) + ["all"])
     p.add_argument("--depth", type=_count, default=None)
     p.add_argument("--flow", type=_int_at_least(1), default=1)
-    p.add_argument("--point", default=None, help="JSON point file for string/kdv suites")
+    p.add_argument("--point", default=None,
+                   help="JSON point file checked by the string and kdv suites "
+                        "(any other suite, all included, exits 2)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("grassmann", help="derive data from a point file")

@@ -313,25 +313,29 @@ def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[Z
     row k is computed from row k-1 and the top row, one entry shorter than
     row k-1.  Row k thus holds Z_{k,l} for k + l < need, which covers every
     shape, so no shape needs more depth of G than it would alone.  The
-    left-column boundary data Z_{k,0} = G_{k+1} is then checked against the
-    recursion output -- a disagreement would mean G * G^-1 != I.
+    left column is run on down to row need - 1, and each Z_{k,0} is checked
+    against the boundary data G_{k+1}.  With U the computed inverse,
+    Z_{k,0} = G_{k+1} for every k < need is (G U)_{k+1} = 0, so the check
+    covers every seed U_1..U_need.
     """
     need = max(K + L for K, L in shapes) + 1
     _require_depth(G, need)
     u = matrix_series_inverse(G, need).blocks(need)
     top = [-u[l + 1] for l in range(need)]
-    rows = [top]
-    for k in range(1, max(K for K, _ in shapes) + 1):
-        prev = rows[-1]
-        rows.append([prev[l + 1] + (prev[0] @ top[l]) for l in range(need - k)])
-
-    for k, row in enumerate(rows):
+    max_k = max(K for K, _ in shapes)
+    rows = []
+    row = top
+    for k in range(need):
+        if k:
+            row = [row[l + 1] + (row[0] @ top[l]) for l in range(need - k)]
         expected = G.block(k + 1)
         if row[0] != expected:
             raise ExactComputationError(
                 f"recursion boundary mismatch at Z[{k},0]: {row[0]} vs {expected}; "
                 "the seeds are inconsistent (G times its inverse is not the identity)"
             )
+        if k <= max_k:
+            rows.append(row)
     return [
         ZTable(K, L, tuple(tuple(row[: L + 1]) for row in rows[: K + 1])) for K, L in shapes
     ]
@@ -466,10 +470,11 @@ def verify_kac_schwarz(depth: int) -> VerificationReport:
     return VerificationReport(suite, not failures, detail, failures=failures)
 
 
-def verify_z_equivalence(G: MatrixSeries, max_k: int, max_l: int) -> VerificationReport:
-    """The closed-formula table equals the recursion-seeded table entrywise."""
+def verify_z_equivalence(G: MatrixSeries, direct: ZTable) -> VerificationReport:
+    """The closed-formula table `direct` = `z_table_direct(G, K, L)` equals the
+    recursion-seeded table of the same shape entrywise."""
     suite = "z-table-equivalence"
-    direct = z_table_direct(G, max_k, max_l)
+    max_k, max_l = direct.max_k, direct.max_l
     recursive = z_table_recursive(G, max_k, max_l)
     failures = first_failures(
         f"(k,l)=({k},{l}): direct {direct.entry(k,l)} vs recursive {recursive.entry(k,l)}"

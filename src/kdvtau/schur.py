@@ -1,10 +1,17 @@
-"""Partitions, Frobenius coordinates, Schur polynomials and Giambelli minors.
+"""Partitions, Frobenius coordinates, characters, Schur polynomials and
+Giambelli minors.
 
 Schur polynomials are taken in the variables theta_1, theta_2, ... graded by
-deg theta_j = j, via the Jacobi-Trudi determinant s_mu = det(h_{mu_i - i + j})
-where the complete homogeneous polynomials h_k are generated by
-exp(sum_j theta_j z^j) = sum_k h_k z^k (h_k = 0 for k < 0).  The general
-expansion coefficient of a tau series is the Giambelli-type minor
+deg theta_j = j, with exp(sum_j theta_j z^j) = sum_k h_k z^k, i.e. power sums
+p_j = j theta_j.  Their coefficients are symmetric-group characters,
+
+    s_mu = sum_{|lam| = |mu|} chi^mu(lam) theta^lam / prod_j m_j(lam)!,
+
+and `character` computes chi^mu(lam) as an integer by the Murnaghan-Nakayama
+rule; the tau assembly reads its coefficients from it.  `schur_poly` expands
+the Jacobi-Trudi determinant s_mu = det(h_{mu_i - i + j}) (h_k = 0 for
+k < 0) as an independent cross-check.  The general expansion coefficient of
+a tau series is the Giambelli-type minor
 
     A_mu = (-1)^(n_1 + ... + n_k) det(A_{m_i, n_j})
 
@@ -34,6 +41,7 @@ __all__ = [
     "partitions_up_to",
     "GradedPoly",
     "Monomial",
+    "character",
     "h_polys",
     "schur_poly",
     "giambelli_coeff",
@@ -422,6 +430,34 @@ def schur_poly(mu: Partition) -> GradedPoly:
         return acc
 
     return minor(0)
+
+
+@lru_cache(maxsize=None)
+def character(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """chi^mu(rho): the irreducible character of S_n labelled by mu on the
+    cycle type rho (|mu| = |rho| = n, both weakly decreasing).
+
+    Murnaghan-Nakayama on beta-numbers: with beta_i = mu_i + l(mu) - i, a rim
+    hook of size r is a beta-number b with b - r >= 0 not a beta-number, its
+    removal replaces b by b - r, and its sign is (-1) to the number of
+    beta-numbers strictly between.  Hooks of size rho_1 go first, so the
+    memo key is mu with a suffix of rho.
+    """
+    if not rho:
+        return 1
+    r, rest = rho[0], rho[1:]
+    top = len(mu) - 1
+    beta = [p + top - i for i, p in enumerate(mu)]
+    total = 0
+    for i, b in enumerate(beta):
+        c = b - r
+        if c < 0 or c in beta:
+            continue
+        height = sum(1 for x in beta if c < x < b)
+        moved = sorted(beta[:i] + [c] + beta[i + 1:], reverse=True)
+        nu = tuple(x - (top - j) for j, x in enumerate(moved) if x > top - j)
+        total += (-1) ** height * character(nu, rest)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ A tau series is assembled from an affine-coordinate table as
 
     tau(theta) = sum over |mu| <= D of A_mu s_mu(theta),
 
-graded-exact through degree D.  The KdV coupling constants are
-t_k = -(2k+1)!! theta_{2k+1} (the even theta flows are trivial and are set
-to zero before any work in t).  With Z(t) the tau series in t variables,
+graded-exact through degree D, with each coefficient read from the integer
+characters chi^mu(lam) of the symmetric group (see `tau_truncated`) rather
+than from expanded Schur polynomials.  The KdV coupling constants are
+t_k = -(2k+1)!! theta_{2k+1} (the even thetas enter tau only through an
+exp-linear factor and are set to zero before any work in t).  With Z(t) the tau series in t variables,
 the correlators are read off the free energy
 
     <tau_{k_1} ... tau_{k_n}> = (prod multiplicities!) x
@@ -26,9 +28,12 @@ with no free constant.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from .errors import DegreeExceededError, InsufficientTableError
 from .exactnum import format_rational, odd_double_factorial
@@ -37,10 +42,10 @@ from .report import VerificationReport, first_failures
 from .schur import (
     GradedPoly,
     Monomial,
+    character,
     giambelli_coeff,
     graded_log,
     partitions_up_to,
-    schur_poly,
 )
 
 __all__ = [
@@ -85,6 +90,17 @@ class TauSeries:
 def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
     """sum_{|mu| <= degree} A_mu s_mu(theta) with Giambelli minors from `table`.
 
+    Each coefficient is read from characters of the symmetric group: with
+    p_j = j theta_j, s_mu = sum_lam chi^mu(lam) theta^lam / prod_j m_j(lam)!,
+    so
+
+        [theta^lam] tau = sum_{|mu| = |lam|} A_mu chi^mu(lam) / prod_j m_j(lam)!
+
+    for every partition lam of weight <= degree, even parts included (they
+    vanish at the Witten-Kontsevich point but not at a general point).  One
+    integer sum over the minors of weight |lam|, brought to a common
+    denominator, gives each coefficient.
+
     Partitions of weight <= D have hooks with arm and leg at most D - 1, so
     the table must extend at least that far.
     """
@@ -93,12 +109,19 @@ def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
         raise InsufficientTableError(
             f"table {table.max_m}x{table.max_n} too small for tau degree {degree}"
         )
-    acc = GradedPoly.zero("theta", degree)
-    for mu in partitions_up_to(degree):
-        a = giambelli_coeff(mu, table)
-        if a != 0:
-            acc = acc + schur_poly(mu).truncate(degree).scale(a)
-    return TauSeries(acc, degree, table.source)
+    terms: dict[Monomial, Fraction] = {}
+    for _, group in groupby(partitions_up_to(degree), key=lambda mu: mu.weight):
+        group = list(group)
+        minors = [(mu.parts, a) for mu in group if (a := giambelli_coeff(mu, table)) != 0]
+        den = math.lcm(*(a.denominator for _, a in minors))
+        nums = [(mu, a.numerator * (den // a.denominator)) for mu, a in minors]
+        for lam in group:
+            total = sum(n * character(mu, lam.parts) for mu, n in nums)
+            if total:
+                mults = Counter(lam.parts)
+                scale = math.prod(math.factorial(m) for m in mults.values())
+                terms[tuple(sorted(mults.items()))] = Fraction(total, den * scale)
+    return TauSeries(GradedPoly("theta", terms, degree), degree, table.source)
 
 
 @lru_cache(maxsize=None)

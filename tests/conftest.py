@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from kdvtau.exactnum import format_rational
 from kdvtau.grassmann import (
     AffineTable,
     GrassmannPoint,
@@ -60,6 +62,27 @@ def example_table(c: Fraction, size: int = 12) -> AffineTable:
     p = example_point(c)
     K, L = size // 2, size // 2
     return z_table_direct(build_G(p, K + L + 1), K, L).to_affine_table("custom")
+
+
+def seeded_point_json(seed: int, order: int, dense: bool, large: bool) -> dict:
+    """Point-file JSON with random tails through lam^-order.
+
+    Dense tails draw every coefficient as a small fraction; sparse ones keep
+    only k = 1 mod 3 (so b_1 != 0 and the point must be normalized).  Large
+    points use integers of up to 8 digits.
+    """
+    rng = random.Random(seed)
+
+    def value() -> str:
+        if large:
+            return str(rng.choice((-1, 1)) * rng.randrange(10**6, 10**8))
+        return format_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+    def tail() -> list[str]:
+        return ["1"] + [value() if dense or k % 3 == 1 else "0" for k in range(1, order + 1)]
+
+    return {"a": {"head": [], "tail_order": order, "tail": tail()},
+            "b": {"head": [], "tail_order": order, "tail": tail()}}
 
 
 @pytest.fixture(scope="session")

@@ -76,7 +76,7 @@ def test_criterion_03_generating_formula_bidegree_15(wk_G41):
 
 
 def test_criterion_04_table_equivalence_K_L_20(wk_G41, wk_ztable20):
-    rep1 = verify_z_equivalence(wk_G41, 20, 20)
+    rep1 = verify_z_equivalence(wk_G41, wk_ztable20)
     rep2 = verify_z_generating_series(wk_G41, 10, wk_ztable20)
     report(
         "criterion-04 direct==recursive K=L=20; projection series k<=10",

@@ -1,9 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from kdvtau.cli import main
+from kdvtau.cli import SUITE_DEFAULT_DEPTH, main
 from kdvtau.grassmann import point_to_json, wk_point
 
 from conftest import example_point
@@ -104,6 +105,15 @@ def test_intersect_one_point_genus1(capsys):
     assert json.loads(out) == {"spec": [1], "genus": 1, "value": "1/24"}
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_intersect_single_insertion_closed_form(capsys, genus):
+    # <tau_{3g-2}>_g = 1 / (24^g g!)
+    code, out, _ = run(capsys, "intersect", str(3 * genus - 2))
+    assert code == 0
+    expected = Fraction(1, 24 ** genus * math.factorial(genus))
+    assert json.loads(out) == {"spec": [3 * genus - 2], "genus": genus, "value": str(expected)}
+
+
 def test_intersect_dimension_warning(capsys):
     code, out, err = run(capsys, "intersect", "0,0")
     assert code == 0
@@ -133,6 +143,26 @@ def test_verify_recursion_small(capsys):
     code, out, _ = run(capsys, "verify", "recursion", "--depth", "5")
     assert code == 0
     assert out.count("PASS") == 4
+
+
+def test_verify_recursion_builds_one_direct_table(capsys, monkeypatch):
+    import kdvtau.grassmann as grassmann
+
+    calls = []
+    direct = grassmann.z_table_direct
+    monkeypatch.setattr(grassmann, "z_table_direct", lambda *a: calls.append(a) or direct(*a))
+    code, out, _ = run(capsys, "verify", "recursion", "--depth", "5")
+    assert code == 0 and out.count("PASS") == 4
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("suite", [s for s in SUITE_DEFAULT_DEPTH if s not in ("string", "kdv")] + ["all"])
+def test_verify_point_with_a_suite_that_ignores_it_exits_2(capsys, tmp_path, suite):
+    code, out, err = run(capsys, "verify", suite, "--depth", "1",
+                         "--point", write_example_point(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --point applies only to the string and kdv suites\n"
 
 
 def test_verify_string_expected_fail_on_example_point(capsys, tmp_path):

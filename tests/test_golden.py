@@ -1,0 +1,63 @@
+"""Golden CLI outputs: sha256 of stdout and the exit code of fixed commands.
+
+The digests pin the exact bytes of intersection numbers, tau exports in both
+variable sets, initial data and verifier verdicts, so a new route for any of
+them must reproduce the old output byte for byte.  POINT1..POINT3 stand for
+point files written from `seeded_point_json`.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from kdvtau.cli import main
+
+from conftest import seeded_point_json
+
+POINTS = {
+    "POINT1": (11, 21, True, False),   # dense, small fractions
+    "POINT2": (12, 21, False, True),   # sparse, 8-digit integers
+    "POINT3": (13, 21, True, True),    # dense, 8-digit integers
+}
+
+GOLDEN = {
+    "intersect 0,0,0": (0, "8218d2c2912c383b72059c7d771dd09aae12b24b03d7cb42ed59498509f02157"),
+    "intersect 1": (0, "169db700db0669f30b28c566d38096b5df91cabc1802186b5d6497f86fb40ed8"),
+    "intersect 0,0,0,1": (0, "22942b7384b4870e79219037ebcebc7aa764194cca65b1051fa536d24dbf4929"),
+    "intersect 1,1": (0, "e829856837f5414278f675e236a06054e001fd71767dfaa93ddd326f3ffba3cd"),
+    "intersect 0,0": (0, "1e59557ef348dd6d4dd6cf73877e93f3b3e7f3c6e67741578852b0a3a32fe641"),
+    "intersect 4": (0, "f43de4f61ebbe09c1abe2b473a4e0720130907c41227236be1cb5af91669b0e2"),
+    "intersect 1,1,1": (0, "8bcfe5c687411f8f005a964ece52da23e5d573c697dafc6dcedef41cdffab4e5"),
+    "intersect 2,3": (0, "08daa1db0d433aa9c40e4d1c4b6e5c3e67bd63291546eb4e43537b77348162d4"),
+    "intersect 1,1,1,1": (0, "7b0a6e2e2bece996c9d227021da8f77d812f0ce9ad44d0215259f20b2fc5d7e3"),
+    "intersect 7": (0, "118512a970945bd7e8e2705da27f2770980a0ce9ce51cddaa7f27369dbc21f00"),
+    "intersect 2,2,2": (0, "5f615613cd11921d35e868174925837a4ee47969c540b7eb32ce5cbead58ff5c"),
+    "grassmann POINT1 --tau 10 --tau-vars theta --initial-data 8": (0, "a518d91f397678ea8058948664ce4fd3717095e2e90372be6c1e0be072d08067"),
+    "grassmann POINT1 --tau 10 --tau-vars t --initial-data 8": (0, "24a2e6a0ddae88c30fe1aa719d70ffba80ef46867273f2855a2c0cb4acfcb955"),
+    "grassmann POINT2 --tau 9 --tau-vars theta --initial-data 7": (0, "d8c78a4de1e20c979a16d0c15b21dadf4369994a5e220f23afcc8fc83c94582b"),
+    "grassmann POINT2 --tau 9 --tau-vars t --initial-data 7": (0, "afbc33d00400ac4b4347fbdcfa87c7c68abba3e3e1f32a9974bb7c245d637026"),
+    "grassmann POINT3 --affine 5 5 --tau 8 --tau-vars theta --initial-data 6": (0, "83916401d912a8367f39b2ec3882c5906181717768b17a1bde71391944d7ea41"),
+    "grassmann POINT3 --tau 8 --tau-vars t --initial-data 8": (0, "9e9a3ee2c7070f308218fb9ea77b9f91209534da40131d63678b5100ca612827"),
+    "grassmann POINT3 --tau 10 --tau-vars theta": (0, "18b5b42bed68a79af64a589b8e82084374eecdee83a7ccf70a78b82994d39cce"),
+    "verify string --depth 9 --point POINT1": (1, "2accd092aac6d0a38654f8fff61faddbdd8553eb36006bab31be9e792e29bab1"),
+    "verify kdv --depth 10 --flow 1 --point POINT2": (0, "0348969ab94c0eebfa5ffbb5540b64d1f4042aa773e8d633eee8aa6717605dd1"),
+    "verify kdv --depth 9 --flow 2 --point POINT3": (0, "f03735b4c4410ae6615777cc9c8390779e5e2682c90de4038db2bab1e4164dbc"),
+    "verify string --depth 12": (0, "1dde6dffeb60c1100d439b17e32ed5b4ae7032c62e859073617d13d9ab8066fa"),
+}
+
+
+def run_golden(command: str, tmp_path, capsys) -> tuple[int, str]:
+    argv = command.split()
+    for i, arg in enumerate(argv):
+        if arg in POINTS:
+            path = tmp_path / f"{arg}.json"
+            path.write_text(json.dumps(seeded_point_json(*POINTS[arg])))
+            argv[i] = str(path)
+    code = main(argv)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_golden_output(command, tmp_path, capsys):
+    assert run_golden(command, tmp_path, capsys) == GOLDEN[command]

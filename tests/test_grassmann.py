@@ -183,7 +183,7 @@ def test_affine_readout(wk_G41):
 
 
 def test_tables_agree_wk(wk_G41):
-    assert verify_z_equivalence(wk_G41, 6, 6).passed
+    assert verify_z_equivalence(wk_G41, z_table_direct(wk_G41, 6, 6)).passed
 
 
 def test_recursion_identity_on_direct_table(wk_G41):
@@ -210,10 +210,11 @@ def test_one_recursion_run_serves_every_shape(wk_G41):
     assert tables == [z_table_direct(wk_G41, K, L) for K, L in EDGE_SHAPES]
 
 
-@pytest.mark.parametrize("j", [1, 2, 4])
+@pytest.mark.parametrize("j", [1, 2, 4, 6, 7])
 def test_recursion_boundary_check_catches_a_corrupt_inverse(monkeypatch, wk_G41, j):
     # Z[j-1,0] moves by exactly the corruption of U_j, so the left-column
-    # check Z[k,0] = G_{k+1} sees it whenever j - 1 <= max_k
+    # check Z[k,0] = G_{k+1}, run down to k = need - 1 = 6, sees every seed
+    # U_1..U_7 of a 3x3 table, including U_6 and U_7 beyond its rows
     true_inverse = grassmann.matrix_series_inverse
 
     def corrupt_inverse(G, order=None):
@@ -239,9 +240,9 @@ def test_example_point_affine_coordinates():
     a = LaurentSeries.from_dict({0: 1}, None)
     b = LaurentSeries.from_dict({0: 1, -3: c}, None)
     G = build_G(GrassmannPoint(a, b), 9)
-    table = z_table_direct(G, 4, 4).to_affine_table("custom")
-    assert table.entries == {(1, 1): c}
-    assert verify_z_equivalence(G, 4, 4).passed
+    direct = z_table_direct(G, 4, 4)
+    assert direct.to_affine_table("custom").entries == {(1, 1): c}
+    assert verify_z_equivalence(G, direct).passed
 
 
 # random big-cell points: the two table constructions are mutual oracles
@@ -267,8 +268,8 @@ def random_points(draw, depth=19):
 @settings(max_examples=12, deadline=None)
 def test_tables_agree_on_random_points(p):
     G = build_G(p, 9)
-    assert verify_z_equivalence(G, 4, 4).passed
     table = z_table_direct(G, 4, 4)
+    assert verify_z_equivalence(G, table).passed
     assert verify_z_recursion_identity(table).passed
     assert verify_generating_function(G, table, 4).passed
     assert verify_z_generating_series(G, 2, table).passed

@@ -62,9 +62,7 @@ def case_symmetry(mp, G, tau):
 
 
 def case_z_equivalence(mp, G, tau):
-    true_direct = grassmann.z_table_direct
-    mp.setattr(grassmann, "z_table_direct", lambda *a: bumped_z(true_direct(*a), 2, 1))
-    return grassmann.verify_z_equivalence(G, 4, 4)
+    return grassmann.verify_z_equivalence(G, bumped_z(grassmann.z_table_direct(G, 4, 4), 2, 1))
 
 
 def case_z_recursion(mp, G, tau):

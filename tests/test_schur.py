@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from kdvtau.schur import (
     FrobeniusCoords,
     GradedPoly,
     Partition,
+    character,
     det_exact,
     frobenius,
     giambelli_coeff,
@@ -152,6 +155,33 @@ def test_schur_alternant_second_sample():
             continue
         values = miwa_theta(xs, max(mu.weight, 1))
         assert schur_poly(mu).evaluate(values) == alternant_schur(mu, xs)
+
+
+# ---------------------------------------------------------------------------
+# characters
+# ---------------------------------------------------------------------------
+
+
+def test_characters_are_the_jacobi_trudi_coefficients():
+    # s_mu = sum_lam chi^mu(lam) theta^lam / prod_j m_j(lam)!
+    for n in range(9):
+        for mu in partitions_of(n):
+            s = schur_poly(Partition(mu))
+            for lam in partitions_of(n):
+                mults = Counter(lam)
+                mon = tuple(sorted(mults.items()))
+                scale = math.prod(math.factorial(m) for m in mults.values())
+                assert F(character(mu, lam), scale) == s.coefficient(mon), (mu, lam)
+
+
+def test_character_at_the_identity_is_the_hook_length_formula():
+    for n in range(11):
+        for mu in partitions_of(n):
+            conj = Partition(mu).conjugate().parts
+            hooks = math.prod(
+                mu[i] - j + conj[j] - i - 1 for i in range(len(mu)) for j in range(mu[i])
+            )
+            assert character(mu, (1,) * n) == math.factorial(n) // hooks, mu
 
 
 # ---------------------------------------------------------------------------

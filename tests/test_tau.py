@@ -3,8 +3,22 @@ from fractions import Fraction
 import pytest
 
 from kdvtau.errors import DegreeExceededError, InsufficientTableError
-from kdvtau.grassmann import AffineTable
-from kdvtau.schur import GradedPoly, graded_exp, graded_log
+from kdvtau.grassmann import (
+    AffineTable,
+    build_G,
+    normalize_point,
+    point_from_json,
+    z_table_recursive,
+)
+from kdvtau.schur import (
+    GradedPoly,
+    giambelli_coeff,
+    graded_exp,
+    graded_log,
+    monomial_degree,
+    partitions_up_to,
+    schur_poly,
+)
 from kdvtau.tau import (
     CorrelatorSpec,
     free_energy,
@@ -19,7 +33,7 @@ from kdvtau.tau import (
 )
 from kdvtau.zhou import zhou_affine_table
 
-from conftest import example_table
+from conftest import example_table, seeded_point_json
 
 F = Fraction
 
@@ -86,6 +100,62 @@ def test_stabilization_in_degree(wk_tau12, wk_affine31):
     t8 = tau_truncated(wk_affine31, 8)
     for d in range(9):
         assert t8.poly.degree_slice(d).terms == wk_tau12.poly.degree_slice(d).terms
+
+
+def seeded_table(seed: int, dense: bool, large: bool) -> AffineTable:
+    point = normalize_point(point_from_json(seeded_point_json(seed, 27, dense, large)))
+    return z_table_recursive(build_G(point, 13), 6, 6).to_affine_table("custom")
+
+
+ROUTE_TABLES = {
+    "wk": lambda request: request.getfixturevalue("wk_affine31"),
+    "zhou": lambda request: request.getfixturevalue("zhou_affine30"),
+    "c=1": lambda _: example_table(F(1)),
+    "c=-2": lambda _: example_table(F(-2)),
+    "c=1/3": lambda _: example_table(F(1, 3)),
+    "random-dense": lambda _: seeded_table(21, True, False),
+    "random-sparse": lambda _: seeded_table(22, False, False),
+    "random-dense-large": lambda _: seeded_table(23, True, True),
+    "random-sparse-large": lambda _: seeded_table(24, False, True),
+}
+
+
+@pytest.fixture(scope="module", params=list(ROUTE_TABLES))
+def route_table(request) -> AffineTable:
+    return ROUTE_TABLES[request.param](request)
+
+
+def jacobi_trudi_tau(table: AffineTable, degree: int) -> dict:
+    """sum_{|mu| <= degree} A_mu s_mu(theta), s_mu expanded by Jacobi-Trudi."""
+    terms: dict = {}
+    for mu in partitions_up_to(degree):
+        a = giambelli_coeff(mu, table)
+        for mon, c in schur_poly(mu).terms.items():
+            terms[mon] = terms.get(mon, 0) + a * c
+    return {mon: c for mon, c in terms.items() if c != 0}
+
+
+def has_even_theta(mon) -> bool:
+    return any(var % 2 == 0 for var, _ in mon)
+
+
+def test_tau_matches_jacobi_trudi_term_for_term(request, route_table):
+    reference = jacobi_trudi_tau(route_table, 12)
+    for degree in range(13):
+        tau = tau_truncated(route_table, degree)
+        assert tau.poly.bound == degree
+        assert tau.poly.terms == {
+            mon: c for mon, c in reference.items() if monomial_degree("theta", mon) <= degree
+        }
+    if request.node.callspec.params["route_table"].startswith("random"):
+        assert any(has_even_theta(mon) for mon in reference)  # kept, not dropped
+
+
+def test_log_tau_is_linear_in_even_theta(route_table):
+    # tau depends on the even times only through a factor exp(sum_k c_k theta_2k)
+    log_tau = graded_log(tau_truncated(route_table, 12).poly)
+    even = [mon for mon in log_tau.terms if has_even_theta(mon)]
+    assert all(len(mon) == 1 and mon[0][1] == 1 for mon in even), even
 
 
 # ---------------------------------------------------------------------------
