@@ -64,11 +64,10 @@ def _affine_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) ->
 
 def _load_point(path: str) -> gr.GrassmannPoint:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        return gr.point_from_json(data)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ExactComputationError(f"malformed point file {path}: {exc}") from exc
+        try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            return gr.point_from_json(json.load(fh))
+        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+            raise ExactComputationError(f"malformed point file {path}: {exc}") from exc
 
 
 def _int_at_least(low: int):

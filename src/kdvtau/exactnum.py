@@ -27,7 +27,6 @@ __all__ = [
     "format_rational",
     "factorial",
     "odd_double_factorial",
-    "falling_factorial",
     "ext_to_rational",
 ]
 
@@ -79,21 +78,6 @@ def odd_double_factorial(n: int) -> Fraction:
     for k in range(n, 1, -2):
         prod *= k
     return Fraction(prod)
-
-
-def falling_factorial(y: RationalLike, j: int) -> Fraction:
-    """Falling factorial (y)_[j] = y (y-1) ... (y-j+1), with (y)_[0] = 1.
-
-    Defined by the finite product, so integer y with y - j + 1 <= 0 is fine
-    (the product just passes through zero or negative factors).
-    """
-    if j < 0:
-        raise ValueError(f"falling factorial needs j >= 0, got {j}")
-    y = as_rational(y)
-    prod = Fraction(1)
-    for i in range(j):
-        prod *= y - i
-    return prod
 
 
 @dataclass(frozen=True)

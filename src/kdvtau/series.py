@@ -304,15 +304,31 @@ def series_to_json(s: LaurentSeries, tail_order: int | None = None) -> dict:
 
 
 def series_from_json(data: dict) -> LaurentSeries:
-    order = int(data["tail_order"])
+    """Inverse of `series_to_json`; a value of the wrong JSON type raises TypeError."""
+    order = _json_int(data["tail_order"])
+    tail = data["tail"]
+    if not isinstance(tail, list):  # a string would be read character by character
+        raise TypeError(f'tail must be a list of "p/q" strings, got {tail!r}')
     coeffs: dict[int, Fraction] = {}
     for e, text in data.get("head", []):
-        coeffs[int(e)] = parse_rational(text)
-    for k, text in enumerate(data["tail"]):
+        coeffs[_json_int(e)] = _json_rational(text)
+    for k, text in enumerate(tail):
         if k > order:
             raise ValueError("tail longer than tail_order allows")
-        coeffs[-k] = coeffs.get(-k, Fraction(0)) + parse_rational(text)
+        coeffs[-k] = coeffs.get(-k, Fraction(0)) + _json_rational(text)
     return LaurentSeries.from_dict(coeffs, order)
+
+
+def _json_int(value: object) -> int:
+    if type(value) is not int:  # rejects floats, strings and bools
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_rational(value: object) -> Fraction:
+    if not isinstance(value, str):
+        raise TypeError(f'expected a "p/q" string, got {value!r}')
+    return parse_rational(value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@ with the closed form (P below is the common prefactor)
 where b_k = 2^k (6k+1)!!/(2k)! and B_n(x) is the degree-(n-1) polynomial
 B_n(x) = (1/6) sum_{j=1}^{n} 108^j b_{n-j} (x+n)_[j-1], B_0 = 0.
 
+P(m, n) and B_n(m) are evaluated once per (m, n) and shared by the three
+families; B_n costs O(n) products, its falling factorial growing by one
+factor per term, and each power of sqrt(-2) and of -sqrt(-2)/144 is
+computed once per exponent.
+
 Rescaling by B_{m,n} = (sqrt(-2))^(m+n+1) A^Z_{m,n} lands in Q; the closed
 forms are evaluated verbatim in Q[sqrt(-2)] and the rationality of the
 rescaled value is asserted rather than assumed, so a transcription error in
@@ -39,7 +44,6 @@ from .exactnum import (
     as_rational,
     ext_to_rational,
     factorial,
-    falling_factorial,
     format_rational,
     odd_double_factorial,
 )
@@ -104,48 +108,63 @@ def b_seq(k: int) -> Fraction:
     return Fraction(2**k) * odd_double_factorial(6 * k + 1) / factorial(2 * k)
 
 
+@lru_cache(maxsize=None)
+def _B_coeffs(n: int) -> tuple[Fraction, ...]:
+    """108^j b_{n-j} for j = 1..n, shared by every argument of B_n."""
+    return tuple(108**j * b_seq(n - j) for j in range(1, n + 1))
+
+
 def B_poly(n: int, x: RationalLike) -> Fraction:
-    """B_n(x) = (1/6) sum_{j=1}^{n} 108^j b_{n-j} (x+n)_[j-1]; B_0 = 0."""
+    """B_n(x) = (1/6) sum_{j=1}^{n} 108^j b_{n-j} (x+n)_[j-1]; B_0 = 0.
+
+    The falling factorial gains one factor per term, so B_n costs O(n).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = as_rational(x)
+    y = x + n if isinstance(x, int) else as_rational(x) + n
     acc = Fraction(0)
-    for j in range(1, n + 1):
-        acc += Fraction(108) ** j * b_seq(n - j) * falling_factorial(x + n, j - 1)
+    falling = 1  # (y)_[j], the factor of 108^(j+1) b_{n-j-1}
+    for j, coeff in enumerate(_B_coeffs(n)):
+        acc += coeff * falling
+        falling *= y - j
     return acc / 6
 
 
-def _prefactor(m: int, n: int) -> ExtScalar:
-    base = ExtScalar(Fraction(0), Fraction(-1, 144))  # -sqrt(-2)/144
-    p = base ** (m + n)
-    scalar = odd_double_factorial(6 * m + 1) / factorial(2 * (m + n))
-    for j in range(n):
-        scalar *= m + j
-    for j in range(1, n + 1):
-        scalar *= 2 * m + 2 * j - 1
-    return p * scalar
+_P_BASE = ExtScalar(Fraction(0), Fraction(-1, 144))  # -sqrt(-2)/144
 
 
 @lru_cache(maxsize=None)
+def _power(base: ExtScalar, k: int) -> ExtScalar:
+    """base**k, computed once per exponent of sqrt(-2) and of -sqrt(-2)/144."""
+    return base**k
+
+
+@lru_cache(maxsize=None)
+def _family_values(m: int, n: int) -> tuple[ExtScalar, ExtScalar]:
+    """(A^Z_{3m-1,3n} = A^Z_{3m-3,3n+2}, A^Z_{3m-2,3n+1}) from one evaluation
+    of the prefactor P(m, n) and of B_n(m)."""
+    products = 1
+    for j in range(n):
+        products *= (m + j) * (2 * m + 2 * j + 1)
+    scalar = (-1) ** n * odd_double_factorial(6 * m + 1) * products / factorial(2 * (m + n))
+    p = _power(_P_BASE, m + n) * scalar  # (-1)^n P(m, n)
+    B = B_poly(n, m)
+    return p * (B + b_seq(n) / (6 * m + 1)), p * -(B + b_seq(n) / (6 * m - 1))
+
+
 def zhou_A(idx: ZhouIndex) -> ExtScalar:
     """The raw coefficient at idx, an element of Q[sqrt(-2)]."""
     fam = idx.family
     if fam == "zero":
         return ExtScalar.from_rational(0)
-    m, n = idx.resolve()
-    if fam in ("(2,0)", "(0,2)"):
-        sign = 1 if n % 2 == 0 else -1
-        tail = B_poly(n, m) + b_seq(n) / (6 * m + 1)
-    else:
-        sign = -1 if n % 2 == 0 else 1
-        tail = B_poly(n, m) + b_seq(n) / (6 * m - 1)
-    return _prefactor(m, n) * (sign * tail)
+    first, second = _family_values(*idx.resolve())
+    return second if fam == "(1,1)" else first
 
 
 @lru_cache(maxsize=None)
 def rescale_B(row: int, col: int) -> Fraction:
     """B_{row,col} = (sqrt(-2))^(row+col+1) * A^Z_{row,col}, asserted rational."""
-    value = SQRT_MINUS_TWO ** (row + col + 1) * zhou_A(ZhouIndex(row, col))
+    value = _power(SQRT_MINUS_TWO, row + col + 1) * zhou_A(ZhouIndex(row, col))
     try:
         return ext_to_rational(value)
     except NonRationalError as exc:

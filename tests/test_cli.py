@@ -290,14 +290,27 @@ GOOD_SERIES = {"head": [], "tail_order": 1, "tail": ["1", "0"]}
     (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": ["2", "0"]}),
     (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": "x", "tail": ["1"]}),
     (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": ["1", "1/0"]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": ["1", 2]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": ["1", 2.5]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": "12"}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 3.9, "tail": ["1", "0"]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": True, "tail": ["1", "0"]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [[-1.5, "1"]], "tail_order": 1, "tail": ["1"]}),
+    (["grassmann", "POINT", "--tau", "2"], b"\xff\xfe not utf-8"),
+    (["verify", "string", "--point", "POINT"], b"\xff\xfe not utf-8"),
 ], ids=["depth", "tau", "flow", "max", "max-m", "affine",
-        "constant-term", "tail-order", "zero-denominator"])
+        "constant-term", "tail-order", "zero-denominator",
+        "tail-int", "tail-float", "tail-string", "tail-order-float", "tail-order-bool",
+        "head-exponent-float", "not-utf8", "verify-not-utf8"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, a_series):
     if a_series is None:
         path = write_example_point(tmp_path)
     else:
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"a": a_series, "b": GOOD_SERIES}))
+        if isinstance(a_series, bytes):
+            path.write_bytes(a_series)
+        else:
+            path.write_text(json.dumps({"a": a_series, "b": GOOD_SERIES}))
     try:
         code = main([str(path) if arg == "POINT" else arg for arg in argv])
     except SystemExit as exc:  # argparse usage errors
@@ -306,6 +319,8 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, a_series):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+    if a_series is not None:
+        assert "error: malformed point file" in captured.err
 
 
 # ---------------------------------------------------------------------------

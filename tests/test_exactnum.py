@@ -9,7 +9,6 @@ from kdvtau.exactnum import (
     SQRT_MINUS_TWO,
     ext_to_rational,
     factorial,
-    falling_factorial,
     format_rational,
     odd_double_factorial,
     parse_rational,
@@ -46,15 +45,6 @@ def test_odd_double_factorial_values():
 def test_odd_double_factorial_rejects_even():
     with pytest.raises(ValueError):
         odd_double_factorial(4)
-
-
-def test_falling_factorial_values():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(Fraction(3, 2), 2) == Fraction(3, 4)
-    # integer y with y - j + 1 <= 0: the product rule applies literally
-    assert falling_factorial(2, 4) == 0
-    assert falling_factorial(-1, 2) == 2
 
 
 def test_ext_to_rational():

@@ -1,8 +1,9 @@
 """Golden CLI outputs: sha256 of stdout and the exit code of fixed commands.
 
 The digests pin the exact bytes of intersection numbers, tau exports in both
-variable sets, initial data and verifier verdicts, so a new route for any of
-them must reproduce the old output byte for byte.  POINT1..POINT3 stand for
+variable sets, initial data, Zhou closed-form tables and b_k, and verifier
+verdicts, so a new route for any of them must reproduce the old output byte
+for byte.  POINT1..POINT3 stand for
 point files written from `seeded_point_json`.
 """
 
@@ -44,6 +45,19 @@ GOLDEN = {
     "verify kdv --depth 10 --flow 1 --point POINT2": (0, "0348969ab94c0eebfa5ffbb5540b64d1f4042aa773e8d633eee8aa6717605dd1"),
     "verify kdv --depth 9 --flow 2 --point POINT3": (0, "f03735b4c4410ae6615777cc9c8390779e5e2682c90de4038db2bab1e4164dbc"),
     "verify string --depth 12": (0, "1dde6dffeb60c1100d439b17e32ed5b4ae7032c62e859073617d13d9ab8066fa"),
+    "affine --source zhou --max-m 0 --max-n 0 --format json": (0, "18ebb5d30e0604e04fda682c6b746783c7e43492ec0bfd1e3f50d16544dabeda"),
+    "affine --source zhou --max-m 2 --max-n 2 --format json": (0, "1c4477df0f9d01b872b94023813bb2ef41d88406c6dcef54126bb0635d0bdf48"),
+    "affine --source zhou --max-m 12 --max-n 12 --format json": (0, "5ce1af7c8b3d20a759ddd28712980a613f9381b09b9cc855405fae5758e24db7"),
+    "affine --source zhou --max-m 44 --max-n 44 --format json": (0, "37870fca0486fff1a2f94a9c759968cdbbb8cb133d11ece123ee5fbcc87e3de0"),
+    "affine --source zhou --max-m 57 --max-n 57 --format json": (0, "decd423a15d56c32e91368954070d2d1996cdf070fd46d19f491da0df2ab486d"),
+    "affine --source zhou --max-m 68 --max-n 68 --format json": (0, "6664a6b25054bf8952fa691ee4e000e3d8c771d30dcc809e9fc4061b5d1d544e"),
+    "affine --source zhou --max-m 69 --max-n 69 --format json": (0, "c8f788bb3bbf616daedb37ece89fc9d6c7b32104241540ff56963bc7d29fec83"),
+    "affine --source zhou --max-m 7 --max-n 3 --format csv": (0, "9e4a3f8f647fa308a4b76110635b33abdb079e991edfb23bab112c85d561743b"),
+    "affine --source zhou --max-m 3 --max-n 12 --format csv": (0, "41f61e20462fac6f3293713059d6b816ffe2f1a494d7168c61a96e5f0d7817d6"),
+    "coeffs --kind b --max 30": (0, "7ad5d62e46b7c8d2b9e863f872d1ffd39fb402016bfae154fcd7b703919d04bb"),
+    "verify zhou-match": (0, "6409c19f3a03f46f2a89d2f7f74f1477fcc09252c910d3e8acab1db449151465"),
+    "verify symmetry": (0, "864e4df26e2cdf6a0d963fe2429a0dcef5129ef55d9543c9c604eb9161dc3578"),
+    "verify recursion": (0, "f2697b6ecd6440ff466860788acd39a20299c8dabd58b377b51097a03ff3a2dd"),
 }
 
 

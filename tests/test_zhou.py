@@ -1,10 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kdvtau.zhou as zhou
 from kdvtau.errors import NonRationalError
 from kdvtau.exactnum import SQRT_MINUS_TWO, ext_to_rational
+from kdvtau.grassmann import wk_G, z_table_recursive
 from kdvtau.zhou import (
     B_poly,
     ZhouIndex,
@@ -44,6 +47,20 @@ def test_B_poly_values():
     assert B_poly(1, 3) == 18
     assert B_poly(1, F(-11, 5)) == 18  # degree 0 in x
     assert B_poly(2, 1) == F(1, 6) * (108 * b_seq(1) + 108**2 * b_seq(0) * 3) == 7722
+
+
+def test_B_poly_matches_definition():
+    # (x+n)_[j-1] by an explicit product; integer x runs through zero and
+    # negative factors
+    for x in list(range(-15, 6)) + [F(-11, 5), F(7, 3)]:
+        for n in range(13):
+            acc = F(0)
+            for j in range(1, n + 1):
+                falling = F(1)
+                for i in range(j - 1):
+                    falling *= x + n - i
+                acc += F(108) ** j * b_seq(n - j) * falling
+            assert B_poly(n, x) == acc / 6, (n, x)
 
 
 def test_index_families():
@@ -86,6 +103,19 @@ def test_rescale_rationality_is_a_real_check():
         ext_to_rational(bad)
 
 
+def test_rescale_B_asserts_rationality(monkeypatch):
+    # one power of sqrt(-2) too few leaves an irrational part behind
+    true_power = zhou._power
+    monkeypatch.setattr(
+        zhou, "_power", lambda base, k: true_power(base, k - (base == SQRT_MINUS_TWO))
+    )
+    rescale_B.cache_clear()
+    with pytest.raises(NonRationalError):
+        rescale_B(2, 0)
+    monkeypatch.undo()
+    assert rescale_B(2, 0) == F(-5, 24)
+
+
 def test_family_equality():
     for m in range(1, 6):
         for n in range(0, 5):
@@ -102,6 +132,13 @@ def test_two_step_recursion_small():
 
 def test_zhou_match_small(wk_affine31):
     assert verify_zhou_match(wk_affine31, 12, 12).passed
+
+
+def test_zhou_table_matches_grassmann_at_69():
+    grassmann = z_table_recursive(wk_G(69), 34, 34).to_affine_table()
+    closed_form = zhou_affine_table(69, 69)
+    assert (grassmann.max_m, grassmann.max_n) == (69, 69)
+    assert dataclasses.replace(closed_form, source="grassmann") == grassmann
 
 
 def test_zhou_table_source_tag():
