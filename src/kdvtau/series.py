@@ -1,4 +1,4 @@
-"""Truncated formal Laurent series in 1/lam, scalar and 2x2-matrix valued.
+"""Truncated formal Laurent series in 1/lam, and truncated 2x2-block series.
 
 A `LaurentSeries` is a finite collection of exact rational coefficients
 together with an explicit validity window.  The polynomial head (exponents
@@ -14,6 +14,10 @@ actually occupied by the other factor: the first unknown coefficient of one
 factor (at lam^(-O-1)) can meet the other factor's top term and contaminate
 everything below that level.  Comparisons are therefore only meaningful on
 the overlap of windows, and the verifiers report the depth actually checked.
+
+A `MatrixSeries` is the dense 2x2-block counterpart: the blocks of x^0..x^O
+with no head, for the loop matrix G(lam) (x = 1/lam), its inverse, and the
+3-spin R(z) (x = z).  Its callers read blocks and convolve them themselves.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "series_mul",
     "series_inverse",
     "matrix_series_inverse",
-    "polynomial_part",
     "negate_argument",
     "kac_schwarz_apply",
     "lam_power",
@@ -252,15 +255,6 @@ def series_inverse(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
     return LaurentSeries.from_dict({-k: v for k, v in enumerate(inv)}, order)
 
 
-def polynomial_part(a: "LaurentSeries | MatrixSeries") -> "LaurentSeries | MatrixSeries":
-    """Keep exponents >= 0 only.  The result is exact: the discarded tail is
-    inside the validity window, so the kept coefficients are complete."""
-    if isinstance(a, MatrixSeries):
-        return MatrixSeries(*(polynomial_part(x) for x in a.entries()))
-    kept = tuple((e, v) for e, v in a.coeffs if e >= 0)
-    return LaurentSeries(kept, None)
-
-
 def negate_argument(a: LaurentSeries) -> LaurentSeries:
     """a(-lam): multiply the coefficient of lam^e by (-1)^e."""
     return LaurentSeries(
@@ -336,6 +330,14 @@ def _json_rational(value: object) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _dot(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
+    """a*b + c*d, skipping a product with a zero factor: Witten-Kontsevich
+    blocks have one or two nonzero entries of four."""
+    if a and b:
+        return a * b + c * d if c and d else a * b
+    return c * d if c and d else Fraction(0)
+
+
 @dataclass(frozen=True)
 class M2:
     """Exact 2x2 matrix, row-major entries."""
@@ -374,18 +376,11 @@ class M2:
 
     def __matmul__(self, other: "M2") -> "M2":
         return M2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
+            _dot(self.a11, other.a11, self.a12, other.a21),
+            _dot(self.a11, other.a12, self.a12, other.a22),
+            _dot(self.a21, other.a11, self.a22, other.a21),
+            _dot(self.a21, other.a12, self.a22, other.a22),
         )
-
-    def scale(self, c: RationalLike) -> "M2":
-        c = as_rational(c)
-        return M2(c * self.a11, c * self.a12, c * self.a21, c * self.a22)
-
-    def transpose(self) -> "M2":
-        return M2(self.a11, self.a21, self.a12, self.a22)
 
     def adjugate(self) -> "M2":
         """adj(M) = [[d, -b], [-c, a]]; equals sigma2 M^T sigma2 for 2x2."""
@@ -411,92 +406,58 @@ class M2:
 
 @dataclass(frozen=True)
 class MatrixSeries:
-    """2x2 matrix of Laurent series; blocks are the coefficients of lam^-k."""
+    """Truncated series of 2x2 blocks sum_{k=0..O} coeffs[k] x^k, O = len(coeffs) - 1.
 
-    e11: LaurentSeries
-    e12: LaurentSeries
-    e21: LaurentSeries
-    e22: LaurentSeries
+    x is lam^-1 for the loop matrix G(lam) and its inverse, and z for the
+    3-spin R(z).  Every block through x^O is exact; block(k) beyond the
+    window raises `InsufficientDepthError`.
+    """
+
+    coeffs: tuple[M2, ...]
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[M2], tail_order: int | None = None) -> "MatrixSeries":
-        blocks = list(blocks)
-        order = tail_order if tail_order is not None else len(blocks) - 1
-        grids: list[dict[int, Fraction]] = [{}, {}, {}, {}]
-        for k, blk in enumerate(blocks):
-            for slot, v in enumerate((blk.a11, blk.a12, blk.a21, blk.a22)):
-                if v != 0:
-                    grids[slot][-k] = v
-        return cls(*(LaurentSeries.from_dict(g, order) for g in grids))
-
-    def entries(self) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries, LaurentSeries]:
-        return (self.e11, self.e12, self.e21, self.e22)
+        """The given leading blocks, zero-padded through x^tail_order (default: as given)."""
+        blocks = tuple(blocks)
+        order = len(blocks) - 1 if tail_order is None else tail_order
+        if order < 0 or len(blocks) > order + 1:
+            raise ValueError(f"{len(blocks)} blocks do not fit the window x^0..x^{order}")
+        return cls(blocks + (M2.zero(),) * (order + 1 - len(blocks)))
 
     @property
-    def tail_order(self) -> int | None:
-        return _order_min(*(s.tail_order for s in self.entries()))
+    def tail_order(self) -> int:
+        return len(self.coeffs) - 1
 
     def block(self, k: int) -> M2:
-        """Coefficient matrix of lam^-k (errors beyond the window)."""
-        return M2(
-            self.e11.coeff(-k), self.e12.coeff(-k),
-            self.e21.coeff(-k), self.e22.coeff(-k),
-        )
+        """Coefficient block of x^k (errors beyond the window)."""
+        if not 0 <= k <= self.tail_order:
+            raise InsufficientDepthError(
+                f"block {k} requested, series known through block {self.tail_order}"
+            )
+        return self.coeffs[k]
 
     def blocks(self, through: int) -> list[M2]:
         return [self.block(k) for k in range(through + 1)]
 
-    def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries(*(x + y for x, y in zip(self.entries(), other.entries())))
-
-    def __sub__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries(*(x - y for x, y in zip(self.entries(), other.entries())))
-
-    def __neg__(self) -> "MatrixSeries":
-        return MatrixSeries(*(-x for x in self.entries()))
-
-    def __matmul__(self, other: "MatrixSeries") -> "MatrixSeries":
-        a11, a12, a21, a22 = self.entries()
-        b11, b12, b21, b22 = other.entries()
-        return MatrixSeries(
-            a11 * b11 + a12 * b21,
-            a11 * b12 + a12 * b22,
-            a21 * b11 + a22 * b21,
-            a21 * b12 + a22 * b22,
-        )
-
-    def shift(self, k: int) -> "MatrixSeries":
-        return MatrixSeries(*(s.shift(k) for s in self.entries()))
-
     def det(self) -> LaurentSeries:
-        return self.e11 * self.e22 - self.e12 * self.e21
-
-    def difference_support(self, other: "MatrixSeries") -> list[int]:
-        out: set[int] = set()
-        for x, y in zip(self.entries(), other.entries()):
-            out.update(x.difference_support(y))
-        return sorted(out)
-
-    @classmethod
-    def identity(cls, tail_order: int | None = None) -> "MatrixSeries":
-        one = constant_series(1, tail_order)
-        zero = LaurentSeries.from_dict({}, tail_order)
-        return cls(one, zero, zero, one)
+        """det G(lam) as a scalar series in 1/lam, exact through the same window."""
+        g = self.coeffs
+        terms = {
+            -k: sum(_dot(g[i].a11, g[k - i].a22, -g[i].a12, g[k - i].a21) for i in range(k + 1))
+            for k in range(len(g))
+        }
+        return LaurentSeries.from_dict(terms, self.tail_order)
 
 
 def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSeries:
-    """Inverse of G = I + G_1/lam + ... as I + sum U_k lam^-k.
+    """Inverse of G = I + G_1/lam + ... as I + sum U_k lam^-k, through
+    lam^-order (default and upper limit: the window of G).
 
     Solves G * U = I block-recursively: U_0 = I and
-    U_k = -sum_{j=1..k} G_j U_{k-j}.  Requires G_0 = I and a pure tail.
+    U_k = -sum_{j=1..k} G_j U_{k-j}.  Requires G_0 = I.
     """
-    for s in G.entries():
-        if s.max_exponent is not None and s.max_exponent > 0:
-            raise NotNormalizedError("matrix series with positive powers cannot be inverted")
-    order = _order_min(G.tail_order, order)
-    if order is None:
-        raise NotNormalizedError("an explicit target order is required to invert an exact matrix series")
-    g = [G.block(k) for k in range(order + 1)]
+    order = G.tail_order if order is None else min(G.tail_order, order)
+    g = G.blocks(order)
     if g[0] != M2.identity():
         raise NotNormalizedError(f"leading block must be the identity, got {g[0]}")
     u: list[M2] = [M2.identity()]
@@ -506,4 +467,4 @@ def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSe
             if not g[j].is_zero():
                 acc = acc + (g[j] @ u[k - j])
         u.append(-acc)
-    return MatrixSeries.from_blocks(u, order)
+    return MatrixSeries(tuple(u))

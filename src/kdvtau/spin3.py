@@ -5,7 +5,8 @@ The R-matrix series, evaluated at the standard point,
     R(z) = [[ sum q_{2k} z^{2k},   -sum q_{2k+1} z^{2k+1}],
             [-sum c_{2k+1} z^{2k+1},  sum c_{2k} z^{2k}  ]]
 
-is built directly from the same c/q coefficient sequences that span the
+is a `MatrixSeries` in z (the same dense block type as the loop matrix),
+built directly from the same c/q coefficient sequences that span the
 Witten-Kontsevich point; its z^k block is diag(q_k, c_k) for even k and
 [[0, -q_k], [-c_k, 0]] for odd k.  It matches the inverse loop matrix via
 R(z) = z^(s3/6) G(z^(-2/3))^(-1) z^(-s3/6): the fractional powers exactly
@@ -17,7 +18,8 @@ The V-matrices are defined by
 
     (R*(w) R(z) - I) / (w + z) = sum (-1)^(k+l) V_{k,l} w^k z^l,
 
-with R*(w) = eta R(w)^T eta, eta = [[0,1],[1,0]].  The quotient is solved
+with R*(w) = eta R(w)^T eta, eta = [[0,1],[1,0]], whose w^k block is
+R_k.swap_diagonal().  The quotient is solved
 layer by layer; the division is exact precisely because R*(-z) R(z) = I,
 and that consistency is asserted rather than assumed.  Writing
 Q_{k,l} = (-1)^(k+l) V_{k,l} for the raw quotient coefficients, matching
@@ -38,10 +40,9 @@ from .errors import InconsistentDivisionError, InsufficientDepthError, OutOfRang
 from .exactnum import format_rational
 from .grassmann import ZTable, wk_G, wk_c_coeff, wk_q_coeff
 from .report import VerificationReport, first_failures
-from .series import M2, matrix_series_inverse
+from .series import M2, MatrixSeries, matrix_series_inverse
 
 __all__ = [
-    "RMatrixSeries",
     "VTable",
     "r_matrix",
     "verify_R_from_G",
@@ -51,28 +52,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RMatrixSeries:
-    """Polynomial truncation R_0 + R_1 z + ... + R_depth z^depth."""
-
-    coeffs: tuple[M2, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.coeffs) - 1
-
-    def block(self, k: int) -> M2:
-        if k > self.depth:
-            raise InsufficientDepthError(f"R truncated at z^{self.depth}, asked z^{k}")
-        return self.coeffs[k]
-
-    def star_block(self, k: int) -> M2:
-        """Coefficient of the adjoint series R*(w) = eta R(w)^T eta."""
-        return self.block(k).swap_diagonal()
-
-
-def r_matrix(depth: int) -> RMatrixSeries:
-    """The explicit R series through z^depth.
+def r_matrix(depth: int) -> MatrixSeries:
+    """The explicit R series through z^depth; block(k) is the z^k block R_k.
 
     The parity pattern (diagonal blocks at even order, anti-diagonal at odd)
     is what the exponent realignment of the loop-matrix relation produces.
@@ -84,7 +65,7 @@ def r_matrix(depth: int) -> RMatrixSeries:
             blocks.append(M2.diag(q, c))
         else:
             blocks.append(M2.of(0, -q, -c, 0))
-    return RMatrixSeries(tuple(blocks))
+    return MatrixSeries(tuple(blocks))
 
 
 def verify_R_from_G(depth: int) -> VerificationReport:
@@ -186,7 +167,7 @@ def v_table(size: int) -> VTable:
     def N(i: int, j: int) -> M2:
         if i == 0 and j == 0:
             return M2.zero()
-        return R.star_block(i) @ R.block(j)
+        return R.block(i).swap_diagonal() @ R.block(j)
 
     q: dict[tuple[int, int], M2] = {}
     for k in range(size + 1):
@@ -248,7 +229,7 @@ def verify_v_relations(size: int) -> VerificationReport:
                 if j >= 1:
                     q = V.entry(i, j - 1)
                     acc = acc + (q if (i + j - 1) % 2 == 0 else -q)
-                want = R.star_block(i) @ R.block(j)
+                want = R.block(i).swap_diagonal() @ R.block(j)
                 if acc != want:
                     yield f"reconstruction at w^{i} z^{j}: {acc} vs {want}"
 

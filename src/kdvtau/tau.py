@@ -232,8 +232,7 @@ def intersection_number(
         raise DegreeExceededError(
             f"spec {spec} needs degree {spec.t_weight}, free energy reliable to {F.bound}"
         )
-    value = F.coefficient(spec.monomial()) * spec.multiplicity_factor()
-    return IntersectionResult(value, spec.genus, True)
+    return IntersectionResult(_correlator(F, spec), spec.genus, True)
 
 
 def _correlator(F: GradedPoly, spec: CorrelatorSpec) -> Fraction:
@@ -258,6 +257,10 @@ def verify_string_equation(tau: TauSeries) -> VerificationReport:
             continue
         tp = GradedPoly.variable("t", p)
         residual = residual + tp * dz
+    if residual.bound is not None and residual.bound < 0:
+        raise DegreeExceededError(
+            f"tau degree {tau.degree} leaves no certifiable residual for the string equation"
+        )
     ok = residual.is_zero()
     failures = []
     if not ok:

@@ -139,6 +139,21 @@ def test_verify_pass_fixture(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("depth, ode_window", [("0", "lam^2"), ("1", "lam^1")])
+def test_verify_kac_schwarz_shallow_window_text(capsys, depth, ode_window):
+    code, out, _ = run(capsys, "verify", "kac-schwarz", "--depth", depth)
+    assert code == 0
+    assert out == (f"kac-schwarz: PASS (ODE residual through {ode_window}, "
+                   f"q-relation through lam^-{depth})\n")
+
+
+def test_verify_string_with_empty_window_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "string", "--depth", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "no certifiable residual" in err
+
+
 def test_verify_recursion_small(capsys):
     code, out, _ = run(capsys, "verify", "recursion", "--depth", "5")
     assert code == 0

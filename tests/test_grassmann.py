@@ -210,11 +210,8 @@ def test_one_recursion_run_serves_every_shape(wk_G41):
     assert tables == [z_table_direct(wk_G41, K, L) for K, L in EDGE_SHAPES]
 
 
-@pytest.mark.parametrize("j", [1, 2, 4, 6, 7])
-def test_recursion_boundary_check_catches_a_corrupt_inverse(monkeypatch, wk_G41, j):
-    # Z[j-1,0] moves by exactly the corruption of U_j, so the left-column
-    # check Z[k,0] = G_{k+1}, run down to k = need - 1 = 6, sees every seed
-    # U_1..U_7 of a 3x3 table, including U_6 and U_7 beyond its rows
+def corrupt_inverse_block(monkeypatch, j):
+    """Make grassmann's loop-matrix inverse return U_j off by one in its (1,2) entry."""
     true_inverse = grassmann.matrix_series_inverse
 
     def corrupt_inverse(G, order=None):
@@ -224,8 +221,27 @@ def test_recursion_boundary_check_catches_a_corrupt_inverse(monkeypatch, wk_G41,
         return MatrixSeries.from_blocks(blocks, U.tail_order)
 
     monkeypatch.setattr(grassmann, "matrix_series_inverse", corrupt_inverse)
+
+
+@pytest.mark.parametrize("j", [1, 2, 4, 6, 7])
+def test_recursion_boundary_check_catches_a_corrupt_inverse(monkeypatch, wk_G41, j):
+    # Z[j-1,0] moves by exactly the corruption of U_j, so the left-column
+    # check Z[k,0] = G_{k+1}, run down to k = need - 1 = 6, sees every seed
+    # U_1..U_7 of a 3x3 table, including U_6 and U_7 beyond its rows
+    corrupt_inverse_block(monkeypatch, j)
     with pytest.raises(ExactComputationError, match="boundary mismatch"):
         z_table_recursive(wk_G41, 3, 3)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_z_generating_series_catches_a_corrupt_inverse(monkeypatch, wk_G41, j):
+    # the lam^0 coefficient of G (lam^j G^-1)_+ is G_0 U_j + ... and must be
+    # 0; one table row keeps the negative powers from filling the failure cap
+    table = z_table_direct(wk_G41, 0, 3)
+    corrupt_inverse_block(monkeypatch, j)
+    rep = verify_z_generating_series(wk_G41, 3, table)
+    assert not rep.passed
+    assert any(f"k={j}, lam^0:" in f for f in rep.failures)
 
 
 def test_insufficient_depth_is_an_error():

@@ -10,7 +10,7 @@ import kdvtau.zhou as zhou
 from kdvtau.grassmann import AffineTable, ZTable, z_table_recursive
 from kdvtau.report import MAX_FAILURES, VerificationReport, first_failures
 from kdvtau.schur import GradedPoly
-from kdvtau.series import M2
+from kdvtau.series import M2, MatrixSeries
 from kdvtau.tau import TauSeries, verify_dimension_filter, verify_string_recursion
 
 F = Fraction
@@ -105,7 +105,7 @@ def case_r_from_G(mp, G, tau):
     def bumped(depth):
         coeffs = list(true_R(depth).coeffs)
         coeffs[2] = coeffs[2] + BUMP
-        return spin3.RMatrixSeries(tuple(coeffs))
+        return MatrixSeries(tuple(coeffs))
 
     mp.setattr(spin3, "r_matrix", bumped)
     return spin3.verify_R_from_G(6)

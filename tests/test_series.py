@@ -14,7 +14,6 @@ from kdvtau.series import (
     lam_power,
     matrix_series_inverse,
     negate_argument,
-    polynomial_part,
     series_from_json,
     series_inverse,
     series_to_json,
@@ -155,16 +154,8 @@ def test_truncation_soundness(a):
 
 
 # ---------------------------------------------------------------------------
-# polynomial part, argument negation
+# argument negation
 # ---------------------------------------------------------------------------
-
-
-def test_polynomial_part():
-    s = S({2: 1, 0: 1, -1: 1}, 4)
-    assert polynomial_part(s) == S({2: 1, 0: 1}, None)
-    assert polynomial_part(S({-3: 1}, 5)) == S({}, None)
-    shifted = S({0: 1, -1: 1, -2: 1}, 6).shift(1)
-    assert polynomial_part(shifted) == S({1: 1, 0: 1}, None)
 
 
 def test_negate_argument():
@@ -243,9 +234,22 @@ def test_matrix_inverse_wk_blocks():
     assert U.block(1) == -G.block(1)
     assert U.block(2) == M2.of(0, 0, Fraction(5, 24), 0)
     assert U.block(3) == M2.diag(Fraction(-455, 1152), Fraction(385, 1152))
-    prod = G @ U
-    assert prod.block(0) == M2.identity()
-    assert all(prod.block(k).is_zero() for k in range(1, 7))
+    g, u = G.blocks(6), U.blocks(6)
+    prod = [sum((g[j] @ u[k - j] for j in range(k + 1)), M2.zero()) for k in range(7)]
+    assert prod[0] == M2.identity()
+    assert all(prod[k].is_zero() for k in range(1, 7))
+
+
+def test_matrix_series_window():
+    G = MatrixSeries.from_blocks([M2.identity(), M2.of(0, 3, 0, 0)], 3)
+    assert G.tail_order == 3 and G.block(3).is_zero()
+    with pytest.raises(InsufficientDepthError):
+        G.block(4)
+    with pytest.raises(ValueError):
+        MatrixSeries.from_blocks([M2.identity()] * 5, 3)
+    # (1 + x)(1 + 2x) - 3x * 0, exact through the same window x^2
+    det = MatrixSeries.from_blocks([M2.identity(), M2.of(1, 3, 0, 2)], 2).det()
+    assert det == S({0: 1, -1: 3, -2: 2}, 2)
 
 
 def test_matrix_inverse_requires_identity_leading_block():
