@@ -110,10 +110,8 @@ def cmd_affine(args: argparse.Namespace) -> int:
 
 def cmd_intersect(args: argparse.Namespace) -> int:
     try:
-        ks = [int(part) for part in args.spec.split(",") if part.strip() != ""]
-        if not ks and args.spec.strip() != "":
-            raise ValueError
-        spec = tau_mod.CorrelatorSpec.of(ks)
+        # int() rejects an empty part, so "" and "1,,2" are parse errors
+        spec = tau_mod.CorrelatorSpec.of([int(part) for part in args.spec.split(",")])
     except ValueError:
         print(f"cannot parse spec {args.spec!r}; expected 'k1,k2,...'", file=sys.stderr)
         return 2
@@ -122,10 +120,8 @@ def cmd_intersect(args: argparse.Namespace) -> int:
         doc = {"spec": list(spec.exponents), "genus": None, "value": "0"}
         print(json.dumps(doc))
         return 0
-    degree = max(spec.t_weight, 3)
-    (table,) = _affine_tables(None, (degree - 1, degree - 1))
-    t = tau_mod.tau_truncated(table, degree)
-    result = tau_mod.intersection_number(spec, t)
+    (table,) = _affine_tables(None, (spec.t_weight - 1, spec.t_weight - 1))
+    result = tau_mod.correlator(table, spec)
     doc = {
         "spec": list(spec.exponents),
         "genus": result.genus,

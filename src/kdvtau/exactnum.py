@@ -112,7 +112,14 @@ class ExtScalar:
         return ExtScalar(-self.re, -self.im)
 
     def __mul__(self, other: "ExtScalar | RationalLike") -> "ExtScalar":
-        other = _coerce(other)
+        # a rational factor, or one with no s part, scales the other's two parts
+        if isinstance(other, ExtScalar) and other.im == 0:
+            other = other.re
+        elif isinstance(other, ExtScalar) and self.im == 0:
+            self, other = other, self.re
+        if not isinstance(other, ExtScalar):
+            other = as_rational(other)
+            return ExtScalar(self.re * other, self.im * other)
         # (a + b s)(c + d s) = (ac - 2bd) + (ad + bc) s
         return ExtScalar(
             self.re * other.re - 2 * self.im * other.im,

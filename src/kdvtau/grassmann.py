@@ -363,15 +363,14 @@ def verify_generating_function(
     g = G.blocks(need)
     u = matrix_series_inverse(G, need).blocks(need)
 
-    def N(i: int, j: int) -> M2:
-        if i == 0 and j == 0:
-            return M2.zero()
-        return -(g[i] @ u[j])
+    # N[i][j] on every anti-diagonal i + j <= need, each block product once
+    N = [[M2.zero() if i == j == 0 else -(g[i] @ u[j]) for j in range(need + 1 - i)]
+         for i in range(need + 1)]
 
     for s in range(1, need + 1):
         acc = M2.zero()
         for i in range(s + 1):
-            acc = acc + N(i, s - i)
+            acc = acc + N[i][s - i]
         if not acc.is_zero():
             return VerificationReport(
                 suite, False, f"bi-degree {depth}",
@@ -382,7 +381,7 @@ def verify_generating_function(
     def Q(k: int, l: int) -> M2:
         q = M2.zero()
         for r in range(k + 1):
-            q = q + N(k - r, l + 1 + r)
+            q = q + N[k - r][l + 1 + r]
         return q
 
     failures = first_failures(

@@ -8,13 +8,17 @@ graded-exact through degree D, with each coefficient read from the integer
 characters chi^mu(lam) of the symmetric group (see `tau_truncated`) rather
 than from expanded Schur polynomials.  The KdV coupling constants are
 t_k = -(2k+1)!! theta_{2k+1} (the even thetas enter tau only through an
-exp-linear factor and are set to zero before any work in t).  With Z(t) the tau series in t variables,
-the correlators are read off the free energy
+exp-linear factor and are set to zero before any work in t).  With Z(t)
+the tau series in t variables, the correlators are the coefficients of the
+free energy
 
     <tau_{k_1} ... tau_{k_n}> = (prod multiplicities!) x
                                 [coefficient of prod t_{k_i}] log Z,
 
-nonzero only when sum k_i = 3g - 3 + n for an integer genus g >= 0.
+nonzero only when sum k_i = 3g - 3 + n for an integer genus g >= 0
+(`intersection_number`).  `correlator`, the `intersect` route, builds no
+tau: it reduces a spec by the string and dilaton equations and reads the
+rest off the affine table by Zhou's n-point functions (`log_tau_derivative`).
 
 Differential identities (string equation, the flows of the hierarchy) are
 verified on the residual polynomial; the graded reliability bound of the
@@ -56,6 +60,8 @@ __all__ = [
     "to_t_variables",
     "free_energy",
     "intersection_number",
+    "correlator",
+    "log_tau_derivative",
     "verify_string_equation",
     "verify_kdv_flow",
     "verify_dimension_filter",
@@ -104,11 +110,7 @@ def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
     Partitions of weight <= D have hooks with arm and leg at most D - 1, so
     the table must extend at least that far.
     """
-    need = max(degree - 1, 0)
-    if table.max_m < need or table.max_n < need:
-        raise InsufficientTableError(
-            f"table {table.max_m}x{table.max_n} too small for tau degree {degree}"
-        )
+    _require_table(table, max(degree - 1, 0), f"tau degree {degree}")
     terms: dict[Monomial, Fraction] = {}
     for _, group in groupby(partitions_up_to(degree), key=lambda mu: mu.weight):
         group = list(group)
@@ -122,6 +124,11 @@ def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
                 scale = math.prod(math.factorial(m) for m in mults.values())
                 terms[tuple(sorted(mults.items()))] = Fraction(total, den * scale)
     return TauSeries(GradedPoly("theta", terms, degree), degree, table.source)
+
+
+def _require_table(table: AffineTable, need: int, purpose: str) -> None:
+    if table.max_m < need or table.max_n < need:
+        raise InsufficientTableError(f"table {table.max_m}x{table.max_n} too small for {purpose}")
 
 
 @lru_cache(maxsize=None)
@@ -178,9 +185,10 @@ class CorrelatorSpec:
 
     @property
     def genus(self) -> int | None:
-        """g with sum k_i = 3g - 3 + n, or None if no such integer g >= 0."""
+        """g with sum k_i = 3g - 3 + n, or None if no such integer g >= 0 (or
+        no insertion: the empty <>_1 is unstable)."""
         num = sum(self.exponents) - self.size + 3
-        if num % 3 != 0 or num < 0:
+        if not self.exponents or num % 3 != 0 or num < 0:
             return None
         return num // 3
 
@@ -232,11 +240,124 @@ def intersection_number(
         raise DegreeExceededError(
             f"spec {spec} needs degree {spec.t_weight}, free energy reliable to {F.bound}"
         )
-    return IntersectionResult(_correlator(F, spec), spec.genus, True)
+    return IntersectionResult(_from_free_energy(F, spec), spec.genus, True)
 
 
-def _correlator(F: GradedPoly, spec: CorrelatorSpec) -> Fraction:
+def _from_free_energy(F: GradedPoly, spec: CorrelatorSpec) -> Fraction:
     return F.coefficient(spec.monomial()) * spec.multiplicity_factor()
+
+
+def correlator(table: AffineTable, spec: CorrelatorSpec) -> IntersectionResult:
+    """Exact correlator for `spec`, read off the affine table of the
+    Witten-Kontsevich point without assembling tau.
+
+    The spec is first reduced exactly by the string and dilaton equations,
+
+        <tau_0 prod tau_{k_i}>_g = sum_j <.. tau_{k_j - 1} ..>_g,
+        <tau_1 prod_{i<=n} tau_{k_i}>_g = (2g - 2 + n) <prod tau_{k_i}>_g,
+
+    as long as the reduced spec stays stable (2g - 2 + n > 0), memoised on
+    the sorted multiset.  That leaves every k_i >= 2 (so n <= 3g - 3) or the
+    bases <tau_0^3>_0 and <tau_1>_1, each evaluated as
+
+        <prod tau_{k_i}> = prod_i (-1/(2k_i+1)!!) d^n log tau / prod d theta_{2k_i+1}
+
+    by `log_tau_derivative`.  The reduction holds only at the
+    Witten-Kontsevich point; the table must be at least (W-1) x (W-1),
+    W = `spec.t_weight`.
+    """
+    if not spec.is_valid:
+        return IntersectionResult(Fraction(0), None, False)
+    _require_table(table, spec.t_weight - 1, str(spec))
+    genus = spec.genus
+    memo: dict[tuple[int, ...], Fraction] = {}
+
+    def value(ks: tuple[int, ...]) -> Fraction:
+        if ks not in memo:
+            memo[ks] = evaluate(ks)
+        return memo[ks]
+
+    def evaluate(ks: tuple[int, ...]) -> Fraction:
+        rest, stable = ks[1:], 2 * genus - 2 + len(ks) - 1
+        if ks[0] == 1 and stable > 0:
+            return stable * value(rest)
+        if ks[0] == 0 and stable > 0:
+            # rest is sorted, so lowering the first k of each value keeps it sorted
+            return sum(
+                (m * value(rest[:(i := rest.index(k))] + (k - 1,) + rest[i + 1:])
+                 for k, m in Counter(rest).items() if k >= 1),
+                Fraction(0),
+            )
+        scale = math.prod(_theta_to_t_factor(2 * k + 1) for k in ks)
+        return scale * log_tau_derivative(table, [2 * k + 1 for k in ks])
+
+    return IntersectionResult(value(spec.exponents), genus, True)
+
+
+def log_tau_derivative(table: AffineTable, thetas: list[int]) -> Fraction:
+    """d^n log tau / d theta_{a_1} ... d theta_{a_n} at theta = 0, for the
+    tau function of any big-cell point with affine coordinates `table`
+    (Zhou, Emergent geometry of KP hierarchy).
+
+    With A(x, y) = sum A_{m,n} x^{-m-1} y^{-n-1}:
+
+    * n = 1: sum_{m+n=a-1} A_{m,n};
+    * n >= 2: (-1)^{n-1} times the sum, over the (n-1)! cyclic orders c with
+      c_1 = 1, of the coefficient of prod_i x_i^{-a_i-1} in
+      prod_i [A(x_{c_i}, x_{c_{i+1}}) - 1/(x_{c_i} - x_{c_{i+1}})], every
+      1/(x_i - x_j) expanded where |x_1| > ... > |x_n|.
+
+    Each factor x -> y of a cycle contributes x^{-p-1} y^{-q-1}: A_{p,q}
+    (p, q >= 0), or from the pole q = -p-1 with coefficient -1 when x comes
+    first (p >= 0) and +1 when it comes later (p < 0).  A variable with
+    exponent a takes q from the factor entering it and passes p = a - 1 - q to
+    the factor leaving it, so the coefficient is a transfer sum along the
+    cycle whose state is p.  Each factor uses p + q + 2 >= 1 of the total
+    W + n (W = sum a_i), so only A_{m,n} with m + n < W enter, and a state
+    p >= W can never close the cycle.  The variables are ordered by a_i, so
+    the first, whose p starts the cycle, has the fewest start states.  The
+    (n-1)! cycles are summed over subsets (2^(n-1) n partial paths), since
+    the factor weights depend only on the two variables they join.
+    """
+    a = sorted(thetas)
+    if not a or a[0] < 1:
+        raise ValueError("theta indices must be >= 1")
+    W = sum(a)
+    _require_table(table, W - 1, f"theta weight {W}")
+    if len(a) == 1:
+        return sum((table.value(m, W - 1 - m) for m in range(W)), Fraction(0))
+    # one common denominator, so every factor weight is an integer times 1/den
+    rows = [[(q, v) for q in range(W - p) if (v := table.value(p, q))] for p in range(W)]
+    den = math.lcm(*(v.denominator for row in rows for _, v in row))
+    rows = [[(q, v.numerator * (den // v.denominator)) for q, v in row] for row in rows]
+
+    def step(states: dict[tuple[int, int], int], u: int, v: int, out: dict[tuple[int, int], int]) -> None:
+        """Add to `out` the states after factor u -> v, keyed (start p, p at v)."""
+        for (start, p), w in states.items():
+            if 0 <= p:
+                for q, A in rows[p]:
+                    key = (start, a[v] - 1 - q)
+                    out[key] = out.get(key, 0) + w * A
+            if (p >= 0) == (u < v) and a[v] + p < W:  # the pole term
+                key = (start, a[v] + p)
+                out[key] = out.get(key, 0) + (-w if u < v else w) * den
+
+    # the paths from variable 0 with the same set of variables and the same
+    # last one share all later factors, so they are summed before extending
+    n = len(a)
+    full = (1 << n) - 1
+    paths: dict[tuple[int, int], dict[tuple[int, int], int]] = {(1, 0): {(p, p): 1 for p in range(a[0])}}
+    closed: dict[tuple[int, int], int] = {}
+    for mask in range(1, full + 1, 2):  # every subset of a mask comes before it
+        for u in range(n):
+            states = {key: w for key, w in paths.pop((mask, u), {}).items() if w}
+            if mask == full:
+                step(states, u, 0, closed)
+            for v in range(1, n):
+                if states and not mask >> v & 1:
+                    step(states, u, v, paths.setdefault((mask | 1 << v, v), {}))
+    total = sum(w for (start, p), w in closed.items() if p == start)
+    return Fraction((-1) ** (n - 1) * total, den ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +476,11 @@ def verify_string_recursion(tau: TauSeries) -> VerificationReport:
         for ks in _specs_with_weight_at_most(bound - 1):
             if all(k == 0 for k in ks):
                 continue
-            lhs = _correlator(F, CorrelatorSpec.of(ks + (0,)))
+            lhs = _from_free_energy(F, CorrelatorSpec.of(ks + (0,)))
             rhs = Fraction(0)
             for i, k in enumerate(ks):
                 if k >= 1:
-                    rhs += _correlator(F, CorrelatorSpec.of(ks[:i] + (k - 1,) + ks[i + 1:]))
+                    rhs += _from_free_energy(F, CorrelatorSpec.of(ks[:i] + (k - 1,) + ks[i + 1:]))
             checked += 1
             if lhs != rhs:
                 yield f"{CorrelatorSpec.of(ks + (0,))}: {format_rational(lhs)} vs {format_rational(rhs)}"

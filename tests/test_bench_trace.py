@@ -1,0 +1,32 @@
+"""Smoke test of the traced benchmark route.
+
+`bench/replay.py` rebinds kdvtau functions by name (`tau.intersection_number`,
+`schur.schur_poly`, `series.series_inverse`, ...), so renaming one of them in
+`src/` would make `bench/run.py --trace 1` fail.  This runs the replay on two
+CLI calls and checks that it exits 0 and writes its spans.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [["intersect", "2,3"], ["verify", "cq-identity"]])
+def test_replay_writes_spans(tmp_path, argv):
+    spans = tmp_path / "spans.json"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "replay.py"), str(spans), *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans.read_text())
+    assert doc["spans"] and doc["calls"]["cli.op"] == 1
+    assert doc["self_s"]["cli.op"] >= 0

@@ -105,7 +105,7 @@ def test_intersect_one_point_genus1(capsys):
     assert json.loads(out) == {"spec": [1], "genus": 1, "value": "1/24"}
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("genus", range(1, 11))
 def test_intersect_single_insertion_closed_form(capsys, genus):
     # <tau_{3g-2}>_g = 1 / (24^g g!)
     code, out, _ = run(capsys, "intersect", str(3 * genus - 2))
@@ -126,6 +126,15 @@ def test_intersect_parse_error(capsys):
     code, _, err = run(capsys, "intersect", "0,x,1")
     assert code == 2
     assert "parse" in err
+
+
+@pytest.mark.parametrize("spec", ["", " ", ",", "1,,2", "1,2,", " ,3"])
+def test_intersect_empty_part_exits_2(capsys, spec):
+    # an empty spec is not the unstable <>_1, and no empty part is dropped
+    code, out, err = run(capsys, "intersect", spec)
+    assert code == 2
+    assert out == ""
+    assert f"cannot parse spec {spec!r}" in err
 
 
 # ---------------------------------------------------------------------------

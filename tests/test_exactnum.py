@@ -96,3 +96,19 @@ def test_ext_scalar_power_matches_repeated_product(x, n):
     for _ in range(n):
         prod = prod * x
     assert x**n == prod
+
+
+@given(ext_scalars, rationals, st.integers(min_value=-9, max_value=9))
+def test_ext_scalar_rational_factor_matches_full_product(x, r, k):
+    # the rational fast path agrees with the general product in Q[s], on
+    # either side and for an ExtScalar with no s part
+    for factor in (r, k):
+        full = x * ExtScalar(Fraction(factor), Fraction(1)) - x * SQRT_MINUS_TWO
+        assert x * factor == factor * x == full
+        assert x * ExtScalar.from_rational(factor) == ExtScalar.from_rational(factor) * x == full
+        assert isinstance((x * factor).re, Fraction) and isinstance((x * factor).im, Fraction)
+
+
+def test_ext_scalar_rejects_inexact_factor():
+    with pytest.raises(TypeError):
+        SQRT_MINUS_TWO * 1.5

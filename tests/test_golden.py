@@ -34,6 +34,9 @@ GOLDEN = {
     "intersect 1,1,1,1": (0, "7b0a6e2e2bece996c9d227021da8f77d812f0ce9ad44d0215259f20b2fc5d7e3"),
     "intersect 7": (0, "118512a970945bd7e8e2705da27f2770980a0ce9ce51cddaa7f27369dbc21f00"),
     "intersect 2,2,2": (0, "5f615613cd11921d35e868174925837a4ee47969c540b7eb32ce5cbead58ff5c"),
+    "intersect 10": (0, "99db64db37faea929373b21ddf0be3c726d31b95cb82fd3d1d2a91ea7d1334cd"),
+    "intersect 3,5": (0, "ea6c836bf40bca18251c9550f752bfde8fac69ca15b212a014eae77fa645ae4c"),
+    "intersect 3,3,3": (0, "0c02d35423d3df6805cead9353ef211974d0e34a6ef445485e837c59b98dff58"),
     "grassmann POINT1 --tau 10 --tau-vars theta --initial-data 8": (0, "a518d91f397678ea8058948664ce4fd3717095e2e90372be6c1e0be072d08067"),
     "grassmann POINT1 --tau 10 --tau-vars t --initial-data 8": (0, "24a2e6a0ddae88c30fe1aa719d70ffba80ef46867273f2855a2c0cb4acfcb955"),
     "grassmann POINT2 --tau 9 --tau-vars theta --initial-data 7": (0, "d8c78a4de1e20c979a16d0c15b21dadf4369994a5e220f23afcc8fc83c94582b"),

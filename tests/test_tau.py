@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from kdvtau.grassmann import (
     build_G,
     normalize_point,
     point_from_json,
+    wk_G,
     z_table_recursive,
 )
 from kdvtau.schur import (
@@ -21,9 +24,11 @@ from kdvtau.schur import (
 )
 from kdvtau.tau import (
     CorrelatorSpec,
+    correlator,
     free_energy,
     initial_data,
     intersection_number,
+    log_tau_derivative,
     tau_truncated,
     to_t_variables,
     verify_dimension_filter,
@@ -34,6 +39,7 @@ from kdvtau.tau import (
 from kdvtau.zhou import zhou_affine_table
 
 from conftest import example_table, seeded_point_json
+from oracles import double_factorial, dvv, genus0, genus_of, valid_specs
 
 F = Fraction
 
@@ -200,6 +206,7 @@ def test_spec_genus():
     assert CorrelatorSpec.of([4]).genus == 2
     assert CorrelatorSpec.of([0, 0]).genus is None
     assert not CorrelatorSpec.of([0, 0]).is_valid
+    assert CorrelatorSpec.of([]).genus is None  # not the unstable <>_1
 
 
 def test_known_intersection_numbers(wk_tau12, wk_F12):
@@ -226,6 +233,97 @@ def test_dimension_mismatch_flag(wk_tau12, wk_F12):
 def test_degree_guard(wk_tau12, wk_F12):
     with pytest.raises(DegreeExceededError):
         intersection_number(CorrelatorSpec.of([0, 0, 6]), wk_tau12, wk_F12)
+
+
+# ---------------------------------------------------------------------------
+# correlators read off the affine table
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wk_affine27():
+    return z_table_recursive(wk_G(28), 13, 13).to_affine_table()
+
+
+def test_oracles_agree_in_genus_0():
+    specs = [ks for ks in valid_specs(27) if genus_of(ks) == 0]
+    assert len(specs) > 20
+    assert all(dvv(ks) == genus0(ks) for ks in specs)
+    assert dvv((4,)) == F(1, 1152) and dvv((2, 3)) == F(29, 5760)
+
+
+def test_correlator_matches_dvv(wk_affine27):
+    specs = valid_specs(27)
+    assert len(specs) == 372
+    for ks in specs:
+        result = correlator(wk_affine27, CorrelatorSpec.of(ks))
+        assert (result.value, result.genus, result.dimension_ok) == (dvv(ks), genus_of(ks), True), ks
+
+
+def test_correlator_matches_log_tau_route(wk_affine31):
+    F15 = free_energy(tau_truncated(wk_affine31, 15))
+    for ks in valid_specs(15):
+        spec = CorrelatorSpec.of(ks)
+        assert correlator(wk_affine31, spec) == intersection_number(spec, None, F15), ks
+
+
+def test_unreduced_n_point_formula_matches_dvv(wk_affine27):
+    # every valid spec of t-weight <= 21 (n up to 9), no string/dilaton step
+    for ks in valid_specs(21):
+        scale = math.prod(F(-1, double_factorial(2 * k + 1)) for k in ks)
+        assert scale * log_tau_derivative(wk_affine27, [2 * k + 1 for k in ks]) == dvv(ks), ks
+
+
+def test_correlator_nine_insertions():
+    # <tau_2^9>_4: n = 9 survives the reduction, t-weight 45
+    table = z_table_recursive(wk_G(46), 22, 22).to_affine_table()
+    spec = CorrelatorSpec.of([2] * 9)
+    assert correlator(table, spec).value == dvv(spec.exponents) == F(1816871, 48)
+
+
+def multisets(budget: int, most: int) -> list[tuple[int, ...]]:
+    """Sorted tuples of at most `most` indices >= 1 with sum <= budget."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], low: int, left: int) -> None:
+        if prefix:
+            out.append(prefix)
+        if len(prefix) < most:
+            for a in range(low, left + 1):
+                rec(prefix + (a,), a, left - a)
+
+    rec((), 1, budget)
+    return out
+
+
+@pytest.mark.parametrize("seed,dense,large", [(1, True, False), (2, False, True), (3, True, True), (4, False, False)])
+def test_log_tau_derivative_matches_graded_log(seed, dense, large):
+    # a generic point: even theta present, no string or dilaton equation
+    point = normalize_point(point_from_json(seeded_point_json(seed, 24, dense, large)))
+    table = z_table_recursive(build_G(point, 11), 5, 5).to_affine_table("custom")
+    log_tau = graded_log(tau_truncated(table, 10).poly)
+    thetas = multisets(10, 4)
+    assert len(thetas) == 93
+    for a in thetas:
+        counts = Counter(a)
+        want = log_tau.coefficient(tuple(sorted(counts.items()))) * math.prod(
+            math.factorial(e) for e in counts.values()
+        )
+        assert log_tau_derivative(table, list(a)) == want, a
+
+
+def test_correlator_guards(wk_affine27):
+    res = correlator(wk_affine27, CorrelatorSpec.of([0, 0]))
+    assert res.value == 0 and res.genus is None and not res.dimension_ok
+    small = z_table_recursive(wk_G(8), 3, 3).to_affine_table()
+    with pytest.raises(InsufficientTableError):
+        correlator(small, CorrelatorSpec.of([4]))  # t-weight 9 needs 8x8
+    with pytest.raises(InsufficientTableError):
+        log_tau_derivative(small, [5, 4])
+    with pytest.raises(ValueError):
+        log_tau_derivative(small, [])
+    with pytest.raises(ValueError):
+        log_tau_derivative(small, [0, 3])
 
 
 # ---------------------------------------------------------------------------
