@@ -1,17 +1,18 @@
-"""Partitions, Frobenius coordinates, characters, Schur polynomials and
+"""Partitions, Frobenius coordinates, rim hooks, Schur polynomials and
 Giambelli minors.
 
 Schur polynomials are taken in the variables theta_1, theta_2, ... graded by
 deg theta_j = j, with exp(sum_j theta_j z^j) = sum_k h_k z^k, i.e. power sums
-p_j = j theta_j.  Their coefficients are symmetric-group characters,
+p_j = j theta_j.  The adjoint p_r^perp of multiplication by p_r removes rim
+hooks of size r,
 
-    s_mu = sum_{|lam| = |mu|} chi^mu(lam) theta^lam / prod_j m_j(lam)!,
+    p_r^perp s_mu = sum over mu/nu an r-rim hook of (-1)^height s_nu,
 
-and `character` computes chi^mu(lam) as an integer by the Murnaghan-Nakayama
-rule; the tau assembly reads its coefficients from it.  `schur_poly` expands
-the Jacobi-Trudi determinant s_mu = det(h_{mu_i - i + j}) (h_k = 0 for
-k < 0) as an independent cross-check.  The general expansion coefficient of
-a tau series is the Giambelli-type minor
+and `rim_hooks` lists those terms; the tau assembly applies them to a whole
+vector of Schur coefficients at once.  `schur_poly` expands the Jacobi-Trudi
+determinant s_mu = det(h_{mu_i - i + j}) (h_k = 0 for k < 0) as an
+independent cross-check.  The general expansion coefficient of a tau series
+is the Giambelli-type minor
 
     A_mu = (-1)^(n_1 + ... + n_k) det(A_{m_i, n_j})
 
@@ -41,7 +42,7 @@ __all__ = [
     "partitions_up_to",
     "GradedPoly",
     "Monomial",
-    "character",
+    "rim_hooks",
     "h_polys",
     "schur_poly",
     "giambelli_coeff",
@@ -232,13 +233,6 @@ class GradedPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_slice(self, degree: int) -> "GradedPoly":
-        kept = {
-            m: c for m, c in self.terms.items()
-            if monomial_degree(self.kind, m) == degree
-        }
-        return GradedPoly(self.kind, kept, self.bound)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_kind(self, other: "GradedPoly") -> None:
@@ -292,14 +286,6 @@ class GradedPoly:
             candidates.append(other.min_degree + self.bound)
         return min(candidates) if candidates else None
 
-    def pow_int(self, e: int) -> "GradedPoly":
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        out = GradedPoly.const(self.kind, 1)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def derivative(self, idx: int) -> "GradedPoly":
         w = _VAR_DEGREE[self.kind](idx)
         bound = None if self.bound is None else self.bound - w
@@ -327,18 +313,6 @@ class GradedPoly:
     def truncate(self, bound: int | None) -> "GradedPoly":
         new_bound = _order_min(self.bound, bound)
         return GradedPoly.make(self.kind, dict(self.terms), new_bound)
-
-    def evaluate(self, values: dict[int, RationalLike]) -> Fraction:
-        """Plug exact values in for every variable that occurs."""
-        total = Fraction(0)
-        for mon, c in self.terms.items():
-            prod = c
-            for var, exp in mon:
-                if var not in values:
-                    raise KeyError(f"no value supplied for variable {var}")
-                prod *= as_rational(values[var]) ** exp
-            total += prod
-        return total
 
     def variables(self) -> set[int]:
         return {var for mon in self.terms for var, _ in mon}
@@ -433,31 +407,33 @@ def schur_poly(mu: Partition) -> GradedPoly:
 
 
 @lru_cache(maxsize=None)
-def character(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """chi^mu(rho): the irreducible character of S_n labelled by mu on the
-    cycle type rho (|mu| = |rho| = n, both weakly decreasing).
+def rim_hooks(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every nu with mu/nu a rim hook of size r, each with its sign (-1)^height.
 
-    Murnaghan-Nakayama on beta-numbers: with beta_i = mu_i + l(mu) - i, a rim
-    hook of size r is a beta-number b with b - r >= 0 not a beta-number, its
-    removal replaces b by b - r, and its sign is (-1) to the number of
-    beta-numbers strictly between.  Hooks of size rho_1 go first, so the
-    memo key is mu with a suffix of rho.
+    These are the terms of p_r^perp s_mu = sum_nu (-1)^height s_nu, one step
+    of the Murnaghan-Nakayama rule.  On beta-numbers beta_i = mu_i + l(mu) - i
+    a rim hook of size r is a beta-number b with b - r >= 0 not a beta-number,
+    and its removal moves b to b - r.  If the hook starts in row i and the
+    beta-numbers of rows i+1..j-1 lie strictly between, it spans rows i..j-1
+    and has height j - 1 - i: those rows of nu are mu_{i+1} - 1, ...,
+    mu_{j-1} - 1, mu_i - r + j - 1 - i.
     """
-    if not rho:
-        return 1
-    r, rest = rho[0], rho[1:]
     top = len(mu) - 1
     beta = [p + top - i for i, p in enumerate(mu)]
-    total = 0
+    present = set(beta)
+    out = []
     for i, b in enumerate(beta):
         c = b - r
-        if c < 0 or c in beta:
+        if c < 0 or c in present:
             continue
-        height = sum(1 for x in beta if c < x < b)
-        moved = sorted(beta[:i] + [c] + beta[i + 1:], reverse=True)
-        nu = tuple(x - (top - j) for j, x in enumerate(moved) if x > top - j)
-        total += (-1) ** height * character(nu, rest)
-    return total
+        j = i + 1
+        while j <= top and beta[j] > c:
+            j += 1
+        nu = mu[:i] + tuple(p - 1 for p in mu[i + 1:j]) + (mu[i] - r + j - 1 - i,) + mu[j:]
+        while nu and not nu[-1]:
+            nu = nu[:-1]
+        out.append((nu, -1 if (j - 1 - i) % 2 else 1))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -533,29 +509,6 @@ def giambelli_coeff(mu: Partition, table: AffineTable) -> Fraction:
     rows = [[table.value(m, n) for n in fc.legs] for m in fc.arms]
     sign = -1 if sum(fc.legs) % 2 else 1
     return sign * det_exact(rows)
-
-
-def graded_exp(p: GradedPoly, degree: int | None = None) -> GradedPoly:
-    """exp of a polynomial with zero constant term, through `degree`."""
-    if p.constant_term() != 0:
-        raise NonUnitError("exp needs zero constant term")
-    cap = _order_min(p.bound, degree)
-    if cap is None:
-        raise NonUnitError("an explicit degree cap is required to exponentiate an exact polynomial")
-    x = p.truncate(cap)
-    out = GradedPoly.const(p.kind, 1, cap)
-    power = GradedPoly.const(p.kind, 1, cap)
-    fact = 1
-    i = 0
-    mind = x.min_degree
-    if mind is None:
-        return out
-    while (i + 1) * mind <= cap:
-        i += 1
-        fact *= i
-        power = (power * x).truncate(cap)
-        out = out + power.scale(Fraction(1, fact))
-    return out
 
 
 def graded_log(p: GradedPoly, degree: int | None = None) -> GradedPoly:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .errors import InsufficientDepthError, NonUnitError, NotNormalizedError
@@ -106,11 +106,6 @@ class LaurentSeries:
     def max_exponent(self) -> int | None:
         """Top occupied exponent, None for the (stored-)zero series."""
         return self.coeffs[-1][0] if self.coeffs else None
-
-    @property
-    def head_degree(self) -> int:
-        m = self.max_exponent
-        return max(0, m) if m is not None else 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -456,7 +451,13 @@ def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSe
     Solves G * U = I block-recursively: U_0 = I and
     U_k = -sum_{j=1..k} G_j U_{k-j}.  Requires G_0 = I.
     """
-    order = G.tail_order if order is None else min(G.tail_order, order)
+    return _inverse(G, G.tail_order if order is None else min(G.tail_order, order))
+
+
+@lru_cache(maxsize=None)
+def _inverse(G: MatrixSeries, order: int) -> MatrixSeries:
+    """`matrix_series_inverse` memoised on (G, effective order): `verify all`
+    inverts the same few loop matrices a dozen times."""
     g = G.blocks(order)
     if g[0] != M2.identity():
         raise NotNormalizedError(f"leading block must be the identity, got {g[0]}")

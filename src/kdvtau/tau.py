@@ -4,9 +4,10 @@ A tau series is assembled from an affine-coordinate table as
 
     tau(theta) = sum over |mu| <= D of A_mu s_mu(theta),
 
-graded-exact through degree D, with each coefficient read from the integer
-characters chi^mu(lam) of the symmetric group (see `tau_truncated`) rather
-than from expanded Schur polynomials.  The KdV coupling constants are
+graded-exact through degree D, with the coefficients of each weight read
+off by applying the rim-hook operators p_r^perp to the whole integer vector
+of that weight's minors (see `tau_truncated`) rather than from expanded
+Schur polynomials.  The KdV coupling constants are
 t_k = -(2k+1)!! theta_{2k+1} (the even thetas enter tau only through an
 exp-linear factor and are set to zero before any work in t).  With Z(t)
 the tau series in t variables, the correlators are the coefficients of the
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from typing import Iterator
 
 from .errors import DegreeExceededError, InsufficientTableError
 from .exactnum import format_rational, odd_double_factorial
@@ -46,10 +48,10 @@ from .report import VerificationReport, first_failures
 from .schur import (
     GradedPoly,
     Monomial,
-    character,
     giambelli_coeff,
     graded_log,
     partitions_up_to,
+    rim_hooks,
 )
 
 __all__ = [
@@ -96,34 +98,55 @@ class TauSeries:
 def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
     """sum_{|mu| <= degree} A_mu s_mu(theta) with Giambelli minors from `table`.
 
-    Each coefficient is read from characters of the symmetric group: with
-    p_j = j theta_j, s_mu = sum_lam chi^mu(lam) theta^lam / prod_j m_j(lam)!,
-    so
+    With p_j = j theta_j, the coefficient of theta^lam in a symmetric
+    function f of weight |lam| is <p_lam, f> / prod_j m_j(lam)!, and
+    <p_lam, f> = p_{lam_l}^perp ... p_{lam_1}^perp f, where p_r^perp removes
+    an r-rim hook from each Schur term (`rim_hooks`).  So for each weight n
+    the integer vector (A_mu den)_{|mu|=n} (den the common denominator of the
+    weight's nonzero minors) is walked depth-first over the parts of lam in
+    weakly decreasing order, one p_r^perp on the whole vector per step:
 
-        [theta^lam] tau = sum_{|mu| = |lam|} A_mu chi^mu(lam) / prod_j m_j(lam)!
+        [theta^lam] tau = (p_lam^perp v)_() / (den prod_j m_j(lam)!).
 
-    for every partition lam of weight <= degree, even parts included (they
-    vanish at the Witten-Kontsevich point but not at a general point).  One
-    integer sum over the minors of weight |lam|, brought to a common
-    denominator, gives each coefficient.
+    Zero entries are dropped and a branch stops as soon as its vector is
+    empty.  Every partition lam of weight <= degree is reached, even parts
+    included (they vanish at the Witten-Kontsevich point, where the pruning
+    makes them nearly free, but not at a general point).
 
     Partitions of weight <= D have hooks with arm and leg at most D - 1, so
     the table must extend at least that far.
     """
     _require_table(table, max(degree - 1, 0), f"tau degree {degree}")
     terms: dict[Monomial, Fraction] = {}
-    for _, group in groupby(partitions_up_to(degree), key=lambda mu: mu.weight):
-        group = list(group)
+    for weight, group in groupby(partitions_up_to(degree), key=lambda mu: mu.weight):
         minors = [(mu.parts, a) for mu in group if (a := giambelli_coeff(mu, table)) != 0]
         den = math.lcm(*(a.denominator for _, a in minors))
-        nums = [(mu, a.numerator * (den // a.denominator)) for mu, a in minors]
-        for lam in group:
-            total = sum(n * character(mu, lam.parts) for mu, n in nums)
-            if total:
-                mults = Counter(lam.parts)
-                scale = math.prod(math.factorial(m) for m in mults.values())
-                terms[tuple(sorted(mults.items()))] = Fraction(total, den * scale)
+        vector = {mu: a.numerator * (den // a.denominator) for mu, a in minors}
+        for lam, total in _rim_hook_walk(vector, weight, ()):
+            mults = Counter(lam)
+            scale = math.prod(math.factorial(m) for m in mults.values())
+            terms[tuple(sorted(mults.items()))] = Fraction(total, den * scale)
     return TauSeries(GradedPoly("theta", terms, degree), degree, table.source)
+
+
+def _rim_hook_walk(
+    vector: dict[tuple[int, ...], int], weight: int, lam: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (lam + rest, c) for every partition `rest` of `weight` with parts
+    at most lam's last, where c = (p_rest^perp vector)_() is nonzero.
+    `vector` maps partitions of `weight` to nonzero integer Schur
+    coefficients."""
+    if not weight:
+        yield lam, vector[()]
+        return
+    for r in range(min(weight, lam[-1] if lam else weight), 0, -1):
+        out: dict[tuple[int, ...], int] = {}
+        for mu, x in vector.items():
+            for nu, sign in rim_hooks(mu, r):
+                out[nu] = out.get(nu, 0) + sign * x
+        out = {nu: x for nu, x in out.items() if x}
+        if out:
+            yield from _rim_hook_walk(out, weight - r, lam + (r,))
 
 
 def _require_table(table: AffineTable, need: int, purpose: str) -> None:
@@ -499,10 +522,11 @@ def verify_string_recursion(tau: TauSeries) -> VerificationReport:
 def initial_data(tau: TauSeries, n_max: int) -> list[Fraction]:
     """Taylor coefficients s_0..s_n_max of u(x) = u|_{t_{>=1}=0} = sum s_n x^n / n!.
 
-    x is identified with t_0.
+    x is identified with t_0.  Setting t_{>=1} = 0 commutes with the log and
+    keeps the graded bound, so the log is taken on the t_0 line only.
     """
-    F = free_energy(tau)
-    u0 = F.drop_variables(lambda var: var >= 1).derivative(0).derivative(0)
+    line = to_t_variables(tau).drop_variables(lambda var: var >= 1)
+    u0 = graded_log(line).derivative(0).derivative(0)
     if u0.bound is not None and n_max > u0.bound:
         raise DegreeExceededError(
             f"initial data through x^{n_max} needs tau degree {n_max + 2}, have {tau.degree}"

@@ -9,6 +9,12 @@ share no code.
 * `genus0(ks)`: the genus-0 multinomial (n-3)! / prod k_i! for sum k_i = n-3.
 * `valid_specs(budget)`: every sorted spec of genus >= 0 with
   sum (2 k_i + 1) <= budget.
+* `character(mu, rho)`: the symmetric-group character chi^mu(rho) by the
+  Murnaghan-Nakayama recursion, the per-(mu, lam) route the rim-hook walk of
+  `tau_truncated` replaced.
+* Graded-polynomial helpers only tests use: `graded_exp`, `pow_int`,
+  `evaluate`, `degree_slice`.  They take any object with the `GradedPoly`
+  interface (`kind`, `terms`, `bound`, arithmetic), so nothing is imported.
 """
 
 from __future__ import annotations
@@ -90,4 +96,89 @@ def valid_specs(budget: int) -> list[tuple[int, ...]]:
             k += 1
 
     rec((), 0, budget)
+    return out
+
+
+@lru_cache(maxsize=None)
+def character(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """chi^mu(rho): the irreducible character of S_n labelled by mu on the
+    cycle type rho (|mu| = |rho| = n, both weakly decreasing).
+
+    Murnaghan-Nakayama on beta-numbers: with beta_i = mu_i + l(mu) - i, a rim
+    hook of size r is a beta-number b with b - r >= 0 not a beta-number, its
+    removal replaces b by b - r, and its sign is (-1) to the number of
+    beta-numbers strictly between.  Hooks of size rho_1 go first, so the
+    memo key is mu with a suffix of rho.
+    """
+    if not rho:
+        return 1
+    r, rest = rho[0], rho[1:]
+    top = len(mu) - 1
+    beta = [p + top - i for i, p in enumerate(mu)]
+    total = 0
+    for i, b in enumerate(beta):
+        c = b - r
+        if c < 0 or c in beta:
+            continue
+        height = sum(1 for x in beta if c < x < b)
+        moved = sorted(beta[:i] + [c] + beta[i + 1:], reverse=True)
+        nu = tuple(x - (top - j) for j, x in enumerate(moved) if x > top - j)
+        total += (-1) ** height * character(nu, rest)
+    return total
+
+
+_VAR_DEGREE = {"theta": lambda j: j, "t": lambda k: 2 * k + 1}
+
+
+def degree_slice(p, degree: int):
+    """The terms of graded degree exactly `degree`, same bound."""
+    w = _VAR_DEGREE[p.kind]
+    kept = {m: c for m, c in p.terms.items() if sum(w(var) * exp for var, exp in m) == degree}
+    return type(p)(p.kind, kept, p.bound)
+
+
+def pow_int(p, e: int):
+    """p^e for an integer e >= 0, by repeated products."""
+    if e < 0:
+        raise ValueError("negative powers are not defined here")
+    out = type(p).const(p.kind, 1)
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+def evaluate(p, values: dict[int, Fraction]) -> Fraction:
+    """Plug exact values in for every variable that occurs."""
+    total = Fraction(0)
+    for mon, c in p.terms.items():
+        prod = c
+        for var, exp in mon:
+            if var not in values:
+                raise KeyError(f"no value supplied for variable {var}")
+            prod *= Fraction(values[var]) ** exp
+        total += prod
+    return total
+
+
+def graded_exp(p, degree: int | None = None):
+    """exp of a polynomial with zero constant term, through `degree`."""
+    if p.constant_term() != 0:
+        raise ValueError("exp needs zero constant term")
+    caps = [c for c in (p.bound, degree) if c is not None]
+    if not caps:
+        raise ValueError("an explicit degree cap is required to exponentiate an exact polynomial")
+    cap = min(caps)
+    x = p.truncate(cap)
+    out = type(p).const(p.kind, 1, cap)
+    power = type(p).const(p.kind, 1, cap)
+    fact = 1
+    i = 0
+    mind = x.min_degree
+    if mind is None:
+        return out
+    while (i + 1) * mind <= cap:
+        i += 1
+        fact *= i
+        power = (power * x).truncate(cap)
+        out = out + power.scale(Fraction(1, fact))
     return out

@@ -1,9 +1,11 @@
 """Smoke test of the traced benchmark route.
 
 `bench/replay.py` rebinds kdvtau functions by name (`tau.intersection_number`,
+`tau.tau_truncated`, `tau.initial_data`, `schur.giambelli_coeff`,
 `schur.schur_poly`, `series.series_inverse`, ...), so renaming one of them in
-`src/` would make `bench/run.py --trace 1` fail.  This runs the replay on two
-CLI calls and checks that it exits 0 and writes its spans.
+`src/` would make `bench/run.py --trace 1` fail.  This runs the replay on three
+CLI calls and checks that it exits 0 and writes its spans, and that the tau
+build of `grassmann` reaches the wrapped tau layers.
 """
 
 import json
@@ -14,12 +16,21 @@ from pathlib import Path
 
 import pytest
 
+from conftest import seeded_point_json
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("argv", [["intersect", "2,3"], ["verify", "cq-identity"]])
+@pytest.mark.parametrize("argv", [
+    ["intersect", "2,3"],
+    ["verify", "cq-identity"],
+    ["grassmann", "POINT", "--tau", "6", "--initial-data", "4"],
+])
 def test_replay_writes_spans(tmp_path, argv):
     spans = tmp_path / "spans.json"
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(seeded_point_json(1, 21, True, False)))
+    argv = [str(point) if arg == "POINT" else arg for arg in argv]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "replay.py"), str(spans), *argv],
@@ -30,3 +41,6 @@ def test_replay_writes_spans(tmp_path, argv):
     doc = json.loads(spans.read_text())
     assert doc["spans"] and doc["calls"]["cli.op"] == 1
     assert doc["self_s"]["cli.op"] >= 0
+    if argv[0] == "grassmann":
+        for layer in ("schur.giambelli", "tau.assemble", "tau.initial_data"):
+            assert doc["calls"].get(layer), layer

@@ -3,7 +3,7 @@
 The digests pin the exact bytes of intersection numbers, tau exports in both
 variable sets, initial data, Zhou closed-form tables and b_k, and verifier
 verdicts, so a new route for any of them must reproduce the old output byte
-for byte.  POINT1..POINT3 stand for
+for byte.  POINT1..POINT4 stand for
 point files written from `seeded_point_json`.
 """
 
@@ -20,6 +20,7 @@ POINTS = {
     "POINT1": (11, 21, True, False),   # dense, small fractions
     "POINT2": (12, 21, False, True),   # sparse, 8-digit integers
     "POINT3": (13, 21, True, True),    # dense, 8-digit integers
+    "POINT4": (14, 30, True, False),   # dense, small fractions, deep enough for tau 14
 }
 
 GOLDEN = {
@@ -48,6 +49,8 @@ GOLDEN = {
     "verify kdv --depth 10 --flow 1 --point POINT2": (0, "0348969ab94c0eebfa5ffbb5540b64d1f4042aa773e8d633eee8aa6717605dd1"),
     "verify kdv --depth 9 --flow 2 --point POINT3": (0, "f03735b4c4410ae6615777cc9c8390779e5e2682c90de4038db2bab1e4164dbc"),
     "verify string --depth 12": (0, "1dde6dffeb60c1100d439b17e32ed5b4ae7032c62e859073617d13d9ab8066fa"),
+    "grassmann POINT4 --tau 14 --tau-vars theta --initial-data 12": (0, "8659e58ee88fcd85befd324703dddfee67d3a504726929dfc6ad544c4c12fa48"),
+    "verify string --depth 15": (0, "62c075f5fc26e743c2988b26025cdb4ca23d61a92aca7e8cc42b04a024adaac0"),
     "affine --source zhou --max-m 0 --max-n 0 --format json": (0, "18ebb5d30e0604e04fda682c6b746783c7e43492ec0bfd1e3f50d16544dabeda"),
     "affine --source zhou --max-m 2 --max-n 2 --format json": (0, "1c4477df0f9d01b872b94023813bb2ef41d88406c6dcef54126bb0635d0bdf48"),
     "affine --source zhou --max-m 12 --max-n 12 --format json": (0, "5ce1af7c8b3d20a759ddd28712980a613f9381b09b9cc855405fae5758e24db7"),

@@ -240,6 +240,17 @@ def test_matrix_inverse_wk_blocks():
     assert all(prod[k].is_zero() for k in range(1, 7))
 
 
+def test_matrix_inverse_is_computed_once_per_effective_order():
+    from kdvtau.grassmann import wk_G
+
+    G = wk_G(8)
+    U = matrix_series_inverse(G)
+    assert matrix_series_inverse(wk_G(8), 8) is U
+    assert matrix_series_inverse(G, 20) is U  # capped at the window of G
+    short = matrix_series_inverse(G, 5)
+    assert short.tail_order == 5 and short.blocks(5) == U.blocks(5)
+
+
 def test_matrix_series_window():
     G = MatrixSeries.from_blocks([M2.identity(), M2.of(0, 3, 0, 0)], 3)
     assert G.tail_order == 3 and G.block(3).is_zero()

@@ -16,7 +16,6 @@ from kdvtau.grassmann import (
 from kdvtau.schur import (
     GradedPoly,
     giambelli_coeff,
-    graded_exp,
     graded_log,
     monomial_degree,
     partitions_up_to,
@@ -39,7 +38,7 @@ from kdvtau.tau import (
 from kdvtau.zhou import zhou_affine_table
 
 from conftest import example_table, seeded_point_json
-from oracles import double_factorial, dvv, genus0, genus_of, valid_specs
+from oracles import character, degree_slice, double_factorial, dvv, genus0, genus_of, graded_exp, valid_specs
 
 F = Fraction
 
@@ -68,7 +67,7 @@ def test_example_tau_theta_form(example_tau_c1):
 
 
 def test_wk_degree3_slice(wk_tau12):
-    slice3 = wk_tau12.poly.degree_slice(3)
+    slice3 = degree_slice(wk_tau12.poly, 3)
     assert slice3.terms == {
         theta_mon((1, 3)): F(-1, 6),
         theta_mon((3, 1)): F(-1, 8),
@@ -105,25 +104,32 @@ def test_stabilization_in_table_size(wk_affine31):
 def test_stabilization_in_degree(wk_tau12, wk_affine31):
     t8 = tau_truncated(wk_affine31, 8)
     for d in range(9):
-        assert t8.poly.degree_slice(d).terms == wk_tau12.poly.degree_slice(d).terms
+        assert degree_slice(t8.poly, d).terms == degree_slice(wk_tau12.poly, d).terms
 
 
-def seeded_table(seed: int, dense: bool, large: bool) -> AffineTable:
-    point = normalize_point(point_from_json(seeded_point_json(seed, 27, dense, large)))
-    return z_table_recursive(build_G(point, 13), 6, 6).to_affine_table("custom")
+def seeded_table(seed: int, dense: bool, large: bool, half: int) -> AffineTable:
+    """The (2 half + 1)^2 affine table of a seeded random point."""
+    point = normalize_point(point_from_json(seeded_point_json(seed, 4 * half + 3, dense, large)))
+    return z_table_recursive(build_G(point, 2 * half + 1), half, half).to_affine_table("custom")
 
 
-ROUTE_TABLES = {
-    "wk": lambda request: request.getfixturevalue("wk_affine31"),
-    "zhou": lambda request: request.getfixturevalue("zhou_affine30"),
-    "c=1": lambda _: example_table(F(1)),
-    "c=-2": lambda _: example_table(F(-2)),
-    "c=1/3": lambda _: example_table(F(1, 3)),
-    "random-dense": lambda _: seeded_table(21, True, False),
-    "random-sparse": lambda _: seeded_table(22, False, False),
-    "random-dense-large": lambda _: seeded_table(23, True, True),
-    "random-sparse-large": lambda _: seeded_table(24, False, True),
-}
+def route_tables(half: int) -> dict:
+    """The tables the tau routes are compared on, each at least (2 half + 1)^2."""
+    return {
+        "wk": lambda request: request.getfixturevalue("wk_affine31"),
+        "zhou": lambda request: request.getfixturevalue("zhou_affine30"),
+        "c=1": lambda _: example_table(F(1), 2 * half),
+        "c=-2": lambda _: example_table(F(-2), 2 * half),
+        "c=1/3": lambda _: example_table(F(1, 3), 2 * half),
+        "random-dense": lambda _: seeded_table(21, True, False, half),
+        "random-sparse": lambda _: seeded_table(22, False, False, half),
+        "random-dense-large": lambda _: seeded_table(23, True, True, half),
+        "random-sparse-large": lambda _: seeded_table(24, False, True, half),
+    }
+
+
+ROUTE_TABLES = route_tables(6)
+ORACLE_TABLES = route_tables(7)  # tau through degree 15
 
 
 @pytest.fixture(scope="module", params=list(ROUTE_TABLES))
@@ -155,6 +161,44 @@ def test_tau_matches_jacobi_trudi_term_for_term(request, route_table):
         }
     if request.node.callspec.params["route_table"].startswith("random"):
         assert any(has_even_theta(mon) for mon in reference)  # kept, not dropped
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_TABLES))
+def oracle_table(request) -> AffineTable:
+    return ORACLE_TABLES[request.param](request)
+
+
+def character_tau(table: AffineTable, degree: int) -> dict:
+    """[theta^lam] tau = sum_{|mu| = |lam|} A_mu chi^mu(lam) / prod_j m_j(lam)!,
+    one Murnaghan-Nakayama character per pair (mu, lam) from the oracle."""
+    minors: dict[int, list] = {}
+    for mu in partitions_up_to(degree):
+        if a := giambelli_coeff(mu, table):
+            minors.setdefault(mu.weight, []).append((mu.parts, a))
+    terms: dict = {}
+    for lam in partitions_up_to(degree):
+        mults = Counter(lam.parts)
+        scale = math.prod(math.factorial(m) for m in mults.values())
+        c = sum((a * character(mu, lam.parts) for mu, a in minors.get(lam.weight, [])), F(0))
+        if c:
+            terms[tuple(sorted(mults.items()))] = c / scale
+    return terms
+
+
+def test_tau_matches_character_oracle_term_for_term(request, oracle_table):
+    reference = character_tau(oracle_table, 15)
+    for degree in range(16):
+        assert tau_truncated(oracle_table, degree).poly.terms == {
+            mon: c for mon, c in reference.items() if monomial_degree("theta", mon) <= degree
+        }
+    if request.node.callspec.params["oracle_table"].startswith("random"):
+        assert any(has_even_theta(mon) for mon in reference)
+
+
+def test_wk_tau_degree_18_matches_character_oracle(wk_affine31):
+    tau = tau_truncated(wk_affine31, 18)
+    assert len(tau.poly.terms) == 103
+    assert tau.poly.terms == character_tau(wk_affine31, 18)
 
 
 def test_log_tau_is_linear_in_even_theta(route_table):
