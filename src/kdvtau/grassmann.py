@@ -20,6 +20,16 @@ G and G^-1 is kept as the independent cross-check run by `verify recursion`.
 It also extracts scalar coordinates and verifies the generating-series,
 recursion and symmetry identities.
 
+Both table routes and the two generating-function verifiers work on the
+graded integer lift of G (`series.GradedLift`): a block of grade d (Z_{k,l}
+has grade k+l+1) is carried as E_d times itself, a product of blocks of
+grades i and j is scaled by the exact integer E_{i+j} / (E_i E_j), and each
+entry is reduced to a `Fraction` once.  The seeds U_j still come from
+`matrix_series_inverse` and are lifted here; one that is not integral at
+its grade raises `ExactComputationError` rather than being rounded.  The
+recursion-identity and symmetry verifiers keep plain `M2` arithmetic, so
+each suite still ends in a check in independent arithmetic.
+
 The built-in point of chief interest is the Witten-Kontsevich point, whose
 spanning series c(lam) and q(lam) are power series in lam^-3:
 
@@ -43,7 +53,9 @@ from .report import VerificationReport, first_failures
 from .series import (
     M2,
     LaurentSeries,
+    IntBlock,
     MatrixSeries,
+    block_sum,
     constant_series,
     kac_schwarz_apply,
     matrix_series_inverse,
@@ -279,21 +291,22 @@ def _require_depth(G: MatrixSeries, need: int) -> None:
 def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
     """Closed formula Z_{k,l} = -sum_{j=0..k} G_j U_{k+l+1-j} (U_0 = I).
 
-    O(K^3) block products; the cross-check for `z_table_recursive`.
+    O(K^3) block products on the graded lift (grade d = k+l+1); the
+    cross-check for `z_table_recursive`.
     """
     need = max_k + max_l + 1
     _require_depth(G, need)
-    g = G.blocks(need)
-    u = matrix_series_inverse(G, need).blocks(need)
+    lift = G.lift
+    g, ratios = lift.blocks, lift.ratios
+    u = _seeds(G, need)
     rows = []
     for k in range(max_k + 1):
         row = []
         for l in range(max_l + 1):
-            acc = M2.zero()
-            for j in range(k + 1):
-                if not g[j].is_zero():
-                    acc = acc + (g[j] @ u[k + l + 1 - j])
-            row.append(-acc)
+            d = k + l + 1
+            ratio = ratios[d]
+            s11, s12, s21, s22 = block_sum((ratio[j], g[j], u[d - j]) for j in range(k + 1))
+            row.append(lift.lower((-s11, -s12, -s21, -s22), d))
         rows.append(tuple(row))
     return ZTable(max_k, max_l, tuple(rows))
 
@@ -316,28 +329,41 @@ def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[Z
     against the boundary data G_{k+1}.  With U the computed inverse,
     Z_{k,0} = G_{k+1} for every k < need is (G U)_{k+1} = 0, so the check
     covers every seed U_1..U_need.
+
+    The rows hold the graded lift z_{k,l} = E_{k+l+1} Z_{k,l}, so the step
+    is z_{k,l} = z_{k-1,l+1} + (E_{k+l+1} / (E_k E_{l+1})) z_{k-1,0} z_{0,l},
+    the boundary check compares integers, and each entry kept is reduced
+    once at the end.
     """
     need = max(K + L for K, L in shapes) + 1
     _require_depth(G, need)
-    u = matrix_series_inverse(G, need).blocks(need)
-    top = [-u[l + 1] for l in range(need)]
+    lift = G.lift
+    u = _seeds(G, need)
+    top = [(-a11, -a12, -a21, -a22) for a11, a12, a21, a22 in u[1:]]
     max_k = max(K for K, _ in shapes)
     rows = []
     row = top
     for k in range(need):
         if k:
-            row = [row[l + 1] + (row[0] @ top[l]) for l in range(need - k)]
-        expected = G.block(k + 1)
-        if row[0] != expected:
+            row = [
+                block_sum(((lift.ratios[k + l + 1][k], row[0], top[l]),), row[l + 1])
+                for l in range(need - k)
+            ]
+        if row[0] != lift.blocks[k + 1]:
             raise ExactComputationError(
-                f"recursion boundary mismatch at Z[{k},0]: {row[0]} vs {expected}; "
+                f"recursion boundary mismatch at Z[{k},0]: {lift.lower(row[0], k + 1)} "
+                f"vs {G.block(k + 1)}; "
                 "the seeds are inconsistent (G times its inverse is not the identity)"
             )
         if k <= max_k:
             rows.append(row)
-    return [
-        ZTable(K, L, tuple(tuple(row[: L + 1]) for row in rows[: K + 1])) for K, L in shapes
+    # each kept entry is reduced once, however many shapes share it
+    lowered = [
+        tuple(lift.lower(z, k + l + 1)
+              for l, z in enumerate(row[: max(L for K, L in shapes if K >= k) + 1]))
+        for k, row in enumerate(rows)
     ]
+    return [ZTable(K, L, tuple(row[: L + 1] for row in lowered[: K + 1])) for K, L in shapes]
 
 
 # ---------------------------------------------------------------------------
@@ -354,35 +380,38 @@ def verify_generating_function(
     and N_{0,0} = 0.  Divisibility by alpha - beta is the vanishing of every
     anti-diagonal sum of N, which is asserted before solving; the quotient
     coefficients at alpha^-k-1 beta^-l-1 are Q_{k,l} = sum_r N_{k-r, l+1+r}.
+    N_{i,j} is kept on the graded lift at grade i+j, so both steps are integer
+    sums and each Q_{k,l} is reduced once, to compare with the table.
     """
     suite = "generating-function"
+    detail = f"bi-degree {depth}"
     if depth > min(table.max_k, table.max_l):
         raise InsufficientDepthError("Z table smaller than requested bi-degree")
     need = 2 * depth + 1
     _require_depth(G, need)
-    g = G.blocks(need)
-    u = matrix_series_inverse(G, need).blocks(need)
+    lift = G.lift
+    try:
+        u = _seeds(G, need)
+    except ExactComputationError as exc:
+        return VerificationReport(suite, False, detail, failures=[str(exc)])
 
     # N[i][j] on every anti-diagonal i + j <= need, each block product once
-    N = [[M2.zero() if i == j == 0 else -(g[i] @ u[j]) for j in range(need + 1 - i)]
+    N = [[(0, 0, 0, 0) if i == j == 0
+          else block_sum(((-lift.ratios[i + j][i], lift.blocks[i], u[j]),))
+          for j in range(need + 1 - i)]
          for i in range(need + 1)]
 
     for s in range(1, need + 1):
-        acc = M2.zero()
-        for i in range(s + 1):
-            acc = acc + N[i][s - i]
-        if not acc.is_zero():
+        acc = _block_total(N[i][s - i] for i in range(s + 1))
+        if any(acc):
             return VerificationReport(
-                suite, False, f"bi-degree {depth}",
-                failures=[f"anti-diagonal sum {s} of the numerator is {acc}"],
+                suite, False, detail,
+                failures=[f"anti-diagonal sum {s} of the numerator is {lift.lower(acc, s)}"],
                 notes="numerator not divisible by alpha - beta",
             )
 
     def Q(k: int, l: int) -> M2:
-        q = M2.zero()
-        for r in range(k + 1):
-            q = q + N[k - r][l + 1 + r]
-        return q
+        return lift.lower(_block_total(N[k - r][l + 1 + r] for r in range(k + 1)), k + l + 1)
 
     failures = first_failures(
         f"(k,l)=({k},{l}): expansion {q} vs table {table.entry(k, l)}"
@@ -390,7 +419,7 @@ def verify_generating_function(
         for l in range(depth + 1)
         if (q := Q(k, l)) != table.entry(k, l)
     )
-    return VerificationReport(suite, not failures, f"bi-degree {depth}", failures=failures)
+    return VerificationReport(suite, not failures, detail, failures=failures)
 
 
 def verify_symmetry(table: ZTable, G: MatrixSeries, depth: int) -> VerificationReport:
@@ -508,14 +537,20 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
 
     With G^-1 = sum U_j lam^-j the left side is sum_{j<=k} G(lam) U_j lam^(k-j),
     whose lam^e coefficient sum_j G_{k-j-e} U_j needs G through lam^-(k-e):
-    with G known through lam^-O, the powers e >= k - O are checked.
+    with G known through lam^-O, the powers e >= k - O are checked.  Each
+    coefficient is an integer sum on the graded lift at grade k - e, reduced
+    once to compare with the right side.
     """
     suite = "z-generating-series"
     order = G.tail_order
     if k_max > table.max_l:
         raise InsufficientDepthError("Z table narrower than requested k range")
-    g = G.blocks(order)
-    u = matrix_series_inverse(G).blocks(order)
+    lift = G.lift
+    g, ratios = lift.blocks, lift.ratios
+    try:
+        u = _seeds(G, order)
+    except ExactComputationError as exc:
+        return VerificationReport(suite, False, f"k <= {k_max}", failures=[str(exc)])
     windows: list[int] = []  # rows l checked for each k reached
 
     def mismatches():
@@ -527,9 +562,9 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
             for l in range(l_top + 1):
                 expect[-l - 1] = table.entry(l, k)
             for e in range(-(l_top + 1), k + 1):
-                got = M2.zero()
-                for j in range(min(k, k - e) + 1):
-                    got = got + g[k - j - e] @ u[j]
+                d = k - e
+                terms = ((ratios[d][j], g[d - j], u[j]) for j in range(min(k, d) + 1))
+                got = lift.lower(block_sum(terms), d)
                 want = expect.get(e, M2.zero())
                 if got != want:
                     yield f"k={k}, lam^{e}: {got} vs {want}"
@@ -539,6 +574,17 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
         suite, not failures,
         f"k <= {k_max}, rows l <= {min(windows, default=None)}", failures=failures,
     )
+
+
+def _seeds(G: MatrixSeries, need: int) -> list[IntBlock]:
+    """The graded lift E_j U_j, j <= need, of `matrix_series_inverse`; a seed that
+    does not lift to an integer block raises `ExactComputationError`."""
+    return G.lift.lift(matrix_series_inverse(G, need).blocks(need))
+
+
+def _block_total(blocks) -> IntBlock:
+    """Entrywise sum of integer blocks."""
+    return tuple(map(sum, zip(*blocks)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,24 @@ the overlap of windows, and the verifiers report the depth actually checked.
 A `MatrixSeries` is the dense 2x2-block counterpart: the blocks of x^0..x^O
 with no head, for the loop matrix G(lam) (x = 1/lam), its inverse, and the
 3-spin R(z) (x = z).  Its callers read blocks and convolve them themselves.
+
+A loop matrix also has a `GradedLift`: one integer scale E_k per grade, with
+E_i E_j dividing E_{i+j}, so that E_k G_k, E_k U_k for the inverse U, and
+every sum of block products whose grades add up to k are integer blocks.
+The inverse and the Z-table routes of `grassmann` convolve these integer
+blocks (`block_sum`) and reduce each entry once, at the end, instead of
+one gcd per rational add or multiply.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
-from .errors import InsufficientDepthError, NonUnitError, NotNormalizedError
+from .errors import ExactComputationError, InsufficientDepthError, NonUnitError, NotNormalizedError
 from .exactnum import RationalLike, as_rational, format_rational, parse_rational
 
 __all__ = [
@@ -37,6 +45,9 @@ __all__ = [
     "series_mul",
     "series_inverse",
     "matrix_series_inverse",
+    "GradedLift",
+    "IntBlock",
+    "block_sum",
     "negate_argument",
     "kac_schwarz_apply",
     "lam_power",
@@ -293,18 +304,26 @@ def series_to_json(s: LaurentSeries, tail_order: int | None = None) -> dict:
 
 
 def series_from_json(data: dict) -> LaurentSeries:
-    """Inverse of `series_to_json`; a value of the wrong JSON type raises TypeError."""
+    """Inverse of `series_to_json`; a value of the wrong JSON type raises TypeError.
+
+    The file must state every coefficient it certifies: a tail of exactly
+    tail_order + 1 entries, and head exponents that are positive and distinct
+    (the tail holds lam^0 and below), else ValueError.
+    """
     order = _json_int(data["tail_order"])
     tail = data["tail"]
     if not isinstance(tail, list):  # a string would be read character by character
         raise TypeError(f'tail must be a list of "p/q" strings, got {tail!r}')
+    if len(tail) != order + 1:
+        raise ValueError(f"tail has {len(tail)} entries, tail_order {order} needs {order + 1}")
     coeffs: dict[int, Fraction] = {}
     for e, text in data.get("head", []):
-        coeffs[_json_int(e)] = _json_rational(text)
+        e = _json_int(e)
+        if e <= 0 or e in coeffs:
+            raise ValueError(f"head exponent {e} is not positive or is repeated")
+        coeffs[e] = _json_rational(text)
     for k, text in enumerate(tail):
-        if k > order:
-            raise ValueError("tail longer than tail_order allows")
-        coeffs[-k] = coeffs.get(-k, Fraction(0)) + _json_rational(text)
+        coeffs[-k] = _json_rational(text)
     return LaurentSeries.from_dict(coeffs, order)
 
 
@@ -443,6 +462,88 @@ class MatrixSeries:
         }
         return LaurentSeries.from_dict(terms, self.tail_order)
 
+    @cached_property
+    def lift(self) -> "GradedLift":
+        """The graded integer lift of the whole window; its prefix through
+        grade n is the lift of G_0..G_n.  Requires G_0 = I."""
+        g = self.coeffs
+        if g[0] != M2.identity():
+            raise NotNormalizedError(f"leading block must be the identity, got {g[0]}")
+        grades, ratios = [1], [(1,)]
+        for k in range(1, len(g)):
+            b = g[k]
+            e = math.lcm(b.a11.denominator, b.a12.denominator, b.a21.denominator, b.a22.denominator)
+            products = [grades[j] * grades[k - j] for j in range(1, k // 2 + 1)]
+            for p in products:
+                if e % p:
+                    e = math.lcm(e, p)
+            grades.append(e)
+            half = [1] + [e // p for p in products]  # ratios[k][i] for i <= k/2
+            ratios.append(tuple(half + (half[:-1] if k % 2 == 0 else half)[::-1]))
+        return GradedLift(tuple(grades), tuple(ratios), tuple(_scale(g, grades)))
+
+
+IntBlock = tuple[int, int, int, int]  # (a11, a12, a21, a22) of an integer 2x2 block
+
+
+@dataclass(frozen=True)
+class GradedLift:
+    """Integer image of a loop matrix G = I + G_1 x + ... + G_O x^O, one scale per grade.
+
+    grades[k] = E_k with E_0 = 1 and E_k = lcm(den G_k, E_j E_{k-j} : 1 <= j <= k/2),
+    so E_i E_j divides E_{i+j}; blocks[k] = E_k G_k is an integer block, and
+    ratios[d][i] = E_d / (E_i E_{d-i}) is an exact integer.  A block of grade
+    d (G_d, U_d, Z_{k,l} with d = k+l+1, a product of two blocks whose grades
+    add up to d) is carried as E_d times itself: the product of lifted blocks
+    of grades i and j, times ratios[i+j][i], is the lift of the product, so
+    sums of products stay in the integers and each entry is reduced once, by
+    `lower`.  On a point with integer coefficients every E_k is 1.
+    """
+
+    grades: tuple[int, ...]
+    ratios: tuple[tuple[int, ...], ...]
+    blocks: tuple[IntBlock, ...]
+
+    def lift(self, blocks: Iterable[M2]) -> list[IntBlock]:
+        """E_k times blocks[k] for each k, e.g. the seeds U_0..U_n of the inverse."""
+        return _scale(blocks, self.grades)
+
+    def lower(self, block: IntBlock, grade: int) -> M2:
+        """The exact block `block` / E_grade, each entry reduced once."""
+        e = self.grades[grade]
+        return M2(*(Fraction(n, e) if n else _ZERO for n in block))
+
+
+_ZERO = Fraction(0)
+
+
+def block_sum(
+    terms: Iterable[tuple[int, IntBlock, IntBlock]], start: IntBlock = (0, 0, 0, 0)
+) -> IntBlock:
+    """start + sum c * (a @ b) over the terms (c, a, b), on integer blocks."""
+    s11, s12, s21, s22 = start
+    for c, (a11, a12, a21, a22), (b11, b12, b21, b22) in terms:
+        s11 += c * (a11 * b11 + a12 * b21)
+        s12 += c * (a11 * b12 + a12 * b22)
+        s21 += c * (a21 * b11 + a22 * b21)
+        s22 += c * (a21 * b12 + a22 * b22)
+    return s11, s12, s21, s22
+
+
+def _scale(blocks: Iterable[M2], grades: tuple[int, ...] | list[int]) -> list[IntBlock]:
+    """E_k * blocks[k]; an entry that is not an integer there is an error, never
+    rounded: the block is then not an exact coefficient over this loop matrix."""
+    out = []
+    for k, (b, e) in enumerate(zip(blocks, grades)):
+        entries = (b.a11, b.a12, b.a21, b.a22)
+        if any(e % v.denominator for v in entries):
+            raise ExactComputationError(
+                f"block {k} = {b} is not integral at grade E_{k} = {e}: "
+                "it is not an exact coefficient of a series over this loop matrix"
+            )
+        out.append(tuple(v.numerator * (e // v.denominator) for v in entries))
+    return out
+
 
 def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSeries:
     """Inverse of G = I + G_1/lam + ... as I + sum U_k lam^-k, through
@@ -457,15 +558,15 @@ def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSe
 @lru_cache(maxsize=None)
 def _inverse(G: MatrixSeries, order: int) -> MatrixSeries:
     """`matrix_series_inverse` memoised on (G, effective order): `verify all`
-    inverts the same few loop matrices a dozen times."""
-    g = G.blocks(order)
-    if g[0] != M2.identity():
-        raise NotNormalizedError(f"leading block must be the identity, got {g[0]}")
-    u: list[M2] = [M2.identity()]
+    inverts the same few loop matrices a dozen times.
+
+    The recursion runs on the graded lift: u_k = E_k U_k is the integer block
+    -sum_j (E_k / (E_j E_{k-j})) g_j u_{k-j}.
+    """
+    lift = G.lift
+    g, ratios = lift.blocks, lift.ratios
+    u: list[IntBlock] = [(1, 0, 0, 1)]
     for k in range(1, order + 1):
-        acc = M2.zero()
-        for j in range(1, k + 1):
-            if not g[j].is_zero():
-                acc = acc + (g[j] @ u[k - j])
-        u.append(-acc)
-    return MatrixSeries(tuple(u))
+        s11, s12, s21, s22 = block_sum((ratios[k][j], g[j], u[k - j]) for j in range(1, k + 1))
+        u.append((-s11, -s12, -s21, -s22))
+    return MatrixSeries(tuple(lift.lower(b, k) for k, b in enumerate(u)))

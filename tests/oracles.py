@@ -1,8 +1,8 @@
-"""Independent oracles for psi-class intersection numbers.
+"""Independent oracles for psi-class intersection numbers and the loop-matrix layer.
 
-Nothing here imports kdvtau: these are the published recursions, written out
-directly, so a test that compares them with the package compares routes that
-share no code.
+Nothing here imports kdvtau: these are the published recursions and formulas,
+written out directly, so a test that compares them with the package compares
+routes that share no code.
 
 * `dvv(ks)`: <tau_{k_1} ... tau_{k_n}>_g by the Dijkgraaf-Verlinde-Verlinde
   (1991) recursion, seeded by <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.
@@ -12,6 +12,11 @@ share no code.
 * `character(mu, rho)`: the symmetric-group character chi^mu(rho) by the
   Murnaghan-Nakayama recursion, the per-(mu, lam) route the rim-hook walk of
   `tau_truncated` replaced.
+* `loop_blocks(a, b, depth)`, `loop_inverse(g)` and `closed_z(g, u, K, L)`:
+  the loop matrix of a normalized point, its inverse U_k = -sum G_j U_{k-j}
+  and the closed formula Z_{k,l} = -sum_{j<=k} G_j U_{k+l+1-j}, on nested
+  lists of `Fraction`, one reduction per operation.  `wk_cq(n)` gives the
+  Witten-Kontsevich c_k and q_k from their closed forms.
 * Graded-polynomial helpers only tests use: `graded_exp`, `pow_int`,
   `evaluate`, `degree_slice`.  They take any object with the `GradedPoly`
   interface (`kind`, `terms`, `bound`, arithmetic), so nothing is imported.
@@ -125,6 +130,50 @@ def character(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
         nu = tuple(x - (top - j) for j, x in enumerate(moved) if x > top - j)
         total += (-1) ** height * character(nu, rest)
     return total
+
+
+def wk_cq(n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """c_k = (-1)^k (6k)! / (288^k (3k)! (2k)!) and q_k = (1+6k)/(1-6k) c_k, k < n."""
+    f = math.factorial
+    c = [Fraction((-1) ** k * f(6 * k), 288**k * f(3 * k) * f(2 * k)) for k in range(n)]
+    return c, [Fraction(1 + 6 * k, 1 - 6 * k) * ck for k, ck in enumerate(c)]
+
+
+def loop_blocks(a: list[Fraction], b: list[Fraction], depth: int) -> list[list[list[Fraction]]]:
+    """G_k = [[a_2k, b_2k+1], [a_2k-1, b_2k]] for k <= depth, where a[i], b[i] are
+    the coefficients of lam^-i of the spanning series (a_0 = b_0 = 1, b_1 = 0)."""
+    return [[[a[2 * k], b[2 * k + 1]], [a[2 * k - 1] if k else Fraction(0), b[2 * k]]]
+            for k in range(depth + 1)]
+
+
+def _matmul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
+
+
+def _negsum(terms):
+    """-(sum of the 2x2 blocks in terms)."""
+    a = b = c = d = Fraction(0)
+    for (p, q), (r, s) in terms:
+        a, b, c, d = a - p, b - q, c - r, d - s
+    return [[a, b], [c, d]]
+
+
+def loop_inverse(g: list) -> list:
+    """U_0..U_n of G^-1 for blocks g[0..n] with g[0] = I: G U = I termwise."""
+    u = [[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]]
+    for k in range(1, len(g)):
+        u.append(_negsum(_matmul(g[j], u[k - j]) for j in range(1, k + 1)))
+    return u
+
+
+def closed_z(g: list, u: list, max_k: int, max_l: int) -> list:
+    """Z[k][l] = -sum_{j=0..k} G_j U_{k+l+1-j} for k <= max_k, l <= max_l and
+    k + l + 1 < len(u): rows are cut short where U runs out."""
+    return [[_negsum(_matmul(g[j], u[k + l + 1 - j]) for j in range(k + 1))
+             for l in range(min(max_l + 1, len(u) - 1 - k))]
+            for k in range(min(max_k + 1, len(u) - 1))]
 
 
 _VAR_DEGREE = {"theta": lambda j: j, "t": lambda k: 2 * k + 1}

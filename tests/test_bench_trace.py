@@ -3,9 +3,10 @@
 `bench/replay.py` rebinds kdvtau functions by name (`tau.intersection_number`,
 `tau.tau_truncated`, `tau.initial_data`, `schur.giambelli_coeff`,
 `schur.schur_poly`, `series.series_inverse`, ...), so renaming one of them in
-`src/` would make `bench/run.py --trace 1` fail.  This runs the replay on three
-CLI calls and checks that it exits 0 and writes its spans, and that the tau
-build of `grassmann` reaches the wrapped tau layers.
+`src/` would make `bench/run.py --trace 1` fail.  This runs the replay on five
+CLI calls and checks that it exits 0 and writes its spans, that the tau build
+of `grassmann` reaches the wrapped tau layers, and that the Z-table routes
+reach `grassmann.z_table_direct` and `series.matrix_series_inverse`.
 """
 
 import json
@@ -21,12 +22,20 @@ from conftest import seeded_point_json
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("argv", [
-    ["intersect", "2,3"],
-    ["verify", "cq-identity"],
-    ["grassmann", "POINT", "--tau", "6", "--initial-data", "4"],
-])
+# each replayed call, with the wrapped layers it must reach
+CALLS = {
+    "intersect 2,3": (),
+    "verify cq-identity": (),
+    "grassmann POINT --tau 6 --initial-data 4":
+        ("schur.giambelli", "tau.assemble", "tau.initial_data"),
+    "verify recursion --depth 3": ("grassmann.z_direct", "series.inverse"),
+    "affine --source grassmann --max-m 5 --max-n 5": ("series.inverse",),
+}
+
+
+@pytest.mark.parametrize("argv", [call.split() for call in CALLS])
 def test_replay_writes_spans(tmp_path, argv):
+    layers = CALLS[" ".join(argv)]
     spans = tmp_path / "spans.json"
     point = tmp_path / "point.json"
     point.write_text(json.dumps(seeded_point_json(1, 21, True, False)))
@@ -41,6 +50,5 @@ def test_replay_writes_spans(tmp_path, argv):
     doc = json.loads(spans.read_text())
     assert doc["spans"] and doc["calls"]["cli.op"] == 1
     assert doc["self_s"]["cli.op"] >= 0
-    if argv[0] == "grassmann":
-        for layer in ("schur.giambelli", "tau.assemble", "tau.initial_data"):
-            assert doc["calls"].get(layer), layer
+    for layer in layers:
+        assert doc["calls"].get(layer), layer

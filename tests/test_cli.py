@@ -322,10 +322,16 @@ GOOD_SERIES = {"head": [], "tail_order": 1, "tail": ["1", "0"]}
     (["grassmann", "POINT", "--tau", "2"], {"head": [[-1.5, "1"]], "tail_order": 1, "tail": ["1"]}),
     (["grassmann", "POINT", "--tau", "2"], b"\xff\xfe not utf-8"),
     (["verify", "string", "--point", "POINT"], b"\xff\xfe not utf-8"),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 2, "tail": ["1", "0"]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [[-1, "5"]], "tail_order": 1, "tail": ["1", "0"]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [[0, "1"]], "tail_order": 1, "tail": ["0", "0"]}),
+    (["grassmann", "POINT", "--tau", "2"], {"head": [[2, "1"], [2, "-1"]], "tail_order": 1,
+                                            "tail": ["1", "0"]}),
 ], ids=["depth", "tau", "flow", "max", "max-m", "affine",
         "constant-term", "tail-order", "zero-denominator",
         "tail-int", "tail-float", "tail-string", "tail-order-float", "tail-order-bool",
-        "head-exponent-float", "not-utf8", "verify-not-utf8"])
+        "head-exponent-float", "not-utf8", "verify-not-utf8",
+        "tail-short", "head-exponent-negative", "head-exponent-zero", "head-exponent-repeated"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, a_series):
     if a_series is None:
         path = write_example_point(tmp_path)

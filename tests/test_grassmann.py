@@ -29,6 +29,8 @@ from kdvtau.grassmann import (
 )
 from kdvtau.series import M2, LaurentSeries, MatrixSeries, matrix_series_inverse
 
+from oracles import closed_z, loop_blocks, loop_inverse, wk_cq
+
 F = Fraction
 
 
@@ -210,14 +212,15 @@ def test_one_recursion_run_serves_every_shape(wk_G41):
     assert tables == [z_table_direct(wk_G41, K, L) for K, L in EDGE_SHAPES]
 
 
-def corrupt_inverse_block(monkeypatch, j):
-    """Make grassmann's loop-matrix inverse return U_j off by one in its (1,2) entry."""
+def corrupt_inverse_block(monkeypatch, j, delta=1):
+    """Make grassmann's loop-matrix inverse return U_j off by delta (default one)
+    in its (1,2) entry."""
     true_inverse = grassmann.matrix_series_inverse
 
     def corrupt_inverse(G, order=None):
         U = true_inverse(G, order)
         blocks = U.blocks(U.tail_order)
-        blocks[j] = blocks[j] + M2.of(0, 1, 0, 0)
+        blocks[j] = blocks[j] + M2.of(0, delta, 0, 0)
         return MatrixSeries.from_blocks(blocks, U.tail_order)
 
     monkeypatch.setattr(grassmann, "matrix_series_inverse", corrupt_inverse)
@@ -242,6 +245,82 @@ def test_z_generating_series_catches_a_corrupt_inverse(monkeypatch, wk_G41, j):
     rep = verify_z_generating_series(wk_G41, 3, table)
     assert not rep.passed
     assert any(f"k={j}, lam^0:" in f for f in rep.failures)
+
+
+# ---------------------------------------------------------------------------
+# the loop-matrix layer against the plain-Fraction oracle
+# ---------------------------------------------------------------------------
+
+P61 = 2**61 - 1  # a prime of 61 bits: no grade of a point over Z[1/P61] is 1
+
+
+@st.composite
+def lattice_points(draw, depth=12):
+    """(a, b) coefficient lists of a normalized point through lam^-(2 depth + 1),
+    over one family of denominators, with whole loop-matrix blocks zeroed."""
+    family = draw(st.sampled_from(["1", "7", "2^a3^b", "P61"]))
+
+    def value():
+        n = draw(st.integers(min_value=-9, max_value=9))
+        if family == "2^a3^b":
+            return F(n, 2 ** draw(st.integers(0, 6)) * 3 ** draw(st.integers(0, 4)))
+        return F(n, {"1": 1, "7": 7, "P61": P61}[family])
+
+    n = 2 * depth + 2
+    a = [F(1)] + [value() for _ in range(1, n)]
+    b = [F(1), F(0)] + [value() for _ in range(2, n)]
+    for k in draw(st.sets(st.integers(1, depth))):  # G_k = 0
+        a[2 * k] = a[2 * k - 1] = b[2 * k] = b[2 * k + 1] = F(0)
+    return a, b
+
+
+@given(lattice_points())
+@settings(max_examples=25, deadline=None)
+def test_loop_matrix_layer_matches_the_oracle(ab):
+    a, b = ab
+    depth = 12
+    G = build_G(GrassmannPoint(
+        LaurentSeries.from_dict({-i: v for i, v in enumerate(a)}, len(a) - 1),
+        LaurentSeries.from_dict({-i: v for i, v in enumerate(b)}, len(b) - 1),
+    ), depth)
+    g = loop_blocks(a, b, depth)
+    u = loop_inverse(g)
+    assert [x.rows() for x in G.blocks(depth)] == g
+    assert [x.rows() for x in matrix_series_inverse(G).blocks(depth)] == u
+    # every (k, l) with k + l + 1 <= depth, through each shape of the staircase
+    want = closed_z(g, u, depth - 1, depth - 1)
+    shapes = [(K, depth - 1 - K) for K in range(depth)]
+    for (K, L), table in zip(shapes, z_tables_recursive(G, shapes)):
+        corner = [row[: L + 1] for row in want[: K + 1]]
+        assert [[z.rows() for z in row] for row in table.blocks] == corner
+        assert [[z.rows() for z in row] for row in z_table_direct(G, K, L).blocks] == corner
+
+
+def test_wk_tables_match_the_oracle(wk_G41, wk_ztable20):
+    c, q = wk_cq(28)
+    a = [c[i // 3] if i % 3 == 0 else F(0) for i in range(84)]
+    b = [q[i // 3] if i % 3 == 0 else F(0) for i in range(84)]
+    g = loop_blocks(a, b, 41)
+    want = closed_z(g, loop_inverse(g), 20, 20)
+    assert [[z.rows() for z in row] for row in wk_ztable20.blocks] == want
+    assert [[z.rows() for z in row] for row in z_table_recursive(wk_G41, 20, 20).blocks] == want
+
+
+@pytest.mark.parametrize("j", [1, 2, 4, 7])
+def test_a_seed_off_the_graded_lattice_fails_loudly(monkeypatch, wk_G41, j):
+    # U_j + 1/5 is not integral at grade E_j (Witten-Kontsevich grades are
+    # products of 2s and 3s): the lift must raise, never round it into a
+    # table, and the generating verifiers, which read U_1..U_7 here, must fail
+    assert wk_G41.lift.grades[j] % 5
+    table = z_table_direct(wk_G41, 3, 3)
+    corrupt_inverse_block(monkeypatch, j, F(1, 5))
+    with pytest.raises(ExactComputationError):
+        z_table_recursive(wk_G41, 3, 3)
+    with pytest.raises(ExactComputationError):
+        z_table_direct(wk_G41, 3, 3)
+    for rep in (verify_generating_function(wk_G41, table, 3),
+                verify_z_generating_series(wk_G41, 3, table)):
+        assert not rep.passed and rep.failures, rep.suite
 
 
 def test_insufficient_depth_is_an_error():

@@ -283,6 +283,18 @@ def test_series_json_round_trip():
     assert series_from_json(doc) == s
 
 
+@pytest.mark.parametrize("head,tail", [
+    ([], ["1", "0"]),  # tail_order 2 needs three entries: lam^-2 would be certified as 0
+    ([], ["1", "0", "0", "0"]),
+    ([[-1, "5"]], ["1", "0", "0"]),  # would be added into a_1
+    ([[0, "1"]], ["0", "0", "0"]),
+    ([[2, "1"], [2, "-1"]], ["1", "0", "0"]),
+])
+def test_series_json_rejects_what_the_file_does_not_state(head, tail):
+    with pytest.raises(ValueError):
+        series_from_json({"head": head, "tail_order": 2, "tail": tail})
+
+
 def test_series_json_respects_window():
     s = S({0: 1}, 3)
     with pytest.raises(InsufficientDepthError):
