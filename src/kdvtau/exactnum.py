@@ -8,17 +8,27 @@ rescaled back to Q; `ext_to_rational` asserts that the sqrt(-2) part has
 cancelled, which doubles as a correctness check on the formulas.
 
 No floating point is used anywhere.
+
+The package's value records derive from `Record`: plain slotted classes
+with hand-written `__init__` methods.  They are not dataclasses because
+every command pays for its imports: `dataclasses` loads `inspect`, `ast`,
+`dis` and `tokenize`, and each `@dataclass` decorator compiles and execs
+generated methods.  With 17 dataclass records, importing `kdvtau.cli`
+took 0.041 s on top of a bare interpreter; with `Record` it takes
+0.015 s (medians of 60 alternating processes, Python 3.11, shared 2-core
+VM).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import NonRationalError
 
 __all__ = [
+    "Record",
     "ExactScalar",
     "ExtScalar",
     "SQRT_MINUS_TWO",
@@ -33,6 +43,49 @@ __all__ = [
 ExactScalar = Fraction
 
 RationalLike = Fraction | int
+
+_setattr = object.__setattr__  # how a record's __init__ fills its slots
+
+
+class Record:
+    """Immutable value record whose fields are its `__slots__`.
+
+    Records of the same class are equal when their fields are, and hash
+    over the field values; the repr reads `Name(field=value, ...)`,
+    assigning or deleting an attribute raises `AttributeError`, and copy
+    and pickle go through `__init__`.  A subclass lists its fields in
+    `__slots__` (plus "__dict__" when it has a `cached_property`) and sets
+    them in `__init__` with `_setattr`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls._values = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
 
 def as_rational(x: RationalLike) -> Fraction:
@@ -80,12 +133,14 @@ def odd_double_factorial(n: int) -> Fraction:
     return Fraction(prod)
 
 
-@dataclass(frozen=True)
-class ExtScalar:
+class ExtScalar(Record):
     """Element re + im * s of Q[s] with s^2 = -2."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction) -> None:
+        _setattr(self, "re", re)
+        _setattr(self, "im", im)
 
     @classmethod
     def from_rational(cls, x: RationalLike) -> "ExtScalar":

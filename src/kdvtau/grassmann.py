@@ -43,12 +43,11 @@ q = -(1/lam) S c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExactComputationError, InsufficientDepthError, OutOfRangeError
-from .exactnum import format_rational
+from .exactnum import Record, _setattr, format_rational
 from .report import VerificationReport, first_failures
 from .series import (
     M2,
@@ -95,19 +94,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrassmannPoint:
+class GrassmannPoint(Record):
     """Spanning data (a, b) of a big-cell point of GM_2; a_0 = b_0 = 1."""
 
-    a: LaurentSeries
-    b: LaurentSeries
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        for name, s in (("a", self.a), ("b", self.b)):
+    def __init__(self, a: LaurentSeries, b: LaurentSeries) -> None:
+        for name, s in (("a", a), ("b", b)):
             if s.max_exponent is not None and s.max_exponent > 0:
                 raise ValueError(f"{name} must be a pure tail series")
             if s.coeff(0) != 1:
                 raise ValueError(f"{name} must have constant term 1")
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
 
     @property
     def is_normalized(self) -> bool:
@@ -199,13 +198,15 @@ def wk_G(depth: int) -> MatrixSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZTable:
+class ZTable(Record):
     """Matrix-valued affine coordinates Z_{k,l}, 0 <= k <= max_k, 0 <= l <= max_l."""
 
-    max_k: int
-    max_l: int
-    blocks: tuple[tuple[M2, ...], ...]  # blocks[k][l]
+    __slots__ = ("max_k", "max_l", "blocks")
+
+    def __init__(self, max_k: int, max_l: int, blocks: tuple[tuple[M2, ...], ...]) -> None:
+        _setattr(self, "max_k", max_k)
+        _setattr(self, "max_l", max_l)
+        _setattr(self, "blocks", blocks)  # blocks[k][l]
 
     def entry(self, k: int, l: int) -> M2:
         if not (0 <= k <= self.max_k and 0 <= l <= self.max_l):
@@ -238,17 +239,25 @@ def affine_coordinate(table: ZTable, m: int, n: int) -> Fraction:
     return z.a21 if n % 2 == 0 else z.a22
 
 
-@dataclass(frozen=True)
-class AffineTable:
+class AffineTable(Record):
     """Scalar affine coordinates A_{m,n} for 0 <= m <= max_m, 0 <= n <= max_n.
 
     Only nonzero entries are stored; reads inside the range default to 0.
     """
 
-    max_m: int
-    max_n: int
-    entries: dict[tuple[int, int], Fraction]
-    source: str = "grassmann"
+    __slots__ = ("max_m", "max_n", "entries", "source")
+
+    def __init__(
+        self,
+        max_m: int,
+        max_n: int,
+        entries: dict[tuple[int, int], Fraction],
+        source: str = "grassmann",
+    ) -> None:
+        _setattr(self, "max_m", max_m)
+        _setattr(self, "max_n", max_n)
+        _setattr(self, "entries", entries)
+        _setattr(self, "source", source)
 
     def value(self, m: int, n: int) -> Fraction:
         if not (0 <= m <= self.max_m and 0 <= n <= self.max_n):

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
+
+from .exactnum import Record
 
 __all__ = ["MAX_FAILURES", "VerificationReport", "first_failures"]
 
@@ -20,8 +21,7 @@ def first_failures(mismatches: Iterable[str]) -> list[str]:
     return list(islice(mismatches, MAX_FAILURES))
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one verification suite.
 
     `depth` describes what was actually checked and never overstates the
@@ -31,13 +31,28 @@ class VerificationReport:
     not hold) is neither a pass nor a failure.
     """
 
-    suite: str
-    passed: bool
-    depth: str
-    skipped: bool = False
-    failures: list[str] = field(default_factory=list)
-    notes: str = ""
-    bound: int | None = None  # numeric reliability bound, when one applies
+    __slots__ = ("suite", "passed", "depth", "skipped", "failures", "notes", "bound")
+    __hash__ = None  # mutable, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        suite: str,
+        passed: bool,
+        depth: str,
+        skipped: bool = False,
+        failures: list[str] | None = None,
+        notes: str = "",
+        bound: int | None = None,  # numeric reliability bound, when one applies
+    ) -> None:
+        self.suite = suite
+        self.passed = passed
+        self.depth = depth
+        self.skipped = skipped
+        self.failures = [] if failures is None else failures
+        self.notes = notes
+        self.bound = bound
 
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")

@@ -23,13 +23,12 @@ Frobenius coordinates (m_1..m_k | n_1..n_k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import DegreeExceededError, NonUnitError, OutOfRangeError
-from .exactnum import RationalLike, as_rational, format_rational
+from .exactnum import Record, RationalLike, _setattr, as_rational, format_rational
 from .grassmann import AffineTable
 from .series import _order_min
 
@@ -55,18 +54,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Weakly decreasing positive parts; the empty partition is ()."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        for i, p in enumerate(self.parts):
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError("parts must be positive (drop trailing zeros)")
-            if i and self.parts[i - 1] < p:
+            if i and parts[i - 1] < p:
                 raise ValueError("parts must be weakly decreasing")
+        _setattr(self, "parts", parts)
 
     @property
     def weight(self) -> int:
@@ -86,20 +85,20 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-@dataclass(frozen=True)
-class FrobeniusCoords:
+class FrobeniusCoords(Record):
     """Arm/leg coordinates (m_1 > ... > m_k | n_1 > ... > n_k) along the diagonal."""
 
-    arms: tuple[int, ...]
-    legs: tuple[int, ...]
+    __slots__ = ("arms", "legs")
 
-    def __post_init__(self) -> None:
-        if len(self.arms) != len(self.legs):
+    def __init__(self, arms: tuple[int, ...], legs: tuple[int, ...]) -> None:
+        if len(arms) != len(legs):
             raise ValueError("arms and legs must pair up")
-        for seq in (self.arms, self.legs):
+        for seq in (arms, legs):
             for i, v in enumerate(seq):
                 if v < 0 or (i and seq[i - 1] <= v):
                     raise ValueError("coordinates must be strictly decreasing and >= 0")
+        _setattr(self, "arms", arms)
+        _setattr(self, "legs", legs)
 
     @property
     def rank(self) -> int:
@@ -169,8 +168,7 @@ def monomial_degree(kind: str, mon: Monomial) -> int:
     return sum(w(var) * exp for var, exp in mon)
 
 
-@dataclass(frozen=True)
-class GradedPoly:
+class GradedPoly(Record):
     """Sparse exact polynomial with a graded reliability bound.
 
     Terms of graded degree <= bound are complete and exact; nothing is
@@ -181,9 +179,12 @@ class GradedPoly:
     other.
     """
 
-    kind: str
-    terms: dict[Monomial, Fraction]
-    bound: int | None
+    __slots__ = ("kind", "terms", "bound")
+
+    def __init__(self, kind: str, terms: dict[Monomial, Fraction], bound: int | None) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "terms", terms)
+        _setattr(self, "bound", bound)
 
     @classmethod
     def make(

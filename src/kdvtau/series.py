@@ -30,13 +30,12 @@ one gcd per rational add or multiply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .errors import ExactComputationError, InsufficientDepthError, NonUnitError, NotNormalizedError
-from .exactnum import RationalLike, as_rational, format_rational, parse_rational
+from .exactnum import Record, RationalLike, _setattr, as_rational, format_rational, parse_rational
 
 __all__ = [
     "LaurentSeries",
@@ -64,8 +63,7 @@ def _order_min(*orders: int | None) -> int | None:
     return min(finite) if finite else None
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(Record):
     """Sparse exact Laurent series with explicit truncation bookkeeping.
 
     coeffs holds (exponent, value) pairs, sorted by exponent, zeros dropped.
@@ -73,8 +71,11 @@ class LaurentSeries:
     e >= -O; None means known at every order.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...]
-    tail_order: int | None
+    __slots__ = ("coeffs", "tail_order", "__dict__")
+
+    def __init__(self, coeffs: tuple[tuple[int, Fraction], ...], tail_order: int | None) -> None:
+        _setattr(self, "coeffs", coeffs)
+        _setattr(self, "tail_order", tail_order)
 
     @classmethod
     def from_dict(
@@ -352,14 +353,16 @@ def _dot(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     return c * d if c and d else Fraction(0)
 
 
-@dataclass(frozen=True)
-class M2:
+class M2(Record):
     """Exact 2x2 matrix, row-major entries."""
 
-    a11: Fraction
-    a12: Fraction
-    a21: Fraction
-    a22: Fraction
+    __slots__ = ("a11", "a12", "a21", "a22")
+
+    def __init__(self, a11: Fraction, a12: Fraction, a21: Fraction, a22: Fraction) -> None:
+        _setattr(self, "a11", a11)
+        _setattr(self, "a12", a12)
+        _setattr(self, "a21", a21)
+        _setattr(self, "a22", a22)
 
     @classmethod
     def of(cls, a11: RationalLike, a12: RationalLike, a21: RationalLike, a22: RationalLike) -> "M2":
@@ -418,8 +421,7 @@ class M2:
         return f"[[{r[0][0]}, {r[0][1]}], [{r[1][0]}, {r[1][1]}]]"
 
 
-@dataclass(frozen=True)
-class MatrixSeries:
+class MatrixSeries(Record):
     """Truncated series of 2x2 blocks sum_{k=0..O} coeffs[k] x^k, O = len(coeffs) - 1.
 
     x is lam^-1 for the loop matrix G(lam) and its inverse, and z for the
@@ -427,7 +429,10 @@ class MatrixSeries:
     window raises `InsufficientDepthError`.
     """
 
-    coeffs: tuple[M2, ...]
+    __slots__ = ("coeffs", "__dict__")
+
+    def __init__(self, coeffs: tuple[M2, ...]) -> None:
+        _setattr(self, "coeffs", coeffs)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[M2], tail_order: int | None = None) -> "MatrixSeries":
@@ -486,8 +491,7 @@ class MatrixSeries:
 IntBlock = tuple[int, int, int, int]  # (a11, a12, a21, a22) of an integer 2x2 block
 
 
-@dataclass(frozen=True)
-class GradedLift:
+class GradedLift(Record):
     """Integer image of a loop matrix G = I + G_1 x + ... + G_O x^O, one scale per grade.
 
     grades[k] = E_k with E_0 = 1 and E_k = lcm(den G_k, E_j E_{k-j} : 1 <= j <= k/2),
@@ -500,9 +504,17 @@ class GradedLift:
     `lower`.  On a point with integer coefficients every E_k is 1.
     """
 
-    grades: tuple[int, ...]
-    ratios: tuple[tuple[int, ...], ...]
-    blocks: tuple[IntBlock, ...]
+    __slots__ = ("grades", "ratios", "blocks")
+
+    def __init__(
+        self,
+        grades: tuple[int, ...],
+        ratios: tuple[tuple[int, ...], ...],
+        blocks: tuple[IntBlock, ...],
+    ) -> None:
+        _setattr(self, "grades", grades)
+        _setattr(self, "ratios", ratios)
+        _setattr(self, "blocks", blocks)
 
     def lift(self, blocks: Iterable[M2]) -> list[IntBlock]:
         """E_k times blocks[k] for each k, e.g. the seeds U_0..U_n of the inverse."""

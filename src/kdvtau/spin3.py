@@ -34,10 +34,8 @@ the pairwise-sum relation verified here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InconsistentDivisionError, InsufficientDepthError, OutOfRangeError
-from .exactnum import format_rational
+from .exactnum import Record, _setattr, format_rational
 from .grassmann import ZTable, wk_G, wk_c_coeff, wk_q_coeff
 from .report import VerificationReport, first_failures
 from .series import M2, MatrixSeries, matrix_series_inverse
@@ -126,12 +124,14 @@ def verify_R_from_G(depth: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VTable:
+class VTable(Record):
     """V_{k,l} for 0 <= k, l <= size."""
 
-    size: int
-    blocks: tuple[tuple[M2, ...], ...]
+    __slots__ = ("size", "blocks")
+
+    def __init__(self, size: int, blocks: tuple[tuple[M2, ...], ...]) -> None:
+        _setattr(self, "size", size)
+        _setattr(self, "blocks", blocks)
 
     def entry(self, k: int, l: int) -> M2:
         if not (0 <= k <= self.size and 0 <= l <= self.size):

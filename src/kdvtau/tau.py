@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from typing import Iterator
 
 from .errors import DegreeExceededError, InsufficientTableError
-from .exactnum import format_rational, odd_double_factorial
+from .exactnum import Record, _setattr, format_rational, odd_double_factorial
 from .grassmann import AffineTable
 from .report import VerificationReport, first_failures
 from .schur import (
@@ -72,17 +71,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TauSeries:
+class TauSeries(Record):
     """Tau series in theta variables, exact through graded degree `degree`."""
 
-    poly: GradedPoly
-    degree: int
-    source: str
+    __slots__ = ("poly", "degree", "source")
 
-    def __post_init__(self) -> None:
-        if self.poly.constant_term() != 1:
+    def __init__(self, poly: GradedPoly, degree: int, source: str) -> None:
+        if poly.constant_term() != 1:
             raise ValueError("a tau series has constant term 1")
+        _setattr(self, "poly", poly)
+        _setattr(self, "degree", degree)
+        _setattr(self, "source", source)
 
     def truncate(self, degree: int) -> "TauSeries":
         """The same series, exact through the lower graded degree `degree`.
@@ -189,11 +188,13 @@ def free_energy(tau: TauSeries) -> GradedPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrelatorSpec:
+class CorrelatorSpec(Record):
     """Multiset of insertion indices k_1 <= ... <= k_n."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: tuple[int, ...]) -> None:
+        _setattr(self, "exponents", exponents)
 
     @classmethod
     def of(cls, ks: tuple[int, ...] | list[int]) -> "CorrelatorSpec":
@@ -240,11 +241,13 @@ class CorrelatorSpec:
         return "<" + " ".join(f"tau_{k}" for k in self.exponents) + ">"
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
-    value: Fraction
-    genus: int | None
-    dimension_ok: bool
+class IntersectionResult(Record):
+    __slots__ = ("value", "genus", "dimension_ok")
+
+    def __init__(self, value: Fraction, genus: int | None, dimension_ok: bool) -> None:
+        _setattr(self, "value", value)
+        _setattr(self, "genus", genus)
+        _setattr(self, "dimension_ok", dimension_ok)
 
 
 def intersection_number(

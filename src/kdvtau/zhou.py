@@ -32,7 +32,6 @@ any formula would surface as a NonRationalError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,7 +39,9 @@ from .errors import NonRationalError
 from .exactnum import (
     ExtScalar,
     RationalLike,
+    Record,
     SQRT_MINUS_TWO,
+    _setattr,
     as_rational,
     ext_to_rational,
     factorial,
@@ -67,16 +68,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZhouIndex:
+class ZhouIndex(Record):
     """A coefficient position (row, col) with its mod-3 support family."""
 
-    row: int
-    col: int
+    __slots__ = ("row", "col")
 
-    def __post_init__(self) -> None:
-        if self.row < 0 or self.col < 0:
+    def __init__(self, row: int, col: int) -> None:
+        if row < 0 or col < 0:
             raise ValueError("indices must be non-negative")
+        _setattr(self, "row", row)
+        _setattr(self, "col", col)
 
     @property
     def family(self) -> str:

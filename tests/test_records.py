@@ -1,0 +1,126 @@
+"""The value records: equality, hashing, immutability and field checks,
+and the start-up cost of importing the CLI."""
+
+import inspect
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import kdvtau
+from kdvtau.exactnum import ExtScalar
+from kdvtau.grassmann import AffineTable, GrassmannPoint, ZTable
+from kdvtau.report import VerificationReport
+from kdvtau.schur import FrobeniusCoords, GradedPoly, Partition
+from kdvtau.series import M2, GradedLift, LaurentSeries, MatrixSeries
+from kdvtau.spin3 import VTable
+from kdvtau.tau import CorrelatorSpec, IntersectionResult, TauSeries
+from kdvtau.zhou import ZhouIndex
+
+F = Fraction
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(kdvtau.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import kdvtau.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+def tail(*values):
+    """1 + values[0] lam^-1 + values[1] lam^-2 + ..., exact through lam^-5."""
+    return LaurentSeries.from_dict({0: 1, **{-i - 1: v for i, v in enumerate(values)}}, 5)
+
+
+# record type -> (fields of one record, fields of a record that differs in one of them);
+# each call builds fresh field objects
+RECORDS = {
+    ExtScalar: lambda: ((F(1, 2), F(3)), (F(1, 2), F(-3))),
+    LaurentSeries: lambda: ((((-1, F(2)),), 3), (((-1, F(2)),), 4)),
+    M2: lambda: ((F(1), F(2), F(3), F(4)), (F(1), F(2), F(3), F(5))),
+    MatrixSeries: lambda: (((M2.identity(), M2.of(0, 1, 0, 0)),), ((M2.identity(), M2.zero()),)),
+    GradedLift: lambda: (
+        ((1, 2), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0))),
+        ((1, 3), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0))),
+    ),
+    GrassmannPoint: lambda: ((tail(2), tail(0, 1)), (tail(2), tail(0, 2))),
+    ZTable: lambda: ((0, 0, ((M2.identity(),),)), (0, 0, ((M2.zero(),),))),
+    AffineTable: lambda: ((1, 1, {(1, 0): F(1)}, "zhou"), (1, 1, {(1, 0): F(1)}, "grassmann")),
+    Partition: lambda: (((3, 1),), ((3, 2),)),
+    FrobeniusCoords: lambda: (((2,), (1,)), ((2,), (0,))),
+    GradedPoly: lambda: (("theta", {((1, 2),): F(2)}, 5), ("theta", {((1, 2),): F(2)}, 6)),
+    TauSeries: lambda: (
+        (GradedPoly("theta", {(): F(1)}, 3), 3, "wk"),
+        (GradedPoly("theta", {(): F(1)}, 3), 3, "point"),
+    ),
+    CorrelatorSpec: lambda: (((1, 2),), ((1, 3),)),
+    IntersectionResult: lambda: ((F(1, 24), 1, True), (F(1, 24), 1, False)),
+    ZhouIndex: lambda: ((2, 0), (0, 2)),
+    VTable: lambda: ((0, ((M2.identity(),),)), (0, ((M2.zero(),),))),
+    VerificationReport: lambda: (("suite", True, "depth 3"), ("suite", False, "depth 3")),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    fields, changed = RECORDS[cls]()
+    x, y = cls(*fields), cls(*RECORDS[cls]()[0])
+    assert x == y and not x != y
+    assert x != cls(*changed)
+    assert x != fields  # never equal to a plain tuple
+    assert pickle.loads(pickle.dumps(x)) == x
+    name = next(iter(inspect.signature(cls).parameters))  # the first field
+    assert repr(x).startswith(f"{cls.__name__}({name}={getattr(x, name)!r}")
+    if cls is VerificationReport:
+        with pytest.raises(TypeError):
+            hash(x)
+        assert x.failures == [] and x.failures is not y.failures
+        x.failures.append("mismatch")
+        assert y.failures == [] and x != y
+        return
+    try:
+        hash(fields)
+    except TypeError:  # a field holds a dict: an exact table or polynomial
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y)
+    with pytest.raises(AttributeError):
+        setattr(x, name, getattr(y, name))
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == y
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Partition((2, 0)),
+    lambda: Partition((-1,)),
+    lambda: Partition((1, 2)),
+    lambda: FrobeniusCoords((1,), ()),
+    lambda: FrobeniusCoords((1, 1), (2, 0)),
+    lambda: FrobeniusCoords((2, 0), (0, 1)),
+    lambda: FrobeniusCoords((0,), (-1,)),
+    lambda: ZhouIndex(-1, 0),
+    lambda: ZhouIndex(0, -1),
+    lambda: TauSeries(GradedPoly("theta", {(): F(2)}, 3), 3, "wk"),
+    lambda: TauSeries(GradedPoly("theta", {((1, 1),): F(1)}, 3), 3, "wk"),
+    lambda: GrassmannPoint(LaurentSeries.from_dict({1: 1, 0: 1}, 5), tail()),
+    lambda: GrassmannPoint(tail(), LaurentSeries.from_dict({0: 2, -1: 1}, 5)),
+], ids=[
+    "partition-zero-part", "partition-negative-part", "partition-increasing",
+    "frobenius-unpaired", "frobenius-repeated-arm", "frobenius-increasing-leg",
+    "frobenius-negative", "zhou-negative-row", "zhou-negative-col",
+    "tau-constant-2", "tau-no-constant", "point-not-a-tail", "point-not-unit",
+])
+def test_record_rejects_invalid_fields(make):
+    with pytest.raises(ValueError):
+        make()

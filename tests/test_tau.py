@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdvtau.errors import DegreeExceededError, InsufficientTableError
 from kdvtau.grassmann import (
@@ -323,6 +324,29 @@ def test_correlator_nine_insertions():
     table = z_table_recursive(wk_G(46), 22, 22).to_affine_table()
     spec = CorrelatorSpec.of([2] * 9)
     assert correlator(table, spec).value == dvv(spec.exponents) == F(1816871, 48)
+
+
+@pytest.fixture(scope="module")
+def wk_affine45():
+    return z_table_recursive(wk_G(46), 22, 22).to_affine_table()
+
+
+@st.composite
+def deep_specs(draw):
+    """A valid spec of n <= 5 insertions and t-weight 6g - 6 + 3n in 28..45,
+    past the exhaustive t-weight <= 27 window of `test_correlator_matches_dvv`."""
+    n = draw(st.integers(1, 5))
+    g = draw(st.sampled_from([g for g in range(9) if 28 <= 6 * g - 6 + 3 * n <= 45]))
+    d = 3 * g - 3 + n  # sum of the k_i
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    return tuple(sorted(b - a for a, b in zip([0] + cuts, cuts + [d])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ks=deep_specs())
+def test_correlator_matches_dvv_beyond_the_exhaustive_window(wk_affine45, ks):
+    result = correlator(wk_affine45, CorrelatorSpec.of(ks))
+    assert (result.value, result.genus, result.dimension_ok) == (dvv(ks), genus_of(ks), True)
 
 
 def multisets(budget: int, most: int) -> list[tuple[int, ...]]:
