@@ -9,7 +9,6 @@ objects ships with an exact verifier; see the `cli` module or the README
 for the command-line entry points.
 """
 
-from .exactnum import ExactScalar, ExtScalar, SQRT_MINUS_TWO, ext_to_rational
 from .series import LaurentSeries, M2, MatrixSeries
 from .grassmann import (
     AffineTable,

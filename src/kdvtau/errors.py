@@ -25,7 +25,8 @@ class ExactComputationError(Exception):
 
 
 class NonRationalError(ExactComputationError):
-    """A value expected to be rational has a nonzero sqrt(-2) part."""
+    """A value expected to be rational is a nonzero rational times an odd
+    power of sqrt(-2)."""
 
 
 class NonUnitError(ExactComputationError):

@@ -1,11 +1,10 @@
-"""Exact scalar arithmetic: rationals and the quadratic extension Q[s]/(s^2 + 2).
+"""Exact scalar arithmetic over the rationals.
 
 All coefficients in this package are arbitrary-precision rationals
-(`fractions.Fraction`, re-exported as `ExactScalar`), kept in lowest terms
-with positive denominator by construction.  The closed-form hook
-coefficients are evaluated in the extension Q[sqrt(-2)] first and only then
-rescaled back to Q; `ext_to_rational` asserts that the sqrt(-2) part has
-cancelled, which doubles as a correctness check on the formulas.
+(`fractions.Fraction`), kept in lowest terms with positive denominator by
+construction.  The one irrational quantity, the power of sqrt(-2) in
+Zhou's closed form, is carried by `zhou` as an integer exponent beside a
+rational part, never as a number of its own.
 
 No floating point is used anywhere.
 
@@ -25,22 +24,14 @@ import math
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import NonRationalError
-
 __all__ = [
     "Record",
-    "ExactScalar",
-    "ExtScalar",
-    "SQRT_MINUS_TWO",
     "as_rational",
     "parse_rational",
     "format_rational",
     "factorial",
     "odd_double_factorial",
-    "ext_to_rational",
 ]
-
-ExactScalar = Fraction
 
 RationalLike = Fraction | int
 
@@ -131,87 +122,3 @@ def odd_double_factorial(n: int) -> Fraction:
     for k in range(n, 1, -2):
         prod *= k
     return Fraction(prod)
-
-
-class ExtScalar(Record):
-    """Element re + im * s of Q[s] with s^2 = -2."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Fraction, im: Fraction) -> None:
-        _setattr(self, "re", re)
-        _setattr(self, "im", im)
-
-    @classmethod
-    def from_rational(cls, x: RationalLike) -> "ExtScalar":
-        return cls(as_rational(x), Fraction(0))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.im == 0
-
-    def __add__(self, other: "ExtScalar | RationalLike") -> "ExtScalar":
-        other = _coerce(other)
-        return ExtScalar(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "ExtScalar | RationalLike") -> "ExtScalar":
-        other = _coerce(other)
-        return ExtScalar(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other: "ExtScalar | RationalLike") -> "ExtScalar":
-        return _coerce(other) - self
-
-    def __neg__(self) -> "ExtScalar":
-        return ExtScalar(-self.re, -self.im)
-
-    def __mul__(self, other: "ExtScalar | RationalLike") -> "ExtScalar":
-        # a rational factor, or one with no s part, scales the other's two parts
-        if isinstance(other, ExtScalar) and other.im == 0:
-            other = other.re
-        elif isinstance(other, ExtScalar) and self.im == 0:
-            self, other = other, self.re
-        if not isinstance(other, ExtScalar):
-            other = as_rational(other)
-            return ExtScalar(self.re * other, self.im * other)
-        # (a + b s)(c + d s) = (ac - 2bd) + (ad + bc) s
-        return ExtScalar(
-            self.re * other.re - 2 * self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ExtScalar":
-        if n < 0:
-            raise ValueError("only non-negative powers are needed")
-        out = ExtScalar.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __str__(self) -> str:
-        if self.is_rational:
-            return format_rational(self.re)
-        return f"{format_rational(self.re)} + ({format_rational(self.im)})*sqrt(-2)"
-
-
-def _coerce(x: "ExtScalar | RationalLike") -> ExtScalar:
-    if isinstance(x, ExtScalar):
-        return x
-    return ExtScalar.from_rational(x)
-
-
-SQRT_MINUS_TWO = ExtScalar(Fraction(0), Fraction(1))
-
-
-def ext_to_rational(x: ExtScalar) -> Fraction:
-    """Extract the rational value of x, requiring the s-part to vanish."""
-    if not x.is_rational:
-        raise NonRationalError(f"value has a nonzero sqrt(-2) part: {x}")
-    return x.re

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import islice
-from typing import Iterable
 
 from .exactnum import Record
 

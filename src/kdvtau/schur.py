@@ -23,9 +23,9 @@ Frobenius coordinates (m_1..m_k | n_1..n_k).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
 
 from .errors import DegreeExceededError, NonUnitError, OutOfRangeError
 from .exactnum import Record, RationalLike, _setattr, as_rational, format_rational
@@ -321,10 +321,9 @@ class GradedPoly(Record):
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        names = {"theta": "theta", "t": "t"}[self.kind]
         bits = []
         for mon, c in sorted(self.terms.items(), key=lambda kv: (monomial_degree(self.kind, kv[0]), kv[0])):
-            factors = "".join(f"*{names}{var}^{exp}" for var, exp in mon)
+            factors = "".join(f"*{self.kind}{var}^{exp}" for var, exp in mon)
             bits.append(f"({format_rational(c)}){factors}")
         return " + ".join(bits)
 

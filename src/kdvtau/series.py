@@ -30,9 +30,9 @@ one gcd per rational add or multiply.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
 
 from .errors import ExactComputationError, InsufficientDepthError, NonUnitError, NotNormalizedError
 from .exactnum import Record, RationalLike, _setattr, as_rational, format_rational, parse_rational

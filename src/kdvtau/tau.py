@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterator
 
 from .errors import DegreeExceededError, InsufficientTableError
 from .exactnum import Record, _setattr, format_rational, odd_double_factorial

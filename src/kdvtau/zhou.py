@@ -1,8 +1,9 @@
 """Zhou's closed-form hook coefficients and their identification with the
 Grassmannian affine coordinates of the Witten-Kontsevich point.
 
-The raw coefficients A^Z_{m,n} live in Q[sqrt(-2)] and are supported on
-m + n = 2 (mod 3), split into three index families by (m mod 3, n mod 3):
+The raw coefficients A^Z_{m,n} are rationals times powers of sqrt(-2),
+supported on m + n = 2 (mod 3) and split into three index families by
+(m mod 3, n mod 3):
 
     family (2,0):  (row, col) = (3m-1, 3n)      m >= 1, n >= 0
     family (0,2):  (row, col) = (3m-3, 3n+2)    equal to the (2,0) value
@@ -19,15 +20,16 @@ with the closed form (P below is the common prefactor)
 where b_k = 2^k (6k+1)!!/(2k)! and B_n(x) is the degree-(n-1) polynomial
 B_n(x) = (1/6) sum_{j=1}^{n} 108^j b_{n-j} (x+n)_[j-1], B_0 = 0.
 
-P(m, n) and B_n(m) are evaluated once per (m, n) and shared by the three
-families; B_n costs O(n) products, its falling factorial growing by one
-factor per term, and each power of sqrt(-2) and of -sqrt(-2)/144 is
-computed once per exponent.
+Only P carries sqrt(-2), as sqrt(-2)^(m+n), so each value is held as a pair
+(c, k) meaning c sqrt(-2)^k: c rational, k = m + n.  P(m, n) and B_n(m) are
+evaluated once per (m, n) and shared by the three families; B_n costs O(n)
+products, its falling factorial growing by one factor per term.
 
-Rescaling by B_{m,n} = (sqrt(-2))^(m+n+1) A^Z_{m,n} lands in Q; the closed
-forms are evaluated verbatim in Q[sqrt(-2)] and the rationality of the
-rescaled value is asserted rather than assumed, so a transcription error in
-any formula would surface as a NonRationalError.
+Rescaling by B_{row,col} = (sqrt(-2))^(row+col+1) A^Z_{row,col} adds
+row+col+1 = 3(m+n) to k and lands in Q exactly when the total exponent is
+even, since sqrt(-2)^(2j) = (-2)^j.  That parity is asserted rather than
+assumed, so a transcription error in an index family or exponent would
+surface as a NonRationalError.
 """
 
 from __future__ import annotations
@@ -37,13 +39,10 @@ from functools import lru_cache
 
 from .errors import NonRationalError
 from .exactnum import (
-    ExtScalar,
     RationalLike,
     Record,
-    SQRT_MINUS_TWO,
     _setattr,
     as_rational,
-    ext_to_rational,
     factorial,
     format_rational,
     odd_double_factorial,
@@ -131,47 +130,42 @@ def B_poly(n: int, x: RationalLike) -> Fraction:
     return acc / 6
 
 
-_P_BASE = ExtScalar(Fraction(0), Fraction(-1, 144))  # -sqrt(-2)/144
-
-
 @lru_cache(maxsize=None)
-def _power(base: ExtScalar, k: int) -> ExtScalar:
-    """base**k, computed once per exponent of sqrt(-2) and of -sqrt(-2)/144."""
-    return base**k
-
-
-@lru_cache(maxsize=None)
-def _family_values(m: int, n: int) -> tuple[ExtScalar, ExtScalar]:
-    """(A^Z_{3m-1,3n} = A^Z_{3m-3,3n+2}, A^Z_{3m-2,3n+1}) from one evaluation
-    of the prefactor P(m, n) and of B_n(m)."""
+def _family_values(m: int, n: int) -> tuple[Fraction, Fraction]:
+    """The rational parts c of A^Z_{3m-1,3n} = A^Z_{3m-3,3n+2} and of
+    A^Z_{3m-2,3n+1} = c sqrt(-2)^(m+n), from one evaluation of the
+    prefactor P(m, n) and of B_n(m)."""
     products = 1
     for j in range(n):
         products *= (m + j) * (2 * m + 2 * j + 1)
     scalar = (-1) ** n * odd_double_factorial(6 * m + 1) * products / factorial(2 * (m + n))
-    p = _power(_P_BASE, m + n) * scalar  # (-1)^n P(m, n)
+    p = scalar / (-144) ** (m + n)  # (-1)^n P(m, n) / sqrt(-2)^(m+n)
     B = B_poly(n, m)
     return p * (B + b_seq(n) / (6 * m + 1)), p * -(B + b_seq(n) / (6 * m - 1))
 
 
-def zhou_A(idx: ZhouIndex) -> ExtScalar:
-    """The raw coefficient at idx, an element of Q[sqrt(-2)]."""
+def zhou_A(idx: ZhouIndex) -> tuple[Fraction, int]:
+    """The raw coefficient at idx as (c, k), meaning c sqrt(-2)^k."""
     fam = idx.family
     if fam == "zero":
-        return ExtScalar.from_rational(0)
-    first, second = _family_values(*idx.resolve())
-    return second if fam == "(1,1)" else first
+        return Fraction(0), 0
+    m, n = idx.resolve()
+    first, second = _family_values(m, n)
+    return (second if fam == "(1,1)" else first), m + n
 
 
 @lru_cache(maxsize=None)
 def rescale_B(row: int, col: int) -> Fraction:
     """B_{row,col} = (sqrt(-2))^(row+col+1) * A^Z_{row,col}, asserted rational."""
-    value = _power(SQRT_MINUS_TWO, row + col + 1) * zhou_A(ZhouIndex(row, col))
-    try:
-        return ext_to_rational(value)
-    except NonRationalError as exc:
+    c, k = zhou_A(ZhouIndex(row, col))
+    k += row + col + 1
+    value = c * (-2) ** (k // 2)  # times a further sqrt(-2) when k is odd
+    if value and k % 2:
         raise NonRationalError(
-            f"rescaled coefficient at ({row},{col}) is not rational: {value}"
-        ) from exc
+            f"rescaled coefficient at ({row},{col}) is not rational: "
+            f"0 + ({format_rational(value)})*sqrt(-2)"
+        )
+    return value
 
 
 def zhou_affine_table(max_m: int, max_n: int) -> AffineTable:

@@ -202,6 +202,23 @@ def test_wk_tau_degree_18_matches_character_oracle(wk_affine31):
     assert tau.poly.terms == character_tau(wk_affine31, 18)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dense=st.booleans(),
+    large=st.booleans(),
+    degree=st.sampled_from(range(11)),
+    data=st.data(),
+)
+def test_tau_matches_character_oracle_on_drawn_points(seed, dense, large, degree, data):
+    # a (2 half + 1)^2 table reaches tau degree 2 half + 2
+    half = data.draw(st.integers(max(0, (degree - 1) // 2), 5), label="half")
+    table = seeded_table(seed, dense, large, half)
+    tau = tau_truncated(table, degree)
+    assert tau.poly.bound == degree
+    assert tau.poly.terms == character_tau(table, degree)
+
+
 def test_log_tau_is_linear_in_even_theta(route_table):
     # tau depends on the even times only through a factor exp(sum_k c_k theta_2k)
     log_tau = graded_log(tau_truncated(route_table, 12).poly)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import kdvtau.zhou as zhou
 from kdvtau.errors import NonRationalError
-from kdvtau.exactnum import SQRT_MINUS_TWO, ext_to_rational
 from kdvtau.grassmann import AffineTable, wk_G, z_table_recursive
 from kdvtau.zhou import (
     B_poly,
@@ -82,10 +81,10 @@ def test_support_pattern():
 
 
 def test_raw_values():
-    assert zhou_A(ZhouIndex(2, 0)).im == F(-5, 96)
-    assert zhou_A(ZhouIndex(2, 0)).re == 0
-    assert zhou_A(ZhouIndex(1, 1)).im == F(7, 96)
-    assert zhou_A(ZhouIndex(0, 0)).re == 0 and zhou_A(ZhouIndex(0, 0)).im == 0
+    # (c, k) stands for c sqrt(-2)^k
+    assert zhou_A(ZhouIndex(2, 0)) == (F(-5, 96), 1)
+    assert zhou_A(ZhouIndex(1, 1)) == (F(7, 96), 1)
+    assert zhou_A(ZhouIndex(0, 0)) == (0, 0)
 
 
 def test_rescaled_values():
@@ -95,23 +94,20 @@ def test_rescaled_values():
     assert rescale_B(0, 2) == F(-5, 24)
 
 
-def test_rescale_rationality_is_a_real_check():
-    # the wrong power of sqrt(-2) leaves an irrational part behind
-    bad = SQRT_MINUS_TWO ** (2 + 0) * zhou_A(ZhouIndex(2, 0))
-    with pytest.raises(NonRationalError):
-        ext_to_rational(bad)
-
-
 def test_rescale_B_asserts_rationality(monkeypatch):
     # one power of sqrt(-2) too few leaves an irrational part behind
-    true_power = zhou._power
-    monkeypatch.setattr(
-        zhou, "_power", lambda base, k: true_power(base, k - (base == SQRT_MINUS_TWO))
-    )
+    true_A = zhou.zhou_A
+
+    def short_A(idx):
+        c, k = true_A(idx)
+        return c, k - 1
+
+    monkeypatch.setattr(zhou, "zhou_A", short_A)
     rescale_B.cache_clear()
-    with pytest.raises(NonRationalError):
+    with pytest.raises(NonRationalError, match=r"\(2,0\) is not rational: 0 \+ \(5/48\)\*sqrt"):
         rescale_B(2, 0)
     monkeypatch.undo()
+    rescale_B.cache_clear()
     assert rescale_B(2, 0) == F(-5, 24)
 
 
