@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ExactComputationError, InsufficientDepthError, OutOfRangeError
 from .exactnum import Record, _setattr, format_rational
@@ -76,7 +76,6 @@ __all__ = [
     "z_table_direct",
     "z_table_recursive",
     "z_tables_recursive",
-    "affine_coordinate",
     "verify_generating_function",
     "verify_symmetry",
     "verify_cq_identity",
@@ -229,23 +228,13 @@ class ZTable(Record):
         return AffineTable(2 * self.max_k + 1, 2 * self.max_l + 1, entries, source)
 
 
-def affine_coordinate(table: ZTable, m: int, n: int) -> Fraction:
-    """Scalar affine coordinate A_{m,n} read out of the block layout."""
-    if m < 0 or n < 0 or m > 2 * table.max_k + 1 or n > 2 * table.max_l + 1:
-        raise OutOfRangeError(f"A[{m},{n}] outside stored blocks")
-    z = table.entry(m // 2, n // 2)
-    if m % 2 == 1:
-        return z.a11 if n % 2 == 0 else z.a12
-    return z.a21 if n % 2 == 0 else z.a22
-
-
 class AffineTable(Record):
     """Scalar affine coordinates A_{m,n} for 0 <= m <= max_m, 0 <= n <= max_n.
 
     Only nonzero entries are stored; reads inside the range default to 0.
     """
 
-    __slots__ = ("max_m", "max_n", "entries", "source")
+    __slots__ = ("max_m", "max_n", "entries", "source", "__dict__")
 
     def __init__(
         self,
@@ -263,6 +252,11 @@ class AffineTable(Record):
         if not (0 <= m <= self.max_m and 0 <= n <= self.max_n):
             raise OutOfRangeError(f"A[{m},{n}] outside table {self.max_m}x{self.max_n}")
         return self.entries.get((m, n), Fraction(0))
+
+    @cached_property
+    def minors(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
+        """Memo of `schur.giambelli_coeff`: det(A_{m_i, n_j}) keyed by (arms, legs)."""
+        return {((), ()): Fraction(1)}
 
     def to_json_dict(self) -> dict:
         return {

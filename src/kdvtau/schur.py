@@ -17,12 +17,13 @@ is the Giambelli-type minor
     A_mu = (-1)^(n_1 + ... + n_k) det(A_{m_i, n_j})
 
 over the hook entries of an affine-coordinate table, with mu written in
-Frobenius coordinates (m_1..m_k | n_1..n_k).
+Frobenius coordinates (m_1..m_k | n_1..n_k).  `giambelli_coeff` has one
+route for every rank: Laplace expansion along the last arm, each minor
+memoised on the table it was read from (`AffineTable.minors`).
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +37,6 @@ __all__ = [
     "Partition",
     "FrobeniusCoords",
     "frobenius",
-    "partition_from_frobenius",
     "partitions_of",
     "partitions_up_to",
     "GradedPoly",
@@ -45,7 +45,6 @@ __all__ = [
     "h_polys",
     "schur_poly",
     "giambelli_coeff",
-    "det_exact",
 ]
 
 
@@ -114,21 +113,6 @@ def frobenius(mu: Partition) -> FrobeniusCoords:
     arms = tuple(mu.parts[i] - (i + 1) for i in range(k))
     legs = tuple(conj[i] - (i + 1) for i in range(k))
     return FrobeniusCoords(arms, legs)
-
-
-def partition_from_frobenius(fc: FrobeniusCoords) -> Partition:
-    """Rebuild the partition whose diagonal hooks are (arms | legs)."""
-    k = fc.rank
-    rows = [fc.arms[i] + (i + 1) for i in range(k)]
-    cols = [fc.legs[j] + (j + 1) for j in range(k)]
-    i = k + 1
-    while True:
-        row = sum(1 for c in cols if c >= i)
-        if row == 0:
-            break
-        rows.append(row)
-        i += 1
-    return Partition(tuple(rows))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -437,68 +421,18 @@ def rim_hooks(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int],
 
 
 # ---------------------------------------------------------------------------
-# Exact determinants and Giambelli minors
+# Giambelli minors
 # ---------------------------------------------------------------------------
 
 
-def det_exact(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant: cofactor expansion for k <= 4, fraction-free
-    (Bareiss over cleared denominators) beyond."""
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise ValueError("matrix must be square")
-    if k == 0:
-        return Fraction(1)
-    if k <= 4:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
-
-
-def _det_cofactor(rows: list[list[Fraction]]) -> Fraction:
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    sign = 1
-    for j in range(k):
-        if rows[0][j] != 0:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += sign * rows[0][j] * _det_cofactor(minor)
-        sign = -sign
-    return total
-
-
-def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
-    k = len(rows)
-    scale = Fraction(1)
-    m: list[list[int]] = []
-    for r in rows:
-        lcm = 1
-        for x in r:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scale /= lcm
-        m.append([int(x * lcm) for x in r])
-    sign = 1
-    prev = 1
-    for col in range(k - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, k):
-                if m[r][col] != 0:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for r in range(col + 1, k):
-            for c in range(col + 1, k):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * scale * m[k - 1][k - 1]
-
-
 def giambelli_coeff(mu: Partition, table: AffineTable) -> Fraction:
-    """A_mu = (-1)^(sum of legs) det(A_{m_i, n_j}) over the hook entries."""
+    """A_mu = (-1)^(sum of legs) det(A_{m_i, n_j}) over the hook entries.
+
+    The determinant is expanded along the row of the last arm m_k.  Dropping
+    m_k and a leg n_j leaves the hook matrix of a partition of smaller
+    weight, and every such minor is memoised on the table, so with the
+    smaller minors known each one costs k products.
+    """
     fc = frobenius(mu)
     if fc.rank == 0:
         return Fraction(1)
@@ -506,9 +440,22 @@ def giambelli_coeff(mu: Partition, table: AffineTable) -> Fraction:
         raise OutOfRangeError(
             f"table {table.max_m}x{table.max_n} too small for hooks of {mu}"
         )
-    rows = [[table.value(m, n) for n in fc.legs] for m in fc.arms]
-    sign = -1 if sum(fc.legs) % 2 else 1
-    return sign * det_exact(rows)
+    det = _hook_minor(fc.arms, fc.legs, table)
+    return -det if sum(fc.legs) % 2 else det
+
+
+def _hook_minor(arms: tuple[int, ...], legs: tuple[int, ...], table: AffineTable) -> Fraction:
+    """det(A_{m_i, n_j}) by Laplace expansion along the last arm, memoised."""
+    det = table.minors.get((arms, legs))
+    if det is None:
+        det = Fraction(0)
+        for j, n in enumerate(legs):
+            a = table.entries.get((arms[-1], n))
+            if a:
+                minor = _hook_minor(arms[:-1], legs[:j] + legs[j + 1:], table)
+                det += a * minor if (len(arms) + j) % 2 else -a * minor  # (-1)^(k-1+j)
+        table.minors[(arms, legs)] = det
+    return det
 
 
 def graded_log(p: GradedPoly, degree: int | None = None) -> GradedPoly:

@@ -49,9 +49,7 @@ __all__ = [
     "block_sum",
     "negate_argument",
     "kac_schwarz_apply",
-    "lam_power",
     "constant_series",
-    "tail_series",
     "series_to_json",
     "series_from_json",
 ]
@@ -198,18 +196,6 @@ def _clip(data: dict[int, Fraction], order: int | None) -> LaurentSeries:
 
 def constant_series(c: RationalLike, tail_order: int | None = None) -> LaurentSeries:
     return LaurentSeries.from_dict({0: as_rational(c)}, tail_order)
-
-
-def lam_power(k: int) -> LaurentSeries:
-    """The exact monomial lam^k."""
-    return LaurentSeries.from_dict({k: 1}, None)
-
-
-def tail_series(values: Iterable[RationalLike], tail_order: int | None = None) -> LaurentSeries:
-    """Series sum(values[k] * lam^-k) with window defaulting to len-1."""
-    vals = [as_rational(v) for v in values]
-    order = tail_order if tail_order is not None else len(vals) - 1
-    return LaurentSeries.from_dict({-k: v for k, v in enumerate(vals)}, order)
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

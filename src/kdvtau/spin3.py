@@ -35,7 +35,7 @@ the pairwise-sum relation verified here.
 from __future__ import annotations
 
 from .errors import InconsistentDivisionError, InsufficientDepthError, OutOfRangeError
-from .exactnum import Record, _setattr, format_rational
+from .exactnum import Record, _setattr
 from .grassmann import ZTable, wk_G, wk_c_coeff, wk_q_coeff
 from .report import VerificationReport, first_failures
 from .series import M2, MatrixSeries, matrix_series_inverse
@@ -137,19 +137,6 @@ class VTable(Record):
         if not (0 <= k <= self.size and 0 <= l <= self.size):
             raise OutOfRangeError(f"V[{k},{l}] outside table of size {self.size}")
         return self.blocks[k][l]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [
-                [
-                    k,
-                    l,
-                    [[format_rational(x) for x in row] for row in self.blocks[k][l].rows()],
-                ]
-                for k in range(self.size + 1)
-                for l in range(self.size + 1)
-            ]
-        }
 
 
 def v_table(size: int) -> VTable:

@@ -1,0 +1,49 @@
+"""Every name a module exports is used by the package itself.
+
+A name in some `__all__` that no code under `src/kdvtau` references is a
+helper only tests reach; such helpers belong in `tests/`.  References are
+names and attribute names anywhere in the package, except inside the
+definition of the name itself.  The allowlist names the exceptions.
+"""
+
+import ast
+from pathlib import Path
+
+import kdvtau
+
+SRC = Path(kdvtau.__file__).resolve().parent
+
+ALLOWED = {
+    "schur_poly": "the benchmark trace rebinds it (and it is the Jacobi-Trudi cross-check)",
+    "series_inverse": "the benchmark trace rebinds it",
+    "intersection_number": "the benchmark trace rebinds it",
+    "point_to_json": "the writer beside the point-file reader",
+    "verify_Bn_recursion": "a verifier of the paper's recursion that awaits a CLI suite",
+    "verify_combinatorial_identity": "a verifier of the paper's identity that awaits a CLI suite",
+}
+
+
+def exports_and_references():
+    exported, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "__all__":
+                exported.update((name, path.stem) for name in ast.literal_eval(stmt.value))
+                continue
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                else:
+                    continue
+                if ref != own:
+                    used.add(ref)
+    return exported, used
+
+
+def test_every_export_is_used_in_the_package():
+    exported, used = exports_and_references()
+    unused = {f"{module}.{name}" for name, module in exported.items() if name not in used}
+    assert unused == {f"{exported[name]}.{name}" for name in ALLOWED}

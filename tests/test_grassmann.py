@@ -7,7 +7,6 @@ import kdvtau.grassmann as grassmann
 from kdvtau.errors import ExactComputationError, InsufficientDepthError, OutOfRangeError
 from kdvtau.grassmann import (
     GrassmannPoint,
-    affine_coordinate,
     build_G,
     normalize_point,
     point_from_json,
@@ -175,13 +174,13 @@ def test_z_first_entries(wk_G41):
 
 
 def test_affine_readout(wk_G41):
-    table = z_table_direct(wk_G41, 3, 3)
-    assert affine_coordinate(table, 1, 1) == F(7, 24)
-    assert affine_coordinate(table, 0, 2) == F(-5, 24)
-    assert affine_coordinate(table, 2, 0) == F(-5, 24)
-    assert affine_coordinate(table, 0, 0) == 0
+    table = z_table_direct(wk_G41, 3, 3).to_affine_table()
+    assert table.value(1, 1) == F(7, 24)
+    assert table.value(0, 2) == F(-5, 24)
+    assert table.value(2, 0) == F(-5, 24)
+    assert table.value(0, 0) == 0
     with pytest.raises(OutOfRangeError):
-        affine_coordinate(table, 8, 0)
+        table.value(8, 0)
 
 
 def test_tables_agree_wk(wk_G41):
@@ -396,11 +395,11 @@ def test_symmetry_wk(wk_G41):
 
 
 def test_symmetry_scalar_form(wk_G41):
-    table = z_table_direct(wk_G41, 6, 6)
+    table = z_table_direct(wk_G41, 6, 6).to_affine_table()
     for m in range(12):
         for n in range(12):
             sign = 1 if (m + n) % 2 == 0 else -1
-            assert affine_coordinate(table, n, m) == sign * affine_coordinate(table, m, n)
+            assert table.value(n, m) == sign * table.value(m, n)
 
 
 def test_symmetry_example_point():

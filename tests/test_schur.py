@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdvtau.errors import NonUnitError, OutOfRangeError
+from kdvtau.grassmann import AffineTable
 from kdvtau.schur import (
     FrobeniusCoords,
     GradedPoly,
     Partition,
-    det_exact,
     frobenius,
     giambelli_coeff,
     graded_log,
     h_polys,
-    partition_from_frobenius,
     partitions_of,
     partitions_up_to,
     rim_hooks,
@@ -86,8 +85,11 @@ def test_frobenius_examples():
 
 
 def test_frobenius_round_trip_weight_12():
-    for mu in partitions_up_to(12):
-        assert partition_from_frobenius(frobenius(mu)) == mu
+    # the coordinates determine mu, and the diagonal hooks tile it
+    coords = [frobenius(mu) for mu in partitions_up_to(12)]
+    assert len(set(coords)) == len(coords)
+    for mu, fc in zip(partitions_up_to(12), coords):
+        assert sum(fc.arms) + sum(fc.legs) + fc.rank == mu.weight
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +137,8 @@ def alternant_schur(mu: Partition, xs) -> Fraction:
     """det(x_i^{l_j}) / det(x_i^{N-j}) with l_j = mu_j - j + N."""
     N = len(xs)
     ls = [(mu.parts[j] if j < mu.length else 0) - (j + 1) + N for j in range(N)]
-    num = det_exact([[F(x) ** l for l in ls] for x in xs])
-    den = det_exact([[F(x) ** (N - j) for j in range(1, N + 1)] for x in xs])
+    num = perm_det([[F(x) ** l for l in ls] for x in xs])
+    den = perm_det([[F(x) ** (N - j) for j in range(1, N + 1)] for x in xs])
     return num / den
 
 
@@ -229,7 +231,7 @@ def test_rim_hooks_are_one_murnaghan_nakayama_step(case):
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# determinant oracle
 # ---------------------------------------------------------------------------
 
 
@@ -247,31 +249,6 @@ def perm_det(rows):
             prod *= rows[i][perm[i]]
         total += sign * prod
     return total
-
-
-small_rationals = st.builds(
-    F, st.integers(min_value=-8, max_value=8), st.integers(min_value=1, max_value=4)
-)
-
-
-@given(st.integers(min_value=1, max_value=5), st.data())
-@settings(max_examples=25, deadline=None)
-def test_det_matches_permutation_expansion(n, data):
-    rows = [[data.draw(small_rationals) for _ in range(n)] for _ in range(n)]
-    assert det_exact(rows) == perm_det(rows)
-
-
-@given(st.integers(min_value=1, max_value=5), st.data())
-@settings(max_examples=25, deadline=None)
-def test_det_transpose_invariance(n, data):
-    rows = [[data.draw(small_rationals) for _ in range(n)] for _ in range(n)]
-    transposed = [[rows[j][i] for j in range(n)] for i in range(n)]
-    assert det_exact(rows) == det_exact(transposed)
-
-
-def test_det_bareiss_path_agrees_with_cofactor():
-    rows = [[F(i * j + i + 2 * j + 1, 1 + ((i + j) % 3)) for j in range(6)] for i in range(6)]
-    assert det_exact(rows) == perm_det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +270,7 @@ def test_giambelli_hook_consistency(wk_affine31):
     """For a single hook (m | n) the minor is (-1)^n A_{m,n}."""
     for m in range(8):
         for n in range(8):
-            hook = partition_from_frobenius(FrobeniusCoords((m,), (n,)))
+            hook = Partition((m + 1,) + (1,) * n)
             sign = 1 if n % 2 == 0 else -1
             assert giambelli_coeff(hook, wk_affine31) == sign * wk_affine31.value(m, n)
 
@@ -302,6 +279,56 @@ def test_giambelli_range_check(wk_affine31):
     big = Partition((40,))
     with pytest.raises(OutOfRangeError):
         giambelli_coeff(big, wk_affine31)
+
+
+small_rationals = st.builds(
+    F, st.integers(min_value=-8, max_value=8), st.integers(min_value=1, max_value=4)
+)
+
+
+def with_frobenius(arms, legs) -> Partition:
+    """The partition with diagonal hooks (arms | legs): row i < k has arms[i] + i + 1
+    cells, and row i >= k one cell for each leg column j with legs[j] + j >= i."""
+    k = len(arms)
+    rows = [a + i + 1 for i, a in enumerate(arms)]
+    rows += [sum(1 for j, n in enumerate(legs) if n + j >= i) for i in range(k, legs[0] + 1)]
+    return Partition(tuple(rows))
+
+
+@st.composite
+def table_and_hooks(draw):
+    entries = {(m, n): draw(st.one_of(st.just(F(0)), small_rationals))
+               for m in range(9) for n in range(9)}
+    rank = draw(st.integers(min_value=1, max_value=5))
+    coords = st.sets(st.integers(min_value=0, max_value=8), min_size=rank, max_size=rank)
+    arms = tuple(sorted(draw(coords), reverse=True))
+    legs = tuple(sorted(draw(coords), reverse=True))
+    return AffineTable(8, 8, {k: v for k, v in entries.items() if v}, "custom"), arms, legs
+
+
+@given(table_and_hooks())
+@settings(max_examples=60, deadline=None)
+def test_giambelli_matches_permutation_expansion(case):
+    """Ranks 1-5 on a 9x9 table with zeros: the memoised Laplace minor is the
+    signed determinant of the hook rows."""
+    table, arms, legs = case
+    mu = with_frobenius(arms, legs)
+    assert frobenius(mu) == FrobeniusCoords(arms, legs)
+    sign = -1 if sum(legs) % 2 else 1
+    rows = [[table.value(m, n) for n in legs] for m in arms]
+    assert giambelli_coeff(mu, table) == sign * perm_det(rows)
+
+
+def test_giambelli_memo_is_per_table():
+    """Two tables that differ only in A_{1,1} keep their own minors, whichever
+    is asked first.  (2, 2) = (1, 0 | 1, 0) reaches A_{1,1} through the
+    minor of its hook (1 | 1) = (2, 1)."""
+    base = {(0, 0): F(2), (0, 1): F(3), (1, 0): F(5)}
+    for order in ((F(7), F(11)), (F(11), F(7))):
+        tables = [AffineTable(1, 1, {**base, (1, 1): a11}, "custom") for a11 in order]
+        for a11, table in zip(order, tables):
+            assert giambelli_coeff(Partition((2, 1)), table) == -a11
+            assert giambelli_coeff(Partition((2, 2)), table) == -(a11 * 2 - 3 * 5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,11 @@ from kdvtau.series import (
     MatrixSeries,
     constant_series,
     kac_schwarz_apply,
-    lam_power,
     matrix_series_inverse,
     negate_argument,
     series_from_json,
     series_inverse,
     series_to_json,
-    tail_series,
 )
 
 
@@ -37,7 +35,7 @@ def test_mul_binomials():
 
 
 def test_mul_lam_by_inverse_lam():
-    assert lam_power(1) * lam_power(-1) == S({0: 1}, None)
+    assert S({1: 1}, None) * S({-1: 1}, None) == S({0: 1}, None)
 
 
 def test_mul_cq_depth6():
@@ -160,7 +158,7 @@ def test_truncation_soundness(a):
 
 def test_negate_argument():
     assert negate_argument(S({0: 1, -1: 1}, 2)) == S({0: 1, -1: -1}, 2)
-    assert negate_argument(lam_power(1)) == S({1: -1}, None)
+    assert negate_argument(S({1: 1}, None)) == S({1: -1}, None)
     c = wk_point(6).a
     assert negate_argument(c).coeff(-3) == Fraction(5, 24)
 
@@ -181,7 +179,7 @@ def test_kac_schwarz_on_one():
 
 
 def test_kac_schwarz_on_inverse_cube():
-    out = kac_schwarz_apply(lam_power(-3))
+    out = kac_schwarz_apply(S({-3: 1}, None))
     assert out == S({-2: -1, -5: Fraction(-7, 2)}, None)
 
 
@@ -299,9 +297,3 @@ def test_series_json_respects_window():
     s = S({0: 1}, 3)
     with pytest.raises(InsufficientDepthError):
         series_to_json(s, tail_order=5)
-
-
-def test_tail_series_constructor():
-    s = tail_series([1, 0, Fraction(1, 2)])
-    assert s.tail_order == 2
-    assert s.coeff(-2) == Fraction(1, 2)

@@ -79,12 +79,6 @@ def test_v_range_guard():
         V.entry(3, 0)
 
 
-def test_v_json_export():
-    doc = v_table(1).to_json_dict()
-    assert [0, 0, [["0", "-7/24"], ["5/24", "0"]]] in doc["entries"]
-    assert len(doc["entries"]) == 4
-
-
 def test_thm2_origin_cases():
     ztab = z_table_direct(wk_G(8), 3, 3)
     V = v_table(2)
