@@ -131,7 +131,9 @@ def cmd_intersect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_suite(suite: str, depth: int, flow: int, point: gr.GrassmannPoint | None) -> list[VerificationReport]:
+def _run_suite(
+    suite: str, depth: int, flow: int, point: gr.GrassmannPoint | None, taus: dict
+) -> list[VerificationReport]:
     if suite == "cq-identity":
         return [gr.verify_cq_identity(depth)]
     if suite == "kac-schwarz":
@@ -163,9 +165,11 @@ def _run_suite(suite: str, depth: int, flow: int, point: gr.GrassmannPoint | Non
         (table,) = _affine_tables(None, (depth, depth))
         return [zhou.verify_zhou_match(table, depth, depth)]
     if suite in POINT_SUITES:
-        size = max(depth - 1, 1)
-        (table,) = _affine_tables(point, (size, size))
-        t = tau_mod.tau_truncated(table, depth)
+        t = taus.get((point, depth))
+        if t is None:
+            size = max(depth - 1, 1)
+            (table,) = _affine_tables(point, (size, size))
+            t = taus[point, depth] = tau_mod.tau_truncated(table, depth)
         if suite == "kdv":
             return [tau_mod.verify_kdv_flow(t, flow)]
         reports = [tau_mod.verify_string_equation(t)]
@@ -197,9 +201,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         runs = [(args.suite, args.flow)]
     any_fail = False
+    taus: dict = {}  # tau per (point, depth), shared by the string and kdv suites
     for suite, flow in runs:
         depth = args.depth if args.depth is not None else SUITE_DEFAULT_DEPTH[suite]
-        reports = _run_suite(suite, depth, flow if flow is not None else args.flow, point)
+        reports = _run_suite(suite, depth, flow if flow is not None else args.flow, point, taus)
         for rep in reports:
             print(rep.line())
             if not rep.skipped and not rep.passed:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "as_rational",
     "parse_rational",
     "format_rational",
-    "factorial",
     "odd_double_factorial",
 ]
 
@@ -101,14 +101,8 @@ def format_rational(x: RationalLike) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def factorial(n: int) -> Fraction:
-    """n! as an exact rational, n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return Fraction(math.factorial(n))
-
-
-def odd_double_factorial(n: int) -> Fraction:
+@lru_cache(maxsize=None)
+def odd_double_factorial(n: int) -> int:
     """n!! = n(n-2)...1 for odd n, with 1!! = 1 and (-1)!! = 1.
 
     Even arguments are rejected: every double factorial appearing in the
@@ -118,7 +112,4 @@ def odd_double_factorial(n: int) -> Fraction:
         raise ValueError(f"double factorial restricted to odd arguments, got {n}")
     if n < -1:
         raise ValueError(f"double factorial undefined for {n}")
-    prod = 1
-    for k in range(n, 1, -2):
-        prod *= k
-    return Fraction(prod)
+    return math.prod(range(n, 1, -2))

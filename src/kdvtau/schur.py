@@ -459,21 +459,35 @@ def _hook_minor(arms: tuple[int, ...], legs: tuple[int, ...], table: AffineTable
 
 
 def graded_log(p: GradedPoly, degree: int | None = None) -> GradedPoly:
-    """log of a polynomial with constant term 1, through `degree`."""
+    """log of a polynomial with constant term 1, through `degree`.
+
+    With p = 1 + sum_d p_d and g = log p = sum_d g_d split into homogeneous
+    parts, the Euler operator E (times d on degree d) turns E p = p E g into
+
+        d g_d = d p_d - sum_{k=1}^{d-1} (k g_k) p_{d-k},
+
+    one pass over the degrees up to the cap, each g_d from products of
+    homogeneous parts already known.
+    """
     if p.constant_term() != 1:
         raise NonUnitError("log needs constant term 1")
     cap = _order_min(p.bound, degree)
     if cap is None:
         raise NonUnitError("an explicit degree cap is required for the log of an exact polynomial")
-    x = (p - GradedPoly.const(p.kind, 1)).truncate(cap)
-    out = GradedPoly.zero(p.kind, cap)
-    power = GradedPoly.const(p.kind, 1, cap)
-    i = 0
-    mind = x.min_degree
-    if mind is None:
-        return out
-    while (i + 1) * mind <= cap:
-        i += 1
-        power = (power * x).truncate(cap)
-        out = out + power.scale(Fraction((-1) ** (i + 1), i))
-    return out
+    parts: dict[int, dict[Monomial, Fraction]] = {}
+    for mon, c in p.terms.items():
+        if 0 < (d := monomial_degree(p.kind, mon)) <= cap:
+            parts.setdefault(d, {})[mon] = c
+    euler: dict[int, dict[Monomial, Fraction]] = {}  # d -> d g_d, nonzero terms only
+    out: dict[Monomial, Fraction] = {}
+    for d in range(1, cap + 1):
+        acc = {mon: d * c for mon, c in parts.get(d, {}).items()}
+        for k, eg in euler.items():
+            for m2, c2 in parts.get(d - k, {}).items():
+                for m1, c1 in eg.items():
+                    m = _merge_monomials(m1, m2)
+                    acc[m] = acc.get(m, 0) - c1 * c2
+        if acc := {mon: c for mon, c in acc.items() if c}:
+            euler[d] = acc
+            out.update((mon, c / d) for mon, c in acc.items())
+    return GradedPoly(p.kind, out, cap)

@@ -21,9 +21,12 @@ where b_k = 2^k (6k+1)!!/(2k)! and B_n(x) is the degree-(n-1) polynomial
 B_n(x) = (1/6) sum_{j=1}^{n} 108^j b_{n-j} (x+n)_[j-1], B_0 = 0.
 
 Only P carries sqrt(-2), as sqrt(-2)^(m+n), so each value is held as a pair
-(c, k) meaning c sqrt(-2)^k: c rational, k = m + n.  P(m, n) and B_n(m) are
-evaluated once per (m, n) and shared by the three families; B_n costs O(n)
-products, its falling factorial growing by one factor per term.
+(c, k) meaning c sqrt(-2)^k: c rational, k = m + n.  The rational parts are
+computed in integers.  (2n)! b_{n-j} is an integer, so 6 (2n)! B_n(x) =
+sum_j C_{n,j} (x+n)_[j-1] with integer C_{n,j}, an O(n) sum by Horner's rule.
+Over the common denominator 6 (2n)! (2(m+n))! 144^(m+n) both family values
+then have integer numerators, so each is one Fraction(num, den), evaluated
+once per (m, n) and shared by the three families.
 
 Rescaling by B_{row,col} = (sqrt(-2))^(row+col+1) A^Z_{row,col} adds
 row+col+1 = 3(m+n) to k and lands in Q exactly when the total exponent is
@@ -34,6 +37,7 @@ surface as a NonRationalError.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,7 +47,6 @@ from .exactnum import (
     Record,
     _setattr,
     as_rational,
-    factorial,
     format_rational,
     odd_double_factorial,
 )
@@ -105,43 +108,55 @@ def b_seq(k: int) -> Fraction:
     """b_k = 2^k (6k+1)!! / (2k)!."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return Fraction(2**k) * odd_double_factorial(6 * k + 1) / factorial(2 * k)
+    return Fraction(2**k * odd_double_factorial(6 * k + 1), math.factorial(2 * k))
 
 
 @lru_cache(maxsize=None)
-def _B_coeffs(n: int) -> tuple[Fraction, ...]:
-    """108^j b_{n-j} for j = 1..n, shared by every argument of B_n."""
-    return tuple(108**j * b_seq(n - j) for j in range(1, n + 1))
+def _B_ints(n: int) -> tuple[int, ...]:
+    """The integers C_{n,j} = 108^j (2n)! b_{n-j}, j = 1..n."""
+    return tuple(
+        108**j * 2 ** (n - j) * odd_double_factorial(6 * (n - j) + 1)
+        * (math.factorial(2 * n) // math.factorial(2 * (n - j)))
+        for j in range(1, n + 1)
+    )
+
+
+def _B_sum(n: int, y: RationalLike) -> RationalLike:
+    """sum_j C_{n,j} (y)_[j-1] = 6 (2n)! B_n(y - n), nested from j = n down so
+    that each step multiplies the sum by one small factor."""
+    acc: RationalLike = 0
+    for j, coeff in zip(range(n, 0, -1), reversed(_B_ints(n))):
+        acc = acc * (y - j + 1) + coeff
+    return acc
 
 
 def B_poly(n: int, x: RationalLike) -> Fraction:
     """B_n(x) = (1/6) sum_{j=1}^{n} 108^j b_{n-j} (x+n)_[j-1]; B_0 = 0.
 
-    The falling factorial gains one factor per term, so B_n costs O(n).
+    Evaluated as `_B_sum` over 6 (2n)!, in O(n) products.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     y = x + n if isinstance(x, int) else as_rational(x) + n
-    acc = Fraction(0)
-    falling = 1  # (y)_[j], the factor of 108^(j+1) b_{n-j-1}
-    for j, coeff in enumerate(_B_coeffs(n)):
-        acc += coeff * falling
-        falling *= y - j
-    return acc / 6
+    return as_rational(_B_sum(n, y)) / (6 * math.factorial(2 * n))
 
 
 @lru_cache(maxsize=None)
 def _family_values(m: int, n: int) -> tuple[Fraction, Fraction]:
     """The rational parts c of A^Z_{3m-1,3n} = A^Z_{3m-3,3n+2} and of
-    A^Z_{3m-2,3n+1} = c sqrt(-2)^(m+n), from one evaluation of the
-    prefactor P(m, n) and of B_n(m)."""
+    A^Z_{3m-2,3n+1} = c sqrt(-2)^(m+n).  Over `den`, 6 (2n)! B_n(m) is S and
+    6 (2n)! b_n is e; m >= 1, so 6m+1 and 6m-1 both divide (6m+1)!!."""
     products = 1
     for j in range(n):
         products *= (m + j) * (2 * m + 2 * j + 1)
-    scalar = (-1) ** n * odd_double_factorial(6 * m + 1) * products / factorial(2 * (m + n))
-    p = scalar / (-144) ** (m + n)  # (-1)^n P(m, n) / sqrt(-2)^(m+n)
-    B = B_poly(n, m)
-    return p * (B + b_seq(n) / (6 * m + 1)), p * -(B + b_seq(n) / (6 * m - 1))
+    odd = (-1) ** m * odd_double_factorial(6 * m + 1) * products
+    S = _B_sum(n, m + n)
+    e = 6 * 2**n * odd_double_factorial(6 * n + 1)
+    den = 6 * math.factorial(2 * n) * math.factorial(2 * (m + n)) * 144 ** (m + n)
+    return (
+        Fraction(odd // (6 * m + 1) * (S * (6 * m + 1) + e), den),
+        Fraction(-odd // (6 * m - 1) * (S * (6 * m - 1) + e), den),
+    )
 
 
 def zhou_A(idx: ZhouIndex) -> tuple[Fraction, int]:
@@ -241,11 +256,9 @@ def combinatorial_rhs(m: int, n: int) -> Fraction:
     prefactor of the closed forms and using B_{0,3n-1} = -c_n together with
     (6n)! = 2^(3n) (3n)! (6n-1)!! collapses the boundary product to this.
     """
-    return (
-        odd_double_factorial(6 * n - 1)
-        * (2 * m + 1)
-        * (m + n)
-        / (Fraction(6 * m - 1) * n * odd_double_factorial(2 * n - 1) * factorial(n - 1))
+    return Fraction(
+        odd_double_factorial(6 * n - 1) * (2 * m + 1) * (m + n),
+        (6 * m - 1) * n * odd_double_factorial(2 * n - 1) * math.factorial(n - 1),
     )
 
 

@@ -17,9 +17,12 @@ routes that share no code.
   and the closed formula Z_{k,l} = -sum_{j<=k} G_j U_{k+l+1-j}, on nested
   lists of `Fraction`, one reduction per operation.  `wk_cq(n)` gives the
   Witten-Kontsevich c_k and q_k from their closed forms.
-* Graded-polynomial helpers only tests use: `graded_exp`, `pow_int`,
+* Graded-polynomial helpers only tests use: `graded_exp`, `graded_log`
+  (the power series log(1 + x) = sum (-1)^(i+1) x^i / i), `pow_int`,
   `evaluate`, `degree_slice`.  They take any object with the `GradedPoly`
   interface (`kind`, `terms`, `bound`, arithmetic), so nothing is imported.
+* `zhou_rescaled(row, col)`: Zhou's closed form for the rescaled
+  coefficient B_{row,col}, written out term by term in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -231,3 +234,71 @@ def graded_exp(p, degree: int | None = None):
         power = (power * x).truncate(cap)
         out = out + power.scale(Fraction(1, fact))
     return out
+
+
+def graded_log(p, degree: int | None = None):
+    """log of a polynomial with constant term 1, through `degree`, as the
+    power series sum_i (-1)^(i+1) x^i / i in x = p - 1."""
+    if p.constant_term() != 1:
+        raise ValueError("log needs constant term 1")
+    caps = [c for c in (p.bound, degree) if c is not None]
+    if not caps:
+        raise ValueError("an explicit degree cap is required for the log of an exact polynomial")
+    cap = min(caps)
+    x = (p - type(p).const(p.kind, 1)).truncate(cap)
+    out = type(p).zero(p.kind, cap)
+    power = type(p).const(p.kind, 1, cap)
+    i = 0
+    mind = x.min_degree
+    if mind is None:
+        return out
+    while (i + 1) * mind <= cap:
+        i += 1
+        power = (power * x).truncate(cap)
+        out = out + power.scale(Fraction((-1) ** (i + 1), i))
+    return out
+
+
+@lru_cache(maxsize=None)
+def zhou_b(k: int) -> Fraction:
+    """b_k = 2^k (6k+1)!! / (2k)!."""
+    return Fraction(2**k * double_factorial(6 * k + 1), math.factorial(2 * k))
+
+
+def zhou_B(n: int, x: int) -> Fraction:
+    """B_n(x) = (1/6) sum_{j=1}^{n} 108^j b_{n-j} (x+n)_[j-1]."""
+    total = Fraction(0)
+    for j in range(1, n + 1):
+        falling = math.prod(x + n - i for i in range(j - 1))
+        total += 108**j * zhou_b(n - j) * falling
+    return total / 6
+
+
+def zhou_rescaled(row: int, col: int) -> Fraction:
+    """B_{row,col} = sqrt(-2)^(row+col+1) A^Z_{row,col} from Zhou's closed form
+
+        A^Z_{3m-1,3n} = A^Z_{3m-3,3n+2} = (-1)^n     P(m, n) (B_n(m) + b_n/(6m+1)),
+        A^Z_{3m-2,3n+1}                 = (-1)^(n+1) P(m, n) (B_n(m) + b_n/(6m-1)),
+        P(m, n) = (-sqrt(-2)/144)^(m+n) (6m+1)!!/(2(m+n))!
+                  prod_{j=0}^{n-1} (m+j) prod_{j=1}^{n} (2m+2j-1),
+
+    and A^Z = 0 off row + col = 2 (mod 3).  The powers of sqrt(-2) add up
+    to an even exponent e, giving (-2)^(e/2); an odd one raises."""
+    family = (row % 3, col % 3)
+    if family == (2, 0):
+        m, n, sign, shift = (row + 1) // 3, col // 3, (-1) ** (col // 3), 1
+    elif family == (0, 2):
+        m, n, sign, shift = row // 3 + 1, (col - 2) // 3, (-1) ** ((col - 2) // 3), 1
+    elif family == (1, 1):
+        m, n, sign, shift = (row + 2) // 3, (col - 1) // 3, (-1) ** ((col - 1) // 3 + 1), -1
+    else:
+        return Fraction(0)
+    e = row + col + 1 + m + n
+    if e % 2:
+        raise ValueError(f"odd power of sqrt(-2) at ({row},{col})")
+    P = Fraction(
+        (-1) ** (m + n) * double_factorial(6 * m + 1)
+        * math.prod(m + j for j in range(n)) * math.prod(2 * m + 2 * j - 1 for j in range(1, n + 1)),
+        144 ** (m + n) * math.factorial(2 * (m + n)),
+    )
+    return (-2) ** (e // 2) * sign * P * (zhou_B(n, m) + zhou_b(n) / (6 * m + shift))

@@ -180,6 +180,20 @@ def test_verify_recursion_builds_one_direct_table(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_all_builds_one_tau(capsys, monkeypatch):
+    # string, kdv flow 1 and kdv flow 2 all check the same degree-12 tau
+    import kdvtau.tau as tau
+
+    calls = []
+    build = tau.tau_truncated
+    monkeypatch.setattr(tau, "tau_truncated", lambda *a: calls.append(a) or build(*a))
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    suites = {line.split(":")[0] for line in out.splitlines()}
+    assert {"string-equation", "string-recursion", "dimension-filter", "kdv-flow-1", "kdv-flow-2"} <= suites
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("suite", [s for s in SUITE_DEFAULT_DEPTH if s not in ("string", "kdv")] + ["all"])
 def test_verify_point_with_a_suite_that_ignores_it_exits_2(capsys, tmp_path, suite):
     code, out, err = run(capsys, "verify", suite, "--depth", "1",

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kdvtau.exactnum import (
-    factorial,
     format_rational,
     odd_double_factorial,
     parse_rational,
@@ -15,16 +14,6 @@ rationals = st.builds(
     st.integers(min_value=-50, max_value=50),
     st.integers(min_value=1, max_value=30),
 )
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    # independent direct-product oracle
-    prod = 1
-    for i in range(1, 13):
-        prod *= i
-    assert factorial(12) == prod == 479001600
 
 
 def test_odd_double_factorial_values():

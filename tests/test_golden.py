@@ -48,6 +48,7 @@ GOLDEN = {
     "verify string --depth 9 --point POINT1": (1, "2accd092aac6d0a38654f8fff61faddbdd8553eb36006bab31be9e792e29bab1"),
     "verify kdv --depth 10 --flow 1 --point POINT2": (0, "0348969ab94c0eebfa5ffbb5540b64d1f4042aa773e8d633eee8aa6717605dd1"),
     "verify kdv --depth 9 --flow 2 --point POINT3": (0, "f03735b4c4410ae6615777cc9c8390779e5e2682c90de4038db2bab1e4164dbc"),
+    "verify string --depth 9": (0, "77cfae359e3fc46f31cadadbbbdd1b28893cc4c82c09dadb515267d9b5ebc688"),
     "verify string --depth 12": (0, "1dde6dffeb60c1100d439b17e32ed5b4ae7032c62e859073617d13d9ab8066fa"),
     "grassmann POINT4 --tau 14 --tau-vars theta --initial-data 12": (0, "8659e58ee88fcd85befd324703dddfee67d3a504726929dfc6ad544c4c12fa48"),
     "verify string --depth 15": (0, "62c075f5fc26e743c2988b26025cdb4ca23d61a92aca7e8cc42b04a024adaac0"),
@@ -64,6 +65,7 @@ GOLDEN = {
     "verify zhou-match": (0, "6409c19f3a03f46f2a89d2f7f74f1477fcc09252c910d3e8acab1db449151465"),
     "verify symmetry": (0, "864e4df26e2cdf6a0d963fe2429a0dcef5129ef55d9543c9c604eb9161dc3578"),
     "verify recursion": (0, "f2697b6ecd6440ff466860788acd39a20299c8dabd58b377b51097a03ff3a2dd"),
+    "verify all": (0, "8ac67272156f8d52745204c67026c2ee17dce9518c1675b67d339d63e920597b"),
 }
 
 
@@ -81,3 +83,10 @@ def run_golden(command: str, tmp_path, capsys) -> tuple[int, str]:
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_golden_output(command, tmp_path, capsys):
     assert run_golden(command, tmp_path, capsys) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["wk-first", "point-first"])
+def test_string_suites_in_one_process_keep_their_own_output(order, tmp_path, capsys):
+    # the tau memo of `verify` must not hand one call's tau to another
+    for command in ["verify string --depth 9", "verify string --depth 9 --point POINT1"][::order]:
+        assert run_golden(command, tmp_path, capsys) == GOLDEN[command]

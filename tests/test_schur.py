@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kdvtau.errors import NonUnitError, OutOfRangeError
 from kdvtau.grassmann import AffineTable
@@ -22,7 +22,7 @@ from kdvtau.schur import (
     schur_poly,
 )
 
-from oracles import character, evaluate, graded_exp, pow_int
+from oracles import character, evaluate, graded_exp, graded_log as power_series_log, pow_int
 
 F = Fraction
 
@@ -367,3 +367,38 @@ def test_exp_log_round_trip():
 def test_log_requires_unit():
     with pytest.raises(NonUnitError):
         graded_log(GradedPoly.const("t", 2, 5))
+    with pytest.raises(NonUnitError):
+        graded_log(GradedPoly.const("t", 1))  # exact, and no degree cap
+
+
+VARIABLES = {"t": range(4), "theta": range(1, 7)}  # degrees 1..7 and 1..6
+rational_coeffs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def unit_polys(draw):
+    """(p, degree): p with constant term 1 plus up to five monomials in t or
+    theta variables, under a finite bound or bound None with an explicit
+    degree; the cap may lie below the lowest nonconstant degree."""
+    kind = draw(st.sampled_from(sorted(VARIABLES)))
+    monomial = st.dictionaries(
+        st.sampled_from(VARIABLES[kind]), st.integers(1, 3), min_size=1, max_size=3
+    ).map(lambda exps: tuple(sorted(exps.items())))
+    terms = draw(st.dictionaries(monomial, rational_coeffs, max_size=5))
+    bound = draw(st.one_of(st.none(), st.integers(0, 12)))
+    degree = draw(st.integers(0, 12) if bound is None else st.one_of(st.none(), st.integers(0, 12)))
+    return GradedPoly.make(kind, {**terms, (): 1}, bound), degree
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_polys())
+@example((GradedPoly.make("theta", {(): 1, ((1, 1),): 2, ((2, 1),): F(-1, 3)}, 7), None))
+@example((GradedPoly.make("t", {(): 1, ((0, 1),): 1, ((1, 1),): F(5, 2)}, None), 9))
+@example((GradedPoly.make("t", {(): 1, ((2, 1),): 3}, None), 4))  # cap below t_2's degree 5
+def test_log_matches_power_series_oracle(case):
+    p, degree = case
+    log = graded_log(p, degree)
+    assert log == power_series_log(p, degree)
+    cap = min(c for c in (p.bound, degree) if c is not None)
+    assert log.bound == cap
+    assert graded_exp(log, cap) == p.truncate(cap)

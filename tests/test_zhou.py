@@ -22,6 +22,8 @@ from kdvtau.zhou import (
     zhou_affine_table,
 )
 
+from oracles import zhou_rescaled
+
 F = Fraction
 
 
@@ -196,3 +198,8 @@ def test_combinatorial_identity_against_table_oracle():
 @settings(max_examples=60, deadline=None)
 def test_rescale_always_rational(row, col):
     rescale_B(row, col)  # would raise NonRationalError on a formula bug
+
+
+def test_rescale_B_matches_closed_form_oracle():
+    assert [(row, col) for row in range(76) for col in range(76)
+            if rescale_B(row, col) != zhou_rescaled(row, col)] == []
