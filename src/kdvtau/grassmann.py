@@ -24,9 +24,9 @@ Both table routes and the two generating-function verifiers work on the
 graded integer lift of G (`series.GradedLift`): a block of grade d (Z_{k,l}
 has grade k+l+1) is carried as E_d times itself, a product of blocks of
 grades i and j is scaled by the exact integer E_{i+j} / (E_i E_j), and each
-entry is reduced to a `Fraction` once.  The seeds U_j still come from
-`matrix_series_inverse` and are lifted here; one that is not integral at
-its grade raises `ExactComputationError` rather than being rounded.  The
+entry is reduced to a `Fraction` once.  The seeds E_j U_j are the integer
+inverse the lift solves for (`GradedLift.inverse`); the recursion checks
+every seed it reads against the boundary data Z_{k,0} = G_{k+1}.  The
 recursion-identity and symmetry verifiers keep plain `M2` arithmetic, so
 each suite still ends in a check in independent arithmetic.
 
@@ -57,7 +57,6 @@ from .series import (
     block_sum,
     constant_series,
     kac_schwarz_apply,
-    matrix_series_inverse,
     negate_argument,
     series_from_json,
     series_to_json,
@@ -188,7 +187,10 @@ def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
     return MatrixSeries.from_blocks(blocks, depth)
 
 
+@lru_cache(maxsize=None)
 def wk_G(depth: int) -> MatrixSeries:
+    """The Witten-Kontsevich loop matrix G_0..G_depth, one object (and so one
+    graded lift and inverse) per depth."""
     return build_G(wk_point(2 * depth + 1), depth)
 
 
@@ -300,8 +302,7 @@ def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
     need = max_k + max_l + 1
     _require_depth(G, need)
     lift = G.lift
-    g, ratios = lift.blocks, lift.ratios
-    u = _seeds(G, need)
+    g, ratios, u = lift.blocks, lift.ratios, lift.inverse
     rows = []
     for k in range(max_k + 1):
         row = []
@@ -341,8 +342,7 @@ def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[Z
     need = max(K + L for K, L in shapes) + 1
     _require_depth(G, need)
     lift = G.lift
-    u = _seeds(G, need)
-    top = [(-a11, -a12, -a21, -a22) for a11, a12, a21, a22 in u[1:]]
+    top = [(-a11, -a12, -a21, -a22) for a11, a12, a21, a22 in lift.inverse[1 : need + 1]]
     max_k = max(K for K, _ in shapes)
     rows = []
     row = top
@@ -393,14 +393,10 @@ def verify_generating_function(
     need = 2 * depth + 1
     _require_depth(G, need)
     lift = G.lift
-    try:
-        u = _seeds(G, need)
-    except ExactComputationError as exc:
-        return VerificationReport(suite, False, detail, failures=[str(exc)])
 
     # N[i][j] on every anti-diagonal i + j <= need, each block product once
     N = [[(0, 0, 0, 0) if i == j == 0
-          else block_sum(((-lift.ratios[i + j][i], lift.blocks[i], u[j]),))
+          else block_sum(((-lift.ratios[i + j][i], lift.blocks[i], lift.inverse[j]),))
           for j in range(need + 1 - i)]
          for i in range(need + 1)]
 
@@ -549,11 +545,7 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
     if k_max > table.max_l:
         raise InsufficientDepthError("Z table narrower than requested k range")
     lift = G.lift
-    g, ratios = lift.blocks, lift.ratios
-    try:
-        u = _seeds(G, order)
-    except ExactComputationError as exc:
-        return VerificationReport(suite, False, f"k <= {k_max}", failures=[str(exc)])
+    g, ratios, u = lift.blocks, lift.ratios, lift.inverse
     windows: list[int] = []  # rows l checked for each k reached
 
     def mismatches():
@@ -577,12 +569,6 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
         suite, not failures,
         f"k <= {k_max}, rows l <= {min(windows, default=None)}", failures=failures,
     )
-
-
-def _seeds(G: MatrixSeries, need: int) -> list[IntBlock]:
-    """The graded lift E_j U_j, j <= need, of `matrix_series_inverse`; a seed that
-    does not lift to an integer block raises `ExactComputationError`."""
-    return G.lift.lift(matrix_series_inverse(G, need).blocks(need))
 
 
 def _block_total(blocks) -> IntBlock:

@@ -22,9 +22,11 @@ with no head, for the loop matrix G(lam) (x = 1/lam), its inverse, and the
 A loop matrix also has a `GradedLift`: one integer scale E_k per grade, with
 E_i E_j dividing E_{i+j}, so that E_k G_k, E_k U_k for the inverse U, and
 every sum of block products whose grades add up to k are integer blocks.
-The inverse and the Z-table routes of `grassmann` convolve these integer
-blocks (`block_sum`) and reduce each entry once, at the end, instead of
-one gcd per rational add or multiply.
+The lift solves for the inverse once, in these integers; the Z-table routes
+and generating-function verifiers of `grassmann` read it, convolve integer
+blocks (`block_sum`) and reduce each entry once, at the end, instead of one
+gcd per rational add or multiply.  `matrix_series_inverse` is the
+`Fraction` view of the same inverse.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .errors import ExactComputationError, InsufficientDepthError, NonUnitError, NotNormalizedError
+from .errors import InsufficientDepthError, NonUnitError, NotNormalizedError
 from .exactnum import Record, RationalLike, _setattr, as_rational, format_rational, parse_rational
 
 __all__ = [
@@ -455,15 +457,16 @@ class MatrixSeries(Record):
 
     @cached_property
     def lift(self) -> "GradedLift":
-        """The graded integer lift of the whole window; its prefix through
-        grade n is the lift of G_0..G_n.  Requires G_0 = I."""
+        """The graded integer lift of the whole window, with the inverse of G
+        solved on it; its prefix through grade n is the lift of G_0..G_n and
+        of U_0..U_n.  Requires G_0 = I."""
         g = self.coeffs
         if g[0] != M2.identity():
             raise NotNormalizedError(f"leading block must be the identity, got {g[0]}")
-        grades, ratios = [1], [(1,)]
+        grades, ratios, blocks, inverse = [1], [(1,)], [(1, 0, 0, 1)], [(1, 0, 0, 1)]
         for k in range(1, len(g)):
-            b = g[k]
-            e = math.lcm(b.a11.denominator, b.a12.denominator, b.a21.denominator, b.a22.denominator)
+            entries = (g[k].a11, g[k].a12, g[k].a21, g[k].a22)
+            e = math.lcm(*(v.denominator for v in entries))
             products = [grades[j] * grades[k - j] for j in range(1, k // 2 + 1)]
             for p in products:
                 if e % p:
@@ -471,40 +474,46 @@ class MatrixSeries(Record):
             grades.append(e)
             half = [1] + [e // p for p in products]  # ratios[k][i] for i <= k/2
             ratios.append(tuple(half + (half[:-1] if k % 2 == 0 else half)[::-1]))
-        return GradedLift(tuple(grades), tuple(ratios), tuple(_scale(g, grades)))
+            blocks.append(tuple(v.numerator * (e // v.denominator) for v in entries))
+            # G U = I: u_k = E_k U_k = -sum_j (E_k / (E_j E_{k-j})) g_j u_{k-j}
+            s11, s12, s21, s22 = block_sum(
+                (ratios[k][j], blocks[j], inverse[k - j]) for j in range(1, k + 1)
+            )
+            inverse.append((-s11, -s12, -s21, -s22))
+        return GradedLift(tuple(grades), tuple(ratios), tuple(blocks), tuple(inverse))
 
 
 IntBlock = tuple[int, int, int, int]  # (a11, a12, a21, a22) of an integer 2x2 block
 
 
 class GradedLift(Record):
-    """Integer image of a loop matrix G = I + G_1 x + ... + G_O x^O, one scale per grade.
+    """Integer image of a loop matrix G = I + G_1 x + ... + G_O x^O and of its
+    inverse U = G^-1, one scale per grade.
 
     grades[k] = E_k with E_0 = 1 and E_k = lcm(den G_k, E_j E_{k-j} : 1 <= j <= k/2),
-    so E_i E_j divides E_{i+j}; blocks[k] = E_k G_k is an integer block, and
-    ratios[d][i] = E_d / (E_i E_{d-i}) is an exact integer.  A block of grade
-    d (G_d, U_d, Z_{k,l} with d = k+l+1, a product of two blocks whose grades
-    add up to d) is carried as E_d times itself: the product of lifted blocks
-    of grades i and j, times ratios[i+j][i], is the lift of the product, so
-    sums of products stay in the integers and each entry is reduced once, by
-    `lower`.  On a point with integer coefficients every E_k is 1.
+    so E_i E_j divides E_{i+j}; blocks[k] = E_k G_k and inverse[k] = E_k U_k
+    are integer blocks, and ratios[d][i] = E_d / (E_i E_{d-i}) is an exact
+    integer.  A block of grade d (G_d, U_d, Z_{k,l} with d = k+l+1, a product
+    of two blocks whose grades add up to d) is carried as E_d times itself:
+    the product of lifted blocks of grades i and j, times ratios[i+j][i], is
+    the lift of the product, so sums of products stay in the integers and
+    each entry is reduced once, by `lower`.  On a point with integer
+    coefficients every E_k is 1.
     """
 
-    __slots__ = ("grades", "ratios", "blocks")
+    __slots__ = ("grades", "ratios", "blocks", "inverse")
 
     def __init__(
         self,
         grades: tuple[int, ...],
         ratios: tuple[tuple[int, ...], ...],
         blocks: tuple[IntBlock, ...],
+        inverse: tuple[IntBlock, ...],
     ) -> None:
         _setattr(self, "grades", grades)
         _setattr(self, "ratios", ratios)
         _setattr(self, "blocks", blocks)
-
-    def lift(self, blocks: Iterable[M2]) -> list[IntBlock]:
-        """E_k times blocks[k] for each k, e.g. the seeds U_0..U_n of the inverse."""
-        return _scale(blocks, self.grades)
+        _setattr(self, "inverse", inverse)
 
     def lower(self, block: IntBlock, grade: int) -> M2:
         """The exact block `block` / E_grade, each entry reduced once."""
@@ -528,43 +537,14 @@ def block_sum(
     return s11, s12, s21, s22
 
 
-def _scale(blocks: Iterable[M2], grades: tuple[int, ...] | list[int]) -> list[IntBlock]:
-    """E_k * blocks[k]; an entry that is not an integer there is an error, never
-    rounded: the block is then not an exact coefficient over this loop matrix."""
-    out = []
-    for k, (b, e) in enumerate(zip(blocks, grades)):
-        entries = (b.a11, b.a12, b.a21, b.a22)
-        if any(e % v.denominator for v in entries):
-            raise ExactComputationError(
-                f"block {k} = {b} is not integral at grade E_{k} = {e}: "
-                "it is not an exact coefficient of a series over this loop matrix"
-            )
-        out.append(tuple(v.numerator * (e // v.denominator) for v in entries))
-    return out
-
-
 def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSeries:
     """Inverse of G = I + G_1/lam + ... as I + sum U_k lam^-k, through
     lam^-order (default and upper limit: the window of G).
 
-    Solves G * U = I block-recursively: U_0 = I and
-    U_k = -sum_{j=1..k} G_j U_{k-j}.  Requires G_0 = I.
-    """
-    return _inverse(G, G.tail_order if order is None else min(G.tail_order, order))
-
-
-@lru_cache(maxsize=None)
-def _inverse(G: MatrixSeries, order: int) -> MatrixSeries:
-    """`matrix_series_inverse` memoised on (G, effective order): `verify all`
-    inverts the same few loop matrices a dozen times.
-
-    The recursion runs on the graded lift: u_k = E_k U_k is the integer block
-    -sum_j (E_k / (E_j E_{k-j})) g_j u_{k-j}.
+    G * U = I is solved block-recursively, U_0 = I and
+    U_k = -sum_{j=1..k} G_j U_{k-j}, once per loop matrix on its graded lift
+    (`GradedLift.inverse`); this is its `Fraction` view.  Requires G_0 = I.
     """
     lift = G.lift
-    g, ratios = lift.blocks, lift.ratios
-    u: list[IntBlock] = [(1, 0, 0, 1)]
-    for k in range(1, order + 1):
-        s11, s12, s21, s22 = block_sum((ratios[k][j], g[j], u[k - j]) for j in range(1, k + 1))
-        u.append((-s11, -s12, -s21, -s22))
-    return MatrixSeries(tuple(lift.lower(b, k) for k, b in enumerate(u)))
+    order = G.tail_order if order is None else min(G.tail_order, order)
+    return MatrixSeries(tuple(lift.lower(lift.inverse[k], k) for k in range(order + 1)))

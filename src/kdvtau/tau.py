@@ -37,7 +37,7 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 
 from .errors import DegreeExceededError, InsufficientTableError
@@ -74,7 +74,7 @@ __all__ = [
 class TauSeries(Record):
     """Tau series in theta variables, exact through graded degree `degree`."""
 
-    __slots__ = ("poly", "degree", "source")
+    __slots__ = ("poly", "degree", "source", "__dict__")
 
     def __init__(self, poly: GradedPoly, degree: int, source: str) -> None:
         if poly.constant_term() != 1:
@@ -92,6 +92,12 @@ class TauSeries(Record):
         if degree > self.degree:
             raise DegreeExceededError(f"tau series is exact only through degree {self.degree}")
         return TauSeries(self.poly.truncate(degree), degree, self.source)
+
+    @cached_property
+    def log(self) -> GradedPoly:
+        """log Z in t, computed once per series: the memo behind `free_energy`,
+        which several verifiers of one tau read."""
+        return graded_log(to_t_variables(self))
 
 
 def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
@@ -179,8 +185,8 @@ def to_t_variables(tau: TauSeries) -> GradedPoly:
 
 
 def free_energy(tau: TauSeries) -> GradedPoly:
-    """log Z in the coupling constants t."""
-    return graded_log(to_t_variables(tau))
+    """log Z in the coupling constants t, computed once per tau series."""
+    return tau.log
 
 
 # ---------------------------------------------------------------------------

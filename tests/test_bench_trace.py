@@ -3,10 +3,12 @@
 `bench/replay.py` rebinds kdvtau functions by name (`tau.intersection_number`,
 `tau.tau_truncated`, `tau.initial_data`, `schur.giambelli_coeff`,
 `schur.schur_poly`, `series.series_inverse`, ...), so renaming one of them in
-`src/` would make `bench/run.py --trace 1` fail.  This runs the replay on five
+`src/` would make `bench/run.py --trace 1` fail.  This runs the replay on six
 CLI calls and checks that it exits 0 and writes its spans, that the tau build
-of `grassmann` reaches the wrapped tau layers, and that the Z-table routes
-reach `grassmann.z_table_direct` and `series.matrix_series_inverse`.
+of `grassmann` reaches the wrapped tau layers, that the Z-table routes reach
+`grassmann.z_table_direct` and the loop-matrix builders (which solve the
+inverse on the graded lift), and that the R-matrix check reaches
+`series.matrix_series_inverse`.
 """
 
 import json
@@ -28,8 +30,9 @@ CALLS = {
     "verify cq-identity": (),
     "grassmann POINT --tau 6 --initial-data 4":
         ("schur.giambelli", "tau.assemble", "tau.initial_data"),
-    "verify recursion --depth 3": ("grassmann.z_direct", "series.inverse"),
-    "affine --source grassmann --max-m 5 --max-n 5": ("series.inverse",),
+    "verify recursion --depth 3": ("grassmann.z_direct", "grassmann.loop_matrix"),
+    "affine --source grassmann --max-m 5 --max-n 5": ("grassmann.loop_matrix",),
+    "verify rmatrix --depth 2": ("series.inverse",),
 }
 
 

@@ -194,6 +194,34 @@ def test_verify_all_builds_one_tau(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
+    # equal Witten-Kontsevich loop matrices are one memoised object, so each
+    # depth read by the suites gets one graded lift and one integer inverse
+    from kdvtau.grassmann import wk_G
+    from kdvtau.series import GradedLift
+
+    depths = []
+    init = GradedLift.__init__
+    monkeypatch.setattr(GradedLift, "__init__",
+                        lambda self, *a: depths.append(len(a[0]) - 1) or init(self, *a))
+    wk_G.cache_clear()
+    code, _, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert sorted(depths) == [11, 21, 24, 31, 41]
+
+
+def test_verify_all_takes_one_log_of_its_tau(capsys, monkeypatch):
+    # string-recursion, dimension-filter and kdv flows 1 and 2 all read log Z
+    import kdvtau.tau as tau
+
+    calls = []
+    log = tau.graded_log
+    monkeypatch.setattr(tau, "graded_log", lambda *a: calls.append(a) or log(*a))
+    code, _, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("suite", [s for s in SUITE_DEFAULT_DEPTH if s not in ("string", "kdv")] + ["all"])
 def test_verify_point_with_a_suite_that_ignores_it_exits_2(capsys, tmp_path, suite):
     code, out, err = run(capsys, "verify", suite, "--depth", "1",

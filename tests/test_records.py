@@ -45,8 +45,8 @@ RECORDS = {
     M2: lambda: ((F(1), F(2), F(3), F(4)), (F(1), F(2), F(3), F(5))),
     MatrixSeries: lambda: (((M2.identity(), M2.of(0, 1, 0, 0)),), ((M2.identity(), M2.zero()),)),
     GradedLift: lambda: (
-        ((1, 2), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0))),
-        ((1, 3), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0))),
+        ((1, 2), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0)), ((1, 0, 0, 1), (0, -1, 0, 0))),
+        ((1, 2), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0)), ((1, 0, 0, 1), (0, 1, 0, 0))),
     ),
     GrassmannPoint: lambda: ((tail(2), tail(0, 1)), (tail(2), tail(0, 2))),
     ZTable: lambda: ((0, 0, ((M2.identity(),),)), (0, 0, ((M2.zero(),),))),

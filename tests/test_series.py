@@ -7,6 +7,7 @@ from kdvtau.errors import InsufficientDepthError, NonUnitError, NotNormalizedErr
 from kdvtau.grassmann import wk_point
 from kdvtau.series import (
     M2,
+    GradedLift,
     LaurentSeries,
     MatrixSeries,
     constant_series,
@@ -238,15 +239,21 @@ def test_matrix_inverse_wk_blocks():
     assert all(prod[k].is_zero() for k in range(1, 7))
 
 
-def test_matrix_inverse_is_computed_once_per_effective_order():
+def test_wk_loop_matrix_is_lifted_and_inverted_once(monkeypatch):
     from kdvtau.grassmann import wk_G
 
     G = wk_G(8)
+    assert wk_G(8) is G
+    built = []
+    init = GradedLift.__init__
+    monkeypatch.setattr(GradedLift, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    G = MatrixSeries(G.coeffs)  # a fresh object builds its own lift, once
+    assert G.lift is G.lift and len(built) == 1
     U = matrix_series_inverse(G)
-    assert matrix_series_inverse(wk_G(8), 8) is U
-    assert matrix_series_inverse(G, 20) is U  # capped at the window of G
+    assert U.tail_order == 8 and matrix_series_inverse(G, 20) == U  # capped at the window of G
     short = matrix_series_inverse(G, 5)
     assert short.tail_order == 5 and short.blocks(5) == U.blocks(5)
+    assert len(built) == 1
 
 
 def test_matrix_series_window():
