@@ -62,6 +62,14 @@ def _affine_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) ->
     return tables
 
 
+def _wk_z_table(size: int, memo: dict) -> gr.ZTable:
+    """Z_{k,l}, k, l <= size, of the Witten-Kontsevich point, once per `memo`."""
+    table = memo.get(("z", size))
+    if table is None:
+        table = memo["z", size] = gr.z_table_recursive(gr.wk_G(2 * size + 1), size, size)
+    return table
+
+
 def _load_point(path: str) -> gr.GrassmannPoint:
     with open(path, "r", encoding="utf-8") as fh:
         try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
@@ -132,7 +140,7 @@ def cmd_intersect(args: argparse.Namespace) -> int:
 
 
 def _run_suite(
-    suite: str, depth: int, flow: int, point: gr.GrassmannPoint | None, taus: dict
+    suite: str, depth: int, flow: int, point: gr.GrassmannPoint | None, memo: dict
 ) -> list[VerificationReport]:
     if suite == "cq-identity":
         return [gr.verify_cq_identity(depth)]
@@ -151,25 +159,23 @@ def _run_suite(
         ]
     if suite == "symmetry":
         half = max(depth // 2, 1)
-        G = gr.wk_G(2 * half + 1)
-        table = gr.z_table_recursive(G, half, half)
         return [
             zhou.verify_b_symmetry(depth, depth),
-            gr.verify_symmetry(table, G, half),
+            gr.verify_symmetry(_wk_z_table(half, memo), gr.wk_G(2 * half + 1), half),
         ]
     if suite == "genfun":
-        G = gr.wk_G(2 * depth + 1)
-        table = gr.z_table_recursive(G, depth, depth)
-        return [gr.verify_generating_function(G, table, depth)]
+        table = _wk_z_table(depth, memo)
+        return [gr.verify_generating_function(gr.wk_G(2 * depth + 1), table, depth)]
     if suite == "zhou-match":
-        (table,) = _affine_tables(None, (depth, depth))
+        # spans 0..2 (depth // 2) + 1 >= depth; the verifier reads 0..depth
+        table = _wk_z_table(depth // 2, memo).to_affine_table()
         return [zhou.verify_zhou_match(table, depth, depth)]
     if suite in POINT_SUITES:
-        t = taus.get((point, depth))
+        t = memo.get(("tau", point, depth))
         if t is None:
             size = max(depth - 1, 1)
             (table,) = _affine_tables(point, (size, size))
-            t = taus[point, depth] = tau_mod.tau_truncated(table, depth)
+            t = memo["tau", point, depth] = tau_mod.tau_truncated(table, depth)
         if suite == "kdv":
             return [tau_mod.verify_kdv_flow(t, flow)]
         reports = [tau_mod.verify_string_equation(t)]
@@ -201,10 +207,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         runs = [(args.suite, args.flow)]
     any_fail = False
-    taus: dict = {}  # tau per (point, depth), shared by the string and kdv suites
+    memo: dict = {}  # shared by the suites: tau per (point, depth), WK Z table per size
     for suite, flow in runs:
         depth = args.depth if args.depth is not None else SUITE_DEFAULT_DEPTH[suite]
-        reports = _run_suite(suite, depth, flow if flow is not None else args.flow, point, taus)
+        reports = _run_suite(suite, depth, flow if flow is not None else args.flow, point, memo)
         for rep in reports:
             print(rep.line())
             if not rep.skipped and not rep.passed:

@@ -50,6 +50,7 @@ from .errors import ExactComputationError, InsufficientDepthError, OutOfRangeErr
 from .exactnum import Record, _setattr, format_rational
 from .report import VerificationReport, first_failures
 from .series import (
+    _ZERO,
     M2,
     LaurentSeries,
     IntBlock,
@@ -253,7 +254,7 @@ class AffineTable(Record):
     def value(self, m: int, n: int) -> Fraction:
         if not (0 <= m <= self.max_m and 0 <= n <= self.max_n):
             raise OutOfRangeError(f"A[{m},{n}] outside table {self.max_m}x{self.max_n}")
-        return self.entries.get((m, n), Fraction(0))
+        return self.entries.get((m, n), _ZERO)
 
     @cached_property
     def minors(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:

@@ -74,12 +74,6 @@ class Partition(Record):
     def length(self) -> int:
         return len(self.parts)
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        cols = [sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)]
-        return Partition(tuple(cols))
-
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
@@ -106,13 +100,16 @@ class FrobeniusCoords(Record):
 
 def frobenius(mu: Partition) -> FrobeniusCoords:
     """Frobenius coordinates m_i = mu_i - i, n_i = mu'_i - i (1-based i)."""
-    conj = mu.conjugate().parts
+    parts = mu.parts
     k = 0
-    while k < mu.length and mu.parts[k] >= k + 1:
+    while k < len(parts) and parts[k] > k:
         k += 1
-    arms = tuple(mu.parts[i] - (i + 1) for i in range(k))
-    legs = tuple(conj[i] - (i + 1) for i in range(k))
-    return FrobeniusCoords(arms, legs)
+    legs, j = [], len(parts)  # mu'_(i+1) = j counts the parts > i, i = 0, 1, ...
+    for i in range(k):
+        while parts[j - 1] <= i:
+            j -= 1
+        legs.append(j - (i + 1))
+    return FrobeniusCoords(tuple(parts[i] - (i + 1) for i in range(k)), tuple(legs))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -27,6 +27,10 @@ and generating-function verifiers of `grassmann` read it, convolve integer
 blocks (`block_sum`) and reduce each entry once, at the end, instead of one
 gcd per rational add or multiply.  `matrix_series_inverse` is the
 `Fraction` view of the same inverse.
+
+`M2` arithmetic skips work on zero operands (x + 0 = x, x - 0 = x, 0 - y = -y,
+-0 = 0, no product with a zero factor: `_add`, `_sub`, `_neg`, `_dot`, also
+used by `zhou`): Witten-Kontsevich data vanish off the mod-3 support.
 """
 
 from __future__ import annotations
@@ -333,12 +337,30 @@ def _json_rational(value: object) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+_ZERO = Fraction(0)
+
+
+def _add(a: Fraction, b: Fraction) -> Fraction:
+    """a + b, returning the other operand when one is zero."""
+    return (a + b if a else b) if b else a
+
+
+def _sub(a: Fraction, b: Fraction) -> Fraction:
+    """a - b, returning a or -b when one operand is zero."""
+    return (a - b if a else -b) if b else a
+
+
+def _neg(a: Fraction) -> Fraction:
+    """-a, returning a zero as it is."""
+    return -a if a else a
+
+
 def _dot(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """a*b + c*d, skipping a product with a zero factor: Witten-Kontsevich
     blocks have one or two nonzero entries of four."""
     if a and b:
         return a * b + c * d if c and d else a * b
-    return c * d if c and d else Fraction(0)
+    return c * d if c and d else _ZERO
 
 
 class M2(Record):
@@ -358,26 +380,26 @@ class M2(Record):
 
     @classmethod
     def zero(cls) -> "M2":
-        return cls.of(0, 0, 0, 0)
+        return _M2_ZERO
 
     @classmethod
     def identity(cls) -> "M2":
-        return cls.of(1, 0, 0, 1)
+        return _M2_IDENTITY
 
     @classmethod
     def diag(cls, x: RationalLike, y: RationalLike) -> "M2":
         return cls.of(x, 0, 0, y)
 
     def __add__(self, other: "M2") -> "M2":
-        return M2(self.a11 + other.a11, self.a12 + other.a12,
-                  self.a21 + other.a21, self.a22 + other.a22)
+        return M2(_add(self.a11, other.a11), _add(self.a12, other.a12),
+                  _add(self.a21, other.a21), _add(self.a22, other.a22))
 
     def __sub__(self, other: "M2") -> "M2":
-        return M2(self.a11 - other.a11, self.a12 - other.a12,
-                  self.a21 - other.a21, self.a22 - other.a22)
+        return M2(_sub(self.a11, other.a11), _sub(self.a12, other.a12),
+                  _sub(self.a21, other.a21), _sub(self.a22, other.a22))
 
     def __neg__(self) -> "M2":
-        return M2(-self.a11, -self.a12, -self.a21, -self.a22)
+        return M2(_neg(self.a11), _neg(self.a12), _neg(self.a21), _neg(self.a22))
 
     def __matmul__(self, other: "M2") -> "M2":
         return M2(
@@ -389,7 +411,7 @@ class M2(Record):
 
     def adjugate(self) -> "M2":
         """adj(M) = [[d, -b], [-c, a]]; equals sigma2 M^T sigma2 for 2x2."""
-        return M2(self.a22, -self.a12, -self.a21, self.a11)
+        return M2(self.a22, _neg(self.a12), _neg(self.a21), self.a11)
 
     def swap_diagonal(self) -> "M2":
         """eta M^T eta with eta = [[0,1],[1,0]]: swaps the diagonal entries."""
@@ -407,6 +429,10 @@ class M2(Record):
     def __str__(self) -> str:
         r = [[format_rational(x) for x in row] for row in self.rows()]
         return f"[[{r[0][0]}, {r[0][1]}], [{r[1][0]}, {r[1][1]}]]"
+
+
+_M2_ZERO = M2(_ZERO, _ZERO, _ZERO, _ZERO)  # M2 is immutable, so these are shared
+_M2_IDENTITY = M2(Fraction(1), _ZERO, _ZERO, Fraction(1))
 
 
 class MatrixSeries(Record):
@@ -450,7 +476,7 @@ class MatrixSeries(Record):
         """det G(lam) as a scalar series in 1/lam, exact through the same window."""
         g = self.coeffs
         terms = {
-            -k: sum(_dot(g[i].a11, g[k - i].a22, -g[i].a12, g[k - i].a21) for i in range(k + 1))
+            -k: sum(_dot(g[i].a11, g[k - i].a22, _neg(g[i].a12), g[k - i].a21) for i in range(k + 1))
             for k in range(len(g))
         }
         return LaurentSeries.from_dict(terms, self.tail_order)
@@ -519,9 +545,6 @@ class GradedLift(Record):
         """The exact block `block` / E_grade, each entry reduced once."""
         e = self.grades[grade]
         return M2(*(Fraction(n, e) if n else _ZERO for n in block))
-
-
-_ZERO = Fraction(0)
 
 
 def block_sum(

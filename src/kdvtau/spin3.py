@@ -143,34 +143,33 @@ def v_table(size: int) -> VTable:
     """Solve (R*(w)R(z) - I)/(w+z) for V_{k,l}, 0 <= k,l <= size.
 
     Raw quotient coefficients: Q_{k,l} = sum_{r=0..l} (-1)^r N_{k+1+r, l-r}
-    with N_{i,j} = R*_i R_j (N_{0,0} = 0).  The solution is consistent iff
-    the boundary equations Q_{0,j-1} = N_{0,j} also hold, which encodes the
-    divisibility of the numerator by w + z; a violation raises
+    with N_{i,j} = R*_i R_j (N_{0,0} = 0), each formed once.  The solution is
+    consistent iff the boundary equations Q_{0,j-1} = N_{0,j} also hold, which
+    encodes the divisibility of the numerator by w + z; a violation raises
     InconsistentDivisionError.
     """
     need = 2 * size + 1
     R = r_matrix(need)
-
-    def N(i: int, j: int) -> M2:
-        if i == 0 and j == 0:
-            return M2.zero()
-        return R.block(i).swap_diagonal() @ R.block(j)
+    stars = [R.block(i).swap_diagonal() for i in range(need + 1)]
+    N = [[star @ R.block(j) for j in range(min(size + 1, need - i) + 1)]
+         for i, star in enumerate(stars)]
+    N[0][0] = M2.zero()
 
     q: dict[tuple[int, int], M2] = {}
     for k in range(size + 1):
         for l in range(size + 1):
             acc = M2.zero()
             for r in range(l + 1):
-                term = N(k + 1 + r, l - r)
-                acc = acc + (term if r % 2 == 0 else -term)
+                term = N[k + 1 + r][l - r]
+                acc = acc + term if r % 2 == 0 else acc - term
             q[(k, l)] = acc
     for j in range(1, size + 2):
         lhs = q.get((0, j - 1))
         if lhs is None:
             continue
-        if lhs != N(0, j):
+        if lhs != N[0][j]:
             raise InconsistentDivisionError(
-                f"numerator not divisible by w+z at boundary column {j}: {lhs} vs {N(0, j)}"
+                f"numerator not divisible by w+z at boundary column {j}: {lhs} vs {N[0][j]}"
             )
     rows = []
     for k in range(size + 1):

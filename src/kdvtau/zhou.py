@@ -32,7 +32,8 @@ Rescaling by B_{row,col} = (sqrt(-2))^(row+col+1) A^Z_{row,col} adds
 row+col+1 = 3(m+n) to k and lands in Q exactly when the total exponent is
 even, since sqrt(-2)^(2j) = (-2)^j.  That parity is asserted rather than
 assumed, so a transcription error in an index family or exponent would
-surface as a NonRationalError.
+surface as a NonRationalError.  Off the support the rescaled value is a
+shared zero, with no arithmetic, and the verifiers skip work on zeros.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .exactnum import (
 )
 from .grassmann import AffineTable
 from .report import VerificationReport, first_failures
+from .series import _ZERO, _dot, _neg, _sub
 
 __all__ = [
     "ZhouIndex",
@@ -171,8 +173,12 @@ def zhou_A(idx: ZhouIndex) -> tuple[Fraction, int]:
 
 @lru_cache(maxsize=None)
 def rescale_B(row: int, col: int) -> Fraction:
-    """B_{row,col} = (sqrt(-2))^(row+col+1) * A^Z_{row,col}, asserted rational."""
-    c, k = zhou_A(ZhouIndex(row, col))
+    """B_{row,col} = (sqrt(-2))^(row+col+1) * A^Z_{row,col}, asserted rational;
+    a shared zero off the support."""
+    idx = ZhouIndex(row, col)
+    if idx.family == "zero":
+        return _ZERO
+    c, k = zhou_A(idx)
     k += row + col + 1
     value = c * (-2) ** (k // 2)  # times a further sqrt(-2) when k is odd
     if value and k % 2:
@@ -283,8 +289,8 @@ def verify_two_step_recursion(max_sum: int) -> VerificationReport:
         f"(m,n)=({m},{n}): {format_rational(lhs)} vs {format_rational(rhs)}"
         for m in range(max_sum + 1)
         for n in range(max_sum - m + 1)
-        if (lhs := rescale_B(m + 2, n) - rescale_B(m, n + 2))
-        != (rhs := rescale_B(m, 0) * rescale_B(1, n) + rescale_B(m, 1) * rescale_B(0, n))
+        if (lhs := _sub(rescale_B(m + 2, n), rescale_B(m, n + 2)))
+        != (rhs := _dot(rescale_B(m, 0), rescale_B(1, n), rescale_B(m, 1), rescale_B(0, n)))
     )
     return VerificationReport(suite, not failures, f"m+n <= {max_sum}", failures=failures)
 
@@ -296,6 +302,6 @@ def verify_b_symmetry(max_m: int, max_n: int) -> VerificationReport:
         f"({m},{n})"
         for m in range(max_m + 1)
         for n in range(max_n + 1)
-        if rescale_B(n, m) != (1 if (m + n) % 2 == 0 else -1) * rescale_B(m, n)
+        if rescale_B(n, m) != (rescale_B(m, n) if (m + n) % 2 == 0 else _neg(rescale_B(m, n)))
     )
     return VerificationReport(suite, not failures, f"m <= {max_m}, n <= {max_n}", failures=failures)

@@ -9,6 +9,7 @@ routes that share no code.
 * `genus0(ks)`: the genus-0 multinomial (n-3)! / prod k_i! for sum k_i = n-3.
 * `valid_specs(budget)`: every sorted spec of genus >= 0 with
   sum (2 k_i + 1) <= budget.
+* `conjugate(mu)`: the transposed partition, mu'_j = #{i : mu_i >= j}.
 * `character(mu, rho)`: the symmetric-group character chi^mu(rho) by the
   Murnaghan-Nakayama recursion, the per-(mu, lam) route the rim-hook walk of
   `tau_truncated` replaced.
@@ -105,6 +106,11 @@ def valid_specs(budget: int) -> list[tuple[int, ...]]:
 
     rec((), 0, budget)
     return out
+
+
+def conjugate(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate partition: mu'_j = #{i : mu_i >= j}, j = 1..mu_1."""
+    return tuple(sum(1 for p in mu if p >= j) for j in range(1, (mu[0] if mu else 0) + 1))
 
 
 @lru_cache(maxsize=None)

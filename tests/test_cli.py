@@ -194,6 +194,37 @@ def test_verify_all_builds_one_tau(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_all_builds_one_wk_z_table_for_three_suites(capsys, monkeypatch):
+    # symmetry, genfun and zhou-match all read the K = L = 15 table of wk_G(31)
+    import kdvtau.grassmann as gr
+
+    shapes = []
+    build = gr.z_tables_recursive
+    monkeypatch.setattr(gr, "z_tables_recursive",
+                        lambda G, s: shapes.append((G.tail_order, *s)) or build(G, s))
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    suites = {line.split(":")[0] for line in out.splitlines()}
+    assert {"symmetry", "generating-function", "zhou-match"} <= suites
+    assert shapes.count((31, (15, 15))) == 1
+
+
+def test_v_table_forms_each_numerator_block_once(monkeypatch):
+    # N_{i,j} = R*_i R_j: one R*_i per i, and no product of the same pair twice
+    from kdvtau import spin3
+    from kdvtau.series import M2
+
+    stars, products = [], []
+    swap, matmul = M2.swap_diagonal, M2.__matmul__
+    monkeypatch.setattr(M2, "swap_diagonal", lambda self: stars.append(self) or swap(self))
+    monkeypatch.setattr(M2, "__matmul__",
+                        lambda self, other: products.append((self, other)) or matmul(self, other))
+    size = 7
+    spin3.v_table(size)
+    assert len(stars) == len(set(stars)) == 2 * size + 2
+    assert len(products) == len(set(products))
+
+
 def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
     # equal Witten-Kontsevich loop matrices are one memoised object, so each
     # depth read by the suites gets one graded lift and one integer inverse

@@ -91,6 +91,26 @@ def case_b_symmetry(mp, G, tau):
     return zhou.verify_b_symmetry(6, 6)
 
 
+# The zero-aware verifiers on a bump at a structurally zero entry: each must
+# still fail, so the shortcuts skip arithmetic on zeros, not checks.
+
+
+def case_two_step_recursion_off_support(mp, G, tau):
+    bumped_rescale_B(mp, 3, 0)  # off the support, 3 + 0 = 0 (mod 3): B_{3,0} = 0
+    return zhou.verify_two_step_recursion(6)
+
+
+def case_b_symmetry_off_support(mp, G, tau):
+    bumped_rescale_B(mp, 3, 0)  # off the support, 3 + 0 = 0 (mod 3): B_{3,0} = 0
+    return zhou.verify_b_symmetry(6, 6)
+
+
+def case_symmetry_off_support(mp, G, tau):
+    # a12 of Z_{0,1} is A_{1,3} = 0 (1 + 3 = 1 mod 3); not a diagonal block,
+    # whose a12 bump leaves Z_{k,k} = -adj Z_{k,k} true
+    return grassmann.verify_symmetry(bumped_z(z_table_recursive(G, 4, 4), 0, 1), G, 4)
+
+
 def case_dimension_filter(mp, G, tau):
     return verify_dimension_filter(bumped_tau(tau, ((1, 2),)))  # <tau_0 tau_0> has no genus
 
@@ -132,6 +152,7 @@ def case_thm2(mp, G, tau):
     case_generating_function, case_symmetry, case_z_equivalence, case_z_recursion,
     case_z_generating_series, case_zhou_match, case_two_step_recursion, case_b_symmetry,
     case_dimension_filter, case_string_recursion, case_r_from_G, case_v_relations, case_thm2,
+    case_two_step_recursion_off_support, case_b_symmetry_off_support, case_symmetry_off_support,
 ], ids=lambda case: case.__name__[len("case_"):])
 def test_capped_verifier_fails_on_one_perturbed_entry(monkeypatch, wk_G41, wk_tau12, case):
     rep = case(monkeypatch, wk_G41, wk_tau12)

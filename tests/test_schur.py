@@ -22,7 +22,7 @@ from kdvtau.schur import (
     schur_poly,
 )
 
-from oracles import character, evaluate, graded_exp, graded_log as power_series_log, pow_int
+from oracles import character, conjugate, evaluate, graded_exp, graded_log as power_series_log, pow_int
 
 F = Fraction
 
@@ -73,8 +73,8 @@ def test_partition_validation():
 
 
 def test_conjugate():
-    assert Partition((4, 2, 1)).conjugate() == Partition((3, 2, 1, 1))
-    assert Partition(()).conjugate() == Partition(())
+    assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
+    assert conjugate(()) == ()
 
 
 def test_frobenius_examples():
@@ -82,6 +82,15 @@ def test_frobenius_examples():
     assert frobenius(Partition((2, 1))) == FrobeniusCoords((1,), (1,))
     assert frobenius(Partition((3,))) == FrobeniusCoords((2,), (0,))
     assert frobenius(Partition((4, 3, 1))) == FrobeniusCoords((3, 1), (2, 0))
+
+
+def test_frobenius_matches_the_conjugate_definition_weight_14():
+    for mu in partitions_up_to(14):
+        conj = conjugate(mu.parts)
+        k = sum(1 for i, p in enumerate(mu.parts) if p >= i + 1)
+        arms = tuple(mu.parts[i] - (i + 1) for i in range(k))
+        legs = tuple(conj[i] - (i + 1) for i in range(k))
+        assert frobenius(mu) == FrobeniusCoords(arms, legs), mu
 
 
 def test_frobenius_round_trip_weight_12():
@@ -180,7 +189,7 @@ def test_characters_are_the_jacobi_trudi_coefficients():
 def test_character_at_the_identity_is_the_hook_length_formula():
     for n in range(11):
         for mu in partitions_of(n):
-            conj = Partition(mu).conjugate().parts
+            conj = conjugate(mu)
             hooks = math.prod(
                 mu[i] - j + conj[j] - i - 1 for i in range(len(mu)) for j in range(mu[i])
             )

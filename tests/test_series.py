@@ -268,6 +268,44 @@ def test_matrix_series_window():
     assert det == S({0: 1, -1: 3, -2: 2}, 2)
 
 
+# entries drawn from 0, small +-p/q and numerators of about 300 bits, so that
+# blocks have random zero patterns, as Witten-Kontsevich blocks do
+ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(lambda sign, n, d: Fraction(sign * n, d), st.sampled_from([1, -1]),
+              st.integers(2**299, 2**301), st.integers(1, 2**20)),
+)
+BLOCK = st.builds(M2, ENTRY, ENTRY, ENTRY, ENTRY)
+
+
+def entries(m):
+    return [m.a11, m.a12, m.a21, m.a22]
+
+
+def test_m2_constants_are_the_plain_blocks():
+    assert M2.zero() == M2.of(0, 0, 0, 0) and M2.zero().is_zero()
+    assert M2.identity() == M2.of(1, 0, 0, 1)
+    assert all(type(v) is Fraction for v in entries(M2.zero()) + entries(M2.identity()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(BLOCK, BLOCK)
+def test_zero_aware_m2_arithmetic_is_entrywise_fraction_arithmetic(a, b):
+    x, y = entries(a), entries(b)
+    results = {
+        "+": (a + b, [p + q for p, q in zip(x, y)]),
+        "-": (a - b, [p - q for p, q in zip(x, y)]),
+        "neg": (-a, [-p for p in x]),
+        "@": (a @ b, [x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                      x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]]),
+        "adjugate": (a.adjugate(), [x[3], -x[1], -x[2], x[0]]),
+    }
+    for op, (got, want) in results.items():
+        assert entries(got) == want, op
+        assert all(type(v) is Fraction for v in entries(got)), op
+
+
 def test_matrix_inverse_requires_identity_leading_block():
     G = MatrixSeries.from_blocks([M2.of(2, 0, 0, 1)], 3)
     with pytest.raises(NotNormalizedError):
