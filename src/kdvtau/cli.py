@@ -79,10 +79,11 @@ def _load_point(path: str) -> gr.GrassmannPoint:
 
 
 def _int_at_least(low: int):
-    """argparse type for an integer >= low; anything else is a usage error (exit 2)."""
+    """argparse type for an integer >= low in ASCII digits; anything else (a
+    sign, space, underscore, another script's digits) is a usage error (exit 2)."""
 
     def parse(text: str) -> int:
-        if not (text.isdigit() and int(text) >= low):
+        if not (text.isascii() and text.isdigit() and int(text) >= low):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return int(text)
 
@@ -118,9 +119,8 @@ def cmd_affine(args: argparse.Namespace) -> int:
 
 def cmd_intersect(args: argparse.Namespace) -> int:
     try:
-        # int() rejects an empty part, so "" and "1,,2" are parse errors
-        spec = tau_mod.CorrelatorSpec.of([int(part) for part in args.spec.split(",")])
-    except ValueError:
+        spec = tau_mod.CorrelatorSpec.of([_count(part) for part in args.spec.split(",")])
+    except argparse.ArgumentTypeError:
         print(f"cannot parse spec {args.spec!r}; expected 'k1,k2,...'", file=sys.stderr)
         return 2
     if not spec.is_valid:
@@ -129,11 +129,10 @@ def cmd_intersect(args: argparse.Namespace) -> int:
         print(json.dumps(doc))
         return 0
     (table,) = _affine_tables(None, (spec.t_weight - 1, spec.t_weight - 1))
-    result = tau_mod.correlator(table, spec)
     doc = {
         "spec": list(spec.exponents),
-        "genus": result.genus,
-        "value": format_rational(result.value),
+        "genus": spec.genus,
+        "value": format_rational(tau_mod.correlator(table, spec)),
     }
     print(json.dumps(doc))
     return 0

@@ -176,7 +176,7 @@ def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
             raise InsufficientDepthError(
                 f"{name} is only valid through lam^-{s.tail_order}, need lam^-{need}"
             )
-    blocks = [
+    return MatrixSeries(tuple(
         M2(
             p.a.coeff(-2 * k),
             p.b.coeff(-(2 * k + 1)),
@@ -184,8 +184,7 @@ def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
             p.b.coeff(-2 * k),
         )
         for k in range(depth + 1)
-    ]
-    return MatrixSeries.from_blocks(blocks, depth)
+    ))
 
 
 @lru_cache(maxsize=None)

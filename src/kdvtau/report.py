@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import islice
 
-from .exactnum import Record
+from .exactnum import Record, _setattr
 
 __all__ = ["MAX_FAILURES", "VerificationReport", "first_failures"]
 
@@ -31,10 +31,7 @@ class VerificationReport(Record):
     not hold) is neither a pass nor a failure.
     """
 
-    __slots__ = ("suite", "passed", "depth", "skipped", "failures", "notes", "bound")
-    __hash__ = None  # mutable, so unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+    __slots__ = ("suite", "passed", "depth", "skipped", "failures", "notes")
 
     def __init__(
         self,
@@ -44,15 +41,13 @@ class VerificationReport(Record):
         skipped: bool = False,
         failures: list[str] | None = None,
         notes: str = "",
-        bound: int | None = None,  # numeric reliability bound, when one applies
     ) -> None:
-        self.suite = suite
-        self.passed = passed
-        self.depth = depth
-        self.skipped = skipped
-        self.failures = [] if failures is None else failures
-        self.notes = notes
-        self.bound = bound
+        _setattr(self, "suite", suite)
+        _setattr(self, "passed", passed)
+        _setattr(self, "depth", depth)
+        _setattr(self, "skipped", skipped)
+        _setattr(self, "failures", [] if failures is None else failures)
+        _setattr(self, "notes", notes)
 
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")

@@ -31,7 +31,7 @@ from functools import lru_cache
 from .errors import DegreeExceededError, NonUnitError, OutOfRangeError
 from .exactnum import Record, RationalLike, _setattr, as_rational, format_rational
 from .grassmann import AffineTable
-from .series import _order_min
+from .series import _order_min, _product_window
 
 __all__ = [
     "Partition",
@@ -155,9 +155,9 @@ class GradedPoly(Record):
     Terms of graded degree <= bound are complete and exact; nothing is
     stored beyond the bound.  bound None means the polynomial is exact at
     every degree.  The bound propagates through arithmetic the same way the
-    Laurent tail window does: a product is reliable up to the degree where
-    the unknown part of one factor can first meet a stored term of the
-    other.
+    Laurent tail window does (`series._product_window`): a product is
+    reliable up to the degree where the unknown part of one factor can first
+    meet a stored term or the unknown part of the other.
     """
 
     __slots__ = ("kind", "terms", "bound")
@@ -243,7 +243,7 @@ class GradedPoly(Record):
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_kind(other)
-        bound = self._product_bound(other)
+        bound = _product_window(self.bound, self.min_degree, other.bound, other.min_degree)
         out: dict[Monomial, Fraction] = {}
         deg = lambda m: monomial_degree(self.kind, m)
         bdeg = {m: deg(m) for m in other.terms}
@@ -255,18 +255,6 @@ class GradedPoly(Record):
                 m = _merge_monomials(m1, m2)
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return GradedPoly.make(self.kind, out, bound)
-
-    def _product_bound(self, other: "GradedPoly") -> int | None:
-        """First contaminated degree minus one; None if both factors exact."""
-        candidates = []
-        if other.bound is not None:
-            if self.min_degree is not None:
-                candidates.append(self.min_degree + other.bound)
-            if self.bound is not None:
-                candidates.append(self.bound + other.bound + 2)
-        if self.bound is not None and other.min_degree is not None:
-            candidates.append(other.min_degree + self.bound)
-        return min(candidates) if candidates else None
 
     def derivative(self, idx: int) -> "GradedPoly":
         w = _VAR_DEGREE[self.kind](idx)
@@ -455,22 +443,22 @@ def _hook_minor(arms: tuple[int, ...], legs: tuple[int, ...], table: AffineTable
     return det
 
 
-def graded_log(p: GradedPoly, degree: int | None = None) -> GradedPoly:
-    """log of a polynomial with constant term 1, through `degree`.
+def graded_log(p: GradedPoly) -> GradedPoly:
+    """log of a polynomial with constant term 1, through its bound (pass
+    `p.truncate(cap)` for a lower cap; an exact `p` has no finite log).
 
     With p = 1 + sum_d p_d and g = log p = sum_d g_d split into homogeneous
     parts, the Euler operator E (times d on degree d) turns E p = p E g into
 
         d g_d = d p_d - sum_{k=1}^{d-1} (k g_k) p_{d-k},
 
-    one pass over the degrees up to the cap, each g_d from products of
+    one pass over the degrees up to the bound, each g_d from products of
     homogeneous parts already known.
     """
     if p.constant_term() != 1:
         raise NonUnitError("log needs constant term 1")
-    cap = _order_min(p.bound, degree)
-    if cap is None:
-        raise NonUnitError("an explicit degree cap is required for the log of an exact polynomial")
+    if (cap := p.bound) is None:
+        raise NonUnitError("the log of an exact polynomial needs a bound: pass p.truncate(cap)")
     parts: dict[int, dict[Monomial, Fraction]] = {}
     for mon, c in p.terms.items():
         if 0 < (d := monomial_degree(p.kind, mon)) <= cap:

@@ -9,11 +9,12 @@ never silently treated as zero, and asking for one raises
 at every order (a finite Laurent polynomial).
 
 Every operation computes the exact guaranteed window of its result.  For a
-product this is min(O_a - h_b, O_b - h_a), where h is the top exponent
-actually occupied by the other factor: the first unknown coefficient of one
-factor (at lam^(-O-1)) can meet the other factor's top term and contaminate
-everything below that level.  Comparisons are therefore only meaningful on
-the overlap of windows, and the verifiers report the depth actually checked.
+product this is min(O_a - h_b, O_b - h_a, O_a + O_b + 1) (`_product_window`,
+also used by `schur.GradedPoly`), h the top exponent occupied: the first
+unknown coefficient of one factor (at lam^(-O-1)) meets the other factor's
+top term or first unknown coefficient.  Comparisons are therefore only
+meaningful on the overlap of windows, and the verifiers report the depth
+actually checked.
 
 A `MatrixSeries` is the dense 2x2-block counterpart: the blocks of x^0..x^O
 with no head, for the loop matrix G(lam) (x = 1/lam), its inverse, and the
@@ -65,6 +66,24 @@ def _order_min(*orders: int | None) -> int | None:
     """Minimum of truncation orders, with None acting as +infinity."""
     finite = [o for o in orders if o is not None]
     return min(finite) if finite else None
+
+
+def _product_window(
+    bound_a: int | None, low_a: int | None, bound_b: int | None, low_b: int | None
+) -> int | None:
+    """Window of a product of factors known through `bound` (None: exact)
+    whose lowest stored term is at `low` (None: no term), on the scale where
+    unknown terms start at bound + 1 (-exponent for a `LaurentSeries`, degree
+    for a `GradedPoly`); None if the product is exact."""
+    candidates = []
+    if bound_a is not None:
+        if low_b is not None:
+            candidates.append(bound_a + low_b)
+        if bound_b is not None:
+            candidates.append(bound_a + bound_b + 1)
+    if bound_b is not None and low_a is not None:
+        candidates.append(bound_b + low_a)
+    return min(candidates) if candidates else None
 
 
 class LaurentSeries(Record):
@@ -172,15 +191,6 @@ class LaurentSeries(Record):
                 out.append(e)
         return out
 
-    def truncated(self, order: int) -> "LaurentSeries":
-        """Forget coefficients below lam^(-order) and shrink the window."""
-        if self.tail_order is not None and order > self.tail_order:
-            raise InsufficientDepthError(
-                f"cannot extend tail_order {self.tail_order} to {order}"
-            )
-        kept = tuple((e, v) for e, v in self.coeffs if e >= -order)
-        return LaurentSeries(kept, order)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -205,20 +215,10 @@ def constant_series(c: RationalLike, tail_order: int | None = None) -> LaurentSe
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Exact Cauchy product on the guaranteed window.
-
-    The window is min(O_a - h_b, O_b - h_a): the first unknown coefficient
-    of one factor meets the top occupied exponent of the other.
-    """
-    candidates: list[int] = []
-    if a.tail_order is not None:
-        if b.max_exponent is not None:
-            candidates.append(a.tail_order - b.max_exponent)
-        if b.tail_order is not None:
-            candidates.append(a.tail_order + b.tail_order + 2)
-    if b.tail_order is not None and a.max_exponent is not None:
-        candidates.append(b.tail_order - a.max_exponent)
-    order = min(candidates) if candidates else None
+    """Exact Cauchy product on the guaranteed window (`_product_window`)."""
+    h_a, h_b = a.max_exponent, b.max_exponent
+    order = _product_window(a.tail_order, None if h_a is None else -h_a,
+                            b.tail_order, None if h_b is None else -h_b)
     out: dict[int, Fraction] = {}
     for e1, v1 in a.coeffs:
         for e2, v2 in b.coeffs:
@@ -447,15 +447,6 @@ class MatrixSeries(Record):
 
     def __init__(self, coeffs: tuple[M2, ...]) -> None:
         _setattr(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[M2], tail_order: int | None = None) -> "MatrixSeries":
-        """The given leading blocks, zero-padded through x^tail_order (default: as given)."""
-        blocks = tuple(blocks)
-        order = len(blocks) - 1 if tail_order is None else tail_order
-        if order < 0 or len(blocks) > order + 1:
-            raise ValueError(f"{len(blocks)} blocks do not fit the window x^0..x^{order}")
-        return cls(blocks + (M2.zero(),) * (order + 1 - len(blocks)))
 
     @property
     def tail_order(self) -> int:

@@ -164,10 +164,7 @@ def v_table(size: int) -> VTable:
                 acc = acc + term if r % 2 == 0 else acc - term
             q[(k, l)] = acc
     for j in range(1, size + 2):
-        lhs = q.get((0, j - 1))
-        if lhs is None:
-            continue
-        if lhs != N[0][j]:
+        if (lhs := q[(0, j - 1)]) != N[0][j]:
             raise InconsistentDivisionError(
                 f"numerator not divisible by w+z at boundary column {j}: {lhs} vs {N[0][j]}"
             )

@@ -20,6 +20,8 @@ nonzero only when sum k_i = 3g - 3 + n for an integer genus g >= 0
 (`intersection_number`).  `correlator`, the `intersect` route, builds no
 tau: it reduces a spec by the string and dilaton equations and reads the
 rest off the affine table by Zhou's n-point functions (`log_tau_derivative`).
+Both return the correlator as a plain `Fraction`; its genus and dimension
+check are properties of the `CorrelatorSpec`.
 
 Differential identities (string equation, the flows of the hierarchy) are
 verified on the residual polynomial; the graded reliability bound of the
@@ -56,7 +58,6 @@ from .schur import (
 __all__ = [
     "TauSeries",
     "CorrelatorSpec",
-    "IntersectionResult",
     "tau_truncated",
     "to_t_variables",
     "free_energy",
@@ -74,14 +75,13 @@ __all__ = [
 class TauSeries(Record):
     """Tau series in theta variables, exact through graded degree `degree`."""
 
-    __slots__ = ("poly", "degree", "source", "__dict__")
+    __slots__ = ("poly", "degree", "__dict__")
 
-    def __init__(self, poly: GradedPoly, degree: int, source: str) -> None:
+    def __init__(self, poly: GradedPoly, degree: int) -> None:
         if poly.constant_term() != 1:
             raise ValueError("a tau series has constant term 1")
         _setattr(self, "poly", poly)
         _setattr(self, "degree", degree)
-        _setattr(self, "source", source)
 
     def truncate(self, degree: int) -> "TauSeries":
         """The same series, exact through the lower graded degree `degree`.
@@ -91,7 +91,7 @@ class TauSeries(Record):
         """
         if degree > self.degree:
             raise DegreeExceededError(f"tau series is exact only through degree {self.degree}")
-        return TauSeries(self.poly.truncate(degree), degree, self.source)
+        return TauSeries(self.poly.truncate(degree), degree)
 
     @cached_property
     def log(self) -> GradedPoly:
@@ -131,7 +131,7 @@ def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
             mults = Counter(lam)
             scale = math.prod(math.factorial(m) for m in mults.values())
             terms[tuple(sorted(mults.items()))] = Fraction(total, den * scale)
-    return TauSeries(GradedPoly("theta", terms, degree), degree, table.source)
+    return TauSeries(GradedPoly("theta", terms, degree), degree)
 
 
 def _rim_hook_walk(
@@ -247,41 +247,30 @@ class CorrelatorSpec(Record):
         return "<" + " ".join(f"tau_{k}" for k in self.exponents) + ">"
 
 
-class IntersectionResult(Record):
-    __slots__ = ("value", "genus", "dimension_ok")
+def intersection_number(spec: CorrelatorSpec, tau: TauSeries) -> Fraction:
+    """Exact correlator for `spec`, read off the free energy of `tau`.
 
-    def __init__(self, value: Fraction, genus: int | None, dimension_ok: bool) -> None:
-        _setattr(self, "value", value)
-        _setattr(self, "genus", genus)
-        _setattr(self, "dimension_ok", dimension_ok)
-
-
-def intersection_number(
-    spec: CorrelatorSpec, tau: TauSeries, F: GradedPoly | None = None
-) -> IntersectionResult:
-    """Exact correlator for `spec`, with its derived genus.
-
-    A spec that violates the dimension constraint yields value 0 with
-    dimension_ok False (this is a structural zero, not an error).
+    A spec that violates the dimension constraint (`spec.is_valid` False)
+    yields 0: a structural zero, not an error.
     """
-    if F is None:
-        F = free_energy(tau)
     if not spec.is_valid:
-        return IntersectionResult(Fraction(0), None, False)
+        return Fraction(0)
+    F = free_energy(tau)
     if F.bound is not None and spec.t_weight > F.bound:
         raise DegreeExceededError(
             f"spec {spec} needs degree {spec.t_weight}, free energy reliable to {F.bound}"
         )
-    return IntersectionResult(_from_free_energy(F, spec), spec.genus, True)
+    return _from_free_energy(F, spec)
 
 
 def _from_free_energy(F: GradedPoly, spec: CorrelatorSpec) -> Fraction:
     return F.coefficient(spec.monomial()) * spec.multiplicity_factor()
 
 
-def correlator(table: AffineTable, spec: CorrelatorSpec) -> IntersectionResult:
+def correlator(table: AffineTable, spec: CorrelatorSpec) -> Fraction:
     """Exact correlator for `spec`, read off the affine table of the
-    Witten-Kontsevich point without assembling tau.
+    Witten-Kontsevich point without assembling tau; 0 for a spec that
+    violates the dimension constraint.
 
     The spec is first reduced exactly by the string and dilaton equations,
 
@@ -299,7 +288,7 @@ def correlator(table: AffineTable, spec: CorrelatorSpec) -> IntersectionResult:
     W = `spec.t_weight`.
     """
     if not spec.is_valid:
-        return IntersectionResult(Fraction(0), None, False)
+        return Fraction(0)
     _require_table(table, spec.t_weight - 1, str(spec))
     genus = spec.genus
     memo: dict[tuple[int, ...], Fraction] = {}
@@ -323,7 +312,7 @@ def correlator(table: AffineTable, spec: CorrelatorSpec) -> IntersectionResult:
         scale = math.prod(_theta_to_t_factor(2 * k + 1) for k in ks)
         return scale * log_tau_derivative(table, [2 * k + 1 for k in ks])
 
-    return IntersectionResult(value(spec.exponents), genus, True)
+    return value(spec.exponents)
 
 
 def log_tau_derivative(table: AffineTable, thetas: list[int]) -> Fraction:
@@ -414,17 +403,7 @@ def verify_string_equation(tau: TauSeries) -> VerificationReport:
         raise DegreeExceededError(
             f"tau degree {tau.degree} leaves no certifiable residual for the string equation"
         )
-    ok = residual.is_zero()
-    failures = []
-    if not ok:
-        mon = min(residual.terms)
-        failures.append(
-            f"coefficient {format_rational(residual.terms[mon])} at monomial {mon}"
-        )
-    return VerificationReport(
-        suite, ok, f"residual certified through t-degree {residual.bound}",
-        failures=failures, bound=residual.bound,
-    )
+    return _residual_report(suite, residual)
 
 
 def verify_kdv_flow(tau: TauSeries, flow: int) -> VerificationReport:
@@ -452,17 +431,18 @@ def verify_kdv_flow(tau: TauSeries, flow: int) -> VerificationReport:
         raise DegreeExceededError(
             f"tau degree {tau.degree} leaves no certifiable residual for flow {flow}"
         )
-    ok = residual.is_zero()
+    return _residual_report(suite, residual)
+
+
+def _residual_report(suite: str, residual: GradedPoly) -> VerificationReport:
+    """Pass if the residual vanishes through its bound, else fail on the
+    coefficient of its least monomial."""
     failures = []
-    if not ok:
+    if not residual.is_zero():
         mon = min(residual.terms)
-        failures.append(
-            f"coefficient {format_rational(residual.terms[mon])} at monomial {mon}"
-        )
-    return VerificationReport(
-        suite, ok, f"residual certified through t-degree {residual.bound}",
-        failures=failures, bound=residual.bound,
-    )
+        failures.append(f"coefficient {format_rational(residual.terms[mon])} at monomial {mon}")
+    depth = f"residual certified through t-degree {residual.bound}"
+    return VerificationReport(suite, not failures, depth, failures=failures)
 
 
 def verify_dimension_filter(tau: TauSeries) -> VerificationReport:

@@ -17,7 +17,7 @@ from kdvtau.grassmann import (
     z_table_direct,
 )
 from kdvtau.series import LaurentSeries
-from kdvtau.tau import TauSeries, free_energy, tau_truncated
+from kdvtau.tau import TauSeries, tau_truncated
 from kdvtau.zhou import zhou_affine_table
 
 
@@ -46,9 +46,10 @@ def wk_tau12(wk_affine31) -> TauSeries:
     return tau_truncated(wk_affine31, 12)
 
 
-@pytest.fixture(scope="session")
-def wk_F12(wk_tau12):
-    return free_energy(wk_tau12)
+def certified_degree(report) -> int:
+    """The t-degree through which a residual report certifies its verdict,
+    read off its depth text "residual certified through t-degree N"."""
+    return int(report.depth.rsplit(" ", 1)[1])
 
 
 def example_point(c: Fraction) -> GrassmannPoint:

@@ -37,7 +37,7 @@ from kdvtau.zhou import (
     verify_zhou_match,
 )
 
-from conftest import example_table
+from conftest import certified_degree, example_table
 
 F = Fraction
 
@@ -94,10 +94,12 @@ def test_criterion_05_cq_and_kac_schwarz_depth_30():
     )
 
 
-def test_criterion_06_intersection_numbers(wk_tau12, wk_F12):
-    three = intersection_number(CorrelatorSpec.of([0, 0, 0]), wk_tau12, wk_F12)
-    one = intersection_number(CorrelatorSpec.of([1]), wk_tau12, wk_F12)
-    ok = three.value == 1 and three.genus == 0 and one.value == F(1, 24) and one.genus == 1
+def test_criterion_06_intersection_numbers(wk_tau12):
+    three, one = CorrelatorSpec.of([0, 0, 0]), CorrelatorSpec.of([1])
+    ok = (
+        intersection_number(three, wk_tau12) == 1 and three.genus == 0
+        and intersection_number(one, wk_tau12) == F(1, 24) and one.genus == 1
+    )
     rep_dim = verify_dimension_filter(wk_tau12)
     rep_str = verify_string_recursion(wk_tau12)
     rep_eq = verify_string_equation(wk_tau12)
@@ -130,7 +132,7 @@ def test_criterion_07_worked_example_end_to_end():
 def test_criterion_08_kdv_flows(wk_tau12):
     rep1 = verify_kdv_flow(wk_tau12, 1)
     rep2 = verify_kdv_flow(wk_tau12, 2)
-    ok = rep1.passed and rep1.bound >= 6 and rep2.passed and rep2.bound >= 4
+    ok = rep1.passed and certified_degree(rep1) >= 6 and rep2.passed and certified_degree(rep2) >= 4
     report(
         "criterion-08 KdV flow 1 (t-degree >= 6) and flow 2",
         ok,

@@ -128,9 +128,10 @@ def test_intersect_parse_error(capsys):
     assert "parse" in err
 
 
-@pytest.mark.parametrize("spec", ["", " ", ",", "1,,2", "1,2,", " ,3"])
+@pytest.mark.parametrize("spec", ["", " ", ",", "1,,2", "1,2,", " ,3", "+3", "1_0", " 4", "\u0663"])
 def test_intersect_empty_part_exits_2(capsys, spec):
-    # an empty spec is not the unstable <>_1, and no empty part is dropped
+    # an empty spec is not the unstable <>_1, and no empty part is dropped;
+    # a part is ASCII digits only, as for the count options
     code, out, err = run(capsys, "intersect", spec)
     assert code == 2
     assert out == ""
@@ -382,6 +383,7 @@ GOOD_SERIES = {"head": [], "tail_order": 1, "tail": ["1", "0"]}
     (["grassmann", "POINT", "--tau", "-1"], None),
     (["verify", "kdv", "--flow", "0"], None),
     (["coeffs", "--kind", "c", "--max", "-2"], None),
+    (["coeffs", "--kind", "c", "--max", "\u0663"], None),  # ARABIC-INDIC DIGIT THREE
     (["affine", "--source", "grassmann", "--max-m", "-1", "--max-n", "2"], None),
     (["grassmann", "POINT", "--affine", "-1", "2"], None),
     (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": ["2", "0"]}),
@@ -400,7 +402,7 @@ GOOD_SERIES = {"head": [], "tail_order": 1, "tail": ["1", "0"]}
     (["grassmann", "POINT", "--tau", "2"], {"head": [[0, "1"]], "tail_order": 1, "tail": ["0", "0"]}),
     (["grassmann", "POINT", "--tau", "2"], {"head": [[2, "1"], [2, "-1"]], "tail_order": 1,
                                             "tail": ["1", "0"]}),
-], ids=["depth", "tau", "flow", "max", "max-m", "affine",
+], ids=["depth", "tau", "flow", "max", "max-non-ascii-digit", "max-m", "affine",
         "constant-term", "tail-order", "zero-denominator",
         "tail-int", "tail-float", "tail-string", "tail-order-float", "tail-order-bool",
         "head-exponent-float", "not-utf8", "verify-not-utf8",

@@ -1,12 +1,16 @@
-"""Every name a module exports is used by the package itself.
+"""Every name a module exports, and every public method or property of a
+class, is used by the package itself.
 
-A name in some `__all__` that no code under `src/kdvtau` references is a
-helper only tests reach; such helpers belong in `tests/`.  References are
-names and attribute names anywhere in the package, except inside the
-definition of the name itself.  The allowlist names the exceptions.
+A name in some `__all__`, or a method, that no code under `src/kdvtau`
+references is a helper only tests reach; such helpers belong in `tests/`.
+References are names and attribute names anywhere in the package, except
+inside the definition of the name itself.  Methods are matched by name, so
+a method counts as used when a method of the same name elsewhere is.  The
+allowlists name the exceptions.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import kdvtau
@@ -47,3 +51,29 @@ def test_every_export_is_used_in_the_package():
     exported, used = exports_and_references()
     unused = {f"{module}.{name}" for name, module in exported.items() if name not in used}
     assert unused == {f"{exported[name]}.{name}" for name in ALLOWED}
+
+
+METHODS_ALLOWED: dict[str, str] = {}  # "module.Class.method" -> why it stays
+
+
+def references(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_method_is_used_in_the_package():
+    used, methods = Counter(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used += references(tree)
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            methods += [
+                (f"{path.stem}.{cls.name}.{item.name}", item)
+                for item in cls.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            ]
+    unused = {name for name, item in methods if used[item.name] == references(item)[item.name]}
+    assert unused == set(METHODS_ALLOWED)

@@ -73,6 +73,15 @@ GOLDEN = {
     "verify vmatrix --depth 5": (0, "eb3cc7d5a1fc28ba0a76918eede1643e63ae338dc08a5aa8f61a20b450c8b759"),
     "verify thm2 --depth 4": (0, "900643477755a9bd13a87873d6186a42ec14b094ff4837e211055530fbb6aa97"),
     "verify zhou-match --depth 45": (0, "f4815a8b1d022b86c30262cad6f8e2236246c8739c72c1166c00211d644c2a8f"),
+    # correlators, mixed affine/tau tables, the kdv residual report and the
+    # grassmann affine route, pinned before the correlator record was dropped
+    "intersect 2,2,2,2,2,2": (0, "9045d33d66022cf5500fa647b61f329fb02ba744356240199b8791b020d322e5"),
+    "intersect 28": (0, "4eefbb2266ee084e6ce337dd159291aa9af14ade010b6b5b07efcb9b663a5ca5"),
+    "intersect 3,3,4,5": (0, "c652e43fd7fd4138413d96a639bcc51f52b6e37398c1ae70416a4b7469757bab"),
+    "grassmann POINT3 --affine 9 2 --tau 6 --initial-data 4": (0, "47a0aed6f37dff34613f6feba8dd1dba2dd5da53431cff3b4e1bd4fa5c933104"),
+    "verify kdv --depth 12 --flow 3": (0, "544e3b0e8d40fcb02720038a22273119d820daf693b8455cf0758178804b1fce"),
+    "affine --source grassmann --max-m 12 --max-n 12 --format json": (0, "768a57b8df580cfa92e17d0fbdaf2ec380f4b15c7e2ab37ba95831170e6bb1ef"),
+    "affine --source grassmann --max-m 9 --max-n 4 --format csv": (0, "533b29de9e2238124f88e9698ec90486c8cf35b39df605a483c4d017af69861d"),
 }
 
 

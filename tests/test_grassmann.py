@@ -370,7 +370,7 @@ def test_generating_function_wk(wk_G41):
 def test_generating_function_identity_matrix():
     from kdvtau.series import MatrixSeries
 
-    eye = MatrixSeries.from_blocks([M2.identity()], 9)
+    eye = MatrixSeries((M2.identity(),) + (M2.zero(),) * 9)
     table = z_table_direct(eye, 3, 3)
     assert all(table.entry(k, l).is_zero() for k in range(4) for l in range(4))
     assert verify_generating_function(eye, table, 3).passed

@@ -16,7 +16,7 @@ from kdvtau.report import VerificationReport
 from kdvtau.schur import FrobeniusCoords, GradedPoly, Partition
 from kdvtau.series import M2, GradedLift, LaurentSeries, MatrixSeries
 from kdvtau.spin3 import VTable
-from kdvtau.tau import CorrelatorSpec, IntersectionResult, TauSeries
+from kdvtau.tau import CorrelatorSpec, TauSeries
 from kdvtau.zhou import ZhouIndex
 
 F = Fraction
@@ -55,14 +55,16 @@ RECORDS = {
     FrobeniusCoords: lambda: (((2,), (1,)), ((2,), (0,))),
     GradedPoly: lambda: (("theta", {((1, 2),): F(2)}, 5), ("theta", {((1, 2),): F(2)}, 6)),
     TauSeries: lambda: (
-        (GradedPoly("theta", {(): F(1)}, 3), 3, "wk"),
-        (GradedPoly("theta", {(): F(1)}, 3), 3, "point"),
+        (GradedPoly("theta", {(): F(1)}, 3), 3),
+        (GradedPoly("theta", {(): F(1)}, 3), 2),
     ),
     CorrelatorSpec: lambda: (((1, 2),), ((1, 3),)),
-    IntersectionResult: lambda: ((F(1, 24), 1, True), (F(1, 24), 1, False)),
     ZhouIndex: lambda: ((2, 0), (0, 2)),
     VTable: lambda: ((0, ((M2.identity(),),)), (0, ((M2.zero(),),))),
-    VerificationReport: lambda: (("suite", True, "depth 3"), ("suite", False, "depth 3")),
+    VerificationReport: lambda: (
+        ("suite", True, "depth 3", False, []),
+        ("suite", False, "depth 3", False, []),
+    ),
 }
 
 
@@ -76,16 +78,9 @@ def test_record_semantics(cls):
     assert pickle.loads(pickle.dumps(x)) == x
     name = next(iter(inspect.signature(cls).parameters))  # the first field
     assert repr(x).startswith(f"{cls.__name__}({name}={getattr(x, name)!r}")
-    if cls is VerificationReport:
-        with pytest.raises(TypeError):
-            hash(x)
-        assert x.failures == [] and x.failures is not y.failures
-        x.failures.append("mismatch")
-        assert y.failures == [] and x != y
-        return
     try:
         hash(fields)
-    except TypeError:  # a field holds a dict: an exact table or polynomial
+    except TypeError:  # a field holds a dict or list: a table, polynomial or failure list
         with pytest.raises(TypeError):
             hash(x)
     else:
@@ -109,8 +104,8 @@ def test_record_semantics(cls):
     lambda: FrobeniusCoords((0,), (-1,)),
     lambda: ZhouIndex(-1, 0),
     lambda: ZhouIndex(0, -1),
-    lambda: TauSeries(GradedPoly("theta", {(): F(2)}, 3), 3, "wk"),
-    lambda: TauSeries(GradedPoly("theta", {((1, 1),): F(1)}, 3), 3, "wk"),
+    lambda: TauSeries(GradedPoly("theta", {(): F(2)}, 3), 3),
+    lambda: TauSeries(GradedPoly("theta", {((1, 1),): F(1)}, 3), 3),
     lambda: GrassmannPoint(LaurentSeries.from_dict({1: 1, 0: 1}, 5), tail()),
     lambda: GrassmannPoint(tail(), LaurentSeries.from_dict({0: 2, -1: 1}, 5)),
 ], ids=[

@@ -42,7 +42,7 @@ def bumped_z(table: ZTable, k: int, l: int) -> ZTable:
 
 def bumped_tau(tau: TauSeries, mon) -> TauSeries:
     extra = GradedPoly.make("theta", {mon: 1}, tau.degree)
-    return TauSeries(tau.poly + extra, tau.degree, tau.source)
+    return TauSeries(tau.poly + extra, tau.degree)
 
 
 def bumped_rescale_B(monkeypatch, row: int, col: int) -> None:

@@ -16,6 +16,7 @@ from kdvtau.schur import (
     giambelli_coeff,
     graded_log,
     h_polys,
+    monomial_degree,
     partitions_of,
     partitions_up_to,
     rim_hooks,
@@ -352,6 +353,8 @@ def test_product_bound_propagation():
     assert prod.bound == 7  # unknown part of a (degree >= 6) meets degree-2 term
     exact = b * b
     assert exact.bound is None
+    # two zero polynomials: theta3 * theta4 (degree 7) is the first unknown term
+    assert (GradedPoly.zero("theta", 2) * GradedPoly.zero("theta", 3)).bound == 6
 
 
 def test_derivative_bound_and_value():
@@ -370,7 +373,7 @@ def test_exp_log_round_trip():
     )
     assert graded_log(graded_exp(p, 9) + GradedPoly.zero("t", 9)) == p
     q = GradedPoly.const("t", 1) + p
-    assert graded_exp(graded_log(q, 9), 9) == q.truncate(9)
+    assert graded_exp(graded_log(q.truncate(9)), 9) == q.truncate(9)
 
 
 def test_log_requires_unit():
@@ -382,6 +385,37 @@ def test_log_requires_unit():
 
 VARIABLES = {"t": range(4), "theta": range(1, 7)}  # degrees 1..7 and 1..6
 rational_coeffs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+
+theta_monomials = st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=2).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+
+
+@st.composite
+def filled_polys(draw):
+    """(p, filled): p in theta reliable through degree B, B in 0..6, with up to
+    six terms (none: the zero polynomial), and an exact polynomial equal to p
+    through degree B with random "unknown" terms above it."""
+    bound = draw(st.integers(0, 6))
+    drawn = draw(st.dictionaries(theta_monomials, rational_coeffs, max_size=6))
+    known = {m: c for m, c in drawn.items() if monomial_degree("theta", m) <= bound}
+    return GradedPoly.make("theta", known, bound), GradedPoly.make("theta", drawn, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(filled_polys(), filled_polys())
+@example(  # zero x zero
+    (GradedPoly.zero("theta", 2), GradedPoly.variable("theta", 3)),
+    (GradedPoly.zero("theta", 3), GradedPoly.variable("theta", 4)),
+)
+def test_product_bound_is_sound(x, y):
+    """Every coefficient through the reported bound of a product is the
+    coefficient of the product of any completions of the factors."""
+    (a, filled_a), (b, filled_b) = x, y
+    prod, full = a * b, filled_a * filled_b
+    for m in set(prod.terms) | set(full.terms):
+        if monomial_degree("theta", m) <= prod.bound:
+            assert prod.coefficient(m) == full.coefficient(m), m
 
 
 @st.composite
@@ -406,7 +440,7 @@ def unit_polys(draw):
 @example((GradedPoly.make("t", {(): 1, ((2, 1),): 3}, None), 4))  # cap below t_2's degree 5
 def test_log_matches_power_series_oracle(case):
     p, degree = case
-    log = graded_log(p, degree)
+    log = graded_log(p.truncate(degree))
     assert log == power_series_log(p, degree)
     cap = min(c for c in (p.bound, degree) if c is not None)
     assert log.bound == cap

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kdvtau.errors import InsufficientDepthError, NonUnitError, NotNormalizedError
 from kdvtau.grassmann import wk_point
@@ -56,6 +56,8 @@ def test_mul_window_formula():
     a = S({0: 1}, 4)
     b = S({0: 1}, 7)
     assert (a * b).tail_order == 4
+    # two zero series: lam^-3 * lam^-4 = lam^-7 is the first unknown term
+    assert (S({}, 2) * S({}, 3)).tail_order == 6
 
 
 def brute_convolution(a: LaurentSeries, b: LaurentSeries) -> dict:
@@ -82,6 +84,30 @@ def exact_series(draw):
 @given(exact_series(), exact_series())
 def test_mul_matches_brute_convolution_on_exact_series(a, b):
     assert dict((a * b).coeffs) == brute_convolution(a, b)
+
+
+@st.composite
+def filled_series(draw):
+    """(s, filled): s known through lam^-O, O in 0..5, with up to four terms
+    (none: the zero series), and an exact series equal to s on that window
+    with random "unknown" coefficients at lam^-(O+1) .. lam^-(O+6)."""
+    order = draw(st.integers(0, 5))
+    exps = draw(st.lists(st.integers(-order, 3), max_size=4, unique=True))
+    known = {e: draw(small_rationals) for e in exps}
+    unknown = {-order - 1 - i: draw(small_rationals) for i in range(draw(st.integers(0, 6)))}
+    return LaurentSeries.from_dict(known, order), LaurentSeries.from_dict({**known, **unknown}, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(filled_series(), filled_series())
+@example((S({}, 2), S({-3: 1}, None)), (S({}, 3), S({-4: 1}, None)))  # zero x zero
+def test_product_window_is_sound(x, y):
+    """Every coefficient inside the reported window of a product is the
+    coefficient of the product of any completions of the factors."""
+    (a, filled_a), (b, filled_b) = x, y
+    prod, full = a * b, filled_a * filled_b
+    for e in range(-prod.tail_order, 7):
+        assert prod.coeff(e) == full.coeff(e), e
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +161,17 @@ def test_inverse_is_right_inverse_through_window(a):
     assert prod == constant_series(1, a.tail_order)
 
 
+def truncated(a: LaurentSeries, order: int) -> LaurentSeries:
+    """a with the coefficients below lam^-order forgotten and the window shrunk."""
+    return LaurentSeries.from_dict({e: v for e, v in a.coeffs if e >= -order}, order)
+
+
 @given(unit_series())
 @settings(max_examples=30)
 def test_truncation_soundness(a):
     """Recomputing at higher input truncation never changes a previously
     reported coefficient (mul, inverse, and the differential operator)."""
-    shallow = a.truncated(5)
+    shallow = truncated(a, 5)
     deep_inv, shallow_inv = series_inverse(a), series_inverse(shallow)
     for e in range(0, 6):
         assert deep_inv.coeff(-e) == shallow_inv.coeff(-e)
@@ -202,8 +233,6 @@ def test_window_never_extended():
     s = S({0: 1}, 3)
     with pytest.raises(InsufficientDepthError):
         s.coeff(-4)
-    with pytest.raises(InsufficientDepthError):
-        s.truncated(9)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +241,14 @@ def test_window_never_extended():
 
 
 def test_matrix_inverse_identity():
-    eye = MatrixSeries.from_blocks([M2.identity()], 4)
+    eye = MatrixSeries((M2.identity(),) + (M2.zero(),) * 4)
     inv = matrix_series_inverse(eye)
     assert inv.blocks(4) == [M2.identity()] + [M2.zero()] * 4
 
 
 def test_matrix_inverse_nilpotent():
     g1 = M2.of(0, 3, 0, 0)
-    G = MatrixSeries.from_blocks([M2.identity(), g1], 4)
+    G = MatrixSeries((M2.identity(), g1) + (M2.zero(),) * 3)
     U = matrix_series_inverse(G)
     assert U.block(1) == -g1
     assert all(U.block(k).is_zero() for k in range(2, 5))
@@ -257,14 +286,12 @@ def test_wk_loop_matrix_is_lifted_and_inverted_once(monkeypatch):
 
 
 def test_matrix_series_window():
-    G = MatrixSeries.from_blocks([M2.identity(), M2.of(0, 3, 0, 0)], 3)
+    G = MatrixSeries((M2.identity(), M2.of(0, 3, 0, 0), M2.zero(), M2.zero()))
     assert G.tail_order == 3 and G.block(3).is_zero()
     with pytest.raises(InsufficientDepthError):
         G.block(4)
-    with pytest.raises(ValueError):
-        MatrixSeries.from_blocks([M2.identity()] * 5, 3)
     # (1 + x)(1 + 2x) - 3x * 0, exact through the same window x^2
-    det = MatrixSeries.from_blocks([M2.identity(), M2.of(1, 3, 0, 2)], 2).det()
+    det = MatrixSeries((M2.identity(), M2.of(1, 3, 0, 2), M2.zero())).det()
     assert det == S({0: 1, -1: 3, -2: 2}, 2)
 
 
@@ -307,7 +334,7 @@ def test_zero_aware_m2_arithmetic_is_entrywise_fraction_arithmetic(a, b):
 
 
 def test_matrix_inverse_requires_identity_leading_block():
-    G = MatrixSeries.from_blocks([M2.of(2, 0, 0, 1)], 3)
+    G = MatrixSeries((M2.of(2, 0, 0, 1),) + (M2.zero(),) * 3)
     with pytest.raises(NotNormalizedError):
         matrix_series_inverse(G)
 

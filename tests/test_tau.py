@@ -38,7 +38,7 @@ from kdvtau.tau import (
 )
 from kdvtau.zhou import zhou_affine_table
 
-from conftest import example_table, seeded_point_json
+from conftest import certified_degree, example_table, seeded_point_json
 from oracles import character, degree_slice, double_factorial, dvv, genus0, genus_of, graded_exp, valid_specs
 
 F = Fraction
@@ -271,30 +271,30 @@ def test_spec_genus():
     assert CorrelatorSpec.of([]).genus is None  # not the unstable <>_1
 
 
-def test_known_intersection_numbers(wk_tau12, wk_F12):
+def test_known_intersection_numbers(wk_tau12):
     def val(ks):
-        return intersection_number(CorrelatorSpec.of(ks), wk_tau12, wk_F12)
+        return intersection_number(CorrelatorSpec.of(ks), wk_tau12)
 
-    assert val([0, 0, 0]).value == 1 and val([0, 0, 0]).genus == 0
-    assert val([1]).value == F(1, 24) and val([1]).genus == 1
+    assert val([0, 0, 0]) == 1 and CorrelatorSpec.of([0, 0, 0]).genus == 0
+    assert val([1]) == F(1, 24) and CorrelatorSpec.of([1]).genus == 1
     # string-equation oracle seeded by the genus-0 three-point value
-    assert val([0, 0, 0, 1]).value == 1
-    assert val([0, 2]).value == F(1, 24)
-    assert val([1, 1]).value == F(1, 24)
-    assert val([0, 0, 3]).value == F(1, 24)
-    assert val([0, 0, 0, 1, 1]).value == 2  # string: two ways down to <t0^3 t1>
+    assert val([0, 0, 0, 1]) == 1
+    assert val([0, 2]) == F(1, 24)
+    assert val([1, 1]) == F(1, 24)
+    assert val([0, 0, 3]) == F(1, 24)
+    assert val([0, 0, 0, 1, 1]) == 2  # string: two ways down to <t0^3 t1>
     # genus-2 one-point value from the published table
-    assert val([4]).value == F(1, 1152) and val([4]).genus == 2
+    assert val([4]) == F(1, 1152) and CorrelatorSpec.of([4]).genus == 2
 
 
-def test_dimension_mismatch_flag(wk_tau12, wk_F12):
-    res = intersection_number(CorrelatorSpec.of([0, 0]), wk_tau12, wk_F12)
-    assert res.value == 0 and res.genus is None and not res.dimension_ok
+def test_dimension_mismatch_flag(wk_tau12):
+    spec = CorrelatorSpec.of([0, 0])
+    assert intersection_number(spec, wk_tau12) == 0 and spec.genus is None and not spec.is_valid
 
 
-def test_degree_guard(wk_tau12, wk_F12):
+def test_degree_guard(wk_tau12):
     with pytest.raises(DegreeExceededError):
-        intersection_number(CorrelatorSpec.of([0, 0, 6]), wk_tau12, wk_F12)
+        intersection_number(CorrelatorSpec.of([0, 0, 6]), wk_tau12)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +318,15 @@ def test_correlator_matches_dvv(wk_affine27):
     specs = valid_specs(27)
     assert len(specs) == 372
     for ks in specs:
-        result = correlator(wk_affine27, CorrelatorSpec.of(ks))
-        assert (result.value, result.genus, result.dimension_ok) == (dvv(ks), genus_of(ks), True), ks
+        spec = CorrelatorSpec.of(ks)
+        assert (correlator(wk_affine27, spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True), ks
 
 
 def test_correlator_matches_log_tau_route(wk_affine31):
-    F15 = free_energy(tau_truncated(wk_affine31, 15))
+    tau15 = tau_truncated(wk_affine31, 15)
     for ks in valid_specs(15):
         spec = CorrelatorSpec.of(ks)
-        assert correlator(wk_affine31, spec) == intersection_number(spec, None, F15), ks
+        assert correlator(wk_affine31, spec) == intersection_number(spec, tau15), ks
 
 
 def test_unreduced_n_point_formula_matches_dvv(wk_affine27):
@@ -340,7 +340,7 @@ def test_correlator_nine_insertions():
     # <tau_2^9>_4: n = 9 survives the reduction, t-weight 45
     table = z_table_recursive(wk_G(46), 22, 22).to_affine_table()
     spec = CorrelatorSpec.of([2] * 9)
-    assert correlator(table, spec).value == dvv(spec.exponents) == F(1816871, 48)
+    assert correlator(table, spec) == dvv(spec.exponents) == F(1816871, 48)
 
 
 @pytest.fixture(scope="module")
@@ -362,8 +362,8 @@ def deep_specs(draw):
 @settings(max_examples=30, deadline=None)
 @given(ks=deep_specs())
 def test_correlator_matches_dvv_beyond_the_exhaustive_window(wk_affine45, ks):
-    result = correlator(wk_affine45, CorrelatorSpec.of(ks))
-    assert (result.value, result.genus, result.dimension_ok) == (dvv(ks), genus_of(ks), True)
+    spec = CorrelatorSpec.of(ks)
+    assert (correlator(wk_affine45, spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True)
 
 
 def multisets(budget: int, most: int) -> list[tuple[int, ...]]:
@@ -398,8 +398,8 @@ def test_log_tau_derivative_matches_graded_log(seed, dense, large):
 
 
 def test_correlator_guards(wk_affine27):
-    res = correlator(wk_affine27, CorrelatorSpec.of([0, 0]))
-    assert res.value == 0 and res.genus is None and not res.dimension_ok
+    spec = CorrelatorSpec.of([0, 0])
+    assert correlator(wk_affine27, spec) == 0 and spec.genus is None and not spec.is_valid
     small = z_table_recursive(wk_G(8), 3, 3).to_affine_table()
     with pytest.raises(InsufficientTableError):
         correlator(small, CorrelatorSpec.of([4]))  # t-weight 9 needs 8x8
@@ -419,7 +419,7 @@ def test_correlator_guards(wk_affine27):
 def test_string_equation_wk(wk_tau12):
     rep = verify_string_equation(wk_tau12)
     assert rep.passed
-    assert rep.bound == 11
+    assert certified_degree(rep) == 11
 
 
 def test_string_equation_fails_on_example(example_tau_c1):
@@ -438,13 +438,13 @@ def test_dimension_filter_wk(wk_tau12):
 def test_kdv_flow1_wk(wk_tau12):
     rep = verify_kdv_flow(wk_tau12, 1)
     assert rep.passed
-    assert rep.bound >= 6
+    assert certified_degree(rep) >= 6
 
 
 def test_kdv_flow2_wk(wk_tau12):
     rep = verify_kdv_flow(wk_tau12, 2)
     assert rep.passed
-    assert rep.bound >= 4
+    assert certified_degree(rep) >= 4
 
 
 def test_kdv_flow1_example(example_tau_c1):
