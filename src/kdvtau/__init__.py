@@ -22,11 +22,9 @@ from .grassmann import (
     z_table_direct,
     z_table_recursive,
 )
-from .zhou import ZhouIndex, B_poly, b_seq, rescale_B, zhou_A, zhou_affine_table
+from .zhou import B_poly, b_seq, rescale_B, zhou_affine_table
 from .schur import (
-    FrobeniusCoords,
     GradedPoly,
-    Partition,
     frobenius,
     giambelli_coeff,
     h_polys,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 __all__ = [
     "ExactComputationError",
-    "NonRationalError",
     "NonUnitError",
     "NotNormalizedError",
     "InsufficientDepthError",
@@ -22,11 +21,6 @@ __all__ = [
 
 class ExactComputationError(Exception):
     """Base class for all package-specific errors."""
-
-
-class NonRationalError(ExactComputationError):
-    """A value expected to be rational is a nonzero rational times an odd
-    power of sqrt(-2)."""
 
 
 class NonUnitError(ExactComputationError):

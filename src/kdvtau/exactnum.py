@@ -2,9 +2,10 @@
 
 All coefficients in this package are arbitrary-precision rationals
 (`fractions.Fraction`), kept in lowest terms with positive denominator by
-construction.  The one irrational quantity, the power of sqrt(-2) in
-Zhou's closed form, is carried by `zhou` as an integer exponent beside a
-rational part, never as a number of its own.
+construction.  Nothing irrational is carried: the powers of sqrt(-2) in
+Zhou's closed form cancel in the rescaled coefficients, which `zhou`
+computes as rationals directly.  Files hold rationals only in the canonical
+text form "p/q" or "p" (`parse_rational`).
 
 No floating point is used anywhere.
 
@@ -21,6 +22,7 @@ VM).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -89,8 +91,12 @@ def as_rational(x: RationalLike) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical "p/q" (or "p") string form."""
-    return Fraction(text.strip())
+    """Parse the canonical "p/q" (or "p") string form: ASCII digits, an
+    optional leading "-", no whitespace, "+", "_", exponent or decimal point.
+    A fraction not in lowest terms ("2/4") is reduced."""
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"not a rational of the form p/q: {text!r}")
+    return Fraction(text)
 
 
 def format_rational(x: RationalLike) -> str:

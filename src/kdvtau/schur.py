@@ -1,6 +1,10 @@
 """Partitions, Frobenius coordinates, rim hooks, Schur polynomials and
 Giambelli minors.
 
+A partition is a weakly decreasing tuple of positive parts, () the empty
+one; its Frobenius coordinates are an (arms, legs) pair of strictly
+decreasing tuples.
+
 Schur polynomials are taken in the variables theta_1, theta_2, ... graded by
 deg theta_j = j, with exp(sum_j theta_j z^j) = sum_k h_k z^k, i.e. power sums
 p_j = j theta_j.  The adjoint p_r^perp of multiplication by p_r removes rim
@@ -34,8 +38,6 @@ from .grassmann import AffineTable
 from .series import _order_min, _product_window
 
 __all__ = [
-    "Partition",
-    "FrobeniusCoords",
     "frobenius",
     "partitions_of",
     "partitions_up_to",
@@ -53,63 +55,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class Partition(Record):
-    """Weakly decreasing positive parts; the empty partition is ()."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[int, ...] = ()) -> None:
-        for i, p in enumerate(parts):
-            if p <= 0:
-                raise ValueError("parts must be positive (drop trailing zeros)")
-            if i and parts[i - 1] < p:
-                raise ValueError("parts must be weakly decreasing")
-        _setattr(self, "parts", parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.parts)) + ")"
-
-
-class FrobeniusCoords(Record):
-    """Arm/leg coordinates (m_1 > ... > m_k | n_1 > ... > n_k) along the diagonal."""
-
-    __slots__ = ("arms", "legs")
-
-    def __init__(self, arms: tuple[int, ...], legs: tuple[int, ...]) -> None:
-        if len(arms) != len(legs):
-            raise ValueError("arms and legs must pair up")
-        for seq in (arms, legs):
-            for i, v in enumerate(seq):
-                if v < 0 or (i and seq[i - 1] <= v):
-                    raise ValueError("coordinates must be strictly decreasing and >= 0")
-        _setattr(self, "arms", arms)
-        _setattr(self, "legs", legs)
-
-    @property
-    def rank(self) -> int:
-        return len(self.arms)
-
-
-def frobenius(mu: Partition) -> FrobeniusCoords:
-    """Frobenius coordinates m_i = mu_i - i, n_i = mu'_i - i (1-based i)."""
-    parts = mu.parts
+def frobenius(mu: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Frobenius coordinates (arms | legs) of mu along the diagonal:
+    m_i = mu_i - i, n_i = mu'_i - i (1-based i), both strictly decreasing."""
     k = 0
-    while k < len(parts) and parts[k] > k:
+    while k < len(mu) and mu[k] > k:
         k += 1
-    legs, j = [], len(parts)  # mu'_(i+1) = j counts the parts > i, i = 0, 1, ...
+    legs, j = [], len(mu)  # mu'_(i+1) = j counts the parts > i, i = 0, 1, ...
     for i in range(k):
-        while parts[j - 1] <= i:
+        while mu[j - 1] <= i:
             j -= 1
         legs.append(j - (i + 1))
-    return FrobeniusCoords(tuple(parts[i] - (i + 1) for i in range(k)), tuple(legs))
+    return tuple(mu[i] - (i + 1) for i in range(k)), tuple(legs)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -123,13 +80,10 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
-def partitions_up_to(max_weight: int) -> list[Partition]:
+def partitions_up_to(max_weight: int) -> list[tuple[int, ...]]:
     """All partitions of weight <= max_weight, ordered by weight then
     descending lexicographic -- a fixed order so exports are byte-stable."""
-    out = []
-    for w in range(max_weight + 1):
-        out.extend(Partition(p) for p in partitions_of(w))
-    return out
+    return [mu for w in range(max_weight + 1) for mu in partitions_of(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +289,17 @@ def h_polys(max_degree: int) -> tuple[GradedPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def schur_poly(mu: Partition) -> GradedPoly:
+def schur_poly(mu: tuple[int, ...]) -> GradedPoly:
     """Jacobi-Trudi determinant det(h_{mu_i - i + j})_{1<=i,j<=l(mu)}.
 
     The determinant is expanded by rows with memoization on the set of used
     columns; entries with negative index are zero, which makes the matrix
     sparse enough for this to be cheap at desk scale.
     """
-    ell = mu.length
+    ell = len(mu)
     if ell == 0:
         return GradedPoly.const("theta", 1)
-    hs = h_polys(mu.parts[0] + ell)
+    hs = h_polys(mu[0] + ell)
 
     memo: dict[int, GradedPoly] = {}
     full_mask = (1 << ell) - 1
@@ -362,7 +316,7 @@ def schur_poly(mu: Partition) -> GradedPoly:
             bit = 1 << j
             if mask & bit:
                 continue
-            idx = mu.parts[i] - (i + 1) + (j + 1)
+            idx = mu[i] - (i + 1) + (j + 1)
             if idx >= 0:
                 term = minor(mask | bit)
                 entry = hs[idx]
@@ -410,7 +364,7 @@ def rim_hooks(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int],
 # ---------------------------------------------------------------------------
 
 
-def giambelli_coeff(mu: Partition, table: AffineTable) -> Fraction:
+def giambelli_coeff(mu: tuple[int, ...], table: AffineTable) -> Fraction:
     """A_mu = (-1)^(sum of legs) det(A_{m_i, n_j}) over the hook entries.
 
     The determinant is expanded along the row of the last arm m_k.  Dropping
@@ -418,15 +372,15 @@ def giambelli_coeff(mu: Partition, table: AffineTable) -> Fraction:
     weight, and every such minor is memoised on the table, so with the
     smaller minors known each one costs k products.
     """
-    fc = frobenius(mu)
-    if fc.rank == 0:
+    arms, legs = frobenius(mu)
+    if not arms:
         return Fraction(1)
-    if fc.arms[0] > table.max_m or fc.legs[0] > table.max_n:
+    if arms[0] > table.max_m or legs[0] > table.max_n:
         raise OutOfRangeError(
             f"table {table.max_m}x{table.max_n} too small for hooks of {mu}"
         )
-    det = _hook_minor(fc.arms, fc.legs, table)
-    return -det if sum(fc.legs) % 2 else det
+    det = _hook_minor(arms, legs, table)
+    return -det if sum(legs) % 2 else det
 
 
 def _hook_minor(arms: tuple[int, ...], legs: tuple[int, ...], table: AffineTable) -> Fraction:

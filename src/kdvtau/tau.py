@@ -123,8 +123,8 @@ def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
     """
     _require_table(table, max(degree - 1, 0), f"tau degree {degree}")
     terms: dict[Monomial, Fraction] = {}
-    for weight, group in groupby(partitions_up_to(degree), key=lambda mu: mu.weight):
-        minors = [(mu.parts, a) for mu in group if (a := giambelli_coeff(mu, table)) != 0]
+    for weight, group in groupby(partitions_up_to(degree), key=sum):
+        minors = [(mu, a) for mu in group if (a := giambelli_coeff(mu, table)) != 0]
         den = math.lcm(*(a.denominator for _, a in minors))
         vector = {mu: a.numerator * (den // a.denominator) for mu, a in minors}
         for lam, total in _rim_hook_walk(vector, weight, ()):
@@ -231,17 +231,10 @@ class CorrelatorSpec(Record):
         return sum(2 * k + 1 for k in self.exponents)
 
     def monomial(self) -> Monomial:
-        counts: dict[int, int] = {}
-        for k in self.exponents:
-            counts[k] = counts.get(k, 0) + 1
-        return tuple(sorted(counts.items()))
+        return tuple(sorted(Counter(self.exponents).items()))
 
-    def multiplicity_factor(self) -> Fraction:
-        out = Fraction(1)
-        for _, e in self.monomial():
-            for i in range(2, e + 1):
-                out *= i
-        return out
+    def multiplicity_factor(self) -> int:
+        return math.prod(math.factorial(e) for e in Counter(self.exponents).values())
 
     def __str__(self) -> str:
         return "<" + " ".join(f"tau_{k}" for k in self.exponents) + ">"

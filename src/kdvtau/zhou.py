@@ -20,20 +20,19 @@ with the closed form (P below is the common prefactor)
 where b_k = 2^k (6k+1)!!/(2k)! and B_n(x) is the degree-(n-1) polynomial
 B_n(x) = (1/6) sum_{j=1}^{n} 108^j b_{n-j} (x+n)_[j-1], B_0 = 0.
 
-Only P carries sqrt(-2), as sqrt(-2)^(m+n), so each value is held as a pair
-(c, k) meaning c sqrt(-2)^k: c rational, k = m + n.  The rational parts are
-computed in integers.  (2n)! b_{n-j} is an integer, so 6 (2n)! B_n(x) =
-sum_j C_{n,j} (x+n)_[j-1] with integer C_{n,j}, an O(n) sum by Horner's rule.
-Over the common denominator 6 (2n)! (2(m+n))! 144^(m+n) both family values
-then have integer numerators, so each is one Fraction(num, den), evaluated
-once per (m, n) and shared by the three families.
+Rescaling by B_{row,col} = sqrt(-2)^(row+col+1) A^Z_{row,col} clears the
+irrational part: on every family row+col+1 = 3(m+n), and P carries
+sqrt(-2)^(m+n), so the total power is sqrt(-2)^(4(m+n)) = 4^(m+n) and B is
+rational.  The three families of one (m, n) sit at (row, col) with
+m = row//3 + 1 and n = col//3, row mod 3 picking the family.
 
-Rescaling by B_{row,col} = (sqrt(-2))^(row+col+1) A^Z_{row,col} adds
-row+col+1 = 3(m+n) to k and lands in Q exactly when the total exponent is
-even, since sqrt(-2)^(2j) = (-2)^j.  That parity is asserted rather than
-assumed, so a transcription error in an index family or exponent would
-surface as a NonRationalError.  Off the support the rescaled value is a
-shared zero, with no arithmetic, and the verifiers skip work on zeros.
+B is computed in integers.  (2n)! b_{n-j} is an integer, so 6 (2n)! B_n(x)
+= sum_j C_{n,j} (x+n)_[j-1] with integer C_{n,j}, an O(n) sum by Horner's
+rule.  Over the common denominator 6 (2n)! (2(m+n))! 36^(m+n) both family
+values then have integer numerators, so each is one Fraction(num, den),
+reduced once per (m, n) and shared by the three families.  Off the support
+the rescaled value is a shared zero, with no arithmetic, and the verifiers
+skip work on zeros.
 """
 
 from __future__ import annotations
@@ -42,24 +41,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonRationalError
-from .exactnum import (
-    RationalLike,
-    Record,
-    _setattr,
-    as_rational,
-    format_rational,
-    odd_double_factorial,
-)
+from .exactnum import RationalLike, as_rational, format_rational, odd_double_factorial
 from .grassmann import AffineTable
 from .report import VerificationReport, first_failures
 from .series import _ZERO, _dot, _neg, _sub
 
 __all__ = [
-    "ZhouIndex",
     "b_seq",
     "B_poly",
-    "zhou_A",
     "rescale_B",
     "zhou_affine_table",
     "verify_zhou_match",
@@ -70,39 +59,6 @@ __all__ = [
     "combinatorial_lhs",
     "combinatorial_rhs",
 ]
-
-
-class ZhouIndex(Record):
-    """A coefficient position (row, col) with its mod-3 support family."""
-
-    __slots__ = ("row", "col")
-
-    def __init__(self, row: int, col: int) -> None:
-        if row < 0 or col < 0:
-            raise ValueError("indices must be non-negative")
-        _setattr(self, "row", row)
-        _setattr(self, "col", col)
-
-    @property
-    def family(self) -> str:
-        """One of "(2,0)", "(0,2)", "(1,1)" or "zero".
-
-        The support condition row + col = 2 (mod 3) holds exactly for the
-        three named families.
-        """
-        key = (self.row % 3, self.col % 3)
-        return {(2, 0): "(2,0)", (0, 2): "(0,2)", (1, 1): "(1,1)"}.get(key, "zero")
-
-    def resolve(self) -> tuple[int, int]:
-        """The (m, n) parameters of the closed form for this position."""
-        fam = self.family
-        if fam == "(2,0)":
-            return (self.row + 1) // 3, self.col // 3
-        if fam == "(0,2)":
-            return self.row // 3 + 1, (self.col - 2) // 3
-        if fam == "(1,1)":
-            return (self.row + 2) // 3, (self.col - 1) // 3
-        raise ValueError(f"position ({self.row},{self.col}) is outside the support")
 
 
 @lru_cache(maxsize=None)
@@ -144,49 +100,32 @@ def B_poly(n: int, x: RationalLike) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _family_values(m: int, n: int) -> tuple[Fraction, Fraction]:
-    """The rational parts c of A^Z_{3m-1,3n} = A^Z_{3m-3,3n+2} and of
-    A^Z_{3m-2,3n+1} = c sqrt(-2)^(m+n).  Over `den`, 6 (2n)! B_n(m) is S and
-    6 (2n)! b_n is e; m >= 1, so 6m+1 and 6m-1 both divide (6m+1)!!."""
+def _B_values(m: int, n: int) -> tuple[Fraction, Fraction]:
+    """B at (3m-1, 3n) = (3m-3, 3n+2) and at (3m-2, 3n+1).  Over `den`,
+    6 (2n)! B_n(m) is S and 6 (2n)! b_n is e; m >= 1, so 6m+1 and 6m-1 both
+    divide (6m+1)!!."""
     products = 1
     for j in range(n):
         products *= (m + j) * (2 * m + 2 * j + 1)
     odd = (-1) ** m * odd_double_factorial(6 * m + 1) * products
     S = _B_sum(n, m + n)
     e = 6 * 2**n * odd_double_factorial(6 * n + 1)
-    den = 6 * math.factorial(2 * n) * math.factorial(2 * (m + n)) * 144 ** (m + n)
+    den = 6 * math.factorial(2 * n) * math.factorial(2 * (m + n)) * 36 ** (m + n)
     return (
         Fraction(odd // (6 * m + 1) * (S * (6 * m + 1) + e), den),
         Fraction(-odd // (6 * m - 1) * (S * (6 * m - 1) + e), den),
     )
 
 
-def zhou_A(idx: ZhouIndex) -> tuple[Fraction, int]:
-    """The raw coefficient at idx as (c, k), meaning c sqrt(-2)^k."""
-    fam = idx.family
-    if fam == "zero":
-        return Fraction(0), 0
-    m, n = idx.resolve()
-    first, second = _family_values(m, n)
-    return (second if fam == "(1,1)" else first), m + n
-
-
 @lru_cache(maxsize=None)
 def rescale_B(row: int, col: int) -> Fraction:
-    """B_{row,col} = (sqrt(-2))^(row+col+1) * A^Z_{row,col}, asserted rational;
-    a shared zero off the support."""
-    idx = ZhouIndex(row, col)
-    if idx.family == "zero":
+    """B_{row,col} = sqrt(-2)^(row+col+1) A^Z_{row,col}; a shared zero off
+    the support row + col = 2 (mod 3)."""
+    if row < 0 or col < 0:
+        raise ValueError("indices must be non-negative")
+    if (row + col) % 3 != 2:
         return _ZERO
-    c, k = zhou_A(idx)
-    k += row + col + 1
-    value = c * (-2) ** (k // 2)  # times a further sqrt(-2) when k is odd
-    if value and k % 2:
-        raise NonRationalError(
-            f"rescaled coefficient at ({row},{col}) is not rational: "
-            f"0 + ({format_rational(value)})*sqrt(-2)"
-        )
-    return value
+    return _B_values(row // 3 + 1, col // 3)[row % 3 == 1]
 
 
 def zhou_affine_table(max_m: int, max_n: int) -> AffineTable:

@@ -402,11 +402,15 @@ GOOD_SERIES = {"head": [], "tail_order": 1, "tail": ["1", "0"]}
     (["grassmann", "POINT", "--tau", "2"], {"head": [[0, "1"]], "tail_order": 1, "tail": ["0", "0"]}),
     (["grassmann", "POINT", "--tau", "2"], {"head": [[2, "1"], [2, "-1"]], "tail_order": 1,
                                             "tail": ["1", "0"]}),
+    *((["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": ["1", text]})
+      for text in ("1e3", "3.5", "1_0", "\u0663", " 3", "+3")),
 ], ids=["depth", "tau", "flow", "max", "max-non-ascii-digit", "max-m", "affine",
         "constant-term", "tail-order", "zero-denominator",
         "tail-int", "tail-float", "tail-string", "tail-order-float", "tail-order-bool",
         "head-exponent-float", "not-utf8", "verify-not-utf8",
-        "tail-short", "head-exponent-negative", "head-exponent-zero", "head-exponent-repeated"])
+        "tail-short", "head-exponent-negative", "head-exponent-zero", "head-exponent-repeated",
+        "tail-exponent", "tail-decimal", "tail-underscore", "tail-non-ascii-digit",
+        "tail-leading-space", "tail-plus"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, a_series):
     if a_series is None:
         path = write_example_point(tmp_path)
@@ -426,6 +430,19 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, a_series):
     assert "error:" in captured.err
     if a_series is not None:
         assert "error: malformed point file" in captured.err
+
+
+def test_point_file_rational_is_reduced(capsys, tmp_path):
+    outputs = []
+    for text in ("2/4", "1/2"):
+        path = tmp_path / "point.json"
+        a = {"head": [], "tail_order": 5, "tail": ["1", text, "0", "0", "0", "0"]}
+        b = {"head": [], "tail_order": 5, "tail": ["1", "0", "3", "0", "0", "0"]}
+        path.write_text(json.dumps({"a": a, "b": b}))
+        code, out, _ = run(capsys, "grassmann", str(path), "--affine", "1", "1")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ def test_rational_string_forms():
     assert format_rational(Fraction(6, -4)) == "-3/2"
     assert parse_rational("-455/1152") == Fraction(-455, 1152)
     assert parse_rational("12") == 12
+    assert parse_rational("2/4") == Fraction(1, 2)
 
 
 @given(rationals)

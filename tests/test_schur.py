@@ -9,9 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from kdvtau.errors import NonUnitError, OutOfRangeError
 from kdvtau.grassmann import AffineTable
 from kdvtau.schur import (
-    FrobeniusCoords,
     GradedPoly,
-    Partition,
     frobenius,
     giambelli_coeff,
     graded_log,
@@ -58,19 +56,12 @@ def test_partitions_of_small():
 
 def test_partitions_up_to_order_and_counts():
     got = partitions_up_to(3)
-    assert [p.parts for p in got] == [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+    assert got == [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
     for weight in range(10):
-        exact = {p.parts for p in partitions_up_to(9) if p.weight == weight}
+        exact = {p for p in partitions_up_to(9) if sum(p) == weight}
         assert exact == brute_force_partitions(weight)
     # sum of p(0..9) = 1+1+2+3+5+7+11+15+22+30
     assert len(partitions_up_to(9)) == 97
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
 
 
 def test_conjugate():
@@ -79,27 +70,28 @@ def test_conjugate():
 
 
 def test_frobenius_examples():
-    assert frobenius(Partition(())) == FrobeniusCoords((), ())
-    assert frobenius(Partition((2, 1))) == FrobeniusCoords((1,), (1,))
-    assert frobenius(Partition((3,))) == FrobeniusCoords((2,), (0,))
-    assert frobenius(Partition((4, 3, 1))) == FrobeniusCoords((3, 1), (2, 0))
+    assert frobenius(()) == ((), ())
+    assert frobenius((2, 1)) == ((1,), (1,))
+    assert frobenius((3,)) == ((2,), (0,))
+    assert frobenius((4, 3, 1)) == ((3, 1), (2, 0))
 
 
 def test_frobenius_matches_the_conjugate_definition_weight_14():
     for mu in partitions_up_to(14):
-        conj = conjugate(mu.parts)
-        k = sum(1 for i, p in enumerate(mu.parts) if p >= i + 1)
-        arms = tuple(mu.parts[i] - (i + 1) for i in range(k))
+        conj = conjugate(mu)
+        k = sum(1 for i, p in enumerate(mu) if p >= i + 1)
+        arms = tuple(mu[i] - (i + 1) for i in range(k))
         legs = tuple(conj[i] - (i + 1) for i in range(k))
-        assert frobenius(mu) == FrobeniusCoords(arms, legs), mu
+        assert frobenius(mu) == (arms, legs), mu
 
 
 def test_frobenius_round_trip_weight_12():
     # the coordinates determine mu, and the diagonal hooks tile it
     coords = [frobenius(mu) for mu in partitions_up_to(12)]
     assert len(set(coords)) == len(coords)
-    for mu, fc in zip(partitions_up_to(12), coords):
-        assert sum(fc.arms) + sum(fc.legs) + fc.rank == mu.weight
+    for mu, (arms, legs) in zip(partitions_up_to(12), coords):
+        assert len(arms) == len(legs)
+        assert sum(arms) + sum(legs) + len(arms) == sum(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +117,9 @@ def test_h_examples():
 
 
 def test_schur_small():
-    assert schur_poly(Partition(())) == GradedPoly.const("theta", 1)
-    assert schur_poly(Partition((1,))) == theta(1)
-    s21 = schur_poly(Partition((2, 1)))
+    assert schur_poly(()) == GradedPoly.const("theta", 1)
+    assert schur_poly((1,)) == theta(1)
+    s21 = schur_poly((2, 1))
     assert s21 == pow_int(theta(1), 3).scale(F(1, 3)) - theta(3)
 
 
@@ -136,17 +128,17 @@ def test_schur_homogeneous():
         s = schur_poly(mu)
         from kdvtau.schur import monomial_degree
 
-        assert all(monomial_degree("theta", m) == mu.weight for m in s.terms)
+        assert all(monomial_degree("theta", m) == sum(mu) for m in s.terms)
 
 
 def miwa_theta(xs, max_k):
     return {k: sum(F(x) ** k for x in xs) / k for k in range(1, max_k + 1)}
 
 
-def alternant_schur(mu: Partition, xs) -> Fraction:
+def alternant_schur(mu: tuple, xs) -> Fraction:
     """det(x_i^{l_j}) / det(x_i^{N-j}) with l_j = mu_j - j + N."""
     N = len(xs)
-    ls = [(mu.parts[j] if j < mu.length else 0) - (j + 1) + N for j in range(N)]
+    ls = [(mu[j] if j < len(mu) else 0) - (j + 1) + N for j in range(N)]
     num = perm_det([[F(x) ** l for l in ls] for x in xs])
     den = perm_det([[F(x) ** (N - j) for j in range(1, N + 1)] for x in xs])
     return num / den
@@ -155,18 +147,18 @@ def alternant_schur(mu: Partition, xs) -> Fraction:
 def test_schur_matches_miwa_alternant_up_to_weight_6():
     xs = [F(1), F(-2), F(1, 2), F(3)]
     for mu in partitions_up_to(6):
-        if mu.length > len(xs):
+        if len(mu) > len(xs):
             continue
-        values = miwa_theta(xs, max(mu.weight, 1))
+        values = miwa_theta(xs, max(sum(mu), 1))
         assert evaluate(schur_poly(mu), values) == alternant_schur(mu, xs)
 
 
 def test_schur_alternant_second_sample():
     xs = [F(2), F(-1, 3), F(5, 2)]
     for mu in partitions_up_to(5):
-        if mu.length > len(xs):
+        if len(mu) > len(xs):
             continue
-        values = miwa_theta(xs, max(mu.weight, 1))
+        values = miwa_theta(xs, max(sum(mu), 1))
         assert evaluate(schur_poly(mu), values) == alternant_schur(mu, xs)
 
 
@@ -179,7 +171,7 @@ def test_characters_are_the_jacobi_trudi_coefficients():
     # s_mu = sum_lam chi^mu(lam) theta^lam / prod_j m_j(lam)!
     for n in range(9):
         for mu in partitions_of(n):
-            s = schur_poly(Partition(mu))
+            s = schur_poly(mu)
             for lam in partitions_of(n):
                 mults = Counter(lam)
                 mon = tuple(sorted(mults.items()))
@@ -267,26 +259,26 @@ def perm_det(rows):
 
 
 def test_giambelli_empty_is_one(wk_affine31):
-    assert giambelli_coeff(Partition(()), wk_affine31) == 1
+    assert giambelli_coeff((), wk_affine31) == 1
 
 
 def test_giambelli_hooks_wk(wk_affine31):
-    assert giambelli_coeff(Partition((2, 1)), wk_affine31) == F(-7, 24)
-    assert giambelli_coeff(Partition((1, 1, 1)), wk_affine31) == F(-5, 24)
-    assert giambelli_coeff(Partition((3,)), wk_affine31) == F(-5, 24)
+    assert giambelli_coeff((2, 1), wk_affine31) == F(-7, 24)
+    assert giambelli_coeff((1, 1, 1), wk_affine31) == F(-5, 24)
+    assert giambelli_coeff((3,), wk_affine31) == F(-5, 24)
 
 
 def test_giambelli_hook_consistency(wk_affine31):
     """For a single hook (m | n) the minor is (-1)^n A_{m,n}."""
     for m in range(8):
         for n in range(8):
-            hook = Partition((m + 1,) + (1,) * n)
+            hook = (m + 1,) + (1,) * n
             sign = 1 if n % 2 == 0 else -1
             assert giambelli_coeff(hook, wk_affine31) == sign * wk_affine31.value(m, n)
 
 
 def test_giambelli_range_check(wk_affine31):
-    big = Partition((40,))
+    big = (40,)
     with pytest.raises(OutOfRangeError):
         giambelli_coeff(big, wk_affine31)
 
@@ -296,13 +288,13 @@ small_rationals = st.builds(
 )
 
 
-def with_frobenius(arms, legs) -> Partition:
+def with_frobenius(arms, legs) -> tuple:
     """The partition with diagonal hooks (arms | legs): row i < k has arms[i] + i + 1
     cells, and row i >= k one cell for each leg column j with legs[j] + j >= i."""
     k = len(arms)
     rows = [a + i + 1 for i, a in enumerate(arms)]
     rows += [sum(1 for j, n in enumerate(legs) if n + j >= i) for i in range(k, legs[0] + 1)]
-    return Partition(tuple(rows))
+    return tuple(rows)
 
 
 @st.composite
@@ -323,7 +315,7 @@ def test_giambelli_matches_permutation_expansion(case):
     signed determinant of the hook rows."""
     table, arms, legs = case
     mu = with_frobenius(arms, legs)
-    assert frobenius(mu) == FrobeniusCoords(arms, legs)
+    assert frobenius(mu) == (arms, legs)
     sign = -1 if sum(legs) % 2 else 1
     rows = [[table.value(m, n) for n in legs] for m in arms]
     assert giambelli_coeff(mu, table) == sign * perm_det(rows)
@@ -337,8 +329,8 @@ def test_giambelli_memo_is_per_table():
     for order in ((F(7), F(11)), (F(11), F(7))):
         tables = [AffineTable(1, 1, {**base, (1, 1): a11}, "custom") for a11 in order]
         for a11, table in zip(order, tables):
-            assert giambelli_coeff(Partition((2, 1)), table) == -a11
-            assert giambelli_coeff(Partition((2, 2)), table) == -(a11 * 2 - 3 * 5)
+            assert giambelli_coeff((2, 1), table) == -a11
+            assert giambelli_coeff((2, 2), table) == -(a11 * 2 - 3 * 5)
 
 
 # ---------------------------------------------------------------------------

@@ -175,12 +175,12 @@ def character_tau(table: AffineTable, degree: int) -> dict:
     minors: dict[int, list] = {}
     for mu in partitions_up_to(degree):
         if a := giambelli_coeff(mu, table):
-            minors.setdefault(mu.weight, []).append((mu.parts, a))
+            minors.setdefault(sum(mu), []).append((mu, a))
     terms: dict = {}
     for lam in partitions_up_to(degree):
-        mults = Counter(lam.parts)
+        mults = Counter(lam)
         scale = math.prod(math.factorial(m) for m in mults.values())
-        c = sum((a * character(mu, lam.parts) for mu, a in minors.get(lam.weight, [])), F(0))
+        c = sum((a * character(mu, lam) for mu, a in minors.get(sum(lam), [])), F(0))
         if c:
             terms[tuple(sorted(mults.items()))] = c / scale
     return terms
