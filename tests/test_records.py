@@ -20,6 +20,7 @@ from kdvtau.schur import GradedPoly
 from kdvtau.series import M2, GradedLift, LaurentSeries, MatrixSeries
 from kdvtau.spin3 import VTable
 from kdvtau.tau import CorrelatorSpec, TauSeries
+from kdvtau.zhou import rescale_B
 
 F = Fraction
 
@@ -110,8 +111,11 @@ def test_record_semantics(cls):
     lambda: TauSeries(GradedPoly("theta", {((1, 1),): F(1)}, 3), 3),
     lambda: GrassmannPoint(LaurentSeries.from_dict({1: 1, 0: 1}, 5), tail()),
     lambda: GrassmannPoint(tail(), LaurentSeries.from_dict({0: 2, -1: 1}, 5)),
+    lambda: rescale_B(-1, 0),
+    lambda: rescale_B(0, -1),
 ], ids=[
     "tau-constant-2", "tau-no-constant", "point-not-a-tail", "point-not-unit",
+    "zhou-negative-row", "zhou-negative-col",
 ])
 def test_record_rejects_invalid_fields(make):
     with pytest.raises(ValueError):
