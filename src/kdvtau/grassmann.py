@@ -20,15 +20,17 @@ G and G^-1 is kept as the independent cross-check run by `verify recursion`.
 It also extracts scalar coordinates and verifies the generating-series,
 recursion and symmetry identities.
 
-Both table routes and the two generating-function verifiers work on the
-graded integer lift of G (`series.GradedLift`): a block of grade d (Z_{k,l}
-has grade k+l+1) is carried as E_d times itself, a product of blocks of
-grades i and j is scaled by the exact integer E_{i+j} / (E_i E_j), and each
-entry is reduced to a `Fraction` once.  The seeds E_j U_j are the integer
-inverse the lift solves for (`GradedLift.inverse`); the recursion checks
-every seed it reads against the boundary data Z_{k,0} = G_{k+1}.  The
-recursion-identity and symmetry verifiers keep plain `M2` arithmetic, so
-each suite still ends in a check in independent arithmetic.
+Both table routes and the five Z-table verifiers work on the graded integer
+lift of G (`series.GradedLift`): a block of grade d (Z_{k,l} has grade k+l+1)
+is carried as E_d times itself, a product of blocks of grades i and j is
+scaled by the exact integer E_{i+j} / (E_i E_j), and a `ZTable` keeps the
+lifted blocks.  The seeds E_j U_j are the integer inverse the lift solves for
+(`GradedLift.inverse`); the recursion checks every seed it reads against the
+boundary data Z_{k,0} = G_{k+1}.  Where both sides of an identity have one
+grade (equivalence, symmetry, generating function and series), dividing by
+E_d changes no verdict, so the integers are compared.  The recursion identity
+is checked with its denominators cleared, so it does not re-run the step it
+cross-checks.  An entry is reduced to `Fraction`s only when it is read.
 
 The built-in point of chief interest is the Witten-Kontsevich point, whose
 spanning series c(lam) and q(lam) are power series in lam^-3:
@@ -52,6 +54,7 @@ from .report import VerificationReport, first_failures
 from .series import (
     _ZERO,
     M2,
+    GradedLift,
     LaurentSeries,
     IntBlock,
     MatrixSeries,
@@ -200,25 +203,38 @@ def wk_G(depth: int) -> MatrixSeries:
 
 
 class ZTable(Record):
-    """Matrix-valued affine coordinates Z_{k,l}, 0 <= k <= max_k, 0 <= l <= max_l."""
+    """Matrix-valued affine coordinates Z_{k,l}, 0 <= k <= max_k, 0 <= l <= max_l,
+    as lifted[k][l] = E_{k+l+1} Z_{k,l} on the graded lift (`series.GradedLift`)
+    with grades = (E_0, ..., E_{max_k+max_l+1}).  `entry` reduces a block to an
+    `M2` when first read.  Equality compares lifts: entrywise for one G."""
 
-    __slots__ = ("max_k", "max_l", "blocks")
+    __slots__ = ("max_k", "max_l", "lifted", "grades", "__dict__")
 
-    def __init__(self, max_k: int, max_l: int, blocks: tuple[tuple[M2, ...], ...]) -> None:
+    def __init__(
+        self, max_k: int, max_l: int, lifted: tuple[tuple[IntBlock, ...], ...], grades: tuple[int, ...]
+    ) -> None:
         _setattr(self, "max_k", max_k)
         _setattr(self, "max_l", max_l)
-        _setattr(self, "blocks", blocks)  # blocks[k][l]
+        _setattr(self, "lifted", lifted)  # lifted[k][l]
+        _setattr(self, "grades", grades)
+
+    @cached_property
+    def _lowered(self) -> dict[tuple[int, int], M2]:
+        return {}
 
     def entry(self, k: int, l: int) -> M2:
         if not (0 <= k <= self.max_k and 0 <= l <= self.max_l):
             raise OutOfRangeError(f"Z[{k},{l}] outside table {self.max_k}x{self.max_l}")
-        return self.blocks[k][l]
+        z = self._lowered.get((k, l))
+        if z is None:
+            z = self._lowered[k, l] = GradedLift.lower(self.lifted[k][l], self.grades[k + l + 1])
+        return z
 
     def to_affine_table(self, source: str = "grassmann") -> "AffineTable":
         entries: dict[tuple[int, int], Fraction] = {}
         for k in range(self.max_k + 1):
             for l in range(self.max_l + 1):
-                z = self.blocks[k][l]
+                z = self.entry(k, l)
                 for (m, n), v in (
                     ((2 * k + 1, 2 * l), z.a11),
                     ((2 * k + 1, 2 * l + 1), z.a12),
@@ -293,6 +309,12 @@ def _require_depth(G: MatrixSeries, need: int) -> None:
         )
 
 
+def _require_grades(table: ZTable, lift: GradedLift) -> None:
+    """A table compared with blocks of `lift` as integers must share its grades."""
+    if table.grades[: len(lift.grades)] != lift.grades[: len(table.grades)]:
+        raise ValueError("the Z table is not on the graded lift of this loop matrix")
+
+
 def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
     """Closed formula Z_{k,l} = -sum_{j=0..k} G_j U_{k+l+1-j} (U_0 = I).
 
@@ -310,9 +332,9 @@ def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
             d = k + l + 1
             ratio = ratios[d]
             s11, s12, s21, s22 = block_sum((ratio[j], g[j], u[d - j]) for j in range(k + 1))
-            row.append(lift.lower((-s11, -s12, -s21, -s22), d))
+            row.append((-s11, -s12, -s21, -s22))
         rows.append(tuple(row))
-    return ZTable(max_k, max_l, tuple(rows))
+    return ZTable(max_k, max_l, tuple(rows), lift.grades[: need + 1])
 
 
 def z_table_recursive(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
@@ -335,9 +357,9 @@ def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[Z
     covers every seed U_1..U_need.
 
     The rows hold the graded lift z_{k,l} = E_{k+l+1} Z_{k,l}, so the step
-    is z_{k,l} = z_{k-1,l+1} + (E_{k+l+1} / (E_k E_{l+1})) z_{k-1,0} z_{0,l},
-    the boundary check compares integers, and each entry kept is reduced
-    once at the end.
+    is z_{k,l} = z_{k-1,l+1} + (E_{k+l+1} / (E_k E_{l+1})) z_{k-1,0} z_{0,l}
+    and the boundary check compares integers.  The tables keep the lift, and
+    a repeated shape gets the same table, so its entries are reduced once.
     """
     need = max(K + L for K, L in shapes) + 1
     _require_depth(G, need)
@@ -354,19 +376,15 @@ def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[Z
             ]
         if row[0] != lift.blocks[k + 1]:
             raise ExactComputationError(
-                f"recursion boundary mismatch at Z[{k},0]: {lift.lower(row[0], k + 1)} "
+                f"recursion boundary mismatch at Z[{k},0]: {lift.lower(row[0], lift.grades[k + 1])} "
                 f"vs {G.block(k + 1)}; "
                 "the seeds are inconsistent (G times its inverse is not the identity)"
             )
         if k <= max_k:
             rows.append(row)
-    # each kept entry is reduced once, however many shapes share it
-    lowered = [
-        tuple(lift.lower(z, k + l + 1)
-              for l, z in enumerate(row[: max(L for K, L in shapes if K >= k) + 1]))
-        for k, row in enumerate(rows)
-    ]
-    return [ZTable(K, L, tuple(row[: L + 1] for row in lowered[: K + 1])) for K, L in shapes]
+    tables = {(K, L): ZTable(K, L, tuple(tuple(row[: L + 1]) for row in rows[: K + 1]),
+                             lift.grades[: K + L + 2]) for K, L in shapes}
+    return [tables[shape] for shape in shapes]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +402,7 @@ def verify_generating_function(
     anti-diagonal sum of N, which is asserted before solving; the quotient
     coefficients at alpha^-k-1 beta^-l-1 are Q_{k,l} = sum_r N_{k-r, l+1+r}.
     N_{i,j} is kept on the graded lift at grade i+j, so both steps are integer
-    sums and each Q_{k,l} is reduced once, to compare with the table.
+    sums, and Q_{k,l} is compared with the lifted table entry of its grade.
     """
     suite = "generating-function"
     detail = f"bi-degree {depth}"
@@ -393,6 +411,7 @@ def verify_generating_function(
     need = 2 * depth + 1
     _require_depth(G, need)
     lift = G.lift
+    _require_grades(table, lift)
 
     # N[i][j] on every anti-diagonal i + j <= need, each block product once
     N = [[(0, 0, 0, 0) if i == j == 0
@@ -405,18 +424,15 @@ def verify_generating_function(
         if any(acc):
             return VerificationReport(
                 suite, False, detail,
-                failures=[f"anti-diagonal sum {s} of the numerator is {lift.lower(acc, s)}"],
+                failures=[f"anti-diagonal sum {s} of the numerator is {lift.lower(acc, lift.grades[s])}"],
                 notes="numerator not divisible by alpha - beta",
             )
 
-    def Q(k: int, l: int) -> M2:
-        return lift.lower(_block_total(N[k - r][l + 1 + r] for r in range(k + 1)), k + l + 1)
-
     failures = first_failures(
-        f"(k,l)=({k},{l}): expansion {q} vs table {table.entry(k, l)}"
+        f"(k,l)=({k},{l}): expansion {lift.lower(q, lift.grades[k + l + 1])} vs table {table.entry(k, l)}"
         for k in range(depth + 1)
         for l in range(depth + 1)
-        if (q := Q(k, l)) != table.entry(k, l)
+        if (q := _block_total(N[k - r][l + 1 + r] for r in range(k + 1))) != table.lifted[k][l]
     )
     return VerificationReport(suite, not failures, detail, failures=failures)
 
@@ -424,27 +440,30 @@ def verify_generating_function(
 def verify_symmetry(table: ZTable, G: MatrixSeries, depth: int) -> VerificationReport:
     """Z_{l,k} = -adj(Z_{k,l}) for k, l <= depth, valid when det G = 1.
 
-    The determinant condition is checked first on the series through the
-    available window; if it fails the report is a skip, not a failure.  In
+    The determinant condition is checked first, through the window of G, on
+    the lift (E_k times the lam^-k coefficient of det G); if it fails the
+    report is a skip, not a failure.  Z_{l,k} and Z_{k,l} share a grade.  In
     scalar form the identity reads A_{n,m} = (-1)^{m+n} A_{m,n}.
     """
     suite = "symmetry"
     if depth > min(table.max_k, table.max_l):
         raise InsufficientDepthError("Z table smaller than requested depth")
-    det = G.det()
-    window = det.tail_order
-    dev = det - constant_series(1, window)
-    if not dev.is_zero():
-        e = dev.coeffs[-1][0]
+    lift, window = G.lift, G.tail_order
+    g = lift.blocks
+    deviation = next((k for k in range(1, window + 1) if sum(
+        r * (a[0] * b[3] - a[1] * b[2]) for r, a, b in zip(lift.ratios[k], g, g[k::-1])
+    )), None)
+    if deviation is not None:
         return VerificationReport(
             suite, False, f"k,l <= {depth}", skipped=True,
-            notes=f"det G != 1 (first deviation at lam^{e}); symmetry not applicable",
+            notes=f"det G != 1 (first deviation at lam^-{deviation}); symmetry not applicable",
         )
+    z, Z = table.lifted, table.entry
     failures = first_failures(
-        f"(k,l)=({k},{l}): Z[{l},{k}]={lhs} vs -adj Z[{k},{l}]={rhs}"
+        f"(k,l)=({k},{l}): Z[{l},{k}]={Z(l, k)} vs -adj Z[{k},{l}]={-Z(k, l).adjugate()}"
         for k in range(depth + 1)
         for l in range(depth + 1)
-        if (lhs := table.entry(l, k)) != (rhs := -table.entry(k, l).adjugate())
+        if z[l][k] != (-z[k][l][3], z[k][l][1], z[k][l][2], -z[k][l][0])  # -adj
     )
     return VerificationReport(
         suite, not failures, f"k,l <= {depth}", failures=failures,
@@ -502,28 +521,32 @@ def verify_kac_schwarz(depth: int) -> VerificationReport:
 
 def verify_z_equivalence(G: MatrixSeries, direct: ZTable) -> VerificationReport:
     """The closed-formula table `direct` = `z_table_direct(G, K, L)` equals the
-    recursion-seeded table of the same shape entrywise."""
+    recursion-seeded table of the same shape entrywise, on their lift."""
     suite = "z-table-equivalence"
     max_k, max_l = direct.max_k, direct.max_l
+    _require_grades(direct, G.lift)
     recursive = z_table_recursive(G, max_k, max_l)
     failures = first_failures(
         f"(k,l)=({k},{l}): direct {direct.entry(k,l)} vs recursive {recursive.entry(k,l)}"
         for k in range(max_k + 1)
         for l in range(max_l + 1)
-        if direct.entry(k, l) != recursive.entry(k, l)
+        if direct.lifted[k][l] != recursive.lifted[k][l]
     )
     return VerificationReport(suite, not failures, f"K=L checked to ({max_k},{max_l})", failures=failures)
 
 
 def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
-    """Z_{k+1,l} - Z_{k,l+1} = Z_{k,0} Z_{0,l} on every stored index."""
+    """Z_{k+1,l} - Z_{k,l+1} = Z_{k,0} Z_{0,l} on every stored index, on the lift
+    as E_{k+1} E_{l+1} (z_{k+1,l} - z_{k,l+1}) = E_{k+l+2} z_{k,0} z_{0,l}."""
     suite = "z-recursion"
+    z, e = table.lifted, table.grades
     failures = first_failures(
-        f"(k,l)=({k},{l}): {lhs} vs {rhs}"
+        f"(k,l)=({k},{l}): {table.entry(k + 1, l) - table.entry(k, l + 1)} "
+        f"vs {table.entry(k, 0) @ table.entry(0, l)}"
         for k in range(table.max_k)
         for l in range(table.max_l)
-        if (lhs := table.entry(k + 1, l) - table.entry(k, l + 1))
-        != (rhs := table.entry(k, 0) @ table.entry(0, l))
+        if tuple(e[k + 1] * e[l + 1] * (a - b) for a, b in zip(z[k + 1][l], z[k][l + 1]))
+        != block_sum(((e[k + l + 2], z[k][0], z[0][l]),))
     )
     return VerificationReport(
         suite, not failures,
@@ -537,14 +560,15 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
     With G^-1 = sum U_j lam^-j the left side is sum_{j<=k} G(lam) U_j lam^(k-j),
     whose lam^e coefficient sum_j G_{k-j-e} U_j needs G through lam^-(k-e):
     with G known through lam^-O, the powers e >= k - O are checked.  Each
-    coefficient is an integer sum on the graded lift at grade k - e, reduced
-    once to compare with the right side.
+    coefficient is an integer sum on the graded lift at grade k - e, compared
+    with the lifted right side of that grade.
     """
     suite = "z-generating-series"
     order = G.tail_order
     if k_max > table.max_l:
         raise InsufficientDepthError("Z table narrower than requested k range")
     lift = G.lift
+    _require_grades(table, lift)
     g, ratios, u = lift.blocks, lift.ratios, lift.inverse
     windows: list[int] = []  # rows l checked for each k reached
 
@@ -553,16 +577,17 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
             # compare lam^-l-1 entries for l + 1 <= order - k
             l_top = min(order - k - 1, table.max_k)
             windows.append(l_top)
-            expect: dict[int, M2] = {k: M2.identity()}
+            expect: dict[int, IntBlock] = {k: (1, 0, 0, 1)}  # E_0 = 1
             for l in range(l_top + 1):
-                expect[-l - 1] = table.entry(l, k)
+                expect[-l - 1] = table.lifted[l][k]
             for e in range(-(l_top + 1), k + 1):
                 d = k - e
                 terms = ((ratios[d][j], g[d - j], u[j]) for j in range(min(k, d) + 1))
-                got = lift.lower(block_sum(terms), d)
-                want = expect.get(e, M2.zero())
+                got = block_sum(terms)
+                want = expect.get(e, (0, 0, 0, 0))
                 if got != want:
-                    yield f"k={k}, lam^{e}: {got} vs {want}"
+                    e_d = lift.grades[d]
+                    yield f"k={k}, lam^{e}: {lift.lower(got, e_d)} vs {lift.lower(want, e_d)}"
 
     failures = first_failures(mismatches())
     return VerificationReport(

@@ -23,11 +23,11 @@ with no head, for the loop matrix G(lam) (x = 1/lam), its inverse, and the
 A loop matrix also has a `GradedLift`: one integer scale E_k per grade, with
 E_i E_j dividing E_{i+j}, so that E_k G_k, E_k U_k for the inverse U, and
 every sum of block products whose grades add up to k are integer blocks.
-The lift solves for the inverse once, in these integers; the Z-table routes
-and generating-function verifiers of `grassmann` read it, convolve integer
-blocks (`block_sum`) and reduce each entry once, at the end, instead of one
-gcd per rational add or multiply.  `matrix_series_inverse` is the
-`Fraction` view of the same inverse.
+The lift solves for the inverse once, in these integers; the Z tables of
+`grassmann` are built and kept on it, convolving integer blocks
+(`block_sum`) with no gcd per rational add or multiply, and an entry is
+reduced (`GradedLift.lower`) only when it is read.  `matrix_series_inverse`
+is the `Fraction` view of the same inverse.
 
 `M2` arithmetic skips work on zero operands (x + 0 = x, x - 0 = x, 0 - y = -y,
 -0 = 0, no product with a zero factor: `_add`, `_sub`, `_neg`, `_dot`, also
@@ -417,9 +417,6 @@ class M2(Record):
         """eta M^T eta with eta = [[0,1],[1,0]]: swaps the diagonal entries."""
         return M2(self.a22, self.a12, self.a21, self.a11)
 
-    def det(self) -> Fraction:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
     def is_zero(self) -> bool:
         return self.a11 == 0 and self.a12 == 0 and self.a21 == 0 and self.a22 == 0
 
@@ -463,15 +460,6 @@ class MatrixSeries(Record):
     def blocks(self, through: int) -> list[M2]:
         return [self.block(k) for k in range(through + 1)]
 
-    def det(self) -> LaurentSeries:
-        """det G(lam) as a scalar series in 1/lam, exact through the same window."""
-        g = self.coeffs
-        terms = {
-            -k: sum(_dot(g[i].a11, g[k - i].a22, _neg(g[i].a12), g[k - i].a21) for i in range(k + 1))
-            for k in range(len(g))
-        }
-        return LaurentSeries.from_dict(terms, self.tail_order)
-
     @cached_property
     def lift(self) -> "GradedLift":
         """The graded integer lift of the whole window, with the inverse of G
@@ -513,9 +501,10 @@ class GradedLift(Record):
     integer.  A block of grade d (G_d, U_d, Z_{k,l} with d = k+l+1, a product
     of two blocks whose grades add up to d) is carried as E_d times itself:
     the product of lifted blocks of grades i and j, times ratios[i+j][i], is
-    the lift of the product, so sums of products stay in the integers and
-    each entry is reduced once, by `lower`.  On a point with integer
-    coefficients every E_k is 1.
+    the lift of the product, so sums of products stay in the integers.  Two
+    blocks of one grade are equal when their lifts are, so identities of that
+    grade are checked on the integers; an entry is reduced, by `lower`, only
+    to be read.  On a point with integer coefficients every E_k is 1.
     """
 
     __slots__ = ("grades", "ratios", "blocks", "inverse")
@@ -532,10 +521,11 @@ class GradedLift(Record):
         _setattr(self, "blocks", blocks)
         _setattr(self, "inverse", inverse)
 
-    def lower(self, block: IntBlock, grade: int) -> M2:
-        """The exact block `block` / E_grade, each entry reduced once."""
-        e = self.grades[grade]
-        return M2(*(Fraction(n, e) if n else _ZERO for n in block))
+    @staticmethod
+    def lower(block: IntBlock, scale: int) -> M2:
+        """The exact block `block` / scale (E_d for a block of grade d), each
+        entry reduced once."""
+        return M2(*(Fraction(n, scale) if n else _ZERO for n in block))
 
 
 def block_sum(
@@ -561,4 +551,4 @@ def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSe
     """
     lift = G.lift
     order = G.tail_order if order is None else min(G.tail_order, order)
-    return MatrixSeries(tuple(lift.lower(lift.inverse[k], k) for k in range(order + 1)))
+    return MatrixSeries(tuple(lift.lower(lift.inverse[k], lift.grades[k]) for k in range(order + 1)))

@@ -242,6 +242,26 @@ def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
     assert sorted(depths) == [11, 21, 24, 31, 41]
 
 
+@pytest.mark.parametrize("suite", ["recursion", "genfun", "symmetry"])
+def test_passing_z_table_suites_reduce_no_entry(capsys, monkeypatch, suite):
+    # the Z tables stay on the graded integer lift and the verifiers compare
+    # integers: a passing run has no failure text, so it lowers nothing
+    from kdvtau.grassmann import wk_G, z_table_recursive
+    from kdvtau.series import GradedLift
+
+    lowered = []
+    lower = GradedLift.lower
+    monkeypatch.setattr(GradedLift, "lower",
+                        staticmethod(lambda block, scale: lowered.append(block) or lower(block, scale)))
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 0 and "FAIL" not in out
+    assert lowered == []
+    # reading an entry lowers it, once
+    table = z_table_recursive(wk_G(9), 2, 2)
+    assert table.entry(1, 2) is table.entry(1, 2)
+    assert len(lowered) == 1
+
+
 def test_verify_all_takes_one_log_of_its_tau(capsys, monkeypatch):
     # string-recursion, dimension-filter and kdv flows 1 and 2 all read log Z
     import kdvtau.tau as tau

@@ -70,6 +70,7 @@ GOLDEN = {
     # Z table are pinned outside the ranges `verify all` reaches
     "verify recursion --depth 24": (0, "4535cc1e1405e00b184deab86768b6368e7e68831d001cae0b2a8f7805e0da07"),
     "verify symmetry --depth 40": (0, "bab9bbf2000da42c42fdd3958dd0d3427577ce210c30635aa1eac2f53124f429"),
+    "verify genfun --depth 25": (0, "0c6181d9c7af16afb1345ed2cb0511a6f6615bc26054a1a81454225fd8c321fb"),
     "verify vmatrix --depth 5": (0, "eb3cc7d5a1fc28ba0a76918eede1643e63ae338dc08a5aa8f61a20b450c8b759"),
     "verify thm2 --depth 4": (0, "900643477755a9bd13a87873d6186a42ec14b094ff4837e211055530fbb6aa97"),
     "verify zhou-match --depth 45": (0, "f4815a8b1d022b86c30262cad6f8e2236246c8739c72c1166c00211d644c2a8f"),

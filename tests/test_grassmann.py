@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kdvtau.errors import ExactComputationError, InsufficientDepthError, OutOfRangeError
 from kdvtau.grassmann import (
     GrassmannPoint,
+    ZTable,
     build_G,
     normalize_point,
     point_from_json,
@@ -148,11 +150,18 @@ def test_build_G_depth_guard():
         build_G(wk_point(5), 4)  # needs b through lam^-9
 
 
+def det_coeffs(G: MatrixSeries) -> list[Fraction]:
+    """The x^0..x^O coefficients of det G(x), in plain `Fraction`s."""
+    g = G.blocks(G.tail_order)
+    return [sum(g[i].a11 * g[k - i].a22 - g[i].a12 * g[k - i].a21 for i in range(k + 1))
+            for k in range(len(g))]
+
+
 def test_wk_det_is_one():
-    G = wk_G(15)
-    det = G.det()
-    assert det.coeff(0) == 1
-    assert all(det.coeff(-k) == 0 for k in range(1, det.tail_order + 1))
+    assert det_coeffs(wk_G(15)) == [1] + [0] * 15
+    assert verify_symmetry(z_table_recursive(wk_G(15), 1, 1), wk_G(15), 1).notes == (
+        "det G = 1 checked through lam^-15"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,8 @@ def test_recursive_matches_direct_on_edge_shapes(wk_G41, K, L):
 def test_one_recursion_run_serves_every_shape(wk_G41):
     tables = z_tables_recursive(wk_G41, EDGE_SHAPES)
     assert tables == [z_table_direct(wk_G41, K, L) for K, L in EDGE_SHAPES]
+    first, again = z_tables_recursive(wk_G41, [(3, 1), (3, 1)])
+    assert first is again  # a repeated shape reduces its entries once
 
 
 def corrupt_inverse_block(j):
@@ -278,6 +289,12 @@ def lattice_points(draw, depth=12):
     return a, b
 
 
+def entry_rows(table) -> list:
+    """Every entry of a Z table as nested lists of `Fraction`s, read by `entry`."""
+    return [[table.entry(k, l).rows() for l in range(table.max_l + 1)]
+            for k in range(table.max_k + 1)]
+
+
 @given(lattice_points())
 @settings(max_examples=25, deadline=None)
 def test_loop_matrix_layer_matches_the_oracle(ab):
@@ -296,8 +313,8 @@ def test_loop_matrix_layer_matches_the_oracle(ab):
     shapes = [(K, depth - 1 - K) for K in range(depth)]
     for (K, L), table in zip(shapes, z_tables_recursive(G, shapes)):
         corner = [row[: L + 1] for row in want[: K + 1]]
-        assert [[z.rows() for z in row] for row in table.blocks] == corner
-        assert [[z.rows() for z in row] for row in z_table_direct(G, K, L).blocks] == corner
+        assert entry_rows(table) == corner
+        assert entry_rows(z_table_direct(G, K, L)) == corner
 
 
 def test_wk_tables_match_the_oracle(wk_G41, wk_ztable20):
@@ -306,8 +323,8 @@ def test_wk_tables_match_the_oracle(wk_G41, wk_ztable20):
     b = [q[i // 3] if i % 3 == 0 else F(0) for i in range(84)]
     g = loop_blocks(a, b, 41)
     want = closed_z(g, loop_inverse(g), 20, 20)
-    assert [[z.rows() for z in row] for row in wk_ztable20.blocks] == want
-    assert [[z.rows() for z in row] for row in z_table_recursive(wk_G41, 20, 20).blocks] == want
+    assert entry_rows(wk_ztable20) == want
+    assert entry_rows(z_table_recursive(wk_G41, 20, 20)) == want
 
 
 def test_insufficient_depth_is_an_error():
@@ -407,6 +424,22 @@ def test_symmetry_skips_when_det_not_one():
     table = z_table_direct(G, 1, 1)
     rep = verify_symmetry(table, G, 1)
     assert rep.skipped and not rep.passed
+    assert rep.notes == "det G != 1 (first deviation at lam^-1); symmetry not applicable"
+
+
+@pytest.mark.parametrize("blocks", [
+    ((1, 3, 0, 2), (0, 0, 0, 0)),  # det = (1 + x)(1 + 2x) - 3x * 0
+    ((0, F(1, 2), 0, 0), (F(1, 3), 0, 0, 0), (0, 0, 0, 0)),  # first x^2
+    ((0, F(1, 2), F(2, 3), 0), (F(1, 5), 0, 0, F(-1, 7)), (0, 0, F(3, 4), 0), (0, 1, 0, 0)),
+], ids=["x1", "x2", "fractions"])
+def test_symmetry_skip_names_the_first_deviation_of_det_G(blocks):
+    # the precondition runs on the graded lift; the exponent it reports is the
+    # first nonzero coefficient of det G - 1 in plain Fractions
+    G = MatrixSeries((M2.identity(),) + tuple(M2.of(*b) for b in blocks))
+    first = next(k for k, c in enumerate(det_coeffs(G)) if c != (k == 0))
+    rep = verify_symmetry(z_table_direct(G, 0, 0), G, 0)
+    assert rep.skipped and not rep.passed
+    assert rep.notes == f"det G != 1 (first deviation at lam^-{first}); symmetry not applicable"
 
 
 def test_cq_identity_small_and_deep():
@@ -448,3 +481,105 @@ def test_affine_table_exports(wk_G41):
     lines = csv_text.strip().split("\n")
     assert lines[0] == "," + ",".join(str(n) for n in range(6))
     assert lines[2].split(",")[2] == "7/24"  # row m=1, col n=1
+
+
+# ---------------------------------------------------------------------------
+# the Z-table verifiers on generic points, whose lift is not multiplicative
+# ---------------------------------------------------------------------------
+
+
+def det_one_G(seed: int, depth: int = 9) -> MatrixSeries:
+    """The loop matrix G_0..G_depth of a seeded normalized point with det G = 1:
+    a and the odd part of b are small random rationals, and the even part of b
+    is solved from G_22 = (1 + G_12 G_21) / G_11."""
+    rng = random.Random(seed)
+
+    def values():
+        return [F(rng.randint(-5, 5), rng.choice((1, 2, 3, 5, 7, 9))) for _ in range(depth)]
+
+    g11, g21, g12 = [F(1)] + values(), [F(0)] + values(), [F(0)] + values()
+    g22 = []
+    for k in range(depth + 1):
+        num = (k == 0) + sum(g12[i] * g21[k - i] for i in range(k + 1))
+        g22.append(num - sum(g11[i] * g22[k - i] for i in range(1, k + 1)))
+    a = {-2 * k: g11[k] for k in range(depth + 1)} | {1 - 2 * k: g21[k] for k in range(1, depth + 1)}
+    b = {-2 * k: g22[k] for k in range(depth + 1)} | {-2 * k - 1: g12[k] for k in range(depth + 1)}
+    point = GrassmannPoint(LaurentSeries.from_dict(a, 2 * depth),
+                           LaurentSeries.from_dict(b, 2 * depth + 1))
+    return build_G(point, depth)
+
+
+def fraction_inverse(G: MatrixSeries) -> list[M2]:
+    """U_0..U_O of G^-1 in `M2` arithmetic: G U = I block by block."""
+    u = [M2.identity()]
+    for k in range(1, G.tail_order + 1):
+        acc = M2.zero()
+        for j in range(1, k + 1):
+            acc = acc + G.block(j) @ u[k - j]
+        u.append(-acc)
+    return u
+
+
+def fraction_holds(name: str, G: MatrixSeries, table, depth: int) -> bool:
+    """The identity checked by verifier `name`, in `Fraction`s read by `entry`."""
+    Z, n = table.entry, range(depth + 1)
+    if name == "equivalence":
+        other = z_table_recursive(G, table.max_k, table.max_l)
+        return all(Z(k, l) == other.entry(k, l) for k in n for l in n)
+    if name == "recursion":
+        return all(Z(k + 1, l) - Z(k, l + 1) == Z(k, 0) @ Z(0, l)
+                   for k in range(depth) for l in range(depth))
+    if name == "symmetry":
+        return all(Z(l, k) == -Z(k, l).adjugate() for k in n for l in n)
+    u = fraction_inverse(G)
+    if name == "genfun":  # Q_{k,l} = -sum_r G_{k-r} U_{l+1+r}
+        return all(
+            Z(k, l) == -sum((G.block(k - r) @ u[l + 1 + r] for r in range(k + 1)), M2.zero())
+            for k in n for l in n
+        )
+    # genseries: lam^e coefficient sum_j G_{k-e-j} U_j of G (lam^k G^-1)_+, k <= 2
+    for k in range(3):
+        l_top = min(G.tail_order - k - 1, table.max_k)
+        for e in range(-(l_top + 1), k + 1):
+            got = sum((G.block(k - e - j) @ u[j] for j in range(min(k, k - e) + 1)), M2.zero())
+            want = M2.identity() if e == k else M2.zero() if e >= 0 else Z(-e - 1, k)
+            if got != want:
+                return False
+    return True
+
+
+VERIFIERS = {
+    "equivalence": lambda G, table, depth: verify_z_equivalence(G, table),
+    "recursion": lambda G, table, depth: verify_z_recursion_identity(table),
+    "symmetry": lambda G, table, depth: verify_symmetry(table, G, depth),
+    "genfun": lambda G, table, depth: verify_generating_function(G, table, depth),
+    "genseries": lambda G, table, depth: verify_z_generating_series(G, 2, table),
+}
+
+
+@pytest.mark.parametrize("seed", range(2, 8))  # seed 1 draws a lift with every ratio 1
+@pytest.mark.parametrize("name", VERIFIERS)
+def test_z_verifiers_on_a_non_multiplicative_lift(name, seed):
+    G = det_one_G(seed)
+    E = G.lift.grades
+    assert det_coeffs(G) == [1] + [0] * G.tail_order
+    assert any(E[i + j] != E[i] * E[j] for i in range(len(E)) for j in range(len(E) - i))
+    table = z_table_direct(G, 4, 4)
+    rep = VERIFIERS[name](G, table, 4)
+    assert rep.passed and not rep.skipped
+    assert fraction_holds(name, G, table, 4)
+    # z_{1,1} moved by 1 moves Z_{1,1} by 1/E_3 only
+    rows = [list(row) for row in table.lifted]
+    rows[1][1] = (rows[1][1][0] + 1,) + rows[1][1][1:]
+    bumped = ZTable(4, 4, tuple(map(tuple, rows)), table.grades)
+    rep = VERIFIERS[name](G, bumped, 4)
+    assert not rep.passed and not rep.skipped and rep.failures
+    assert not fraction_holds(name, G, bumped, 4)
+
+
+def test_z_verifiers_reject_a_table_on_other_grades(wk_G41):
+    G = det_one_G(0)
+    table = z_table_direct(wk_G41, 4, 4)
+    for name in ("equivalence", "genfun", "genseries"):
+        with pytest.raises(ValueError, match="graded lift"):
+            VERIFIERS[name](G, table, 4)

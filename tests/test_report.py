@@ -1,5 +1,6 @@
 """The shared failure cap, and every capped verifier on an input with one bad entry."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -35,9 +36,12 @@ def test_line_prints_at_most_the_cap():
 
 
 def bumped_z(table: ZTable, k: int, l: int) -> ZTable:
-    rows = [list(row) for row in table.blocks]
-    rows[k][l] = rows[k][l] + BUMP
-    return ZTable(table.max_k, table.max_l, tuple(tuple(row) for row in rows))
+    """`table` with Z_{k,l} moved by BUMP: its lifted block moves by E_{k+l+1} BUMP."""
+    rows = [list(row) for row in table.lifted]
+    e = table.grades[k + l + 1]
+    bump = (BUMP.a11, BUMP.a12, BUMP.a21, BUMP.a22)
+    rows[k][l] = tuple(z + e * int(b) for z, b in zip(rows[k][l], bump))
+    return ZTable(table.max_k, table.max_l, tuple(tuple(row) for row in rows), table.grades)
 
 
 def bumped_tau(tau: TauSeries, mon) -> TauSeries:
@@ -159,3 +163,22 @@ def test_capped_verifier_fails_on_one_perturbed_entry(monkeypatch, wk_G41, wk_ta
     assert not rep.passed and not rep.skipped
     assert 1 <= len(rep.failures) <= MAX_FAILURES
     assert rep.line().count("first failure") == len(rep.failures)
+
+
+# sha256 of `rep.line()` for the Z-table cases: the failure text of each
+# verifier on the Z table is pinned byte for byte, however the table is stored
+LINE_DIGESTS = {
+    case_generating_function: "dee92c01993de8ed1d681f062e7b2f644293e98a539f68a00fe4bb88fd6bd84e",
+    case_symmetry: "c915734449f2ffcec175119b76adf99b43ad3fc023a9fa5168bd972634ceafe5",
+    case_z_equivalence: "7ab53b314a040da27af4fbf304d57bd47f345a3c3cb4e6f9d95567ced9ba69d8",
+    case_z_recursion: "71fd916b513391b48d050cdeb51df9439ba3be45bfa1ad73a97cae6f2ecc7520",
+    case_z_generating_series: "5530a406d9a705fb50fd774ca899f932acc44878ba453bd5916dda0d3fe72c03",
+    case_thm2: "185379898675d992d86ccfb4bfd39823c8cf9e015ad59997aec1dcb12ab33e2f",
+    case_symmetry_off_support: "515864c0bc0c954a58fbee5627f9c152ed01af4856da9c959d98957c2e33c38e",
+}
+
+
+@pytest.mark.parametrize("case", LINE_DIGESTS, ids=lambda case: case.__name__[len("case_"):])
+def test_z_table_failure_text_is_pinned(monkeypatch, wk_G41, wk_tau12, case):
+    line = case(monkeypatch, wk_G41, wk_tau12).line()
+    assert hashlib.sha256(line.encode()).hexdigest() == LINE_DIGESTS[case]
