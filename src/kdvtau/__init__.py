@@ -39,6 +39,6 @@ from .tau import (
     tau_truncated,
     to_t_variables,
 )
-from .spin3 import VTable, r_matrix, v_table
+from .spin3 import r_matrix, v_table
 
 __version__ = "0.1.0"

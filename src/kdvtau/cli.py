@@ -187,9 +187,7 @@ def _run_suite(
     if suite == "vmatrix":
         return [spin3.verify_v_relations(depth)]
     if suite == "thm2":
-        G = gr.wk_G(3 * depth + 3 * depth + 5 + 1)
-        table = gr.z_table_recursive(G, 3 * depth + 2, 3 * depth + 2)
-        return [spin3.verify_thm2(table, depth, depth)]
+        return [spin3.verify_thm2(_wk_z_table(3 * depth + 2, memo), depth, depth)]
     raise ValueError(f"unknown suite {suite!r}")
 
 

@@ -24,7 +24,9 @@ Both table routes and the five Z-table verifiers work on the graded integer
 lift of G (`series.GradedLift`): a block of grade d (Z_{k,l} has grade k+l+1)
 is carried as E_d times itself, a product of blocks of grades i and j is
 scaled by the exact integer E_{i+j} / (E_i E_j), and a `ZTable` keeps the
-lifted blocks.  The seeds E_j U_j are the integer inverse the lift solves for
+lifted blocks (so does the V table of `spin3`, on the lift of R, which
+shares the generating function's division, `series.linear_quotient`).  The
+seeds E_j U_j are the integer inverse the lift solves for
 (`GradedLift.inverse`); the recursion checks every seed it reads against the
 boundary data Z_{k,0} = G_{k+1}.  Where both sides of an identity have one
 grade (equivalence, symmetry, generating function and series), dividing by
@@ -60,6 +62,7 @@ from .series import (
     MatrixSeries,
     block_sum,
     constant_series,
+    linear_quotient,
     kac_schwarz_apply,
     negate_argument,
     series_from_json,
@@ -203,10 +206,12 @@ def wk_G(depth: int) -> MatrixSeries:
 
 
 class ZTable(Record):
-    """Matrix-valued affine coordinates Z_{k,l}, 0 <= k <= max_k, 0 <= l <= max_l,
-    as lifted[k][l] = E_{k+l+1} Z_{k,l} on the graded lift (`series.GradedLift`)
-    with grades = (E_0, ..., E_{max_k+max_l+1}).  `entry` reduces a block to an
-    `M2` when first read.  Equality compares lifts: entrywise for one G."""
+    """A table of blocks X_{k,l} of grade k+l+1, 0 <= k <= max_k, 0 <= l <= max_l,
+    as lifted[k][l] = E_{k+l+1} X_{k,l} on a graded lift (`series.GradedLift`)
+    with grades = (E_0, ..., E_{max_k+max_l+1}): the matrix-valued affine
+    coordinates Z_{k,l} on the lift of G, or the 3-spin V_{k,l} on the lift of
+    R (`spin3.v_table`).  `entry` reduces a block to an `M2` when first read.
+    Equality compares lifts: entrywise for one lift."""
 
     __slots__ = ("max_k", "max_l", "lifted", "grades", "__dict__")
 
@@ -397,12 +402,10 @@ def verify_generating_function(
 ) -> VerificationReport:
     """Expand (I - G(alpha) G(beta)^-1) / (alpha - beta) and compare with Z.
 
-    The numerator N has bivariate blocks N_{i,j} = -G_i U_j for (i,j) != 0
-    and N_{0,0} = 0.  Divisibility by alpha - beta is the vanishing of every
-    anti-diagonal sum of N, which is asserted before solving; the quotient
-    coefficients at alpha^-k-1 beta^-l-1 are Q_{k,l} = sum_r N_{k-r, l+1+r}.
-    N_{i,j} is kept on the graded lift at grade i+j, so both steps are integer
-    sums, and Q_{k,l} is compared with the lifted table entry of its grade.
+    With x = 1/alpha, y = 1/beta, G(alpha) G(beta)^-1 - I = (x - y) sum Z_{k,l}
+    x^k y^l has blocks N_{i,j} = G_i U_j ((i,j) != 0), kept on the lift at
+    grade i+j; `linear_quotient` checks its divisibility by x - y and solves
+    for the quotient, whose lifted blocks are compared with the table's.
     """
     suite = "generating-function"
     detail = f"bi-degree {depth}"
@@ -415,24 +418,22 @@ def verify_generating_function(
 
     # N[i][j] on every anti-diagonal i + j <= need, each block product once
     N = [[(0, 0, 0, 0) if i == j == 0
-          else block_sum(((-lift.ratios[i + j][i], lift.blocks[i], lift.inverse[j]),))
+          else block_sum(((lift.ratios[i + j][i], lift.blocks[i], lift.inverse[j]),))
           for j in range(need + 1 - i)]
          for i in range(need + 1)]
-
-    for s in range(1, need + 1):
-        acc = _block_total(N[i][s - i] for i in range(s + 1))
-        if any(acc):
-            return VerificationReport(
-                suite, False, detail,
-                failures=[f"anti-diagonal sum {s} of the numerator is {lift.lower(acc, lift.grades[s])}"],
-                notes="numerator not divisible by alpha - beta",
-            )
-
+    quotient, remainder = linear_quotient(N, 1, depth)
+    if remainder is not None:
+        s, total = remainder  # of G G^-1 - I: the numerator is its negative
+        return VerificationReport(
+            suite, False, detail,
+            failures=[f"anti-diagonal sum {s} of the numerator is {-lift.lower(total, lift.grades[s])}"],
+            notes="numerator not divisible by alpha - beta",
+        )
     failures = first_failures(
         f"(k,l)=({k},{l}): expansion {lift.lower(q, lift.grades[k + l + 1])} vs table {table.entry(k, l)}"
         for k in range(depth + 1)
         for l in range(depth + 1)
-        if (q := _block_total(N[k - r][l + 1 + r] for r in range(k + 1))) != table.lifted[k][l]
+        if (q := quotient[k][l]) != table.lifted[k][l]
     )
     return VerificationReport(suite, not failures, detail, failures=failures)
 
@@ -594,11 +595,6 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
         suite, not failures,
         f"k <= {k_max}, rows l <= {min(windows, default=None)}", failures=failures,
     )
-
-
-def _block_total(blocks) -> IntBlock:
-    """Entrywise sum of integer blocks."""
-    return tuple(map(sum, zip(*blocks)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,14 @@ with no head, for the loop matrix G(lam) (x = 1/lam), its inverse, and the
 A loop matrix also has a `GradedLift`: one integer scale E_k per grade, with
 E_i E_j dividing E_{i+j}, so that E_k G_k, E_k U_k for the inverse U, and
 every sum of block products whose grades add up to k are integer blocks.
-The lift solves for the inverse once, in these integers; the Z tables of
-`grassmann` are built and kept on it, convolving integer blocks
+The lift solves for the inverse once, in these integers.  A table of blocks
+of grade k+l+1 (`grassmann.ZTable`: the Z table of G, or the V table of the
+3-spin R) is built and kept on a lift, convolving integer blocks
 (`block_sum`) with no gcd per rational add or multiply, and an entry is
-reduced (`GradedLift.lower`) only when it is read.  `matrix_series_inverse`
-is the `Fraction` view of the same inverse.
+reduced (`GradedLift.lower`) only when it is read.  Both bivariate quotients,
+(I - G(alpha) G(beta)^-1)/(alpha - beta) for Z and (R*(w) R(z) - I)/(w + z)
+for V, are one division on the lift (`linear_quotient`).
+`matrix_series_inverse` is the `Fraction` view of the inverse.
 
 `M2` arithmetic skips work on zero operands (x + 0 = x, x - 0 = x, 0 - y = -y,
 -0 = 0, no product with a zero factor: `_add`, `_sub`, `_neg`, `_dot`, also
@@ -54,6 +57,7 @@ __all__ = [
     "GradedLift",
     "IntBlock",
     "block_sum",
+    "linear_quotient",
     "negate_argument",
     "kac_schwarz_apply",
     "constant_series",
@@ -379,10 +383,6 @@ class M2(Record):
         return cls(as_rational(a11), as_rational(a12), as_rational(a21), as_rational(a22))
 
     @classmethod
-    def zero(cls) -> "M2":
-        return _M2_ZERO
-
-    @classmethod
     def identity(cls) -> "M2":
         return _M2_IDENTITY
 
@@ -413,10 +413,6 @@ class M2(Record):
         """adj(M) = [[d, -b], [-c, a]]; equals sigma2 M^T sigma2 for 2x2."""
         return M2(self.a22, _neg(self.a12), _neg(self.a21), self.a11)
 
-    def swap_diagonal(self) -> "M2":
-        """eta M^T eta with eta = [[0,1],[1,0]]: swaps the diagonal entries."""
-        return M2(self.a22, self.a12, self.a21, self.a11)
-
     def is_zero(self) -> bool:
         return self.a11 == 0 and self.a12 == 0 and self.a21 == 0 and self.a22 == 0
 
@@ -428,8 +424,7 @@ class M2(Record):
         return f"[[{r[0][0]}, {r[0][1]}], [{r[1][0]}, {r[1][1]}]]"
 
 
-_M2_ZERO = M2(_ZERO, _ZERO, _ZERO, _ZERO)  # M2 is immutable, so these are shared
-_M2_IDENTITY = M2(Fraction(1), _ZERO, _ZERO, Fraction(1))
+_M2_IDENTITY = M2(Fraction(1), _ZERO, _ZERO, Fraction(1))  # M2 is immutable, so it is shared
 
 
 class MatrixSeries(Record):
@@ -539,6 +534,29 @@ def block_sum(
         s21 += c * (a21 * b11 + a22 * b21)
         s22 += c * (a21 * b12 + a22 * b22)
     return s11, s12, s21, s22
+
+
+def linear_quotient(N: list[list[IntBlock]], sign: int, size: int) -> tuple:
+    """Divide sum N_{i,j} x^i y^j by x - sign*y (sign = +1 or -1) on a graded lift.
+
+    N[i][j] is an integer block of grade i+j for i + j < len(N), N[0][0] = 0.
+    At the first s whose anti-diagonal sum sum_{i+j=s} sign^i N_{i,j} is not
+    zero (no quotient) the result is (None, (s, that sum)); else it is
+    (Q, None), Q[k][l] = sum_{r<=l} sign^r N_{k+1+r,l-r} (grade k+l+1) for
+    k, l <= size, the coefficient of x^k y^l; this needs len(N) > 2 size + 1.
+    """
+    for s in range(1, len(N)):
+        if any(total := _signed_total((N[i][s - i] for i in range(s + 1)), sign)):
+            return None, (s, total)
+    return tuple(tuple(_signed_total((N[k + 1 + r][l - r] for r in range(l + 1)), sign)
+                       for l in range(size + 1)) for k in range(size + 1)), None
+
+
+def _signed_total(blocks: Iterable[IntBlock], sign: int) -> IntBlock:
+    """Entrywise sum_r sign^r blocks[r] of integer blocks."""
+    if sign < 0:
+        blocks = (b if r % 2 == 0 else tuple(-v for v in b) for r, b in enumerate(blocks))
+    return tuple(map(sum, zip(*blocks)))
 
 
 def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSeries:

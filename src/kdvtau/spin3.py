@@ -18,30 +18,30 @@ The V-matrices are defined by
 
     (R*(w) R(z) - I) / (w + z) = sum (-1)^(k+l) V_{k,l} w^k z^l,
 
-with R*(w) = eta R(w)^T eta, eta = [[0,1],[1,0]], whose w^k block is
-R_k.swap_diagonal().  The quotient is solved
-layer by layer; the division is exact precisely because R*(-z) R(z) = I,
-and that consistency is asserted rather than assumed.  Writing
-Q_{k,l} = (-1)^(k+l) V_{k,l} for the raw quotient coefficients, matching
-the coefficient of w^(k+1) z^(l+1) on both sides of
-(w+z) * sum Q w^k z^l = R*(w)R(z) - I gives immediately
+with R*(w) = eta R(w)^T eta, eta = [[0,1],[1,0]]: R*_k is R_k with its
+diagonal swapped.  The quotient is solved on the graded integer lift of R by
+`series.linear_quotient`, the division that also expands the Z generating
+function, into a `grassmann.ZTable` (V_{k,l} has grade k+l+1).  It is exact
+because R*(-z) R(z) = I, which is asserted through every power of z the
+quotient reads.  Matching w^(k+1) z^(l+1) in (w+z) sum Q_{k,l} w^k z^l =
+R*(w)R(z) - I, with Q_{k,l} = (-1)^(k+l) V_{k,l}, gives
 
     Q_{k,l+1} + Q_{k+1,l} = R*_{k+1} R_{l+1} = Q_{k,0} Q_{0,l},
 
-i.e. V_{k,l+1} + V_{k+1,l} = -V_{k,0} V_{0,l} for the signed V.  That is
-the pairwise-sum relation verified here.
+i.e. the pairwise-sum relation V_{k,l+1} + V_{k+1,l} = -V_{k,0} V_{0,l}
+verified here.
 """
 
 from __future__ import annotations
 
-from .errors import InconsistentDivisionError, InsufficientDepthError, OutOfRangeError
-from .exactnum import Record, _setattr
+from functools import lru_cache
+
+from .errors import InconsistentDivisionError, InsufficientDepthError
 from .grassmann import ZTable, wk_G, wk_c_coeff, wk_q_coeff
 from .report import VerificationReport, first_failures
-from .series import M2, MatrixSeries, matrix_series_inverse
+from .series import M2, IntBlock, MatrixSeries, block_sum, linear_quotient, matrix_series_inverse
 
 __all__ = [
-    "VTable",
     "r_matrix",
     "verify_R_from_G",
     "v_table",
@@ -50,20 +50,17 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def r_matrix(depth: int) -> MatrixSeries:
-    """The explicit R series through z^depth; block(k) is the z^k block R_k.
+    """The explicit R series through z^depth; block(k) is the z^k block R_k,
+    one object (and so one graded lift) per depth.
 
     The parity pattern (diagonal blocks at even order, anti-diagonal at odd)
     is what the exponent realignment of the loop-matrix relation produces.
     """
-    blocks = []
-    for k in range(depth + 1):
-        q, c = wk_q_coeff(k), wk_c_coeff(k)
-        if k % 2 == 0:
-            blocks.append(M2.diag(q, c))
-        else:
-            blocks.append(M2.of(0, -q, -c, 0))
-    return MatrixSeries(tuple(blocks))
+    q, c = wk_q_coeff, wk_c_coeff
+    return MatrixSeries(tuple(M2.diag(q(k), c(k)) if k % 2 == 0 else M2.of(0, -q(k), -c(k), 0)
+                              for k in range(depth + 1)))
 
 
 def verify_R_from_G(depth: int) -> VerificationReport:
@@ -124,58 +121,35 @@ def verify_R_from_G(depth: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-class VTable(Record):
-    """V_{k,l} for 0 <= k, l <= size."""
-
-    __slots__ = ("size", "blocks")
-
-    def __init__(self, size: int, blocks: tuple[tuple[M2, ...], ...]) -> None:
-        _setattr(self, "size", size)
-        _setattr(self, "blocks", blocks)
-
-    def entry(self, k: int, l: int) -> M2:
-        if not (0 <= k <= self.size and 0 <= l <= self.size):
-            raise OutOfRangeError(f"V[{k},{l}] outside table of size {self.size}")
-        return self.blocks[k][l]
+def _star(block: IntBlock) -> IntBlock:
+    """eta M^T eta of an integer block: its diagonal swapped."""
+    a11, a12, a21, a22 = block
+    return a22, a12, a21, a11
 
 
-def v_table(size: int) -> VTable:
-    """Solve (R*(w)R(z) - I)/(w+z) for V_{k,l}, 0 <= k,l <= size.
+def v_table(size: int) -> ZTable:
+    """Solve (R*(w)R(z) - I)/(w+z) for V_{k,l}, 0 <= k,l <= size, on the lift of R.
 
-    Raw quotient coefficients: Q_{k,l} = sum_{r=0..l} (-1)^r N_{k+1+r, l-r}
-    with N_{i,j} = R*_i R_j (N_{0,0} = 0), each formed once.  The solution is
-    consistent iff the boundary equations Q_{0,j-1} = N_{0,j} also hold, which
-    encodes the divisibility of the numerator by w + z; a violation raises
-    InconsistentDivisionError.
+    N_{i,j} = R*_i R_j (N_{0,0} = 0) is lifted at grade i+j, each block product
+    once; `linear_quotient` checks R*(-z) R(z) = I through z^(2 size + 1) and
+    returns Q_{k,l} = (-1)^(k+l) V_{k,l}.  At the first z^s, s > 0, with a
+    nonzero coefficient, InconsistentDivisionError compares Q_{0,s-1} with the
+    boundary block N_{0,s} = R_s it would equal.
     """
-    need = 2 * size + 1
-    R = r_matrix(need)
-    stars = [R.block(i).swap_diagonal() for i in range(need + 1)]
-    N = [[star @ R.block(j) for j in range(min(size + 1, need - i) + 1)]
-         for i, star in enumerate(stars)]
-    N[0][0] = M2.zero()
-
-    q: dict[tuple[int, int], M2] = {}
-    for k in range(size + 1):
-        for l in range(size + 1):
-            acc = M2.zero()
-            for r in range(l + 1):
-                term = N[k + 1 + r][l - r]
-                acc = acc + term if r % 2 == 0 else acc - term
-            q[(k, l)] = acc
-    for j in range(1, size + 2):
-        if (lhs := q[(0, j - 1)]) != N[0][j]:
-            raise InconsistentDivisionError(
-                f"numerator not divisible by w+z at boundary column {j}: {lhs} vs {N[0][j]}"
-            )
-    rows = []
-    for k in range(size + 1):
-        row = []
-        for l in range(size + 1):
-            v = q[(k, l)]
-            row.append(v if (k + l) % 2 == 0 else -v)
-        rows.append(tuple(row))
-    return VTable(size, tuple(rows))
+    R = r_matrix(2 * size + 1)
+    lift, need = R.lift, R.tail_order
+    r, ratios = lift.blocks, lift.ratios
+    N = [[block_sum(((ratios[i + j][i], star, r[j]),)) if i + j else (0, 0, 0, 0)
+          for j in range(need + 1 - i)] for i, star in enumerate(map(_star, r))]
+    quotient, remainder = linear_quotient(N, -1, size)
+    if remainder is not None:
+        s, total = remainder
+        lhs = tuple(n - t for n, t in zip(N[0][s], total))  # Q_{0,s-1}
+        raise InconsistentDivisionError(f"numerator not divisible by w+z at boundary column {s}: "
+                                        f"{lift.lower(lhs, lift.grades[s])} vs {R.block(s)}")
+    return ZTable(size, size, tuple(
+        tuple(q if (k + l) % 2 == 0 else tuple(-v for v in q) for l, q in enumerate(row))
+        for k, row in enumerate(quotient)), lift.grades)
 
 
 def verify_v_relations(size: int) -> VerificationReport:
@@ -184,42 +158,39 @@ def verify_v_relations(size: int) -> VerificationReport:
     Checks V_{k,l+1} + V_{k+1,l} = -V_{k,0} V_{0,l} (the sign is forced by
     the (-1)^(k+l) in the defining expansion; the unsigned quotient
     coefficients satisfy it with a plus) and V*_{k,l} = V_{l,k}, plus the
-    reconstruction (w+z) * quotient = R*(w)R(z) - I on the checked window.
+    reconstruction (w+z) * quotient = R*(w)R(z) - I on the checked window, in
+    integers on the lift of R that V was solved on: the pairwise sum with its
+    grades cleared, E_{k+1} E_{l+1} (v_{k,l+1} + v_{k+1,l}) = -E_{k+l+2} v_{k,0} v_{0,l}.
     """
     suite = "v-relations"
     V = v_table(size + 1)
+    v, e = V.lifted, V.grades
+    lift = r_matrix(len(e) - 1).lift  # the one V was solved on: r_matrix is memoised
+    zero = (0, 0, 0, 0)
 
     def mismatches():
         for k in range(size + 1):
             for l in range(size + 1):
-                lhs = V.entry(k, l + 1) + V.entry(k + 1, l)
-                rhs = -(V.entry(k, 0) @ V.entry(0, l))
-                if lhs != rhs:
-                    yield f"pairwise sum at (k,l)=({k},{l}): {lhs} vs {rhs}"
-                if V.entry(k, l).swap_diagonal() != V.entry(l, k):
+                lhs = tuple(e[k + 1] * e[l + 1] * (a + b) for a, b in zip(v[k][l + 1], v[k + 1][l]))
+                if lhs != block_sum(((-e[k + l + 2], v[k][0], v[0][l]),)):
+                    yield (f"pairwise sum at (k,l)=({k},{l}): {V.entry(k, l + 1) + V.entry(k + 1, l)} "
+                           f"vs {-(V.entry(k, 0) @ V.entry(0, l))}")
+                if _star(v[k][l]) != v[l][k]:
                     yield f"adjoint symmetry at (k,l)=({k},{l})"
-        # reconstruction: coefficient of w^i z^j in (w+z) * quotient equals the
-        # numerator block R*_i R_j (zero at the origin)
-        R = r_matrix(size + 1)
+        # reconstruction: the coefficient of w^i z^j in (w+z) * quotient is the
+        # numerator block R*_i R_j (zero at the origin), all of grade i+j
         for i in range(size + 2):
             for j in range(size + 2):
-                if i + j == 0:
-                    continue
-                acc = M2.zero()
-                if i >= 1:
-                    q = V.entry(i - 1, j)
-                    acc = acc + (q if (i - 1 + j) % 2 == 0 else -q)
-                if j >= 1:
-                    q = V.entry(i, j - 1)
-                    acc = acc + (q if (i + j - 1) % 2 == 0 else -q)
-                want = R.block(i).swap_diagonal() @ R.block(j)
-                if acc != want:
-                    yield f"reconstruction at w^{i} z^{j}: {acc} vs {want}"
+                c = 1 if (i + j) % 2 else -1  # Q = (-1)^(k+l) V
+                left, right = v[i - 1][j] if i else zero, v[i][j - 1] if j else zero
+                acc = tuple(c * (a + b) for a, b in zip(left, right))
+                want = block_sum(((lift.ratios[i + j][i], _star(lift.blocks[i]), lift.blocks[j]),))
+                if i + j and acc != want:
+                    yield (f"reconstruction at w^{i} z^{j}: {lift.lower(acc, e[i + j])} "
+                           f"vs {lift.lower(want, e[i + j])}")
 
     failures = first_failures(mismatches())
-    return VerificationReport(
-        suite, not failures, f"k,l <= {size}", failures=failures
-    )
+    return VerificationReport(suite, not failures, f"k,l <= {size}", failures=failures)
 
 
 def verify_thm2(ztable: ZTable, K: int, L: int) -> VerificationReport:

@@ -18,6 +18,8 @@ routes that share no code.
   and the closed formula Z_{k,l} = -sum_{j<=k} G_j U_{k+l+1-j}, on nested
   lists of `Fraction`, one reduction per operation.  `wk_cq(n)` gives the
   Witten-Kontsevich c_k and q_k from their closed forms.
+* `v_matrices(size)`: V_{k,l} of the 3-spin R-matrix, as the quotient
+  (R*(w) R(z) - I) / (w + z) solved block by block in `Fraction`s.
 * Graded-polynomial helpers only tests use: `graded_exp`, `graded_log`
   (the power series log(1 + x) = sum (-1)^(i+1) x^i / i), `pow_int`,
   `evaluate`, `degree_slice`.  They take any object with the `GradedPoly`
@@ -183,6 +185,33 @@ def closed_z(g: list, u: list, max_k: int, max_l: int) -> list:
     return [[_negsum(_matmul(g[j], u[k + l + 1 - j]) for j in range(k + 1))
              for l in range(min(max_l + 1, len(u) - 1 - k))]
             for k in range(min(max_k + 1, len(u) - 1))]
+
+
+def v_matrices(size: int) -> list:
+    """V[k][l] for k, l <= size, from (R*(w) R(z) - I)/(w+z) = sum (-1)^(k+l) V_{k,l} w^k z^l.
+
+    R_k = diag(q_k, c_k) at even k and [[0, -q_k], [-c_k, 0]] at odd k, and
+    R*_k swaps the diagonal of R_k.  The quotient coefficient of w^k z^l is
+    sum_{j<=l} (-1)^j R*_{k+1+j} R_{l-j}.
+    """
+    need = 2 * size + 1
+    c, q = wk_cq(need + 1)
+    zero = Fraction(0)
+    r = [[[q[k], zero], [zero, c[k]]] if k % 2 == 0 else [[zero, -q[k]], [-c[k], zero]]
+         for k in range(need + 1)]
+    star = [[[x[1][1], x[0][1]], [x[1][0], x[0][0]]] for x in r]
+    V = []
+    for k in range(size + 1):
+        row = []
+        for l in range(size + 1):
+            v = [[zero, zero], [zero, zero]]
+            for j in range(l + 1):
+                sign = (-1) ** (k + l + j)
+                n = _matmul(star[k + 1 + j], r[l - j])
+                v = [[v[a][b] + sign * n[a][b] for b in range(2)] for a in range(2)]
+            row.append(v)
+        V.append(row)
+    return V
 
 
 _VAR_DEGREE = {"theta": lambda j: j, "t": lambda k: 2 * k + 1}

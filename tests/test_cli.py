@@ -211,35 +211,42 @@ def test_verify_all_builds_one_wk_z_table_for_three_suites(capsys, monkeypatch):
 
 
 def test_v_table_forms_each_numerator_block_once(monkeypatch):
-    # N_{i,j} = R*_i R_j: one R*_i per i, and no product of the same pair twice
+    # N_{i,j} = R*_i R_j on the lift of R: one block product per (i, j) with
+    # 0 < i + j <= 2 size + 1, and none twice
     from kdvtau import spin3
-    from kdvtau.series import M2
 
-    stars, products = [], []
-    swap, matmul = M2.swap_diagonal, M2.__matmul__
-    monkeypatch.setattr(M2, "swap_diagonal", lambda self: stars.append(self) or swap(self))
-    monkeypatch.setattr(M2, "__matmul__",
-                        lambda self, other: products.append((self, other)) or matmul(self, other))
+    pairs = []
+    block_sum = spin3.block_sum
+
+    def counting(terms):
+        terms = tuple(terms)
+        pairs.extend((a, b) for _, a, b in terms)
+        return block_sum(terms)
+
+    monkeypatch.setattr(spin3, "block_sum", counting)
     size = 7
     spin3.v_table(size)
-    assert len(stars) == len(set(stars)) == 2 * size + 2
-    assert len(products) == len(set(products))
+    need = 2 * size + 1
+    assert len(pairs) == len(set(pairs)) == (need + 1) * (need + 2) // 2 - 1
 
 
 def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
-    # equal Witten-Kontsevich loop matrices are one memoised object, so each
-    # depth read by the suites gets one graded lift and one integer inverse
+    # equal Witten-Kontsevich loop matrices, and equal R series, are one
+    # memoised object, so each depth read by the suites gets one graded lift
     from kdvtau.grassmann import wk_G
     from kdvtau.series import GradedLift
+    from kdvtau.spin3 import r_matrix
 
     depths = []
     init = GradedLift.__init__
     monkeypatch.setattr(GradedLift, "__init__",
                         lambda self, *a: depths.append(len(a[0]) - 1) or init(self, *a))
     wk_G.cache_clear()
+    r_matrix.cache_clear()
     code, _, _ = run(capsys, "verify", "all")
     assert code == 0
-    assert sorted(depths) == [11, 21, 24, 31, 41]
+    # WK loop matrices at 11, 21, 23, 31 and 41; R at 9 (vmatrix) and 15 (thm2)
+    assert sorted(depths) == [9, 11, 15, 21, 23, 31, 41]
 
 
 @pytest.mark.parametrize("suite", ["recursion", "genfun", "symmetry"])

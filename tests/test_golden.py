@@ -73,6 +73,8 @@ GOLDEN = {
     "verify genfun --depth 25": (0, "0c6181d9c7af16afb1345ed2cb0511a6f6615bc26054a1a81454225fd8c321fb"),
     "verify vmatrix --depth 5": (0, "eb3cc7d5a1fc28ba0a76918eede1643e63ae338dc08a5aa8f61a20b450c8b759"),
     "verify thm2 --depth 4": (0, "900643477755a9bd13a87873d6186a42ec14b094ff4837e211055530fbb6aa97"),
+    "verify vmatrix --depth 8": (0, "b8618c2919ec41352b957d557b010a4f12a2efdd719a3ae45357f168e303bcaf"),
+    "verify thm2 --depth 6": (0, "59532fc0636e1427fbe70ca746b9255f1a3386642bf7cff959dbb8d49acc6ed2"),
     "verify zhou-match --depth 45": (0, "f4815a8b1d022b86c30262cad6f8e2236246c8739c72c1166c00211d644c2a8f"),
     # correlators, mixed affine/tau tables, the kdv residual report and the
     # grassmann affine route, pinned before the correlator record was dropped

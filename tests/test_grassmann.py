@@ -32,6 +32,7 @@ from kdvtau.series import M2, GradedLift, LaurentSeries, MatrixSeries, matrix_se
 from oracles import closed_z, loop_blocks, loop_inverse, wk_cq
 
 F = Fraction
+ZERO = M2.of(0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,7 @@ def test_generating_function_wk(wk_G41):
 def test_generating_function_identity_matrix():
     from kdvtau.series import MatrixSeries
 
-    eye = MatrixSeries((M2.identity(),) + (M2.zero(),) * 9)
+    eye = MatrixSeries((M2.identity(),) + (ZERO,) * 9)
     table = z_table_direct(eye, 3, 3)
     assert all(table.entry(k, l).is_zero() for k in range(4) for l in range(4))
     assert verify_generating_function(eye, table, 3).passed
@@ -513,7 +514,7 @@ def fraction_inverse(G: MatrixSeries) -> list[M2]:
     """U_0..U_O of G^-1 in `M2` arithmetic: G U = I block by block."""
     u = [M2.identity()]
     for k in range(1, G.tail_order + 1):
-        acc = M2.zero()
+        acc = ZERO
         for j in range(1, k + 1):
             acc = acc + G.block(j) @ u[k - j]
         u.append(-acc)
@@ -534,15 +535,15 @@ def fraction_holds(name: str, G: MatrixSeries, table, depth: int) -> bool:
     u = fraction_inverse(G)
     if name == "genfun":  # Q_{k,l} = -sum_r G_{k-r} U_{l+1+r}
         return all(
-            Z(k, l) == -sum((G.block(k - r) @ u[l + 1 + r] for r in range(k + 1)), M2.zero())
+            Z(k, l) == -sum((G.block(k - r) @ u[l + 1 + r] for r in range(k + 1)), ZERO)
             for k in n for l in n
         )
     # genseries: lam^e coefficient sum_j G_{k-e-j} U_j of G (lam^k G^-1)_+, k <= 2
     for k in range(3):
         l_top = min(G.tail_order - k - 1, table.max_k)
         for e in range(-(l_top + 1), k + 1):
-            got = sum((G.block(k - e - j) @ u[j] for j in range(min(k, k - e) + 1)), M2.zero())
-            want = M2.identity() if e == k else M2.zero() if e >= 0 else Z(-e - 1, k)
+            got = sum((G.block(k - e - j) @ u[j] for j in range(min(k, k - e) + 1)), ZERO)
+            want = M2.identity() if e == k else ZERO if e >= 0 else Z(-e - 1, k)
             if got != want:
                 return False
     return True

@@ -18,7 +18,6 @@ from kdvtau.report import VerificationReport
 from kdvtau.exactnum import Record
 from kdvtau.schur import GradedPoly
 from kdvtau.series import M2, GradedLift, LaurentSeries, MatrixSeries
-from kdvtau.spin3 import VTable
 from kdvtau.tau import CorrelatorSpec, TauSeries
 from kdvtau.zhou import rescale_B
 
@@ -46,7 +45,7 @@ def tail(*values):
 RECORDS = {
     LaurentSeries: lambda: ((((-1, F(2)),), 3), (((-1, F(2)),), 4)),
     M2: lambda: ((F(1), F(2), F(3), F(4)), (F(1), F(2), F(3), F(5))),
-    MatrixSeries: lambda: (((M2.identity(), M2.of(0, 1, 0, 0)),), ((M2.identity(), M2.zero()),)),
+    MatrixSeries: lambda: (((M2.identity(), M2.of(0, 1, 0, 0)),), ((M2.identity(), M2.of(0, 0, 0, 0)),)),
     GradedLift: lambda: (
         ((1, 2), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0)), ((1, 0, 0, 1), (0, -1, 0, 0))),
         ((1, 2), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0)), ((1, 0, 0, 1), (0, 1, 0, 0))),
@@ -60,7 +59,6 @@ RECORDS = {
         (GradedPoly("theta", {(): F(1)}, 3), 2),
     ),
     CorrelatorSpec: lambda: (((1, 2),), ((1, 3),)),
-    VTable: lambda: ((0, ((M2.identity(),),)), (0, ((M2.zero(),),))),
     VerificationReport: lambda: (
         ("suite", True, "depth 3", False, []),
         ("suite", False, "depth 3", False, []),

@@ -137,14 +137,7 @@ def case_r_from_G(mp, G, tau):
 
 def case_v_relations(mp, G, tau):
     true_V = spin3.v_table
-
-    def bumped(size):
-        V = true_V(size)
-        rows = [list(row) for row in V.blocks]
-        rows[1][1] = rows[1][1] + BUMP
-        return spin3.VTable(V.size, tuple(tuple(row) for row in rows))
-
-    mp.setattr(spin3, "v_table", bumped)
+    mp.setattr(spin3, "v_table", lambda size: bumped_z(true_V(size), 1, 1))
     return spin3.verify_v_relations(3)
 
 
@@ -165,8 +158,8 @@ def test_capped_verifier_fails_on_one_perturbed_entry(monkeypatch, wk_G41, wk_ta
     assert rep.line().count("first failure") == len(rep.failures)
 
 
-# sha256 of `rep.line()` for the Z-table cases: the failure text of each
-# verifier on the Z table is pinned byte for byte, however the table is stored
+# sha256 of `rep.line()` for the Z- and V-table cases: the failure text of each
+# verifier on the table is pinned byte for byte, however the table is stored
 LINE_DIGESTS = {
     case_generating_function: "dee92c01993de8ed1d681f062e7b2f644293e98a539f68a00fe4bb88fd6bd84e",
     case_symmetry: "c915734449f2ffcec175119b76adf99b43ad3fc023a9fa5168bd972634ceafe5",
@@ -175,6 +168,7 @@ LINE_DIGESTS = {
     case_z_generating_series: "5530a406d9a705fb50fd774ca899f932acc44878ba453bd5916dda0d3fe72c03",
     case_thm2: "185379898675d992d86ccfb4bfd39823c8cf9e015ad59997aec1dcb12ab33e2f",
     case_symmetry_off_support: "515864c0bc0c954a58fbee5627f9c152ed01af4856da9c959d98957c2e33c38e",
+    case_v_relations: "eaaacb91db94ae6f119e00ae90688b6b122807b42216b903eae522e709400b23",
 }
 
 

@@ -12,12 +12,16 @@ from kdvtau.series import (
     MatrixSeries,
     constant_series,
     kac_schwarz_apply,
+    linear_quotient,
     matrix_series_inverse,
     negate_argument,
     series_from_json,
     series_inverse,
     series_to_json,
 )
+
+
+ZERO = M2.of(0, 0, 0, 0)
 
 
 def S(data, order):
@@ -241,14 +245,14 @@ def test_window_never_extended():
 
 
 def test_matrix_inverse_identity():
-    eye = MatrixSeries((M2.identity(),) + (M2.zero(),) * 4)
+    eye = MatrixSeries((M2.identity(),) + (ZERO,) * 4)
     inv = matrix_series_inverse(eye)
-    assert inv.blocks(4) == [M2.identity()] + [M2.zero()] * 4
+    assert inv.blocks(4) == [M2.identity()] + [ZERO] * 4
 
 
 def test_matrix_inverse_nilpotent():
     g1 = M2.of(0, 3, 0, 0)
-    G = MatrixSeries((M2.identity(), g1) + (M2.zero(),) * 3)
+    G = MatrixSeries((M2.identity(), g1) + (ZERO,) * 3)
     U = matrix_series_inverse(G)
     assert U.block(1) == -g1
     assert all(U.block(k).is_zero() for k in range(2, 5))
@@ -263,7 +267,7 @@ def test_matrix_inverse_wk_blocks():
     assert U.block(2) == M2.of(0, 0, Fraction(5, 24), 0)
     assert U.block(3) == M2.diag(Fraction(-455, 1152), Fraction(385, 1152))
     g, u = G.blocks(6), U.blocks(6)
-    prod = [sum((g[j] @ u[k - j] for j in range(k + 1)), M2.zero()) for k in range(7)]
+    prod = [sum((g[j] @ u[k - j] for j in range(k + 1)), ZERO) for k in range(7)]
     assert prod[0] == M2.identity()
     assert all(prod[k].is_zero() for k in range(1, 7))
 
@@ -286,7 +290,7 @@ def test_wk_loop_matrix_is_lifted_and_inverted_once(monkeypatch):
 
 
 def test_matrix_series_window():
-    G = MatrixSeries((M2.identity(), M2.of(0, 3, 0, 0), M2.zero(), M2.zero()))
+    G = MatrixSeries((M2.identity(), M2.of(0, 3, 0, 0), ZERO, ZERO))
     assert G.tail_order == 3 and G.block(3).is_zero()
     with pytest.raises(InsufficientDepthError):
         G.block(4)
@@ -307,10 +311,24 @@ def entries(m):
     return [m.a11, m.a12, m.a21, m.a22]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_linear_quotient_divides_by_x_minus_sign_y(sign):
+    # P = (x - sign y) Q for Q_{k,l} = (k + 2l, -l, k * l, 1) at grade k + l + 1
+    n, size = 7, 3
+    Q = [[(k + 2 * l, -l, k * l, 1) for l in range(n)] for k in range(n)]
+    N = [[tuple((Q[i - 1][j][e] if i else 0) - sign * (Q[i][j - 1][e] if j else 0)
+                for e in range(4)) for j in range(n + 1 - i)] for i in range(n + 1)]
+    quotient, remainder = linear_quotient(N, sign, size)
+    assert remainder is None
+    assert quotient == tuple(tuple(tuple(Q[k][l]) for l in range(size + 1)) for k in range(size + 1))
+    # a block moved on anti-diagonal 5 is reported there, with the sum it leaves
+    N[2][3] = tuple(v + 1 for v in N[2][3])
+    assert linear_quotient(N, sign, size) == (None, (5, (1, 1, 1, 1)))
+
+
 def test_m2_constants_are_the_plain_blocks():
-    assert M2.zero() == M2.of(0, 0, 0, 0) and M2.zero().is_zero()
     assert M2.identity() == M2.of(1, 0, 0, 1)
-    assert all(type(v) is Fraction for v in entries(M2.zero()) + entries(M2.identity()))
+    assert all(type(v) is Fraction for v in entries(M2.identity()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,7 +349,7 @@ def test_zero_aware_m2_arithmetic_is_entrywise_fraction_arithmetic(a, b):
 
 
 def test_matrix_inverse_requires_identity_leading_block():
-    G = MatrixSeries((M2.of(2, 0, 0, 1),) + (M2.zero(),) * 3)
+    G = MatrixSeries((M2.of(2, 0, 0, 1),) + (ZERO,) * 3)
     with pytest.raises(NotNormalizedError):
         matrix_series_inverse(G)
 
