@@ -146,25 +146,23 @@ def _run_suite(
     if suite == "kac-schwarz":
         return [gr.verify_kac_schwarz(depth)]
     if suite == "recursion":
-        G = gr.wk_G(2 * depth + 1)
         # the recursion is checked on the closed-formula table: on the table it
         # built itself it would hold by construction
-        table = gr.z_table_direct(G, depth, depth)
+        table = gr.z_table_direct(gr.wk_G(2 * depth + 1), depth, depth)
         return [
-            gr.verify_z_equivalence(G, table),
+            gr.verify_z_equivalence(table),
             gr.verify_z_recursion_identity(table),
-            gr.verify_z_generating_series(G, depth // 2, table),
+            gr.verify_z_generating_series(table, depth // 2),
             zhou.verify_two_step_recursion(2 * depth),
         ]
     if suite == "symmetry":
         half = max(depth // 2, 1)
         return [
             zhou.verify_b_symmetry(depth, depth),
-            gr.verify_symmetry(_wk_z_table(half, memo), gr.wk_G(2 * half + 1), half),
+            gr.verify_symmetry(_wk_z_table(half, memo), half),
         ]
     if suite == "genfun":
-        table = _wk_z_table(depth, memo)
-        return [gr.verify_generating_function(gr.wk_G(2 * depth + 1), table, depth)]
+        return [gr.verify_generating_function(_wk_z_table(depth, memo), depth)]
     if suite == "zhou-match":
         # spans 0..2 (depth // 2) + 1 >= depth; the verifier reads 0..depth
         table = _wk_z_table(depth // 2, memo).to_affine_table()

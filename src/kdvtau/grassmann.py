@@ -21,14 +21,15 @@ It also extracts scalar coordinates and verifies the generating-series,
 recursion and symmetry identities.
 
 Both table routes and the five Z-table verifiers work on the graded integer
-lift of G (`series.GradedLift`): a block of grade d (Z_{k,l} has grade k+l+1)
-is carried as E_d times itself, a product of blocks of grades i and j is
-scaled by the exact integer E_{i+j} / (E_i E_j), and a `ZTable` keeps the
-lifted blocks (so does the V table of `spin3`, on the lift of R, which
-shares the generating function's division, `series.linear_quotient`).  The
-seeds E_j U_j are the integer inverse the lift solves for
-(`GradedLift.inverse`); the recursion checks every seed it reads against the
-boundary data Z_{k,0} = G_{k+1}.  Where both sides of an identity have one
+lift that G is stored as (`series.MatrixSeries`): a block of grade d
+(Z_{k,l} has grade k+l+1) is carried as E_d times itself, a product of
+blocks of grades i and j is scaled by the exact integer E_{i+j} / (E_i E_j),
+and a `ZTable` keeps the lifted blocks together with the series they were
+solved on, which the verifiers read from it (so does the V table of `spin3`,
+on R, which shares the generating function's division,
+`series.linear_quotient`).  The seeds E_j U_j are the integer inverse of G
+(`MatrixSeries.inverse`); the recursion checks every seed it reads against
+the boundary data Z_{k,0} = G_{k+1}.  Where both sides of an identity have one
 grade (equivalence, symmetry, generating function and series), dividing by
 E_d changes no verdict, so the integers are compared.  The recursion identity
 is checked with its denominators cleared, so it does not re-run the step it
@@ -56,13 +57,13 @@ from .report import VerificationReport, first_failures
 from .series import (
     _ZERO,
     M2,
-    GradedLift,
     LaurentSeries,
     IntBlock,
     MatrixSeries,
     block_sum,
     constant_series,
     linear_quotient,
+    lower,
     kac_schwarz_apply,
     negate_argument,
     series_from_json,
@@ -182,7 +183,7 @@ def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
             raise InsufficientDepthError(
                 f"{name} is only valid through lam^-{s.tail_order}, need lam^-{need}"
             )
-    return MatrixSeries(tuple(
+    return MatrixSeries.from_blocks(
         M2(
             p.a.coeff(-2 * k),
             p.b.coeff(-(2 * k + 1)),
@@ -190,13 +191,13 @@ def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
             p.b.coeff(-2 * k),
         )
         for k in range(depth + 1)
-    ))
+    )
 
 
 @lru_cache(maxsize=None)
 def wk_G(depth: int) -> MatrixSeries:
     """The Witten-Kontsevich loop matrix G_0..G_depth, one object (and so one
-    graded lift and inverse) per depth."""
+    inverse) per depth."""
     return build_G(wk_point(2 * depth + 1), depth)
 
 
@@ -207,21 +208,22 @@ def wk_G(depth: int) -> MatrixSeries:
 
 class ZTable(Record):
     """A table of blocks X_{k,l} of grade k+l+1, 0 <= k <= max_k, 0 <= l <= max_l,
-    as lifted[k][l] = E_{k+l+1} X_{k,l} on a graded lift (`series.GradedLift`)
-    with grades = (E_0, ..., E_{max_k+max_l+1}): the matrix-valued affine
-    coordinates Z_{k,l} on the lift of G, or the 3-spin V_{k,l} on the lift of
-    R (`spin3.v_table`).  `entry` reduces a block to an `M2` when first read.
-    Equality compares lifts: entrywise for one lift."""
+    as lifted[k][l] = E_{k+l+1} X_{k,l} on the grades E of `series`, the
+    `MatrixSeries` it was solved on: the matrix-valued affine coordinates
+    Z_{k,l} of G, or the 3-spin V_{k,l} of R (`spin3.v_table`).  `entry`
+    reduces a block to an `M2` when first read.  Equality compares the lifted
+    blocks and the series, so two tables are equal when they hold the same
+    blocks of the same series."""
 
-    __slots__ = ("max_k", "max_l", "lifted", "grades", "__dict__")
+    __slots__ = ("max_k", "max_l", "lifted", "series", "__dict__")
 
     def __init__(
-        self, max_k: int, max_l: int, lifted: tuple[tuple[IntBlock, ...], ...], grades: tuple[int, ...]
+        self, max_k: int, max_l: int, lifted: tuple[tuple[IntBlock, ...], ...], series: MatrixSeries
     ) -> None:
         _setattr(self, "max_k", max_k)
         _setattr(self, "max_l", max_l)
         _setattr(self, "lifted", lifted)  # lifted[k][l]
-        _setattr(self, "grades", grades)
+        _setattr(self, "series", series)
 
     @cached_property
     def _lowered(self) -> dict[tuple[int, int], M2]:
@@ -232,7 +234,7 @@ class ZTable(Record):
             raise OutOfRangeError(f"Z[{k},{l}] outside table {self.max_k}x{self.max_l}")
         z = self._lowered.get((k, l))
         if z is None:
-            z = self._lowered[k, l] = GradedLift.lower(self.lifted[k][l], self.grades[k + l + 1])
+            z = self._lowered[k, l] = lower(self.lifted[k][l], self.series.grades[k + l + 1])
         return z
 
     def to_affine_table(self, source: str = "grassmann") -> "AffineTable":
@@ -314,12 +316,6 @@ def _require_depth(G: MatrixSeries, need: int) -> None:
         )
 
 
-def _require_grades(table: ZTable, lift: GradedLift) -> None:
-    """A table compared with blocks of `lift` as integers must share its grades."""
-    if table.grades[: len(lift.grades)] != lift.grades[: len(table.grades)]:
-        raise ValueError("the Z table is not on the graded lift of this loop matrix")
-
-
 def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
     """Closed formula Z_{k,l} = -sum_{j=0..k} G_j U_{k+l+1-j} (U_0 = I).
 
@@ -328,8 +324,7 @@ def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
     """
     need = max_k + max_l + 1
     _require_depth(G, need)
-    lift = G.lift
-    g, ratios, u = lift.blocks, lift.ratios, lift.inverse
+    g, ratios, u = G.lifted, G.ratios, G.inverse
     rows = []
     for k in range(max_k + 1):
         row = []
@@ -339,7 +334,7 @@ def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
             s11, s12, s21, s22 = block_sum((ratio[j], g[j], u[d - j]) for j in range(k + 1))
             row.append((-s11, -s12, -s21, -s22))
         rows.append(tuple(row))
-    return ZTable(max_k, max_l, tuple(rows), lift.grades[: need + 1])
+    return ZTable(max_k, max_l, tuple(rows), G)
 
 
 def z_table_recursive(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
@@ -368,27 +363,26 @@ def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[Z
     """
     need = max(K + L for K, L in shapes) + 1
     _require_depth(G, need)
-    lift = G.lift
-    top = [(-a11, -a12, -a21, -a22) for a11, a12, a21, a22 in lift.inverse[1 : need + 1]]
+    top = [(-a11, -a12, -a21, -a22) for a11, a12, a21, a22 in G.inverse[1 : need + 1]]
     max_k = max(K for K, _ in shapes)
     rows = []
     row = top
     for k in range(need):
         if k:
             row = [
-                block_sum(((lift.ratios[k + l + 1][k], row[0], top[l]),), row[l + 1])
+                block_sum(((G.ratios[k + l + 1][k], row[0], top[l]),), row[l + 1])
                 for l in range(need - k)
             ]
-        if row[0] != lift.blocks[k + 1]:
+        if row[0] != G.lifted[k + 1]:
             raise ExactComputationError(
-                f"recursion boundary mismatch at Z[{k},0]: {lift.lower(row[0], lift.grades[k + 1])} "
+                f"recursion boundary mismatch at Z[{k},0]: {lower(row[0], G.grades[k + 1])} "
                 f"vs {G.block(k + 1)}; "
                 "the seeds are inconsistent (G times its inverse is not the identity)"
             )
         if k <= max_k:
             rows.append(row)
-    tables = {(K, L): ZTable(K, L, tuple(tuple(row[: L + 1]) for row in rows[: K + 1]),
-                             lift.grades[: K + L + 2]) for K, L in shapes}
+    tables = {(K, L): ZTable(K, L, tuple(tuple(row[: L + 1]) for row in rows[: K + 1]), G)
+              for K, L in shapes}
     return [tables[shape] for shape in shapes]
 
 
@@ -397,10 +391,9 @@ def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[Z
 # ---------------------------------------------------------------------------
 
 
-def verify_generating_function(
-    G: MatrixSeries, table: ZTable, depth: int
-) -> VerificationReport:
-    """Expand (I - G(alpha) G(beta)^-1) / (alpha - beta) and compare with Z.
+def verify_generating_function(table: ZTable, depth: int) -> VerificationReport:
+    """Expand (I - G(alpha) G(beta)^-1) / (alpha - beta), G the loop matrix
+    the table was solved on, and compare with Z.
 
     With x = 1/alpha, y = 1/beta, G(alpha) G(beta)^-1 - I = (x - y) sum Z_{k,l}
     x^k y^l has blocks N_{i,j} = G_i U_j ((i,j) != 0), kept on the lift at
@@ -411,14 +404,12 @@ def verify_generating_function(
     detail = f"bi-degree {depth}"
     if depth > min(table.max_k, table.max_l):
         raise InsufficientDepthError("Z table smaller than requested bi-degree")
-    need = 2 * depth + 1
+    need, G = 2 * depth + 1, table.series
     _require_depth(G, need)
-    lift = G.lift
-    _require_grades(table, lift)
 
     # N[i][j] on every anti-diagonal i + j <= need, each block product once
     N = [[(0, 0, 0, 0) if i == j == 0
-          else block_sum(((lift.ratios[i + j][i], lift.blocks[i], lift.inverse[j]),))
+          else block_sum(((G.ratios[i + j][i], G.lifted[i], G.inverse[j]),))
           for j in range(need + 1 - i)]
          for i in range(need + 1)]
     quotient, remainder = linear_quotient(N, 1, depth)
@@ -426,11 +417,11 @@ def verify_generating_function(
         s, total = remainder  # of G G^-1 - I: the numerator is its negative
         return VerificationReport(
             suite, False, detail,
-            failures=[f"anti-diagonal sum {s} of the numerator is {-lift.lower(total, lift.grades[s])}"],
+            failures=[f"anti-diagonal sum {s} of the numerator is {-lower(total, G.grades[s])}"],
             notes="numerator not divisible by alpha - beta",
         )
     failures = first_failures(
-        f"(k,l)=({k},{l}): expansion {lift.lower(q, lift.grades[k + l + 1])} vs table {table.entry(k, l)}"
+        f"(k,l)=({k},{l}): expansion {lower(q, G.grades[k + l + 1])} vs table {table.entry(k, l)}"
         for k in range(depth + 1)
         for l in range(depth + 1)
         if (q := quotient[k][l]) != table.lifted[k][l]
@@ -438,8 +429,9 @@ def verify_generating_function(
     return VerificationReport(suite, not failures, detail, failures=failures)
 
 
-def verify_symmetry(table: ZTable, G: MatrixSeries, depth: int) -> VerificationReport:
-    """Z_{l,k} = -adj(Z_{k,l}) for k, l <= depth, valid when det G = 1.
+def verify_symmetry(table: ZTable, depth: int) -> VerificationReport:
+    """Z_{l,k} = -adj(Z_{k,l}) for k, l <= depth, valid when det G = 1, G the
+    loop matrix the table was solved on.
 
     The determinant condition is checked first, through the window of G, on
     the lift (E_k times the lam^-k coefficient of det G); if it fails the
@@ -449,10 +441,10 @@ def verify_symmetry(table: ZTable, G: MatrixSeries, depth: int) -> VerificationR
     suite = "symmetry"
     if depth > min(table.max_k, table.max_l):
         raise InsufficientDepthError("Z table smaller than requested depth")
-    lift, window = G.lift, G.tail_order
-    g = lift.blocks
+    G = table.series
+    g, window = G.lifted, G.tail_order
     deviation = next((k for k in range(1, window + 1) if sum(
-        r * (a[0] * b[3] - a[1] * b[2]) for r, a, b in zip(lift.ratios[k], g, g[k::-1])
+        r * (a[0] * b[3] - a[1] * b[2]) for r, a, b in zip(G.ratios[k], g, g[k::-1])
     )), None)
     if deviation is not None:
         return VerificationReport(
@@ -520,13 +512,13 @@ def verify_kac_schwarz(depth: int) -> VerificationReport:
     return VerificationReport(suite, not failures, detail, failures=failures)
 
 
-def verify_z_equivalence(G: MatrixSeries, direct: ZTable) -> VerificationReport:
+def verify_z_equivalence(direct: ZTable) -> VerificationReport:
     """The closed-formula table `direct` = `z_table_direct(G, K, L)` equals the
-    recursion-seeded table of the same shape entrywise, on their lift."""
+    recursion-seeded table of the same shape on the same G, entrywise on the
+    lift of G."""
     suite = "z-table-equivalence"
     max_k, max_l = direct.max_k, direct.max_l
-    _require_grades(direct, G.lift)
-    recursive = z_table_recursive(G, max_k, max_l)
+    recursive = z_table_recursive(direct.series, max_k, max_l)
     failures = first_failures(
         f"(k,l)=({k},{l}): direct {direct.entry(k,l)} vs recursive {recursive.entry(k,l)}"
         for k in range(max_k + 1)
@@ -540,7 +532,7 @@ def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
     """Z_{k+1,l} - Z_{k,l+1} = Z_{k,0} Z_{0,l} on every stored index, on the lift
     as E_{k+1} E_{l+1} (z_{k+1,l} - z_{k,l+1}) = E_{k+l+2} z_{k,0} z_{0,l}."""
     suite = "z-recursion"
-    z, e = table.lifted, table.grades
+    z, e = table.lifted, table.series.grades
     failures = first_failures(
         f"(k,l)=({k},{l}): {table.entry(k + 1, l) - table.entry(k, l + 1)} "
         f"vs {table.entry(k, 0) @ table.entry(0, l)}"
@@ -555,8 +547,9 @@ def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
     )
 
 
-def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> VerificationReport:
-    """G(lam) (lam^k G(lam)^-1)_+ = lam^k + sum_l Z_{l,k} lam^-l-1 for k <= k_max.
+def verify_z_generating_series(table: ZTable, k_max: int) -> VerificationReport:
+    """G(lam) (lam^k G(lam)^-1)_+ = lam^k + sum_l Z_{l,k} lam^-l-1 for k <= k_max,
+    G the loop matrix the table was solved on.
 
     With G^-1 = sum U_j lam^-j the left side is sum_{j<=k} G(lam) U_j lam^(k-j),
     whose lam^e coefficient sum_j G_{k-j-e} U_j needs G through lam^-(k-e):
@@ -565,12 +558,11 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
     with the lifted right side of that grade.
     """
     suite = "z-generating-series"
+    G = table.series
     order = G.tail_order
     if k_max > table.max_l:
         raise InsufficientDepthError("Z table narrower than requested k range")
-    lift = G.lift
-    _require_grades(table, lift)
-    g, ratios, u = lift.blocks, lift.ratios, lift.inverse
+    g, ratios, u = G.lifted, G.ratios, G.inverse
     windows: list[int] = []  # rows l checked for each k reached
 
     def mismatches():
@@ -587,8 +579,8 @@ def verify_z_generating_series(G: MatrixSeries, k_max: int, table: ZTable) -> Ve
                 got = block_sum(terms)
                 want = expect.get(e, (0, 0, 0, 0))
                 if got != want:
-                    e_d = lift.grades[d]
-                    yield f"k={k}, lam^{e}: {lift.lower(got, e_d)} vs {lift.lower(want, e_d)}"
+                    e_d = G.grades[d]
+                    yield f"k={k}, lam^{e}: {lower(got, e_d)} vs {lower(want, e_d)}"
 
     failures = first_failures(mismatches())
     return VerificationReport(

@@ -17,24 +17,18 @@ meaningful on the overlap of windows, and the verifiers report the depth
 actually checked.
 
 A `MatrixSeries` is the dense 2x2-block counterpart: the blocks of x^0..x^O
-with no head, for the loop matrix G(lam) (x = 1/lam), its inverse, and the
-3-spin R(z) (x = z).  Its callers read blocks and convolve them themselves.
-
-A loop matrix also has a `GradedLift`: one integer scale E_k per grade, with
-E_i E_j dividing E_{i+j}, so that E_k G_k, E_k U_k for the inverse U, and
-every sum of block products whose grades add up to k are integer blocks.
-The lift solves for the inverse once, in these integers.  A table of blocks
-of grade k+l+1 (`grassmann.ZTable`: the Z table of G, or the V table of the
-3-spin R) is built and kept on a lift, convolving integer blocks
-(`block_sum`) with no gcd per rational add or multiply, and an entry is
-reduced (`GradedLift.lower`) only when it is read.  Both bivariate quotients,
+with no head and X_0 = I, for the loop matrix G(lam) (x = 1/lam), its
+inverse, and the 3-spin R(z) (x = z).  It is stored once, as its graded
+integer lift: one integer scale E_k per grade, with E_i E_j dividing
+E_{i+j}, so that E_k X_k, E_k U_k for the inverse U, and every sum of block
+products whose grades add up to k are integer blocks.  The inverse is
+solved in these integers when first read.  A table of blocks of grade k+l+1
+(`grassmann.ZTable`: the Z table of G, or the V table of the 3-spin R) is
+built on a series and keeps it, convolving integer blocks (`block_sum`)
+with no gcd per rational add or multiply, and a block is reduced (`lower`)
+only when it is read.  Both bivariate quotients,
 (I - G(alpha) G(beta)^-1)/(alpha - beta) for Z and (R*(w) R(z) - I)/(w + z)
 for V, are one division on the lift (`linear_quotient`).
-`matrix_series_inverse` is the `Fraction` view of the inverse.
-
-`M2` arithmetic skips work on zero operands (x + 0 = x, x - 0 = x, 0 - y = -y,
--0 = 0, no product with a zero factor: `_add`, `_sub`, `_neg`, `_dot`, also
-used by `zhou`): Witten-Kontsevich data vanish off the mod-3 support.
 """
 
 from __future__ import annotations
@@ -54,8 +48,8 @@ __all__ = [
     "series_mul",
     "series_inverse",
     "matrix_series_inverse",
-    "GradedLift",
     "IntBlock",
+    "lower",
     "block_sum",
     "linear_quotient",
     "negate_argument",
@@ -344,29 +338,6 @@ def _json_rational(value: object) -> Fraction:
 _ZERO = Fraction(0)
 
 
-def _add(a: Fraction, b: Fraction) -> Fraction:
-    """a + b, returning the other operand when one is zero."""
-    return (a + b if a else b) if b else a
-
-
-def _sub(a: Fraction, b: Fraction) -> Fraction:
-    """a - b, returning a or -b when one operand is zero."""
-    return (a - b if a else -b) if b else a
-
-
-def _neg(a: Fraction) -> Fraction:
-    """-a, returning a zero as it is."""
-    return -a if a else a
-
-
-def _dot(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
-    """a*b + c*d, skipping a product with a zero factor: Witten-Kontsevich
-    blocks have one or two nonzero entries of four."""
-    if a and b:
-        return a * b + c * d if c and d else a * b
-    return c * d if c and d else _ZERO
-
-
 class M2(Record):
     """Exact 2x2 matrix, row-major entries."""
 
@@ -391,30 +362,27 @@ class M2(Record):
         return cls.of(x, 0, 0, y)
 
     def __add__(self, other: "M2") -> "M2":
-        return M2(_add(self.a11, other.a11), _add(self.a12, other.a12),
-                  _add(self.a21, other.a21), _add(self.a22, other.a22))
+        return M2(self.a11 + other.a11, self.a12 + other.a12,
+                  self.a21 + other.a21, self.a22 + other.a22)
 
     def __sub__(self, other: "M2") -> "M2":
-        return M2(_sub(self.a11, other.a11), _sub(self.a12, other.a12),
-                  _sub(self.a21, other.a21), _sub(self.a22, other.a22))
+        return M2(self.a11 - other.a11, self.a12 - other.a12,
+                  self.a21 - other.a21, self.a22 - other.a22)
 
     def __neg__(self) -> "M2":
-        return M2(_neg(self.a11), _neg(self.a12), _neg(self.a21), _neg(self.a22))
+        return M2(-self.a11, -self.a12, -self.a21, -self.a22)
 
     def __matmul__(self, other: "M2") -> "M2":
         return M2(
-            _dot(self.a11, other.a11, self.a12, other.a21),
-            _dot(self.a11, other.a12, self.a12, other.a22),
-            _dot(self.a21, other.a11, self.a22, other.a21),
-            _dot(self.a21, other.a12, self.a22, other.a22),
+            self.a11 * other.a11 + self.a12 * other.a21,
+            self.a11 * other.a12 + self.a12 * other.a22,
+            self.a21 * other.a11 + self.a22 * other.a21,
+            self.a21 * other.a12 + self.a22 * other.a22,
         )
 
     def adjugate(self) -> "M2":
         """adj(M) = [[d, -b], [-c, a]]; equals sigma2 M^T sigma2 for 2x2."""
-        return M2(self.a22, _neg(self.a12), _neg(self.a21), self.a11)
-
-    def is_zero(self) -> bool:
-        return self.a11 == 0 and self.a12 == 0 and self.a21 == 0 and self.a22 == 0
+        return M2(self.a22, -self.a12, -self.a21, self.a11)
 
     def rows(self) -> list[list[Fraction]]:
         return [[self.a11, self.a12], [self.a21, self.a22]]
@@ -426,23 +394,63 @@ class M2(Record):
 
 _M2_IDENTITY = M2(Fraction(1), _ZERO, _ZERO, Fraction(1))  # M2 is immutable, so it is shared
 
+IntBlock = tuple[int, int, int, int]  # (a11, a12, a21, a22) of an integer 2x2 block
+
+
+def lower(block: IntBlock, scale: int) -> M2:
+    """The exact block `block` / scale (E_d for a block of grade d), each
+    entry reduced once."""
+    return M2(*(Fraction(n, scale) if n else _ZERO for n in block))
+
 
 class MatrixSeries(Record):
-    """Truncated series of 2x2 blocks sum_{k=0..O} coeffs[k] x^k, O = len(coeffs) - 1.
+    """Truncated series X = I + X_1 x + ... + X_O x^O of 2x2 blocks, kept as its
+    graded integer lift, one scale per grade.
 
     x is lam^-1 for the loop matrix G(lam) and its inverse, and z for the
-    3-spin R(z).  Every block through x^O is exact; block(k) beyond the
-    window raises `InsufficientDepthError`.
+    3-spin R(z).  grades[k] = E_k with E_0 = 1 and
+    E_k = lcm(den X_k, E_j E_{k-j} : 1 <= j <= k/2), so E_i E_j divides
+    E_{i+j}; lifted[k] = E_k X_k is an integer block, and
+    ratios[d][i] = E_d / (E_i E_{d-i}) is an exact integer.  A block of
+    grade d (X_d, the inverse block U_d, Z_{k,l} with d = k+l+1, a product of
+    two blocks whose grades add up to d) is carried as E_d times itself: the
+    product of lifted blocks of grades i and j, times ratios[i+j][i], is the
+    lift of the product, so sums of products stay in the integers.  Two
+    blocks of one grade are equal when their lifts are, so identities of
+    that grade are checked on the integers; a block is reduced, by `lower`,
+    only to be read.  On a point with integer coefficients every E_k is 1.
+
+    Every block through x^O is exact; block(k) beyond the window raises
+    `InsufficientDepthError`.
     """
 
-    __slots__ = ("coeffs", "__dict__")
+    __slots__ = ("grades", "lifted", "__dict__")
 
-    def __init__(self, coeffs: tuple[M2, ...]) -> None:
-        _setattr(self, "coeffs", coeffs)
+    def __init__(self, grades: tuple[int, ...], lifted: tuple[IntBlock, ...]) -> None:
+        _setattr(self, "grades", grades)
+        _setattr(self, "lifted", lifted)
+
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[M2]) -> "MatrixSeries":
+        """The lift of the exact blocks X_0, X_1, ...; requires X_0 = I."""
+        x0, *rest = blocks
+        if x0 != M2.identity():
+            raise NotNormalizedError(f"leading block must be the identity, got {x0}")
+        grades, lifted = [1], [(1, 0, 0, 1)]
+        for k, x in enumerate(rest, 1):
+            entries = (x.a11, x.a12, x.a21, x.a22)
+            e = math.lcm(*(v.denominator for v in entries))
+            for j in range(1, k // 2 + 1):
+                p = grades[j] * grades[k - j]
+                if e % p:
+                    e = math.lcm(e, p)
+            grades.append(e)
+            lifted.append(tuple(v.numerator * (e // v.denominator) for v in entries))
+        return cls(tuple(grades), tuple(lifted))
 
     @property
     def tail_order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.grades) - 1
 
     def block(self, k: int) -> M2:
         """Coefficient block of x^k (errors beyond the window)."""
@@ -450,77 +458,29 @@ class MatrixSeries(Record):
             raise InsufficientDepthError(
                 f"block {k} requested, series known through block {self.tail_order}"
             )
-        return self.coeffs[k]
+        return lower(self.lifted[k], self.grades[k])
 
     def blocks(self, through: int) -> list[M2]:
         return [self.block(k) for k in range(through + 1)]
 
     @cached_property
-    def lift(self) -> "GradedLift":
-        """The graded integer lift of the whole window, with the inverse of G
-        solved on it; its prefix through grade n is the lift of G_0..G_n and
-        of U_0..U_n.  Requires G_0 = I."""
-        g = self.coeffs
-        if g[0] != M2.identity():
-            raise NotNormalizedError(f"leading block must be the identity, got {g[0]}")
-        grades, ratios, blocks, inverse = [1], [(1,)], [(1, 0, 0, 1)], [(1, 0, 0, 1)]
-        for k in range(1, len(g)):
-            entries = (g[k].a11, g[k].a12, g[k].a21, g[k].a22)
-            e = math.lcm(*(v.denominator for v in entries))
-            products = [grades[j] * grades[k - j] for j in range(1, k // 2 + 1)]
-            for p in products:
-                if e % p:
-                    e = math.lcm(e, p)
-            grades.append(e)
-            half = [1] + [e // p for p in products]  # ratios[k][i] for i <= k/2
-            ratios.append(tuple(half + (half[:-1] if k % 2 == 0 else half)[::-1]))
-            blocks.append(tuple(v.numerator * (e // v.denominator) for v in entries))
-            # G U = I: u_k = E_k U_k = -sum_j (E_k / (E_j E_{k-j})) g_j u_{k-j}
-            s11, s12, s21, s22 = block_sum(
-                (ratios[k][j], blocks[j], inverse[k - j]) for j in range(1, k + 1)
-            )
-            inverse.append((-s11, -s12, -s21, -s22))
-        return GradedLift(tuple(grades), tuple(ratios), tuple(blocks), tuple(inverse))
+    def ratios(self) -> tuple[tuple[int, ...], ...]:
+        """ratios[d][i] = E_d / (E_i E_{d-i}), for i = 0..d."""
+        E, out = self.grades, []
+        for d, e in enumerate(E):
+            half = [e // (E[i] * E[d - i]) for i in range(d // 2 + 1)]
+            out.append(tuple(half + half[: (d + 1) // 2][::-1]))
+        return tuple(out)
 
-
-IntBlock = tuple[int, int, int, int]  # (a11, a12, a21, a22) of an integer 2x2 block
-
-
-class GradedLift(Record):
-    """Integer image of a loop matrix G = I + G_1 x + ... + G_O x^O and of its
-    inverse U = G^-1, one scale per grade.
-
-    grades[k] = E_k with E_0 = 1 and E_k = lcm(den G_k, E_j E_{k-j} : 1 <= j <= k/2),
-    so E_i E_j divides E_{i+j}; blocks[k] = E_k G_k and inverse[k] = E_k U_k
-    are integer blocks, and ratios[d][i] = E_d / (E_i E_{d-i}) is an exact
-    integer.  A block of grade d (G_d, U_d, Z_{k,l} with d = k+l+1, a product
-    of two blocks whose grades add up to d) is carried as E_d times itself:
-    the product of lifted blocks of grades i and j, times ratios[i+j][i], is
-    the lift of the product, so sums of products stay in the integers.  Two
-    blocks of one grade are equal when their lifts are, so identities of that
-    grade are checked on the integers; an entry is reduced, by `lower`, only
-    to be read.  On a point with integer coefficients every E_k is 1.
-    """
-
-    __slots__ = ("grades", "ratios", "blocks", "inverse")
-
-    def __init__(
-        self,
-        grades: tuple[int, ...],
-        ratios: tuple[tuple[int, ...], ...],
-        blocks: tuple[IntBlock, ...],
-        inverse: tuple[IntBlock, ...],
-    ) -> None:
-        _setattr(self, "grades", grades)
-        _setattr(self, "ratios", ratios)
-        _setattr(self, "blocks", blocks)
-        _setattr(self, "inverse", inverse)
-
-    @staticmethod
-    def lower(block: IntBlock, scale: int) -> M2:
-        """The exact block `block` / scale (E_d for a block of grade d), each
-        entry reduced once."""
-        return M2(*(Fraction(n, scale) if n else _ZERO for n in block))
+    @cached_property
+    def inverse(self) -> tuple[IntBlock, ...]:
+        """u_k = E_k U_k for the inverse U = X^-1, on the grades of X: from
+        X U = I, u_k = -sum_{j=1..k} (E_k / (E_j E_{k-j})) x_j u_{k-j}."""
+        x, ratios, u = self.lifted, self.ratios, [(1, 0, 0, 1)]
+        for k in range(1, len(x)):
+            s11, s12, s21, s22 = block_sum((ratios[k][j], x[j], u[k - j]) for j in range(1, k + 1))
+            u.append((-s11, -s12, -s21, -s22))
+        return tuple(u)
 
 
 def block_sum(
@@ -561,12 +521,11 @@ def _signed_total(blocks: Iterable[IntBlock], sign: int) -> IntBlock:
 
 def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSeries:
     """Inverse of G = I + G_1/lam + ... as I + sum U_k lam^-k, through
-    lam^-order (default and upper limit: the window of G).
+    lam^-order (default and upper limit: the window of G), on the grades of G.
 
     G * U = I is solved block-recursively, U_0 = I and
-    U_k = -sum_{j=1..k} G_j U_{k-j}, once per loop matrix on its graded lift
-    (`GradedLift.inverse`); this is its `Fraction` view.  Requires G_0 = I.
+    U_k = -sum_{j=1..k} G_j U_{k-j}, once per loop matrix
+    (`MatrixSeries.inverse`); no block is reduced until it is read.
     """
-    lift = G.lift
     order = G.tail_order if order is None else min(G.tail_order, order)
-    return MatrixSeries(tuple(lift.lower(lift.inverse[k], lift.grades[k]) for k in range(order + 1)))
+    return MatrixSeries(G.grades[: order + 1], G.inverse[: order + 1])

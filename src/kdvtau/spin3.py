@@ -19,9 +19,10 @@ The V-matrices are defined by
     (R*(w) R(z) - I) / (w + z) = sum (-1)^(k+l) V_{k,l} w^k z^l,
 
 with R*(w) = eta R(w)^T eta, eta = [[0,1],[1,0]]: R*_k is R_k with its
-diagonal swapped.  The quotient is solved on the graded integer lift of R by
-`series.linear_quotient`, the division that also expands the Z generating
-function, into a `grassmann.ZTable` (V_{k,l} has grade k+l+1).  It is exact
+diagonal swapped.  The quotient is solved on the graded integer lift that R
+is stored as, by `series.linear_quotient`, the division that also expands
+the Z generating function, into a `grassmann.ZTable` that keeps R (V_{k,l}
+has grade k+l+1).  R's inverse is never solved.  It is exact
 because R*(-z) R(z) = I, which is asserted through every power of z the
 quotient reads.  Matching w^(k+1) z^(l+1) in (w+z) sum Q_{k,l} w^k z^l =
 R*(w)R(z) - I, with Q_{k,l} = (-1)^(k+l) V_{k,l}, gives
@@ -39,7 +40,7 @@ from functools import lru_cache
 from .errors import InconsistentDivisionError, InsufficientDepthError
 from .grassmann import ZTable, wk_G, wk_c_coeff, wk_q_coeff
 from .report import VerificationReport, first_failures
-from .series import M2, IntBlock, MatrixSeries, block_sum, linear_quotient, matrix_series_inverse
+from .series import M2, IntBlock, MatrixSeries, block_sum, linear_quotient, lower, matrix_series_inverse
 
 __all__ = [
     "r_matrix",
@@ -53,14 +54,14 @@ __all__ = [
 @lru_cache(maxsize=None)
 def r_matrix(depth: int) -> MatrixSeries:
     """The explicit R series through z^depth; block(k) is the z^k block R_k,
-    one object (and so one graded lift) per depth.
+    one object per depth.
 
     The parity pattern (diagonal blocks at even order, anti-diagonal at odd)
     is what the exponent realignment of the loop-matrix relation produces.
     """
     q, c = wk_q_coeff, wk_c_coeff
-    return MatrixSeries(tuple(M2.diag(q(k), c(k)) if k % 2 == 0 else M2.of(0, -q(k), -c(k), 0)
-                              for k in range(depth + 1)))
+    return MatrixSeries.from_blocks(M2.diag(q(k), c(k)) if k % 2 == 0 else M2.of(0, -q(k), -c(k), 0)
+                                    for k in range(depth + 1))
 
 
 def verify_R_from_G(depth: int) -> VerificationReport:
@@ -128,7 +129,8 @@ def _star(block: IntBlock) -> IntBlock:
 
 
 def v_table(size: int) -> ZTable:
-    """Solve (R*(w)R(z) - I)/(w+z) for V_{k,l}, 0 <= k,l <= size, on the lift of R.
+    """Solve (R*(w)R(z) - I)/(w+z) for V_{k,l}, 0 <= k,l <= size, on the lift of
+    R = r_matrix(2 size + 1), which the table keeps.
 
     N_{i,j} = R*_i R_j (N_{0,0} = 0) is lifted at grade i+j, each block product
     once; `linear_quotient` checks R*(-z) R(z) = I through z^(2 size + 1) and
@@ -137,8 +139,7 @@ def v_table(size: int) -> ZTable:
     boundary block N_{0,s} = R_s it would equal.
     """
     R = r_matrix(2 * size + 1)
-    lift, need = R.lift, R.tail_order
-    r, ratios = lift.blocks, lift.ratios
+    r, ratios, need = R.lifted, R.ratios, R.tail_order
     N = [[block_sum(((ratios[i + j][i], star, r[j]),)) if i + j else (0, 0, 0, 0)
           for j in range(need + 1 - i)] for i, star in enumerate(map(_star, r))]
     quotient, remainder = linear_quotient(N, -1, size)
@@ -146,10 +147,10 @@ def v_table(size: int) -> ZTable:
         s, total = remainder
         lhs = tuple(n - t for n, t in zip(N[0][s], total))  # Q_{0,s-1}
         raise InconsistentDivisionError(f"numerator not divisible by w+z at boundary column {s}: "
-                                        f"{lift.lower(lhs, lift.grades[s])} vs {R.block(s)}")
+                                        f"{lower(lhs, R.grades[s])} vs {R.block(s)}")
     return ZTable(size, size, tuple(
         tuple(q if (k + l) % 2 == 0 else tuple(-v for v in q) for l, q in enumerate(row))
-        for k, row in enumerate(quotient)), lift.grades)
+        for k, row in enumerate(quotient)), R)
 
 
 def verify_v_relations(size: int) -> VerificationReport:
@@ -164,8 +165,8 @@ def verify_v_relations(size: int) -> VerificationReport:
     """
     suite = "v-relations"
     V = v_table(size + 1)
-    v, e = V.lifted, V.grades
-    lift = r_matrix(len(e) - 1).lift  # the one V was solved on: r_matrix is memoised
+    R = V.series
+    v, e = V.lifted, R.grades
     zero = (0, 0, 0, 0)
 
     def mismatches():
@@ -184,10 +185,10 @@ def verify_v_relations(size: int) -> VerificationReport:
                 c = 1 if (i + j) % 2 else -1  # Q = (-1)^(k+l) V
                 left, right = v[i - 1][j] if i else zero, v[i][j - 1] if j else zero
                 acc = tuple(c * (a + b) for a, b in zip(left, right))
-                want = block_sum(((lift.ratios[i + j][i], _star(lift.blocks[i]), lift.blocks[j]),))
+                want = block_sum(((R.ratios[i + j][i], _star(R.lifted[i]), R.lifted[j]),))
                 if i + j and acc != want:
-                    yield (f"reconstruction at w^{i} z^{j}: {lift.lower(acc, e[i + j])} "
-                           f"vs {lift.lower(want, e[i + j])}")
+                    yield (f"reconstruction at w^{i} z^{j}: {lower(acc, e[i + j])} "
+                           f"vs {lower(want, e[i + j])}")
 
     failures = first_failures(mismatches())
     return VerificationReport(suite, not failures, f"k,l <= {size}", failures=failures)

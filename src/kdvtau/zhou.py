@@ -44,7 +44,7 @@ from functools import lru_cache
 from .exactnum import RationalLike, as_rational, format_rational, odd_double_factorial
 from .grassmann import AffineTable
 from .report import VerificationReport, first_failures
-from .series import _ZERO, _dot, _neg, _sub
+from .series import _ZERO
 
 __all__ = [
     "b_seq",
@@ -144,6 +144,24 @@ def zhou_affine_table(max_m: int, max_n: int) -> AffineTable:
 # ---------------------------------------------------------------------------
 # Verifiers
 # ---------------------------------------------------------------------------
+
+
+def _sub(a: Fraction, b: Fraction) -> Fraction:
+    """a - b, returning a or -b when one operand is zero."""
+    return (a - b if a else -b) if b else a
+
+
+def _neg(a: Fraction) -> Fraction:
+    """-a, returning a zero as it is."""
+    return -a if a else a
+
+
+def _dot(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
+    """a*b + c*d, skipping a product with a zero factor: B vanishes off
+    its mod-3 support."""
+    if a and b:
+        return a * b + c * d if c and d else a * b
+    return c * d if c and d else _ZERO
 
 
 def verify_zhou_match(grassmann_table: AffineTable, max_m: int, max_n: int) -> VerificationReport:

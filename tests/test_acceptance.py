@@ -62,7 +62,7 @@ def test_criterion_01_closed_form_identification(wk_affine31, zhou_affine30):
 def test_criterion_02_two_step_recursion_and_symmetry(wk_G41, wk_ztable20):
     rep1 = verify_two_step_recursion(40)
     rep2 = verify_b_symmetry(30, 30)
-    rep3 = verify_symmetry(wk_ztable20, wk_G41, 15)  # scalar indices through 31
+    rep3 = verify_symmetry(wk_ztable20, 15)  # scalar indices through 31
     report(
         "criterion-02 two-step recursion m+n<=40, symmetry m,n<=30",
         rep1.passed and rep2.passed and rep3.passed and not rep3.skipped,
@@ -71,13 +71,13 @@ def test_criterion_02_two_step_recursion_and_symmetry(wk_G41, wk_ztable20):
 
 def test_criterion_03_generating_formula_bidegree_15(wk_G41):
     table = z_table_direct(wk_G41, 15, 15)
-    rep = verify_generating_function(wk_G41, table, 15)
+    rep = verify_generating_function(table, 15)
     report("criterion-03 generating formula bi-degree 15", rep.passed, rep.depth)
 
 
 def test_criterion_04_table_equivalence_K_L_20(wk_G41, wk_ztable20):
-    rep1 = verify_z_equivalence(wk_G41, wk_ztable20)
-    rep2 = verify_z_generating_series(wk_G41, 10, wk_ztable20)
+    rep1 = verify_z_equivalence(wk_ztable20)
+    rep2 = verify_z_generating_series(wk_ztable20, 10)
     report(
         "criterion-04 direct==recursive K=L=20; projection series k<=10",
         rep1.passed and rep2.passed,

@@ -6,8 +6,9 @@
 `src/` would make `bench/run.py --trace 1` fail.  This runs the replay on six
 CLI calls and checks that it exits 0 and writes its spans, that the tau build
 of `grassmann` reaches the wrapped tau layers, that the Z-table routes reach
-`grassmann.z_table_direct` and the loop-matrix builders (which solve the
-inverse on the graded lift), and that the R-matrix check reaches
+`grassmann.z_table_direct` and the loop-matrix builders (which store G as
+its graded integer lift; its inverse is solved when a table route first
+reads it), and that the R-matrix check reaches
 `series.matrix_series_inverse`.
 """
 

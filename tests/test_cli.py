@@ -232,34 +232,58 @@ def test_v_table_forms_each_numerator_block_once(monkeypatch):
 
 def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
     # equal Witten-Kontsevich loop matrices, and equal R series, are one
-    # memoised object, so each depth read by the suites gets one graded lift
+    # memoised object, so each depth read by the suites is lifted once, and
+    # only the loop matrices have their inverse solved
     from kdvtau.grassmann import wk_G
-    from kdvtau.series import GradedLift
+    from kdvtau.series import MatrixSeries
     from kdvtau.spin3 import r_matrix
 
-    depths = []
-    init = GradedLift.__init__
-    monkeypatch.setattr(GradedLift, "__init__",
-                        lambda self, *a: depths.append(len(a[0]) - 1) or init(self, *a))
+    built = []
+    from_blocks = MatrixSeries.from_blocks
+    monkeypatch.setattr(MatrixSeries, "from_blocks",
+                        lambda blocks: built.append(from_blocks(blocks)) or built[-1])
     wk_G.cache_clear()
     r_matrix.cache_clear()
     code, _, _ = run(capsys, "verify", "all")
     assert code == 0
-    # WK loop matrices at 11, 21, 23, 31 and 41; R at 9 (vmatrix) and 15 (thm2)
-    assert sorted(depths) == [9, 11, 15, 21, 23, 31, 41]
+    # WK loop matrices at 11, 21, 23, 31 and 41; R at 9 (vmatrix), 12 (rmatrix)
+    # and 15 (thm2)
+    assert sorted(s.tail_order for s in built) == [9, 11, 12, 15, 21, 23, 31, 41]
+    assert sorted(s.tail_order for s in built if "inverse" in vars(s)) == [11, 21, 23, 31, 41]
+
+
+@pytest.mark.parametrize("suite", ["vmatrix", "thm2", "all"])
+def test_the_v_suites_solve_no_inverse_of_R(capsys, monkeypatch, suite):
+    # the V table divides on the lift of R and never reads R^-1
+    from kdvtau import spin3
+
+    seen = []
+    r_matrix = spin3.r_matrix
+    r_matrix.cache_clear()
+    monkeypatch.setattr(spin3, "r_matrix", lambda depth: seen.append(r_matrix(depth)) or seen[-1])
+    code, _, _ = run(capsys, "verify", suite)
+    assert code == 0 and seen
+    assert all("inverse" not in vars(R) for R in seen)
+    fresh = type(seen[0])(seen[0].grades, seen[0].lifted)
+    assert fresh.inverse and "inverse" in vars(fresh)  # where a solved inverse is kept
 
 
 @pytest.mark.parametrize("suite", ["recursion", "genfun", "symmetry"])
 def test_passing_z_table_suites_reduce_no_entry(capsys, monkeypatch, suite):
     # the Z tables stay on the graded integer lift and the verifiers compare
     # integers: a passing run has no failure text, so it lowers nothing
+    from kdvtau import grassmann, series
     from kdvtau.grassmann import wk_G, z_table_recursive
-    from kdvtau.series import GradedLift
 
     lowered = []
-    lower = GradedLift.lower
-    monkeypatch.setattr(GradedLift, "lower",
-                        staticmethod(lambda block, scale: lowered.append(block) or lower(block, scale)))
+    lower = series.lower
+
+    def counting(block, scale):
+        lowered.append(block)
+        return lower(block, scale)
+
+    for module in (grassmann, series):  # table entries, and blocks of a series
+        monkeypatch.setattr(module, "lower", counting)
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0 and "FAIL" not in out
     assert lowered == []

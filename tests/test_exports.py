@@ -5,8 +5,8 @@ A name in some `__all__`, or a method, that no code under `src/kdvtau`
 references is a helper only tests reach; such helpers belong in `tests/`.
 References are names and attribute names anywhere in the package, except
 inside the definition of the name itself.  Methods are matched by name, so
-a method counts as used when a method of the same name elsewhere is.  The
-allowlists name the exceptions.
+a method whose name another class also defines must name a function of the
+package that references it.  The allowlists name the exceptions.
 """
 
 import ast
@@ -55,6 +55,19 @@ def test_every_export_is_used_in_the_package():
 
 METHODS_ALLOWED: dict[str, str] = {}  # "module.Class.method" -> why it stays
 
+# "module.Class.method" whose name another class also defines -> a function
+# ("module.function" or "module.Class.method") whose body references it
+SHARED_NAME_CALLERS = {
+    "schur.GradedPoly.is_zero": "tau._residual_report",
+    "series.LaurentSeries.is_zero": "grassmann.verify_cq_identity",
+    "schur.GradedPoly.scale": "tau.verify_kdv_flow",
+    "series.LaurentSeries.scale": "grassmann.normalize_point",
+    "schur.GradedPoly.truncate": "tau.TauSeries.truncate",
+    "tau.TauSeries.truncate": "cli.cmd_grassmann",
+    "series.M2.of": "spin3.r_matrix",
+    "tau.CorrelatorSpec.of": "cli.cmd_intersect",
+}
+
 
 def references(node: ast.AST) -> Counter:
     return Counter(
@@ -65,15 +78,24 @@ def references(node: ast.AST) -> Counter:
 
 
 def test_every_public_method_is_used_in_the_package():
-    used, methods = Counter(), []
+    used, methods, functions = Counter(), [], {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         used += references(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[f"{path.stem}.{node.name}"] = node
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-            methods += [
-                (f"{path.stem}.{cls.name}.{item.name}", item)
-                for item in cls.body
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-            ]
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    functions[f"{path.stem}.{cls.name}.{item.name}"] = item
+                    if not item.name.startswith("_"):
+                        methods.append((f"{path.stem}.{cls.name}.{item.name}", item))
     unused = {name for name, item in methods if used[item.name] == references(item)[item.name]}
     assert unused == set(METHODS_ALLOWED)
+    # a shared name counts as used through either class: each names its caller
+    defined = Counter(item.name for _, item in methods)
+    shared = {name for name, item in methods if defined[item.name] > 1}
+    assert shared == set(SHARED_NAME_CALLERS)
+    for name, caller in SHARED_NAME_CALLERS.items():
+        assert references(functions[caller])[name.rsplit(".", 1)[1]], (name, caller)

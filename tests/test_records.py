@@ -17,7 +17,7 @@ from kdvtau.grassmann import AffineTable, GrassmannPoint, ZTable
 from kdvtau.report import VerificationReport
 from kdvtau.exactnum import Record
 from kdvtau.schur import GradedPoly
-from kdvtau.series import M2, GradedLift, LaurentSeries, MatrixSeries
+from kdvtau.series import M2, LaurentSeries, MatrixSeries
 from kdvtau.tau import CorrelatorSpec, TauSeries
 from kdvtau.zhou import rescale_B
 
@@ -45,13 +45,12 @@ def tail(*values):
 RECORDS = {
     LaurentSeries: lambda: ((((-1, F(2)),), 3), (((-1, F(2)),), 4)),
     M2: lambda: ((F(1), F(2), F(3), F(4)), (F(1), F(2), F(3), F(5))),
-    MatrixSeries: lambda: (((M2.identity(), M2.of(0, 1, 0, 0)),), ((M2.identity(), M2.of(0, 0, 0, 0)),)),
-    GradedLift: lambda: (
-        ((1, 2), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0)), ((1, 0, 0, 1), (0, -1, 0, 0))),
-        ((1, 2), ((1,), (1, 1)), ((1, 0, 0, 1), (0, 1, 0, 0)), ((1, 0, 0, 1), (0, 1, 0, 0))),
-    ),
+    MatrixSeries: lambda: (((1, 2), ((1, 0, 0, 1), (0, 1, 0, 0))), ((1, 2), ((1, 0, 0, 1), (0, -1, 0, 0)))),
     GrassmannPoint: lambda: ((tail(2), tail(0, 1)), (tail(2), tail(0, 2))),
-    ZTable: lambda: ((0, 0, (((1, 0, 0, 1),),), (1, 2)), (0, 0, (((0, 0, 0, 0),),), (1, 2))),
+    ZTable: lambda: (
+        (0, 0, (((1, 0, 0, 1),),), MatrixSeries((1, 2), ((1, 0, 0, 1), (0, 1, 0, 0)))),
+        (0, 0, (((0, 0, 0, 0),),), MatrixSeries((1, 2), ((1, 0, 0, 1), (0, 1, 0, 0)))),
+    ),
     AffineTable: lambda: ((1, 1, {(1, 0): F(1)}, "zhou"), (1, 1, {(1, 0): F(1)}, "grassmann")),
     GradedPoly: lambda: (("theta", {((1, 2),): F(2)}, 5), ("theta", {((1, 2),): F(2)}, 6)),
     TauSeries: lambda: (

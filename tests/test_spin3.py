@@ -76,7 +76,7 @@ def test_v_table_matches_the_fraction_quotient(size):
 def test_r_lift_is_not_multiplicative():
     # unlike the Witten-Kontsevich G (every E_{i+j} = E_i E_j), the lift of R
     # scales products, so `verify all` runs the ratio handling of the lift
-    ratios = [c for row in r_matrix(15).lift.ratios for c in row]
+    ratios = [c for row in r_matrix(15).ratios for c in row]
     assert len(ratios) == 136 and sum(c != 1 for c in ratios) == 83
 
 
@@ -98,10 +98,10 @@ def bump_r_matrix(monkeypatch, m: int) -> None:
     true_R = spin3.r_matrix
 
     def bumped(depth):
-        coeffs = list(true_R(depth).coeffs)
+        blocks = true_R(depth).blocks(depth)
         if m <= depth:
-            coeffs[m] = coeffs[m] + M2.of(1, 0, 0, 0)
-        return MatrixSeries(tuple(coeffs))
+            blocks[m] = blocks[m] + M2.of(1, 0, 0, 0)
+        return MatrixSeries.from_blocks(blocks)
 
     monkeypatch.setattr(spin3, "r_matrix", bumped)
 
@@ -146,8 +146,8 @@ def test_v_relations_report_a_broken_adjoint_symmetry(monkeypatch):
     def bumped(size):
         V = true_V(size)
         rows = [list(row) for row in V.lifted]
-        rows[2][1] = (rows[2][1][0] + V.grades[4], *rows[2][1][1:])
-        return ZTable(V.max_k, V.max_l, tuple(map(tuple, rows)), V.grades)
+        rows[2][1] = (rows[2][1][0] + V.series.grades[4], *rows[2][1][1:])
+        return ZTable(V.max_k, V.max_l, tuple(map(tuple, rows)), V.series)
 
     monkeypatch.setattr(spin3, "v_table", bumped)
     failures = verify_v_relations(3).failures
