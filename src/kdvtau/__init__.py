@@ -9,7 +9,7 @@ objects ships with an exact verifier; see the `cli` module or the README
 for the command-line entry points.
 """
 
-from .series import LaurentSeries, M2, MatrixSeries
+from .series import LaurentSeries, MatrixSeries
 from .grassmann import (
     AffineTable,
     GrassmannPoint,

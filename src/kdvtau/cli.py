@@ -72,9 +72,9 @@ def _wk_z_table(size: int, memo: dict) -> gr.ZTable:
 
 def _load_point(path: str) -> gr.GrassmannPoint:
     with open(path, "r", encoding="utf-8") as fh:
-        try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-            return gr.point_from_json(json.load(fh))
-        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting
+            return gr.point_from_json(json.load(fh))  # makes json raise RecursionError
+        except (ValueError, TypeError, KeyError, ZeroDivisionError, RecursionError) as exc:
             raise ExactComputationError(f"malformed point file {path}: {exc}") from exc
 
 
@@ -308,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7, which has no limit
+        sys.set_int_max_str_digits(0)  # exact values print and parse at any size
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -56,12 +56,13 @@ from .exactnum import Record, _setattr, format_rational
 from .report import VerificationReport, first_failures
 from .series import (
     _ZERO,
-    M2,
+    Block,
     LaurentSeries,
     IntBlock,
     MatrixSeries,
     block_sum,
     constant_series,
+    format_block,
     linear_quotient,
     lower,
     kac_schwarz_apply,
@@ -184,10 +185,10 @@ def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
                 f"{name} is only valid through lam^-{s.tail_order}, need lam^-{need}"
             )
     return MatrixSeries.from_blocks(
-        M2(
+        (
             p.a.coeff(-2 * k),
             p.b.coeff(-(2 * k + 1)),
-            p.a.coeff(-(2 * k - 1)) if k >= 1 else Fraction(0),
+            p.a.coeff(-(2 * k - 1)) if k >= 1 else _ZERO,
             p.b.coeff(-2 * k),
         )
         for k in range(depth + 1)
@@ -211,9 +212,9 @@ class ZTable(Record):
     as lifted[k][l] = E_{k+l+1} X_{k,l} on the grades E of `series`, the
     `MatrixSeries` it was solved on: the matrix-valued affine coordinates
     Z_{k,l} of G, or the 3-spin V_{k,l} of R (`spin3.v_table`).  `entry`
-    reduces a block to an `M2` when first read.  Equality compares the lifted
-    blocks and the series, so two tables are equal when they hold the same
-    blocks of the same series."""
+    reduces a block to its 4-tuple of `Fraction`s (`series.lower`) when first
+    read.  Equality compares the lifted blocks and the series, so two tables
+    are equal when they hold the same blocks of the same series."""
 
     __slots__ = ("max_k", "max_l", "lifted", "series", "__dict__")
 
@@ -226,10 +227,11 @@ class ZTable(Record):
         _setattr(self, "series", series)
 
     @cached_property
-    def _lowered(self) -> dict[tuple[int, int], M2]:
+    def _lowered(self) -> dict[tuple[int, int], Block]:
         return {}
 
-    def entry(self, k: int, l: int) -> M2:
+    def entry(self, k: int, l: int) -> Block:
+        """X_{k,l} as the exact (a11, a12, a21, a22), reduced once."""
         if not (0 <= k <= self.max_k and 0 <= l <= self.max_l):
             raise OutOfRangeError(f"Z[{k},{l}] outside table {self.max_k}x{self.max_l}")
         z = self._lowered.get((k, l))
@@ -241,12 +243,12 @@ class ZTable(Record):
         entries: dict[tuple[int, int], Fraction] = {}
         for k in range(self.max_k + 1):
             for l in range(self.max_l + 1):
-                z = self.entry(k, l)
+                a11, a12, a21, a22 = self.entry(k, l)
                 for (m, n), v in (
-                    ((2 * k + 1, 2 * l), z.a11),
-                    ((2 * k + 1, 2 * l + 1), z.a12),
-                    ((2 * k, 2 * l), z.a21),
-                    ((2 * k, 2 * l + 1), z.a22),
+                    ((2 * k + 1, 2 * l), a11),
+                    ((2 * k + 1, 2 * l + 1), a12),
+                    ((2 * k, 2 * l), a21),
+                    ((2 * k, 2 * l + 1), a22),
                 ):
                     if v != 0:
                         entries[(m, n)] = v
@@ -375,8 +377,8 @@ def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[Z
             ]
         if row[0] != G.lifted[k + 1]:
             raise ExactComputationError(
-                f"recursion boundary mismatch at Z[{k},0]: {lower(row[0], G.grades[k + 1])} "
-                f"vs {G.block(k + 1)}; "
+                f"recursion boundary mismatch at Z[{k},0]: "
+                f"{format_block(lower(row[0], G.grades[k + 1]))} vs {format_block(G.block(k + 1))}; "
                 "the seeds are inconsistent (G times its inverse is not the identity)"
             )
         if k <= max_k:
@@ -417,11 +419,13 @@ def verify_generating_function(table: ZTable, depth: int) -> VerificationReport:
         s, total = remainder  # of G G^-1 - I: the numerator is its negative
         return VerificationReport(
             suite, False, detail,
-            failures=[f"anti-diagonal sum {s} of the numerator is {-lower(total, G.grades[s])}"],
+            failures=[f"anti-diagonal sum {s} of the numerator is "
+                      f"{format_block(lower(tuple(-v for v in total), G.grades[s]))}"],
             notes="numerator not divisible by alpha - beta",
         )
     failures = first_failures(
-        f"(k,l)=({k},{l}): expansion {lower(q, G.grades[k + l + 1])} vs table {table.entry(k, l)}"
+        f"(k,l)=({k},{l}): expansion {format_block(lower(q, G.grades[k + l + 1]))} "
+        f"vs table {format_block(table.entry(k, l))}"
         for k in range(depth + 1)
         for l in range(depth + 1)
         if (q := quotient[k][l]) != table.lifted[k][l]
@@ -451,12 +455,13 @@ def verify_symmetry(table: ZTable, depth: int) -> VerificationReport:
             suite, False, f"k,l <= {depth}", skipped=True,
             notes=f"det G != 1 (first deviation at lam^-{deviation}); symmetry not applicable",
         )
-    z, Z = table.lifted, table.entry
+    z, e = table.lifted, G.grades
     failures = first_failures(
-        f"(k,l)=({k},{l}): Z[{l},{k}]={Z(l, k)} vs -adj Z[{k},{l}]={-Z(k, l).adjugate()}"
+        f"(k,l)=({k},{l}): Z[{l},{k}]={format_block(table.entry(l, k))} "
+        f"vs -adj Z[{k},{l}]={format_block(lower(adj, e[k + l + 1]))}"
         for k in range(depth + 1)
         for l in range(depth + 1)
-        if z[l][k] != (-z[k][l][3], z[k][l][1], z[k][l][2], -z[k][l][0])  # -adj
+        if z[l][k] != (adj := (-z[k][l][3], z[k][l][1], z[k][l][2], -z[k][l][0]))
     )
     return VerificationReport(
         suite, not failures, f"k,l <= {depth}", failures=failures,
@@ -520,7 +525,8 @@ def verify_z_equivalence(direct: ZTable) -> VerificationReport:
     max_k, max_l = direct.max_k, direct.max_l
     recursive = z_table_recursive(direct.series, max_k, max_l)
     failures = first_failures(
-        f"(k,l)=({k},{l}): direct {direct.entry(k,l)} vs recursive {recursive.entry(k,l)}"
+        f"(k,l)=({k},{l}): direct {format_block(direct.entry(k, l))} "
+        f"vs recursive {format_block(recursive.entry(k, l))}"
         for k in range(max_k + 1)
         for l in range(max_l + 1)
         if direct.lifted[k][l] != recursive.lifted[k][l]
@@ -530,17 +536,23 @@ def verify_z_equivalence(direct: ZTable) -> VerificationReport:
 
 def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
     """Z_{k+1,l} - Z_{k,l+1} = Z_{k,0} Z_{0,l} on every stored index, on the lift
-    as E_{k+1} E_{l+1} (z_{k+1,l} - z_{k,l+1}) = E_{k+l+2} z_{k,0} z_{0,l}."""
+    as E_{k+1} E_{l+1} (z_{k+1,l} - z_{k,l+1}) = E_{k+l+2} z_{k,0} z_{0,l}.  A
+    failure prints both sides lowered from grade k+l+2."""
     suite = "z-recursion"
-    z, e = table.lifted, table.series.grades
-    failures = first_failures(
-        f"(k,l)=({k},{l}): {table.entry(k + 1, l) - table.entry(k, l + 1)} "
-        f"vs {table.entry(k, 0) @ table.entry(0, l)}"
-        for k in range(table.max_k)
-        for l in range(table.max_l)
-        if tuple(e[k + 1] * e[l + 1] * (a - b) for a, b in zip(z[k + 1][l], z[k][l + 1]))
-        != block_sum(((e[k + l + 2], z[k][0], z[0][l]),))
-    )
+    z, G = table.lifted, table.series
+    e = G.grades
+
+    def mismatches():
+        for k in range(table.max_k):
+            for l in range(table.max_l):
+                d = k + l + 2
+                diff = tuple(a - b for a, b in zip(z[k + 1][l], z[k][l + 1]))
+                if tuple(e[k + 1] * e[l + 1] * v for v in diff) != block_sum(((e[d], z[k][0], z[0][l]),)):
+                    product = block_sum(((G.ratios[d][k + 1], z[k][0], z[0][l]),))
+                    yield (f"(k,l)=({k},{l}): {format_block(lower(diff, e[d]))} "
+                           f"vs {format_block(lower(product, e[d]))}")
+
+    failures = first_failures(mismatches())
     return VerificationReport(
         suite, not failures,
         f"k < {table.max_k}, l < {table.max_l}", failures=failures,
@@ -580,7 +592,8 @@ def verify_z_generating_series(table: ZTable, k_max: int) -> VerificationReport:
                 want = expect.get(e, (0, 0, 0, 0))
                 if got != want:
                     e_d = G.grades[d]
-                    yield f"k={k}, lam^{e}: {lower(got, e_d)} vs {lower(want, e_d)}"
+                    yield (f"k={k}, lam^{e}: {format_block(lower(got, e_d))} "
+                           f"vs {format_block(lower(want, e_d))}")
 
     failures = first_failures(mismatches())
     return VerificationReport(

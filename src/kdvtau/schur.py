@@ -241,15 +241,6 @@ class GradedPoly(Record):
     def variables(self) -> set[int]:
         return {var for mon in self.terms for var, _ in mon}
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mon, c in sorted(self.terms.items(), key=lambda kv: (monomial_degree(self.kind, kv[0]), kv[0])):
-            factors = "".join(f"*{self.kind}{var}^{exp}" for var, exp in mon)
-            bits.append(f"({format_rational(c)}){factors}")
-        return " + ".join(bits)
-
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     out = dict(m1)

@@ -16,19 +16,23 @@ top term or first unknown coefficient.  Comparisons are therefore only
 meaningful on the overlap of windows, and the verifiers report the depth
 actually checked.
 
-A `MatrixSeries` is the dense 2x2-block counterpart: the blocks of x^0..x^O
-with no head and X_0 = I, for the loop matrix G(lam) (x = 1/lam), its
-inverse, and the 3-spin R(z) (x = z).  It is stored once, as its graded
-integer lift: one integer scale E_k per grade, with E_i E_j dividing
-E_{i+j}, so that E_k X_k, E_k U_k for the inverse U, and every sum of block
-products whose grades add up to k are integer blocks.  The inverse is
-solved in these integers when first read.  A table of blocks of grade k+l+1
-(`grassmann.ZTable`: the Z table of G, or the V table of the 3-spin R) is
-built on a series and keeps it, convolving integer blocks (`block_sum`)
-with no gcd per rational add or multiply, and a block is reduced (`lower`)
-only when it is read.  Both bivariate quotients,
-(I - G(alpha) G(beta)^-1)/(alpha - beta) for Z and (R*(w) R(z) - I)/(w + z)
-for V, are one division on the lift (`linear_quotient`).
+A 2x2 block is the row-major 4-tuple (a11, a12, a21, a22): integers on a
+graded lift (`IntBlock`), exact `Fraction`s once `lower` reduces it
+(`Block`), printed by `format_block`.  A `MatrixSeries` is the dense block
+counterpart of a series: the blocks of x^0..x^O with no head and X_0 = I,
+for the loop matrix G(lam) (x = 1/lam), its inverse, and the 3-spin R(z)
+(x = z).  It is stored once, as its graded integer lift: one integer scale
+E_k per grade, with E_i E_j dividing E_{i+j}, so that E_k X_k, E_k U_k for
+the inverse U, and every sum of block products whose grades add up to k are
+integer blocks.  The inverse is solved in these integers when first read.
+A table of blocks of grade k+l+1 (`grassmann.ZTable`: the Z table of G, or
+the V table of the 3-spin R) is built on a series and keeps it, convolving
+integer blocks (`block_sum`) with no gcd per rational add or multiply.  A
+block is reduced only when it is read, by a caller or for the text of a
+failed check, which is computed on the lift and then lowered.  Both
+bivariate quotients, (I - G(alpha) G(beta)^-1)/(alpha - beta) for Z and
+(R*(w) R(z) - I)/(w + z) for V, are one division on the lift
+(`linear_quotient`).
 """
 
 from __future__ import annotations
@@ -43,13 +47,14 @@ from .exactnum import Record, RationalLike, _setattr, as_rational, format_ration
 
 __all__ = [
     "LaurentSeries",
-    "M2",
     "MatrixSeries",
     "series_mul",
     "series_inverse",
     "matrix_series_inverse",
     "IntBlock",
+    "Block",
     "lower",
+    "format_block",
     "block_sum",
     "linear_quotient",
     "negate_argument",
@@ -188,12 +193,6 @@ class LaurentSeries(Record):
             if self._map.get(e, Fraction(0)) != other._map.get(e, Fraction(0)):
                 out.append(e)
         return out
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = [f"({format_rational(v)})*lam^{e}" for e, v in reversed(self.coeffs)]
-        return " + ".join(parts)
 
 
 def _clip(data: dict[int, Fraction], order: int | None) -> LaurentSeries:
@@ -337,70 +336,20 @@ def _json_rational(value: object) -> Fraction:
 
 _ZERO = Fraction(0)
 
-
-class M2(Record):
-    """Exact 2x2 matrix, row-major entries."""
-
-    __slots__ = ("a11", "a12", "a21", "a22")
-
-    def __init__(self, a11: Fraction, a12: Fraction, a21: Fraction, a22: Fraction) -> None:
-        _setattr(self, "a11", a11)
-        _setattr(self, "a12", a12)
-        _setattr(self, "a21", a21)
-        _setattr(self, "a22", a22)
-
-    @classmethod
-    def of(cls, a11: RationalLike, a12: RationalLike, a21: RationalLike, a22: RationalLike) -> "M2":
-        return cls(as_rational(a11), as_rational(a12), as_rational(a21), as_rational(a22))
-
-    @classmethod
-    def identity(cls) -> "M2":
-        return _M2_IDENTITY
-
-    @classmethod
-    def diag(cls, x: RationalLike, y: RationalLike) -> "M2":
-        return cls.of(x, 0, 0, y)
-
-    def __add__(self, other: "M2") -> "M2":
-        return M2(self.a11 + other.a11, self.a12 + other.a12,
-                  self.a21 + other.a21, self.a22 + other.a22)
-
-    def __sub__(self, other: "M2") -> "M2":
-        return M2(self.a11 - other.a11, self.a12 - other.a12,
-                  self.a21 - other.a21, self.a22 - other.a22)
-
-    def __neg__(self) -> "M2":
-        return M2(-self.a11, -self.a12, -self.a21, -self.a22)
-
-    def __matmul__(self, other: "M2") -> "M2":
-        return M2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-    def adjugate(self) -> "M2":
-        """adj(M) = [[d, -b], [-c, a]]; equals sigma2 M^T sigma2 for 2x2."""
-        return M2(self.a22, -self.a12, -self.a21, self.a11)
-
-    def rows(self) -> list[list[Fraction]]:
-        return [[self.a11, self.a12], [self.a21, self.a22]]
-
-    def __str__(self) -> str:
-        r = [[format_rational(x) for x in row] for row in self.rows()]
-        return f"[[{r[0][0]}, {r[0][1]}], [{r[1][0]}, {r[1][1]}]]"
-
-
-_M2_IDENTITY = M2(Fraction(1), _ZERO, _ZERO, Fraction(1))  # M2 is immutable, so it is shared
-
 IntBlock = tuple[int, int, int, int]  # (a11, a12, a21, a22) of an integer 2x2 block
+Block = tuple[Fraction, Fraction, Fraction, Fraction]  # the same layout, exact entries
 
 
-def lower(block: IntBlock, scale: int) -> M2:
-    """The exact block `block` / scale (E_d for a block of grade d), each
-    entry reduced once."""
-    return M2(*(Fraction(n, scale) if n else _ZERO for n in block))
+def lower(block: IntBlock, scale: int) -> Block:
+    """The exact block `block` / scale (E_d for a block of grade d) as a
+    4-tuple of `Fraction`s, each entry reduced once."""
+    return tuple(Fraction(n, scale) if n else _ZERO for n in block)
+
+
+def format_block(block: Iterable[RationalLike]) -> str:
+    """A block (a11, a12, a21, a22) as "[[a11, a12], [a21, a22]]", entries "p/q"."""
+    a11, a12, a21, a22 = map(format_rational, block)
+    return f"[[{a11}, {a12}], [{a21}, {a22}]]"
 
 
 class MatrixSeries(Record):
@@ -431,14 +380,14 @@ class MatrixSeries(Record):
         _setattr(self, "lifted", lifted)
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[M2]) -> "MatrixSeries":
-        """The lift of the exact blocks X_0, X_1, ...; requires X_0 = I."""
+    def from_blocks(cls, blocks: Iterable[tuple[RationalLike, ...]]) -> "MatrixSeries":
+        """The lift of the exact blocks X_0, X_1, ... (4-tuples of ints or
+        `Fraction`s); requires X_0 = I."""
         x0, *rest = blocks
-        if x0 != M2.identity():
-            raise NotNormalizedError(f"leading block must be the identity, got {x0}")
+        if x0 != (1, 0, 0, 1):
+            raise NotNormalizedError(f"leading block must be the identity, got {format_block(x0)}")
         grades, lifted = [1], [(1, 0, 0, 1)]
-        for k, x in enumerate(rest, 1):
-            entries = (x.a11, x.a12, x.a21, x.a22)
+        for k, entries in enumerate(rest, 1):
             e = math.lcm(*(v.denominator for v in entries))
             for j in range(1, k // 2 + 1):
                 p = grades[j] * grades[k - j]
@@ -452,7 +401,7 @@ class MatrixSeries(Record):
     def tail_order(self) -> int:
         return len(self.grades) - 1
 
-    def block(self, k: int) -> M2:
+    def block(self, k: int) -> Block:
         """Coefficient block of x^k (errors beyond the window)."""
         if not 0 <= k <= self.tail_order:
             raise InsufficientDepthError(
@@ -460,7 +409,7 @@ class MatrixSeries(Record):
             )
         return lower(self.lifted[k], self.grades[k])
 
-    def blocks(self, through: int) -> list[M2]:
+    def blocks(self, through: int) -> list[Block]:
         return [self.block(k) for k in range(through + 1)]
 
     @cached_property

@@ -11,7 +11,7 @@ Witten-Kontsevich point; its z^k block is diag(q_k, c_k) for even k and
 [[0, -q_k], [-c_k, 0]] for odd k.  It matches the inverse loop matrix via
 R(z) = z^(s3/6) G(z^(-2/3))^(-1) z^(-s3/6): the fractional powers exactly
 realign the mod-3 grading in lam with integer powers of z, entry by entry,
-so the identity is verified through an exponent-correspondence table
+so the identity is verified through the exponent each entry lands at
 rather than by materializing fractional powers of z.
 
 The V-matrices are defined by
@@ -40,7 +40,8 @@ from functools import lru_cache
 from .errors import InconsistentDivisionError, InsufficientDepthError
 from .grassmann import ZTable, wk_G, wk_c_coeff, wk_q_coeff
 from .report import VerificationReport, first_failures
-from .series import M2, IntBlock, MatrixSeries, block_sum, linear_quotient, lower, matrix_series_inverse
+from .series import (IntBlock, MatrixSeries, block_sum, format_block, linear_quotient, lower,
+                     matrix_series_inverse)
 
 __all__ = [
     "r_matrix",
@@ -60,20 +61,26 @@ def r_matrix(depth: int) -> MatrixSeries:
     is what the exponent realignment of the loop-matrix relation produces.
     """
     q, c = wk_q_coeff, wk_c_coeff
-    return MatrixSeries.from_blocks(M2.diag(q(k), c(k)) if k % 2 == 0 else M2.of(0, -q(k), -c(k), 0)
+    return MatrixSeries.from_blocks((q(k), 0, 0, c(k)) if k % 2 == 0 else (0, -q(k), -c(k), 0)
                                     for k in range(depth + 1))
+
+
+_ENTRIES = ("(1,1)", "(1,2)", "(2,1)", "(2,2)")  # labels of a block's 4-tuple
+_SHIFT = (0, 1, -1, 0)  # s_i: entry i of U_j lands at z^((2j + s_i)/3)
 
 
 def verify_R_from_G(depth: int) -> VerificationReport:
     """Entrywise correspondence between R(z) and the inverse loop matrix.
 
-    With G(lam)^(-1) = sum U_k lam^-k, conjugation by z^(s3/6) at
-    lam = z^(-2/3) sends
+    With G(lam)^(-1) = sum U_j lam^-j, conjugation by z^(s3/6) at
+    lam = z^(-2/3) sends entry i of U_j to z^((2j + s_i)/3), with
+    s = (0, +1, -1, 0) for (1,1), (1,2), (2,1), (2,2):
 
         (1,1): U_{3k} (1,1)  -> z^{2k}        (2,2): U_{3k} (2,2)  -> z^{2k}
         (1,2): U_{3k+1}(1,2) -> z^{2k+1}      (2,1): U_{3k+2}(2,1) -> z^{2k+1}
 
-    and every other (entry, lam-order) pair must vanish.  The U blocks come
+    An entry of R whose z^m has no U_j, (3m - s_i)/2 not an integer, must
+    vanish, and so must every entry of U off that lattice.  The U blocks come
     from an actual matrix-series inversion, independent of the closed forms
     feeding R.
     """
@@ -83,31 +90,16 @@ def verify_R_from_G(depth: int) -> VerificationReport:
     U = matrix_series_inverse(wk_G(lam_order + 1), lam_order).blocks(lam_order)
 
     def comparisons():
-        for z_exp in range(depth + 1):
-            rb = R.block(z_exp)
-            if z_exp % 2 == 0:
-                k = z_exp // 2
-                yield f"(1,1) z^{z_exp}", rb.a11, U[3 * k].a11
-                yield f"(2,2) z^{z_exp}", rb.a22, U[3 * k].a22
-                yield f"(1,2) z^{z_exp}", rb.a12, 0
-                yield f"(2,1) z^{z_exp}", rb.a21, 0
-            else:
-                k = (z_exp - 1) // 2
-                yield f"(1,2) z^{z_exp}", rb.a12, U[3 * k + 1].a12
-                yield f"(2,1) z^{z_exp}", rb.a21, U[3 * k + 2].a21
-                yield f"(1,1) z^{z_exp}", rb.a11, 0
-                yield f"(2,2) z^{z_exp}", rb.a22, 0
-        # entries of U off the mod-3 pattern must vanish, or the correspondence
+        for m in range(depth + 1):
+            for i, got in enumerate(R.block(m)):
+                j, off = divmod(3 * m - _SHIFT[i], 2)
+                yield f"{_ENTRIES[i]} z^{m}", got, 0 if off else U[j][i]
+        # entries of U off the lattice must vanish, or the correspondence
         # above would miss nonzero data
-        for j in range(lam_order + 1):
-            u = U[j]
-            slots = {
-                0: (("(1,2)", u.a12), ("(2,1)", u.a21)),
-                1: (("(1,1)", u.a11), ("(2,1)", u.a21), ("(2,2)", u.a22)),
-                2: (("(1,1)", u.a11), ("(1,2)", u.a12), ("(2,2)", u.a22)),
-            }[j % 3]
-            for name, val in slots:
-                yield f"U_{j} {name}", val, 0
+        for j, u in enumerate(U):
+            for i, val in enumerate(u):
+                if (2 * j + _SHIFT[i]) % 3:
+                    yield f"U_{j} {_ENTRIES[i]}", val, 0
 
     failures = first_failures(
         f"{label}: {got} vs {want}" for label, got, want in comparisons() if got != want
@@ -146,8 +138,9 @@ def v_table(size: int) -> ZTable:
     if remainder is not None:
         s, total = remainder
         lhs = tuple(n - t for n, t in zip(N[0][s], total))  # Q_{0,s-1}
-        raise InconsistentDivisionError(f"numerator not divisible by w+z at boundary column {s}: "
-                                        f"{lower(lhs, R.grades[s])} vs {R.block(s)}")
+        raise InconsistentDivisionError(
+            f"numerator not divisible by w+z at boundary column {s}: "
+            f"{format_block(lower(lhs, R.grades[s]))} vs {format_block(R.block(s))}")
     return ZTable(size, size, tuple(
         tuple(q if (k + l) % 2 == 0 else tuple(-v for v in q) for l, q in enumerate(row))
         for k, row in enumerate(quotient)), R)
@@ -172,10 +165,12 @@ def verify_v_relations(size: int) -> VerificationReport:
     def mismatches():
         for k in range(size + 1):
             for l in range(size + 1):
-                lhs = tuple(e[k + 1] * e[l + 1] * (a + b) for a, b in zip(v[k][l + 1], v[k + 1][l]))
-                if lhs != block_sum(((-e[k + l + 2], v[k][0], v[0][l]),)):
-                    yield (f"pairwise sum at (k,l)=({k},{l}): {V.entry(k, l + 1) + V.entry(k + 1, l)} "
-                           f"vs {-(V.entry(k, 0) @ V.entry(0, l))}")
+                d = k + l + 2
+                total = tuple(a + b for a, b in zip(v[k][l + 1], v[k + 1][l]))
+                if tuple(e[k + 1] * e[l + 1] * t for t in total) != block_sum(((-e[d], v[k][0], v[0][l]),)):
+                    product = block_sum(((-R.ratios[d][k + 1], v[k][0], v[0][l]),))
+                    yield (f"pairwise sum at (k,l)=({k},{l}): {format_block(lower(total, e[d]))} "
+                           f"vs {format_block(lower(product, e[d]))}")
                 if _star(v[k][l]) != v[l][k]:
                     yield f"adjoint symmetry at (k,l)=({k},{l})"
         # reconstruction: the coefficient of w^i z^j in (w+z) * quotient is the
@@ -187,8 +182,8 @@ def verify_v_relations(size: int) -> VerificationReport:
                 acc = tuple(c * (a + b) for a, b in zip(left, right))
                 want = block_sum(((R.ratios[i + j][i], _star(R.lifted[i]), R.lifted[j]),))
                 if i + j and acc != want:
-                    yield (f"reconstruction at w^{i} z^{j}: {lower(acc, e[i + j])} "
-                           f"vs {lower(want, e[i + j])}")
+                    yield (f"reconstruction at w^{i} z^{j}: {format_block(lower(acc, e[i + j]))} "
+                           f"vs {format_block(lower(want, e[i + j]))}")
 
     failures = first_failures(mismatches())
     return VerificationReport(suite, not failures, f"k,l <= {size}", failures=failures)
@@ -209,25 +204,23 @@ def verify_thm2(ztable: ZTable, K: int, L: int) -> VerificationReport:
             f"Z table {ztable.max_k}x{ztable.max_l} too small for K={K}, L={L}"
         )
     V = v_table(2 * max(K, L) + 1)
-    Z = ztable.entry
+
+    def Z(sign: int, *indices: tuple[int, int]) -> tuple:
+        """sign * the sum of the Z_{k,l} at `indices`, in `Fraction`s: V and Z
+        are lifted on different grades (of R and of G)."""
+        return tuple(sign * sum(vals) for vals in zip(*(ztable.entry(k, l) for k, l in indices)))
 
     def comparisons():
         for k in range(K + 1):
             for l in range(L + 1):
-                yield f"V[{2*k},{2*l+1}]", V.entry(2 * k, 2 * l + 1), Z(3 * k, 3 * l + 2)
-                yield f"V[{2*l+1},{2*k}]", V.entry(2 * l + 1, 2 * k), -Z(3 * l + 2, 3 * k)
-                yield (
-                    f"V[{2*k},{2*l}]",
-                    V.entry(2 * k, 2 * l),
-                    -Z(3 * k, 3 * l + 1) - Z(3 * k, 3 * l),
-                )
-                yield (
-                    f"V[{2*k+1},{2*l+1}]",
-                    V.entry(2 * k + 1, 2 * l + 1),
-                    Z(3 * k + 2, 3 * l + 2) + Z(3 * k + 2, 3 * l + 1),
-                )
+                yield f"V[{2*k},{2*l+1}]", V.entry(2 * k, 2 * l + 1), Z(1, (3 * k, 3 * l + 2))
+                yield f"V[{2*l+1},{2*k}]", V.entry(2 * l + 1, 2 * k), Z(-1, (3 * l + 2, 3 * k))
+                yield f"V[{2*k},{2*l}]", V.entry(2 * k, 2 * l), Z(-1, (3 * k, 3 * l + 1), (3 * k, 3 * l))
+                yield (f"V[{2*k+1},{2*l+1}]", V.entry(2 * k + 1, 2 * l + 1),
+                       Z(1, (3 * k + 2, 3 * l + 2), (3 * k + 2, 3 * l + 1)))
 
     failures = first_failures(
-        f"{label}: {got} vs {want}" for label, got, want in comparisons() if got != want
+        f"{label}: {format_block(got)} vs {format_block(want)}"
+        for label, got, want in comparisons() if got != want
     )
     return VerificationReport(suite, not failures, f"k <= {K}, l <= {L}", failures=failures)

@@ -16,7 +16,8 @@ routes that share no code.
 * `loop_blocks(a, b, depth)`, `loop_inverse(g)` and `closed_z(g, u, K, L)`:
   the loop matrix of a normalized point, its inverse U_k = -sum G_j U_{k-j}
   and the closed formula Z_{k,l} = -sum_{j<=k} G_j U_{k+l+1-j}, on nested
-  lists of `Fraction`, one reduction per operation.  `wk_cq(n)` gives the
+  lists of `Fraction`, one reduction per operation; `rows(block)` turns a
+  4-tuple block into those lists.  `wk_cq(n)` gives the
   Witten-Kontsevich c_k and q_k from their closed forms.
 * `v_matrices(size)`: V_{k,l} of the 3-spin R-matrix, as the quotient
   (R*(w) R(z) - I) / (w + z) solved block by block in `Fraction`s.
@@ -155,6 +156,11 @@ def loop_blocks(a: list[Fraction], b: list[Fraction], depth: int) -> list[list[l
     the coefficients of lam^-i of the spanning series (a_0 = b_0 = 1, b_1 = 0)."""
     return [[[a[2 * k], b[2 * k + 1]], [a[2 * k - 1] if k else Fraction(0), b[2 * k]]]
             for k in range(depth + 1)]
+
+
+def rows(block) -> list:
+    """A row-major 4-tuple block (a11, a12, a21, a22) as the nested lists used here."""
+    return [list(block[:2]), list(block[2:])]
 
 
 def _matmul(x, y):

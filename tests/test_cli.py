@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from kdvtau.cli import SUITE_DEFAULT_DEPTH, main
+from kdvtau.exactnum import format_rational
 from kdvtau.grassmann import point_to_json, wk_point
+from kdvtau.zhou import b_seq
 
 from conftest import example_point
 
@@ -31,6 +33,14 @@ def test_coeffs_b(capsys):
     code, out, _ = run(capsys, "coeffs", "--kind", "b", "--max", "1")
     assert code == 0
     assert out.splitlines() == ["0\t1", "1\t105"]
+
+
+def test_coeffs_print_values_over_4300_digits(capsys):
+    # b_888 is the first b with more digits than Python's default int-to-str limit
+    code, out, _ = run(capsys, "coeffs", "--kind", "b", "--max", "900")
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert len(last) > 4300 and last.split("\t") == ["900", format_rational(b_seq(900))]
 
 
 def test_coeffs_q_zero(capsys):
@@ -448,6 +458,8 @@ GOOD_SERIES = {"head": [], "tail_order": 1, "tail": ["1", "0"]}
     (["grassmann", "POINT", "--tau", "2"], {"head": [[-1.5, "1"]], "tail_order": 1, "tail": ["1"]}),
     (["grassmann", "POINT", "--tau", "2"], b"\xff\xfe not utf-8"),
     (["verify", "string", "--point", "POINT"], b"\xff\xfe not utf-8"),
+    (["grassmann", "POINT", "--tau", "2"], b"[" * 2000),  # json raises RecursionError
+    (["verify", "string", "--point", "POINT"], b"[" * 2000),
     (["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 2, "tail": ["1", "0"]}),
     (["grassmann", "POINT", "--tau", "2"], {"head": [[-1, "5"]], "tail_order": 1, "tail": ["1", "0"]}),
     (["grassmann", "POINT", "--tau", "2"], {"head": [[0, "1"]], "tail_order": 1, "tail": ["0", "0"]}),
@@ -458,7 +470,7 @@ GOOD_SERIES = {"head": [], "tail_order": 1, "tail": ["1", "0"]}
 ], ids=["depth", "tau", "flow", "max", "max-non-ascii-digit", "max-m", "affine",
         "constant-term", "tail-order", "zero-denominator",
         "tail-int", "tail-float", "tail-string", "tail-order-float", "tail-order-bool",
-        "head-exponent-float", "not-utf8", "verify-not-utf8",
+        "head-exponent-float", "not-utf8", "verify-not-utf8", "deep-nesting", "verify-deep-nesting",
         "tail-short", "head-exponent-negative", "head-exponent-zero", "head-exponent-repeated",
         "tail-exponent", "tail-decimal", "tail-underscore", "tail-non-ascii-digit",
         "tail-leading-space", "tail-plus"])

@@ -64,8 +64,6 @@ SHARED_NAME_CALLERS = {
     "series.LaurentSeries.scale": "grassmann.normalize_point",
     "schur.GradedPoly.truncate": "tau.TauSeries.truncate",
     "tau.TauSeries.truncate": "cli.cmd_grassmann",
-    "series.M2.of": "spin3.r_matrix",
-    "tau.CorrelatorSpec.of": "cli.cmd_intersect",
 }
 
 

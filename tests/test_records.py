@@ -17,7 +17,7 @@ from kdvtau.grassmann import AffineTable, GrassmannPoint, ZTable
 from kdvtau.report import VerificationReport
 from kdvtau.exactnum import Record
 from kdvtau.schur import GradedPoly
-from kdvtau.series import M2, LaurentSeries, MatrixSeries
+from kdvtau.series import LaurentSeries, MatrixSeries
 from kdvtau.tau import CorrelatorSpec, TauSeries
 from kdvtau.zhou import rescale_B
 
@@ -44,7 +44,6 @@ def tail(*values):
 # each call builds fresh field objects
 RECORDS = {
     LaurentSeries: lambda: ((((-1, F(2)),), 3), (((-1, F(2)),), 4)),
-    M2: lambda: ((F(1), F(2), F(3), F(4)), (F(1), F(2), F(3), F(5))),
     MatrixSeries: lambda: (((1, 2), ((1, 0, 0, 1), (0, 1, 0, 0))), ((1, 2), ((1, 0, 0, 1), (0, -1, 0, 0)))),
     GrassmannPoint: lambda: ((tail(2), tail(0, 1)), (tail(2), tail(0, 2))),
     ZTable: lambda: (

@@ -11,11 +11,11 @@ import kdvtau.zhou as zhou
 from kdvtau.grassmann import AffineTable, ZTable, z_table_recursive
 from kdvtau.report import MAX_FAILURES, VerificationReport, first_failures
 from kdvtau.schur import GradedPoly
-from kdvtau.series import M2, MatrixSeries
+from kdvtau.series import MatrixSeries
 from kdvtau.tau import TauSeries, verify_dimension_filter, verify_string_recursion
 
 F = Fraction
-BUMP = M2.of(0, 1, 0, 0)
+BUMP = (0, 1, 0, 0)  # (a11, a12, a21, a22)
 
 
 def test_first_failures_stops_consuming_at_the_cap():
@@ -39,8 +39,7 @@ def bumped_z(table: ZTable, k: int, l: int) -> ZTable:
     """`table` with Z_{k,l} moved by BUMP: its lifted block moves by E_{k+l+1} BUMP."""
     rows = [list(row) for row in table.lifted]
     e = table.series.grades[k + l + 1]
-    bump = (BUMP.a11, BUMP.a12, BUMP.a21, BUMP.a22)
-    rows[k][l] = tuple(z + e * int(b) for z, b in zip(rows[k][l], bump))
+    rows[k][l] = tuple(z + e * b for z, b in zip(rows[k][l], BUMP))
     return ZTable(table.max_k, table.max_l, tuple(tuple(row) for row in rows), table.series)
 
 
@@ -128,7 +127,7 @@ def case_r_from_G(mp, G, tau):
 
     def bumped(depth):
         blocks = true_R(depth).blocks(depth)
-        blocks[2] = blocks[2] + BUMP
+        blocks[2] = tuple(x + b for x, b in zip(blocks[2], BUMP))
         return MatrixSeries.from_blocks(blocks)
 
     mp.setattr(spin3, "r_matrix", bumped)

@@ -6,13 +6,17 @@ from hypothesis import example, given, settings, strategies as st
 from kdvtau import series
 from kdvtau.errors import InsufficientDepthError, NonUnitError, NotNormalizedError
 from kdvtau.grassmann import wk_point
+
+from oracles import _matmul, loop_inverse, rows
 from kdvtau.series import (
-    M2,
     LaurentSeries,
     MatrixSeries,
+    block_sum,
     constant_series,
+    format_block,
     kac_schwarz_apply,
     linear_quotient,
+    lower,
     matrix_series_inverse,
     negate_argument,
     series_from_json,
@@ -21,7 +25,8 @@ from kdvtau.series import (
 )
 
 
-ZERO = M2.of(0, 0, 0, 0)
+F = Fraction
+EYE, ZERO = (1, 0, 0, 1), (0, 0, 0, 0)
 
 
 def S(data, order):
@@ -245,16 +250,16 @@ def test_window_never_extended():
 
 
 def test_matrix_inverse_identity():
-    eye = MatrixSeries.from_blocks((M2.identity(),) + (ZERO,) * 4)
+    eye = MatrixSeries.from_blocks((EYE,) + (ZERO,) * 4)
     inv = matrix_series_inverse(eye)
-    assert inv.blocks(4) == [M2.identity()] + [ZERO] * 4
+    assert inv.blocks(4) == [EYE] + [ZERO] * 4
+    assert all(type(v) is Fraction for b in inv.blocks(4) for v in b)
 
 
 def test_matrix_inverse_nilpotent():
-    g1 = M2.of(0, 3, 0, 0)
-    G = MatrixSeries.from_blocks((M2.identity(), g1) + (ZERO,) * 3)
+    G = MatrixSeries.from_blocks((EYE, (0, 3, 0, 0)) + (ZERO,) * 3)
     U = matrix_series_inverse(G)
-    assert U.block(1) == -g1
+    assert U.block(1) == (0, -3, 0, 0)
     assert U.blocks(4)[2:] == [ZERO] * 3
 
 
@@ -263,13 +268,11 @@ def test_matrix_inverse_wk_blocks():
 
     G = wk_G(6)
     U = matrix_series_inverse(G)
-    assert U.block(1) == -G.block(1)
-    assert U.block(2) == M2.of(0, 0, Fraction(5, 24), 0)
-    assert U.block(3) == M2.diag(Fraction(-455, 1152), Fraction(385, 1152))
-    g, u = G.blocks(6), U.blocks(6)
-    prod = [sum((g[j] @ u[k - j] for j in range(k + 1)), ZERO) for k in range(7)]
-    assert prod[0] == M2.identity()
-    assert prod[1:] == [ZERO] * 6
+    assert U.block(1) == tuple(-v for v in G.block(1))
+    assert U.block(2) == (0, 0, F(5, 24), 0)
+    assert U.block(3) == (F(-455, 1152), 0, 0, F(385, 1152))
+    # G U = I, block by block, in plain Fractions
+    assert [rows(b) for b in U.blocks(6)] == loop_inverse([rows(b) for b in G.blocks(6)])
 
 
 def test_wk_loop_matrix_is_lifted_and_inverted_once(monkeypatch):
@@ -291,7 +294,7 @@ def test_wk_loop_matrix_is_lifted_and_inverted_once(monkeypatch):
 
 
 def test_matrix_series_window():
-    G = MatrixSeries.from_blocks((M2.identity(), M2.of(0, 3, 0, 0), ZERO, ZERO))
+    G = MatrixSeries.from_blocks((EYE, (0, 3, 0, 0), ZERO, ZERO))
     assert G.tail_order == 3 and G.block(3) == ZERO
     with pytest.raises(InsufficientDepthError):
         G.block(4)
@@ -305,11 +308,7 @@ ENTRY = st.one_of(
     st.builds(lambda sign, n, d: Fraction(sign * n, d), st.sampled_from([1, -1]),
               st.integers(2**299, 2**301), st.integers(1, 2**20)),
 )
-BLOCK = st.builds(M2, ENTRY, ENTRY, ENTRY, ENTRY)
-
-
-def entries(m):
-    return [m.a11, m.a12, m.a21, m.a22]
+BLOCK = st.tuples(ENTRY, ENTRY, ENTRY, ENTRY)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -327,31 +326,27 @@ def test_linear_quotient_divides_by_x_minus_sign_y(sign):
     assert linear_quotient(N, sign, size) == (None, (5, (1, 1, 1, 1)))
 
 
-def test_m2_constants_are_the_plain_blocks():
-    assert M2.identity() == M2.of(1, 0, 0, 1)
-    assert all(type(v) is Fraction for v in entries(M2.identity()))
-
-
 @settings(max_examples=200, deadline=None)
-@given(BLOCK, BLOCK)
-def test_zero_aware_m2_arithmetic_is_entrywise_fraction_arithmetic(a, b):
-    x, y = entries(a), entries(b)
-    results = {
-        "+": (a + b, [p + q for p, q in zip(x, y)]),
-        "-": (a - b, [p - q for p, q in zip(x, y)]),
-        "neg": (-a, [-p for p in x]),
-        "@": (a @ b, [x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-                      x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]]),
-        "adjugate": (a.adjugate(), [x[3], -x[1], -x[2], x[0]]),
-    }
-    for op, (got, want) in results.items():
-        assert entries(got) == want, op
-        assert all(type(v) is Fraction for v in entries(got)), op
+@given(BLOCK, BLOCK, BLOCK)
+def test_lifted_block_products_lower_to_fraction_products(x1, x2, x3):
+    # X_1 X_2 lifted at grade 3 is ratios[3][1] x_1 x_2; lowered at E_3 it is
+    # the product of the exact blocks, entry by entry
+    G = MatrixSeries.from_blocks((EYE, x1, x2, x3))
+    assert G.blocks(3) == [EYE, x1, x2, x3]
+    assert all(type(v) is Fraction for b in G.blocks(3) for v in b)
+    product = block_sum(((G.ratios[3][1], G.lifted[1], G.lifted[2]),))
+    assert rows(lower(product, G.grades[3])) == _matmul(rows(x1), rows(x2))
+
+
+def test_format_block_prints_rows_of_exact_entries():
+    assert format_block((F(1, 2), 0, -3, F(-5, 24))) == "[[1/2, 0], [-3, -5/24]]"
+    assert format_block(EYE) == "[[1, 0], [0, 1]]"
 
 
 def test_matrix_inverse_requires_identity_leading_block():
-    with pytest.raises(NotNormalizedError):
-        MatrixSeries.from_blocks((M2.of(2, 0, 0, 1),) + (ZERO,) * 3)
+    with pytest.raises(NotNormalizedError, match=r"^leading block must be the identity, got "
+                                                 r"\[\[2, 0\], \[0, 1/3\]\]$"):
+        MatrixSeries.from_blocks(((2, 0, 0, F(1, 3)),) + (ZERO,) * 3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from kdvtau import spin3
 from kdvtau.errors import InconsistentDivisionError, InsufficientDepthError, OutOfRangeError
 from kdvtau.grassmann import ZTable, wk_G, z_table_direct
-from kdvtau.series import M2, MatrixSeries
+from kdvtau.series import MatrixSeries
 from kdvtau.spin3 import (
     r_matrix,
     v_table,
@@ -14,29 +14,31 @@ from kdvtau.spin3 import (
     verify_v_relations,
 )
 
-from oracles import v_matrices
+from oracles import _matmul, _negsum, rows, v_matrices
 
 F = Fraction
-ETA = M2.of(0, 1, 1, 0)
+EYE = (1, 0, 0, 1)
+ETA = [[0, 1], [1, 0]]
 
 
-def star(m: M2) -> M2:
-    """R*_k = eta R_k^T eta."""
-    return ETA @ M2(m.a11, m.a21, m.a12, m.a22) @ ETA
+def star(block) -> list:
+    """R*_k = eta R_k^T eta, in nested lists."""
+    (a, b), (c, d) = rows(block)
+    return _matmul(_matmul(ETA, [[a, c], [b, d]]), ETA)
 
 
 def test_r_blocks():
     R = r_matrix(4)
-    assert R.block(0) == M2.identity()
-    assert R.block(1) == M2.of(0, F(-7, 24), F(5, 24), 0)
-    assert R.block(2) == M2.diag(F(-455, 1152), F(385, 1152))
+    assert R.block(0) == EYE
+    assert R.block(1) == (0, F(-7, 24), F(5, 24), 0)
+    assert R.block(2) == (F(-455, 1152), 0, 0, F(385, 1152))
     # parity sparsity: diagonal at even order, anti-diagonal at odd
     for k in range(5):
-        b = R.block(k)
+        a11, a12, a21, a22 = R.block(k)
         if k % 2 == 0:
-            assert b.a12 == 0 and b.a21 == 0
+            assert a12 == 0 and a21 == 0
         else:
-            assert b.a11 == 0 and b.a22 == 0
+            assert a11 == 0 and a22 == 0
 
 
 def test_r_depth_guard():
@@ -46,8 +48,8 @@ def test_r_depth_guard():
 
 def test_r_star_swaps_diagonal():
     R = r_matrix(2)
-    assert star(R.block(2)) == M2.diag(F(385, 1152), F(-455, 1152))
-    assert star(R.block(1)) == R.block(1)
+    assert star(R.block(2)) == [[F(385, 1152), 0], [0, F(-455, 1152)]]
+    assert star(R.block(1)) == rows(R.block(1))
 
 
 def test_r_from_loop_matrix_low_coefficients():
@@ -59,18 +61,48 @@ def test_r_from_loop_matrix_depth12():
     assert verify_R_from_G(12).passed
 
 
+def test_r_from_loop_matrix_reports_a_moved_R_entry(monkeypatch):
+    # R_2 (1,1) = q_2 lands on U_3 (1,1) = -455/1152
+    true_R = spin3.r_matrix
+
+    def bumped(depth):
+        blocks = true_R(depth).blocks(depth)
+        blocks[2] = (blocks[2][0] + 1, *blocks[2][1:])
+        return MatrixSeries.from_blocks(blocks)
+
+    monkeypatch.setattr(spin3, "r_matrix", bumped)
+    rep = verify_R_from_G(6)
+    assert not rep.passed and rep.failures == ["(1,1) z^2: 697/1152 vs -455/1152"]
+
+
+def test_r_from_loop_matrix_reports_an_inverse_entry_off_the_lattice(monkeypatch):
+    # entry (1,2) of U_3 would land at z^(7/3): it must vanish
+    true_inverse = spin3.matrix_series_inverse
+
+    def bumped(G, order):
+        U = true_inverse(G, order)
+        lifted = list(U.lifted)
+        a11, a12, a21, a22 = lifted[3]
+        lifted[3] = (a11, a12 + U.grades[3], a21, a22)
+        return MatrixSeries(U.grades, tuple(lifted))
+
+    monkeypatch.setattr(spin3, "matrix_series_inverse", bumped)
+    rep = verify_R_from_G(6)
+    assert not rep.passed and rep.failures == ["U_3 (1,2): 1 vs 0"]
+
+
 def test_v_first_block_from_linear_terms():
     V = v_table(2)
     # (w+z) division forces V_{0,0} from the degree-1 numerator blocks
-    assert V.entry(0, 0) == M2.of(0, F(-7, 24), F(5, 24), 0)
-    assert V.entry(0, 1) == M2.diag(F(455, 1152), F(-385, 1152))
-    assert V.entry(1, 0) == M2.diag(F(-385, 1152), F(455, 1152))
+    assert V.entry(0, 0) == (0, F(-7, 24), F(5, 24), 0)
+    assert V.entry(0, 1) == (F(455, 1152), 0, 0, F(-385, 1152))
+    assert V.entry(1, 0) == (F(-385, 1152), 0, 0, F(455, 1152))
 
 
 @pytest.mark.parametrize("size", range(9))
 def test_v_table_matches_the_fraction_quotient(size):
     V, oracle = v_table(size), v_matrices(size)
-    assert all(V.entry(k, l).rows() == oracle[k][l] for k in range(size + 1) for l in range(size + 1))
+    assert all(rows(V.entry(k, l)) == oracle[k][l] for k in range(size + 1) for l in range(size + 1))
 
 
 def test_r_lift_is_not_multiplicative():
@@ -82,13 +114,13 @@ def test_r_lift_is_not_multiplicative():
 
 def test_v_pairwise_sum_at_origin():
     V = v_table(2)
-    lhs = V.entry(0, 1) + V.entry(1, 0)
-    assert lhs == -(V.entry(0, 0) @ V.entry(0, 0))
+    minus_lhs = _negsum([rows(V.entry(0, 1)), rows(V.entry(1, 0))])
+    assert minus_lhs == _matmul(rows(V.entry(0, 0)), rows(V.entry(0, 0)))
 
 
 def test_v_adjoint_symmetry_at_10():
     V = v_table(2)
-    assert star(V.entry(1, 0)) == V.entry(0, 1)
+    assert star(V.entry(1, 0)) == rows(V.entry(0, 1))
 
 
 def bump_r_matrix(monkeypatch, m: int) -> None:
@@ -100,7 +132,7 @@ def bump_r_matrix(monkeypatch, m: int) -> None:
     def bumped(depth):
         blocks = true_R(depth).blocks(depth)
         if m <= depth:
-            blocks[m] = blocks[m] + M2.of(1, 0, 0, 0)
+            blocks[m] = (blocks[m][0] + 1, *blocks[m][1:])
         return MatrixSeries.from_blocks(blocks)
 
     monkeypatch.setattr(spin3, "r_matrix", bumped)
@@ -164,10 +196,14 @@ def test_v_range_guard():
 def test_thm2_origin_cases():
     ztab = z_table_direct(wk_G(8), 3, 3)
     V = v_table(2)
-    assert V.entry(0, 1) == ztab.entry(0, 2)
-    assert V.entry(0, 0) == -ztab.entry(0, 1) - ztab.entry(0, 0)
-    assert V.entry(1, 0) == -ztab.entry(2, 0)
-    assert V.entry(1, 1) == ztab.entry(2, 2) + ztab.entry(2, 1)
+
+    def Z(k, l):
+        return rows(ztab.entry(k, l))
+
+    assert rows(V.entry(0, 1)) == Z(0, 2)
+    assert rows(V.entry(0, 0)) == _negsum([Z(0, 1), Z(0, 0)])
+    assert rows(V.entry(1, 0)) == _negsum([Z(2, 0)])
+    assert _negsum([rows(V.entry(1, 1))]) == _negsum([Z(2, 2), Z(2, 1)])
 
 
 def test_thm2_suite():
