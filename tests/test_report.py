@@ -157,8 +157,9 @@ def test_capped_verifier_fails_on_one_perturbed_entry(monkeypatch, wk_G41, wk_ta
     assert rep.line().count("first failure") == len(rep.failures)
 
 
-# sha256 of `rep.line()` for the Z- and V-table cases: the failure text of each
-# verifier on the table is pinned byte for byte, however the table is stored
+# sha256 of `rep.line()` for the Z-table, V-table and closed-form cases: the
+# failure text of each verifier is pinned byte for byte, however the table or
+# Zhou's B is stored
 LINE_DIGESTS = {
     case_generating_function: "dee92c01993de8ed1d681f062e7b2f644293e98a539f68a00fe4bb88fd6bd84e",
     case_symmetry: "c915734449f2ffcec175119b76adf99b43ad3fc023a9fa5168bd972634ceafe5",
@@ -168,6 +169,11 @@ LINE_DIGESTS = {
     case_thm2: "185379898675d992d86ccfb4bfd39823c8cf9e015ad59997aec1dcb12ab33e2f",
     case_symmetry_off_support: "515864c0bc0c954a58fbee5627f9c152ed01af4856da9c959d98957c2e33c38e",
     case_v_relations: "eaaacb91db94ae6f119e00ae90688b6b122807b42216b903eae522e709400b23",
+    case_zhou_match: "6c70c8d34d4b9f800c14c912645c8de5c28fc4e14cf88e4640ab27760ee23a0f",
+    case_two_step_recursion: "3824ca4d4a6b001d5a73d9b14b01fc118b5d8ba05e5dfd5348a636389811b5f2",
+    case_b_symmetry: "151ae976031dfc44aec5224d38ee7b81e3654988cb15bcdc4b346e24591ca716",
+    case_two_step_recursion_off_support: "7d0418ba41eb972884b5c4309aa1044d1af8e2a080cfb6113800c5116fa196cd",
+    case_b_symmetry_off_support: "448b5a0102b19beefdce7896b4bcacb9e3a9e054187f7037a1c477f18b4e8e11",
 }
 
 
