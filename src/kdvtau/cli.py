@@ -49,7 +49,7 @@ def _affine_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) ->
     coordinates; an even side is trimmed to the requested size.
     """
     zshapes = [(max_m // 2, max_n // 2) for max_m, max_n in shapes]
-    depth = max(K + L for K, L in zshapes) + 1
+    depth = _loop_depth(shapes)
     if point is None:
         G, source = gr.wk_G(depth), "grassmann"
     else:
@@ -62,6 +62,17 @@ def _affine_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) ->
     return tables
 
 
+def _loop_depth(shapes: list[tuple[int, int]]) -> int:
+    """The depth of the loop matrix whose Z table `_affine_tables` builds for `shapes`."""
+    return max(max_m // 2 + max_n // 2 for max_m, max_n in shapes) + 1
+
+
+def _tau_shape(degree: int) -> tuple[int, int]:
+    """The affine table a tau of `degree` reads (`tau.tau_truncated`)."""
+    size = max(degree - 1, 1)
+    return size, size
+
+
 def _wk_z_table(size: int, memo: dict) -> gr.ZTable:
     """Z_{k,l}, k, l <= size, of the Witten-Kontsevich point, once per `memo`."""
     table = memo.get(("z", size))
@@ -70,11 +81,13 @@ def _wk_z_table(size: int, memo: dict) -> gr.ZTable:
     return table
 
 
-def _load_point(path: str) -> gr.GrassmannPoint:
+def _load_point(path: str, shapes: list[tuple[int, int]]) -> gr.GrassmannPoint:
+    """The point in the file at `path`, read only as far as the tables of
+    `shapes` need (`grassmann.point_from_json`)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting
-            return gr.point_from_json(json.load(fh))  # makes json raise RecursionError
-        except (ValueError, TypeError, KeyError, ZeroDivisionError, RecursionError) as exc:
+            return gr.point_from_json(json.load(fh), _loop_depth(shapes))  # makes json raise RecursionError
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise ExactComputationError(f"malformed point file {path}: {exc}") from exc
 
 
@@ -165,14 +178,13 @@ def _run_suite(
         return [gr.verify_generating_function(_wk_z_table(depth, memo), depth)]
     if suite == "zhou-match":
         # spans 0..2 (depth // 2) + 1 >= depth; the verifier reads 0..depth
-        table = _wk_z_table(depth // 2, memo).to_affine_table()
-        return [zhou.verify_zhou_match(table, depth, depth)]
+        return [zhou.verify_zhou_match(_wk_z_table(depth // 2, memo), depth, depth)]
     if suite in POINT_SUITES:
         t = memo.get(("tau", point, depth))
         if t is None:
-            size = max(depth - 1, 1)
-            (table,) = _affine_tables(point, (size, size))
-            t = memo["tau", point, depth] = tau_mod.tau_truncated(table, depth)
+            (table,) = _affine_tables(point, _tau_shape(depth))
+            # the suites read tau in t only, which has no even theta
+            t = memo["tau", point, depth] = tau_mod.tau_truncated(table, depth, range(1, depth + 1, 2))
         if suite == "kdv":
             return [tau_mod.verify_kdv_flow(t, flow)]
         reports = [tau_mod.verify_string_equation(t)]
@@ -195,7 +207,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.suite not in POINT_SUITES:
             print("error: --point applies only to the string and kdv suites", file=sys.stderr)
             return 2
-        point = _load_point(args.point)
+        depth = args.depth if args.depth is not None else SUITE_DEFAULT_DEPTH[args.suite]
+        point = _load_point(args.point, [_tau_shape(depth)])
     if args.suite == "all":
         runs = [(suite, None) for suite in SUITE_DEFAULT_DEPTH if suite != "kdv"]
         runs += [("kdv", 1), ("kdv", 2)]
@@ -214,7 +227,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_grassmann(args: argparse.Namespace) -> int:
-    point = _load_point(args.pointfile)
     degrees = []  # tau degrees the tasks need
     if args.tau is not None:
         degrees.append(args.tau)
@@ -230,18 +242,21 @@ def cmd_grassmann(args: argparse.Namespace) -> int:
     # tasks read corners of the table and truncations of the tau
     shapes = [tuple(args.affine)] if args.affine is not None else []
     if degrees:
-        size = max(max(degrees) - 1, 1)
-        shapes.append((size, size))
-    tables = _affine_tables(point, *shapes)
+        shapes.append(_tau_shape(max(degrees)))
+    tables = _affine_tables(_load_point(args.pointfile, shapes), *shapes)
     doc: dict = {}
     if args.affine is not None:
         if args.format == "csv":
             return _emit(args.output, tables[0].to_csv_text())
         doc["affine"] = tables[0].to_json_dict()
-    t = tau_mod.tau_truncated(tables[-1], max(degrees)) if degrees else None
+    t = None
+    if degrees:
+        # only a theta export reads the even theta; t and the initial data do not
+        D, theta = max(degrees), args.tau is not None and args.tau_vars == "theta"
+        t = tau_mod.tau_truncated(tables[-1], D, None if theta else range(1, D + 1, 2))
     if args.tau is not None:
         tau_t = t.truncate(args.tau)
-        poly = tau_mod.to_t_variables(tau_t) if args.tau_vars == "t" else tau_t.poly
+        poly = tau_mod.to_t_variables(tau_t) if args.tau_vars == "t" else tau_t.theta_poly()
         doc["tau"] = graded_poly_to_json(poly)
     if args.initial_data is not None:
         values = tau_mod.initial_data(t.truncate(args.initial_data + 2), args.initial_data)

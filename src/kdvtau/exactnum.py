@@ -30,6 +30,7 @@ from operator import attrgetter
 __all__ = [
     "Record",
     "as_rational",
+    "check_rational",
     "parse_rational",
     "format_rational",
     "odd_double_factorial",
@@ -90,13 +91,23 @@ def as_rational(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the canonical "p/q" (or "p") string form: ASCII digits, an
-    optional leading "-", no whitespace, "+", "_", exponent or decimal point.
-    A fraction not in lowest terms ("2/4") is reduced."""
-    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+def check_rational(text: str) -> str:
+    """`text` if it is the canonical "p/q" (or "p") string form with q != 0:
+    ASCII digits, an optional leading "-", no whitespace, "+", "_", exponent
+    or decimal point; else ValueError.  It takes time linear in the length of
+    `text` and parses no number."""
+    match = re.fullmatch(r"-?[0-9]+(?:/([0-9]+))?", text)  # compiled on first use, not at import
+    if not match:
         raise ValueError(f"not a rational of the form p/q: {text!r}")
-    return Fraction(text)
+    if match[1] is not None and not match[1].strip("0"):
+        raise ValueError(f"zero denominator in {text!r}")
+    return text
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the canonical "p/q" (or "p") string form (`check_rational`).
+    A fraction not in lowest terms ("2/4") is reduced."""
+    return Fraction(check_rational(text))
 
 
 def format_rational(x: RationalLike) -> str:

@@ -178,12 +178,7 @@ def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
     """
     if not p.is_normalized:
         raise ValueError("normalize the point first (b_1 must vanish)")
-    need_a, need_b = 2 * depth, 2 * depth + 1
-    for name, s, need in (("a", p.a, need_a), ("b", p.b, need_b)):
-        if s.tail_order is not None and s.tail_order < need:
-            raise InsufficientDepthError(
-                f"{name} is only valid through lam^-{s.tail_order}, need lam^-{need}"
-            )
+    _require_windows(p.a.tail_order, p.b.tail_order, depth)
     return MatrixSeries.from_blocks(
         (
             p.a.coeff(-2 * k),
@@ -193,6 +188,14 @@ def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
         )
         for k in range(depth + 1)
     )
+
+
+def _require_windows(order_a: int | None, order_b: int | None, depth: int) -> None:
+    """Raise unless a (b) is known through lam^-2depth (lam^-(2depth+1)), as
+    the loop matrix G_0..G_depth needs; None: known at every order."""
+    for name, order, need in (("a", order_a, 2 * depth), ("b", order_b, 2 * depth + 1)):
+        if order is not None and order < need:
+            raise InsufficientDepthError(f"{name} is only valid through lam^-{order}, need lam^-{need}")
 
 
 @lru_cache(maxsize=None)
@@ -611,5 +614,26 @@ def point_to_json(p: GrassmannPoint, tail_order: int | None = None) -> dict:
     return {"a": series_to_json(p.a, tail_order), "b": series_to_json(p.b, tail_order)}
 
 
-def point_from_json(data: dict) -> GrassmannPoint:
-    return GrassmannPoint(series_from_json(data["a"]), series_from_json(data["b"]))
+def point_from_json(data: object, depth: int | None = None) -> GrassmannPoint:
+    """Inverse of `point_to_json`; a malformed field raises TypeError or
+    ValueError naming it (`series_from_json`).
+
+    With `depth`, the point is read only as far as `build_G(p, depth)` reads
+    it.  After every field is checked, the heads and constant terms are
+    parsed and checked (a, b must be pure tails with constant term 1), then
+    the windows (`_require_windows`, the check of `build_G`), and only then
+    the tails through lam^-2depth (a) and lam^-(2depth+1) (b).  So a file too
+    shallow for the request fails at once, however long its numbers.
+    """
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object with fields a and b, got {type(data).__name__}")
+    for name in ("a", "b"):
+        if name not in data:
+            raise ValueError(f"missing field {name}")
+    if depth is None:
+        return GrassmannPoint(series_from_json(data["a"], "a"), series_from_json(data["b"], "b"))
+    # every field and text, then the heads and constant terms, then the windows
+    GrassmannPoint(series_from_json(data["a"], "a", 0), series_from_json(data["b"], "b", 0))
+    _require_windows(data["a"]["tail_order"], data["b"]["tail_order"], depth)
+    return GrassmannPoint(series_from_json(data["a"], "a", 2 * depth),
+                          series_from_json(data["b"], "b", 2 * depth + 1))

@@ -43,7 +43,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InsufficientDepthError, NonUnitError, NotNormalizedError
-from .exactnum import Record, RationalLike, _setattr, as_rational, format_rational, parse_rational
+from .exactnum import (Record, RationalLike, _setattr, as_rational, check_rational, format_rational,
+                       parse_rational)
 
 __all__ = [
     "LaurentSeries",
@@ -293,40 +294,62 @@ def series_to_json(s: LaurentSeries, tail_order: int | None = None) -> dict:
     return {"head": head, "tail_order": order, "tail": tail}
 
 
-def series_from_json(data: dict) -> LaurentSeries:
-    """Inverse of `series_to_json`; a value of the wrong JSON type raises TypeError.
+def series_from_json(data: object, name: str = "series", through: int | None = None) -> LaurentSeries:
+    """Inverse of `series_to_json`, for the series called `name` in its file.
 
     The file must state every coefficient it certifies: a tail of exactly
     tail_order + 1 entries, and head exponents that are positive and distinct
-    (the tail holds lam^0 and below), else ValueError.
+    (the tail holds lam^0 and below).  Every field and every coefficient text
+    is checked, in time linear in its length, and an error names the field
+    (`a.tail_order`, `a.head[0]`, `a.tail[1]`): TypeError for a value of the
+    wrong JSON type, ValueError otherwise.  Only the head and the tail through
+    lam^-through are parsed (`through` None: the whole tail), and the series
+    is cut there, so a coefficient that is never read costs no parse.
     """
-    order = _json_int(data["tail_order"])
-    tail = data["tail"]
+    if not isinstance(data, dict):
+        raise TypeError(f"{name}: expected an object with fields head, tail_order and tail, "
+                        f"got {type(data).__name__}")
+    for field in ("tail_order", "tail"):
+        if field not in data:
+            raise ValueError(f"missing field {name}.{field}")
+    order = _json_int(data["tail_order"], f"{name}.tail_order")
+    head, tail = data.get("head", []), data["tail"]
+    if not isinstance(head, list):
+        raise TypeError(f'{name}.head: expected a list of [exponent, "p/q"] pairs, got {head!r}')
     if not isinstance(tail, list):  # a string would be read character by character
-        raise TypeError(f'tail must be a list of "p/q" strings, got {tail!r}')
+        raise TypeError(f'{name}.tail: expected a list of "p/q" strings, got {tail!r}')
     if len(tail) != order + 1:
-        raise ValueError(f"tail has {len(tail)} entries, tail_order {order} needs {order + 1}")
-    coeffs: dict[int, Fraction] = {}
-    for e, text in data.get("head", []):
-        e = _json_int(e)
-        if e <= 0 or e in coeffs:
-            raise ValueError(f"head exponent {e} is not positive or is repeated")
-        coeffs[e] = _json_rational(text)
+        raise ValueError(f"{name}.tail has {len(tail)} entries, tail_order {order} needs {order + 1}")
+    texts: dict[int, str] = {}
+    for i, pair in enumerate(head):
+        where = f"{name}.head[{i}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise TypeError(f'{where}: expected an [exponent, "p/q"] pair, got {pair!r}')
+        e = _json_int(pair[0], where)
+        if e <= 0 or e in texts:
+            raise ValueError(f"{where}: exponent {e} is not positive or is repeated")
+        texts[e] = _json_text(pair[1], where)
     for k, text in enumerate(tail):
-        coeffs[-k] = _json_rational(text)
-    return LaurentSeries.from_dict(coeffs, order)
+        texts[-k] = _json_text(text, f"{name}.tail[{k}]")
+    if through is not None:
+        order = min(order, through)
+    return LaurentSeries.from_dict({e: parse_rational(t) for e, t in texts.items() if e >= -order}, order)
 
 
-def _json_int(value: object) -> int:
+def _json_int(value: object, where: str) -> int:
     if type(value) is not int:  # rejects floats, strings and bools
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise TypeError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
-def _json_rational(value: object) -> Fraction:
+def _json_text(value: object, where: str) -> str:
+    """A coefficient's "p/q" text, checked but not parsed."""
     if not isinstance(value, str):
-        raise TypeError(f'expected a "p/q" string, got {value!r}')
-    return parse_rational(value)
+        raise TypeError(f'{where}: expected a "p/q" string, got {value!r}')
+    try:
+        return check_rational(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

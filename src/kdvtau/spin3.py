@@ -196,7 +196,11 @@ def verify_thm2(ztable: ZTable, K: int, L: int) -> VerificationReport:
         V_{2k,2l}   = -Z_{3k,3l+1} - Z_{3k,3l}
         V_{2k+1,2l+1} = Z_{3k+2,3l+2} + Z_{3k+2,3l+1}
 
-    for all 0 <= k <= K, 0 <= l <= L.
+    for all 0 <= k <= K, 0 <= l <= L, in integers: V is lifted on the grades
+    E' of R and Z on the grades E of G, so the lift v of V_{i,j} (grade i+j+1)
+    and the lift s of a right-hand side of grade d are cross-multiplied,
+    E_d v = E'_{i+j+1} s.  A sum of two Z blocks is lifted on the higher of
+    their grades, d, which the lower one's grade divides (E_{d-1} | E_d).
     """
     suite = "v-from-affine-coordinates"
     if ztable.max_k < 3 * K + 2 or ztable.max_l < 3 * L + 2:
@@ -204,23 +208,27 @@ def verify_thm2(ztable: ZTable, K: int, L: int) -> VerificationReport:
             f"Z table {ztable.max_k}x{ztable.max_l} too small for K={K}, L={L}"
         )
     V = v_table(2 * max(K, L) + 1)
+    v, ev = V.lifted, V.series.grades
+    z, ez = ztable.lifted, ztable.series.grades
 
-    def Z(sign: int, *indices: tuple[int, int]) -> tuple:
-        """sign * the sum of the Z_{k,l} at `indices`, in `Fraction`s: V and Z
-        are lifted on different grades (of R and of G)."""
-        return tuple(sign * sum(vals) for vals in zip(*(ztable.entry(k, l) for k, l in indices)))
+    def Z(sign: int, *indices: tuple[int, int]) -> tuple[IntBlock, int]:
+        """sign * the sum of the Z_{k,l} at `indices`, the first of the highest
+        grade d, as (its lift on E_d, E_d)."""
+        e = ez[sum(indices[0]) + 1]
+        terms = [(e // ez[k + l + 1], z[k][l]) for k, l in indices]
+        return tuple(sign * sum(r * x[i] for r, x in terms) for i in range(4)), e
 
     def comparisons():
         for k in range(K + 1):
             for l in range(L + 1):
-                yield f"V[{2*k},{2*l+1}]", V.entry(2 * k, 2 * l + 1), Z(1, (3 * k, 3 * l + 2))
-                yield f"V[{2*l+1},{2*k}]", V.entry(2 * l + 1, 2 * k), Z(-1, (3 * l + 2, 3 * k))
-                yield f"V[{2*k},{2*l}]", V.entry(2 * k, 2 * l), Z(-1, (3 * k, 3 * l + 1), (3 * k, 3 * l))
-                yield (f"V[{2*k+1},{2*l+1}]", V.entry(2 * k + 1, 2 * l + 1),
-                       Z(1, (3 * k + 2, 3 * l + 2), (3 * k + 2, 3 * l + 1)))
+                yield 2 * k, 2 * l + 1, Z(1, (3 * k, 3 * l + 2))
+                yield 2 * l + 1, 2 * k, Z(-1, (3 * l + 2, 3 * k))
+                yield 2 * k, 2 * l, Z(-1, (3 * k, 3 * l + 1), (3 * k, 3 * l))
+                yield 2 * k + 1, 2 * l + 1, Z(1, (3 * k + 2, 3 * l + 2), (3 * k + 2, 3 * l + 1))
 
     failures = first_failures(
-        f"{label}: {format_block(got)} vs {format_block(want)}"
-        for label, got, want in comparisons() if got != want
+        f"V[{i},{j}]: {format_block(V.entry(i, j))} vs {format_block(lower(want, e))}"
+        for i, j, (want, e) in comparisons()
+        if tuple(e * x for x in v[i][j]) != tuple(ev[i + j + 1] * x for x in want)
     )
     return VerificationReport(suite, not failures, f"k <= {K}, l <= {L}", failures=failures)

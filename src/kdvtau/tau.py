@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
 
-from .errors import DegreeExceededError, InsufficientTableError
+from .errors import DegreeExceededError, ExactComputationError, InsufficientTableError
 from .exactnum import Record, _setattr, format_rational, odd_double_factorial
 from .grassmann import AffineTable
 from .report import VerificationReport, first_failures
@@ -73,15 +73,20 @@ __all__ = [
 
 
 class TauSeries(Record):
-    """Tau series in theta variables, exact through graded degree `degree`."""
+    """Tau series in theta variables, exact through graded degree `degree`.
 
-    __slots__ = ("poly", "degree", "__dict__")
+    `parts` is the set of part sizes its monomials were walked on
+    (`tau_truncated`); None means every part, so `poly` is the whole series.
+    """
 
-    def __init__(self, poly: GradedPoly, degree: int) -> None:
+    __slots__ = ("poly", "degree", "parts", "__dict__")
+
+    def __init__(self, poly: GradedPoly, degree: int, parts: Container[int] | None = None) -> None:
         if poly.constant_term() != 1:
             raise ValueError("a tau series has constant term 1")
         _setattr(self, "poly", poly)
         _setattr(self, "degree", degree)
+        _setattr(self, "parts", parts)
 
     def truncate(self, degree: int) -> "TauSeries":
         """The same series, exact through the lower graded degree `degree`.
@@ -91,7 +96,14 @@ class TauSeries(Record):
         """
         if degree > self.degree:
             raise DegreeExceededError(f"tau series is exact only through degree {self.degree}")
-        return TauSeries(self.poly.truncate(degree), degree)
+        return TauSeries(self.poly.truncate(degree), degree, self.parts)
+
+    def theta_poly(self) -> GradedPoly:
+        """The series in theta, refused for a series walked on some parts only,
+        which lacks the monomials with the other parts."""
+        if self.parts is not None:
+            raise ExactComputationError("tau was walked on some parts only; its theta form is incomplete")
+        return self.poly
 
     @cached_property
     def log(self) -> GradedPoly:
@@ -100,8 +112,9 @@ class TauSeries(Record):
         return graded_log(to_t_variables(self))
 
 
-def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
-    """sum_{|mu| <= degree} A_mu s_mu(theta) with Giambelli minors from `table`.
+def tau_truncated(table: AffineTable, degree: int, parts: Container[int] | None = None) -> TauSeries:
+    """sum_{|mu| <= degree} A_mu s_mu(theta) with Giambelli minors from `table`,
+    its theta^lam terms for the lam with every part in `parts` (None: all).
 
     With p_j = j theta_j, the coefficient of theta^lam in a symmetric
     function f of weight |lam| is <p_lam, f> / prod_j m_j(lam)!, and
@@ -114,9 +127,13 @@ def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
         [theta^lam] tau = (p_lam^perp v)_() / (den prod_j m_j(lam)!).
 
     Zero entries are dropped and a branch stops as soon as its vector is
-    empty.  Every partition lam of weight <= degree is reached, even parts
-    included (they vanish at the Witten-Kontsevich point, where the pruning
-    makes them nearly free, but not at a general point).
+    empty.  Each [theta^lam] tau is read independently of the others, so the
+    walk applies p_r^perp only for r in `parts` and reaches exactly the lam
+    with parts there, with unchanged values.  The t-variable consumers read no
+    even theta (`to_t_variables` drops them), so they pass the odd parts
+    range(1, degree + 1, 2); even parts vanish at the Witten-Kontsevich point,
+    but not at a general point.  The series records `parts`, and its theta
+    form (`TauSeries.theta_poly`) is refused unless every part was walked.
 
     Partitions of weight <= D have hooks with arm and leg at most D - 1, so
     the table must extend at least that far.
@@ -127,31 +144,33 @@ def tau_truncated(table: AffineTable, degree: int) -> TauSeries:
         minors = [(mu, a) for mu in group if (a := giambelli_coeff(mu, table)) != 0]
         den = math.lcm(*(a.denominator for _, a in minors))
         vector = {mu: a.numerator * (den // a.denominator) for mu, a in minors}
-        for lam, total in _rim_hook_walk(vector, weight, ()):
+        for lam, total in _rim_hook_walk(vector, weight, (), parts):
             mults = Counter(lam)
             scale = math.prod(math.factorial(m) for m in mults.values())
             terms[tuple(sorted(mults.items()))] = Fraction(total, den * scale)
-    return TauSeries(GradedPoly("theta", terms, degree), degree)
+    return TauSeries(GradedPoly("theta", terms, degree), degree, parts)
 
 
 def _rim_hook_walk(
-    vector: dict[tuple[int, ...], int], weight: int, lam: tuple[int, ...]
+    vector: dict[tuple[int, ...], int], weight: int, lam: tuple[int, ...], parts: Container[int] | None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (lam + rest, c) for every partition `rest` of `weight` with parts
-    at most lam's last, where c = (p_rest^perp vector)_() is nonzero.
-    `vector` maps partitions of `weight` to nonzero integer Schur
-    coefficients."""
+    in `parts` (None: any) and at most lam's last, where
+    c = (p_rest^perp vector)_() is nonzero.  `vector` maps partitions of
+    `weight` to nonzero integer Schur coefficients."""
     if not weight:
         yield lam, vector[()]
         return
     for r in range(min(weight, lam[-1] if lam else weight), 0, -1):
+        if parts is not None and r not in parts:
+            continue
         out: dict[tuple[int, ...], int] = {}
         for mu, x in vector.items():
             for nu, sign in rim_hooks(mu, r):
                 out[nu] = out.get(nu, 0) + sign * x
         out = {nu: x for nu, x in out.items() if x}
         if out:
-            yield from _rim_hook_walk(out, weight - r, lam + (r,))
+            yield from _rim_hook_walk(out, weight - r, lam + (r,), parts)
 
 
 def _require_table(table: AffineTable, need: int, purpose: str) -> None:

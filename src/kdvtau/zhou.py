@@ -29,10 +29,14 @@ m = row//3 + 1 and n = col//3, row mod 3 picking the family.
 B is computed in integers.  (2n)! b_{n-j} is an integer, so 6 (2n)! B_n(x)
 = sum_j C_{n,j} (x+n)_[j-1] with integer C_{n,j}, an O(n) sum by Horner's
 rule.  Over the common denominator 6 (2n)! (2(m+n))! 36^(m+n) both family
-values then have integer numerators, so each is one Fraction(num, den),
-reduced once per (m, n) and shared by the three families.  Off the support
-the rescaled value is a shared zero, with no arithmetic, and the verifiers
-skip work on zeros.
+values then have integer numerators, so B is one integer fraction
+(num, den) per (m, n), kept unreduced and shared by the three families.
+The verifiers cross-multiply these integers, and `verify_zhou_match` reads
+the Grassmannian side off the Z table's graded integer lift, so a passing
+check builds no Fraction; a failure text lowers the values it prints.  The
+exports (`rescale_B`, `zhou_affine_table`) lower each (m, n) once.  Off
+the support B is a shared zero, with no arithmetic, and the verifiers skip
+work on zeros.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import RationalLike, as_rational, format_rational, odd_double_factorial
-from .grassmann import AffineTable
+from .errors import InsufficientDepthError
+from .grassmann import AffineTable, ZTable
 from .report import VerificationReport, first_failures
 from .series import _ZERO
 
@@ -100,10 +105,10 @@ def B_poly(n: int, x: RationalLike) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _B_values(m: int, n: int) -> tuple[Fraction, Fraction]:
-    """B at (3m-1, 3n) = (3m-3, 3n+2) and at (3m-2, 3n+1).  Over `den`,
-    6 (2n)! B_n(m) is S and 6 (2n)! b_n is e; m >= 1, so 6m+1 and 6m-1 both
-    divide (6m+1)!!."""
+def _B_values(m: int, n: int) -> tuple[int, int, int]:
+    """(p, p', den): B at (3m-1, 3n) = (3m-3, 3n+2) is p/den and at
+    (3m-2, 3n+1) is p'/den, not reduced.  Over `den`, 6 (2n)! B_n(m) is S and
+    6 (2n)! b_n is e; m >= 1, so 6m+1 and 6m-1 both divide (6m+1)!!."""
     products = 1
     for j in range(n):
         products *= (m + j) * (2 * m + 2 * j + 1)
@@ -111,13 +116,28 @@ def _B_values(m: int, n: int) -> tuple[Fraction, Fraction]:
     S = _B_sum(n, m + n)
     e = 6 * 2**n * odd_double_factorial(6 * n + 1)
     den = 6 * math.factorial(2 * n) * math.factorial(2 * (m + n)) * 36 ** (m + n)
-    return (
-        Fraction(odd // (6 * m + 1) * (S * (6 * m + 1) + e), den),
-        Fraction(-odd // (6 * m - 1) * (S * (6 * m - 1) + e), den),
-    )
+    return odd // (6 * m + 1) * (S * (6 * m + 1) + e), -odd // (6 * m - 1) * (S * (6 * m - 1) + e), den
+
+
+_NIL = (0, 1)  # B off its support, as an integer fraction
+
+
+def _B_int(row: int, col: int) -> tuple[int, int]:
+    """B_{row,col} as the integer fraction (p, den), den > 0, not reduced: what
+    the verifiers cross-multiply.  The shared (0, 1) off the support."""
+    if (row + col) % 3 != 2:
+        return _NIL
+    p, q, den = _B_values(row // 3 + 1, col // 3)
+    return q if row % 3 == 1 else p, den
 
 
 @lru_cache(maxsize=None)
+def _B_fractions(m: int, n: int) -> tuple[Fraction, Fraction]:
+    """`_B_values` lowered, each value reduced once per (m, n)."""
+    p, q, den = _B_values(m, n)
+    return Fraction(p, den), Fraction(q, den)
+
+
 def rescale_B(row: int, col: int) -> Fraction:
     """B_{row,col} = sqrt(-2)^(row+col+1) A^Z_{row,col}; a shared zero off
     the support row + col = 2 (mod 3)."""
@@ -125,7 +145,7 @@ def rescale_B(row: int, col: int) -> Fraction:
         raise ValueError("indices must be non-negative")
     if (row + col) % 3 != 2:
         return _ZERO
-    return _B_values(row // 3 + 1, col // 3)[row % 3 == 1]
+    return _B_fractions(row // 3 + 1, col // 3)[row % 3 == 1]
 
 
 def zhou_affine_table(max_m: int, max_n: int) -> AffineTable:
@@ -146,33 +166,51 @@ def zhou_affine_table(max_m: int, max_n: int) -> AffineTable:
 # ---------------------------------------------------------------------------
 
 
-def _sub(a: Fraction, b: Fraction) -> Fraction:
-    """a - b, returning a or -b when one operand is zero."""
-    return (a - b if a else -b) if b else a
+def _plus(a: tuple[int, int], b: tuple[int, int], sign: int = 1) -> tuple[int, int]:
+    """a + sign * b of integer fractions (p, den), returning an operand when
+    the other is zero and adding numerators over a shared denominator."""
+    (p, d), (q, e) = a, b
+    if not q:
+        return a
+    if not p:
+        return sign * q, e
+    return (p + sign * q, d) if d == e else (p * e + sign * q * d, d * e)
 
 
-def _neg(a: Fraction) -> Fraction:
-    """-a, returning a zero as it is."""
-    return -a if a else a
+def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a * b of integer fractions, the shared zero when a factor is zero: B
+    vanishes off its mod-3 support."""
+    return (a[0] * b[0], a[1] * b[1]) if a[0] and b[0] else _NIL
 
 
-def _dot(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
-    """a*b + c*d, skipping a product with a zero factor: B vanishes off
-    its mod-3 support."""
-    if a and b:
-        return a * b + c * d if c and d else a * b
-    return c * d if c and d else _ZERO
+def _lowered(a: tuple[int, int]) -> str:
+    """An integer fraction as "p/q" in lowest terms, for a failure text."""
+    return format_rational(Fraction(*a))
 
 
-def verify_zhou_match(grassmann_table: AffineTable, max_m: int, max_n: int) -> VerificationReport:
-    """Entrywise equality of the Grassmannian and closed-form tables."""
+def verify_zhou_match(ztable: ZTable, max_m: int, max_n: int) -> VerificationReport:
+    """Entrywise equality A_{m,n} = B_{m,n} for m <= max_m, n <= max_n, with A
+    read off the Z table of the Witten-Kontsevich point (A_{m,n} is entry
+    2 (m even) + (n odd) of Z_{m//2, n//2}): each lifted entry z of grade
+    E_d is cross-multiplied with B's integer fraction p/den, z den = p E_d."""
     suite = "zhou-match"
-    failures = first_failures(
-        f"({m},{n}): grassmann {format_rational(lhs)} vs closed form {format_rational(rhs)}"
-        for m in range(max_m + 1)
-        for n in range(max_n + 1)
-        if (lhs := grassmann_table.value(m, n)) != (rhs := rescale_B(m, n))
-    )
+    if ztable.max_k < max_m // 2 or ztable.max_l < max_n // 2:
+        raise InsufficientDepthError(
+            f"Z table {ztable.max_k}x{ztable.max_l} too small for m <= {max_m}, n <= {max_n}"
+        )
+    z, e = ztable.lifted, ztable.series.grades
+
+    def mismatches():
+        for m in range(max_m + 1):
+            for n in range(max_n + 1):
+                k, l = m // 2, n // 2
+                a, grade = z[k][l][2 * (1 - m % 2) + n % 2], e[k + l + 1]
+                p, den = _B_int(m, n)
+                if a * den != p * grade:
+                    yield (f"({m},{n}): grassmann {_lowered((a, grade))} "
+                           f"vs closed form {_lowered((p, den))}")
+
+    failures = first_failures(mismatches())
     return VerificationReport(suite, not failures, f"0 <= m,n <= {min(max_m, max_n)}", failures=failures)
 
 
@@ -240,25 +278,29 @@ def verify_combinatorial_identity(m: int, n: int) -> VerificationReport:
 
 
 def verify_two_step_recursion(max_sum: int) -> VerificationReport:
-    """B_{m+2,n} - B_{m,n+2} = B_{m,0} B_{1,n} + B_{m,1} B_{0,n} for m+n <= max_sum."""
+    """B_{m+2,n} - B_{m,n+2} = B_{m,0} B_{1,n} + B_{m,1} B_{0,n} for m+n <= max_sum,
+    both sides as integer fractions, cross-multiplied."""
     suite = "two-step-recursion"
-    failures = first_failures(
-        f"(m,n)=({m},{n}): {format_rational(lhs)} vs {format_rational(rhs)}"
-        for m in range(max_sum + 1)
-        for n in range(max_sum - m + 1)
-        if (lhs := _sub(rescale_B(m + 2, n), rescale_B(m, n + 2)))
-        != (rhs := _dot(rescale_B(m, 0), rescale_B(1, n), rescale_B(m, 1), rescale_B(0, n)))
-    )
+
+    def mismatches():
+        for m in range(max_sum + 1):
+            for n in range(max_sum - m + 1):
+                lhs = _plus(_B_int(m + 2, n), _B_int(m, n + 2), -1)
+                rhs = _plus(_times(_B_int(m, 0), _B_int(1, n)), _times(_B_int(m, 1), _B_int(0, n)))
+                if lhs[0] * rhs[1] != rhs[0] * lhs[1]:
+                    yield f"(m,n)=({m},{n}): {_lowered(lhs)} vs {_lowered(rhs)}"
+
+    failures = first_failures(mismatches())
     return VerificationReport(suite, not failures, f"m+n <= {max_sum}", failures=failures)
 
 
 def verify_b_symmetry(max_m: int, max_n: int) -> VerificationReport:
-    """B_{n,m} = (-1)^(m+n) B_{m,n} for all m <= max_m, n <= max_n."""
+    """B_{n,m} = (-1)^(m+n) B_{m,n} for all m <= max_m, n <= max_n, cross-multiplied."""
     suite = "coefficient-symmetry"
     failures = first_failures(
         f"({m},{n})"
         for m in range(max_m + 1)
         for n in range(max_n + 1)
-        if rescale_B(n, m) != (rescale_B(m, n) if (m + n) % 2 == 0 else _neg(rescale_B(m, n)))
+        if (t := _B_int(n, m))[0] * (b := _B_int(m, n))[1] != (-1) ** (m + n) * b[0] * t[1]
     )
     return VerificationReport(suite, not failures, f"m <= {max_m}, n <= {max_n}", failures=failures)

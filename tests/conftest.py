@@ -32,8 +32,13 @@ def wk_ztable20(wk_G41):
 
 
 @pytest.fixture(scope="session")
-def wk_affine31(wk_G41) -> AffineTable:
-    return z_table_direct(wk_G41, 15, 15).to_affine_table()
+def wk_ztable15(wk_G41):
+    return z_table_direct(wk_G41, 15, 15)
+
+
+@pytest.fixture(scope="session")
+def wk_affine31(wk_ztable15) -> AffineTable:
+    return wk_ztable15.to_affine_table()
 
 
 @pytest.fixture(scope="session")

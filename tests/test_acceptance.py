@@ -48,8 +48,8 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok
 
 
-def test_criterion_01_closed_form_identification(wk_affine31, zhou_affine30):
-    rep = verify_zhou_match(wk_affine31, 30, 30)
+def test_criterion_01_closed_form_identification(wk_ztable15, wk_affine31, zhou_affine30):
+    rep = verify_zhou_match(wk_ztable15, 30, 30)
     # the closed-form table fixture doubles as a direct entrywise cross-check
     same = all(
         wk_affine31.value(m, n) == zhou_affine30.value(m, n)

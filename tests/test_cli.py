@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from kdvtau.exactnum import format_rational
 from kdvtau.grassmann import point_to_json, wk_point
 from kdvtau.zhou import b_seq
 
-from conftest import example_point
+from conftest import example_point, seeded_point_json
 
 
 def run(capsys, *argv):
@@ -278,29 +279,45 @@ def test_the_v_suites_solve_no_inverse_of_R(capsys, monkeypatch, suite):
     assert fresh.inverse and "inverse" in vars(fresh)  # where a solved inverse is kept
 
 
-@pytest.mark.parametrize("suite", ["recursion", "genfun", "symmetry"])
+@pytest.mark.parametrize("suite", ["recursion", "genfun", "symmetry", "zhou-match", "thm2"])
 def test_passing_z_table_suites_reduce_no_entry(capsys, monkeypatch, suite):
-    # the Z tables stay on the graded integer lift and the verifiers compare
-    # integers: a passing run has no failure text, so it lowers nothing
-    from kdvtau import grassmann, series
+    # the Z and V tables stay on their graded integer lifts and Zhou's B on its
+    # integer fractions, and the verifiers cross-multiply integers: a passing
+    # run has no failure text, so it lowers no block and builds no Fraction of B
+    from kdvtau import grassmann, series, spin3, zhou
     from kdvtau.grassmann import wk_G, z_table_recursive
 
-    lowered = []
-    lower = series.lower
+    lowered, fractions = [], []
+    lower, fraction = series.lower, zhou.Fraction
 
     def counting(block, scale):
         lowered.append(block)
         return lower(block, scale)
 
-    for module in (grassmann, series):  # table entries, and blocks of a series
+    for module in (grassmann, series, spin3):  # table entries, blocks of a series, V
         monkeypatch.setattr(module, "lower", counting)
+    monkeypatch.setattr(zhou, "Fraction", lambda *a: fractions.append(a) or fraction(*a))
+    zhou._B_fractions.cache_clear()
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0 and "FAIL" not in out
-    assert lowered == []
-    # reading an entry lowers it, once
+    assert lowered == [] and fractions == []
+    # reading an entry lowers it, once; B is lowered by the exports
     table = z_table_recursive(wk_G(9), 2, 2)
     assert table.entry(1, 2) is table.entry(1, 2)
     assert len(lowered) == 1
+    assert zhou.rescale_B(2, 0) == -fraction(5, 24) and fractions
+
+
+def test_verify_all_walks_odd_parts_only(capsys, monkeypatch):
+    # the string and kdv suites read tau in t only: no p_r^perp with r even
+    import kdvtau.tau as tau
+
+    parts = []
+    rim_hooks = tau.rim_hooks
+    monkeypatch.setattr(tau, "rim_hooks", lambda mu, r: parts.append(r) or rim_hooks(mu, r))
+    code, _, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert parts and all(r % 2 for r in parts)
 
 
 def test_verify_all_takes_one_log_of_its_tau(capsys, monkeypatch):
@@ -495,6 +512,58 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, a_series):
         assert "error: malformed point file" in captured.err
 
 
+def bad_series(**fields):
+    return {"a": {**GOOD_SERIES, **fields}, "b": GOOD_SERIES}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "expected an object with fields a and b, got list"),
+    ({"a": GOOD_SERIES}, "missing field b"),
+    ({"a": "1", "b": GOOD_SERIES}, "a: expected an object with fields head, tail_order and tail, got str"),
+    ({"a": {"head": [], "tail": ["1", "0"]}, "b": GOOD_SERIES}, "missing field a.tail_order"),
+    (bad_series(tail_order="x"), "a.tail_order: expected an integer, got 'x'"),
+    (bad_series(tail="12"), "a.tail: expected a list of \"p/q\" strings, got '12'"),
+    (bad_series(tail=["1"]), "a.tail has 1 entries, tail_order 1 needs 2"),
+    (bad_series(tail=["1", "1/0"]), "a.tail[1]: zero denominator in '1/0'"),
+    (bad_series(tail=["1", "1e3"]), "a.tail[1]: not a rational of the form p/q: '1e3'"),
+    ({"a": GOOD_SERIES, "b": {**GOOD_SERIES, "tail": ["1", 2]}}, "b.tail[1]: expected a \"p/q\" string, got 2"),
+    (bad_series(head={}), "a.head: expected a list of [exponent, \"p/q\"] pairs, got {}"),
+    (bad_series(head=[[2]]), "a.head[0]: expected an [exponent, \"p/q\"] pair, got [2]"),
+    (bad_series(head=[[-1.5, "1"]]), "a.head[0]: expected an integer, got -1.5"),
+    (bad_series(head=[[2, "0"], [2, "0"]]), "a.head[1]: exponent 2 is not positive or is repeated"),
+    (bad_series(head=[[2, "1/00"]]), "a.head[0]: zero denominator in '1/00'"),
+    (bad_series(head=[[2, "1"]]), "a must be a pure tail series"),
+], ids=["not-an-object", "missing-b", "series-not-an-object", "missing-tail-order", "tail-order",
+        "tail-string", "tail-short", "zero-denominator", "tail-exponent", "b-tail-int", "head-object",
+        "head-pair", "head-exponent-float", "head-exponent-repeated", "head-zero-denominator",
+        "head-nonzero"])
+def test_point_file_errors_name_the_field(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "grassmann", str(path), "--tau", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: malformed point file {path}: {message}\n"
+
+
+def test_too_shallow_point_file_fails_before_parsing_its_numbers(capsys, tmp_path, monkeypatch):
+    # a 10^6-digit coefficient at lam^-1 of a tail too short for the request:
+    # the window check fails before any coefficient past the constant term is
+    # parsed (the str -> int conversion of that number takes seconds)
+    from kdvtau import series
+
+    parsed = []
+    parse = series.parse_rational
+    monkeypatch.setattr(series, "parse_rational", lambda text: parsed.append(len(text)) or parse(text))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(bad_series(tail=["1", "7" * 10**6])))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "grassmann", str(path), "--affine", "0", "0")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err == "error: a is only valid through lam^-1, need lam^-2\n"
+    assert parsed and max(parsed) == 1
+
+
 def test_point_file_rational_is_reduced(capsys, tmp_path):
     outputs = []
     for text in ("2/4", "1/2"):
@@ -511,6 +580,25 @@ def test_point_file_rational_is_reduced(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # one table and one tau per grassmann call
 # ---------------------------------------------------------------------------
+
+
+def test_theta_export_builds_the_full_tau(capsys, tmp_path, monkeypatch):
+    # the initial data reads t only, but a theta export of the same tau reads
+    # the even theta: one tau, walked on every part
+    import kdvtau.tau as tau
+
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(seeded_point_json(5, 21, True, False)))
+    built = []
+    build = tau.tau_truncated
+    monkeypatch.setattr(tau, "tau_truncated", lambda *a: built.append(build(*a)) or built[-1])
+    code, out, _ = run(capsys, "grassmann", str(path), "--tau", "10", "--tau-vars", "theta",
+                       "--initial-data", "8")
+    assert code == 0
+    assert [(t.degree, t.parts) for t in built] == [(10, None)]
+    assert any(var % 2 == 0 for mon, _ in json.loads(out)["tau"]["terms"] for var, _ in mon)
+    code, _, _ = run(capsys, "grassmann", str(path), "--tau", "10", "--initial-data", "8")
+    assert code == 0 and built[-1].parts == range(1, 11, 2)
 
 
 @pytest.mark.parametrize("tau_vars", ["t", "theta"])

@@ -29,6 +29,7 @@ from kdvtau.grassmann import (
 )
 from kdvtau.series import LaurentSeries, MatrixSeries, matrix_series_inverse
 
+from conftest import seeded_point_json
 from oracles import _matmul, _negsum, closed_z, loop_blocks, loop_inverse, rows, wk_cq
 
 F = Fraction
@@ -469,6 +470,18 @@ def test_point_json_round_trip():
     doc = point_to_json(p)
     q = point_from_json(doc)
     assert q.a == p.a and q.b == p.b
+
+
+def test_point_read_to_a_depth_builds_the_same_loop_matrix():
+    # the CLI reads a point file only as deep as its loop matrix needs
+    doc = seeded_point_json(5, 21, True, False)
+    full = normalize_point(point_from_json(doc))
+    for depth in range(11):
+        cut = point_from_json(doc, depth)
+        assert (cut.a.tail_order, cut.b.tail_order) == (2 * depth, 2 * depth + 1)
+        assert build_G(normalize_point(cut), depth) == build_G(full, depth)
+    with pytest.raises(InsufficientDepthError, match=r"^a is only valid through lam\^-21, need lam\^-22$"):
+        point_from_json(doc, 11)
 
 
 def test_affine_table_exports(wk_G41):

@@ -8,7 +8,7 @@ import pytest
 import kdvtau.grassmann as grassmann
 import kdvtau.spin3 as spin3
 import kdvtau.zhou as zhou
-from kdvtau.grassmann import AffineTable, ZTable, z_table_recursive
+from kdvtau.grassmann import ZTable, z_table_recursive
 from kdvtau.report import MAX_FAILURES, VerificationReport, first_failures
 from kdvtau.schur import GradedPoly
 from kdvtau.series import MatrixSeries
@@ -35,11 +35,11 @@ def test_line_prints_at_most_the_cap():
     assert rep.line().count("first failure") == MAX_FAILURES
 
 
-def bumped_z(table: ZTable, k: int, l: int) -> ZTable:
-    """`table` with Z_{k,l} moved by BUMP: its lifted block moves by E_{k+l+1} BUMP."""
+def bumped_z(table: ZTable, k: int, l: int, bump=BUMP) -> ZTable:
+    """`table` with Z_{k,l} moved by `bump`: its lifted block moves by E_{k+l+1} bump."""
     rows = [list(row) for row in table.lifted]
     e = table.series.grades[k + l + 1]
-    rows[k][l] = tuple(z + e * b for z, b in zip(rows[k][l], BUMP))
+    rows[k][l] = tuple(z + e * b for z, b in zip(rows[k][l], bump))
     return ZTable(table.max_k, table.max_l, tuple(tuple(row) for row in rows), table.series)
 
 
@@ -48,11 +48,16 @@ def bumped_tau(tau: TauSeries, mon) -> TauSeries:
     return TauSeries(tau.poly + extra, tau.degree)
 
 
-def bumped_rescale_B(monkeypatch, row: int, col: int) -> None:
-    true_B = zhou.rescale_B
-    monkeypatch.setattr(
-        zhou, "rescale_B", lambda m, n: true_B(m, n) + (1 if (m, n) == (row, col) else 0)
-    )
+def bumped_B(monkeypatch, row: int, col: int) -> None:
+    """B_{row,col} moved by +1 where the verifiers read it: its integer
+    fraction p/den becomes (p + den)/den."""
+    true_B = zhou._B_int
+
+    def bumped(m, n):
+        p, den = true_B(m, n)
+        return (p + den if (m, n) == (row, col) else p), den
+
+    monkeypatch.setattr(zhou, "_B_int", bumped)
 
 
 def case_generating_function(mp, G, tau):
@@ -78,19 +83,17 @@ def case_z_generating_series(mp, G, tau):
 
 
 def case_zhou_match(mp, G, tau):
-    table = zhou.zhou_affine_table(6, 6)
-    entries = dict(table.entries)
-    entries[(2, 3)] += 1
-    return zhou.verify_zhou_match(AffineTable(6, 6, entries, "custom"), 6, 6)
+    # A_{2,3} is the a22 entry of Z_{1,1}
+    return zhou.verify_zhou_match(bumped_z(z_table_recursive(G, 3, 3), 1, 1, (0, 0, 0, 1)), 6, 6)
 
 
 def case_two_step_recursion(mp, G, tau):
-    bumped_rescale_B(mp, 4, 1)
+    bumped_B(mp, 4, 1)
     return zhou.verify_two_step_recursion(6)
 
 
 def case_b_symmetry(mp, G, tau):
-    bumped_rescale_B(mp, 4, 1)
+    bumped_B(mp, 4, 1)
     return zhou.verify_b_symmetry(6, 6)
 
 
@@ -99,12 +102,12 @@ def case_b_symmetry(mp, G, tau):
 
 
 def case_two_step_recursion_off_support(mp, G, tau):
-    bumped_rescale_B(mp, 3, 0)  # off the support, 3 + 0 = 0 (mod 3): B_{3,0} = 0
+    bumped_B(mp, 3, 0)  # off the support, 3 + 0 = 0 (mod 3): B_{3,0} = 0
     return zhou.verify_two_step_recursion(6)
 
 
 def case_b_symmetry_off_support(mp, G, tau):
-    bumped_rescale_B(mp, 3, 0)  # off the support, 3 + 0 = 0 (mod 3): B_{3,0} = 0
+    bumped_B(mp, 3, 0)  # off the support, 3 + 0 = 0 (mod 3): B_{3,0} = 0
     return zhou.verify_b_symmetry(6, 6)
 
 

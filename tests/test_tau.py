@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kdvtau.errors import DegreeExceededError, InsufficientTableError
+from kdvtau.errors import DegreeExceededError, ExactComputationError, InsufficientTableError
 from kdvtau.grassmann import (
     AffineTable,
     build_G,
@@ -162,6 +162,31 @@ def test_tau_matches_jacobi_trudi_term_for_term(request, route_table):
         }
     if request.node.callspec.params["route_table"].startswith("random"):
         assert any(has_even_theta(mon) for mon in reference)  # kept, not dropped
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_odd_part_walk_is_the_t_part_of_the_full_walk(seed, dense, large):
+    # on a generic point, with even theta present: the walk on odd parts gives
+    # exactly the full walk's monomials with odd parts only, so the same
+    # t-polynomial, at every degree
+    table = seeded_table(seed, dense, large, 6)
+    full = tau_truncated(table, 12)
+    assert any(has_even_theta(mon) for mon in full.poly.terms)
+    for degree in range(13):
+        odd = tau_truncated(table, degree, range(1, degree + 1, 2))
+        want = full.truncate(degree)
+        assert odd.poly.terms == {mon: c for mon, c in want.poly.terms.items() if not has_even_theta(mon)}
+        assert to_t_variables(odd) == to_t_variables(want)
+
+
+def test_theta_form_of_an_odd_part_tau_is_refused(example_tau_c1):
+    assert example_tau_c1.theta_poly() is example_tau_c1.poly
+    odd = tau_truncated(example_table(F(1)), 8, range(1, 9, 2))
+    with pytest.raises(ExactComputationError, match="some parts only"):
+        odd.theta_poly()
+    with pytest.raises(ExactComputationError, match="some parts only"):
+        odd.truncate(4).theta_poly()
 
 
 @pytest.fixture(scope="module", params=list(ORACLE_TABLES))

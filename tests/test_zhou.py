@@ -84,8 +84,8 @@ def test_two_step_recursion_small():
     assert verify_two_step_recursion(12).passed
 
 
-def test_zhou_match_small(wk_affine31):
-    assert verify_zhou_match(wk_affine31, 12, 12).passed
+def test_zhou_match_small(wk_ztable15):
+    assert verify_zhou_match(wk_ztable15, 12, 12).passed
 
 
 def test_zhou_table_matches_grassmann_at_69():
