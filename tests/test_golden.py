@@ -85,6 +85,12 @@ GOLDEN = {
     "verify kdv --depth 12 --flow 3": (0, "544e3b0e8d40fcb02720038a22273119d820daf693b8455cf0758178804b1fce"),
     "affine --source grassmann --max-m 12 --max-n 12 --format json": (0, "768a57b8df580cfa92e17d0fbdaf2ec380f4b15c7e2ab37ba95831170e6bb1ef"),
     "affine --source grassmann --max-m 9 --max-n 4 --format csv": (0, "533b29de9e2238124f88e9698ec90486c8cf35b39df605a483c4d017af69861d"),
+    # correlators at high genus, with three and four insertions (W = 36 is
+    # even) and with nine, pinned before they were read off the integer lift
+    "intersect 88": (0, "c3f4e43b3414581fb236e3dbcdabec594960d7c147c22efca040d1a54bdeb066"),
+    "intersect 10,10,10": (0, "bc54c9180899e683784d315cbca2f553f954ec0f91bba87c6f61972cf3179bcf"),
+    "intersect 2,3,5,6": (0, "439d5f7c09e113ffe828931e27f4eb93a90e45f15e68b6fbe2dfb39d1839a613"),
+    "intersect 2,2,2,2,2,2,2,2,2": (0, "b44a24adbf4d8560f34d43ece53ccab486a0f7cccfc26d1a7cc66575b9b74df5"),
 }
 
 
