@@ -43,23 +43,16 @@ POINT_SUITES = ("string", "kdv")  # the suites that read a --point file
 
 def _affine_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) -> list[gr.AffineTable]:
     """A_{m,n} for m <= max_m, n <= max_n of `point` (None: the Witten-Kontsevich
-    point), one table per (max_m, max_n) in `shapes`, from one Z-table build.
-
-    The Z table with K = max_m // 2, L = max_n // 2 spans 2K+1 x 2L+1 scalar
-    coordinates; an even side is trimmed to the requested size.
-    """
+    point), one table per (max_m, max_n) in `shapes`, each lowered from the
+    Z table with K = max_m // 2, L = max_n // 2 of one recursion run."""
     zshapes = [(max_m // 2, max_n // 2) for max_m, max_n in shapes]
     depth = _loop_depth(shapes)
     if point is None:
         G, source = gr.wk_G(depth), "grassmann"
     else:
         G, source = gr.build_G(gr.normalize_point(point), depth), "custom"
-    tables = []
-    for z, (max_m, max_n) in zip(gr.z_tables_recursive(G, zshapes), shapes):
-        entries = z.to_affine_table(source).entries
-        corner = {(m, n): v for (m, n), v in entries.items() if m <= max_m and n <= max_n}
-        tables.append(gr.AffineTable(max_m, max_n, corner, source))
-    return tables
+    return [z.to_affine_table(max_m, max_n, source)
+            for z, (max_m, max_n) in zip(gr.z_tables_recursive(G, zshapes), shapes)]
 
 
 def _loop_depth(shapes: list[tuple[int, int]]) -> int:
@@ -81,12 +74,26 @@ def _wk_z_table(size: int, memo: dict) -> gr.ZTable:
     return table
 
 
+INT_LITERAL_CHARS = 20  # no tail order or head exponent of a usable point is longer
+
+
+class _LongInt:
+    """An integer literal too long to convert (it takes quadratic time); no field check accepts it."""
+
+    def __init__(self, text: str) -> None:
+        self.size = len(text)
+
+    def __repr__(self) -> str:
+        return f"a literal of {self.size} characters (at most {INT_LITERAL_CHARS} are read)"
+
+
 def _load_point(path: str, shapes: list[tuple[int, int]]) -> gr.GrassmannPoint:
     """The point in the file at `path`, read only as far as the tables of
     `shapes` need (`grassmann.point_from_json`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting
-            return gr.point_from_json(json.load(fh), _loop_depth(shapes))  # makes json raise RecursionError
+        try:  # UnicodeDecodeError, JSONDecodeError: ValueErrors; deep nesting: RecursionError
+            doc = json.load(fh, parse_int=lambda t: int(t) if len(t) <= INT_LITERAL_CHARS else _LongInt(t))
+            return gr.point_from_json(doc, _loop_depth(shapes))
         except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise ExactComputationError(f"malformed point file {path}: {exc}") from exc
 
@@ -136,18 +143,12 @@ def cmd_intersect(args: argparse.Namespace) -> int:
     except argparse.ArgumentTypeError:
         print(f"cannot parse spec {args.spec!r}; expected 'k1,k2,...'", file=sys.stderr)
         return 2
-    if not spec.is_valid:
+    if spec.is_valid:  # the correlator reads Z_{k,l}, k, l <= (W - 1) // 2
+        value = tau_mod.correlator(_wk_z_table((spec.t_weight - 1) // 2, {}), spec)
+    else:
         print("dimension constraint violated: value is 0", file=sys.stderr)
-        doc = {"spec": list(spec.exponents), "genus": None, "value": "0"}
-        print(json.dumps(doc))
-        return 0
-    (table,) = _affine_tables(None, (spec.t_weight - 1, spec.t_weight - 1))
-    doc = {
-        "spec": list(spec.exponents),
-        "genus": spec.genus,
-        "value": format_rational(tau_mod.correlator(table, spec)),
-    }
-    print(json.dumps(doc))
+        value = 0
+    print(json.dumps({"spec": list(spec.exponents), "genus": spec.genus, "value": format_rational(value)}))
     return 0
 
 

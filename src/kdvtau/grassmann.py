@@ -33,7 +33,8 @@ the boundary data Z_{k,0} = G_{k+1}.  Where both sides of an identity have one
 grade (equivalence, symmetry, generating function and series), dividing by
 E_d changes no verdict, so the integers are compared.  The recursion identity
 is checked with its denominators cleared, so it does not re-run the step it
-cross-checks.  An entry is reduced to `Fraction`s only when it is read.
+cross-checks.  The correlators read the scalar A_{m,n} off the same lift
+(`ZTable.affine`); an entry is reduced to `Fraction`s only to be read.
 
 The built-in point of chief interest is the Witten-Kontsevich point, whose
 spanning series c(lam) and q(lam) are power series in lam^-3:
@@ -215,11 +216,11 @@ class ZTable(Record):
     as lifted[k][l] = E_{k+l+1} X_{k,l} on the grades E of `series`, the
     `MatrixSeries` it was solved on: the matrix-valued affine coordinates
     Z_{k,l} of G, or the 3-spin V_{k,l} of R (`spin3.v_table`).  `entry`
-    reduces a block to its 4-tuple of `Fraction`s (`series.lower`) when first
-    read.  Equality compares the lifted blocks and the series, so two tables
-    are equal when they hold the same blocks of the same series."""
+    lowers a block to `Fraction`s on each read; `affine` reads one A_{m,n}.
+    Equality compares the lifted blocks and the series, so two tables are
+    equal when they hold the same blocks of the same series."""
 
-    __slots__ = ("max_k", "max_l", "lifted", "series", "__dict__")
+    __slots__ = ("max_k", "max_l", "lifted", "series")
 
     def __init__(
         self, max_k: int, max_l: int, lifted: tuple[tuple[IntBlock, ...], ...], series: MatrixSeries
@@ -229,33 +230,23 @@ class ZTable(Record):
         _setattr(self, "lifted", lifted)  # lifted[k][l]
         _setattr(self, "series", series)
 
-    @cached_property
-    def _lowered(self) -> dict[tuple[int, int], Block]:
-        return {}
-
     def entry(self, k: int, l: int) -> Block:
-        """X_{k,l} as the exact (a11, a12, a21, a22), reduced once."""
+        """X_{k,l} as the exact (a11, a12, a21, a22)."""
         if not (0 <= k <= self.max_k and 0 <= l <= self.max_l):
             raise OutOfRangeError(f"Z[{k},{l}] outside table {self.max_k}x{self.max_l}")
-        z = self._lowered.get((k, l))
-        if z is None:
-            z = self._lowered[k, l] = lower(self.lifted[k][l], self.series.grades[k + l + 1])
-        return z
+        return lower(self.lifted[k][l], self.series.grades[k + l + 1])
 
-    def to_affine_table(self, source: str = "grassmann") -> "AffineTable":
-        entries: dict[tuple[int, int], Fraction] = {}
-        for k in range(self.max_k + 1):
-            for l in range(self.max_l + 1):
-                a11, a12, a21, a22 = self.entry(k, l)
-                for (m, n), v in (
-                    ((2 * k + 1, 2 * l), a11),
-                    ((2 * k + 1, 2 * l + 1), a12),
-                    ((2 * k, 2 * l), a21),
-                    ((2 * k, 2 * l + 1), a22),
-                ):
-                    if v != 0:
-                        entries[(m, n)] = v
-        return AffineTable(2 * self.max_k + 1, 2 * self.max_l + 1, entries, source)
+    def affine(self, m: int, n: int) -> tuple[int, int]:
+        """A_{m,n} as (E_d A_{m,n}, E_d), d = m//2 + n//2 + 1: entry
+        2 (m even) + (n odd) of the lifted block Z_{m//2, n//2}."""
+        k, l = m // 2, n // 2
+        return self.lifted[k][l][2 * (1 - m % 2) + n % 2], self.series.grades[k + l + 1]
+
+    def to_affine_table(self, max_m: int, max_n: int, source: str) -> "AffineTable":
+        """A_{m,n}, m <= max_m, n <= max_n, read off Z_{k,l}, k <= max_m//2, l <= max_n//2."""
+        entries = {(m, n): Fraction(a, grade) for m in range(max_m + 1) for n in range(max_n + 1)
+                   for a, grade in [self.affine(m, n)] if a}
+        return AffineTable(max_m, max_n, entries, source)
 
 
 class AffineTable(Record):
@@ -364,7 +355,7 @@ def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[Z
     The rows hold the graded lift z_{k,l} = E_{k+l+1} Z_{k,l}, so the step
     is z_{k,l} = z_{k-1,l+1} + (E_{k+l+1} / (E_k E_{l+1})) z_{k-1,0} z_{0,l}
     and the boundary check compares integers.  The tables keep the lift, and
-    a repeated shape gets the same table, so its entries are reduced once.
+    a repeated shape gets the same table.
     """
     need = max(K + L for K, L in shapes) + 1
     _require_depth(G, need)

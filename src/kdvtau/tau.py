@@ -19,9 +19,9 @@ free energy
 nonzero only when sum k_i = 3g - 3 + n for an integer genus g >= 0
 (`intersection_number`).  `correlator`, the `intersect` route, builds no
 tau: it reduces a spec by the string and dilaton equations and reads the
-rest off the affine table by Zhou's n-point functions (`log_tau_derivative`).
-Both return the correlator as a plain `Fraction`; its genus and dimension
-check are properties of the `CorrelatorSpec`.
+rest by Zhou's n-point functions (`log_tau_derivative`) off the integer lift
+of the Z table.  Both return the correlator as a plain `Fraction`; its genus
+and dimension check are properties of the `CorrelatorSpec`.
 
 Differential identities (string equation, the flows of the hierarchy) are
 verified on the residual polynomial; the graded reliability bound of the
@@ -44,7 +44,7 @@ from itertools import groupby
 
 from .errors import DegreeExceededError, ExactComputationError, InsufficientTableError
 from .exactnum import Record, _setattr, format_rational, odd_double_factorial
-from .grassmann import AffineTable
+from .grassmann import AffineTable, ZTable
 from .report import VerificationReport, first_failures
 from .schur import (
     GradedPoly,
@@ -138,7 +138,8 @@ def tau_truncated(table: AffineTable, degree: int, parts: Container[int] | None 
     Partitions of weight <= D have hooks with arm and leg at most D - 1, so
     the table must extend at least that far.
     """
-    _require_table(table, max(degree - 1, 0), f"tau degree {degree}")
+    if min(table.max_m, table.max_n) < degree - 1:
+        raise InsufficientTableError(f"table {table.max_m}x{table.max_n} too small for tau degree {degree}")
     terms: dict[Monomial, Fraction] = {}
     for weight, group in groupby(partitions_up_to(degree), key=sum):
         minors = [(mu, a) for mu in group if (a := giambelli_coeff(mu, table)) != 0]
@@ -171,11 +172,6 @@ def _rim_hook_walk(
         out = {nu: x for nu, x in out.items() if x}
         if out:
             yield from _rim_hook_walk(out, weight - r, lam + (r,), parts)
-
-
-def _require_table(table: AffineTable, need: int, purpose: str) -> None:
-    if table.max_m < need or table.max_n < need:
-        raise InsufficientTableError(f"table {table.max_m}x{table.max_n} too small for {purpose}")
 
 
 @lru_cache(maxsize=None)
@@ -279,8 +275,8 @@ def _from_free_energy(F: GradedPoly, spec: CorrelatorSpec) -> Fraction:
     return F.coefficient(spec.monomial()) * spec.multiplicity_factor()
 
 
-def correlator(table: AffineTable, spec: CorrelatorSpec) -> Fraction:
-    """Exact correlator for `spec`, read off the affine table of the
+def correlator(table: ZTable, spec: CorrelatorSpec) -> Fraction:
+    """Exact correlator for `spec`, read off the Z table of the
     Witten-Kontsevich point without assembling tau; 0 for a spec that
     violates the dimension constraint.
 
@@ -296,12 +292,12 @@ def correlator(table: AffineTable, spec: CorrelatorSpec) -> Fraction:
         <prod tau_{k_i}> = prod_i (-1/(2k_i+1)!!) d^n log tau / prod d theta_{2k_i+1}
 
     by `log_tau_derivative`.  The reduction holds only at the
-    Witten-Kontsevich point; the table must be at least (W-1) x (W-1),
+    Witten-Kontsevich point; the table must hold Z_{k,l} for k, l <= (W-1)//2,
     W = `spec.t_weight`.
     """
     if not spec.is_valid:
         return Fraction(0)
-    _require_table(table, spec.t_weight - 1, str(spec))
+    _require_table(table, spec.t_weight, str(spec))
     genus = spec.genus
     memo: dict[tuple[int, ...], Fraction] = {}
 
@@ -327,10 +323,16 @@ def correlator(table: AffineTable, spec: CorrelatorSpec) -> Fraction:
     return value(spec.exponents)
 
 
-def log_tau_derivative(table: AffineTable, thetas: list[int]) -> Fraction:
-    """d^n log tau / d theta_{a_1} ... d theta_{a_n} at theta = 0, for the
-    tau function of any big-cell point with affine coordinates `table`
-    (Zhou, Emergent geometry of KP hierarchy).
+def _require_table(table: ZTable, weight: int, purpose: str) -> None:
+    """Raise unless `table` holds every A_{m,n}, m, n < `weight` (`ZTable.affine`)."""
+    if min(table.max_k, table.max_l) < (weight - 1) // 2:
+        raise InsufficientTableError(f"Z table {table.max_k}x{table.max_l} too small for {purpose}")
+
+
+def log_tau_derivative(table: ZTable, thetas: list[int]) -> Fraction:
+    """d^n log tau / d theta_{a_1} ... d theta_{a_n} at theta = 0, for the tau
+    function of any big-cell point with Z table `table` (Zhou, Emergent
+    geometry of KP hierarchy), its A_{m,n} read by `ZTable.affine`.
 
     With A(x, y) = sum A_{m,n} x^{-m-1} y^{-n-1}:
 
@@ -351,18 +353,25 @@ def log_tau_derivative(table: AffineTable, thetas: list[int]) -> Fraction:
     the first, whose p starts the cycle, has the fewest start states.  The
     (n-1)! cycles are summed over subsets (2^(n-1) n partial paths), since
     the factor weights depend only on the two variables they join.
+
+    Every weight is an integer over den = E_{N+1}, N = (W - 1) // 2: an entry
+    read has grade d <= N + 1, and E_d divides E_{N+1}, so A_{m,n} is its
+    lift times E_{N+1} / E_d over den.  Only the result is a `Fraction`.
     """
     a = sorted(thetas)
     if not a or a[0] < 1:
         raise ValueError("theta indices must be >= 1")
     W = sum(a)
-    _require_table(table, W - 1, f"theta weight {W}")
+    _require_table(table, W, f"theta weight {W}")
+    den = table.series.grades[(W - 1) // 2 + 1]
+
+    def weight(m: int, n: int) -> int:
+        lifted, grade = table.affine(m, n)
+        return lifted * (den // grade)
+
     if len(a) == 1:
-        return sum((table.value(m, W - 1 - m) for m in range(W)), Fraction(0))
-    # one common denominator, so every factor weight is an integer times 1/den
-    rows = [[(q, v) for q in range(W - p) if (v := table.value(p, q))] for p in range(W)]
-    den = math.lcm(*(v.denominator for row in rows for _, v in row))
-    rows = [[(q, v.numerator * (den // v.denominator)) for q, v in row] for row in rows]
+        return Fraction(sum(weight(m, W - 1 - m) for m in range(W)), den)
+    rows = [[(q, v) for q in range(W - p) if (v := weight(p, q))] for p in range(W)]
 
     def step(states: dict[tuple[int, int], int], u: int, v: int, out: dict[tuple[int, int], int]) -> None:
         """Add to `out` the states after factor u -> v, keyed (start p, p at v)."""

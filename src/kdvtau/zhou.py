@@ -190,21 +190,19 @@ def _lowered(a: tuple[int, int]) -> str:
 
 def verify_zhou_match(ztable: ZTable, max_m: int, max_n: int) -> VerificationReport:
     """Entrywise equality A_{m,n} = B_{m,n} for m <= max_m, n <= max_n, with A
-    read off the Z table of the Witten-Kontsevich point (A_{m,n} is entry
-    2 (m even) + (n odd) of Z_{m//2, n//2}): each lifted entry z of grade
-    E_d is cross-multiplied with B's integer fraction p/den, z den = p E_d."""
+    read off the Z table of the Witten-Kontsevich point (`ZTable.affine`):
+    each lifted entry a of grade E_d is cross-multiplied with B's integer
+    fraction p/den, a den = p E_d."""
     suite = "zhou-match"
     if ztable.max_k < max_m // 2 or ztable.max_l < max_n // 2:
         raise InsufficientDepthError(
             f"Z table {ztable.max_k}x{ztable.max_l} too small for m <= {max_m}, n <= {max_n}"
         )
-    z, e = ztable.lifted, ztable.series.grades
 
     def mismatches():
         for m in range(max_m + 1):
             for n in range(max_n + 1):
-                k, l = m // 2, n // 2
-                a, grade = z[k][l][2 * (1 - m % 2) + n % 2], e[k + l + 1]
+                a, grade = ztable.affine(m, n)
                 p, den = _B_int(m, n)
                 if a * den != p * grade:
                     yield (f"({m},{n}): grassmann {_lowered((a, grade))} "

@@ -16,7 +16,7 @@ from kdvtau.grassmann import (
     wk_G,
     z_table_direct,
 )
-from kdvtau.series import LaurentSeries
+from kdvtau.series import LaurentSeries, MatrixSeries
 from kdvtau.tau import TauSeries, tau_truncated
 from kdvtau.zhou import zhou_affine_table
 
@@ -38,7 +38,7 @@ def wk_ztable15(wk_G41):
 
 @pytest.fixture(scope="session")
 def wk_affine31(wk_ztable15) -> AffineTable:
-    return wk_ztable15.to_affine_table()
+    return wk_ztable15.to_affine_table(31, 31, "grassmann")
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +67,28 @@ def example_point(c: Fraction) -> GrassmannPoint:
 def example_table(c: Fraction, size: int = 12) -> AffineTable:
     p = example_point(c)
     K, L = size // 2, size // 2
-    return z_table_direct(build_G(p, K + L + 1), K, L).to_affine_table("custom")
+    return z_table_direct(build_G(p, K + L + 1), K, L).to_affine_table(2 * K + 1, 2 * L + 1, "custom")
+
+
+def det_one_G(seed: int, depth: int = 9) -> MatrixSeries:
+    """The loop matrix G_0..G_depth of a seeded normalized point with det G = 1:
+    a and the odd part of b are small random rationals, and the even part of b
+    is solved from G_22 = (1 + G_12 G_21) / G_11."""
+    rng = random.Random(seed)
+
+    def values():
+        return [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5, 7, 9))) for _ in range(depth)]
+
+    g11, g21, g12 = [Fraction(1)] + values(), [Fraction(0)] + values(), [Fraction(0)] + values()
+    g22 = []
+    for k in range(depth + 1):
+        num = (k == 0) + sum(g12[i] * g21[k - i] for i in range(k + 1))
+        g22.append(num - sum(g11[i] * g22[k - i] for i in range(1, k + 1)))
+    a = {-2 * k: g11[k] for k in range(depth + 1)} | {1 - 2 * k: g21[k] for k in range(1, depth + 1)}
+    b = {-2 * k: g22[k] for k in range(depth + 1)} | {-2 * k - 1: g12[k] for k in range(depth + 1)}
+    point = GrassmannPoint(LaurentSeries.from_dict(a, 2 * depth),
+                           LaurentSeries.from_dict(b, 2 * depth + 1))
+    return build_G(point, depth)
 
 
 def seeded_point_json(seed: int, order: int, dense: bool, large: bool) -> dict:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kdvtau.cli import SUITE_DEFAULT_DEPTH, main
 from kdvtau.exactnum import format_rational
@@ -301,11 +306,27 @@ def test_passing_z_table_suites_reduce_no_entry(capsys, monkeypatch, suite):
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0 and "FAIL" not in out
     assert lowered == [] and fractions == []
-    # reading an entry lowers it, once; B is lowered by the exports
+    # one read of an entry lowers exactly that block; B is lowered by the exports
     table = z_table_recursive(wk_G(9), 2, 2)
-    assert table.entry(1, 2) is table.entry(1, 2)
-    assert len(lowered) == 1
+    assert table.entry(1, 2) == lower(table.lifted[1][2], wk_G(9).grades[4])
+    assert lowered == [table.lifted[1][2]]
     assert zhou.rescale_B(2, 0) == -fraction(5, 24) and fractions
+
+
+@pytest.mark.parametrize("spec", ["2,3", "28"])
+def test_intersect_reads_the_lift_of_the_z_table(capsys, monkeypatch, spec):
+    # the correlator reads A_{m,n} off the lifted Z blocks: no block is lowered
+    # and no scalar table is built, whether insertions are paired or single
+    from kdvtau import grassmann, series
+
+    lowered, built = [], []
+    lower, affine_table = series.lower, grassmann.AffineTable
+    for module in (grassmann, series):
+        monkeypatch.setattr(module, "lower", lambda *a: lowered.append(a) or lower(*a))
+    monkeypatch.setattr(grassmann, "AffineTable", lambda *a: built.append(a) or affine_table(*a))
+    code, out, _ = run(capsys, "intersect", spec)
+    assert code == 0 and json.loads(out)["value"] != "0"
+    assert lowered == [] and built == []
 
 
 def test_verify_all_walks_odd_parts_only(capsys, monkeypatch):
@@ -564,6 +585,25 @@ def test_too_shallow_point_file_fails_before_parsing_its_numbers(capsys, tmp_pat
     assert parsed and max(parsed) == 1
 
 
+@pytest.mark.parametrize("fields,literal,message", [
+    ({"tail_order": "N"}, "7" * 300_000,
+     "a.tail_order: expected an integer, got a literal of 300000 characters (at most 20 are read)"),
+    ({"head": [["N", "1"]]}, "1" * 21,
+     "a.head[0]: expected an integer, got a literal of 21 characters (at most 20 are read)"),
+    ({"head": [["N", "1"]]}, "1" * 20, "a must be a pure tail series"),  # the longest literal read
+], ids=["tail-order-300000", "head-exponent-21", "head-exponent-20"])
+def test_long_integer_literal_is_refused_unconverted(capsys, tmp_path, fields, literal, message):
+    # converting a JSON integer of n digits takes time quadratic in n (3.25 s at
+    # 300,000 digits), and the digits would be printed twice in the error
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(bad_series(**fields)).replace('"N"', literal))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "grassmann", str(path), "--tau", "2")
+    assert time.perf_counter() - start < 0.2
+    assert code == 2 and out == ""
+    assert err == f"error: malformed point file {path}: {message}\n"
+
+
 def test_point_file_rational_is_reduced(capsys, tmp_path):
     outputs = []
     for text in ("2/4", "1/2"):
@@ -632,3 +672,116 @@ def test_grassmann_combined_call_matches_separate_calls(capsys, tmp_path, monkey
     assert json.loads(out) == separate
     assert list(json.loads(out)) == ["affine", "tau", "initial_data"]
     assert calls == {"tau": 1, "z": 1}
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under fuzzing
+# ---------------------------------------------------------------------------
+
+# values small enough that every valid call ends in milliseconds, and tokens
+# that no option accepts
+SMALL = st.integers(0, 5).map(str)
+JUNK = st.sampled_from(["-1", "x", "", " 4", "+3", "1.5", "1_0", "\u0663", "--", "--depth", "0,,1", "1/0", "z"])
+JSON_JUNK = st.sampled_from(["null", "true", "1.5", "-1", "0", "7", '"x"', '"1/0"', '"2"', "[]", "{}",
+                             '[[1, "1"]]', '[["1", "1"]]']).map(json.loads)  # a fresh value per draw
+
+
+@st.composite
+def point_texts(draw):
+    """A seeded point file, maybe too shallow, with fields dropped or retyped,
+    a tail entry replaced, an over-long integer literal, or its text cut."""
+    order = 15 - draw(st.integers(0, 15))  # deep enough for every call, or less
+    doc = seeded_point_json(draw(st.integers(1, 3)), order, draw(st.booleans()), draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(["a", "b"]))
+        field = draw(st.sampled_from([None, "head", "tail_order", "tail", "tail[]"]))
+        drop = draw(st.booleans())
+        series = doc.get(name)
+        if field is None or not isinstance(series, dict):
+            if drop:
+                doc.pop(name, None)
+            else:
+                doc[name] = draw(JSON_JUNK)
+        elif field == "tail[]":
+            if isinstance(series.get("tail"), list) and series["tail"]:
+                series["tail"][draw(st.integers(0, len(series["tail"]) - 1))] = draw(JSON_JUNK)
+        elif drop:
+            series.pop(field, None)
+        else:
+            series[field] = draw(JSON_JUNK)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 3)) == 0:
+        text = text.replace('"tail_order": ', '"tail_order": ' + "9" * draw(st.integers(1, 60)), 1)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def argvs(draw, point: str, out: str):
+    """argv for one subcommand with small values and optional flags, and in
+    one call of two a token replaced by junk, dropped, or junk added."""
+    command = draw(st.sampled_from(["intersect", "verify", "grassmann", "affine", "coeffs"]))
+
+    def opt(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    points = st.sampled_from([point, point, point, point + ".missing"])
+    outputs = st.sampled_from([out, str(Path(out).parent), str(Path(out).parent / "no" / "dir")])
+    if command == "coeffs":
+        argv = [command, "--kind", draw(st.sampled_from(["c", "q", "b"])), "--max", draw(SMALL)]
+    elif command == "affine":
+        argv = [command, "--source", draw(st.sampled_from(["grassmann", "zhou"])),
+                "--max-m", draw(SMALL), "--max-n", draw(SMALL),
+                *opt("--format", st.sampled_from(["csv", "json"])), *opt("--output", outputs)]
+    elif command == "intersect":
+        argv = [command, ",".join(draw(st.lists(SMALL, min_size=1, max_size=4)))]
+    elif command == "verify":
+        suite = draw(st.sampled_from(["string", "kdv", *sorted(SUITE_DEFAULT_DEPTH), "all"]))
+        argv = [command, suite, *opt("--depth", SMALL), *opt("--flow", SMALL)]
+        if suite in ("string", "kdv") or draw(st.integers(0, 7)) == 0:
+            argv += opt("--point", points)
+    else:
+        argv = [command, draw(points),
+                *(["--affine", draw(SMALL), draw(SMALL)] if draw(st.booleans()) else []),
+                *opt("--tau", SMALL), *opt("--tau-vars", st.sampled_from(["t", "theta"])),
+                *opt("--initial-data", SMALL), *opt("--format", st.sampled_from(["csv", "json"])),
+                *opt("--output", outputs)]
+    edit = draw(st.sampled_from([None, None, None, None, "replace", "replace", "drop", "add"]))
+    at = draw(st.integers(0, len(argv) - 1))
+    if edit == "replace":
+        argv[at] = draw(JUNK)
+    elif edit == "drop":
+        del argv[at]
+    elif edit == "add":
+        argv.insert(at + draw(st.integers(0, 1)), draw(JUNK))
+    return argv
+
+
+def run_quietly(argv: list[str], folder: Path) -> tuple[int, str]:
+    """main(argv) run in `folder` (a junk token may become an output path),
+    with its output captured; an argparse exit gives its code."""
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(folder)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse usage errors (2) and --help (0)
+        code = exc.code
+    finally:
+        os.chdir(home)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_drawn_call_keeps_the_exit_code_contract(tmp_path_factory, data):
+    # 0 pass, 1 verification failure, 2 usage or input error; an exception
+    # escaping main fails this test with its traceback
+    folder = tmp_path_factory.mktemp("fuzz")
+    point, out = folder / "point.json", folder / "out.txt"
+    point.write_text(data.draw(point_texts()), encoding="utf-8")
+    argv = data.draw(argvs(str(point), str(out)))
+    code, err = run_quietly(argv, folder)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err

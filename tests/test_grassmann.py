@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +28,7 @@ from kdvtau.grassmann import (
 )
 from kdvtau.series import LaurentSeries, MatrixSeries, matrix_series_inverse
 
-from conftest import seeded_point_json
+from conftest import det_one_G, seeded_point_json
 from oracles import _matmul, _negsum, closed_z, loop_blocks, loop_inverse, rows, wk_cq
 
 F = Fraction
@@ -179,13 +178,19 @@ def test_z_first_entries(wk_G41):
 
 
 def test_affine_readout(wk_G41):
-    table = z_table_direct(wk_G41, 3, 3).to_affine_table()
+    ztable = z_table_direct(wk_G41, 3, 3)
+    table = ztable.to_affine_table(7, 7, "grassmann")
     assert table.value(1, 1) == F(7, 24)
     assert table.value(0, 2) == F(-5, 24)
     assert table.value(2, 0) == F(-5, 24)
     assert table.value(0, 0) == 0
     with pytest.raises(OutOfRangeError):
         table.value(8, 0)
+    # a smaller corner lowers exactly its own entries
+    corner = ztable.to_affine_table(6, 3, "grassmann")
+    assert (corner.max_m, corner.max_n) == (6, 3)
+    assert corner.entries == {(m, n): v for (m, n), v in table.entries.items() if m <= 6 and n <= 3}
+    assert ztable.affine(0, 2) == (-120, 576)  # -5/24 at grade 2, E_2 = 24^2
 
 
 def test_tables_agree_wk(wk_G41):
@@ -341,7 +346,7 @@ def test_example_point_affine_coordinates():
     b = LaurentSeries.from_dict({0: 1, -3: c}, None)
     G = build_G(GrassmannPoint(a, b), 9)
     direct = z_table_direct(G, 4, 4)
-    assert direct.to_affine_table("custom").entries == {(1, 1): c}
+    assert direct.to_affine_table(9, 9, "custom").entries == {(1, 1): c}
     assert verify_z_equivalence(direct).passed
 
 
@@ -401,7 +406,7 @@ def test_symmetry_wk(wk_G41):
 
 
 def test_symmetry_scalar_form(wk_G41):
-    table = z_table_direct(wk_G41, 6, 6).to_affine_table()
+    table = z_table_direct(wk_G41, 6, 6).to_affine_table(13, 13, "grassmann")
     for m in range(12):
         for n in range(12):
             sign = 1 if (m + n) % 2 == 0 else -1
@@ -485,7 +490,7 @@ def test_point_read_to_a_depth_builds_the_same_loop_matrix():
 
 
 def test_affine_table_exports(wk_G41):
-    table = z_table_direct(wk_G41, 2, 2).to_affine_table()
+    table = z_table_direct(wk_G41, 2, 2).to_affine_table(5, 5, "grassmann")
     doc = table.to_json_dict()
     assert doc["source"] == "grassmann"
     assert [1, 1, "7/24"] in doc["entries"]
@@ -499,27 +504,6 @@ def test_affine_table_exports(wk_G41):
 # ---------------------------------------------------------------------------
 # the Z-table verifiers on generic points, whose lift is not multiplicative
 # ---------------------------------------------------------------------------
-
-
-def det_one_G(seed: int, depth: int = 9) -> MatrixSeries:
-    """The loop matrix G_0..G_depth of a seeded normalized point with det G = 1:
-    a and the odd part of b are small random rationals, and the even part of b
-    is solved from G_22 = (1 + G_12 G_21) / G_11."""
-    rng = random.Random(seed)
-
-    def values():
-        return [F(rng.randint(-5, 5), rng.choice((1, 2, 3, 5, 7, 9))) for _ in range(depth)]
-
-    g11, g21, g12 = [F(1)] + values(), [F(0)] + values(), [F(0)] + values()
-    g22 = []
-    for k in range(depth + 1):
-        num = (k == 0) + sum(g12[i] * g21[k - i] for i in range(k + 1))
-        g22.append(num - sum(g11[i] * g22[k - i] for i in range(1, k + 1)))
-    a = {-2 * k: g11[k] for k in range(depth + 1)} | {1 - 2 * k: g21[k] for k in range(1, depth + 1)}
-    b = {-2 * k: g22[k] for k in range(depth + 1)} | {-2 * k - 1: g12[k] for k in range(depth + 1)}
-    point = GrassmannPoint(LaurentSeries.from_dict(a, 2 * depth),
-                           LaurentSeries.from_dict(b, 2 * depth + 1))
-    return build_G(point, depth)
 
 
 def fraction_holds(name: str, G: MatrixSeries, table, depth: int) -> bool:

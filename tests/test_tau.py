@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kdvtau.errors import DegreeExceededError, ExactComputationError, InsufficientTableError
 from kdvtau.grassmann import (
     AffineTable,
+    ZTable,
     build_G,
     normalize_point,
     point_from_json,
@@ -38,7 +39,7 @@ from kdvtau.tau import (
 )
 from kdvtau.zhou import zhou_affine_table
 
-from conftest import certified_degree, example_table, seeded_point_json
+from conftest import certified_degree, det_one_G, example_table, seeded_point_json
 from oracles import character, degree_slice, double_factorial, dvv, genus0, genus_of, graded_exp, valid_specs
 
 F = Fraction
@@ -111,7 +112,8 @@ def test_stabilization_in_degree(wk_tau12, wk_affine31):
 def seeded_table(seed: int, dense: bool, large: bool, half: int) -> AffineTable:
     """The (2 half + 1)^2 affine table of a seeded random point."""
     point = normalize_point(point_from_json(seeded_point_json(seed, 4 * half + 3, dense, large)))
-    return z_table_recursive(build_G(point, 2 * half + 1), half, half).to_affine_table("custom")
+    size = 2 * half + 1
+    return z_table_recursive(build_G(point, size), half, half).to_affine_table(size, size, "custom")
 
 
 def route_tables(half: int) -> dict:
@@ -323,13 +325,13 @@ def test_degree_guard(wk_tau12):
 
 
 # ---------------------------------------------------------------------------
-# correlators read off the affine table
+# correlators read off the integer lift of the Z table
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def wk_affine27():
-    return z_table_recursive(wk_G(28), 13, 13).to_affine_table()
+def wk_ztable13():
+    return z_table_recursive(wk_G(28), 13, 13)
 
 
 def test_oracles_agree_in_genus_0():
@@ -339,38 +341,38 @@ def test_oracles_agree_in_genus_0():
     assert dvv((4,)) == F(1, 1152) and dvv((2, 3)) == F(29, 5760)
 
 
-def test_correlator_matches_dvv(wk_affine27):
+def test_correlator_matches_dvv(wk_ztable13):
     specs = valid_specs(27)
     assert len(specs) == 372
     for ks in specs:
         spec = CorrelatorSpec.of(ks)
-        assert (correlator(wk_affine27, spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True), ks
+        assert (correlator(wk_ztable13, spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True), ks
 
 
-def test_correlator_matches_log_tau_route(wk_affine31):
+def test_correlator_matches_log_tau_route(wk_ztable15, wk_affine31):
     tau15 = tau_truncated(wk_affine31, 15)
     for ks in valid_specs(15):
         spec = CorrelatorSpec.of(ks)
-        assert correlator(wk_affine31, spec) == intersection_number(spec, tau15), ks
+        assert correlator(wk_ztable15, spec) == intersection_number(spec, tau15), ks
 
 
-def test_unreduced_n_point_formula_matches_dvv(wk_affine27):
+def test_unreduced_n_point_formula_matches_dvv(wk_ztable13):
     # every valid spec of t-weight <= 21 (n up to 9), no string/dilaton step
     for ks in valid_specs(21):
         scale = math.prod(F(-1, double_factorial(2 * k + 1)) for k in ks)
-        assert scale * log_tau_derivative(wk_affine27, [2 * k + 1 for k in ks]) == dvv(ks), ks
+        assert scale * log_tau_derivative(wk_ztable13, [2 * k + 1 for k in ks]) == dvv(ks), ks
 
 
 def test_correlator_nine_insertions():
     # <tau_2^9>_4: n = 9 survives the reduction, t-weight 45
-    table = z_table_recursive(wk_G(46), 22, 22).to_affine_table()
+    table = z_table_recursive(wk_G(46), 22, 22)
     spec = CorrelatorSpec.of([2] * 9)
     assert correlator(table, spec) == dvv(spec.exponents) == F(1816871, 48)
 
 
 @pytest.fixture(scope="module")
-def wk_affine45():
-    return z_table_recursive(wk_G(46), 22, 22).to_affine_table()
+def wk_ztable22():
+    return z_table_recursive(wk_G(46), 22, 22)
 
 
 @st.composite
@@ -386,9 +388,9 @@ def deep_specs(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(ks=deep_specs())
-def test_correlator_matches_dvv_beyond_the_exhaustive_window(wk_affine45, ks):
+def test_correlator_matches_dvv_beyond_the_exhaustive_window(wk_ztable22, ks):
     spec = CorrelatorSpec.of(ks)
-    assert (correlator(wk_affine45, spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True)
+    assert (correlator(wk_ztable22, spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True)
 
 
 def multisets(budget: int, most: int) -> list[tuple[int, ...]]:
@@ -406,12 +408,11 @@ def multisets(budget: int, most: int) -> list[tuple[int, ...]]:
     return out
 
 
-@pytest.mark.parametrize("seed,dense,large", [(1, True, False), (2, False, True), (3, True, True), (4, False, False)])
-def test_log_tau_derivative_matches_graded_log(seed, dense, large):
-    # a generic point: even theta present, no string or dilaton equation
-    point = normalize_point(point_from_json(seeded_point_json(seed, 24, dense, large)))
-    table = z_table_recursive(build_G(point, 11), 5, 5).to_affine_table("custom")
-    log_tau = graded_log(tau_truncated(table, 10).poly)
+def assert_log_tau_derivatives_match_graded_log(table: ZTable) -> None:
+    """d^n log tau read off the lift of `table` equals the graded log of the
+    tau assembled on its lowered 9 x 9 table, for every multiset of at most 4
+    theta indices of weight <= 10 (so every grade up to E_5 is read)."""
+    log_tau = graded_log(tau_truncated(table.to_affine_table(9, 9, "custom"), 10).poly)
     thetas = multisets(10, 4)
     assert len(thetas) == 93
     for a in thetas:
@@ -422,12 +423,29 @@ def test_log_tau_derivative_matches_graded_log(seed, dense, large):
         assert log_tau_derivative(table, list(a)) == want, a
 
 
-def test_correlator_guards(wk_affine27):
+@pytest.mark.parametrize("seed,dense,large", [(1, True, False), (2, False, True), (3, True, True), (4, False, False)])
+def test_log_tau_derivative_matches_graded_log(seed, dense, large):
+    # a generic point: even theta present, no string or dilaton equation
+    point = normalize_point(point_from_json(seeded_point_json(seed, 24, dense, large)))
+    assert_log_tau_derivatives_match_graded_log(z_table_recursive(build_G(point, 11), 5, 5))
+
+
+@pytest.mark.parametrize("seed", range(2, 8))  # seed 1 draws a lift with every ratio 1
+def test_log_tau_derivative_on_a_non_multiplicative_lift(seed):
+    # each entry is scaled by its own E_{N+1} / E_d, which here, with grades
+    # that are no powers of one base, is not E_{N+1-d}
+    G = det_one_G(seed)
+    E = G.grades
+    assert any(E[i + j] != E[i] * E[j] for i in range(len(E)) for j in range(len(E) - i))
+    assert_log_tau_derivatives_match_graded_log(z_table_recursive(G, 4, 4))
+
+
+def test_correlator_guards(wk_ztable13):
     spec = CorrelatorSpec.of([0, 0])
-    assert correlator(wk_affine27, spec) == 0 and spec.genus is None and not spec.is_valid
-    small = z_table_recursive(wk_G(8), 3, 3).to_affine_table()
+    assert correlator(wk_ztable13, spec) == 0 and spec.genus is None and not spec.is_valid
+    small = z_table_recursive(wk_G(8), 3, 3)
     with pytest.raises(InsufficientTableError):
-        correlator(small, CorrelatorSpec.of([4]))  # t-weight 9 needs 8x8
+        correlator(small, CorrelatorSpec.of([4]))  # t-weight 9 needs Z_{4,4}
     with pytest.raises(InsufficientTableError):
         log_tau_derivative(small, [5, 4])
     with pytest.raises(ValueError):

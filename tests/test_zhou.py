@@ -89,7 +89,7 @@ def test_zhou_match_small(wk_ztable15):
 
 
 def test_zhou_table_matches_grassmann_at_69():
-    grassmann = z_table_recursive(wk_G(69), 34, 34).to_affine_table()
+    grassmann = z_table_recursive(wk_G(69), 34, 34).to_affine_table(69, 69, "grassmann")
     closed_form = zhou_affine_table(69, 69)
     assert (grassmann.max_m, grassmann.max_n) == (69, 69)
     assert AffineTable(
