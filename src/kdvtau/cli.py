@@ -41,29 +41,25 @@ SUITE_DEFAULT_DEPTH = {
 POINT_SUITES = ("string", "kdv")  # the suites that read a --point file
 
 
-def _affine_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) -> list[gr.AffineTable]:
-    """A_{m,n} for m <= max_m, n <= max_n of `point` (None: the Witten-Kontsevich
-    point), one table per (max_m, max_n) in `shapes`, each lowered from the
-    Z table with K = max_m // 2, L = max_n // 2 of one recursion run."""
-    zshapes = [(max_m // 2, max_n // 2) for max_m, max_n in shapes]
+def _z_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) -> list[gr.ZTable]:
+    """Z_{k,l} for k <= K, l <= L of `point` (None: the Witten-Kontsevich
+    point), one table per (K, L) in `shapes`, all from one recursion run."""
     depth = _loop_depth(shapes)
-    if point is None:
-        G, source = gr.wk_G(depth), "grassmann"
-    else:
-        G, source = gr.build_G(gr.normalize_point(point), depth), "custom"
-    return [z.to_affine_table(max_m, max_n, source)
-            for z, (max_m, max_n) in zip(gr.z_tables_recursive(G, zshapes), shapes)]
+    G = gr.wk_G(depth) if point is None else gr.build_G(gr.normalize_point(point), depth)
+    return gr.z_tables_recursive(G, list(shapes))
 
 
 def _loop_depth(shapes: list[tuple[int, int]]) -> int:
-    """The depth of the loop matrix whose Z table `_affine_tables` builds for `shapes`."""
-    return max(max_m // 2 + max_n // 2 for max_m, max_n in shapes) + 1
+    """The depth of the loop matrix whose Z table `_z_tables` builds for `shapes`."""
+    return max(K + L for K, L in shapes) + 1
 
 
 def _tau_shape(degree: int) -> tuple[int, int]:
-    """The affine table a tau of `degree` reads (`tau.tau_truncated`)."""
-    size = max(degree - 1, 1)
-    return size, size
+    """The Z table a tau of `degree` reads (`tau.tau_truncated`): A_{m,n} for
+    m, n < degree and no more, so that its top grade E_{2 half + 1}, the
+    scale of the Giambelli minors, is the least one."""
+    half = max(degree - 1, 0) // 2
+    return half, half
 
 
 def _wk_z_table(size: int, memo: dict) -> gr.ZTable:
@@ -127,7 +123,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 def cmd_affine(args: argparse.Namespace) -> int:
     if args.source == "grassmann":
-        (table,) = _affine_tables(None, (args.max_m, args.max_n))
+        (z,) = _z_tables(None, (args.max_m // 2, args.max_n // 2))
+        table = z.to_affine_table(args.max_m, args.max_n, "grassmann")
     else:
         table = zhou.zhou_affine_table(args.max_m, args.max_n)
     if args.format == "csv":
@@ -183,7 +180,7 @@ def _run_suite(
     if suite in POINT_SUITES:
         t = memo.get(("tau", point, depth))
         if t is None:
-            (table,) = _affine_tables(point, _tau_shape(depth))
+            (table,) = _z_tables(point, _tau_shape(depth))
             # the suites read tau in t only, which has no even theta
             t = memo["tau", point, depth] = tau_mod.tau_truncated(table, depth, range(1, depth + 1, 2))
         if suite == "kdv":
@@ -241,15 +238,16 @@ def cmd_grassmann(args: argparse.Namespace) -> int:
         return 2
     # one Z table and one tau, each as deep as the deepest task needs; the
     # tasks read corners of the table and truncations of the tau
-    shapes = [tuple(args.affine)] if args.affine is not None else []
+    shapes = [(args.affine[0] // 2, args.affine[1] // 2)] if args.affine is not None else []
     if degrees:
         shapes.append(_tau_shape(max(degrees)))
-    tables = _affine_tables(_load_point(args.pointfile, shapes), *shapes)
+    tables = _z_tables(_load_point(args.pointfile, shapes), *shapes)
     doc: dict = {}
     if args.affine is not None:
+        export = tables[0].to_affine_table(*args.affine, "custom")
         if args.format == "csv":
-            return _emit(args.output, tables[0].to_csv_text())
-        doc["affine"] = tables[0].to_json_dict()
+            return _emit(args.output, export.to_csv_text())
+        doc["affine"] = export.to_json_dict()
     t = None
     if degrees:
         # only a theta export reads the even theta; t and the initial data do not

@@ -33,8 +33,9 @@ the boundary data Z_{k,0} = G_{k+1}.  Where both sides of an identity have one
 grade (equivalence, symmetry, generating function and series), dividing by
 E_d changes no verdict, so the integers are compared.  The recursion identity
 is checked with its denominators cleared, so it does not re-run the step it
-cross-checks.  The correlators read the scalar A_{m,n} off the same lift
-(`ZTable.affine`); an entry is reduced to `Fraction`s only to be read.
+cross-checks.  The correlators and the tau assembly read the scalar A_{m,n}
+off the same lift (`ZTable.affine`); only the exports lower a corner of it
+to an `AffineTable` of `Fraction`s (`ZTable.to_affine_table`).
 
 The built-in point of chief interest is the Witten-Kontsevich point, whose
 spanning series c(lam) and q(lam) are power series in lam^-3:
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ExactComputationError, InsufficientDepthError, OutOfRangeError
 from .exactnum import Record, _setattr, format_rational
@@ -250,12 +251,13 @@ class ZTable(Record):
 
 
 class AffineTable(Record):
-    """Scalar affine coordinates A_{m,n} for 0 <= m <= max_m, 0 <= n <= max_n.
+    """Scalar affine coordinates A_{m,n} for 0 <= m <= max_m, 0 <= n <= max_n,
+    as exported (JSON or CSV).
 
     Only nonzero entries are stored; reads inside the range default to 0.
     """
 
-    __slots__ = ("max_m", "max_n", "entries", "source", "__dict__")
+    __slots__ = ("max_m", "max_n", "entries", "source")
 
     def __init__(
         self,
@@ -273,11 +275,6 @@ class AffineTable(Record):
         if not (0 <= m <= self.max_m and 0 <= n <= self.max_n):
             raise OutOfRangeError(f"A[{m},{n}] outside table {self.max_m}x{self.max_n}")
         return self.entries.get((m, n), _ZERO)
-
-    @cached_property
-    def minors(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
-        """Memo of `schur.giambelli_coeff`: det(A_{m_i, n_j}) keyed by (arms, legs)."""
-        return {((), ()): Fraction(1)}
 
     def to_json_dict(self) -> dict:
         return {

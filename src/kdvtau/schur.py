@@ -20,10 +20,11 @@ is the Giambelli-type minor
 
     A_mu = (-1)^(n_1 + ... + n_k) det(A_{m_i, n_j})
 
-over the hook entries of an affine-coordinate table, with mu written in
-Frobenius coordinates (m_1..m_k | n_1..n_k).  `giambelli_coeff` has one
-route for every rank: Laplace expansion along the last arm, each minor
-memoised on the table it was read from (`AffineTable.minors`).
+over the hook entries A_{m,n} of a Z table, with mu written in Frobenius
+coordinates (m_1..m_k | n_1..n_k).  `giambelli_coeff` has one route for
+every rank: Laplace expansion along the last arm on the table's integer
+lift (`ZTable.affine`), a rank-k minor an integer over E^k for the table's
+top grade E, each minor memoised in a dict its caller owns.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 
 from .errors import DegreeExceededError, NonUnitError, OutOfRangeError
 from .exactnum import Record, RationalLike, _setattr, as_rational, format_rational
-from .grassmann import AffineTable
+from .grassmann import ZTable
 from .series import _order_min, _product_window
 
 __all__ = [
@@ -355,36 +356,38 @@ def rim_hooks(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int],
 # ---------------------------------------------------------------------------
 
 
-def giambelli_coeff(mu: tuple[int, ...], table: AffineTable) -> Fraction:
-    """A_mu = (-1)^(sum of legs) det(A_{m_i, n_j}) over the hook entries.
+def giambelli_coeff(mu: tuple[int, ...], table: ZTable, minors: dict) -> int:
+    """E^k A_mu, A_mu = (-1)^(sum of legs) det(A_{m_i, n_j}) over the k hook
+    entries, E = E_{K+L+1} the top grade of the K x L table.
 
-    The determinant is expanded along the row of the last arm m_k.  Dropping
-    m_k and a leg n_j leaves the hook matrix of a partition of smaller
-    weight, and every such minor is memoised on the table, so with the
-    smaller minors known each one costs k products.
+    Every A_{m,n} of the table is its lift times E / E_d over E (E_d divides
+    E), so the determinant is an integer over E^k.  It is expanded along the
+    row of the last arm m_k.  Dropping m_k and a leg n_j leaves the hook
+    matrix of a partition of smaller weight, and every such minor is memoised
+    in `minors` (one dict per table), so each costs k products.
     """
     arms, legs = frobenius(mu)
     if not arms:
-        return Fraction(1)
-    if arms[0] > table.max_m or legs[0] > table.max_n:
-        raise OutOfRangeError(
-            f"table {table.max_m}x{table.max_n} too small for hooks of {mu}"
-        )
-    det = _hook_minor(arms, legs, table)
+        return 1
+    if arms[0] > 2 * table.max_k + 1 or legs[0] > 2 * table.max_l + 1:
+        raise OutOfRangeError(f"Z table {table.max_k}x{table.max_l} too small for hooks of {mu}")
+    top = table.series.grades[table.max_k + table.max_l + 1]
+    det = _hook_minor(arms, legs, table, top, minors)
     return -det if sum(legs) % 2 else det
 
 
-def _hook_minor(arms: tuple[int, ...], legs: tuple[int, ...], table: AffineTable) -> Fraction:
-    """det(A_{m_i, n_j}) by Laplace expansion along the last arm, memoised."""
-    det = table.minors.get((arms, legs))
+def _hook_minor(arms: tuple[int, ...], legs: tuple[int, ...], table: ZTable, top: int, minors: dict) -> int:
+    """E^k det(A_{m_i, n_j}), E = `top`, by Laplace expansion along the last arm, memoised."""
+    det = minors.get((arms, legs)) if arms else 1
     if det is None:
-        det = Fraction(0)
+        det = 0
         for j, n in enumerate(legs):
-            a = table.entries.get((arms[-1], n))
-            if a:
-                minor = _hook_minor(arms[:-1], legs[:j] + legs[j + 1:], table)
+            lifted, grade = table.affine(arms[-1], n)
+            if lifted:
+                a = lifted * (top // grade)
+                minor = _hook_minor(arms[:-1], legs[:j] + legs[j + 1:], table, top, minors)
                 det += a * minor if (len(arms) + j) % 2 else -a * minor  # (-1)^(k-1+j)
-        table.minors[(arms, legs)] = det
+        minors[(arms, legs)] = det
     return det
 
 

@@ -1,13 +1,14 @@
 """Truncated tau functions, coupling-constant form, and intersection numbers.
 
-A tau series is assembled from an affine-coordinate table as
+A tau series is assembled from a Z table as
 
     tau(theta) = sum over |mu| <= D of A_mu s_mu(theta),
 
-graded-exact through degree D, with the coefficients of each weight read
-off by applying the rim-hook operators p_r^perp to the whole integer vector
-of that weight's minors (see `tau_truncated`) rather than from expanded
-Schur polynomials.  The KdV coupling constants are
+graded-exact through degree D.  The minors A_mu are integers on the
+table's lift, and the coefficients of each weight are read off by applying
+the rim-hook operators p_r^perp to the whole integer vector of that weight's
+minors (see `tau_truncated`) rather than from expanded Schur polynomials;
+only a coefficient is a `Fraction`.  The KdV coupling constants are
 t_k = -(2k+1)!! theta_{2k+1} (the even thetas enter tau only through an
 exp-linear factor and are set to zero before any work in t).  With Z(t)
 the tau series in t variables, the correlators are the coefficients of the
@@ -44,11 +45,12 @@ from itertools import groupby
 
 from .errors import DegreeExceededError, ExactComputationError, InsufficientTableError
 from .exactnum import Record, _setattr, format_rational, odd_double_factorial
-from .grassmann import AffineTable, ZTable
+from .grassmann import ZTable
 from .report import VerificationReport, first_failures
 from .schur import (
     GradedPoly,
     Monomial,
+    frobenius,
     giambelli_coeff,
     graded_log,
     partitions_up_to,
@@ -112,19 +114,20 @@ class TauSeries(Record):
         return graded_log(to_t_variables(self))
 
 
-def tau_truncated(table: AffineTable, degree: int, parts: Container[int] | None = None) -> TauSeries:
+def tau_truncated(table: ZTable, degree: int, parts: Container[int] | None = None) -> TauSeries:
     """sum_{|mu| <= degree} A_mu s_mu(theta) with Giambelli minors from `table`,
     its theta^lam terms for the lam with every part in `parts` (None: all).
 
     With p_j = j theta_j, the coefficient of theta^lam in a symmetric
     function f of weight |lam| is <p_lam, f> / prod_j m_j(lam)!, and
     <p_lam, f> = p_{lam_l}^perp ... p_{lam_1}^perp f, where p_r^perp removes
-    an r-rim hook from each Schur term (`rim_hooks`).  So for each weight n
-    the integer vector (A_mu den)_{|mu|=n} (den the common denominator of the
-    weight's nonzero minors) is walked depth-first over the parts of lam in
+    an r-rim hook from each Schur term (`rim_hooks`).  A minor of rank k is
+    the integer E^k A_mu, E the table's top grade (`giambelli_coeff`), and
+    no partition of weight n has rank above r = isqrt(n).  So the integer
+    vector (E^r A_mu)_{|mu|=n} is walked depth-first over the parts of lam in
     weakly decreasing order, one p_r^perp on the whole vector per step:
 
-        [theta^lam] tau = (p_lam^perp v)_() / (den prod_j m_j(lam)!).
+        [theta^lam] tau = (p_lam^perp v)_() / (E^r prod_j m_j(lam)!).
 
     Zero entries are dropped and a branch stops as soon as its vector is
     empty.  Each [theta^lam] tau is read independently of the others, so the
@@ -136,19 +139,21 @@ def tau_truncated(table: AffineTable, degree: int, parts: Container[int] | None 
     form (`TauSeries.theta_poly`) is refused unless every part was walked.
 
     Partitions of weight <= D have hooks with arm and leg at most D - 1, so
-    the table must extend at least that far.
+    the table must hold Z_{k,l} for k, l <= (D - 1) // 2.  The minors are
+    memoised for this call only.
     """
-    if min(table.max_m, table.max_n) < degree - 1:
-        raise InsufficientTableError(f"table {table.max_m}x{table.max_n} too small for tau degree {degree}")
+    _require_table(table, degree, f"tau degree {degree}")
+    top = table.series.grades[table.max_k + table.max_l + 1]
+    minors: dict = {}
     terms: dict[Monomial, Fraction] = {}
     for weight, group in groupby(partitions_up_to(degree), key=sum):
-        minors = [(mu, a) for mu in group if (a := giambelli_coeff(mu, table)) != 0]
-        den = math.lcm(*(a.denominator for _, a in minors))
-        vector = {mu: a.numerator * (den // a.denominator) for mu, a in minors}
+        rank = math.isqrt(weight)
+        vector = {mu: a * top ** (rank - len(frobenius(mu)[0]))
+                  for mu in group if (a := giambelli_coeff(mu, table, minors))}
         for lam, total in _rim_hook_walk(vector, weight, (), parts):
             mults = Counter(lam)
             scale = math.prod(math.factorial(m) for m in mults.values())
-            terms[tuple(sorted(mults.items()))] = Fraction(total, den * scale)
+            terms[tuple(sorted(mults.items()))] = Fraction(total, top ** rank * scale)
     return TauSeries(GradedPoly("theta", terms, degree), degree, parts)
 
 
@@ -285,9 +290,11 @@ def correlator(table: ZTable, spec: CorrelatorSpec) -> Fraction:
         <tau_0 prod tau_{k_i}>_g = sum_j <.. tau_{k_j - 1} ..>_g,
         <tau_1 prod_{i<=n} tau_{k_i}>_g = (2g - 2 + n) <prod tau_{k_i}>_g,
 
-    as long as the reduced spec stays stable (2g - 2 + n > 0), memoised on
-    the sorted multiset.  That leaves every k_i >= 2 (so n <= 3g - 3) or the
-    bases <tau_0^3>_0 and <tau_1>_1, each evaluated as
+    as long as the reduced spec stays stable (2g - 2 + n > 0).  Each step
+    removes one insertion, so the reduction runs level by level, from n
+    insertions down, on a {spec: integer coefficient} dict with the sorted
+    multisets merged.  That leaves every k_i >= 2 (so n <= 3g - 3) or the
+    bases <tau_0^3>_0 and <tau_1>_1, each evaluated once as
 
         <prod tau_{k_i}> = prod_i (-1/(2k_i+1)!!) d^n log tau / prod d theta_{2k_i+1}
 
@@ -298,29 +305,23 @@ def correlator(table: ZTable, spec: CorrelatorSpec) -> Fraction:
     if not spec.is_valid:
         return Fraction(0)
     _require_table(table, spec.t_weight, str(spec))
-    genus = spec.genus
-    memo: dict[tuple[int, ...], Fraction] = {}
-
-    def value(ks: tuple[int, ...]) -> Fraction:
-        if ks not in memo:
-            memo[ks] = evaluate(ks)
-        return memo[ks]
-
-    def evaluate(ks: tuple[int, ...]) -> Fraction:
-        rest, stable = ks[1:], 2 * genus - 2 + len(ks) - 1
-        if ks[0] == 1 and stable > 0:
-            return stable * value(rest)
-        if ks[0] == 0 and stable > 0:
-            # rest is sorted, so lowering the first k of each value keeps it sorted
-            return sum(
-                (m * value(rest[:(i := rest.index(k))] + (k - 1,) + rest[i + 1:])
-                 for k, m in Counter(rest).items() if k >= 1),
-                Fraction(0),
-            )
-        scale = math.prod(_theta_to_t_factor(2 * k + 1) for k in ks)
-        return scale * log_tau_derivative(table, [2 * k + 1 for k in ks])
-
-    return value(spec.exponents)
+    genus, total, level = spec.genus, Fraction(0), {spec.exponents: 1}
+    while level:
+        below: Counter[tuple[int, ...]] = Counter()
+        for ks, c in level.items():
+            rest, stable = ks[1:], 2 * genus - 2 + len(ks) - 1
+            if ks[0] == 1 and stable > 0:
+                below[rest] += stable * c
+            elif ks[0] == 0 and stable > 0:
+                # rest is sorted, so lowering the first k of each value keeps it sorted
+                for k, m in Counter(rest).items():
+                    if k >= 1:
+                        below[rest[:(i := rest.index(k))] + (k - 1,) + rest[i + 1:]] += m * c
+            else:
+                scale = math.prod(_theta_to_t_factor(2 * k + 1) for k in ks)
+                total += c * scale * log_tau_derivative(table, [2 * k + 1 for k in ks])
+        level = below
+    return total
 
 
 def _require_table(table: ZTable, weight: int, purpose: str) -> None:

@@ -11,14 +11,16 @@ from kdvtau.exactnum import format_rational
 from kdvtau.grassmann import (
     AffineTable,
     GrassmannPoint,
+    ZTable,
     build_G,
     normalize_point,
     wk_G,
     z_table_direct,
 )
+from kdvtau.schur import frobenius, giambelli_coeff
 from kdvtau.series import LaurentSeries, MatrixSeries
 from kdvtau.tau import TauSeries, tau_truncated
-from kdvtau.zhou import zhou_affine_table
+from kdvtau.zhou import rescale_B, zhou_affine_table
 
 
 @pytest.fixture(scope="session")
@@ -37,18 +39,13 @@ def wk_ztable15(wk_G41):
 
 
 @pytest.fixture(scope="session")
-def wk_affine31(wk_ztable15) -> AffineTable:
-    return wk_ztable15.to_affine_table(31, 31, "grassmann")
-
-
-@pytest.fixture(scope="session")
 def zhou_affine30() -> AffineTable:
     return zhou_affine_table(30, 30)
 
 
 @pytest.fixture(scope="session")
-def wk_tau12(wk_affine31) -> TauSeries:
-    return tau_truncated(wk_affine31, 12)
+def wk_tau12(wk_ztable15) -> TauSeries:
+    return tau_truncated(wk_ztable15, 12)
 
 
 def certified_degree(report) -> int:
@@ -64,10 +61,35 @@ def example_point(c: Fraction) -> GrassmannPoint:
     return normalize_point(GrassmannPoint(a, b))
 
 
-def example_table(c: Fraction, size: int = 12) -> AffineTable:
+def example_table(c: Fraction, size: int = 12) -> ZTable:
+    """The Z table of the worked example, K = L = size // 2 (A_{m,n}, m, n <= size + 1)."""
     p = example_point(c)
     K, L = size // 2, size // 2
-    return z_table_direct(build_G(p, K + L + 1), K, L).to_affine_table(2 * K + 1, 2 * L + 1, "custom")
+    return z_table_direct(build_G(p, K + L + 1), K, L)
+
+
+def zhou_ztable(half: int) -> ZTable:
+    """Zhou's closed-form A_{m,n}, m, n <= 2 half + 1, lifted onto the grades of
+    the Witten-Kontsevich loop matrix: a Z table with no entry from the
+    Grassmannian recursion (each E_d A_{m,n} must come out an integer)."""
+    G = wk_G(2 * half + 1)
+
+    def lift(m: int, n: int) -> int:
+        v = rescale_B(m, n) * G.grades[m // 2 + n // 2 + 1]
+        assert v.denominator == 1
+        return v.numerator
+
+    def block(k: int, l: int) -> tuple[int, ...]:  # the slots of ZTable.affine
+        return lift(2 * k + 1, 2 * l), lift(2 * k + 1, 2 * l + 1), lift(2 * k, 2 * l), lift(2 * k, 2 * l + 1)
+
+    rows = tuple(tuple(block(k, l) for l in range(half + 1)) for k in range(half + 1))
+    return ZTable(half, half, rows, G)
+
+
+def giambelli_value(mu: tuple[int, ...], table: ZTable, minors: dict) -> Fraction:
+    """A_mu: `giambelli_coeff`'s E^k A_mu over E^k, E the table's top grade."""
+    top = table.series.grades[table.max_k + table.max_l + 1]
+    return Fraction(giambelli_coeff(mu, table, minors), top ** len(frobenius(mu)[0]))
 
 
 def det_one_G(seed: int, depth: int = 9) -> MatrixSeries:

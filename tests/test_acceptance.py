@@ -48,11 +48,11 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok
 
 
-def test_criterion_01_closed_form_identification(wk_ztable15, wk_affine31, zhou_affine30):
+def test_criterion_01_closed_form_identification(wk_ztable15, zhou_affine30):
     rep = verify_zhou_match(wk_ztable15, 30, 30)
     # the closed-form table fixture doubles as a direct entrywise cross-check
     same = all(
-        wk_affine31.value(m, n) == zhou_affine30.value(m, n)
+        F(*wk_ztable15.affine(m, n)) == zhou_affine30.value(m, n)
         for m in range(31)
         for n in range(31)
     )

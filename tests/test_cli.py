@@ -329,6 +329,29 @@ def test_intersect_reads_the_lift_of_the_z_table(capsys, monkeypatch, spec):
     assert lowered == [] and built == []
 
 
+@pytest.mark.parametrize("argv,exports", [
+    (["verify", "string"], 0),
+    (["verify", "kdv", "--point", "{point}"], 0),
+    (["grassmann", "{point}", "--tau", "8", "--initial-data", "6"], 0),
+    (["grassmann", "{point}", "--affine", "7", "3", "--tau", "6"], 1),
+], ids=["verify-string", "verify-kdv-point", "grassmann-tau", "grassmann-affine-tau"])
+def test_tau_reads_the_lift_of_the_z_table(capsys, monkeypatch, tmp_path, argv, exports):
+    # the Giambelli minors of tau read A_{m,n} off the lifted Z blocks: no
+    # block is lowered, and the one scalar table built is an --affine export
+    from kdvtau import grassmann, series
+
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(seeded_point_json(3, 29, True, False)))
+    lowered, built = [], []
+    lower, affine_table = series.lower, grassmann.AffineTable
+    for module in (grassmann, series):
+        monkeypatch.setattr(module, "lower", lambda *a: lowered.append(a) or lower(*a))
+    monkeypatch.setattr(grassmann, "AffineTable", lambda *a: built.append(a) or affine_table(*a))
+    code, out, _ = run(capsys, *(arg.format(point=path) for arg in argv))
+    assert code == 0 and out
+    assert lowered == [] and [args[:2] for args in built] == [(7, 3)] * exports
+
+
 def test_verify_all_walks_odd_parts_only(capsys, monkeypatch):
     # the string and kdv suites read tau in t only: no p_r^perp with r even
     import kdvtau.tau as tau

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kdvtau.errors import NonUnitError, OutOfRangeError
-from kdvtau.grassmann import AffineTable
+from kdvtau.grassmann import ZTable
 from kdvtau.schur import (
     GradedPoly,
     frobenius,
@@ -20,7 +20,10 @@ from kdvtau.schur import (
     rim_hooks,
     schur_poly,
 )
+from kdvtau.series import MatrixSeries
+from kdvtau.tau import tau_truncated
 
+from conftest import giambelli_value
 from oracles import character, conjugate, evaluate, graded_exp, graded_log as power_series_log, pow_int
 
 F = Fraction
@@ -258,34 +261,33 @@ def perm_det(rows):
 # ---------------------------------------------------------------------------
 
 
-def test_giambelli_empty_is_one(wk_affine31):
-    assert giambelli_coeff((), wk_affine31) == 1
+def test_giambelli_empty_is_one(wk_ztable15):
+    assert giambelli_coeff((), wk_ztable15, {}) == 1
 
 
-def test_giambelli_hooks_wk(wk_affine31):
-    assert giambelli_coeff((2, 1), wk_affine31) == F(-7, 24)
-    assert giambelli_coeff((1, 1, 1), wk_affine31) == F(-5, 24)
-    assert giambelli_coeff((3,), wk_affine31) == F(-5, 24)
+def test_giambelli_hooks_wk(wk_ztable15):
+    minors: dict = {}
+    assert giambelli_value((2, 1), wk_ztable15, minors) == F(-7, 24)
+    assert giambelli_value((1, 1, 1), wk_ztable15, minors) == F(-5, 24)
+    assert giambelli_value((3,), wk_ztable15, minors) == F(-5, 24)
 
 
-def test_giambelli_hook_consistency(wk_affine31):
+def test_giambelli_hook_consistency(wk_ztable15):
     """For a single hook (m | n) the minor is (-1)^n A_{m,n}."""
+    minors: dict = {}
     for m in range(8):
         for n in range(8):
             hook = (m + 1,) + (1,) * n
             sign = 1 if n % 2 == 0 else -1
-            assert giambelli_coeff(hook, wk_affine31) == sign * wk_affine31.value(m, n)
+            assert giambelli_value(hook, wk_ztable15, minors) == sign * F(*wk_ztable15.affine(m, n))
 
 
-def test_giambelli_range_check(wk_affine31):
-    big = (40,)
+def test_giambelli_range_check(wk_ztable15):
     with pytest.raises(OutOfRangeError):
-        giambelli_coeff(big, wk_affine31)
-
-
-small_rationals = st.builds(
-    F, st.integers(min_value=-8, max_value=8), st.integers(min_value=1, max_value=4)
-)
+        giambelli_coeff((33,), wk_ztable15, {})  # arm 32: A_{32,0} lies in Z_{16,0}
+    with pytest.raises(OutOfRangeError):
+        giambelli_coeff((1,) * 33, wk_ztable15, {})
+    assert giambelli_coeff((32, 1), wk_ztable15, {})  # (31 | 1): A_{31,1} in the last row
 
 
 def with_frobenius(arms, legs) -> tuple:
@@ -297,40 +299,68 @@ def with_frobenius(arms, legs) -> tuple:
     return tuple(rows)
 
 
+def lifted_ztable(half: int, grades: tuple[int, ...], values) -> ZTable:
+    """The Z table K = L = half with lifted entries drawn from `values`, on the
+    grade sequence `grades` (the series' blocks are never read)."""
+    series = MatrixSeries(grades, ((1, 0, 0, 1),) + ((0, 0, 0, 0),) * (len(grades) - 1))
+    rows = tuple(tuple(tuple(next(values) for _ in range(4)) for _ in range(half + 1)) for _ in range(half + 1))
+    return ZTable(half, half, rows, series)
+
+
+@st.composite
+def non_multiplicative_grades(draw, top: int) -> tuple[int, ...]:
+    """E_0..E_top with E_i E_j dividing E_{i+j}: E_k is a drawn factor times
+    the lcm of the E_j E_{k-j}, and E_2 != E_1^2, so no E_k is a power of E_1."""
+    grades = [1]
+    for k in range(1, top + 1):
+        factor = draw(st.integers(2 if k == 2 else 1, 3))
+        grades.append(factor * math.lcm(*(grades[j] * grades[k - j] for j in range(1, k))))
+    return tuple(grades)
+
+
 @st.composite
 def table_and_hooks(draw):
-    entries = {(m, n): draw(st.one_of(st.just(F(0)), small_rationals))
-               for m in range(9) for n in range(9)}
+    grades = draw(non_multiplicative_grades(9))
+    lifts = draw(st.lists(st.one_of(st.just(0), st.integers(-40, 40)), min_size=100, max_size=100))
     rank = draw(st.integers(min_value=1, max_value=5))
-    coords = st.sets(st.integers(min_value=0, max_value=8), min_size=rank, max_size=rank)
+    coords = st.sets(st.integers(min_value=0, max_value=9), min_size=rank, max_size=rank)
     arms = tuple(sorted(draw(coords), reverse=True))
     legs = tuple(sorted(draw(coords), reverse=True))
-    return AffineTable(8, 8, {k: v for k, v in entries.items() if v}, "custom"), arms, legs
+    return lifted_ztable(4, grades, iter(lifts)), arms, legs
 
 
 @given(table_and_hooks())
 @settings(max_examples=60, deadline=None)
 def test_giambelli_matches_permutation_expansion(case):
-    """Ranks 1-5 on a 9x9 table with zeros: the memoised Laplace minor is the
-    signed determinant of the hook rows."""
+    """Ranks 1-5 on the 10x10 A_{m,n} of a Z table with zeros, drawn integer
+    lifts and non-multiplicative grades: the memoised Laplace minor is E^k
+    times the signed determinant of the hook rows, E the table's top grade."""
     table, arms, legs = case
     mu = with_frobenius(arms, legs)
     assert frobenius(mu) == (arms, legs)
     sign = -1 if sum(legs) % 2 else 1
-    rows = [[table.value(m, n) for n in legs] for m in arms]
-    assert giambelli_coeff(mu, table) == sign * perm_det(rows)
+    rows = [[F(*table.affine(m, n)) for n in legs] for m in arms]
+    top = table.series.grades[9]
+    assert giambelli_coeff(mu, table, {}) == sign * perm_det(rows) * top ** len(arms)
 
 
 def test_giambelli_memo_is_per_table():
     """Two tables that differ only in A_{1,1} keep their own minors, whichever
-    is asked first.  (2, 2) = (1, 0 | 1, 0) reaches A_{1,1} through the
-    minor of its hook (1 | 1) = (2, 1)."""
-    base = {(0, 0): F(2), (0, 1): F(3), (1, 0): F(5)}
-    for order in ((F(7), F(11)), (F(11), F(7))):
-        tables = [AffineTable(1, 1, {**base, (1, 1): a11}, "custom") for a11 in order]
-        for a11, table in zip(order, tables):
-            assert giambelli_coeff((2, 1), table) == -a11
-            assert giambelli_coeff((2, 2), table) == -(a11 * 2 - 3 * 5)
+    is asked first: each call owns its memo.  (2, 2) = (1, 0 | 1, 0) reaches
+    A_{1,1} through the minor of its hook (1 | 1) = (2, 1).  The block Z_{0,0}
+    holds (A_{1,0}, A_{1,1}, A_{0,0}, A_{0,1}), and every grade is 1; the
+    other blocks, zero, let the tau reach degree 4."""
+    series = MatrixSeries((1,) * 4, ((1, 0, 0, 1),) + ((0, 0, 0, 0),) * 3)
+    zero = (0, 0, 0, 0)
+    taus: dict = {}
+    for order in ((7, 11), (11, 7)):
+        for a11 in order:
+            table = ZTable(1, 1, (((5, a11, 2, 3), zero), (zero, zero)), series)
+            minors: dict = {}
+            assert giambelli_coeff((2, 1), table, minors) == -a11
+            assert giambelli_coeff((2, 2), table, minors) == -(a11 * 2 - 3 * 5)
+            taus.setdefault(order, {})[a11] = tau_truncated(table, 4).poly
+    assert taus[(7, 11)] == taus[(11, 7)] and taus[(7, 11)][7] != taus[(7, 11)][11]
 
 
 # ---------------------------------------------------------------------------

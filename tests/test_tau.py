@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from kdvtau.errors import DegreeExceededError, ExactComputationError, InsufficientTableError
 from kdvtau.grassmann import (
-    AffineTable,
     ZTable,
     build_G,
     normalize_point,
@@ -17,7 +18,6 @@ from kdvtau.grassmann import (
 )
 from kdvtau.schur import (
     GradedPoly,
-    giambelli_coeff,
     graded_log,
     monomial_degree,
     partitions_up_to,
@@ -37,9 +37,15 @@ from kdvtau.tau import (
     verify_string_equation,
     verify_string_recursion,
 )
-from kdvtau.zhou import zhou_affine_table
 
-from conftest import certified_degree, det_one_G, example_table, seeded_point_json
+from conftest import (
+    certified_degree,
+    det_one_G,
+    example_table,
+    giambelli_value,
+    seeded_point_json,
+    zhou_ztable,
+)
 from oracles import character, degree_slice, double_factorial, dvv, genus0, genus_of, graded_exp, valid_specs
 
 F = Fraction
@@ -78,49 +84,49 @@ def test_wk_degree3_slice(wk_tau12):
 
 
 def test_wk_tau_degree0():
-    table = AffineTable(0, 0, {}, "grassmann")
-    t = tau_truncated(table, 0)
+    t = tau_truncated(z_table_recursive(wk_G(1), 0, 0), 0)
     assert t.poly.terms == {(): F(1)}
 
 
 def test_tau_requires_big_enough_table():
-    table = AffineTable(2, 2, {}, "grassmann")
+    table = example_table(F(1), 2)  # Z_{k,l}, k, l <= 1: A_{m,n}, m, n <= 3
+    assert tau_truncated(table, 4).poly.terms
     with pytest.raises(InsufficientTableError):
         tau_truncated(table, 5)
 
 
-def test_pipeline_independence(wk_affine31):
-    """tau assembled from the closed-form table equals tau from the
-    Grassmannian table coefficient for coefficient."""
-    t_grass = tau_truncated(wk_affine31, 10)
-    t_closed = tau_truncated(zhou_affine_table(9, 9), 10)
-    assert t_grass.poly.terms == t_closed.poly.terms
+def test_pipeline_independence(wk_ztable15):
+    """tau assembled on the closed-formula table K = L = 15 equals tau on the
+    recursion's table of exactly the size degree 10 reads, whose top grade
+    (the scale of its minors) is E_9, not E_31, coefficient for coefficient."""
+    t_direct = tau_truncated(wk_ztable15, 10)
+    t_recursive = tau_truncated(z_table_recursive(wk_G(9), 4, 4), 10)
+    assert t_direct.poly.terms == t_recursive.poly.terms
 
 
-def test_stabilization_in_table_size(wk_affine31):
-    small = tau_truncated(zhou_affine_table(7, 7), 8)
-    big = tau_truncated(wk_affine31, 8)
+def test_stabilization_in_table_size(wk_ztable20):
+    small = tau_truncated(z_table_recursive(wk_G(7), 3, 3), 8)
+    big = tau_truncated(wk_ztable20, 8)
     assert small.poly.terms == big.poly.terms
 
 
-def test_stabilization_in_degree(wk_tau12, wk_affine31):
-    t8 = tau_truncated(wk_affine31, 8)
+def test_stabilization_in_degree(wk_tau12, wk_ztable15):
+    t8 = tau_truncated(wk_ztable15, 8)
     for d in range(9):
         assert degree_slice(t8.poly, d).terms == degree_slice(wk_tau12.poly, d).terms
 
 
-def seeded_table(seed: int, dense: bool, large: bool, half: int) -> AffineTable:
-    """The (2 half + 1)^2 affine table of a seeded random point."""
+def seeded_table(seed: int, dense: bool, large: bool, half: int) -> ZTable:
+    """The Z table K = L = half of a seeded random point (A_{m,n}, m, n <= 2 half + 1)."""
     point = normalize_point(point_from_json(seeded_point_json(seed, 4 * half + 3, dense, large)))
-    size = 2 * half + 1
-    return z_table_recursive(build_G(point, size), half, half).to_affine_table(size, size, "custom")
+    return z_table_recursive(build_G(point, 2 * half + 1), half, half)
 
 
 def route_tables(half: int) -> dict:
-    """The tables the tau routes are compared on, each at least (2 half + 1)^2."""
+    """The tables the tau routes are compared on, each with K, L >= half."""
     return {
-        "wk": lambda request: request.getfixturevalue("wk_affine31"),
-        "zhou": lambda request: request.getfixturevalue("zhou_affine30"),
+        "wk": lambda request: request.getfixturevalue("wk_ztable15"),
+        "zhou": lambda _: zhou_ztable(half),
         "c=1": lambda _: example_table(F(1), 2 * half),
         "c=-2": lambda _: example_table(F(-2), 2 * half),
         "c=1/3": lambda _: example_table(F(1, 3), 2 * half),
@@ -136,15 +142,16 @@ ORACLE_TABLES = route_tables(7)  # tau through degree 15
 
 
 @pytest.fixture(scope="module", params=list(ROUTE_TABLES))
-def route_table(request) -> AffineTable:
+def route_table(request) -> ZTable:
     return ROUTE_TABLES[request.param](request)
 
 
-def jacobi_trudi_tau(table: AffineTable, degree: int) -> dict:
+def jacobi_trudi_tau(table: ZTable, degree: int) -> dict:
     """sum_{|mu| <= degree} A_mu s_mu(theta), s_mu expanded by Jacobi-Trudi."""
     terms: dict = {}
+    minors: dict = {}
     for mu in partitions_up_to(degree):
-        a = giambelli_coeff(mu, table)
+        a = giambelli_value(mu, table, minors)
         for mon, c in schur_poly(mu).terms.items():
             terms[mon] = terms.get(mon, 0) + a * c
     return {mon: c for mon, c in terms.items() if c != 0}
@@ -192,16 +199,17 @@ def test_theta_form_of_an_odd_part_tau_is_refused(example_tau_c1):
 
 
 @pytest.fixture(scope="module", params=list(ORACLE_TABLES))
-def oracle_table(request) -> AffineTable:
+def oracle_table(request) -> ZTable:
     return ORACLE_TABLES[request.param](request)
 
 
-def character_tau(table: AffineTable, degree: int) -> dict:
+def character_tau(table: ZTable, degree: int) -> dict:
     """[theta^lam] tau = sum_{|mu| = |lam|} A_mu chi^mu(lam) / prod_j m_j(lam)!,
     one Murnaghan-Nakayama character per pair (mu, lam) from the oracle."""
     minors: dict[int, list] = {}
+    memo: dict = {}
     for mu in partitions_up_to(degree):
-        if a := giambelli_coeff(mu, table):
+        if a := giambelli_value(mu, table, memo):
             minors.setdefault(sum(mu), []).append((mu, a))
     terms: dict = {}
     for lam in partitions_up_to(degree):
@@ -223,10 +231,10 @@ def test_tau_matches_character_oracle_term_for_term(request, oracle_table):
         assert any(has_even_theta(mon) for mon in reference)
 
 
-def test_wk_tau_degree_18_matches_character_oracle(wk_affine31):
-    tau = tau_truncated(wk_affine31, 18)
+def test_wk_tau_degree_18_matches_character_oracle(wk_ztable15):
+    tau = tau_truncated(wk_ztable15, 18)
     assert len(tau.poly.terms) == 103
-    assert tau.poly.terms == character_tau(wk_affine31, 18)
+    assert tau.poly.terms == character_tau(wk_ztable15, 18)
 
 
 @settings(max_examples=25, deadline=None)
@@ -238,7 +246,7 @@ def test_wk_tau_degree_18_matches_character_oracle(wk_affine31):
     data=st.data(),
 )
 def test_tau_matches_character_oracle_on_drawn_points(seed, dense, large, degree, data):
-    # a (2 half + 1)^2 table reaches tau degree 2 half + 2
+    # a Z table K = L = half reaches tau degree 2 half + 2
     half = data.draw(st.integers(max(0, (degree - 1) // 2), 5), label="half")
     table = seeded_table(seed, dense, large, half)
     tau = tau_truncated(table, degree)
@@ -349,8 +357,8 @@ def test_correlator_matches_dvv(wk_ztable13):
         assert (correlator(wk_ztable13, spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True), ks
 
 
-def test_correlator_matches_log_tau_route(wk_ztable15, wk_affine31):
-    tau15 = tau_truncated(wk_affine31, 15)
+def test_correlator_matches_log_tau_route(wk_ztable15):
+    tau15 = tau_truncated(wk_ztable15, 15)
     for ks in valid_specs(15):
         spec = CorrelatorSpec.of(ks)
         assert correlator(wk_ztable15, spec) == intersection_number(spec, tau15), ks
@@ -368,6 +376,21 @@ def test_correlator_nine_insertions():
     table = z_table_recursive(wk_G(46), 22, 22)
     spec = CorrelatorSpec.of([2] * 9)
     assert correlator(table, spec) == dvv(spec.exponents) == F(1816871, 48)
+
+
+def test_correlator_reduces_a_long_string_on_a_short_stack():
+    # <tau_0^60 tau_58>_0 = 1 takes 58 string steps and leaves <tau_0^3>_0;
+    # each step removes one insertion, and the reduction runs in a loop, so
+    # 120 free frames are enough
+    table = z_table_recursive(wk_G(177), 88, 88)
+    spec = CorrelatorSpec.of([0] * 60 + [58])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 120)
+    try:
+        value = correlator(table, spec)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == 1 and spec.genus == 0
 
 
 @pytest.fixture(scope="module")
@@ -409,10 +432,11 @@ def multisets(budget: int, most: int) -> list[tuple[int, ...]]:
 
 
 def assert_log_tau_derivatives_match_graded_log(table: ZTable) -> None:
-    """d^n log tau read off the lift of `table` equals the graded log of the
-    tau assembled on its lowered 9 x 9 table, for every multiset of at most 4
-    theta indices of weight <= 10 (so every grade up to E_5 is read)."""
-    log_tau = graded_log(tau_truncated(table.to_affine_table(9, 9, "custom"), 10).poly)
+    """d^n log tau read off the lift of `table` by the n-point sum equals the
+    graded log of the tau assembled on the same lift from Giambelli minors, for
+    every multiset of at most 4 theta indices of weight <= 10 (so every grade
+    up to E_5 is read)."""
+    log_tau = graded_log(tau_truncated(table, 10).poly)
     thetas = multisets(10, 4)
     assert len(thetas) == 93
     for a in thetas:
@@ -494,8 +518,8 @@ def test_kdv_flow1_example(example_tau_c1):
     assert verify_kdv_flow(example_tau_c1, 1).passed
 
 
-def test_kdv_flow_degree_guard(wk_affine31):
-    shallow = tau_truncated(wk_affine31, 5)
+def test_kdv_flow_degree_guard(wk_ztable15):
+    shallow = tau_truncated(wk_ztable15, 5)
     with pytest.raises(DegreeExceededError):
         verify_kdv_flow(shallow, 2)  # flow 2 consumes 7 degrees of reliability
 
@@ -539,7 +563,7 @@ def test_initial_data_example():
 
 
 def test_initial_data_trivial_tau():
-    table = AffineTable(11, 11, {}, "grassmann")
+    table = example_table(F(0), 10)  # the point a = b = 1: every A_{m,n} = 0, m, n <= 11
     t = tau_truncated(table, 12)
     assert initial_data(t, 10) == [F(0)] * 11
 
