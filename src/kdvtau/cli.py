@@ -10,6 +10,8 @@ Subcommands:
 
 Exit codes are the machine contract: 0 pass, 1 verification failure,
 2 usage or input error.  All rational output is "p/q" in lowest terms.
+The suites read the Witten-Kontsevich Z tables of `grassmann.wk_z_table`;
+`intersect` passes only the spec, and `tau.correlator` sizes its own table.
 """
 
 from __future__ import annotations
@@ -60,14 +62,6 @@ def _tau_shape(degree: int) -> tuple[int, int]:
     scale of the Giambelli minors, is the least one."""
     half = max(degree - 1, 0) // 2
     return half, half
-
-
-def _wk_z_table(size: int, memo: dict) -> gr.ZTable:
-    """Z_{k,l}, k, l <= size, of the Witten-Kontsevich point, once per `memo`."""
-    table = memo.get(("z", size))
-    if table is None:
-        table = memo["z", size] = gr.z_table_recursive(gr.wk_G(2 * size + 1), size, size)
-    return table
 
 
 INT_LITERAL_CHARS = 20  # no tail order or head exponent of a usable point is longer
@@ -140,11 +134,9 @@ def cmd_intersect(args: argparse.Namespace) -> int:
     except argparse.ArgumentTypeError:
         print(f"cannot parse spec {args.spec!r}; expected 'k1,k2,...'", file=sys.stderr)
         return 2
-    if spec.is_valid:  # the correlator reads Z_{k,l}, k, l <= (W - 1) // 2
-        value = tau_mod.correlator(_wk_z_table((spec.t_weight - 1) // 2, {}), spec)
-    else:
+    if not spec.is_valid:
         print("dimension constraint violated: value is 0", file=sys.stderr)
-        value = 0
+    value = tau_mod.correlator(spec)  # 0 for an invalid spec
     print(json.dumps({"spec": list(spec.exponents), "genus": spec.genus, "value": format_rational(value)}))
     return 0
 
@@ -168,21 +160,18 @@ def _run_suite(
         ]
     if suite == "symmetry":
         half = max(depth // 2, 1)
-        return [
-            zhou.verify_b_symmetry(depth, depth),
-            gr.verify_symmetry(_wk_z_table(half, memo), half),
-        ]
+        return [zhou.verify_b_symmetry(depth, depth), gr.verify_symmetry(gr.wk_z_table(half), half)]
     if suite == "genfun":
-        return [gr.verify_generating_function(_wk_z_table(depth, memo), depth)]
+        return [gr.verify_generating_function(gr.wk_z_table(depth), depth)]
     if suite == "zhou-match":
         # spans 0..2 (depth // 2) + 1 >= depth; the verifier reads 0..depth
-        return [zhou.verify_zhou_match(_wk_z_table(depth // 2, memo), depth, depth)]
+        return [zhou.verify_zhou_match(gr.wk_z_table(depth // 2), depth, depth)]
     if suite in POINT_SUITES:
-        t = memo.get(("tau", point, depth))
+        t = memo.get((point, depth))
         if t is None:
             (table,) = _z_tables(point, _tau_shape(depth))
             # the suites read tau in t only, which has no even theta
-            t = memo["tau", point, depth] = tau_mod.tau_truncated(table, depth, range(1, depth + 1, 2))
+            t = memo[point, depth] = tau_mod.tau_truncated(table, depth, range(1, depth + 1, 2))
         if suite == "kdv":
             return [tau_mod.verify_kdv_flow(t, flow)]
         reports = [tau_mod.verify_string_equation(t)]
@@ -195,7 +184,7 @@ def _run_suite(
     if suite == "vmatrix":
         return [spin3.verify_v_relations(depth)]
     if suite == "thm2":
-        return [spin3.verify_thm2(_wk_z_table(3 * depth + 2, memo), depth, depth)]
+        return [spin3.verify_thm2(gr.wk_z_table(3 * depth + 2), depth, depth)]
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -213,7 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         runs = [(args.suite, args.flow)]
     any_fail = False
-    memo: dict = {}  # shared by the suites: tau per (point, depth), WK Z table per size
+    memo: dict = {}  # tau per (point, depth), shared by the string and kdv suites
     for suite, flow in runs:
         depth = args.depth if args.depth is not None else SUITE_DEFAULT_DEPTH[suite]
         reports = _run_suite(suite, depth, flow if flow is not None else args.flow, point, memo)
@@ -328,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExactComputationError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ExactComputationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,7 +44,8 @@ spanning series c(lam) and q(lam) are power series in lam^-3:
 
 c is the unique solution of (S^2 - lam^2) c = 0 with c = 1 + O(1/lam) for
 the Kac-Schwarz operator S = (1/lam) d/dlam - 1/(2 lam^2) - lam, and
-q = -(1/lam) S c.
+q = -(1/lam) S c.  Its loop matrix (`wk_G`) and its square Z table
+(`wk_z_table`) are memoised per size for the whole process.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ __all__ = [
     "wk_point",
     "build_G",
     "wk_G",
+    "wk_z_table",
     "z_table_direct",
     "z_table_recursive",
     "z_tables_recursive",
@@ -205,6 +207,12 @@ def wk_G(depth: int) -> MatrixSeries:
     """The Witten-Kontsevich loop matrix G_0..G_depth, one object (and so one
     inverse) per depth."""
     return build_G(wk_point(2 * depth + 1), depth)
+
+
+@lru_cache(maxsize=None)
+def wk_z_table(size: int) -> "ZTable":
+    """The Witten-Kontsevich Z_{k,l}, k, l <= size, on wk_G(2 size + 1), one table per size."""
+    return z_table_recursive(wk_G(2 * size + 1), size, size)
 
 
 # ---------------------------------------------------------------------------

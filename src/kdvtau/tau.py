@@ -19,10 +19,11 @@ free energy
 
 nonzero only when sum k_i = 3g - 3 + n for an integer genus g >= 0
 (`intersection_number`).  `correlator`, the `intersect` route, builds no
-tau: it reduces a spec by the string and dilaton equations and reads the
-rest by Zhou's n-point functions (`log_tau_derivative`) off the integer lift
-of the Z table.  Both return the correlator as a plain `Fraction`; its genus
-and dimension check are properties of the `CorrelatorSpec`.
+tau: it reduces a spec by the string and dilaton equations, then reads the
+rest by Zhou's n-point functions (`log_tau_derivative`) off the integer
+lift of a Z table sized for the rest.  Both return the correlator as a
+plain `Fraction`; its genus and dimension check are properties of the
+`CorrelatorSpec`.
 
 Differential identities (string equation, the flows of the hierarchy) are
 verified on the residual polynomial; the graded reliability bound of the
@@ -45,7 +46,7 @@ from itertools import groupby
 
 from .errors import DegreeExceededError, ExactComputationError, InsufficientTableError
 from .exactnum import Record, _setattr, format_rational, odd_double_factorial
-from .grassmann import ZTable
+from .grassmann import ZTable, wk_z_table
 from .report import VerificationReport, first_failures
 from .schur import (
     GradedPoly,
@@ -280,10 +281,10 @@ def _from_free_energy(F: GradedPoly, spec: CorrelatorSpec) -> Fraction:
     return F.coefficient(spec.monomial()) * spec.multiplicity_factor()
 
 
-def correlator(table: ZTable, spec: CorrelatorSpec) -> Fraction:
-    """Exact correlator for `spec`, read off the Z table of the
-    Witten-Kontsevich point without assembling tau; 0 for a spec that
-    violates the dimension constraint.
+def correlator(spec: CorrelatorSpec) -> Fraction:
+    """Exact correlator for `spec` at the Witten-Kontsevich point, read off
+    its Z table without assembling tau; 0 for a spec that violates the
+    dimension constraint.
 
     The spec is first reduced exactly by the string and dilaton equations,
 
@@ -298,14 +299,12 @@ def correlator(table: ZTable, spec: CorrelatorSpec) -> Fraction:
 
         <prod tau_{k_i}> = prod_i (-1/(2k_i+1)!!) d^n log tau / prod d theta_{2k_i+1}
 
-    by `log_tau_derivative`.  The reduction holds only at the
-    Witten-Kontsevich point; the table must hold Z_{k,l} for k, l <= (W-1)//2,
-    W = `spec.t_weight`.
+    by `log_tau_derivative` on one table, Z_{k,l} for k, l <= (W-1)//2 with W
+    the largest t-weight left (`wk_z_table`): <tau_1^n>_1 reads Z_{1,1} only.
     """
     if not spec.is_valid:
         return Fraction(0)
-    _require_table(table, spec.t_weight, str(spec))
-    genus, total, level = spec.genus, Fraction(0), {spec.exponents: 1}
+    genus, level, irreducible = spec.genus, {spec.exponents: 1}, Counter()
     while level:
         below: Counter[tuple[int, ...]] = Counter()
         for ks, c in level.items():
@@ -317,11 +316,12 @@ def correlator(table: ZTable, spec: CorrelatorSpec) -> Fraction:
                 for k, m in Counter(rest).items():
                     if k >= 1:
                         below[rest[:(i := rest.index(k))] + (k - 1,) + rest[i + 1:]] += m * c
-            else:
-                scale = math.prod(_theta_to_t_factor(2 * k + 1) for k in ks)
-                total += c * scale * log_tau_derivative(table, [2 * k + 1 for k in ks])
+            else:  # keyed by the theta indices 2 k_i + 1
+                irreducible[tuple(2 * k + 1 for k in ks)] += c
         level = below
-    return total
+    table = wk_z_table((max(map(sum, irreducible)) - 1) // 2)
+    return sum((c * math.prod(map(_theta_to_t_factor, a)) * log_tau_derivative(table, list(a))
+                for a, c in irreducible.items()), Fraction(0))
 
 
 def _require_table(table: ZTable, weight: int, purpose: str) -> None:

@@ -219,6 +219,7 @@ def test_verify_all_builds_one_wk_z_table_for_three_suites(capsys, monkeypatch):
     build = gr.z_tables_recursive
     monkeypatch.setattr(gr, "z_tables_recursive",
                         lambda G, s: shapes.append((G.tail_order, *s)) or build(G, s))
+    gr.wk_z_table.cache_clear()
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     suites = {line.split(":")[0] for line in out.splitlines()}
@@ -250,7 +251,7 @@ def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
     # equal Witten-Kontsevich loop matrices, and equal R series, are one
     # memoised object, so each depth read by the suites is lifted once, and
     # only the loop matrices have their inverse solved
-    from kdvtau.grassmann import wk_G
+    from kdvtau.grassmann import wk_G, wk_z_table
     from kdvtau.series import MatrixSeries
     from kdvtau.spin3 import r_matrix
 
@@ -259,6 +260,7 @@ def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
     monkeypatch.setattr(MatrixSeries, "from_blocks",
                         lambda blocks: built.append(from_blocks(blocks)) or built[-1])
     wk_G.cache_clear()
+    wk_z_table.cache_clear()
     r_matrix.cache_clear()
     code, _, _ = run(capsys, "verify", "all")
     assert code == 0
@@ -311,6 +313,22 @@ def test_passing_z_table_suites_reduce_no_entry(capsys, monkeypatch, suite):
     assert table.entry(1, 2) == lower(table.lifted[1][2], wk_G(9).grades[4])
     assert lowered == [table.lifted[1][2]]
     assert zhou.rescale_B(2, 0) == -fraction(5, 24) and fractions
+
+
+@pytest.mark.parametrize("spec,value", [(",".join(["1"] * 150), f"{math.factorial(149) // 24}"),
+                                        (",".join(["0"] * 100 + ["98"]), "1")])
+def test_long_reductions_read_a_tiny_table(capsys, monkeypatch, spec, value):
+    # the string and dilaton steps leave <tau_1>_1 or <tau_0^3>_0, and the
+    # correlator sizes its table after them, so it reads Z_{1,1} and no more
+    import kdvtau.grassmann as gr
+
+    shapes = []
+    build = gr.z_tables_recursive
+    monkeypatch.setattr(gr, "z_tables_recursive", lambda G, s: shapes.extend(s) or build(G, s))
+    gr.wk_z_table.cache_clear()
+    code, out, _ = run(capsys, "intersect", spec)
+    assert code == 0 and json.loads(out)["value"] == value
+    assert shapes == [(1, 1)]
 
 
 @pytest.mark.parametrize("spec", ["2,3", "28"])

@@ -349,19 +349,19 @@ def test_oracles_agree_in_genus_0():
     assert dvv((4,)) == F(1, 1152) and dvv((2, 3)) == F(29, 5760)
 
 
-def test_correlator_matches_dvv(wk_ztable13):
+def test_correlator_matches_dvv():
     specs = valid_specs(27)
     assert len(specs) == 372
     for ks in specs:
         spec = CorrelatorSpec.of(ks)
-        assert (correlator(wk_ztable13, spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True), ks
+        assert (correlator(spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True), ks
 
 
 def test_correlator_matches_log_tau_route(wk_ztable15):
     tau15 = tau_truncated(wk_ztable15, 15)
     for ks in valid_specs(15):
         spec = CorrelatorSpec.of(ks)
-        assert correlator(wk_ztable15, spec) == intersection_number(spec, tau15), ks
+        assert correlator(spec) == intersection_number(spec, tau15), ks
 
 
 def test_unreduced_n_point_formula_matches_dvv(wk_ztable13):
@@ -373,29 +373,35 @@ def test_unreduced_n_point_formula_matches_dvv(wk_ztable13):
 
 def test_correlator_nine_insertions():
     # <tau_2^9>_4: n = 9 survives the reduction, t-weight 45
-    table = z_table_recursive(wk_G(46), 22, 22)
     spec = CorrelatorSpec.of([2] * 9)
-    assert correlator(table, spec) == dvv(spec.exponents) == F(1816871, 48)
+    assert correlator(spec) == dvv(spec.exponents) == F(1816871, 48)
 
 
 def test_correlator_reduces_a_long_string_on_a_short_stack():
     # <tau_0^60 tau_58>_0 = 1 takes 58 string steps and leaves <tau_0^3>_0;
     # each step removes one insertion, and the reduction runs in a loop, so
     # 120 free frames are enough
-    table = z_table_recursive(wk_G(177), 88, 88)
     spec = CorrelatorSpec.of([0] * 60 + [58])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 120)
     try:
-        value = correlator(table, spec)
+        value = correlator(spec)
     finally:
         sys.setrecursionlimit(limit)
     assert value == 1 and spec.genus == 0
 
 
-@pytest.fixture(scope="module")
-def wk_ztable22():
-    return z_table_recursive(wk_G(46), 22, 22)
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 300])
+def test_correlator_dilaton_tower(n):
+    # <tau_1^n>_1 = (n - 1)!/24: n - 1 dilaton steps down to <tau_1>_1
+    assert correlator(CorrelatorSpec.of([1] * n)) == F(math.factorial(n - 1), 24)
+
+
+@pytest.mark.parametrize("m", [3, 4, 10, 100, 300])
+def test_correlator_string_tower(m):
+    # <tau_0^m tau_{m-2}>_0 = 1: m - 2 string steps down to <tau_0^3>_0
+    spec = CorrelatorSpec.of([0] * m + [m - 2])
+    assert correlator(spec) == 1 and spec.genus == 0
 
 
 @st.composite
@@ -411,9 +417,9 @@ def deep_specs(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(ks=deep_specs())
-def test_correlator_matches_dvv_beyond_the_exhaustive_window(wk_ztable22, ks):
+def test_correlator_matches_dvv_beyond_the_exhaustive_window(ks):
     spec = CorrelatorSpec.of(ks)
-    assert (correlator(wk_ztable22, spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True)
+    assert (correlator(spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True)
 
 
 def multisets(budget: int, most: int) -> list[tuple[int, ...]]:
@@ -464,12 +470,10 @@ def test_log_tau_derivative_on_a_non_multiplicative_lift(seed):
     assert_log_tau_derivatives_match_graded_log(z_table_recursive(G, 4, 4))
 
 
-def test_correlator_guards(wk_ztable13):
+def test_correlator_guards():
     spec = CorrelatorSpec.of([0, 0])
-    assert correlator(wk_ztable13, spec) == 0 and spec.genus is None and not spec.is_valid
+    assert correlator(spec) == 0 and spec.genus is None and not spec.is_valid
     small = z_table_recursive(wk_G(8), 3, 3)
-    with pytest.raises(InsufficientTableError):
-        correlator(small, CorrelatorSpec.of([4]))  # t-weight 9 needs Z_{4,4}
     with pytest.raises(InsufficientTableError):
         log_tau_derivative(small, [5, 4])
     with pytest.raises(ValueError):
