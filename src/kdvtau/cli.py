@@ -12,13 +12,20 @@ Exit codes are the machine contract: 0 pass, 1 verification failure,
 2 usage or input error.  All rational output is "p/q" in lowest terms.
 The suites read the Witten-Kontsevich Z tables of `grassmann.wk_z_table`;
 `intersect` passes only the spec, and `tau.correlator` sizes its own table.
+
+The arguments of the subcommands are one table, `COMMANDS`: `parse_args`
+reads argv by it and `--help` prints it.  Options are spelled out in full,
+as "--name value" or "--name=value".  A usage error prints the command's
+usage line and "kdvtau: error: ..." on stderr, and `main` returns 2.  The
+parser is not argparse, which imports gettext and locale: 5-7 ms of each
+call, where an `intersect` computes for 2-5 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import grassmann as gr
 from . import spin3, tau as tau_mod, zhou
@@ -88,13 +95,18 @@ def _load_point(path: str, shapes: list[tuple[int, int]]) -> gr.GrassmannPoint:
             raise ExactComputationError(f"malformed point file {path}: {exc}") from exc
 
 
+class UsageError(Exception):
+    """A command line that names no valid call: `main` prints it under the
+    command's usage line and returns 2."""
+
+
 def _int_at_least(low: int):
-    """argparse type for an integer >= low in ASCII digits; anything else (a
-    sign, space, underscore, another script's digits) is a usage error (exit 2)."""
+    """Reader of an integer >= low in ASCII digits; anything else (a sign,
+    space, underscore, another script's digits) is a usage error (exit 2)."""
 
     def parse(text: str) -> int:
         if not (text.isascii() and text.isdigit() and int(text) >= low):
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+            raise ValueError(f"expected an integer >= {low}, got {text!r}")
         return int(text)
 
     return parse
@@ -108,14 +120,14 @@ _count = _int_at_least(0)
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(args: argparse.Namespace) -> int:
+def cmd_coeffs(args: SimpleNamespace) -> int:
     fn = {"c": gr.wk_c_coeff, "q": gr.wk_q_coeff, "b": zhou.b_seq}[args.kind]
     for k in range(args.max + 1):
         print(f"{k}\t{format_rational(fn(k))}")
     return 0
 
 
-def cmd_affine(args: argparse.Namespace) -> int:
+def cmd_affine(args: SimpleNamespace) -> int:
     if args.source == "grassmann":
         (z,) = _z_tables(None, (args.max_m // 2, args.max_n // 2))
         table = z.to_affine_table(args.max_m, args.max_n, "grassmann")
@@ -128,12 +140,11 @@ def cmd_affine(args: argparse.Namespace) -> int:
     return _emit(args.output, text)
 
 
-def cmd_intersect(args: argparse.Namespace) -> int:
+def cmd_intersect(args: SimpleNamespace) -> int:
     try:
         spec = tau_mod.CorrelatorSpec.of([_count(part) for part in args.spec.split(",")])
-    except argparse.ArgumentTypeError:
-        print(f"cannot parse spec {args.spec!r}; expected 'k1,k2,...'", file=sys.stderr)
-        return 2
+    except ValueError:
+        raise UsageError(f"cannot parse spec {args.spec!r}; expected 'k1,k2,...'") from None
     if not spec.is_valid:
         print("dimension constraint violated: value is 0", file=sys.stderr)
     value = tau_mod.correlator(spec)  # 0 for an invalid spec
@@ -188,12 +199,11 @@ def _run_suite(
     raise ValueError(f"unknown suite {suite!r}")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     point = None
     if args.point:
         if args.suite not in POINT_SUITES:
-            print("error: --point applies only to the string and kdv suites", file=sys.stderr)
-            return 2
+            raise UsageError("--point applies only to the string and kdv suites")
         depth = args.depth if args.depth is not None else SUITE_DEFAULT_DEPTH[args.suite]
         point = _load_point(args.point, [_tau_shape(depth)])
     if args.suite == "all":
@@ -213,18 +223,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if any_fail else 0
 
 
-def cmd_grassmann(args: argparse.Namespace) -> int:
+def cmd_grassmann(args: SimpleNamespace) -> int:
     degrees = []  # tau degrees the tasks need
     if args.tau is not None:
         degrees.append(args.tau)
     if args.initial_data is not None:
         degrees.append(args.initial_data + 2)
     if args.affine is None and not degrees:
-        print("nothing to do: pass --affine/--tau/--initial-data", file=sys.stderr)
-        return 2
+        raise UsageError("nothing to do: pass --affine/--tau/--initial-data")
     if args.affine is not None and args.format == "csv" and degrees:
-        print("csv format is only available when --affine is the sole task", file=sys.stderr)
-        return 2
+        raise UsageError("csv format is only available when --affine is the sole task")
     # one Z table and one tau, each as deep as the deepest task needs; the
     # tasks read corners of the table and truncations of the tau
     shapes = [(args.affine[0] // 2, args.affine[1] // 2)] if args.affine is not None else []
@@ -262,61 +270,165 @@ def _emit(output: str | None, text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the command line: one table, read by `parse_args` and shown by `--help`
+# ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kdvtau",
-        description="Exact Grassmannian data, tau functions and intersection numbers for the KdV hierarchy.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Arg:
+    """A positional (keyed by its name) or an option (keyed "--name") of a
+    subcommand.  `kind` reads each value: a function of the text that raises
+    ValueError, or the tuple of the accepted choices.  An option takes
+    `nargs` values, named `metavar` in the usage line."""
 
-    p = sub.add_parser("coeffs", help="print a coefficient sequence")
-    p.add_argument("--kind", choices=["c", "q", "b"], required=True)
-    p.add_argument("--max", type=_count, required=True)
-    p.set_defaults(func=cmd_coeffs)
+    __slots__ = ("help", "kind", "default", "nargs", "required", "metavar")
 
-    p = sub.add_parser("affine", help="export an affine-coordinate table")
-    p.add_argument("--source", choices=["grassmann", "zhou"], required=True)
-    p.add_argument("--max-m", type=_count, required=True)
-    p.add_argument("--max-n", type=_count, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_affine)
+    def __init__(self, help: str, kind=str, default=None, nargs: int = 1, required: bool = False,
+                 metavar: str | None = None) -> None:
+        self.help, self.kind, self.default, self.nargs = help, kind, default, nargs
+        self.required, self.metavar = required, metavar
 
-    p = sub.add_parser("intersect", help="one intersection number")
-    p.add_argument("spec", help="comma-separated insertion indices, e.g. 0,0,0")
-    p.set_defaults(func=cmd_intersect)
+    def read(self, name: str, text: str):
+        try:
+            if not isinstance(self.kind, tuple):
+                return self.kind(text)
+            if text in self.kind:
+                return text
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(self.kind)})")
+        except ValueError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(SUITE_DEFAULT_DEPTH) + ["all"])
-    p.add_argument("--depth", type=_count, default=None)
-    p.add_argument("--flow", type=_int_at_least(1), default=1)
-    p.add_argument("--point", default=None,
-                   help="JSON point file checked by the string and kdv suites "
-                        "(any other suite, all included, exits 2)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("grassmann", help="derive data from a point file")
-    p.add_argument("pointfile")
-    p.add_argument("--affine", type=_count, nargs=2, metavar=("MAX_M", "MAX_N"))
-    p.add_argument("--tau", type=_count, default=None, metavar="DEGREE")
-    p.add_argument("--tau-vars", choices=["theta", "t"], default="t")
-    p.add_argument("--initial-data", type=_count, default=None, metavar="N")
-    p.add_argument("--format", choices=["csv", "json"], default="json")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_grassmann)
+SUITES = (*sorted(SUITE_DEFAULT_DEPTH), "all")
+FORMAT = Arg("output format", ("csv", "json"), default="json")
+OUTPUT = Arg("file to write instead of stdout")
 
-    return parser
+COMMANDS = {  # command: (handler, help, {positional or option: Arg})
+    "coeffs": (cmd_coeffs, "print a coefficient sequence", {
+        "--kind": Arg("c_k, q_k or Zhou's b_k", ("c", "q", "b"), required=True),
+        "--max": Arg("last index k", _count, required=True),
+    }),
+    "affine": (cmd_affine, "export an affine-coordinate table", {
+        "--source": Arg("the Grassmannian route or Zhou's closed form", ("grassmann", "zhou"), required=True),
+        "--max-m": Arg("largest m of A_{m,n}", _count, required=True),
+        "--max-n": Arg("largest n of A_{m,n}", _count, required=True),
+        "--format": FORMAT,
+        "--output": OUTPUT,
+    }),
+    "intersect": (cmd_intersect, "one intersection number", {
+        "spec": Arg("comma-separated insertion indices, e.g. 0,0,0"),
+    }),
+    "verify": (cmd_verify, "run a verification suite", {
+        "suite": Arg("one of " + ", ".join(SUITES), SUITES),
+        "--depth": Arg("depth of the check (default: the suite's own)", _count),
+        "--flow": Arg("the flow the kdv suite checks", _int_at_least(1), default=1),
+        "--point": Arg("JSON point file checked by the string and kdv suites "
+                       "(any other suite, all included, exits 2)"),
+    }),
+    "grassmann": (cmd_grassmann, "derive data from a point file", {
+        "pointfile": Arg("JSON point file"),
+        "--affine": Arg("export A_{m,n} for m <= MAX_M, n <= MAX_N", _count, nargs=2, metavar="MAX_M MAX_N"),
+        "--tau": Arg("export tau through this degree", _count, metavar="DEGREE"),
+        "--tau-vars": Arg("variables of the tau export", ("theta", "t"), default="t"),
+        "--initial-data": Arg("export u(x) through x^N", _count, metavar="N"),
+        "--format": Arg("output format; csv only when --affine is the sole task", FORMAT.kind, default="json"),
+        "--output": OUTPUT,
+    }),
+}
+
+
+def _is_option(token: str) -> bool:
+    return token == "-h" or token.startswith("--")
+
+
+def parse_args(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """The command argv names and its arguments, read by its COMMANDS entry:
+    "--name value" or "--name=value", positionals in order, "--" ends the
+    options.  Arguments None ask for help (command None: the overview).
+    Raises UsageError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, None
+    if not argv or argv[0] not in COMMANDS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}){got}")
+    command, tokens = argv[0], argv[1:]
+    table = COMMANDS[command][2]
+    values = {name: arg.default for name, arg in table.items()}
+    waiting = [name for name in table if not name.startswith("--")]  # positionals not yet read
+    i, options = 0, True
+    while i < len(tokens):
+        token, i = tokens[i], i + 1
+        if not (options and _is_option(token)):
+            if not waiting:
+                raise UsageError(f"unexpected argument {token!r}")
+            name = waiting.pop(0)
+            values[name] = table[name].read(name, token)
+        elif token == "--":
+            options = False
+        elif token in ("-h", "--help"):
+            return command, None
+        else:
+            name, inline, text = token.partition("=")
+            if name not in table:
+                raise UsageError(f"unknown option {name}")
+            arg = table[name]
+            texts = [text] if inline else tokens[i:i + arg.nargs]
+            if len(texts) != arg.nargs or not inline and any(map(_is_option, texts)):
+                raise UsageError(f"argument {name}: expected {arg.nargs} value{'s' * (arg.nargs > 1)}")
+            i += 0 if inline else arg.nargs
+            read = [arg.read(name, text) for text in texts]
+            values[name] = read if arg.nargs > 1 else read[0]
+    missing = waiting + [name for name, arg in table.items() if arg.required and values[name] is None]
+    if missing:
+        raise UsageError(f"missing {', '.join(missing)}")
+    return command, SimpleNamespace(**{name.lstrip("-").replace("-", "_"): v for name, v in values.items()})
+
+
+def _shown(name: str, arg: Arg) -> str:
+    """One entry of a COMMANDS table as the usage line shows it."""
+    if not name.startswith("--"):
+        return name
+    if isinstance(arg.kind, tuple):
+        value = "{" + ",".join(arg.kind) + "}"
+    else:
+        value = arg.metavar or name[2:].replace("-", "_").upper()
+    return f"{name} {value}" if arg.required else f"[{name} {value}]"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: kdvtau {" + ",".join(COMMANDS) + "} ..."
+    return " ".join([f"usage: kdvtau {command}", *(_shown(n, a) for n, a in COMMANDS[command][2].items())])
+
+
+def _help(command: str | None) -> str:
+    """The usage line, then each command (command None) or each argument of `command`."""
+    if command is None:
+        text = ("Exact Grassmannian data, tau functions and intersection numbers for the KdV hierarchy.\n"
+                "'kdvtau COMMAND --help' lists the arguments of COMMAND.")
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, text, table = COMMANDS[command]
+        rows = [(_shown(n, a).strip("[]"), a.help + (f" (default: {a.default})" if a.default else ""))
+                for n, a in table.items()]
+    rows.append(("-h, --help", "show this help"))
+    width = max(len(row[0]) for row in rows) + 2
+    return "\n".join([_usage(command), "", text, "", *(f"  {a:<{width}}{b}" for a, b in rows)])
 
 
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7, which has no limit
         sys.set_int_max_str_digits(0)  # exact values print and parse at any size
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return args.func(args)
+        command, args = parse_args(argv)
+        if args is None:
+            print(_help(command))
+            return 0
+        return COMMANDS[command][0](args)
+    except UsageError as exc:
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        print(f"{_usage(command)}\nkdvtau: error: {exc}", file=sys.stderr)
+        return 2
     except (ExactComputationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,11 @@ with hand-written `__init__` methods.  They are not dataclasses because
 every command pays for its imports: `dataclasses` loads `inspect`, `ast`,
 `dis` and `tokenize`, and each `@dataclass` decorator compiles and execs
 generated methods.  With 17 dataclass records, importing `kdvtau.cli`
-took 0.041 s on top of a bare interpreter; with `Record` it takes
-0.015 s (medians of 60 alternating processes, Python 3.11, shared 2-core
-VM).
+took 0.041 s on top of a bare interpreter.  With `Record`, and with the
+CLI's own table parser in place of argparse (which imports gettext), it
+takes 0.014-0.019 s, against 0.019-0.020 s with argparse (medians of 60
+alternating processes in each of four runs, warm bytecode cache, Python
+3.11.7, shared 2-core VM).
 """
 
 from __future__ import annotations

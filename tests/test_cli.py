@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,12 +12,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kdvtau.cli import SUITE_DEFAULT_DEPTH, main
+import kdvtau
+from kdvtau.cli import COMMANDS, SUITE_DEFAULT_DEPTH, main
 from kdvtau.exactnum import format_rational
 from kdvtau.grassmann import point_to_json, wk_point
 from kdvtau.zhou import b_seq
 
 from conftest import example_point, seeded_point_json
+
+
+SRC = Path(kdvtau.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -55,10 +61,39 @@ def test_coeffs_q_zero(capsys):
     assert out.splitlines() == ["0\t1"]
 
 
+def test_options_take_a_value_after_an_equals_sign(capsys):
+    assert run(capsys, "coeffs", "--kind=b", "--max=1") == (0, "0\t1\n1\t105\n", "")
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_lists_every_command_and_option(capsys, command):
+    code, out, err = run(capsys, *([command] if command else []), "--help")
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: kdvtau {command or ''}")
+    for name in COMMANDS[command][2] if command else COMMANDS:
+        assert f"\n  {name}" in out
+
+
+def test_calls_import_no_argparse_gettext_or_locale(tmp_path):
+    # argparse imports gettext, which imports locale: 5-7 ms of every call
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(seeded_point_json(1, 15, True, False)))
+    calls = [["intersect", "2,3"], ["verify", "cq-identity"],
+             ["affine", "--source", "zhou", "--max-m", "6", "--max-n", "6", "--output", str(tmp_path / "t")],
+             ["grassmann", str(point), "--tau", "6"]]
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); from kdvtau.cli import main; "
+            f"codes = [main(argv) for argv in {calls!r}]; "
+            "print(codes, sorted({'argparse', 'getopt', 'gettext', 'locale'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
 def test_bad_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["coeffs", "--kind", "x", "--max", "2"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "coeffs", "--kind", "x", "--max", "2")
+    assert code == 2
+    assert out == ""
+    assert "kdvtau: error: argument --kind: invalid choice: 'x'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +435,8 @@ def test_verify_point_with_a_suite_that_ignores_it_exits_2(capsys, tmp_path, sui
                          "--point", write_example_point(tmp_path))
     assert code == 2
     assert out == ""
-    assert err == "error: --point applies only to the string and kdv suites\n"
+    assert err == "usage: kdvtau verify suite [--depth DEPTH] [--flow FLOW] [--point POINT]\n" \
+                  "kdvtau: error: --point applies only to the string and kdv suites\n"
 
 
 def test_verify_string_expected_fail_on_example_point(capsys, tmp_path):
@@ -422,9 +458,10 @@ def test_verify_kdv_on_example_point(capsys, tmp_path):
 
 
 def test_verify_unknown_suite_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "nonsense"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "verify", "nonsense")
+    assert code == 2
+    assert out == ""
+    assert "kdvtau: error: argument suite: invalid choice: 'nonsense'" in err
 
 
 def test_verify_missing_point_file(capsys):
@@ -546,13 +583,25 @@ GOOD_SERIES = {"head": [], "tail_order": 1, "tail": ["1", "0"]}
                                             "tail": ["1", "0"]}),
     *((["grassmann", "POINT", "--tau", "2"], {"head": [], "tail_order": 1, "tail": ["1", text]})
       for text in ("1e3", "3.5", "1_0", "\u0663", " 3", "+3")),
+    ([], None),
+    (["nonsense"], None),
+    (["coeffs", "--kind", "c", "--max", "2", "--bogus"], None),
+    (["coeffs", "--kind", "c", "--ma", "2"], None),  # no option is read from a prefix of its name
+    (["coeffs", "--kind", "c"], None),
+    (["coeffs", "--kind", "c", "--max"], None),
+    (["grassmann", "POINT", "--affine", "2", "--tau", "2"], None),
+    (["intersect", "1,2", "3"], None),
+    (["grassmann", "POINT"], None),
+    (["grassmann", "POINT", "--affine", "2", "2", "--tau", "2", "--format", "csv"], None),
 ], ids=["depth", "tau", "flow", "max", "max-non-ascii-digit", "max-m", "affine",
         "constant-term", "tail-order", "zero-denominator",
         "tail-int", "tail-float", "tail-string", "tail-order-float", "tail-order-bool",
         "head-exponent-float", "not-utf8", "verify-not-utf8", "deep-nesting", "verify-deep-nesting",
         "tail-short", "head-exponent-negative", "head-exponent-zero", "head-exponent-repeated",
         "tail-exponent", "tail-decimal", "tail-underscore", "tail-non-ascii-digit",
-        "tail-leading-space", "tail-plus"])
+        "tail-leading-space", "tail-plus", "no-command", "unknown-command", "unknown-option",
+        "option-prefix", "missing-option", "missing-value", "option-before-its-values",
+        "extra-positional", "nothing-to-do", "csv-with-other-tasks"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, a_series):
     if a_series is None:
         path = write_example_point(tmp_path)
@@ -562,16 +611,15 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, a_series):
             path.write_bytes(a_series)
         else:
             path.write_text(json.dumps({"a": a_series, "b": GOOD_SERIES}))
-    try:
-        code = main([str(path) if arg == "POINT" else arg for arg in argv])
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    code = main([str(path) if arg == "POINT" else arg for arg in argv])  # usage errors return 2 too
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
     if a_series is not None:
         assert "error: malformed point file" in captured.err
+    else:  # a usage error: the command's usage line, then what is wrong
+        assert captured.err.startswith("usage: kdvtau") and "\nkdvtau: error: " in captured.err
 
 
 def bad_series(**fields):
@@ -801,13 +849,13 @@ def argvs(draw, point: str, out: str):
 
 def run_quietly(argv: list[str], folder: Path) -> tuple[int, str]:
     """main(argv) run in `folder` (a junk token may become an output path),
-    with its output captured; an argparse exit gives its code."""
+    with its output captured; a SystemExit escaping main gives its code."""
     out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
     os.chdir(folder)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    except SystemExit as exc:  # argparse usage errors (2) and --help (0)
+    except SystemExit as exc:  # main returns its codes; an exit here still has to be 0, 1 or 2
         code = exc.code
     finally:
         os.chdir(home)
