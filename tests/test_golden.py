@@ -1,10 +1,10 @@
 """Golden CLI outputs: sha256 of stdout and the exit code of fixed commands.
 
 The digests pin the exact bytes of intersection numbers, tau exports in both
-variable sets, initial data, Zhou closed-form tables and b_k, and verifier
-verdicts, so a new route for any of them must reproduce the old output byte
-for byte.  POINT1..POINT4 stand for
-point files written from `seeded_point_json`.
+variable sets, initial data, affine tables of both sources in JSON and CSV,
+b_k and verifier verdicts, so a new route for any of them must reproduce the
+old output byte for byte; an --output file holds the bytes pinned for stdout.
+POINT1..POINT4 stand for point files written from `seeded_point_json`.
 """
 
 import hashlib
@@ -91,17 +91,38 @@ GOLDEN = {
     "intersect 10,10,10": (0, "bc54c9180899e683784d315cbca2f553f954ec0f91bba87c6f61972cf3179bcf"),
     "intersect 2,3,5,6": (0, "439d5f7c09e113ffe828931e27f4eb93a90e45f15e68b6fbe2dfb39d1839a613"),
     "intersect 2,2,2,2,2,2,2,2,2": (0, "b44a24adbf4d8560f34d43ece53ccab486a0f7cccfc26d1a7cc66575b9b74df5"),
+    # the Grassmannian export at the benchmark's depths, non-square corners
+    # and CSV from both sources, and the point-file export in CSV and alone
+    # in JSON, pinned before the exports were streamed from integer pairs
+    "affine --source grassmann --max-m 69 --max-n 69 --format json": (0, "c5253690320daa071cb4423ecf2e0468d88db6f34dc68d0fe5c2dbc3f4b9a3f2"),
+    "affine --source grassmann --max-m 44 --max-n 45 --format json": (0, "07b15981b97476222ca1f4e5a03a1e001b49c3cfce3b5b61328a35f317079897"),
+    "affine --source grassmann --max-m 45 --max-n 44 --format csv": (0, "050051d3f11eda9731d8bf5c91c336952a8968da54d968583b5e8cf5ff1315b7"),
+    "affine --source zhou --max-m 45 --max-n 44 --format csv": (0, "050051d3f11eda9731d8bf5c91c336952a8968da54d968583b5e8cf5ff1315b7"),
+    "grassmann POINT4 --affine 11 11 --format csv": (0, "31ba53649ded79eedd4e5d08128e3fe92a9866a0c7a9200b066846f259f444ae"),
+    "grassmann POINT3 --affine 9 10 --format csv": (0, "772a08118d6f17ed7084c2f8cefce4f3635b731af69415e0ff7b89e1558a45a7"),
+    "grassmann POINT3 --affine 9 10": (0, "42c15f518b9abe9eef04940e9453f34ebfa275769576a37428ccb80df9b90302"),
 }
 
+# commands whose --output file must hold the bytes GOLDEN pins for their stdout
+OUTPUT_FILE = [
+    "affine --source grassmann --max-m 44 --max-n 45 --format json",
+    "affine --source zhou --max-m 45 --max-n 44 --format csv",
+    "grassmann POINT3 --affine 9 10",
+]
 
-def run_golden(command: str, tmp_path, capsys) -> tuple[int, str]:
+
+def golden_argv(command: str, tmp_path) -> list[str]:
     argv = command.split()
     for i, arg in enumerate(argv):
         if arg in POINTS:
             path = tmp_path / f"{arg}.json"
             path.write_text(json.dumps(seeded_point_json(*POINTS[arg])))
             argv[i] = str(path)
-    code = main(argv)
+    return argv
+
+
+def run_golden(command: str, tmp_path, capsys) -> tuple[int, str]:
+    code = main(golden_argv(command, tmp_path))
     return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
@@ -115,3 +136,11 @@ def test_string_suites_in_one_process_keep_their_own_output(order, tmp_path, cap
     # the tau memo of `verify` must not hand one call's tau to another
     for command in ["verify string --depth 9", "verify string --depth 9 --point POINT1"][::order]:
         assert run_golden(command, tmp_path, capsys) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", OUTPUT_FILE)
+def test_golden_output_file(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(golden_argv(command, tmp_path) + ["--output", str(out)])
+    assert capsys.readouterr().out == ""
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN[command]
