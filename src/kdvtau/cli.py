@@ -12,6 +12,10 @@ Exit codes are the machine contract: 0 pass, 1 verification failure,
 2 usage or input error.  All rational output is "p/q" in lowest terms.
 The suites read the Witten-Kontsevich Z tables of `grassmann.wk_z_table`;
 `intersect` passes only the spec, and `tau.correlator` sizes its own table.
+`affine` and `grassmann --affine` write their table row by row from integer
+pairs (`write_affine`), once everything that can fail has run, so no copy
+of the corner or of the output is held.  A write that fails, a closed pipe
+on stdout included, is an output error: "error: ..." on stderr, exit 2.
 
 The arguments of the subcommands are one table, `COMMANDS`: `parse_args`
 reads argv by it and `--help` prints it.  Options are spelled out in full,
@@ -24,13 +28,14 @@ call, where an `intersect` computes for 2-5 ms.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
 from . import grassmann as gr
 from . import spin3, tau as tau_mod, zhou
 from .errors import ExactComputationError
-from .exactnum import format_rational
+from .exactnum import format_ratio, format_rational
 from .report import VerificationReport
 from .schur import graded_poly_to_json
 
@@ -127,17 +132,37 @@ def cmd_coeffs(args: SimpleNamespace) -> int:
     return 0
 
 
+def write_affine(stream, max_m: int, max_n: int, source: str, fmt: str, read, end: str = "\n") -> None:
+    """Write A_{m,n}, m <= max_m, n <= max_n, to `stream` as the `fmt` export,
+    then `end`, one row m per write.  Each entry is read as the integer pair
+    read(m, n) = (p, q), q > 0, and reduced once (`format_ratio`).  The CSV
+    heads its columns with n and writes zeros; the JSON object lists the
+    nonzero [m, n, "p/q"] in order."""
+    if fmt == "csv":
+        stream.write("," + ",".join(map(str, range(max_n + 1))))
+        for m in range(max_m + 1):
+            stream.write(f"\n{m}," + ",".join(format_ratio(*read(m, n)) for n in range(max_n + 1)))
+        stream.write(end)
+        return
+    stream.write(f'{{"max_m":{max_m},"max_n":{max_n},"source":"{source}","entries":[')
+    sep = ""
+    for m in range(max_m + 1):
+        row = ",".join(f'[{m},{n},"{format_ratio(p, q)}"]'
+                       for n in range(max_n + 1) for p, q in [read(m, n)] if p)
+        if row:
+            stream.write(sep + row)
+            sep = ","
+    stream.write("]}" + end)
+
+
 def cmd_affine(args: SimpleNamespace) -> int:
     if args.source == "grassmann":
         (z,) = _z_tables(None, (args.max_m // 2, args.max_n // 2))
-        table = z.to_affine_table(args.max_m, args.max_n, "grassmann")
+        read = z.affine
     else:
-        table = zhou.zhou_affine_table(args.max_m, args.max_n)
-    if args.format == "csv":
-        text = table.to_csv_text()
-    else:
-        text = json.dumps(table.to_json_dict(), indent=None, separators=(",", ":")) + "\n"
-    return _emit(args.output, text)
+        read = zhou._B_int
+    return _emit(args.output,
+                 lambda out: write_affine(out, args.max_m, args.max_n, args.source, args.format, read))
 
 
 def cmd_intersect(args: SimpleNamespace) -> int:
@@ -240,11 +265,6 @@ def cmd_grassmann(args: SimpleNamespace) -> int:
         shapes.append(_tau_shape(max(degrees)))
     tables = _z_tables(_load_point(args.pointfile, shapes), *shapes)
     doc: dict = {}
-    if args.affine is not None:
-        export = tables[0].to_affine_table(*args.affine, "custom")
-        if args.format == "csv":
-            return _emit(args.output, export.to_csv_text())
-        doc["affine"] = export.to_json_dict()
     t = None
     if degrees:
         # only a theta export reads the even theta; t and the initial data do not
@@ -257,15 +277,29 @@ def cmd_grassmann(args: SimpleNamespace) -> int:
     if args.initial_data is not None:
         values = tau_mod.initial_data(t.truncate(args.initial_data + 2), args.initial_data)
         doc["initial_data"] = [format_rational(v) for v in values]
-    return _emit(args.output, json.dumps(doc, indent=None, separators=(",", ":")) + "\n")
+    # everything that can fail has run: the affine export streams first
+    text = json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
+    if args.affine is None:
+        return _emit(args.output, lambda out: out.write(text))
+    read = tables[0].affine
+    if args.format == "csv":  # --affine is the sole task
+        return _emit(args.output, lambda out: write_affine(out, *args.affine, "custom", "csv", read))
+
+    def write(out) -> None:
+        out.write('{"affine":')
+        write_affine(out, *args.affine, "custom", "json", read, "," + text[1:] if doc else "}\n")
+
+    return _emit(args.output, write)
 
 
-def _emit(output: str | None, text: str) -> int:
+def _emit(output: str | None, write) -> int:
+    """Call write(stream) on the --output file, or else on sys.stdout as it is
+    bound now, so that a stream put in its place is written through."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
     return 0
 
 
@@ -423,13 +457,20 @@ def main(argv: list[str] | None = None) -> int:
         command, args = parse_args(argv)
         if args is None:
             print(_help(command))
-            return 0
-        return COMMANDS[command][0](args)
+            code = 0
+        else:
+            code = COMMANDS[command][0](args)
+        sys.stdout.flush()  # a reader gone from stdout fails here, not in the flush at exit
+        return code
     except UsageError as exc:
         command = argv[0] if argv and argv[0] in COMMANDS else None
         print(f"{_usage(command)}\nkdvtau: error: {exc}", file=sys.stderr)
         return 2
     except (ExactComputationError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's reader is gone: what stdout buffers goes nowhere at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,7 @@ __all__ = [
     "check_rational",
     "parse_rational",
     "format_rational",
+    "format_ratio",
     "odd_double_factorial",
 ]
 
@@ -118,6 +119,13 @@ def format_rational(x: RationalLike) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_ratio(p: int, q: int) -> str:
+    """The integer pair p/q, q > 0, not necessarily reduced, in the form of
+    `format_rational`, reduced once and with no Fraction built."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 @lru_cache(maxsize=None)

@@ -33,9 +33,11 @@ the boundary data Z_{k,0} = G_{k+1}.  Where both sides of an identity have one
 grade (equivalence, symmetry, generating function and series), dividing by
 E_d changes no verdict, so the integers are compared.  The recursion identity
 is checked with its denominators cleared, so it does not re-run the step it
-cross-checks.  The correlators and the tau assembly read the scalar A_{m,n}
-off the same lift (`ZTable.affine`); only the exports lower a corner of it
-to an `AffineTable` of `Fraction`s (`ZTable.to_affine_table`).
+cross-checks.  The correlators, the tau assembly and the CLI's affine exports
+read the scalar A_{m,n} off the same lift (`ZTable.affine`); an export
+reduces each entry once as it writes it (`cli.write_affine`).  Only the
+tests and the benchmark trace still lower a corner to an `AffineTable` of
+`Fraction`s (`ZTable.to_affine_table`).
 
 The built-in point of chief interest is the Witten-Kontsevich point, whose
 spanning series c(lam) and q(lam) are power series in lam^-3:

@@ -33,10 +33,12 @@ values then have integer numerators, so B is one integer fraction
 (num, den) per (m, n), kept unreduced and shared by the three families.
 The verifiers cross-multiply these integers, and `verify_zhou_match` reads
 the Grassmannian side off the Z table's graded integer lift, so a passing
-check builds no Fraction; a failure text lowers the values it prints.  The
-exports (`rescale_B`, `zhou_affine_table`) lower each (m, n) once.  Off
-the support B is a shared zero, with no arithmetic, and the verifiers skip
-work on zeros.
+check builds no Fraction; a failure text reduces the values it prints.
+The CLI export streams the same integer fractions (`_B_int`) and reduces
+each entry once as it writes it; `rescale_B` lowers each (m, n) once to a
+Fraction, and `zhou_affine_table` a corner to an `AffineTable`, for the
+tests and the benchmark trace.  Off the support B is a shared zero, with
+no arithmetic, and the verifiers skip work on zeros.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import RationalLike, as_rational, format_rational, odd_double_factorial
+from .exactnum import RationalLike, as_rational, format_ratio, format_rational, odd_double_factorial
 from .errors import InsufficientDepthError
 from .grassmann import AffineTable, ZTable
 from .report import VerificationReport, first_failures
@@ -183,11 +185,6 @@ def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] * b[0], a[1] * b[1]) if a[0] and b[0] else _NIL
 
 
-def _lowered(a: tuple[int, int]) -> str:
-    """An integer fraction as "p/q" in lowest terms, for a failure text."""
-    return format_rational(Fraction(*a))
-
-
 def verify_zhou_match(ztable: ZTable, max_m: int, max_n: int) -> VerificationReport:
     """Entrywise equality A_{m,n} = B_{m,n} for m <= max_m, n <= max_n, with A
     read off the Z table of the Witten-Kontsevich point (`ZTable.affine`):
@@ -205,8 +202,8 @@ def verify_zhou_match(ztable: ZTable, max_m: int, max_n: int) -> VerificationRep
                 a, grade = ztable.affine(m, n)
                 p, den = _B_int(m, n)
                 if a * den != p * grade:
-                    yield (f"({m},{n}): grassmann {_lowered((a, grade))} "
-                           f"vs closed form {_lowered((p, den))}")
+                    yield (f"({m},{n}): grassmann {format_ratio(a, grade)} "
+                           f"vs closed form {format_ratio(p, den)}")
 
     failures = first_failures(mismatches())
     return VerificationReport(suite, not failures, f"0 <= m,n <= {min(max_m, max_n)}", failures=failures)
@@ -286,7 +283,7 @@ def verify_two_step_recursion(max_sum: int) -> VerificationReport:
                 lhs = _plus(_B_int(m + 2, n), _B_int(m, n + 2), -1)
                 rhs = _plus(_times(_B_int(m, 0), _B_int(1, n)), _times(_B_int(m, 1), _B_int(0, n)))
                 if lhs[0] * rhs[1] != rhs[0] * lhs[1]:
-                    yield f"(m,n)=({m},{n}): {_lowered(lhs)} vs {_lowered(rhs)}"
+                    yield f"(m,n)=({m},{n}): {format_ratio(*lhs)} vs {format_ratio(*rhs)}"
 
     failures = first_failures(mismatches())
     return VerificationReport(suite, not failures, f"m+n <= {max_sum}", failures=failures)

@@ -131,6 +131,22 @@ def test_affine_json_sources_differ_only_in_tag(capsys):
     assert d1 == d2
 
 
+def test_stdout_closed_early_is_an_output_error(tmp_path):
+    # the reader takes 10 of the export's 0.2 MB and closes the pipe: the next
+    # row's write fails, and the call says so and exits 2, with no traceback,
+    # also none from the flush of what stdout still buffers at exit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kdvtau.cli", "affine", "--source", "zhou", "--max-m", "69", "--max-n", "69"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.stdout.read(10) == b'{"max_m":6'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
 def test_affine_deterministic(capsys):
     _, out1, _ = run(capsys, "affine", "--source", "grassmann", "--max-m", "5",
                      "--max-n", "5", "--format", "json")
@@ -343,7 +359,7 @@ def test_passing_z_table_suites_reduce_no_entry(capsys, monkeypatch, suite):
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0 and "FAIL" not in out
     assert lowered == [] and fractions == []
-    # one read of an entry lowers exactly that block; B is lowered by the exports
+    # one read of an entry lowers exactly that block; `rescale_B` lowers B
     table = z_table_recursive(wk_G(9), 2, 2)
     assert table.entry(1, 2) == lower(table.lifted[1][2], wk_G(9).grades[4])
     assert lowered == [table.lifted[1][2]]
@@ -382,15 +398,15 @@ def test_intersect_reads_the_lift_of_the_z_table(capsys, monkeypatch, spec):
     assert lowered == [] and built == []
 
 
-@pytest.mark.parametrize("argv,exports", [
-    (["verify", "string"], 0),
-    (["verify", "kdv", "--point", "{point}"], 0),
-    (["grassmann", "{point}", "--tau", "8", "--initial-data", "6"], 0),
-    (["grassmann", "{point}", "--affine", "7", "3", "--tau", "6"], 1),
+@pytest.mark.parametrize("argv", [
+    ["verify", "string"],
+    ["verify", "kdv", "--point", "{point}"],
+    ["grassmann", "{point}", "--tau", "8", "--initial-data", "6"],
+    ["grassmann", "{point}", "--affine", "7", "3", "--tau", "6"],
 ], ids=["verify-string", "verify-kdv-point", "grassmann-tau", "grassmann-affine-tau"])
-def test_tau_reads_the_lift_of_the_z_table(capsys, monkeypatch, tmp_path, argv, exports):
-    # the Giambelli minors of tau read A_{m,n} off the lifted Z blocks: no
-    # block is lowered, and the one scalar table built is an --affine export
+def test_tau_reads_the_lift_of_the_z_table(capsys, monkeypatch, tmp_path, argv):
+    # the Giambelli minors of tau read A_{m,n} off the lifted Z blocks, and an
+    # --affine export streams from them: no block is lowered, no table built
     from kdvtau import grassmann, series
 
     path = tmp_path / "point.json"
@@ -402,7 +418,58 @@ def test_tau_reads_the_lift_of_the_z_table(capsys, monkeypatch, tmp_path, argv, 
     monkeypatch.setattr(grassmann, "AffineTable", lambda *a: built.append(a) or affine_table(*a))
     code, out, _ = run(capsys, *(arg.format(point=path) for arg in argv))
     assert code == 0 and out
-    assert lowered == [] and [args[:2] for args in built] == [(7, 3)] * exports
+    assert lowered == [] and built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["affine", "--source", "grassmann", "--max-m", "9", "--max-n", "4"],
+    ["affine", "--source", "zhou", "--max-m", "9", "--max-n", "4", "--format", "csv"],
+    ["grassmann", "{point}", "--affine", "7", "3"],
+    ["grassmann", "{point}", "--affine", "7", "3", "--format", "csv"],
+    ["grassmann", "{point}", "--affine", "7", "3", "--initial-data", "4"],
+], ids=["grassmann-json", "zhou-csv", "point-json", "point-csv", "point-json-initial-data"])
+def test_affine_exports_stream_from_integer_pairs(capsys, monkeypatch, tmp_path, argv):
+    # the exports write each row from the integer pairs of the Z table's lift
+    # or of Zhou's B: no block is lowered and no table of the corner is built
+    from kdvtau import grassmann, series, zhou
+
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(seeded_point_json(3, 29, True, False)))
+    lowered, built = [], []
+    lower, affine_table = series.lower, grassmann.AffineTable
+    for module in (grassmann, series):
+        monkeypatch.setattr(module, "lower", lambda *a: lowered.append(a) or lower(*a))
+    for module in (grassmann, zhou):
+        monkeypatch.setattr(module, "AffineTable", lambda *a, **k: built.append(a) or affine_table(*a, **k))
+    code, out, _ = run(capsys, *(arg.format(point=path) for arg in argv))
+    assert code == 0 and out.endswith("\n")
+    assert lowered == [] and built == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("source", ["grassmann", "zhou"])
+def test_deep_affine_export_holds_no_copy_of_its_output(source, fmt):
+    # at M = 69 the output is 0.15-0.2 MB, and a route that holds the corner
+    # as Fractions, then rows, then one string peaks at 1.1-2.0 MB; streamed
+    # rows leave the Z table or Zhou's integer B: 0.22-0.41 MB.  Every cache
+    # of the package is cleared first, so that the tables are built inside
+    # the count, and the export goes to os.devnull
+    import tracemalloc
+
+    from kdvtau import exactnum, grassmann, schur, series, spin3, tau, zhou
+
+    for module in (exactnum, grassmann, schur, series, spin3, tau, zhou):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    argv = ["affine", "--source", source, "--max-m", "69", "--max-n", "69", "--format", fmt, "--output", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6e6
 
 
 def test_verify_all_walks_odd_parts_only(capsys, monkeypatch):
@@ -533,6 +600,17 @@ def test_grassmann_wk_point_file_matches_builtin(capsys, tmp_path):
                      "--max-n", "8", "--format", "json")
     builtin = json.loads(out2)
     assert custom["entries"] == builtin["entries"]
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output-file"])
+def test_failing_grassmann_writes_nothing(capsys, tmp_path, output):
+    # the point is deep enough for the affine corner but not for the tau: the
+    # call fails before the first byte of the document, and makes no file
+    path, target = write_example_point(tmp_path), tmp_path / "out.json"
+    argv = ["grassmann", path, "--affine", "4", "4", "--tau", "40"] + ["--output", str(target)] * output
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not target.exists()
 
 
 def test_grassmann_no_task_exits_2(capsys, tmp_path):
