@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kdvtau.grassmann as grassmann
 from kdvtau.errors import ExactComputationError, InsufficientDepthError, OutOfRangeError
 from kdvtau.grassmann import (
     GrassmannPoint,
@@ -458,6 +461,67 @@ def test_kac_schwarz_report():
     rep = verify_kac_schwarz(30)
     assert rep.passed
     assert "lam^-28" in rep.depth and "lam^-30" in rep.depth
+
+
+def perturbed_report_lines(monkeypatch, depth: int) -> list[str]:
+    """The c/q and Kac-Schwarz report lines at `depth` with one coefficient of
+    c (then q) raised by 1/7, at lam^-e for each e in 1, 3, 9, 10, 29 (e
+    capped at depth, so at depth 0 the constant term), one mutation at a time."""
+    wk = grassmann.wk_point
+    lines = []
+    for name in ("a", "b"):
+        for e in sorted({min(e, depth) for e in (1, 3, 9, 10, 29)}):
+            point = wk(depth)
+            series = getattr(point, name)
+            bumped = dict(series.coeffs)
+            bumped[-e] = bumped.get(-e, 0) + F(1, 7)
+            # a namespace, not a GrassmannPoint, so that c_0 or q_0 may move
+            mutant = SimpleNamespace(**{"a": point.a, "b": point.b,
+                                        name: LaurentSeries.from_dict(bumped, depth)})
+            monkeypatch.setattr(grassmann, "wk_point", lambda d: mutant)
+            lines += [verify_cq_identity(depth).line(), verify_kac_schwarz(depth).line()]
+    monkeypatch.setattr(grassmann, "wk_point", wk)
+    return lines
+
+
+PERTURBED_DIGESTS = {
+    0: "07368209ca8fbdfb4dd17881ca6f09e3013dbb0e932b81b1afc9f4fe4a1a5a24",
+    1: "727bfb7457504fa39dbf27f5442627ba57d8d1fabe99396d593cb6185eb44756",
+    12: "c965cdbff07da2afbcca5a2fb8c88ed9230e1e774b7da3a23932c92ee7d1a5be",
+    30: "6bc9a9efa0c526c86413d4876d9f46aee70d7fb184e536d7d3642f35351433c0",
+}
+
+
+@pytest.mark.parametrize("depth", PERTURBED_DIGESTS)
+def test_cq_and_kac_schwarz_failure_texts_are_pinned(monkeypatch, depth):
+    text = "\n".join(perturbed_report_lines(monkeypatch, depth))
+    assert hashlib.sha256(text.encode()).hexdigest() == PERTURBED_DIGESTS[depth]
+
+
+def test_cq_and_kac_schwarz_failures_name_the_pinned_exponents(monkeypatch):
+    # c_10 += 1/7 at depth 30: the c/q residual and the ODE residual are named
+    # at their highest nonzero exponent (lam^-10 of lam^-10, -16, ...; lam^-11
+    # of lam^-11, -14), the q mismatch at its lowest (lam^-13 of lam^-13, -10)
+    lines = perturbed_report_lines(monkeypatch, 30)
+    assert lines[6:8] == [
+        "cq-identity: FAIL (through lam^-30)\n"
+        "  first failure: coefficient of lam^-10 is 2/7, expected 0",
+        "kac-schwarz: FAIL (ODE residual through lam^-28, q-relation through lam^-30)\n"
+        "  first failure: ODE residual at lam^-11 is 20/7\n"
+        "  first failure: q mismatch at lam^-13: derived 3/2 vs closed form 0",
+    ]
+    # at depths 0 and 1 the ODE window is a positive power of lam
+    assert perturbed_report_lines(monkeypatch, 0)[:2] == [
+        "cq-identity: FAIL (through lam^-0)\n"
+        "  first failure: coefficient of lam^0 is 2/7, expected 0",
+        "kac-schwarz: FAIL (ODE residual through lam^2, q-relation through lam^-0)\n"
+        "  first failure: q mismatch at lam^0: derived 8/7 vs closed form 1",
+    ]
+    assert perturbed_report_lines(monkeypatch, 1)[2:] == [
+        "cq-identity: PASS (through lam^-1)",
+        "kac-schwarz: FAIL (ODE residual through lam^1, q-relation through lam^-1)\n"
+        "  first failure: q mismatch at lam^-1: derived 0 vs closed form 1/7",
+    ]
 
 
 def test_z_generating_series_wk(wk_G41):
