@@ -15,7 +15,6 @@ from .grassmann import (
     GrassmannPoint,
     ZTable,
     build_G,
-    normalize_point,
     wk_c_coeff,
     wk_point,
     wk_q_coeff,

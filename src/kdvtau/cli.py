@@ -59,7 +59,7 @@ def _z_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) -> list
     """Z_{k,l} for k <= K, l <= L of `point` (None: the Witten-Kontsevich
     point), one table per (K, L) in `shapes`, all from one recursion run."""
     depth = _loop_depth(shapes)
-    G = gr.wk_G(depth) if point is None else gr.build_G(gr.normalize_point(point), depth)
+    G = gr.wk_G(depth) if point is None else gr.build_G(point, depth)
     return gr.z_tables_recursive(G, list(shapes))
 
 

@@ -8,7 +8,9 @@ matrix G(lam) = sum G_k lam^-k:
     G_11 = sum a_{2k}   lam^-k      G_12 = sum b_{2k+1} lam^-k
     G_21 = sum a_{2k-1} lam^-k      G_22 = sum b_{2k}   lam^-k
 
-(after normalizing b_1 = 0 so that G_0 = I).  The matrix-valued affine
+with b in its normal form b - b_1 lam^-1 a (the same subspace, with no
+lam^-1 term, so that G_0 = I), which `build_G` reads off a and b as it
+interleaves them.  The matrix-valued affine
 coordinates are then
 
     Z_{k,l} = [[A_{2k+1,2l}, A_{2k+1,2l+1}], [A_{2k,2l}, A_{2k,2l+1}]]
@@ -46,13 +48,16 @@ spanning series c(lam) and q(lam) are power series in lam^-3:
 
 c is the unique solution of (S^2 - lam^2) c = 0 with c = 1 + O(1/lam) for
 the Kac-Schwarz operator S = (1/lam) d/dlam - 1/(2 lam^2) - lam, and
-q = -(1/lam) S c.  Its loop matrix (`wk_G`) and its square Z table
-(`wk_z_table`) are memoised per size for the whole process.
+q = -(1/lam) S c.  The c/q and Kac-Schwarz verifiers apply these facts to
+the coefficients of wk_point.  Its loop matrix (`wk_G`) and its square Z
+table (`wk_z_table`) are memoised for the last size read, so a loop over
+growing sizes keeps one of each.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -66,12 +71,9 @@ from .series import (
     IntBlock,
     MatrixSeries,
     block_sum,
-    constant_series,
     format_block,
     linear_quotient,
     lower,
-    kac_schwarz_apply,
-    negate_argument,
     series_from_json,
     series_to_json,
 )
@@ -80,7 +82,6 @@ __all__ = [
     "GrassmannPoint",
     "ZTable",
     "AffineTable",
-    "normalize_point",
     "wk_c_coeff",
     "wk_q_coeff",
     "wk_point",
@@ -121,23 +122,6 @@ class GrassmannPoint(Record):
         _setattr(self, "a", a)
         _setattr(self, "b", b)
 
-    @property
-    def is_normalized(self) -> bool:
-        """True when b_1 = 0, i.e. the loop matrix starts at the identity."""
-        return self.b.coeff(-1) == 0
-
-
-def normalize_point(p: GrassmannPoint) -> GrassmannPoint:
-    """Replace b by b - b_1 * lam^-1 * a, which kills b_1.
-
-    This is a right multiplication by a constant unitriangular matrix on the
-    spanning frame, so the subspace is unchanged.
-    """
-    b1 = p.b.coeff(-1)
-    if b1 == 0:
-        return p
-    return GrassmannPoint(p.a, p.b - p.a.shift(-1).scale(b1))
-
 
 # ---------------------------------------------------------------------------
 # The Witten-Kontsevich point
@@ -177,21 +161,21 @@ def wk_point(depth: int) -> GrassmannPoint:
 
 
 def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
-    """Interleave (a, b) into the loop matrix with blocks G_0..G_depth.
+    """Interleave a and the normal form b - b_1 lam^-1 a into the loop matrix
+    with blocks G_0..G_depth:
 
-    Needs a through lam^-2depth and b through lam^-(2depth+1); the point
-    must be normalized (b_1 = 0) so that G_0 = I.
+        G_12,k = b_{2k+1} - b_1 a_{2k},    G_22,k = b_{2k} - b_1 a_{2k-1}.
+
+    The normal form spans the same subspace (a constant unitriangular change
+    of frame) and has no lam^-1 term, so G_0 = I.  Needs a through lam^-2depth
+    and b through lam^-(2depth+1); the normal form is then known through
+    min(O_b, O_a + 1) >= 2depth + 1.
     """
-    if not p.is_normalized:
-        raise ValueError("normalize the point first (b_1 must vanish)")
     _require_windows(p.a.tail_order, p.b.tail_order, depth)
+    a, b = p.a.coeff, p.b.coeff
+    b1 = b(-1)
     return MatrixSeries.from_blocks(
-        (
-            p.a.coeff(-2 * k),
-            p.b.coeff(-(2 * k + 1)),
-            p.a.coeff(-(2 * k - 1)) if k >= 1 else _ZERO,
-            p.b.coeff(-2 * k),
-        )
+        (a(-2 * k), b(-2 * k - 1) - b1 * a(-2 * k), a(1 - 2 * k), b(-2 * k) - b1 * a(1 - 2 * k))
         for k in range(depth + 1)
     )
 
@@ -204,16 +188,17 @@ def _require_windows(order_a: int | None, order_b: int | None, depth: int) -> No
             raise InsufficientDepthError(f"{name} is only valid through lam^-{order}, need lam^-{need}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def wk_G(depth: int) -> MatrixSeries:
     """The Witten-Kontsevich loop matrix G_0..G_depth, one object (and so one
-    inverse) per depth."""
+    inverse) while the same depth is read."""
     return build_G(wk_point(2 * depth + 1), depth)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def wk_z_table(size: int) -> "ZTable":
-    """The Witten-Kontsevich Z_{k,l}, k, l <= size, on wk_G(2 size + 1), one table per size."""
+    """The Witten-Kontsevich Z_{k,l}, k, l <= size, on wk_G(2 size + 1), one
+    table while the same size is read."""
     return z_table_recursive(wk_G(2 * size + 1), size, size)
 
 
@@ -251,6 +236,8 @@ class ZTable(Record):
         """A_{m,n} as (E_d A_{m,n}, E_d), d = m//2 + n//2 + 1: entry
         2 (m even) + (n odd) of the lifted block Z_{m//2, n//2}."""
         k, l = m // 2, n // 2
+        if not (0 <= m and 0 <= n and k <= self.max_k and l <= self.max_l):
+            raise OutOfRangeError(f"A[{m},{n}] outside table {2 * self.max_k + 1}x{2 * self.max_l + 1}")
         return self.lifted[k][l][2 * (1 - m % 2) + n % 2], self.series.grades[k + l + 1]
 
     def to_affine_table(self, max_m: int, max_n: int, source: str) -> "AffineTable":
@@ -471,49 +458,72 @@ def verify_symmetry(table: ZTable, depth: int) -> VerificationReport:
 
 
 def verify_cq_identity(depth: int) -> VerificationReport:
-    """c(lam) q(-lam) + c(-lam) q(lam) = 2 through lam^-depth."""
+    """c(lam) q(-lam) + c(-lam) q(lam) = 2 through lam^-depth, the window of
+    the product of two series known through lam^-depth with no head.
+
+    The lam^e coefficient of the left side sums c_{e1} q_{e2} ((-1)^e1 +
+    (-1)^e2) over the stored exponents with e1 + e2 = e: 2 (-1)^e1 c_{e1} q_{e2}
+    for e even, 0 for e odd.  A failure names the residual of highest exponent.
+    """
     suite = "cq-identity"
     p = wk_point(depth)
-    c, q = p.a, p.b
-    combo = c * negate_argument(q) + negate_argument(c) * q
-    residual = combo - constant_series(2, depth)
-    if residual.is_zero():
+    residual = {0: Fraction(-2)}
+    for e1, c in p.a.coeffs:
+        for e2, q in p.b.coeffs:
+            if (e := e1 + e2) >= -depth and e % 2 == 0:
+                residual[e] = residual.get(e, _ZERO) + (2 - 4 * (e1 % 2)) * c * q
+    top = max((e for e, v in residual.items() if v), default=None)
+    if top is None:
         return VerificationReport(suite, True, f"through lam^-{depth}")
-    e, v = residual.coeffs[-1]
     return VerificationReport(
         suite, False, f"through lam^-{depth}",
-        failures=[f"coefficient of lam^{e} is {format_rational(v)}, expected 0"],
+        failures=[f"coefficient of lam^{top} is {format_rational(residual[top])}, expected 0"],
     )
 
 
-def verify_kac_schwarz(depth: int) -> VerificationReport:
-    """(S^2 - lam^2) c = 0 and q = -(1/lam) S c, through the propagated window.
+def _kac_schwarz(terms: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+    """S = (1/lam) d/dlam - 1/(2 lam^2) - lam on (exponent, coefficient) pairs,
+    termwise lam^e -> (e - 1/2) lam^(e-2) - lam^(e+1); zeros are kept."""
+    out: dict[int, Fraction] = {}
+    for e, v in terms:
+        out[e - 2] = out.get(e - 2, _ZERO) + (e - Fraction(1, 2)) * v
+        out[e + 1] = out.get(e + 1, _ZERO) - v
+    return out
 
-    Applying S costs one order of validity, so with input depth D the ODE
-    residual is certified through lam^-(D-2) and the q-relation through
-    lam^-D; both windows are reported.
+
+def verify_kac_schwarz(depth: int) -> VerificationReport:
+    """(S^2 - lam^2) c = 0 and q = -(1/lam) S c, on c and q known through lam^-D.
+
+    The -lam part of S lifts the first unknown coefficient of c, at
+    lam^-(D+1), to lam^-D, so each application of S costs one order: the ODE
+    residual is certified through lam^-(D-2) and -(1/lam) S c, like q, through
+    lam^-D; both windows are reported.  A failure names the ODE residual of
+    highest exponent and the q mismatch of lowest exponent.
     """
     suite = "kac-schwarz"
     p = wk_point(depth)
     c, q = p.a, p.b
-    ode = kac_schwarz_apply(kac_schwarz_apply(c)) - c.shift(2)
-    q_from_c = -kac_schwarz_apply(c).shift(-1)
+    sc = _kac_schwarz(c.coeffs)
+    ode = _kac_schwarz(sc.items())
+    for e, v in c.coeffs:
+        ode[e + 2] -= v  # S^2 lam^e has the term lam^(e+2)
     failures = []
-    if not ode.is_zero():
-        e, v = ode.coeffs[-1]
-        failures.append(f"ODE residual at lam^{e} is {format_rational(v)}")
-    mism = q_from_c.difference_support(q)
-    if mism:
-        e = mism[0]
+    o = depth - 2
+    top = max((e for e, v in ode.items() if v and e >= -o), default=None)
+    if top is not None:
+        failures.append(f"ODE residual at lam^{top} is {format_rational(ode[top])}")
+    derived = {e - 1: -v for e, v in sc.items()}
+    e = min((e for e in derived.keys() | {e for e, _ in q.coeffs}
+             if e >= -depth and derived.get(e, _ZERO) != q.coeff(e)), default=None)
+    if e is not None:
         failures.append(
-            f"q mismatch at lam^{e}: derived {format_rational(q_from_c.coeff(e))} "
+            f"q mismatch at lam^{e}: derived {format_rational(derived.get(e, _ZERO))} "
             f"vs closed form {format_rational(q.coeff(e))}"
         )
     # at depth 0/1 the ODE window is negative: a positive power of lam
-    o = ode.tail_order
     detail = (
         f"ODE residual through lam^{'-' if o >= 0 else ''}{abs(o)}, "
-        f"q-relation through lam^-{q_from_c.agreement_window(q)}"
+        f"q-relation through lam^-{depth}"
     )
     return VerificationReport(suite, not failures, detail, failures=failures)
 

@@ -8,13 +8,17 @@ never silently treated as zero, and asking for one raises
 `InsufficientDepthError`.  A `tail_order` of None means the series is exact
 at every order (a finite Laurent polynomial).
 
-Every operation computes the exact guaranteed window of its result.  For a
-product this is min(O_a - h_b, O_b - h_a, O_a + O_b + 1) (`_product_window`,
-also used by `schur.GradedPoly`), h the top exponent occupied: the first
-unknown coefficient of one factor (at lam^(-O-1)) meets the other factor's
-top term or first unknown coefficient.  Comparisons are therefore only
-meaningful on the overlap of windows, and the verifiers report the depth
-actually checked.
+A series has no arithmetic: it is read coefficient by coefficient
+(`coeff`), and written and read as JSON.  The callers that combine series
+do it on the coefficients and state the window they certify:
+`grassmann.build_G` puts a point in normal form while it interleaves the
+loop matrix, the c/q and Kac-Schwarz verifiers sum over the stored
+exponents, and `series_inverse` inverts a unit series through its window.
+The window of a truncated product, min(O_a - h_b, O_b - h_a, O_a + O_b + 1)
+with h the top exponent occupied (`_product_window`), is the rule
+`schur.GradedPoly` propagates its degree bound by: the first unknown
+coefficient of one factor (at lam^(-O-1)) meets the other factor's top term
+or first unknown coefficient.
 
 A 2x2 block is the row-major 4-tuple (a11, a12, a21, a22): integers on a
 graded lift (`IntBlock`), exact `Fraction`s once `lower` reduces it
@@ -49,7 +53,6 @@ from .exactnum import (Record, RationalLike, _setattr, as_rational, check_ration
 __all__ = [
     "LaurentSeries",
     "MatrixSeries",
-    "series_mul",
     "series_inverse",
     "matrix_series_inverse",
     "IntBlock",
@@ -58,9 +61,6 @@ __all__ = [
     "format_block",
     "block_sum",
     "linear_quotient",
-    "negate_argument",
-    "kac_schwarz_apply",
-    "constant_series",
     "series_to_json",
     "series_from_json",
 ]
@@ -128,8 +128,6 @@ class LaurentSeries(Record):
     def _map(self) -> dict[int, Fraction]:
         return dict(self.coeffs)
 
-    # -- window bookkeeping -------------------------------------------------
-
     def is_known(self, e: int) -> bool:
         return self.tail_order is None or e >= -self.tail_order
 
@@ -146,91 +144,11 @@ class LaurentSeries(Record):
         """Top occupied exponent, None for the (stored-)zero series."""
         return self.coeffs[-1][0] if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        order = _order_min(self.tail_order, other.tail_order)
-        out = dict(self.coeffs)
-        for e, v in other.coeffs:
-            out[e] = out.get(e, Fraction(0)) + v
-        return _clip(out, order)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(tuple((e, -v) for e, v in self.coeffs), self.tail_order)
-
-    def scale(self, c: RationalLike) -> "LaurentSeries":
-        c = as_rational(c)
-        if c == 0:
-            return LaurentSeries((), self.tail_order)
-        return LaurentSeries(tuple((e, c * v) for e, v in self.coeffs), self.tail_order)
-
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by lam^k; the validity window shifts along."""
-        order = None if self.tail_order is None else self.tail_order - k
-        return LaurentSeries(tuple((e + k, v) for e, v in self.coeffs), order)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return series_mul(self, other)
-
-    # -- comparisons --------------------------------------------------------
-
-    def agreement_window(self, other: "LaurentSeries") -> int | None:
-        return _order_min(self.tail_order, other.tail_order)
-
-    def difference_support(self, other: "LaurentSeries") -> list[int]:
-        """Exponents (within the common window) where the two series differ."""
-        window = self.agreement_window(other)
-        exps = {e for e, _ in self.coeffs} | {e for e, _ in other.coeffs}
-        out = []
-        for e in sorted(exps):
-            if window is not None and e < -window:
-                continue
-            if self._map.get(e, Fraction(0)) != other._map.get(e, Fraction(0)):
-                out.append(e)
-        return out
-
-
-def _clip(data: dict[int, Fraction], order: int | None) -> LaurentSeries:
-    """Drop zeros and anything below the validity window."""
-    items = tuple(
-        sorted(
-            (e, v)
-            for e, v in data.items()
-            if v != 0 and (order is None or e >= -order)
-        )
-    )
-    return LaurentSeries(items, order)
-
-
-def constant_series(c: RationalLike, tail_order: int | None = None) -> LaurentSeries:
-    return LaurentSeries.from_dict({0: as_rational(c)}, tail_order)
-
-
-def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Exact Cauchy product on the guaranteed window (`_product_window`)."""
-    h_a, h_b = a.max_exponent, b.max_exponent
-    order = _product_window(a.tail_order, None if h_a is None else -h_a,
-                            b.tail_order, None if h_b is None else -h_b)
-    out: dict[int, Fraction] = {}
-    for e1, v1 in a.coeffs:
-        for e2, v2 in b.coeffs:
-            e = e1 + e2
-            if order is not None and e < -order:
-                continue
-            out[e] = out.get(e, Fraction(0)) + v1 * v2
-    return _clip(out, order)
-
 
 def series_inverse(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
     """Inverse of a series with constant term 1 and no positive powers.
 
-    The result satisfies a * inverse(a) = 1 through the retained window.
+    The product of a and its inverse is 1 through the retained window.
     For an exact input (tail_order None) the target `order` must be given,
     since the inverse generally has infinitely many terms.
     """
@@ -250,30 +168,6 @@ def series_inverse(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
                 s += aj * inv[k - j]
         inv[k] = -s
     return LaurentSeries.from_dict({-k: v for k, v in enumerate(inv)}, order)
-
-
-def negate_argument(a: LaurentSeries) -> LaurentSeries:
-    """a(-lam): multiply the coefficient of lam^e by (-1)^e."""
-    return LaurentSeries(
-        tuple((e, v if e % 2 == 0 else -v) for e, v in a.coeffs), a.tail_order
-    )
-
-
-def kac_schwarz_apply(a: LaurentSeries) -> LaurentSeries:
-    """Image under the operator (1/lam) d/dlam - 1/(2 lam^2) - lam.
-
-    Termwise: lam^e maps to (e - 1/2) lam^(e-2) - lam^(e+1).  The -lam part
-    raises exponents, so the unknown coefficient at lam^(-O-1) surfaces at
-    lam^(-O): the window shrinks by one.
-    """
-    order = None if a.tail_order is None else a.tail_order - 1
-    out: dict[int, Fraction] = {}
-    for e, v in a.coeffs:
-        for ee, vv in ((e - 2, v * (Fraction(e) - Fraction(1, 2))), (e + 1, -v)):
-            if order is not None and ee < -order:
-                continue
-            out[ee] = out.get(ee, Fraction(0)) + vv
-    return _clip(out, order)
 
 
 def series_to_json(s: LaurentSeries, tail_order: int | None = None) -> dict:

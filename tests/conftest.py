@@ -13,7 +13,6 @@ from kdvtau.grassmann import (
     GrassmannPoint,
     ZTable,
     build_G,
-    normalize_point,
     wk_G,
     z_table_direct,
 )
@@ -58,7 +57,7 @@ def example_point(c: Fraction) -> GrassmannPoint:
     """The worked-example point: a = 1, b = 1 + c lam^-3 (exact series)."""
     a = LaurentSeries.from_dict({0: 1}, None)
     b = LaurentSeries.from_dict({0: 1, -3: c}, None)
-    return normalize_point(GrassmannPoint(a, b))
+    return GrassmannPoint(a, b)
 
 
 def example_table(c: Fraction, size: int = 12) -> ZTable:
@@ -117,7 +116,7 @@ def seeded_point_json(seed: int, order: int, dense: bool, large: bool) -> dict:
     """Point-file JSON with random tails through lam^-order.
 
     Dense tails draw every coefficient as a small fraction; sparse ones keep
-    only k = 1 mod 3 (so b_1 != 0 and the point must be normalized).  Large
+    only k = 1 mod 3 (so b_1 != 0 and `build_G` reads b in normal form).  Large
     points use integers of up to 8 digits.
     """
     rng = random.Random(seed)

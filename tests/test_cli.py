@@ -578,7 +578,7 @@ def test_grassmann_affine_csv(capsys, tmp_path):
 
 
 def test_grassmann_point_normalization(capsys, tmp_path):
-    # a point file with b_1 != 0 is normalized before use
+    # a point file with b_1 != 0: its loop matrix reads b in normal form
     from kdvtau.grassmann import GrassmannPoint, point_to_json as ptj
     from kdvtau.series import LaurentSeries
 

@@ -63,10 +63,6 @@ METHODS_ALLOWED = {  # "module.Class.method" -> why it stays
 # "module.Class.method" whose name another class also defines -> a function
 # ("module.function" or "module.Class.method") whose body references it
 SHARED_NAME_CALLERS = {
-    "schur.GradedPoly.is_zero": "tau._residual_report",
-    "series.LaurentSeries.is_zero": "grassmann.verify_cq_identity",
-    "schur.GradedPoly.scale": "tau.verify_kdv_flow",
-    "series.LaurentSeries.scale": "grassmann.normalize_point",
     "schur.GradedPoly.truncate": "tau.TauSeries.truncate",
     "tau.TauSeries.truncate": "cli.cmd_grassmann",
 }

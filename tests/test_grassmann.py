@@ -11,7 +11,6 @@ from kdvtau.grassmann import (
     GrassmannPoint,
     ZTable,
     build_G,
-    normalize_point,
     point_from_json,
     point_to_json,
     verify_cq_identity,
@@ -25,6 +24,7 @@ from kdvtau.grassmann import (
     wk_c_coeff,
     wk_point,
     wk_q_coeff,
+    wk_z_table,
     z_table_direct,
     z_table_recursive,
     z_tables_recursive,
@@ -82,30 +82,66 @@ def test_wk_point_shape():
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# normal form: build_G reads b as b - b_1 lam^-1 a
 # ---------------------------------------------------------------------------
 
 
+def tail_point(a: dict, b: dict, order: int | None) -> GrassmannPoint:
+    """The point whose a, b have coefficient a[i], b[i] at lam^-i."""
+    return GrassmannPoint(LaurentSeries.from_dict({-i: v for i, v in a.items()}, order),
+                          LaurentSeries.from_dict({-i: v for i, v in b.items()}, order))
+
+
+def normal_form_blocks(a: dict, b: dict, depth: int) -> list:
+    """The oracle's loop matrix G_0..G_depth of the point a, b ({i: coefficient
+    of lam^-i}), with b normalised by hand to b_i - b_1 a_{i-1}."""
+    n = 2 * depth + 2
+    a = [F(a.get(i, 0)) for i in range(n)]
+    b = [F(b.get(i, 0)) - (F(b.get(1, 0)) * a[i - 1] if i else 0) for i in range(n)]
+    return loop_blocks(a, b, depth)
+
+
+def loop_rows(G: MatrixSeries) -> list:
+    return [rows(x) for x in G.blocks(G.tail_order)]
+
+
 def test_normalize_noop_when_b1_zero():
-    p = wk_point(9)
-    assert normalize_point(p) is p
+    # b_1 = 0: a and b are interleaved as they are
+    c, q = wk_cq(4)
+    a = [c[i // 3] if i % 3 == 0 else F(0) for i in range(10)]
+    b = [q[i // 3] if i % 3 == 0 else F(0) for i in range(10)]
+    assert loop_rows(build_G(wk_point(9), 4)) == loop_blocks(a, b, 4)
 
 
 def test_normalize_kills_b1():
-    a = LaurentSeries.from_dict({0: 1}, None)
-    b = LaurentSeries.from_dict({0: 1, -1: 3}, None)
-    p = normalize_point(GrassmannPoint(a, b))
-    assert p.b == LaurentSeries.from_dict({0: 1}, None)
+    # b - 3 lam^-1 a = 1: the loop matrix is the identity
+    G = build_G(tail_point({0: 1}, {0: 1, 1: 3}, None), 3)
+    assert G.blocks(3) == [EYE] + [ZERO] * 3
+    assert loop_rows(G) == normal_form_blocks({0: 1}, {0: 1, 1: 3}, 3)
 
 
 def test_normalize_preserves_span_data():
-    a = LaurentSeries.from_dict({0: 1, -1: 2, -2: 5}, 6)
-    b = LaurentSeries.from_dict({0: 1, -1: 3, -2: 1}, 6)
-    p = normalize_point(GrassmannPoint(a, b))
-    assert p.is_normalized
-    # b' = b - 3 lam^-1 a
-    assert p.b.coeff(-2) == 1 - 3 * 2
-    assert p.b.coeff(-3) == -3 * 5
+    a, b = {0: 1, 1: 2, 2: 5}, {0: 1, 1: 3, 2: 1}
+    G = build_G(tail_point(a, b, 6), 2)
+    # b_2 - 3 a_1 = 1 - 3 * 2, b_3 - 3 a_2 = -3 * 5
+    assert G.block(1) == (5, -15, 2, -5)
+    assert loop_rows(G) == normal_form_blocks(a, b, 2)
+    # the normal form is known through min(O_b, O_a + 1)
+    with pytest.raises(InsufficientDepthError, match=r"^b is only valid through lam\^-6, need lam\^-7$"):
+        build_G(tail_point(a, b, 6), 3)
+    with pytest.raises(InsufficientDepthError, match=r"^a is only valid through lam\^-5, need lam\^-6$"):
+        build_G(GrassmannPoint(LaurentSeries.from_dict({0: 1}, 5), LaurentSeries.from_dict({0: 1}, 9)), 3)
+
+
+@pytest.mark.parametrize("seed,dense,large", [(1, False, False), (2, False, True), (3, True, False),
+                                              (4, True, True), (5, False, False)])
+def test_build_G_reads_b_in_normal_form(seed, dense, large):
+    doc = seeded_point_json(seed, 21, dense, large)
+    a, b = ({i: F(t) for i, t in enumerate(doc[name]["tail"])} for name in ("a", "b"))
+    assert b[1] != 0
+    G = build_G(point_from_json(doc), 10)
+    assert loop_rows(G) == normal_form_blocks(a, b, 10)
+    assert G.block(0) == EYE
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +232,16 @@ def test_affine_readout(wk_G41):
     assert ztable.affine(0, 2) == (-120, 576)  # -5/24 at grade 2, E_2 = 24^2
 
 
+@pytest.mark.parametrize("m,n", [(-2, -3), (-1, 0), (0, -1), (8, 0), (9, 0), (0, 8), (8, 8)])
+def test_affine_reads_only_inside_the_table(m, n):
+    # Z_{k,l}, k, l <= 3 holds A_{m,n} for m, n <= 7; a negative index would
+    # wrap round to another entry's lift and a large one overrun the rows
+    table = wk_z_table(3)
+    assert table.affine(7, 7) == table.lifted[3][3][1:2] + (table.series.grades[7],)
+    with pytest.raises(OutOfRangeError, match=rf"^A\[{m},{n}\] outside table 7x7$"):
+        table.affine(m, n)
+
+
 def test_tables_agree_wk(wk_G41):
     assert verify_z_equivalence(z_table_direct(wk_G41, 6, 6)).passed
 
@@ -212,10 +258,10 @@ EDGE_SHAPES = [(3, 1), (1, 4), (0, 0), (0, 5), (5, 0), (4, 2)]
 @pytest.mark.parametrize("K,L", EDGE_SHAPES)
 def test_recursive_matches_direct_on_edge_shapes(wk_G41, K, L):
     assert z_table_recursive(wk_G41, K, L) == z_table_direct(wk_G41, K, L)
-    G = build_G(normalize_point(GrassmannPoint(
+    G = build_G(GrassmannPoint(
         LaurentSeries.from_dict({0: 1, -1: 2, -2: F(1, 3), -4: -1}, None),
         LaurentSeries.from_dict({0: 1, -1: 1, -3: F(5, 2)}, None),
-    )), K + L + 1)
+    ), K + L + 1)
     assert z_table_recursive(G, K, L) == z_table_direct(G, K, L)
 
 
@@ -544,11 +590,11 @@ def test_point_json_round_trip():
 def test_point_read_to_a_depth_builds_the_same_loop_matrix():
     # the CLI reads a point file only as deep as its loop matrix needs
     doc = seeded_point_json(5, 21, True, False)
-    full = normalize_point(point_from_json(doc))
+    full = point_from_json(doc)
     for depth in range(11):
         cut = point_from_json(doc, depth)
         assert (cut.a.tail_order, cut.b.tail_order) == (2 * depth, 2 * depth + 1)
-        assert build_G(normalize_point(cut), depth) == build_G(full, depth)
+        assert build_G(cut, depth) == build_G(full, depth)
     with pytest.raises(InsufficientDepthError, match=r"^a is only valid through lam\^-21, need lam\^-22$"):
         point_from_json(doc, 11)
 

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import math
 import sys
@@ -11,11 +12,12 @@ from kdvtau.errors import DegreeExceededError, ExactComputationError, Insufficie
 from kdvtau.grassmann import (
     ZTable,
     build_G,
-    normalize_point,
     point_from_json,
     wk_G,
+    wk_z_table,
     z_table_recursive,
 )
+from kdvtau.series import MatrixSeries
 from kdvtau.schur import (
     GradedPoly,
     graded_log,
@@ -118,7 +120,7 @@ def test_stabilization_in_degree(wk_tau12, wk_ztable15):
 
 def seeded_table(seed: int, dense: bool, large: bool, half: int) -> ZTable:
     """The Z table K = L = half of a seeded random point (A_{m,n}, m, n <= 2 half + 1)."""
-    point = normalize_point(point_from_json(seeded_point_json(seed, 4 * half + 3, dense, large)))
+    point = point_from_json(seeded_point_json(seed, 4 * half + 3, dense, large))
     return z_table_recursive(build_G(point, 2 * half + 1), half, half)
 
 
@@ -357,6 +359,22 @@ def test_correlator_matches_dvv():
         assert (correlator(spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True), ks
 
 
+def test_correlator_loop_over_genera_keeps_one_wk_table():
+    # wk_G and wk_z_table keep the last size read, so <tau_{3g-2}>_g over
+    # g = 2..12 holds one loop matrix and one Z table, not one per genus
+    # (g = 2..40 peaks at 26 MB, where a table per genus took 73 MB)
+    def live():
+        gc.collect()
+        return Counter(type(o) for o in gc.get_objects() if type(o) in (ZTable, MatrixSeries))
+
+    before = live()
+    for g in range(2, 13):
+        assert correlator(CorrelatorSpec.of([3 * g - 2])) == F(1, 24**g * math.factorial(g))
+    grown = live() - before
+    assert grown[ZTable] <= 1 and grown[MatrixSeries] <= 1
+    assert wk_z_table(16).max_k == 16 and wk_G.cache_info().currsize == 1
+
+
 def test_correlator_matches_log_tau_route(wk_ztable15):
     tau15 = tau_truncated(wk_ztable15, 15)
     for ks in valid_specs(15):
@@ -456,7 +474,7 @@ def assert_log_tau_derivatives_match_graded_log(table: ZTable) -> None:
 @pytest.mark.parametrize("seed,dense,large", [(1, True, False), (2, False, True), (3, True, True), (4, False, False)])
 def test_log_tau_derivative_matches_graded_log(seed, dense, large):
     # a generic point: even theta present, no string or dilaton equation
-    point = normalize_point(point_from_json(seeded_point_json(seed, 24, dense, large)))
+    point = point_from_json(seeded_point_json(seed, 24, dense, large))
     assert_log_tau_derivatives_match_graded_log(z_table_recursive(build_G(point, 11), 5, 5))
 
 
