@@ -237,7 +237,7 @@ def test_affine_reads_only_inside_the_table(m, n):
     # Z_{k,l}, k, l <= 3 holds A_{m,n} for m, n <= 7; a negative index would
     # wrap round to another entry's lift and a large one overrun the rows
     table = wk_z_table(3)
-    assert table.affine(7, 7) == table.lifted[3][3][1:2] + (table.series.grades[7],)
+    assert F(*table.affine(7, 7)) == table.entry(3, 3)[1]
     with pytest.raises(OutOfRangeError, match=rf"^A\[{m},{n}\] outside table 7x7$"):
         table.affine(m, n)
 
