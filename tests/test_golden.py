@@ -91,6 +91,8 @@ GOLDEN = {
     "intersect 10,10,10": (0, "bc54c9180899e683784d315cbca2f553f954ec0f91bba87c6f61972cf3179bcf"),
     "intersect 2,3,5,6": (0, "439d5f7c09e113ffe828931e27f4eb93a90e45f15e68b6fbe2dfb39d1839a613"),
     "intersect 2,2,2,2,2,2,2,2,2": (0, "b44a24adbf4d8560f34d43ece53ccab486a0f7cccfc26d1a7cc66575b9b74df5"),
+    # genus 50, pinned while its table was still the square K = L = 148
+    "intersect 148": (0, "24ae808dc711895f333407179f73c4d6ec47f6b174f7839554d2312df9d06185"),
     # the Grassmannian export at the benchmark's depths, non-square corners
     # and CSV from both sources, and the point-file export in CSV and alone
     # in JSON, pinned before the exports were streamed from integer pairs
