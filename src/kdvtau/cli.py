@@ -10,8 +10,15 @@ Subcommands:
 
 Exit codes are the machine contract: 0 pass, 1 verification failure,
 2 usage or input error.  All rational output is "p/q" in lowest terms.
-The suites read the Witten-Kontsevich Z tables of `grassmann.wk_z_table`;
+Every Z table is the triangle Z_{k,l}, k + l < n, that the recursion
+computes on a loop matrix of depth n (`grassmann.z_table_recursive`), of
+the order its reader needs: K + L + 1 for the corner k <= K, l <= L of an
+export or a suite, (D - 1)//2 + 1 for a tau of degree D (`tau.table_order`).
+The suites read the Witten-Kontsevich tables of `grassmann.wk_z_table`;
 `intersect` passes only the spec, and `tau.correlator` sizes its own table.
+`grassmann` builds one table, of the largest order its tasks need, on a
+point file read only that deep.  `verify` prints its report lines once
+every suite has run, so a suite that raises leaves stdout empty.
 `affine` and `grassmann --affine` write their table row by row from integer
 pairs (`write_affine`), once everything that can fail has run, so no copy
 of the corner or of the output is held.  A write that fails, a closed pipe
@@ -55,25 +62,9 @@ SUITE_DEFAULT_DEPTH = {
 POINT_SUITES = ("string", "kdv")  # the suites that read a --point file
 
 
-def _z_tables(point: gr.GrassmannPoint | None, *shapes: tuple[int, int]) -> list[gr.ZTable]:
-    """Z_{k,l} for k <= K, l <= L of `point` (None: the Witten-Kontsevich
-    point), one table per (K, L) in `shapes`, all from one recursion run."""
-    depth = _loop_depth(shapes)
-    G = gr.wk_G(depth) if point is None else gr.build_G(point, depth)
-    return gr.z_tables_recursive(G, list(shapes))
-
-
-def _loop_depth(shapes: list[tuple[int, int]]) -> int:
-    """The depth of the loop matrix whose Z table `_z_tables` builds for `shapes`."""
-    return max(K + L for K, L in shapes) + 1
-
-
-def _tau_shape(degree: int) -> tuple[int, int]:
-    """The Z table a tau of `degree` reads (`tau.tau_truncated`): A_{m,n} for
-    m, n < degree and no more, so that its top grade E_{2 half + 1}, the
-    scale of the Giambelli minors, is the least one."""
-    half = max(degree - 1, 0) // 2
-    return half, half
+def _z_table(point: gr.GrassmannPoint | None, order: int) -> gr.ZTable:
+    """Z_{k,l}, k + l < order, of `point` (None: the Witten-Kontsevich point)."""
+    return gr.wk_z_table(order) if point is None else gr.z_table_recursive(gr.build_G(point, order))
 
 
 INT_LITERAL_CHARS = 20  # no tail order or head exponent of a usable point is longer
@@ -89,13 +80,13 @@ class _LongInt:
         return f"a literal of {self.size} characters (at most {INT_LITERAL_CHARS} are read)"
 
 
-def _load_point(path: str, shapes: list[tuple[int, int]]) -> gr.GrassmannPoint:
-    """The point in the file at `path`, read only as far as the tables of
-    `shapes` need (`grassmann.point_from_json`)."""
+def _load_point(path: str, order: int) -> gr.GrassmannPoint:
+    """The point in the file at `path`, read only as far as the Z table of
+    `order` needs (`grassmann.point_from_json`)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:  # UnicodeDecodeError, JSONDecodeError: ValueErrors; deep nesting: RecursionError
             doc = json.load(fh, parse_int=lambda t: int(t) if len(t) <= INT_LITERAL_CHARS else _LongInt(t))
-            return gr.point_from_json(doc, _loop_depth(shapes))
+            return gr.point_from_json(doc, order)
         except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise ExactComputationError(f"malformed point file {path}: {exc}") from exc
 
@@ -157,8 +148,7 @@ def write_affine(stream, max_m: int, max_n: int, source: str, fmt: str, read, en
 
 def cmd_affine(args: SimpleNamespace) -> int:
     if args.source == "grassmann":
-        (z,) = _z_tables(None, (args.max_m // 2, args.max_n // 2))
-        read = z.affine
+        read = gr.wk_z_table(args.max_m // 2 + args.max_n // 2 + 1).affine
     else:
         read = zhou._B_int
     return _emit(args.output,
@@ -196,16 +186,16 @@ def _run_suite(
         ]
     if suite == "symmetry":
         half = max(depth // 2, 1)
-        return [zhou.verify_b_symmetry(depth, depth), gr.verify_symmetry(gr.wk_z_table(half), half)]
+        return [zhou.verify_b_symmetry(depth, depth), gr.verify_symmetry(gr.wk_z_table(2 * half + 1), half)]
     if suite == "genfun":
-        return [gr.verify_generating_function(gr.wk_z_table(depth), depth)]
+        return [gr.verify_generating_function(gr.wk_z_table(2 * depth + 1), depth)]
     if suite == "zhou-match":
         # spans 0..2 (depth // 2) + 1 >= depth; the verifier reads 0..depth
-        return [zhou.verify_zhou_match(gr.wk_z_table(depth // 2), depth, depth)]
+        return [zhou.verify_zhou_match(gr.wk_z_table(2 * (depth // 2) + 1), depth, depth)]
     if suite in POINT_SUITES:
         t = memo.get((point, depth))
         if t is None:
-            (table,) = _z_tables(point, _tau_shape(depth))
+            table = _z_table(point, tau_mod.table_order(depth))
             # the suites read tau in t only, which has no even theta
             t = memo[point, depth] = tau_mod.tau_truncated(table, depth, range(1, depth + 1, 2))
         if suite == "kdv":
@@ -220,7 +210,8 @@ def _run_suite(
     if suite == "vmatrix":
         return [spin3.verify_v_relations(depth)]
     if suite == "thm2":
-        return [spin3.verify_thm2(gr.wk_z_table(3 * depth + 2), depth, depth)]
+        # reads Z_{k,l}, k, l <= 3 depth + 2
+        return [spin3.verify_thm2(gr.wk_z_table(6 * depth + 5), depth, depth)]
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -230,22 +221,21 @@ def cmd_verify(args: SimpleNamespace) -> int:
         if args.suite not in POINT_SUITES:
             raise UsageError("--point applies only to the string and kdv suites")
         depth = args.depth if args.depth is not None else SUITE_DEFAULT_DEPTH[args.suite]
-        point = _load_point(args.point, [_tau_shape(depth)])
+        point = _load_point(args.point, tau_mod.table_order(depth))
     if args.suite == "all":
         runs = [(suite, None) for suite in SUITE_DEFAULT_DEPTH if suite != "kdv"]
         runs += [("kdv", 1), ("kdv", 2)]
     else:
         runs = [(args.suite, args.flow)]
-    any_fail = False
     memo: dict = {}  # tau per (point, depth), shared by the string and kdv suites
+    reports = []
     for suite, flow in runs:
         depth = args.depth if args.depth is not None else SUITE_DEFAULT_DEPTH[suite]
-        reports = _run_suite(suite, depth, flow if flow is not None else args.flow, point, memo)
-        for rep in reports:
-            print(rep.line())
-            if not rep.skipped and not rep.passed:
-                any_fail = True
-    return 1 if any_fail else 0
+        reports += _run_suite(suite, depth, flow if flow is not None else args.flow, point, memo)
+    # printed once every suite has run: a suite that raises leaves stdout empty
+    for rep in reports:
+        print(rep.line())
+    return 1 if any(not rep.skipped and not rep.passed for rep in reports) else 0
 
 
 def cmd_grassmann(args: SimpleNamespace) -> int:
@@ -260,16 +250,16 @@ def cmd_grassmann(args: SimpleNamespace) -> int:
         raise UsageError("csv format is only available when --affine is the sole task")
     # one Z table and one tau, each as deep as the deepest task needs; the
     # tasks read corners of the table and truncations of the tau
-    shapes = [(args.affine[0] // 2, args.affine[1] // 2)] if args.affine is not None else []
-    if degrees:
-        shapes.append(_tau_shape(max(degrees)))
-    tables = _z_tables(_load_point(args.pointfile, shapes), *shapes)
+    orders = [tau_mod.table_order(max(degrees))] if degrees else []
+    if args.affine is not None:
+        orders.append(args.affine[0] // 2 + args.affine[1] // 2 + 1)
+    table = _z_table(_load_point(args.pointfile, max(orders)), max(orders))
     doc: dict = {}
     t = None
     if degrees:
         # only a theta export reads the even theta; t and the initial data do not
         D, theta = max(degrees), args.tau is not None and args.tau_vars == "theta"
-        t = tau_mod.tau_truncated(tables[-1], D, None if theta else range(1, D + 1, 2))
+        t = tau_mod.tau_truncated(table, D, None if theta else range(1, D + 1, 2))
     if args.tau is not None:
         tau_t = t.truncate(args.tau)
         poly = tau_mod.to_t_variables(tau_t) if args.tau_vars == "t" else tau_t.theta_poly()
@@ -281,7 +271,7 @@ def cmd_grassmann(args: SimpleNamespace) -> int:
     text = json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
     if args.affine is None:
         return _emit(args.output, lambda out: out.write(text))
-    read = tables[0].affine
+    read = table.affine
     if args.format == "csv":  # --affine is the sole task
         return _emit(args.output, lambda out: write_affine(out, *args.affine, "custom", "csv", read))
 

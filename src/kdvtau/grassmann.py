@@ -17,8 +17,10 @@ coordinates are then
 
 where A_{m,n} are the scalar affine coordinates of the point.  This module
 builds the Z table by the recursion Z_{k+1,l} = Z_{k,l+1} + Z_{k,0} Z_{0,l}
-seeded from G^-1 (the production route); the closed formula in the blocks of
-G and G^-1 is kept as the independent cross-check run by `verify recursion`.
+seeded from G^-1 (the production route), which on G_0..G_n computes and
+keeps the triangle k + l < n; every reader asks for the order it reads and
+checks its reads by `ZTable.holds`.  The closed formula in the blocks of G
+and G^-1 is kept as the independent cross-check run by `verify recursion`.
 It also extracts scalar coordinates and verifies the generating-series,
 recursion and symmetry identities.
 
@@ -49,9 +51,9 @@ spanning series c(lam) and q(lam) are power series in lam^-3:
 c is the unique solution of (S^2 - lam^2) c = 0 with c = 1 + O(1/lam) for
 the Kac-Schwarz operator S = (1/lam) d/dlam - 1/(2 lam^2) - lam, and
 q = -(1/lam) S c.  The c/q and Kac-Schwarz verifiers apply these facts to
-the coefficients of wk_point.  Its loop matrix (`wk_G`) and its square Z
-table (`wk_z_table`) are memoised for the last size read, so a loop over
-growing sizes keeps one of each.
+the coefficients of wk_point.  Its loop matrix (`wk_G`) and its Z table
+(`wk_z_table`) are memoised for the last depth read, so a loop over growing
+depths keeps one of each.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ __all__ = [
     "wk_z_table",
     "z_table_direct",
     "z_table_recursive",
-    "z_tables_recursive",
     "verify_generating_function",
     "verify_symmetry",
     "verify_cq_identity",
@@ -196,10 +197,10 @@ def wk_G(depth: int) -> MatrixSeries:
 
 
 @lru_cache(maxsize=1)
-def wk_z_table(size: int) -> "ZTable":
-    """The Witten-Kontsevich Z_{k,l}, k, l <= size, on wk_G(2 size + 1), one
-    table while the same size is read."""
-    return z_table_recursive(wk_G(2 * size + 1), size, size)
+def wk_z_table(order: int) -> "ZTable":
+    """The Witten-Kontsevich Z_{k,l}, k + l < order, on wk_G(order), one table
+    while the same order is read."""
+    return z_table_recursive(wk_G(order))
 
 
 # ---------------------------------------------------------------------------
@@ -208,36 +209,39 @@ def wk_z_table(size: int) -> "ZTable":
 
 
 class ZTable(Record):
-    """A table of blocks X_{k,l} of grade k+l+1, 0 <= k <= max_k, 0 <= l <= max_l,
-    as lifted[k][l] = E_{k+l+1} X_{k,l} on the grades E of `series`, the
-    `MatrixSeries` it was solved on: the matrix-valued affine coordinates
-    Z_{k,l} of G, or the 3-spin V_{k,l} of R (`spin3.v_table`).  `entry`
-    lowers a block to `Fraction`s on each read; `affine` reads one A_{m,n}.
-    Equality compares the lifted blocks and the series, so two tables are
-    equal when they hold the same blocks of the same series."""
+    """A table of blocks X_{k,l} of grade k+l+1, as rows lifted[k][l] =
+    E_{k+l+1} X_{k,l} on the grades E of `series`, the `MatrixSeries` it was
+    solved on: the matrix-valued affine coordinates Z_{k,l} of G, or the
+    3-spin V_{k,l} of R (`spin3.v_table`).  The recursion keeps the triangle
+    k + l < n it computes (`z_table_recursive`), the closed formula and the V
+    table a rectangle; `holds` says whether a block is stored, and every
+    reader checks its reads by it.  `entry` lowers a block to `Fraction`s on
+    each read; `affine` reads one A_{m,n}.  Equality compares the lifted
+    blocks and the series, so two tables are equal when they hold the same
+    blocks of the same series."""
 
-    __slots__ = ("max_k", "max_l", "lifted", "series")
+    __slots__ = ("lifted", "series")
 
-    def __init__(
-        self, max_k: int, max_l: int, lifted: tuple[tuple[IntBlock, ...], ...], series: MatrixSeries
-    ) -> None:
-        _setattr(self, "max_k", max_k)
-        _setattr(self, "max_l", max_l)
+    def __init__(self, lifted: tuple[tuple[IntBlock, ...], ...], series: MatrixSeries) -> None:
         _setattr(self, "lifted", lifted)  # lifted[k][l]
         _setattr(self, "series", series)
 
+    def holds(self, k: int, l: int) -> bool:
+        """Whether the table stores X_{k,l}; never for a negative index."""
+        return 0 <= k < len(self.lifted) and 0 <= l < len(self.lifted[k])
+
     def entry(self, k: int, l: int) -> Block:
         """X_{k,l} as the exact (a11, a12, a21, a22)."""
-        if not (0 <= k <= self.max_k and 0 <= l <= self.max_l):
-            raise OutOfRangeError(f"Z[{k},{l}] outside table {self.max_k}x{self.max_l}")
+        if not self.holds(k, l):
+            raise OutOfRangeError(f"Z[{k},{l}] outside the table")
         return lower(self.lifted[k][l], self.series.grades[k + l + 1])
 
     def affine(self, m: int, n: int) -> tuple[int, int]:
         """A_{m,n} as (E_d A_{m,n}, E_d), d = m//2 + n//2 + 1: entry
         2 (m even) + (n odd) of the lifted block Z_{m//2, n//2}."""
         k, l = m // 2, n // 2
-        if not (0 <= m and 0 <= n and k <= self.max_k and l <= self.max_l):
-            raise OutOfRangeError(f"A[{m},{n}] outside table {2 * self.max_k + 1}x{2 * self.max_l + 1}")
+        if not self.holds(k, l):
+            raise OutOfRangeError(f"A[{m},{n}] outside the table (block Z[{k},{l}])")
         return self.lifted[k][l][2 * (1 - m % 2) + n % 2], self.series.grades[k + l + 1]
 
     def to_affine_table(self, max_m: int, max_n: int, source: str) -> "AffineTable":
@@ -307,7 +311,8 @@ def _require_depth(G: MatrixSeries, need: int) -> None:
 
 
 def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
-    """Closed formula Z_{k,l} = -sum_{j=0..k} G_j U_{k+l+1-j} (U_0 = I).
+    """Closed formula Z_{k,l} = -sum_{j=0..k} G_j U_{k+l+1-j} (U_0 = I), for
+    k <= max_k, l <= max_l.
 
     O(K^3) block products on the graded lift (grade d = k+l+1); the
     cross-check for `z_table_recursive`.
@@ -324,56 +329,45 @@ def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
             s11, s12, s21, s22 = block_sum((ratio[j], g[j], u[d - j]) for j in range(k + 1))
             row.append((-s11, -s12, -s21, -s22))
         rows.append(tuple(row))
-    return ZTable(max_k, max_l, tuple(rows), G)
+    return ZTable(tuple(rows), G)
 
 
-def z_table_recursive(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
-    """Boundary-seeded recursion Z_{k+1,l} = Z_{k,l+1} + Z_{k,0} Z_{0,l}; see
-    `z_tables_recursive`."""
-    return z_tables_recursive(G, [(max_k, max_l)])[0]
+def z_table_recursive(G: MatrixSeries, max_k: int = 0, max_l: int = 0) -> ZTable:
+    """The triangle Z_{k,l}, k + l < n, n = G.tail_order, by the
+    boundary-seeded recursion Z_{k+1,l} = Z_{k,l+1} + Z_{k,0} Z_{0,l}; G must
+    reach the corner k <= max_k, l <= max_l a caller reads (n > max_k + max_l).
 
-
-def z_tables_recursive(G: MatrixSeries, shapes: list[tuple[int, int]]) -> list[ZTable]:
-    """One Z table per (max_k, max_l) in `shapes`, all from one recursion run.
-
-    The top row is seeded by Z_{0,l} = -U_{l+1} for l < need, where
-    need = max(max_k + max_l) + 1 is the depth the deepest shape needs, and
-    row k is computed from row k-1 and the top row, one entry shorter than
-    row k-1.  Row k thus holds Z_{k,l} for k + l < need, which covers every
-    shape, so no shape needs more depth of G than it would alone.  The
-    left column is run on down to row need - 1, and each Z_{k,0} is checked
-    against the boundary data G_{k+1}.  With U the computed inverse,
-    Z_{k,0} = G_{k+1} for every k < need is (G U)_{k+1} = 0, so the check
-    covers every seed U_1..U_need.
+    The top row is seeded by Z_{0,l} = -U_{l+1} for l < n, and row k is
+    computed from row k-1 and the top row, one entry shorter than row k-1,
+    so row k holds Z_{k,l} for l < n - k: the triangle is what the recursion
+    computes, and it is kept whole.  Each Z_{k,0} is checked against the
+    boundary data G_{k+1}.  With U the computed inverse, Z_{k,0} = G_{k+1}
+    for every k < n is (G U)_{k+1} = 0, so the check covers every seed
+    U_1..U_n.
 
     The rows hold the graded lift z_{k,l} = E_{k+l+1} Z_{k,l}, so the step
     is z_{k,l} = z_{k-1,l+1} + (E_{k+l+1} / (E_k E_{l+1})) z_{k-1,0} z_{0,l}
-    and the boundary check compares integers.  The tables keep the lift, and
-    a repeated shape gets the same table.
+    and the boundary check compares integers.
     """
-    need = max(K + L for K, L in shapes) + 1
-    _require_depth(G, need)
-    top = [(-a11, -a12, -a21, -a22) for a11, a12, a21, a22 in G.inverse[1 : need + 1]]
-    max_k = max(K for K, _ in shapes)
+    _require_depth(G, max_k + max_l + 1)
+    n = G.tail_order
+    top = tuple((-a11, -a12, -a21, -a22) for a11, a12, a21, a22 in G.inverse[1 : n + 1])
     rows = []
     row = top
-    for k in range(need):
+    for k in range(n):
         if k:
-            row = [
+            row = tuple(
                 block_sum(((G.ratios[k + l + 1][k], row[0], top[l]),), row[l + 1])
-                for l in range(need - k)
-            ]
+                for l in range(n - k)
+            )
         if row[0] != G.lifted[k + 1]:
             raise ExactComputationError(
                 f"recursion boundary mismatch at Z[{k},0]: "
                 f"{format_block(lower(row[0], G.grades[k + 1]))} vs {format_block(G.block(k + 1))}; "
                 "the seeds are inconsistent (G times its inverse is not the identity)"
             )
-        if k <= max_k:
-            rows.append(row)
-    tables = {(K, L): ZTable(K, L, tuple(tuple(row[: L + 1]) for row in rows[: K + 1]), G)
-              for K, L in shapes}
-    return [tables[shape] for shape in shapes]
+        rows.append(row)
+    return ZTable(tuple(rows), G)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +386,7 @@ def verify_generating_function(table: ZTable, depth: int) -> VerificationReport:
     """
     suite = "generating-function"
     detail = f"bi-degree {depth}"
-    if depth > min(table.max_k, table.max_l):
+    if not table.holds(depth, depth):
         raise InsufficientDepthError("Z table smaller than requested bi-degree")
     need, G = 2 * depth + 1, table.series
     _require_depth(G, need)
@@ -431,7 +425,7 @@ def verify_symmetry(table: ZTable, depth: int) -> VerificationReport:
     scalar form the identity reads A_{n,m} = (-1)^{m+n} A_{m,n}.
     """
     suite = "symmetry"
-    if depth > min(table.max_k, table.max_l):
+    if not table.holds(depth, depth):
         raise InsufficientDepthError("Z table smaller than requested depth")
     G = table.series
     g, window = G.lifted, G.tail_order
@@ -530,10 +524,10 @@ def verify_kac_schwarz(depth: int) -> VerificationReport:
 
 def verify_z_equivalence(direct: ZTable) -> VerificationReport:
     """The closed-formula table `direct` = `z_table_direct(G, K, L)` equals the
-    recursion-seeded table of the same shape on the same G, entrywise on the
-    lift of G."""
+    recursion-seeded triangle on the same G in its K x L corner, entrywise on
+    the lift of G."""
     suite = "z-table-equivalence"
-    max_k, max_l = direct.max_k, direct.max_l
+    max_k, max_l = len(direct.lifted) - 1, len(direct.lifted[0]) - 1
     recursive = z_table_recursive(direct.series, max_k, max_l)
     failures = first_failures(
         f"(k,l)=({k},{l}): direct {format_block(direct.entry(k, l))} "
@@ -546,16 +540,23 @@ def verify_z_equivalence(direct: ZTable) -> VerificationReport:
 
 
 def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
-    """Z_{k+1,l} - Z_{k,l+1} = Z_{k,0} Z_{0,l} on every stored index, on the lift
-    as E_{k+1} E_{l+1} (z_{k+1,l} - z_{k,l+1}) = E_{k+l+2} z_{k,0} z_{0,l}.  A
-    failure prints both sides lowered from grade k+l+2."""
+    """Z_{k+1,l} - Z_{k,l+1} = Z_{k,0} Z_{0,l} wherever the table holds both
+    sides, on the lift as E_{k+1} E_{l+1} (z_{k+1,l} - z_{k,l+1}) =
+    E_{k+l+2} z_{k,0} z_{0,l}: k < K, l < L on a K x L rectangle, k + l < n - 1
+    on the triangle k + l < n.  A failure prints both sides lowered from grade
+    k+l+2; a table with no such (k, l) is skipped, not passed."""
     suite = "z-recursion"
     z, G = table.lifted, table.series
     e = G.grades
+    K, L = len(z) - 1, len(z[0]) - 1
+    window = f"k < {K}, l < {L}" if all(len(row) == L + 1 for row in z) else f"k + l < {K}"
+    if not (K and L):
+        return VerificationReport(suite, False, window, skipped=True,
+                                  notes="empty window: no (k,l) with both sides in the table")
 
     def mismatches():
-        for k in range(table.max_k):
-            for l in range(table.max_l):
+        for k in range(K):
+            for l in range(min(len(z[k]) - 1, len(z[k + 1]))):
                 d = k + l + 2
                 diff = tuple(a - b for a, b in zip(z[k + 1][l], z[k][l + 1]))
                 if tuple(e[k + 1] * e[l + 1] * v for v in diff) != block_sum(((e[d], z[k][0], z[0][l]),)):
@@ -564,10 +565,7 @@ def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
                            f"vs {format_block(lower(product, e[d]))}")
 
     failures = first_failures(mismatches())
-    return VerificationReport(
-        suite, not failures,
-        f"k < {table.max_k}, l < {table.max_l}", failures=failures,
-    )
+    return VerificationReport(suite, not failures, window, failures=failures)
 
 
 def verify_z_generating_series(table: ZTable, k_max: int) -> VerificationReport:
@@ -583,15 +581,16 @@ def verify_z_generating_series(table: ZTable, k_max: int) -> VerificationReport:
     suite = "z-generating-series"
     G = table.series
     order = G.tail_order
-    if k_max > table.max_l:
+    if not table.holds(0, k_max):
         raise InsufficientDepthError("Z table narrower than requested k range")
     g, ratios, u = G.lifted, G.ratios, G.inverse
     windows: list[int] = []  # rows l checked for each k reached
 
     def mismatches():
         for k in range(k_max + 1):
-            # compare lam^-l-1 entries for l + 1 <= order - k
-            l_top = min(order - k - 1, table.max_k)
+            # compare lam^-l-1 entries for l + 1 <= order - k, in the rows
+            # holding column k
+            l_top = min(order - k - 1, sum(len(row) > k for row in table.lifted) - 1)
             windows.append(l_top)
             expect: dict[int, IntBlock] = {k: (1, 0, 0, 1)}  # E_0 = 1
             for l in range(l_top + 1):

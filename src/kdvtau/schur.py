@@ -23,8 +23,8 @@ is the Giambelli-type minor
 over the hook entries A_{m,n} of a Z table, with mu written in Frobenius
 coordinates (m_1..m_k | n_1..n_k).  `giambelli_coeff` has one route for
 every rank: Laplace expansion along the last arm on the table's integer
-lift (`ZTable.affine`), a rank-k minor an integer over E^k for the table's
-top grade E, each minor memoised in a dict its caller owns.
+lift (`ZTable.affine`), a rank-k minor an integer over E^k for a grade E
+its caller passes, each minor memoised in a dict its caller owns.
 """
 
 from __future__ import annotations
@@ -356,12 +356,13 @@ def rim_hooks(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int],
 # ---------------------------------------------------------------------------
 
 
-def giambelli_coeff(mu: tuple[int, ...], table: ZTable, minors: dict) -> int:
+def giambelli_coeff(mu: tuple[int, ...], table: ZTable, top: int, minors: dict) -> int:
     """E^k A_mu, A_mu = (-1)^(sum of legs) det(A_{m_i, n_j}) over the k hook
-    entries, E = E_{K+L+1} the top grade of the K x L table.
+    entries, E = `top`, a grade of the table's series that the grade E_d of
+    every entry read divides (`tau_truncated` passes the one its order fixes).
 
-    Every A_{m,n} of the table is its lift times E / E_d over E (E_d divides
-    E), so the determinant is an integer over E^k.  It is expanded along the
+    Every A_{m,n} read is its lift times E / E_d over E (E_d divides E), so
+    the determinant is an integer over E^k.  It is expanded along the
     row of the last arm m_k.  Dropping m_k and a leg n_j leaves the hook
     matrix of a partition of smaller weight, and every such minor is memoised
     in `minors` (one dict per table), so each costs k products.
@@ -369,9 +370,8 @@ def giambelli_coeff(mu: tuple[int, ...], table: ZTable, minors: dict) -> int:
     arms, legs = frobenius(mu)
     if not arms:
         return 1
-    if arms[0] > 2 * table.max_k + 1 or legs[0] > 2 * table.max_l + 1:
-        raise OutOfRangeError(f"Z table {table.max_k}x{table.max_l} too small for hooks of {mu}")
-    top = table.series.grades[table.max_k + table.max_l + 1]
+    if not table.holds(arms[0] // 2, legs[0] // 2):
+        raise OutOfRangeError(f"Z table does not hold A[{arms[0]},{legs[0]}], read by the hooks of {mu}")
     det = _hook_minor(arms, legs, table, top, minors)
     return -det if sum(legs) % 2 else det
 

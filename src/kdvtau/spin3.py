@@ -141,7 +141,7 @@ def v_table(size: int) -> ZTable:
         raise InconsistentDivisionError(
             f"numerator not divisible by w+z at boundary column {s}: "
             f"{format_block(lower(lhs, R.grades[s]))} vs {format_block(R.block(s))}")
-    return ZTable(size, size, tuple(
+    return ZTable(tuple(
         tuple(q if (k + l) % 2 == 0 else tuple(-v for v in q) for l, q in enumerate(row))
         for k, row in enumerate(quotient)), R)
 
@@ -203,10 +203,9 @@ def verify_thm2(ztable: ZTable, K: int, L: int) -> VerificationReport:
     their grades, d, which the lower one's grade divides (E_{d-1} | E_d).
     """
     suite = "v-from-affine-coordinates"
-    if ztable.max_k < 3 * K + 2 or ztable.max_l < 3 * L + 2:
-        raise InsufficientDepthError(
-            f"Z table {ztable.max_k}x{ztable.max_l} too small for K={K}, L={L}"
-        )
+    edge = 3 * max(K, L) + 2  # the largest index read, in either slot
+    if not ztable.holds(edge, edge):
+        raise InsufficientDepthError(f"Z table does not hold Z[{edge},{edge}], needed for K={K}, L={L}")
     V = v_table(2 * max(K, L) + 1)
     v, ev = V.lifted, V.series.grades
     z, ez = ztable.lifted, ztable.series.grades

@@ -21,9 +21,10 @@ nonzero only when sum k_i = 3g - 3 + n for an integer genus g >= 0
 (`intersection_number`).  `correlator`, the `intersect` route, builds no
 tau: it reduces a spec by the string and dilaton equations, then reads the
 rest by Zhou's n-point functions (`log_tau_derivative`) off the integer
-lift of a Z table sized for the rest.  Both return the correlator as a
+lift of the Z triangle the rest reads.  Both return the correlator as a
 plain `Fraction`; its genus and dimension check are properties of the
-`CorrelatorSpec`.
+`CorrelatorSpec`.  A tau of degree D, likewise, reads only the triangle
+Z_{k,l}, k + l <= (D - 1)//2 (`tau_truncated`).
 
 Differential identities (string equation, the flows of the hierarchy) are
 verified on the residual polynomial; the graded reliability bound of the
@@ -61,6 +62,7 @@ from .schur import (
 __all__ = [
     "TauSeries",
     "CorrelatorSpec",
+    "table_order",
     "tau_truncated",
     "to_t_variables",
     "free_energy",
@@ -115,6 +117,12 @@ class TauSeries(Record):
         return graded_log(to_t_variables(self))
 
 
+def table_order(degree: int) -> int:
+    """The order of the Z triangle a tau of `degree` reads (`tau_truncated`):
+    hooks with m + n < degree, so Z_{k,l} with k + l <= (degree - 1)//2."""
+    return max(degree - 1, 0) // 2 + 1
+
+
 def tau_truncated(table: ZTable, degree: int, parts: Container[int] | None = None) -> TauSeries:
     """sum_{|mu| <= degree} A_mu s_mu(theta) with Giambelli minors from `table`,
     its theta^lam terms for the lam with every part in `parts` (None: all).
@@ -123,7 +131,7 @@ def tau_truncated(table: ZTable, degree: int, parts: Container[int] | None = Non
     function f of weight |lam| is <p_lam, f> / prod_j m_j(lam)!, and
     <p_lam, f> = p_{lam_l}^perp ... p_{lam_1}^perp f, where p_r^perp removes
     an r-rim hook from each Schur term (`rim_hooks`).  A minor of rank k is
-    the integer E^k A_mu, E the table's top grade (`giambelli_coeff`), and
+    the integer E^k A_mu, E the grade fixed below (`giambelli_coeff`), and
     no partition of weight n has rank above r = isqrt(n).  So the integer
     vector (E^r A_mu)_{|mu|=n} is walked depth-first over the parts of lam in
     weakly decreasing order, one p_r^perp on the whole vector per step:
@@ -139,18 +147,22 @@ def tau_truncated(table: ZTable, degree: int, parts: Container[int] | None = Non
     but not at a general point.  The series records `parts`, and its theta
     form (`TauSeries.theta_poly`) is refused unless every part was walked.
 
-    Partitions of weight <= D have hooks with arm and leg at most D - 1, so
-    the table must hold Z_{k,l} for k, l <= (D - 1) // 2.  The minors are
-    memoised for this call only.
+    A hook of a partition of weight <= D has arm + leg <= D - 1, so the
+    minors read Z_{k,l} for k + l <= (D - 1) // 2 only: the triangle of
+    order n = `table_order(D)`, which the table must hold, and E = E_n,
+    whatever the table's size.  The minors are memoised for this call only.
     """
-    _require_table(table, degree, f"tau degree {degree}")
-    top = table.series.grades[table.max_k + table.max_l + 1]
+    order = table_order(degree)
+    if not table.holds(order - 1, 0):
+        raise InsufficientTableError(
+            f"Z table does not hold the triangle k + l < {order} that tau degree {degree} reads")
+    top = table.series.grades[order]
     minors: dict = {}
     terms: dict[Monomial, Fraction] = {}
     for weight, group in groupby(partitions_up_to(degree), key=sum):
         rank = math.isqrt(weight)
         vector = {mu: a * top ** (rank - len(frobenius(mu)[0]))
-                  for mu in group if (a := giambelli_coeff(mu, table, minors))}
+                  for mu in group if (a := giambelli_coeff(mu, table, top, minors))}
         for lam, total in _rim_hook_walk(vector, weight, (), parts):
             mults = Counter(lam)
             scale = math.prod(math.factorial(m) for m in mults.values())
@@ -299,8 +311,9 @@ def correlator(spec: CorrelatorSpec) -> Fraction:
 
         <prod tau_{k_i}> = prod_i (-1/(2k_i+1)!!) d^n log tau / prod d theta_{2k_i+1}
 
-    by `log_tau_derivative` on one table, Z_{k,l} for k, l <= (W-1)//2 with W
-    the largest t-weight left (`wk_z_table`): <tau_1^n>_1 reads Z_{1,1} only.
+    by `log_tau_derivative` on one table, the triangle Z_{k,l},
+    k + l <= N = (W-1)//2 with W the largest t-weight left, on wk_G(N + 1)
+    (`wk_z_table`): <tau_1^n>_1 reads Z_{k,l}, k + l <= 1, only.
     """
     if not spec.is_valid:
         return Fraction(0)
@@ -319,15 +332,9 @@ def correlator(spec: CorrelatorSpec) -> Fraction:
             else:  # keyed by the theta indices 2 k_i + 1
                 irreducible[tuple(2 * k + 1 for k in ks)] += c
         level = below
-    table = wk_z_table((max(map(sum, irreducible)) - 1) // 2)
+    table = wk_z_table((max(map(sum, irreducible)) - 1) // 2 + 1)
     return sum((c * math.prod(map(_theta_to_t_factor, a)) * log_tau_derivative(table, list(a))
                 for a, c in irreducible.items()), Fraction(0))
-
-
-def _require_table(table: ZTable, weight: int, purpose: str) -> None:
-    """Raise unless `table` holds every A_{m,n}, m, n < `weight` (`ZTable.affine`)."""
-    if min(table.max_k, table.max_l) < (weight - 1) // 2:
-        raise InsufficientTableError(f"Z table {table.max_k}x{table.max_l} too small for {purpose}")
 
 
 def log_tau_derivative(table: ZTable, thetas: list[int]) -> Fraction:
@@ -355,7 +362,8 @@ def log_tau_derivative(table: ZTable, thetas: list[int]) -> Fraction:
     (n-1)! cycles are summed over subsets (2^(n-1) n partial paths), since
     the factor weights depend only on the two variables they join.
 
-    Every weight is an integer over den = E_{N+1}, N = (W - 1) // 2: an entry
+    The entries read are Z_{k,l} with k + l <= N = (W - 1) // 2, the triangle
+    of order N + 1.  Every weight is an integer over den = E_{N+1}: an entry
     read has grade d <= N + 1, and E_d divides E_{N+1}, so A_{m,n} is its
     lift times E_{N+1} / E_d over den.  Only the result is a `Fraction`.
     """
@@ -363,8 +371,11 @@ def log_tau_derivative(table: ZTable, thetas: list[int]) -> Fraction:
     if not a or a[0] < 1:
         raise ValueError("theta indices must be >= 1")
     W = sum(a)
-    _require_table(table, W, f"theta weight {W}")
-    den = table.series.grades[(W - 1) // 2 + 1]
+    N = (W - 1) // 2
+    if not table.holds(N, 0):
+        raise InsufficientTableError(
+            f"Z table does not hold the triangle k + l <= {N} that theta weight {W} reads")
+    den = table.series.grades[N + 1]
 
     def weight(m: int, n: int) -> int:
         lifted, grade = table.affine(m, n)
@@ -520,6 +531,9 @@ def verify_string_recursion(tau: TauSeries) -> VerificationReport:
                 yield f"{CorrelatorSpec.of(ks + (0,))}: {format_rational(lhs)} vs {format_rational(rhs)}"
 
     failures = first_failures(mismatches())
+    if not checked:
+        return VerificationReport(suite, False, f"0 specs within t-degree {bound}", skipped=True,
+                                  notes="empty window: no spec with some k_i >= 1 fits")
     return VerificationReport(
         suite, not failures, f"{checked} specs within t-degree {bound}", failures=failures
     )

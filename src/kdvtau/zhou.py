@@ -35,7 +35,7 @@ The verifiers cross-multiply these integers, and `verify_zhou_match` reads
 the Grassmannian side off the Z table's graded integer lift, so a passing
 check builds no Fraction; a failure text reduces the values it prints.
 The CLI export streams the same integer fractions (`_B_int`) and reduces
-each entry once as it writes it; `rescale_B` lowers each (m, n) once to a
+each entry once as it writes it; `rescale_B` lowers one of them to a
 Fraction, and `zhou_affine_table` a corner to an `AffineTable`, for the
 tests and the benchmark trace.  Off the support B is a shared zero, with
 no arithmetic, and the verifiers skip work on zeros.
@@ -51,7 +51,6 @@ from .exactnum import RationalLike, as_rational, format_ratio, format_rational, 
 from .errors import InsufficientDepthError
 from .grassmann import AffineTable, ZTable
 from .report import VerificationReport, first_failures
-from .series import _ZERO
 
 __all__ = [
     "b_seq",
@@ -133,33 +132,18 @@ def _B_int(row: int, col: int) -> tuple[int, int]:
     return q if row % 3 == 1 else p, den
 
 
-@lru_cache(maxsize=None)
-def _B_fractions(m: int, n: int) -> tuple[Fraction, Fraction]:
-    """`_B_values` lowered, each value reduced once per (m, n)."""
-    p, q, den = _B_values(m, n)
-    return Fraction(p, den), Fraction(q, den)
-
-
 def rescale_B(row: int, col: int) -> Fraction:
-    """B_{row,col} = sqrt(-2)^(row+col+1) A^Z_{row,col}; a shared zero off
-    the support row + col = 2 (mod 3)."""
+    """B_{row,col} = sqrt(-2)^(row+col+1) A^Z_{row,col}, `_B_int` reduced;
+    zero off the support row + col = 2 (mod 3)."""
     if row < 0 or col < 0:
         raise ValueError("indices must be non-negative")
-    if (row + col) % 3 != 2:
-        return _ZERO
-    return _B_fractions(row // 3 + 1, col // 3)[row % 3 == 1]
+    return Fraction(*_B_int(row, col))
 
 
 def zhou_affine_table(max_m: int, max_n: int) -> AffineTable:
     """The rescaled coefficients assembled as an affine-coordinate table."""
-    entries: dict[tuple[int, int], Fraction] = {}
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            if (m + n) % 3 != 2:
-                continue
-            v = rescale_B(m, n)
-            if v != 0:
-                entries[(m, n)] = v
+    entries = {(m, n): Fraction(p, den) for m in range(max_m + 1) for n in range(max_n + 1)
+               for p, den in [_B_int(m, n)] if p}
     return AffineTable(max_m, max_n, entries, source="zhou")
 
 
@@ -191,10 +175,8 @@ def verify_zhou_match(ztable: ZTable, max_m: int, max_n: int) -> VerificationRep
     each lifted entry a of grade E_d is cross-multiplied with B's integer
     fraction p/den, a den = p E_d."""
     suite = "zhou-match"
-    if ztable.max_k < max_m // 2 or ztable.max_l < max_n // 2:
-        raise InsufficientDepthError(
-            f"Z table {ztable.max_k}x{ztable.max_l} too small for m <= {max_m}, n <= {max_n}"
-        )
+    if not ztable.holds(max_m // 2, max_n // 2):
+        raise InsufficientDepthError(f"Z table does not hold A[{max_m},{max_n}]")
 
     def mismatches():
         for m in range(max_m + 1):

@@ -82,13 +82,14 @@ def zhou_ztable(half: int) -> ZTable:
         return lift(2 * k + 1, 2 * l), lift(2 * k + 1, 2 * l + 1), lift(2 * k, 2 * l), lift(2 * k, 2 * l + 1)
 
     rows = tuple(tuple(block(k, l) for l in range(half + 1)) for k in range(half + 1))
-    return ZTable(half, half, rows, G)
+    return ZTable(rows, G)
 
 
 def giambelli_value(mu: tuple[int, ...], table: ZTable, minors: dict) -> Fraction:
-    """A_mu: `giambelli_coeff`'s E^k A_mu over E^k, E the table's top grade."""
-    top = table.series.grades[table.max_k + table.max_l + 1]
-    return Fraction(giambelli_coeff(mu, table, minors), top ** len(frobenius(mu)[0]))
+    """A_mu: `giambelli_coeff`'s E^k A_mu over E^k, E the grade of the last
+    block of the table's series, which the grade of every entry divides."""
+    top = table.series.grades[-1]
+    return Fraction(giambelli_coeff(mu, table, top, minors), top ** len(frobenius(mu)[0]))
 
 
 def det_one_G(seed: int, depth: int = 9) -> MatrixSeries:

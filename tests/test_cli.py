@@ -231,6 +231,30 @@ def test_verify_string_with_empty_window_exits_2(capsys):
     assert err.startswith("error: ") and "no certifiable residual" in err
 
 
+def test_verify_all_prints_nothing_when_a_suite_raises(capsys):
+    # sixteen reports pass before kdv flow 1 raises at depth 1: none is printed
+    code, out, err = run(capsys, "verify", "all", "--depth", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: tau degree 1 leaves no certifiable residual for flow 1\n"
+
+
+def test_verify_recursion_on_an_empty_window_skips(capsys):
+    code, out, _ = run(capsys, "verify", "recursion", "--depth", "0")
+    assert code == 0
+    assert ("z-recursion: SKIP (k < 0, l < 0) -- empty window: no (k,l) with both sides in the table"
+            in out.splitlines())
+    assert "FAIL" not in out and out.count("PASS") == 3
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_verify_string_recursion_on_an_empty_window_skips(capsys, depth):
+    code, out, _ = run(capsys, "verify", "string", "--depth", str(depth))
+    assert code == 0
+    assert out.splitlines()[1] == (f"string-recursion: SKIP (0 specs within t-degree {depth}) "
+                                   "-- empty window: no spec with some k_i >= 1 fits")
+    assert "FAIL" not in out and out.count("PASS") == 2
+
+
 def test_verify_recursion_small(capsys):
     code, out, _ = run(capsys, "verify", "recursion", "--depth", "5")
     assert code == 0
@@ -263,19 +287,21 @@ def test_verify_all_builds_one_tau(capsys, monkeypatch):
 
 
 def test_verify_all_builds_one_wk_z_table_for_three_suites(capsys, monkeypatch):
-    # symmetry, genfun and zhou-match all read the K = L = 15 table of wk_G(31)
+    # symmetry, genfun and zhou-match all read the triangle of wk_G(31); the
+    # others are the recursion's cross-check on wk_G(41), the tau's triangle
+    # of order 6 and thm2's of order 23
     import kdvtau.grassmann as gr
 
-    shapes = []
-    build = gr.z_tables_recursive
-    monkeypatch.setattr(gr, "z_tables_recursive",
-                        lambda G, s: shapes.append((G.tail_order, *s)) or build(G, s))
+    orders = []
+    build = gr.z_table_recursive
+    monkeypatch.setattr(gr, "z_table_recursive",
+                        lambda G, *corner: orders.append(G.tail_order) or build(G, *corner))
     gr.wk_z_table.cache_clear()
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     suites = {line.split(":")[0] for line in out.splitlines()}
     assert {"symmetry", "generating-function", "zhou-match"} <= suites
-    assert shapes.count((31, (15, 15))) == 1
+    assert sorted(orders) == [6, 23, 31, 41]
 
 
 def test_v_table_forms_each_numerator_block_once(monkeypatch):
@@ -315,10 +341,10 @@ def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
     r_matrix.cache_clear()
     code, _, _ = run(capsys, "verify", "all")
     assert code == 0
-    # WK loop matrices at 11, 21, 23, 31 and 41; R at 9 (vmatrix), 12 (rmatrix)
-    # and 15 (thm2)
-    assert sorted(s.tail_order for s in built) == [9, 11, 12, 15, 21, 23, 31, 41]
-    assert sorted(s.tail_order for s in built if "inverse" in vars(s)) == [11, 21, 23, 31, 41]
+    # WK loop matrices at 6 (the tau's triangle), 21, 23, 31 and 41; R at 9
+    # (vmatrix), 12 (rmatrix) and 15 (thm2)
+    assert sorted(s.tail_order for s in built) == [6, 9, 12, 15, 21, 23, 31, 41]
+    assert sorted(s.tail_order for s in built if "inverse" in vars(s)) == [6, 21, 23, 31, 41]
 
 
 @pytest.mark.parametrize("suite", ["vmatrix", "thm2", "all"])
@@ -355,7 +381,6 @@ def test_passing_z_table_suites_reduce_no_entry(capsys, monkeypatch, suite):
     for module in (grassmann, series, spin3):  # table entries, blocks of a series, V
         monkeypatch.setattr(module, "lower", counting)
     monkeypatch.setattr(zhou, "Fraction", lambda *a: fractions.append(a) or fraction(*a))
-    zhou._B_fractions.cache_clear()
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0 and "FAIL" not in out
     assert lowered == [] and fractions == []
@@ -370,16 +395,38 @@ def test_passing_z_table_suites_reduce_no_entry(capsys, monkeypatch, suite):
                                         (",".join(["0"] * 100 + ["98"]), "1")])
 def test_long_reductions_read_a_tiny_table(capsys, monkeypatch, spec, value):
     # the string and dilaton steps leave <tau_1>_1 or <tau_0^3>_0, and the
-    # correlator sizes its table after them, so it reads Z_{1,1} and no more
+    # correlator sizes its table after them, so it reads Z_{k,l}, k + l <= 1,
+    # the triangle of wk_G(2), and no more
     import kdvtau.grassmann as gr
 
-    shapes = []
-    build = gr.z_tables_recursive
-    monkeypatch.setattr(gr, "z_tables_recursive", lambda G, s: shapes.extend(s) or build(G, s))
+    orders = []
+    build = gr.z_table_recursive
+    monkeypatch.setattr(gr, "z_table_recursive",
+                        lambda G, *corner: orders.append(G.tail_order) or build(G, *corner))
     gr.wk_z_table.cache_clear()
     code, out, _ = run(capsys, "intersect", spec)
     assert code == 0 and json.loads(out)["value"] == value
-    assert shapes == [(1, 1)]
+    assert orders == [2]
+
+
+@pytest.mark.parametrize("spec,N", [("148", 148), ("10,10,10", 31)])
+def test_correlator_builds_its_triangle_on_wk_G_of_order_N_plus_1(capsys, monkeypatch, spec, N):
+    # W = 297 and 63: the triangle k + l <= N = (W - 1)//2 on wk_G(N + 1), not
+    # the square k, l <= N on wk_G(2N + 1), and the bytes pinned before
+    import hashlib
+
+    import kdvtau.grassmann as gr
+    from test_golden import GOLDEN
+
+    tables = []
+    build = gr.z_table_recursive
+    monkeypatch.setattr(gr, "z_table_recursive",
+                        lambda G, *corner: tables.append(build(G, *corner)) or tables[-1])
+    gr.wk_z_table.cache_clear()
+    code, out, _ = run(capsys, "intersect", spec)
+    assert [t.series.tail_order for t in tables] == [N + 1]
+    assert [len(row) for row in tables[0].lifted] == list(range(N + 1, 0, -1))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[f"intersect {spec}"]
 
 
 @pytest.mark.parametrize("spec", ["2,3", "28"])
@@ -733,6 +780,25 @@ def test_point_file_errors_name_the_field(capsys, tmp_path, doc, message):
     assert err == f"error: malformed point file {path}: {message}\n"
 
 
+def cut_point(doc: dict, order: int) -> dict:
+    """The point file `doc` with both tails cut to lam^-order."""
+    return {name: {"head": [], "tail_order": order, "tail": doc[name]["tail"][: order + 1]} for name in "ab"}
+
+
+def test_tau_reads_a_point_only_as_deep_as_its_triangle(capsys, tmp_path):
+    # tau degree 12 reads Z_{k,l}, k + l <= 5, on G_0..G_6: a through lam^-12
+    # and b through lam^-13, where the square k, l <= 5 needed lam^-23
+    deep = seeded_point_json(7, 30, True, False)
+    outputs = {}
+    for order in (30, 13, 12):
+        path = tmp_path / f"point{order}.json"
+        path.write_text(json.dumps(cut_point(deep, order)))
+        outputs[order] = run(capsys, "grassmann", str(path), "--tau", "12")
+    assert outputs[30][0] == 0 and outputs[30][1]
+    assert outputs[13] == outputs[30]
+    assert outputs[12] == (2, "", "error: b is only valid through lam^-12, need lam^-13\n")
+
+
 def test_too_shallow_point_file_fails_before_parsing_its_numbers(capsys, tmp_path, monkeypatch):
     # a 10^6-digit coefficient at lam^-1 of a tail too short for the request:
     # the window check fails before any coefficient past the constant term is
@@ -832,7 +898,7 @@ def test_grassmann_combined_call_matches_separate_calls(capsys, tmp_path, monkey
         return wrapper
 
     monkeypatch.setattr(tau, "tau_truncated", counted("tau", tau.tau_truncated))
-    monkeypatch.setattr(grassmann, "z_tables_recursive", counted("z", grassmann.z_tables_recursive))
+    monkeypatch.setattr(grassmann, "z_table_recursive", counted("z", grassmann.z_table_recursive))
     code, out, _ = run(capsys, "grassmann", path, "--affine", "7", "3", "--tau", str(degree),
                        "--tau-vars", tau_vars, "--initial-data", str(n))
     assert code == 0

@@ -22,6 +22,7 @@ ALLOWED = {
     "series_inverse": "the benchmark trace rebinds it",
     "intersection_number": "the benchmark trace rebinds it",
     "zhou_affine_table": "the benchmark trace rebinds it",
+    "rescale_B": "one B as a Fraction: the tests' reading of Zhou's closed form",
     "point_to_json": "the writer beside the point-file reader",
     "verify_Bn_recursion": "a verifier of the paper's recursion that awaits a CLI suite",
     "verify_combinatorial_identity": "a verifier of the paper's identity that awaits a CLI suite",

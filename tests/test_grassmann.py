@@ -27,7 +27,6 @@ from kdvtau.grassmann import (
     wk_z_table,
     z_table_direct,
     z_table_recursive,
-    z_tables_recursive,
 )
 from kdvtau.series import LaurentSeries, MatrixSeries, matrix_series_inverse
 
@@ -236,10 +235,30 @@ def test_affine_readout(wk_G41):
 def test_affine_reads_only_inside_the_table(m, n):
     # Z_{k,l}, k, l <= 3 holds A_{m,n} for m, n <= 7; a negative index would
     # wrap round to another entry's lift and a large one overrun the rows
-    table = wk_z_table(3)
+    table = z_table_direct(wk_G(7), 3, 3)
     assert F(*table.affine(7, 7)) == table.entry(3, 3)[1]
-    with pytest.raises(OutOfRangeError, match=rf"^A\[{m},{n}\] outside table 7x7$"):
+    block = rf"Z\[{m // 2},{n // 2}\]"
+    with pytest.raises(OutOfRangeError, match=rf"^A\[{m},{n}\] outside the table \(block {block}\)$"):
         table.affine(m, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_every_read_just_outside_a_triangle_is_out_of_range(n):
+    # the triangle k + l < n: each (k, n - k), and each negative index, is
+    # refused by `holds` before any row is indexed
+    table = wk_z_table(n)
+    assert [len(row) for row in table.lifted] == list(range(n, 0, -1))
+    outside = [(k, n - k) for k in range(n + 1)] + [(-1, 0), (0, -1), (-1, n), (n, -1), (-3, -2)]
+    for k, l in outside:
+        assert not table.holds(k, l)
+        with pytest.raises(OutOfRangeError):
+            table.entry(k, l)
+        for m, p in [(2 * k, 2 * l), (2 * k + 1, 2 * l + 1), (2 * k, 2 * l + 1), (2 * k + 1, 2 * l)]:
+            with pytest.raises(OutOfRangeError):
+                table.affine(m, p)
+    for k in range(n):  # the edge itself is read
+        assert table.holds(k, n - 1 - k)
+        assert F(*table.affine(2 * k + 1, 2 * (n - 1 - k) + 1)) == table.entry(k, n - 1 - k)[1]
 
 
 def test_tables_agree_wk(wk_G41):
@@ -255,21 +274,29 @@ def test_recursion_identity_on_direct_table(wk_G41):
 EDGE_SHAPES = [(3, 1), (1, 4), (0, 0), (0, 5), (5, 0), (4, 2)]
 
 
+def corner(table, K: int, L: int) -> tuple:
+    """The lifted blocks Z_{k,l}, k <= K, l <= L, of a table that holds them."""
+    assert table.holds(K, L)
+    return tuple(row[: L + 1] for row in table.lifted[: K + 1])
+
+
 @pytest.mark.parametrize("K,L", EDGE_SHAPES)
 def test_recursive_matches_direct_on_edge_shapes(wk_G41, K, L):
-    assert z_table_recursive(wk_G41, K, L) == z_table_direct(wk_G41, K, L)
+    assert corner(z_table_recursive(wk_G41, K, L), K, L) == z_table_direct(wk_G41, K, L).lifted
     G = build_G(GrassmannPoint(
         LaurentSeries.from_dict({0: 1, -1: 2, -2: F(1, 3), -4: -1}, None),
         LaurentSeries.from_dict({0: 1, -1: 1, -3: F(5, 2)}, None),
     ), K + L + 1)
-    assert z_table_recursive(G, K, L) == z_table_direct(G, K, L)
+    table = z_table_recursive(G, K, L)  # the triangle k + l <= K + L, no more
+    assert [len(row) for row in table.lifted] == list(range(K + L + 1, 0, -1))
+    assert corner(table, K, L) == z_table_direct(G, K, L).lifted
 
 
-def test_one_recursion_run_serves_every_shape(wk_G41):
-    tables = z_tables_recursive(wk_G41, EDGE_SHAPES)
-    assert tables == [z_table_direct(wk_G41, K, L) for K, L in EDGE_SHAPES]
-    first, again = z_tables_recursive(wk_G41, [(3, 1), (3, 1)])
-    assert first is again  # a repeated shape reduces its entries once
+def test_one_triangle_holds_every_shape(wk_G41):
+    table = z_table_recursive(wk_G41)
+    assert [len(row) for row in table.lifted] == list(range(41, 0, -1))
+    for K, L in EDGE_SHAPES:
+        assert corner(table, K, L) == z_table_direct(wk_G41, K, L).lifted
 
 
 def corrupt_inverse_block(j):
@@ -285,14 +312,14 @@ def corrupt_inverse_block(j):
 
 def on_corrupt_inverse(table, j):
     """The blocks of `table` paired with `corrupt_inverse_block(j)`."""
-    return ZTable(table.max_k, table.max_l, table.lifted, corrupt_inverse_block(j))
+    return ZTable(table.lifted, corrupt_inverse_block(j))
 
 
 @pytest.mark.parametrize("j", [1, 2, 4, 6, 7])
 def test_recursion_boundary_check_catches_a_corrupt_inverse(j):
     # Z[j-1,0] moves by exactly the corruption of U_j, so the left-column
-    # check Z[k,0] = G_{k+1}, run down to k = need - 1 = 6, sees every seed
-    # U_1..U_7 of a 3x3 table, including U_6 and U_7 beyond its rows
+    # check Z[k,0] = G_{k+1}, run down the whole triangle, sees every seed
+    # U_1..U_n, those beyond the 3x3 corner the caller reads included
     with pytest.raises(ExactComputationError, match="boundary mismatch"):
         z_table_recursive(corrupt_inverse_block(j), 3, 3)
 
@@ -346,8 +373,7 @@ def lattice_points(draw, depth=12):
 
 def entry_rows(table) -> list:
     """Every entry of a Z table as nested lists of `Fraction`s, read by `entry`."""
-    return [[rows(table.entry(k, l)) for l in range(table.max_l + 1)]
-            for k in range(table.max_k + 1)]
+    return [[rows(table.entry(k, l)) for l in range(len(row))] for k, row in enumerate(table.lifted)]
 
 
 @given(lattice_points())
@@ -363,13 +389,13 @@ def test_loop_matrix_layer_matches_the_oracle(ab):
     u = loop_inverse(g)
     assert [rows(x) for x in G.blocks(depth)] == g
     assert [rows(x) for x in matrix_series_inverse(G).blocks(depth)] == u
-    # every (k, l) with k + l + 1 <= depth, through each shape of the staircase
+    # every (k, l) with k + l + 1 <= depth: the recursion's triangle whole,
+    # and the closed formula through each shape of the staircase
     want = closed_z(g, u, depth - 1, depth - 1)
-    shapes = [(K, depth - 1 - K) for K in range(depth)]
-    for (K, L), table in zip(shapes, z_tables_recursive(G, shapes)):
-        corner = [row[: L + 1] for row in want[: K + 1]]
-        assert entry_rows(table) == corner
-        assert entry_rows(z_table_direct(G, K, L)) == corner
+    assert entry_rows(z_table_recursive(G)) == want
+    for K in range(depth):
+        L = depth - 1 - K
+        assert entry_rows(z_table_direct(G, K, L)) == [row[: L + 1] for row in want[: K + 1]]
 
 
 def test_wk_tables_match_the_oracle(wk_G41, wk_ztable20):
@@ -379,7 +405,7 @@ def test_wk_tables_match_the_oracle(wk_G41, wk_ztable20):
     g = loop_blocks(a, b, 41)
     want = closed_z(g, loop_inverse(g), 20, 20)
     assert entry_rows(wk_ztable20) == want
-    assert entry_rows(z_table_recursive(wk_G41, 20, 20)) == want
+    assert [row[:21] for row in entry_rows(z_table_recursive(wk_G41, 20, 20))[:21]] == want
 
 
 def test_insufficient_depth_is_an_error():
@@ -622,7 +648,7 @@ def fraction_holds(name: str, G: MatrixSeries, table, depth: int) -> bool:
     Z, n = (lambda k, l: rows(table.entry(k, l))), range(depth + 1)
     g = [rows(b) for b in G.blocks(G.tail_order)]
     if name == "equivalence":
-        other = z_table_recursive(G, table.max_k, table.max_l)
+        other = z_table_recursive(G, depth, depth)
         return all(Z(k, l) == rows(other.entry(k, l)) for k in n for l in n)
     if name == "recursion":
         return all(_negsum([Z(k, l + 1), _negsum([Z(k + 1, l)])]) == _matmul(Z(k, 0), Z(0, l))
@@ -636,7 +662,7 @@ def fraction_holds(name: str, G: MatrixSeries, table, depth: int) -> bool:
                    for k in n for l in n)
     # genseries: lam^e coefficient sum_j G_{k-e-j} U_j of G (lam^k G^-1)_+, k <= 2
     for k in range(3):
-        l_top = min(G.tail_order - k - 1, table.max_k)
+        l_top = min(G.tail_order - k - 1, depth)
         for e in range(-(l_top + 1), k + 1):
             minus_got = _negsum(_matmul(g[k - e - j], u[j]) for j in range(min(k, k - e) + 1))
             want = rows(EYE if e == k else ZERO) if e >= 0 else Z(-e - 1, k)
@@ -668,7 +694,7 @@ def test_z_verifiers_on_a_non_multiplicative_lift(name, seed):
     # z_{1,1} moved by 1 moves Z_{1,1} by 1/E_3 only
     rows = [list(row) for row in table.lifted]
     rows[1][1] = (rows[1][1][0] + 1,) + rows[1][1][1:]
-    bumped = ZTable(4, 4, tuple(map(tuple, rows)), G)
+    bumped = ZTable(tuple(map(tuple, rows)), G)
     rep = VERIFIERS[name](bumped, 4)
     assert not rep.passed and not rep.skipped and rep.failures
     assert not fraction_holds(name, G, bumped, 4)

@@ -47,8 +47,8 @@ RECORDS = {
     MatrixSeries: lambda: (((1, 2), ((1, 0, 0, 1), (0, 1, 0, 0))), ((1, 2), ((1, 0, 0, 1), (0, -1, 0, 0)))),
     GrassmannPoint: lambda: ((tail(2), tail(0, 1)), (tail(2), tail(0, 2))),
     ZTable: lambda: (
-        (0, 0, (((1, 0, 0, 1),),), MatrixSeries((1, 2), ((1, 0, 0, 1), (0, 1, 0, 0)))),
-        (0, 0, (((0, 0, 0, 0),),), MatrixSeries((1, 2), ((1, 0, 0, 1), (0, 1, 0, 0)))),
+        ((((1, 0, 0, 1),),), MatrixSeries((1, 2), ((1, 0, 0, 1), (0, 1, 0, 0)))),
+        ((((0, 0, 0, 0),),), MatrixSeries((1, 2), ((1, 0, 0, 1), (0, 1, 0, 0)))),
     ),
     AffineTable: lambda: ((1, 1, {(1, 0): F(1)}, "zhou"), (1, 1, {(1, 0): F(1)}, "grassmann")),
     GradedPoly: lambda: (("theta", {((1, 2),): F(2)}, 5), ("theta", {((1, 2),): F(2)}, 6)),

@@ -262,7 +262,7 @@ def perm_det(rows):
 
 
 def test_giambelli_empty_is_one(wk_ztable15):
-    assert giambelli_coeff((), wk_ztable15, {}) == 1
+    assert giambelli_coeff((), wk_ztable15, 1, {}) == 1
 
 
 def test_giambelli_hooks_wk(wk_ztable15):
@@ -283,11 +283,12 @@ def test_giambelli_hook_consistency(wk_ztable15):
 
 
 def test_giambelli_range_check(wk_ztable15):
+    top = wk_ztable15.series.grades[31]
     with pytest.raises(OutOfRangeError):
-        giambelli_coeff((33,), wk_ztable15, {})  # arm 32: A_{32,0} lies in Z_{16,0}
+        giambelli_coeff((33,), wk_ztable15, top, {})  # arm 32: A_{32,0} lies in Z_{16,0}
     with pytest.raises(OutOfRangeError):
-        giambelli_coeff((1,) * 33, wk_ztable15, {})
-    assert giambelli_coeff((32, 1), wk_ztable15, {})  # (31 | 1): A_{31,1} in the last row
+        giambelli_coeff((1,) * 33, wk_ztable15, top, {})
+    assert giambelli_coeff((32, 1), wk_ztable15, top, {})  # (31 | 1): A_{31,1} in the last row
 
 
 def with_frobenius(arms, legs) -> tuple:
@@ -304,7 +305,7 @@ def lifted_ztable(half: int, grades: tuple[int, ...], values) -> ZTable:
     grade sequence `grades` (the series' blocks are never read)."""
     series = MatrixSeries(grades, ((1, 0, 0, 1),) + ((0, 0, 0, 0),) * (len(grades) - 1))
     rows = tuple(tuple(tuple(next(values) for _ in range(4)) for _ in range(half + 1)) for _ in range(half + 1))
-    return ZTable(half, half, rows, series)
+    return ZTable(rows, series)
 
 
 @st.composite
@@ -341,7 +342,7 @@ def test_giambelli_matches_permutation_expansion(case):
     sign = -1 if sum(legs) % 2 else 1
     rows = [[F(*table.affine(m, n)) for n in legs] for m in arms]
     top = table.series.grades[9]
-    assert giambelli_coeff(mu, table, {}) == sign * perm_det(rows) * top ** len(arms)
+    assert giambelli_coeff(mu, table, top, {}) == sign * perm_det(rows) * top ** len(arms)
 
 
 def test_giambelli_memo_is_per_table():
@@ -355,10 +356,10 @@ def test_giambelli_memo_is_per_table():
     taus: dict = {}
     for order in ((7, 11), (11, 7)):
         for a11 in order:
-            table = ZTable(1, 1, (((5, a11, 2, 3), zero), (zero, zero)), series)
+            table = ZTable((((5, a11, 2, 3), zero), (zero, zero)), series)
             minors: dict = {}
-            assert giambelli_coeff((2, 1), table, minors) == -a11
-            assert giambelli_coeff((2, 2), table, minors) == -(a11 * 2 - 3 * 5)
+            assert giambelli_coeff((2, 1), table, 1, minors) == -a11
+            assert giambelli_coeff((2, 2), table, 1, minors) == -(a11 * 2 - 3 * 5)
             taus.setdefault(order, {})[a11] = tau_truncated(table, 4).poly
     assert taus[(7, 11)] == taus[(11, 7)] and taus[(7, 11)][7] != taus[(7, 11)][11]
 

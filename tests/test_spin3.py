@@ -179,7 +179,7 @@ def test_v_relations_report_a_broken_adjoint_symmetry(monkeypatch):
         V = true_V(size)
         rows = [list(row) for row in V.lifted]
         rows[2][1] = (rows[2][1][0] + V.series.grades[4], *rows[2][1][1:])
-        return ZTable(V.max_k, V.max_l, tuple(map(tuple, rows)), V.series)
+        return ZTable(tuple(map(tuple, rows)), V.series)
 
     monkeypatch.setattr(spin3, "v_table", bumped)
     failures = verify_v_relations(3).failures

@@ -14,6 +14,7 @@ from kdvtau.grassmann import (
     build_G,
     point_from_json,
     wk_G,
+    z_table_direct,
     z_table_recursive,
 )
 from kdvtau.series import MatrixSeries
@@ -98,11 +99,29 @@ def test_tau_requires_big_enough_table():
 
 def test_pipeline_independence(wk_ztable15):
     """tau assembled on the closed-formula table K = L = 15 equals tau on the
-    recursion's table of exactly the size degree 10 reads, whose top grade
-    (the scale of its minors) is E_9, not E_31, coefficient for coefficient."""
+    recursion's triangle of exactly the order degree 10 reads, 5 on wk_G(5),
+    coefficient for coefficient."""
     t_direct = tau_truncated(wk_ztable15, 10)
-    t_recursive = tau_truncated(z_table_recursive(wk_G(9), 4, 4), 10)
+    t_recursive = tau_truncated(z_table_recursive(wk_G(5)), 10)
     assert t_direct.poly.terms == t_recursive.poly.terms
+
+
+@pytest.mark.parametrize("seed,dense,large", [(31, True, False), (32, False, True)])
+def test_tau_on_the_exact_triangle_equals_tau_on_larger_tables(seed, dense, large):
+    # a tau of degree D reads the triangle k + l <= (D - 1)//2 at the scale its
+    # order fixes, so a deeper triangle or a square gives the same series, and
+    # a triangle one order short is refused
+    point = point_from_json(seeded_point_json(seed, 31, dense, large))
+    deep = z_table_recursive(build_G(point, 15))
+    for degree in range(13):
+        order = max(degree - 1, 0) // 2 + 1
+        want = tau_truncated(z_table_recursive(build_G(point, order)), degree)
+        assert tau_truncated(deep, degree) == want
+        square = z_table_direct(build_G(point, 2 * order - 1), order - 1, order - 1)
+        assert tau_truncated(square, degree) == want
+        if order > 1:
+            with pytest.raises(InsufficientTableError):
+                tau_truncated(z_table_recursive(build_G(point, order - 1)), degree)
 
 
 def test_stabilization_in_table_size(wk_ztable20):
@@ -118,13 +137,14 @@ def test_stabilization_in_degree(wk_tau12, wk_ztable15):
 
 
 def seeded_table(seed: int, dense: bool, large: bool, half: int) -> ZTable:
-    """The Z table K = L = half of a seeded random point (A_{m,n}, m, n <= 2 half + 1)."""
+    """The Z triangle of order 2 half + 1 of a seeded random point, which holds
+    K = L = half (A_{m,n}, m, n <= 2 half + 1)."""
     point = point_from_json(seeded_point_json(seed, 4 * half + 3, dense, large))
     return z_table_recursive(build_G(point, 2 * half + 1), half, half)
 
 
 def route_tables(half: int) -> dict:
-    """The tables the tau routes are compared on, each with K, L >= half."""
+    """The tables the tau routes are compared on, each holding k, l <= half."""
     return {
         "wk": lambda request: request.getfixturevalue("wk_ztable15"),
         "zhou": lambda _: zhou_ztable(half),
@@ -489,9 +509,10 @@ def test_log_tau_derivative_on_a_non_multiplicative_lift(seed):
 def test_correlator_guards():
     spec = CorrelatorSpec.of([0, 0])
     assert correlator(spec) == 0 and spec.genus is None and not spec.is_valid
-    small = z_table_recursive(wk_G(8), 3, 3)
+    small = z_table_recursive(wk_G(4))  # k + l <= 3, where weight 9 reads k + l <= 4
     with pytest.raises(InsufficientTableError):
         log_tau_derivative(small, [5, 4])
+    assert log_tau_derivative(small, [5, 3]) == 0  # reads k + l <= 3; <tau_2 tau_1> has no genus
     with pytest.raises(ValueError):
         log_tau_derivative(small, [])
     with pytest.raises(ValueError):
