@@ -10,10 +10,12 @@ Subcommands:
 
 Exit codes are the machine contract: 0 pass, 1 verification failure,
 2 usage or input error.  All rational output is "p/q" in lowest terms.
-Every Z table is the triangle Z_{k,l}, k + l < n, that the recursion
-computes on a loop matrix of depth n (`grassmann.z_table_recursive`), of
-the order its reader needs: K + L + 1 for the corner k <= K, l <= L of an
-export or a suite, (D - 1)//2 + 1 for a tau of degree D (`tau.table_order`).
+Every Z table comes from the recursion on a loop matrix of depth n
+(`grassmann.z_table_recursive`), of the order its reader needs: K + L + 1
+for the corner k <= K, l <= L of an export or a suite, (D - 1)//2 + 1 for a
+tau of degree D (`tau.table_order`).  The recursion computes and checks the
+whole triangle Z_{k,l}, k + l < n; a tau or a suite keeps it, and an export
+keeps only the K x L corner it writes, so every row is checked either way.
 The suites read the Witten-Kontsevich tables of `grassmann.wk_z_table`;
 `intersect` passes only the spec, and `tau.correlator` sizes its own table.
 `grassmann` builds one table, of the largest order its tasks need, on a
@@ -148,7 +150,8 @@ def write_affine(stream, max_m: int, max_n: int, source: str, fmt: str, read, en
 
 def cmd_affine(args: SimpleNamespace) -> int:
     if args.source == "grassmann":
-        read = gr.wk_z_table(args.max_m // 2 + args.max_n // 2 + 1).affine
+        K, L = args.max_m // 2, args.max_n // 2
+        read = gr.z_table_recursive(gr.wk_G(K + L + 1), K, L).affine
     else:
         read = zhou._B_int
     return _emit(args.output,
@@ -249,11 +252,17 @@ def cmd_grassmann(args: SimpleNamespace) -> int:
     if args.affine is not None and args.format == "csv" and degrees:
         raise UsageError("csv format is only available when --affine is the sole task")
     # one Z table and one tau, each as deep as the deepest task needs; the
-    # tasks read corners of the table and truncations of the tau
+    # tasks read corners of the table and truncations of the tau.  A tau reads
+    # the triangle; an export alone keeps only the corner it writes
     orders = [tau_mod.table_order(max(degrees))] if degrees else []
+    corner = ()
     if args.affine is not None:
-        orders.append(args.affine[0] // 2 + args.affine[1] // 2 + 1)
-    table = _z_table(_load_point(args.pointfile, max(orders)), max(orders))
+        K, L = args.affine[0] // 2, args.affine[1] // 2
+        orders.append(K + L + 1)
+        if not degrees:
+            corner = (K, L)
+    G = gr.build_G(_load_point(args.pointfile, max(orders)), max(orders))
+    table = gr.z_table_recursive(G, *corner)
     doc: dict = {}
     t = None
     if degrees:

@@ -17,12 +17,13 @@ coordinates are then
 
 where A_{m,n} are the scalar affine coordinates of the point.  This module
 builds the Z table by the recursion Z_{k+1,l} = Z_{k,l+1} + Z_{k,0} Z_{0,l}
-seeded from G^-1 (the production route), which on G_0..G_n computes and
-keeps the triangle k + l < n; every reader asks for the order it reads and
-checks its reads by `ZTable.holds`.  The closed formula in the blocks of G
-and G^-1 is kept as the independent cross-check run by `verify recursion`.
-It also extracts scalar coordinates and verifies the generating-series,
-recursion and symmetry identities.
+seeded from G^-1 (the production route), which on G_0..G_n computes the
+triangle k + l < n and checks every row of it; it keeps the triangle, or the
+K x L corner a caller names (an affine export reads only its corner).  Every
+reader asks for the order it reads and checks its reads by `ZTable.holds`.
+The closed formula in the blocks of G and G^-1 is kept as the independent
+cross-check run by `verify recursion`.  It also extracts scalar coordinates
+and verifies the generating-series, recursion and symmetry identities.
 
 Both table routes and the five Z-table verifiers work on the graded integer
 lift that G is stored as (`series.MatrixSeries`): a block of grade d
@@ -213,9 +214,11 @@ class ZTable(Record):
     E_{k+l+1} X_{k,l} on the grades E of `series`, the `MatrixSeries` it was
     solved on: the matrix-valued affine coordinates Z_{k,l} of G, or the
     3-spin V_{k,l} of R (`spin3.v_table`).  The recursion keeps the triangle
-    k + l < n it computes (`z_table_recursive`), the closed formula and the V
-    table a rectangle; `holds` says whether a block is stored, and every
-    reader checks its reads by it.  `entry` lowers a block to `Fraction`s on
+    k + l < n it computes, or the rectangle a caller names, such as the
+    corner an affine export writes, after checking every row of the triangle
+    (`z_table_recursive`); the closed formula and the V table keep a
+    rectangle.  `holds` says whether a block is stored, and every reader
+    checks its reads by it.  `entry` lowers a block to `Fraction`s on
     each read; `affine` reads one A_{m,n}.  Equality compares the lifted
     blocks and the series, so two tables are equal when they hold the same
     blocks of the same series."""
@@ -332,25 +335,32 @@ def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
     return ZTable(tuple(rows), G)
 
 
-def z_table_recursive(G: MatrixSeries, max_k: int = 0, max_l: int = 0) -> ZTable:
-    """The triangle Z_{k,l}, k + l < n, n = G.tail_order, by the
-    boundary-seeded recursion Z_{k+1,l} = Z_{k,l+1} + Z_{k,0} Z_{0,l}; G must
-    reach the corner k <= max_k, l <= max_l a caller reads (n > max_k + max_l).
+def z_table_recursive(G: MatrixSeries, max_k: int | None = None, max_l: int | None = None) -> ZTable:
+    """Z_{k,l} by the boundary-seeded recursion Z_{k+1,l} = Z_{k,l+1} +
+    Z_{k,0} Z_{0,l}: the triangle k + l < n, n = G.tail_order, or, when a
+    caller names its corner, the K x L rectangle k <= max_k, l <= max_l,
+    which G must reach (n > max_k + max_l).
 
     The top row is seeded by Z_{0,l} = -U_{l+1} for l < n, and row k is
     computed from row k-1 and the top row, one entry shorter than row k-1,
     so row k holds Z_{k,l} for l < n - k: the triangle is what the recursion
-    computes, and it is kept whole.  Each Z_{k,0} is checked against the
-    boundary data G_{k+1}.  With U the computed inverse, Z_{k,0} = G_{k+1}
-    for every k < n is (G U)_{k+1} = 0, so the check covers every seed
-    U_1..U_n.
+    computes.  With no corner named it is kept whole; with one, rows k <= K
+    are kept, each cut to its first L + 1 blocks as the loop passes it.
+    Every row k < n is computed either way, and each Z_{k,0} is checked
+    against the boundary data G_{k+1}.  With U the computed inverse, Z_{k,0}
+    = G_{k+1} for every k < n is (G U)_{k+1} = 0, so the check covers every
+    seed U_1..U_n; Z_{K,L} reads U_1..U_{K+L+1}, so a loop that stopped at
+    row K would leave the seeds past U_{K+1} unchecked.
 
     The rows hold the graded lift z_{k,l} = E_{k+l+1} Z_{k,l}, so the step
     is z_{k,l} = z_{k-1,l+1} + (E_{k+l+1} / (E_k E_{l+1})) z_{k-1,0} z_{0,l}
     and the boundary check compares integers.
     """
-    _require_depth(G, max_k + max_l + 1)
     n = G.tail_order
+    if (max_k, max_l) == (None, None):
+        max_k, max_l = n - 1, n
+    else:
+        _require_depth(G, max_k + max_l + 1)
     top = tuple((-a11, -a12, -a21, -a22) for a11, a12, a21, a22 in G.inverse[1 : n + 1])
     rows = []
     row = top
@@ -366,7 +376,8 @@ def z_table_recursive(G: MatrixSeries, max_k: int = 0, max_l: int = 0) -> ZTable
                 f"{format_block(lower(row[0], G.grades[k + 1]))} vs {format_block(G.block(k + 1))}; "
                 "the seeds are inconsistent (G times its inverse is not the identity)"
             )
-        rows.append(row)
+        if k <= max_k:
+            rows.append(row[: max_l + 1])
     return ZTable(tuple(rows), G)
 
 
@@ -524,8 +535,7 @@ def verify_kac_schwarz(depth: int) -> VerificationReport:
 
 def verify_z_equivalence(direct: ZTable) -> VerificationReport:
     """The closed-formula table `direct` = `z_table_direct(G, K, L)` equals the
-    recursion-seeded triangle on the same G in its K x L corner, entrywise on
-    the lift of G."""
+    K x L corner of the recursion on the same G, entrywise on the lift of G."""
     suite = "z-table-equivalence"
     max_k, max_l = len(direct.lifted) - 1, len(direct.lifted[0]) - 1
     recursive = z_table_recursive(direct.series, max_k, max_l)

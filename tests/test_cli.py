@@ -498,9 +498,10 @@ def test_affine_exports_stream_from_integer_pairs(capsys, monkeypatch, tmp_path,
 def test_deep_affine_export_holds_no_copy_of_its_output(source, fmt):
     # at M = 69 the output is 0.15-0.2 MB, and a route that holds the corner
     # as Fractions, then rows, then one string peaks at 1.1-2.0 MB; streamed
-    # rows leave the Z table or Zhou's integer B: 0.22-0.41 MB.  Every cache
-    # of the package is cleared first, so that the tables are built inside
-    # the count, and the export goes to os.devnull
+    # rows leave Zhou's integer B (0.22-0.29 MB) or the 35 x 35 corner of Z
+    # blocks (0.21-0.31 MB), where the whole triangle of order 69 peaks at
+    # 0.39-0.54 MB.  Every cache of the package is cleared first, so that the
+    # tables are built inside the count, and the export goes to os.devnull
     import tracemalloc
 
     from kdvtau import exactnum, grassmann, schur, series, spin3, tau, zhou
@@ -516,7 +517,66 @@ def test_deep_affine_export_holds_no_copy_of_its_output(source, fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.6e6
+    assert peak < 0.4e6
+
+
+def spy_tables(monkeypatch) -> list:
+    """The tables `grassmann.z_table_recursive` returns from here on."""
+    import kdvtau.grassmann as gr
+
+    tables = []
+    build = gr.z_table_recursive
+    monkeypatch.setattr(gr, "z_table_recursive",
+                        lambda G, *corner: tables.append(build(G, *corner)) or tables[-1])
+    return tables
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("M", [0, 1, 12, 45])
+def test_affine_export_keeps_only_its_corner(capsys, monkeypatch, M, fmt):
+    # A_{m,n}, m <= M, n <= M + 3, reads Z_{k,l}, k <= K = M//2, l <= L =
+    # (M + 3)//2: the table is K + 1 rows of L + 1 blocks, not the triangle
+    # of order K + L + 1 the recursion walks
+    tables = spy_tables(monkeypatch)
+    code, out, _ = run(capsys, "affine", "--source", "grassmann", "--max-m", str(M),
+                       "--max-n", str(M + 3), "--format", fmt)
+    K, L = M // 2, (M + 3) // 2
+    assert code == 0 and out
+    assert [t.series.tail_order for t in tables] == [K + L + 1]
+    assert [len(row) for row in tables[0].lifted] == [L + 1] * (K + 1)
+
+
+@pytest.mark.parametrize("tasks,shape", [
+    (["--affine", "7", "3"], [2] * 4),
+    (["--affine", "7", "3", "--format", "csv"], [2] * 4),
+    (["--affine", "3", "7"], [4] * 2),
+    (["--affine", "7", "3", "--tau", "6"], [5, 4, 3, 2, 1]),
+    (["--affine", "7", "3", "--initial-data", "4"], [5, 4, 3, 2, 1]),
+], ids=["json", "csv", "wide", "with-tau", "with-initial-data"])
+def test_grassmann_affine_alone_keeps_only_its_corner(capsys, monkeypatch, tmp_path, tasks, shape):
+    # an export alone keeps the K x L corner it writes; a tau reads the
+    # triangle, so with one the table is the triangle of the larger order
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(seeded_point_json(3, 29, True, False)))
+    tables = spy_tables(monkeypatch)
+    code, out, _ = run(capsys, "grassmann", str(path), *tasks)
+    assert code == 0 and out
+    assert [len(row) for row in tables.pop().lifted] == shape and not tables
+
+
+@pytest.mark.parametrize("max_m,max_n", [(9, 4), (4, 9)])
+def test_affine_export_checks_the_seeds_past_its_corner(capsys, monkeypatch, max_m, max_n):
+    # the corner k <= 4, l <= 2 (or 2, 4) reads U_1..U_7 of wk_G(7), and the
+    # row it stops keeping is not where the check stops: U_7 off by one is
+    # caught by the boundary check on the last row, Z[6,0] = G_7
+    import kdvtau.grassmann as gr
+    from test_grassmann import corrupt_inverse_block
+
+    monkeypatch.setattr(gr, "wk_G", lambda depth: corrupt_inverse_block(depth, depth))
+    code, out, err = run(capsys, "affine", "--source", "grassmann", "--max-m", str(max_m),
+                         "--max-n", str(max_n))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: recursion boundary mismatch at Z[6,0]")
 
 
 def test_verify_all_walks_odd_parts_only(capsys, monkeypatch):

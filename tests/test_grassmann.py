@@ -282,14 +282,16 @@ def corner(table, K: int, L: int) -> tuple:
 
 @pytest.mark.parametrize("K,L", EDGE_SHAPES)
 def test_recursive_matches_direct_on_edge_shapes(wk_G41, K, L):
-    assert corner(z_table_recursive(wk_G41, K, L), K, L) == z_table_direct(wk_G41, K, L).lifted
+    # a named corner is kept as the K x L rectangle, on a loop matrix deeper
+    # than it reads and on one exactly as deep
+    assert z_table_recursive(wk_G41, K, L).lifted == z_table_direct(wk_G41, K, L).lifted
     G = build_G(GrassmannPoint(
         LaurentSeries.from_dict({0: 1, -1: 2, -2: F(1, 3), -4: -1}, None),
         LaurentSeries.from_dict({0: 1, -1: 1, -3: F(5, 2)}, None),
     ), K + L + 1)
-    table = z_table_recursive(G, K, L)  # the triangle k + l <= K + L, no more
-    assert [len(row) for row in table.lifted] == list(range(K + L + 1, 0, -1))
-    assert corner(table, K, L) == z_table_direct(G, K, L).lifted
+    table = z_table_recursive(G, K, L)  # K + 1 rows of L + 1 blocks, no more
+    assert [len(row) for row in table.lifted] == [L + 1] * (K + 1)
+    assert table.lifted == z_table_direct(G, K, L).lifted
 
 
 def test_one_triangle_holds_every_shape(wk_G41):
@@ -299,12 +301,12 @@ def test_one_triangle_holds_every_shape(wk_G41):
         assert corner(table, K, L) == z_table_direct(wk_G41, K, L).lifted
 
 
-def corrupt_inverse_block(j):
-    """A fresh copy of the Witten-Kontsevich loop matrix wk_G(41) whose integer
-    inverse has the seed u_j = E_j U_j moved by E_j in its (1,2) entry: U_j
-    off by one.  The memoised `wk_G` object is never touched."""
-    G = MatrixSeries(wk_G(41).grades, wk_G(41).lifted)
-    u = list(wk_G(41).inverse)
+def corrupt_inverse_block(j, depth=41):
+    """A fresh copy of the Witten-Kontsevich loop matrix wk_G(depth) whose
+    integer inverse has the seed u_j = E_j U_j moved by E_j in its (1,2)
+    entry: U_j off by one.  The memoised `wk_G` object is never touched."""
+    G = MatrixSeries(wk_G(depth).grades, wk_G(depth).lifted)
+    u = list(wk_G(depth).inverse)
     u[j] = (u[j][0], u[j][1] + G.grades[j], u[j][2], u[j][3])
     vars(G)["inverse"] = tuple(u)
     return G
