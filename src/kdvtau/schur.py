@@ -3,7 +3,8 @@ Giambelli minors.
 
 A partition is a weakly decreasing tuple of positive parts, () the empty
 one; its Frobenius coordinates are an (arms, legs) pair of strictly
-decreasing tuples.
+decreasing tuples, and its bead mask with n beads (`beads`) the set of its
+n beta-numbers mu_i + n - 1 - i as bits.
 
 Schur polynomials are taken in the variables theta_1, theta_2, ... graded by
 deg theta_j = j, with exp(sum_j theta_j z^j) = sum_k h_k z^k, i.e. power sums
@@ -12,11 +13,12 @@ hooks of size r,
 
     p_r^perp s_mu = sum over mu/nu an r-rim hook of (-1)^height s_nu,
 
-and `rim_hooks` lists those terms; the tau assembly applies them to a whole
-vector of Schur coefficients at once.  `schur_poly` expands the Jacobi-Trudi
-determinant s_mu = det(h_{mu_i - i + j}) (h_k = 0 for k < 0) as an
-independent cross-check.  The general expansion coefficient of a tau series
-is the Giambelli-type minor
+and `p_perp` applies it to a whole vector of Schur coefficients keyed by
+bead mask, as the tau assembly does: each term moves one bead r places
+down.  `schur_poly` expands the Jacobi-Trudi determinant
+s_mu = det(h_{mu_i - i + j}) (h_k = 0 for k < 0) as an independent
+cross-check.  The general expansion coefficient of a tau series is the
+Giambelli-type minor
 
     A_mu = (-1)^(n_1 + ... + n_k) det(A_{m_i, n_j})
 
@@ -44,7 +46,8 @@ __all__ = [
     "partitions_up_to",
     "GradedPoly",
     "Monomial",
-    "rim_hooks",
+    "beads",
+    "p_perp",
     "h_polys",
     "schur_poly",
     "giambelli_coeff",
@@ -321,34 +324,35 @@ def schur_poly(mu: tuple[int, ...]) -> GradedPoly:
     return minor(0)
 
 
-@lru_cache(maxsize=None)
-def rim_hooks(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every nu with mu/nu a rim hook of size r, each with its sign (-1)^height.
+def beads(mu: tuple[int, ...], n: int) -> int:
+    """The bead mask of mu with n >= len(mu) beads: bit mu_i + n - 1 - i set
+    for i < n (mu_i = 0 past its parts), so () is (1 << n) - 1."""
+    mask = (1 << (n - len(mu))) - 1
+    for i, p in enumerate(mu):
+        mask |= 1 << (p + n - 1 - i)
+    return mask
 
-    These are the terms of p_r^perp s_mu = sum_nu (-1)^height s_nu, one step
-    of the Murnaghan-Nakayama rule.  On beta-numbers beta_i = mu_i + l(mu) - i
-    a rim hook of size r is a beta-number b with b - r >= 0 not a beta-number,
-    and its removal moves b to b - r.  If the hook starts in row i and the
-    beta-numbers of rows i+1..j-1 lie strictly between, it spans rows i..j-1
-    and has height j - 1 - i: those rows of nu are mu_{i+1} - 1, ...,
-    mu_{j-1} - 1, mu_i - r + j - 1 - i.
+
+def p_perp(vector: dict[int, int], r: int) -> dict[int, int]:
+    """p_r^perp on a vector of Schur coefficients keyed by bead mask, its
+    zero entries dropped: one step of the Murnaghan-Nakayama rule.
+
+    Removing an r-rim hook from mu moves a bead b down to an empty b - r, and
+    the hook's height is the number of beads strictly between (the abacus of
+    James and Kerber), so p_r^perp s_mu = sum over those moves of
+    (-1)^height s_nu.  Nothing is kept between calls.
     """
-    top = len(mu) - 1
-    beta = [p + top - i for i, p in enumerate(mu)]
-    present = set(beta)
-    out = []
-    for i, b in enumerate(beta):
-        c = b - r
-        if c < 0 or c in present:
-            continue
-        j = i + 1
-        while j <= top and beta[j] > c:
-            j += 1
-        nu = mu[:i] + tuple(p - 1 for p in mu[i + 1:j]) + (mu[i] - r + j - 1 - i,) + mu[j:]
-        while nu and not nu[-1]:
-            nu = nu[:-1]
-        out.append((nu, -1 if (j - 1 - i) % 2 else 1))
-    return tuple(out)
+    out: dict[int, int] = {}
+    low, floor = (1 << (r - 1)) - 1, ~((1 << r) - 1)
+    for mask, x in vector.items():
+        movable = mask & ~(mask << r) & floor
+        while movable:
+            bit = movable & -movable
+            movable ^= bit
+            nu = mask ^ bit ^ (bit >> r)
+            height = ((mask >> (bit.bit_length() - r)) & low).bit_count()
+            out[nu] = out.get(nu, 0) + (-x if height & 1 else x)
+    return {nu: x for nu, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------

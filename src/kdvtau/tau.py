@@ -52,11 +52,12 @@ from .report import VerificationReport, first_failures
 from .schur import (
     GradedPoly,
     Monomial,
+    beads,
     frobenius,
     giambelli_coeff,
     graded_log,
+    p_perp,
     partitions_up_to,
-    rim_hooks,
 )
 
 __all__ = [
@@ -130,11 +131,12 @@ def tau_truncated(table: ZTable, degree: int, parts: Container[int] | None = Non
     With p_j = j theta_j, the coefficient of theta^lam in a symmetric
     function f of weight |lam| is <p_lam, f> / prod_j m_j(lam)!, and
     <p_lam, f> = p_{lam_l}^perp ... p_{lam_1}^perp f, where p_r^perp removes
-    an r-rim hook from each Schur term (`rim_hooks`).  A minor of rank k is
-    the integer E^k A_mu, E the grade fixed below (`giambelli_coeff`), and
-    no partition of weight n has rank above r = isqrt(n).  So the integer
-    vector (E^r A_mu)_{|mu|=n} is walked depth-first over the parts of lam in
-    weakly decreasing order, one p_r^perp on the whole vector per step:
+    an r-rim hook from each Schur term.  A minor of rank k is the integer
+    E^k A_mu, E the grade fixed below (`giambelli_coeff`), and no partition
+    of weight n has rank above r = isqrt(n).  So the integer vector
+    (E^r A_mu)_{|mu|=n}, keyed by the bead mask of mu with n beads (`beads`),
+    is walked depth-first over the parts of lam in weakly decreasing order,
+    one p_r^perp on the whole vector per step (`p_perp`):
 
         [theta^lam] tau = (p_lam^perp v)_() / (E^r prod_j m_j(lam)!).
 
@@ -161,7 +163,7 @@ def tau_truncated(table: ZTable, degree: int, parts: Container[int] | None = Non
     terms: dict[Monomial, Fraction] = {}
     for weight, group in groupby(partitions_up_to(degree), key=sum):
         rank = math.isqrt(weight)
-        vector = {mu: a * top ** (rank - len(frobenius(mu)[0]))
+        vector = {beads(mu, weight): a * top ** (rank - len(frobenius(mu)[0]))
                   for mu in group if (a := giambelli_coeff(mu, table, top, minors))}
         for lam, total in _rim_hook_walk(vector, weight, (), parts):
             mults = Counter(lam)
@@ -171,24 +173,20 @@ def tau_truncated(table: ZTable, degree: int, parts: Container[int] | None = Non
 
 
 def _rim_hook_walk(
-    vector: dict[tuple[int, ...], int], weight: int, lam: tuple[int, ...], parts: Container[int] | None
+    vector: dict[int, int], weight: int, lam: tuple[int, ...], parts: Container[int] | None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (lam + rest, c) for every partition `rest` of `weight` with parts
     in `parts` (None: any) and at most lam's last, where
-    c = (p_rest^perp vector)_() is nonzero.  `vector` maps partitions of
-    `weight` to nonzero integer Schur coefficients."""
+    c = (p_rest^perp vector)_() is nonzero.  `vector` maps the bead masks
+    (`beads`) of partitions of `weight` to nonzero integer Schur coefficients."""
     if not weight:
-        yield lam, vector[()]
+        (total,) = vector.values()
+        yield lam, total
         return
     for r in range(min(weight, lam[-1] if lam else weight), 0, -1):
         if parts is not None and r not in parts:
             continue
-        out: dict[tuple[int, ...], int] = {}
-        for mu, x in vector.items():
-            for nu, sign in rim_hooks(mu, r):
-                out[nu] = out.get(nu, 0) + sign * x
-        out = {nu: x for nu, x in out.items() if x}
-        if out:
+        if out := p_perp(vector, r):
             yield from _rim_hook_walk(out, weight - r, lam + (r,), parts)
 
 

@@ -584,8 +584,8 @@ def test_verify_all_walks_odd_parts_only(capsys, monkeypatch):
     import kdvtau.tau as tau
 
     parts = []
-    rim_hooks = tau.rim_hooks
-    monkeypatch.setattr(tau, "rim_hooks", lambda mu, r: parts.append(r) or rim_hooks(mu, r))
+    p_perp = tau.p_perp
+    monkeypatch.setattr(tau, "p_perp", lambda vector, r: parts.append(r) or p_perp(vector, r))
     code, _, _ = run(capsys, "verify", "all")
     assert code == 0
     assert parts and all(r % 2 for r in parts)

@@ -10,14 +10,15 @@ from kdvtau.errors import NonUnitError, OutOfRangeError
 from kdvtau.grassmann import ZTable
 from kdvtau.schur import (
     GradedPoly,
+    beads,
     frobenius,
     giambelli_coeff,
     graded_log,
     h_polys,
     monomial_degree,
+    p_perp,
     partitions_of,
     partitions_up_to,
-    rim_hooks,
     schur_poly,
 )
 from kdvtau.series import MatrixSeries
@@ -216,12 +217,16 @@ def partition_and_hook_size(draw):
     )
 
 
-@given(partition_and_hook_size())
-@settings(max_examples=200, deadline=None)
-def test_rim_hooks_are_one_murnaghan_nakayama_step(case):
-    mu, r = case
-    hooks = rim_hooks(mu, r)
-    # every nu inside mu whose skew shape is an r-cell rim hook, sign (-1)^(rows - 1)
+def unbeads(mask: int, n: int) -> tuple[int, ...]:
+    """The partition whose bead mask with n beads is `mask`."""
+    found = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    assert len(found) == n
+    return tuple(p for p in (b - (n - 1 - i) for i, b in enumerate(reversed(found))) if p)
+
+
+def hooks_by_cells(mu: tuple[int, ...], r: int) -> dict:
+    """Every nu inside mu whose skew shape is an r-cell rim hook, with its
+    sign (-1)^(rows - 1), found on the cells."""
     expected = {}
     for nu in partitions_of(sum(mu) - r) if r <= sum(mu) else ():
         if len(nu) > len(mu) or any(a > b for a, b in zip(nu, mu)):
@@ -229,10 +234,39 @@ def test_rim_hooks_are_one_murnaghan_nakayama_step(case):
         cells = {(i, j) for i, p in enumerate(mu) for j in range(nu[i] if i < len(nu) else 0, p)}
         if is_rim_hook(cells):
             expected[nu] = (-1) ** (len({i for i, _ in cells}) - 1)
-    assert len(hooks) == len(expected) and dict(hooks) == expected
+    return expected
+
+
+@given(partition_and_hook_size())
+@settings(max_examples=200, deadline=None)
+def test_p_perp_is_one_murnaghan_nakayama_step(case):
+    mu, r = case
+    expected = hooks_by_cells(mu, r)
+    for n in {len(mu), len(mu) + 3, sum(mu)}:
+        hooks = p_perp({beads(mu, n): 1}, r)
+        assert {unbeads(nu, n): sign for nu, sign in hooks.items()} == expected
+        if r > sum(mu):
+            assert hooks == {}
     # chi^mu((r,) + rho) = sum over the hooks of sign * chi^nu(rho), for every rho
     for rho in partitions_of(sum(mu) - r, r) if r <= sum(mu) else ():
-        assert character(mu, (r,) + rho) == sum(sign * character(nu, rho) for nu, sign in hooks)
+        assert character(mu, (r,) + rho) == sum(sign * character(nu, rho) for nu, sign in expected.items())
+
+
+def test_p_perp_drops_the_entries_that_cancel():
+    # two terms whose hooks meet at some nu, weighted to cancel there
+    met = 0
+    for w in range(1, 8):
+        masks = [beads(mu, w) for mu in partitions_of(w)]
+        for r in range(1, w + 1):
+            for a, b in itertools.combinations(masks, 2):
+                ha, hb = p_perp({a: 1}, r), p_perp({b: 1}, r)
+                for nu in ha.keys() & hb.keys():
+                    met += 1
+                    want = {m: hb[nu] * ha.get(m, 0) - ha[nu] * hb.get(m, 0) for m in ha.keys() | hb.keys()}
+                    got = p_perp({a: hb[nu], b: -ha[nu]}, r)
+                    assert nu not in got
+                    assert got == {m: x for m, x in want.items() if x}
+    assert met
 
 
 # ---------------------------------------------------------------------------

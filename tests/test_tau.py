@@ -124,6 +124,34 @@ def test_tau_on_the_exact_triangle_equals_tau_on_larger_tables(seed, dense, larg
                 tau_truncated(z_table_recursive(build_G(point, order - 1)), degree)
 
 
+def test_tau_keeps_nothing_once_its_series_is_dropped():
+    # a dense large point at D = 15, every part: the rim-hook walk on bead
+    # masks peaks at 0.6 MB and keeps 7 KB once the series is dropped, where
+    # a memo of rim hooks keyed on partitions peaked at 2.7 MB and kept 2.2 MB.
+    # Every cache of the package is cleared first, so nothing warm is read
+    import tracemalloc
+
+    from kdvtau import exactnum, grassmann, schur, series, spin3, tau, zhou
+
+    for module in (exactnum, grassmann, schur, series, spin3, tau, zhou):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    point = point_from_json(seeded_point_json(1, 31, True, True))
+    table = z_table_recursive(build_G(point, 8))
+    tracemalloc.start()
+    try:
+        series = tau_truncated(table, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+        del series
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6
+    assert kept < 0.05e6
+
+
 def test_stabilization_in_table_size(wk_ztable20):
     small = tau_truncated(z_table_recursive(wk_G(7), 3, 3), 8)
     big = tau_truncated(wk_ztable20, 8)
