@@ -93,6 +93,9 @@ GOLDEN = {
     "intersect 2,2,2,2,2,2,2,2,2": (0, "b44a24adbf4d8560f34d43ece53ccab486a0f7cccfc26d1a7cc66575b9b74df5"),
     # genus 50, pinned while its table was still the square K = L = 148
     "intersect 148": (0, "24ae808dc711895f333407179f73c4d6ec47f6b174f7839554d2312df9d06185"),
+    # genus 40 with two insertions, pinned while each cycle was closed by a
+    # walk over the whole row of its last factor
+    "intersect 59,60": (0, "d474f1fc4f05495c55aa574c8660ac4d56be4348d9046beb521e174409cbb0ab"),
     # the Grassmannian export at the benchmark's depths, non-square corners
     # and CSV from both sources, and the point-file export in CSV and alone
     # in JSON, pinned before the exports were streamed from integer pairs
