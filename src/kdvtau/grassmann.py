@@ -411,7 +411,7 @@ def verify_generating_function(table: ZTable, depth: int) -> VerificationReport:
     if remainder is not None:
         s, total = remainder  # of G G^-1 - I: the numerator is its negative
         return VerificationReport(
-            suite, False, detail,
+            suite, detail,
             failures=[f"anti-diagonal sum {s} of the numerator is "
                       f"{format_block(lower(tuple(-v for v in total), G.grades[s]))}"],
             notes="numerator not divisible by alpha - beta",
@@ -423,7 +423,7 @@ def verify_generating_function(table: ZTable, depth: int) -> VerificationReport:
         for l in range(depth + 1)
         if (q := quotient[k][l]) != table.lifted[k][l]
     )
-    return VerificationReport(suite, not failures, detail, failures=failures)
+    return VerificationReport(suite, detail, failures=failures)
 
 
 def verify_symmetry(table: ZTable, depth: int) -> VerificationReport:
@@ -445,7 +445,7 @@ def verify_symmetry(table: ZTable, depth: int) -> VerificationReport:
     )), None)
     if deviation is not None:
         return VerificationReport(
-            suite, False, f"k,l <= {depth}", skipped=True,
+            suite, f"k,l <= {depth}", skipped=True,
             notes=f"det G != 1 (first deviation at lam^-{deviation}); symmetry not applicable",
         )
     z, e = table.lifted, G.grades
@@ -457,7 +457,7 @@ def verify_symmetry(table: ZTable, depth: int) -> VerificationReport:
         if z[l][k] != (adj := (-z[k][l][3], z[k][l][1], z[k][l][2], -z[k][l][0]))
     )
     return VerificationReport(
-        suite, not failures, f"k,l <= {depth}", failures=failures,
+        suite, f"k,l <= {depth}", failures=failures,
         notes=f"det G = 1 checked through lam^-{window}",
     )
 
@@ -478,12 +478,9 @@ def verify_cq_identity(depth: int) -> VerificationReport:
             if (e := e1 + e2) >= -depth and e % 2 == 0:
                 residual[e] = residual.get(e, _ZERO) + (2 - 4 * (e1 % 2)) * c * q
     top = max((e for e, v in residual.items() if v), default=None)
-    if top is None:
-        return VerificationReport(suite, True, f"through lam^-{depth}")
-    return VerificationReport(
-        suite, False, f"through lam^-{depth}",
-        failures=[f"coefficient of lam^{top} is {format_rational(residual[top])}, expected 0"],
-    )
+    failures = [] if top is None else [
+        f"coefficient of lam^{top} is {format_rational(residual[top])}, expected 0"]
+    return VerificationReport(suite, f"through lam^-{depth}", failures=failures)
 
 
 def _kac_schwarz(terms: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
@@ -530,7 +527,7 @@ def verify_kac_schwarz(depth: int) -> VerificationReport:
         f"ODE residual through lam^{'-' if o >= 0 else ''}{abs(o)}, "
         f"q-relation through lam^-{depth}"
     )
-    return VerificationReport(suite, not failures, detail, failures=failures)
+    return VerificationReport(suite, detail, failures=failures)
 
 
 def verify_z_equivalence(direct: ZTable) -> VerificationReport:
@@ -546,7 +543,7 @@ def verify_z_equivalence(direct: ZTable) -> VerificationReport:
         for l in range(max_l + 1)
         if direct.lifted[k][l] != recursive.lifted[k][l]
     )
-    return VerificationReport(suite, not failures, f"K=L checked to ({max_k},{max_l})", failures=failures)
+    return VerificationReport(suite, f"K=L checked to ({max_k},{max_l})", failures=failures)
 
 
 def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
@@ -561,7 +558,7 @@ def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
     K, L = len(z) - 1, len(z[0]) - 1
     window = f"k < {K}, l < {L}" if all(len(row) == L + 1 for row in z) else f"k + l < {K}"
     if not (K and L):
-        return VerificationReport(suite, False, window, skipped=True,
+        return VerificationReport(suite, window, skipped=True,
                                   notes="empty window: no (k,l) with both sides in the table")
 
     def mismatches():
@@ -575,7 +572,7 @@ def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
                            f"vs {format_block(lower(product, e[d]))}")
 
     failures = first_failures(mismatches())
-    return VerificationReport(suite, not failures, window, failures=failures)
+    return VerificationReport(suite, window, failures=failures)
 
 
 def verify_z_generating_series(table: ZTable, k_max: int) -> VerificationReport:
@@ -617,9 +614,7 @@ def verify_z_generating_series(table: ZTable, k_max: int) -> VerificationReport:
 
     failures = first_failures(mismatches())
     return VerificationReport(
-        suite, not failures,
-        f"k <= {k_max}, rows l <= {min(windows, default=None)}", failures=failures,
-    )
+        suite, f"k <= {k_max}, rows l <= {min(windows, default=None)}", failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -28,26 +28,30 @@ class VerificationReport(Record):
     truncation-reliability bound computed by the verifier.  On failure,
     `failures` carries the first offending indices with both exact values.
     A skipped report (e.g. a symmetry check whose det-G precondition does
-    not hold) is neither a pass nor a failure.
+    not hold) is neither a pass nor a failure.  The verdict is derived, not
+    stated: a report passes when it is not skipped and has no failures, so
+    no report can print PASS beside a failure or FAIL with none.
     """
 
-    __slots__ = ("suite", "passed", "depth", "skipped", "failures", "notes")
+    __slots__ = ("suite", "depth", "skipped", "failures", "notes")
 
     def __init__(
         self,
         suite: str,
-        passed: bool,
         depth: str,
         skipped: bool = False,
         failures: list[str] | None = None,
         notes: str = "",
     ) -> None:
         _setattr(self, "suite", suite)
-        _setattr(self, "passed", passed)
         _setattr(self, "depth", depth)
         _setattr(self, "skipped", skipped)
         _setattr(self, "failures", [] if failures is None else failures)
         _setattr(self, "notes", notes)
+
+    @property
+    def passed(self) -> bool:
+        return not self.skipped and not self.failures
 
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")

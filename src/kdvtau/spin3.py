@@ -104,9 +104,7 @@ def verify_R_from_G(depth: int) -> VerificationReport:
     failures = first_failures(
         f"{label}: {got} vs {want}" for label, got, want in comparisons() if got != want
     )
-    return VerificationReport(
-        suite, not failures, f"z-degree {depth}, lam-order {lam_order}", failures=failures
-    )
+    return VerificationReport(suite, f"z-degree {depth}, lam-order {lam_order}", failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +184,7 @@ def verify_v_relations(size: int) -> VerificationReport:
                            f"vs {format_block(lower(want, e[i + j]))}")
 
     failures = first_failures(mismatches())
-    return VerificationReport(suite, not failures, f"k,l <= {size}", failures=failures)
+    return VerificationReport(suite, f"k,l <= {size}", failures=failures)
 
 
 def verify_thm2(ztable: ZTable, K: int, L: int) -> VerificationReport:
@@ -230,4 +228,4 @@ def verify_thm2(ztable: ZTable, K: int, L: int) -> VerificationReport:
         for i, j, (want, e) in comparisons()
         if tuple(e * x for x in v[i][j]) != tuple(ev[i + j + 1] * x for x in want)
     )
-    return VerificationReport(suite, not failures, f"k <= {K}, l <= {L}", failures=failures)
+    return VerificationReport(suite, f"k <= {K}, l <= {L}", failures=failures)

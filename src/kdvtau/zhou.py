@@ -188,7 +188,7 @@ def verify_zhou_match(ztable: ZTable, max_m: int, max_n: int) -> VerificationRep
                            f"vs closed form {format_ratio(p, den)}")
 
     failures = first_failures(mismatches())
-    return VerificationReport(suite, not failures, f"0 <= m,n <= {min(max_m, max_n)}", failures=failures)
+    return VerificationReport(suite, f"0 <= m,n <= {min(max_m, max_n)}", failures=failures)
 
 
 def verify_Bn_recursion(n: int, sample_xs: list[RationalLike]) -> VerificationReport:
@@ -212,9 +212,7 @@ def verify_Bn_recursion(n: int, sample_xs: list[RationalLike]) -> VerificationRe
         )
         if lhs != rhs:
             failures.append(f"n={n}, x={format_rational(x)}: {format_rational(lhs)} vs {format_rational(rhs)}")
-    return VerificationReport(
-        suite, not failures, f"n={n}, {len(sample_xs)} sample points", failures=failures
-    )
+    return VerificationReport(suite, f"n={n}, {len(sample_xs)} sample points", failures=failures)
 
 
 def combinatorial_lhs(m: int, n: int) -> Fraction:
@@ -251,7 +249,7 @@ def verify_combinatorial_identity(m: int, n: int) -> VerificationReport:
     failures = []
     if lhs != rhs:
         failures.append(f"(m,n)=({m},{n}): {format_rational(lhs)} vs {format_rational(rhs)}")
-    return VerificationReport(suite, not failures, f"(m,n)=({m},{n})", failures=failures)
+    return VerificationReport(suite, f"(m,n)=({m},{n})", failures=failures)
 
 
 def verify_two_step_recursion(max_sum: int) -> VerificationReport:
@@ -268,7 +266,7 @@ def verify_two_step_recursion(max_sum: int) -> VerificationReport:
                     yield f"(m,n)=({m},{n}): {format_ratio(*lhs)} vs {format_ratio(*rhs)}"
 
     failures = first_failures(mismatches())
-    return VerificationReport(suite, not failures, f"m+n <= {max_sum}", failures=failures)
+    return VerificationReport(suite, f"m+n <= {max_sum}", failures=failures)
 
 
 def verify_b_symmetry(max_m: int, max_n: int) -> VerificationReport:
@@ -280,4 +278,4 @@ def verify_b_symmetry(max_m: int, max_n: int) -> VerificationReport:
         for n in range(max_n + 1)
         if (t := _B_int(n, m))[0] * (b := _B_int(m, n))[1] != (-1) ** (m + n) * b[0] * t[1]
     )
-    return VerificationReport(suite, not failures, f"m <= {max_m}, n <= {max_n}", failures=failures)
+    return VerificationReport(suite, f"m <= {max_m}, n <= {max_n}", failures=failures)

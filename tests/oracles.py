@@ -7,6 +7,8 @@ routes that share no code.
 * `dvv(ks)`: <tau_{k_1} ... tau_{k_n}>_g by the Dijkgraaf-Verlinde-Verlinde
   (1991) recursion, seeded by <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.
 * `genus0(ks)`: the genus-0 multinomial (n-3)! / prod k_i! for sum k_i = n-3.
+* `dijkgraaf(g)`: every two-point <tau_a tau_b>_g, by Dijkgraaf's closed
+  two-point function.
 * `valid_specs(budget)`: every sorted spec of genus >= 0 with
   sum (2 k_i + 1) <= budget.
 * `conjugate(mu)`: the transposed partition, mu'_j = #{i : mu_i >= j}.
@@ -93,6 +95,31 @@ def genus0(ks: tuple[int, ...]) -> Fraction:
     if n < 3 or sum(ks) != n - 3:
         return Fraction(0)
     return Fraction(math.factorial(n - 3), math.prod(math.factorial(k) for k in ks))
+
+
+@lru_cache(maxsize=None)
+def dijkgraaf(genus: int) -> tuple[Fraction, ...]:
+    """<tau_a tau_b>_g for a = 0..3g-1, b = 3g-1-a, from Dijkgraaf's function
+
+        sum <tau_a tau_b> x^a y^b
+          = (exp((x^3+y^3)/24) sum_n n!/(2n+1)! (xy(x+y)/2)^n - 1) / (x + y).
+
+    Its part of degree 3g - 1 is the numerator's part of degree 3g, a binary
+    form sum_i c_i x^i y^(3g-i), divided by x + y: q_i = c_i - q_{i-1}.
+    """
+    c = [Fraction(-1 if genus == 0 else 0)] + [Fraction(0)] * (3 * genus)
+    for n in range(genus + 1):
+        j = genus - n  # (x^3+y^3)^j / (24^j j!) times n!/(2n+1)! x^n y^n (x+y)^n / 2^n
+        scale = Fraction(math.factorial(n), math.factorial(2 * n + 1) * 2**n * 24**j * math.factorial(j))
+        for i in range(j + 1):
+            for k in range(n + 1):
+                c[3 * i + n + k] += scale * math.comb(j, i) * math.comb(n, k)
+    q: list[Fraction] = []
+    for ci in c[:-1]:
+        q.append(ci - (q[-1] if q else 0))
+    if c[-1] != (q[-1] if q else 0):
+        raise ArithmeticError("numerator not divisible by x + y")
+    return tuple(q)
 
 
 def valid_specs(budget: int) -> list[tuple[int, ...]]:

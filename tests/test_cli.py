@@ -409,6 +409,19 @@ def test_long_reductions_read_a_tiny_table(capsys, monkeypatch, spec, value):
     assert orders == [2]
 
 
+def test_intersect_two_large_insertions_within_the_time_limit(tmp_path):
+    # <tau_148 tau_148>_99 as a CLI call: about 1 s when each cycle of the
+    # n-point sum closes by one lookup per state, 40 s when its last factor
+    # walked whole rows; the value is Dijkgraaf's
+    from oracles import dijkgraaf
+
+    proc = subprocess.run([sys.executable, "-m", "kdvtau.cli", "intersect", "148,148"],
+                          capture_output=True, text=True, timeout=20, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"spec": [148, 148], "genus": 99, "value": format_rational(dijkgraaf(99)[148])}
+
+
 @pytest.mark.parametrize("spec,N", [("148", 148), ("10,10,10", 31)])
 def test_correlator_builds_its_triangle_on_wk_G_of_order_N_plus_1(capsys, monkeypatch, spec, N):
     # W = 297 and 63: the triangle k + l <= N = (W - 1)//2 on wk_G(N + 1), not

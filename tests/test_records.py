@@ -58,8 +58,8 @@ RECORDS = {
     ),
     CorrelatorSpec: lambda: (((1, 2),), ((1, 3),)),
     VerificationReport: lambda: (
-        ("suite", True, "depth 3", False, []),
-        ("suite", False, "depth 3", False, []),
+        ("suite", "depth 3", False, []),
+        ("suite", "depth 3", False, ["mismatch"]),
     ),
 }
 

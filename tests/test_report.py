@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import kdvtau.cli as cli
 import kdvtau.grassmann as grassmann
 import kdvtau.spin3 as spin3
 import kdvtau.zhou as zhou
@@ -31,8 +32,22 @@ def test_first_failures_stops_consuming_at_the_cap():
 
 
 def test_line_prints_at_most_the_cap():
-    rep = VerificationReport("s", False, "d", failures=[str(i) for i in range(5)])
+    rep = VerificationReport("s", "d", failures=[str(i) for i in range(5)])
     assert rep.line().count("first failure") == MAX_FAILURES
+
+
+@pytest.mark.parametrize("report,line,code", [
+    (VerificationReport("s", "d", failures=["x"]), "s: FAIL (d)\n  first failure: x", 1),
+    (VerificationReport("s", "d", skipped=True, notes="n"), "s: SKIP (d) -- n", 0),
+    (VerificationReport("s", "d"), "s: PASS (d)", 0),
+], ids=["failure", "skipped", "clean"])
+def test_verdict_and_exit_code_follow_from_failures_and_skip(monkeypatch, capsys, report, line, code):
+    # a report states no verdict: PASS, FAIL, SKIP and the exit code of
+    # `verify` are read off its failures and its skip flag
+    monkeypatch.setattr(cli, "_run_suite", lambda *args: [report])
+    assert cli.main(["verify", "cq-identity"]) == code
+    assert capsys.readouterr().out == line + "\n"
+    assert report.passed == (code == 0 and not report.skipped)
 
 
 def bumped_z(table: ZTable, k: int, l: int, bump=BUMP) -> ZTable:

@@ -48,7 +48,9 @@ from conftest import (
     seeded_point_json,
     zhou_ztable,
 )
-from oracles import character, degree_slice, double_factorial, dvv, genus0, genus_of, graded_exp, valid_specs
+from oracles import (
+    character, degree_slice, dijkgraaf, double_factorial, dvv, genus0, genus_of, graded_exp, valid_specs,
+)
 
 F = Fraction
 
@@ -404,6 +406,16 @@ def test_correlator_matches_dvv():
     for ks in specs:
         spec = CorrelatorSpec.of(ks)
         assert (correlator(spec), spec.genus, spec.is_valid) == (dvv(ks), genus_of(ks), True), ks
+
+
+@pytest.mark.parametrize("genera", [range(1, 21), [40]], ids=["through-genus-20", "genus-40"])
+def test_two_point_correlators_match_dijkgraaf(genera):
+    # every <tau_a tau_b>_g, a <= b: those with a >= 2 are read by the cycle
+    # sum of `log_tau_derivative`, so a wrong sign or index in the lookup that
+    # closes each cycle shows here.  Every genus through 40 takes about 20 s.
+    for g in genera:
+        for a in range((3 * g - 1) // 2 + 1):
+            assert correlator(CorrelatorSpec.of((a, 3 * g - 1 - a))) == dijkgraaf(g)[a], (a, g)
 
 
 def test_correlator_loop_over_genera_keeps_one_wk_table():
