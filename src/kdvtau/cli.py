@@ -13,9 +13,9 @@ Exit codes are the machine contract: 0 pass, 1 verification failure,
 Every Z table comes from the recursion on a loop matrix of depth n
 (`grassmann.z_table_recursive`), of the order its reader needs: K + L + 1
 for the corner k <= K, l <= L of an export or a suite, (D - 1)//2 + 1 for a
-tau of degree D (`tau.table_order`).  The recursion computes and checks the
-whole triangle Z_{k,l}, k + l < n; a tau or a suite keeps it, and an export
-keeps only the K x L corner it writes, so every row is checked either way.
+tau of degree D (`tau.table_order`).  A tau or a suite keeps the triangle
+Z_{k,l}, k + l < n; an export keeps only the K x L corner it writes, and so
+does `grassmann` when the triangle its tau reads lies inside that corner.
 The suites read the Witten-Kontsevich tables of `grassmann.wk_z_table`;
 `intersect` passes only the spec, and `tau.correlator` sizes its own table.
 `grassmann` builds one table, of the largest order its tasks need, on a
@@ -253,13 +253,14 @@ def cmd_grassmann(args: SimpleNamespace) -> int:
         raise UsageError("csv format is only available when --affine is the sole task")
     # one Z table and one tau, each as deep as the deepest task needs; the
     # tasks read corners of the table and truncations of the tau.  A tau reads
-    # the triangle; an export alone keeps only the corner it writes
+    # the triangle k + l < T; an export keeps only the corner it writes when
+    # that triangle, if any, lies inside it
     orders = [tau_mod.table_order(max(degrees))] if degrees else []
     corner = ()
     if args.affine is not None:
         K, L = args.affine[0] // 2, args.affine[1] // 2
         orders.append(K + L + 1)
-        if not degrees:
+        if not degrees or orders[0] - 1 <= min(K, L):
             corner = (K, L)
     G = gr.build_G(_load_point(args.pointfile, max(orders)), max(orders))
     table = gr.z_table_recursive(G, *corner)

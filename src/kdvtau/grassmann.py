@@ -16,14 +16,15 @@ coordinates are then
     Z_{k,l} = [[A_{2k+1,2l}, A_{2k+1,2l+1}], [A_{2k,2l}, A_{2k,2l+1}]]
 
 where A_{m,n} are the scalar affine coordinates of the point.  This module
-builds the Z table by the recursion Z_{k+1,l} = Z_{k,l+1} + Z_{k,0} Z_{0,l}
-seeded from G^-1 (the production route), which on G_0..G_n computes the
-triangle k + l < n and checks every row of it; it keeps the triangle, or the
-K x L corner a caller names (an affine export reads only its corner).  Every
-reader asks for the order it reads and checks its reads by `ZTable.holds`.
-The closed formula in the blocks of G and G^-1 is kept as the independent
-cross-check run by `verify recursion`.  It also extracts scalar coordinates
-and verifies the generating-series, recursion and symmetry identities.
+builds the Z table from G alone by the recursion Z_{k+1,l} = Z_{k,l+1} +
+Z_{k,0} Z_{0,l} and the boundary Z_{k,0} = G_{k+1} (the production route),
+one sweep per anti-diagonal; it keeps the triangle k + l < n of G_0..G_n,
+or the K x L corner a caller names (an affine export reads only its
+corner).  Every reader asks for the order it reads and checks its reads by
+`ZTable.holds`.  The closed formula in the blocks of G and G^-1 is kept as
+the independent cross-check run by `verify recursion`.  It also extracts
+scalar coordinates and verifies the generating-series, recursion and
+symmetry identities.
 
 Both table routes and the five Z-table verifiers work on the graded integer
 lift that G is stored as (`series.MatrixSeries`): a block of grade d
@@ -32,17 +33,18 @@ blocks of grades i and j is scaled by the exact integer E_{i+j} / (E_i E_j),
 and a `ZTable` keeps the lifted blocks together with the series they were
 solved on, which the verifiers read from it (so does the V table of `spin3`,
 on R, which shares the generating function's division,
-`series.linear_quotient`).  The seeds E_j U_j are the integer inverse of G
-(`MatrixSeries.inverse`); the recursion checks every seed it reads against
-the boundary data Z_{k,0} = G_{k+1}.  Where both sides of an identity have one
-grade (equivalence, symmetry, generating function and series), dividing by
-E_d changes no verdict, so the integers are compared.  The recursion identity
-is checked with its denominators cleared, so it does not re-run the step it
-cross-checks.  The correlators, the tau assembly and the CLI's affine exports
-read the scalar A_{m,n} off the same lift (`ZTable.affine`); an export
-reduces each entry once as it writes it (`cli.write_affine`).  Only the
-tests and the benchmark trace still lower a corner to an `AffineTable` of
-`Fraction`s (`ZTable.to_affine_table`).
+`series.linear_quotient`).  Only the cross-checks (the closed formula, the
+generating function and series) read the integer inverse E_j U_j of G
+(`MatrixSeries.inverse`); the recursion never solves it.  Where both sides
+of an identity have one grade (equivalence, symmetry, generating function
+and series), dividing by E_d changes no verdict, so the integers are
+compared.  The recursion identity is checked with its denominators
+cleared, so it does not re-run the step it cross-checks.  The correlators,
+the tau assembly and the CLI's affine exports read the scalar A_{m,n} off
+the same lift (`ZTable.affine`); an export reduces each entry once as it
+writes it (`cli.write_affine`).  Only the tests and the benchmark trace
+still lower a corner to an `AffineTable` of `Fraction`s
+(`ZTable.to_affine_table`).
 
 The built-in point of chief interest is the Witten-Kontsevich point, whose
 spanning series c(lam) and q(lam) are power series in lam^-3:
@@ -64,7 +66,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ExactComputationError, InsufficientDepthError, OutOfRangeError
+from .errors import InsufficientDepthError, OutOfRangeError
 from .exactnum import Record, _setattr, format_rational
 from .report import VerificationReport, first_failures
 from .series import (
@@ -150,8 +152,8 @@ def wk_q_coeff(k: int) -> Fraction:
 
 def wk_point(depth: int) -> GrassmannPoint:
     """The Witten-Kontsevich point with both tails exact through lam^-depth."""
-    a = {-3 * k: wk_c_coeff(k) for k in range(depth // 3 + 1) if 3 * k <= depth}
-    b = {-3 * k: wk_q_coeff(k) for k in range(depth // 3 + 1) if 3 * k <= depth}
+    a = {-3 * k: wk_c_coeff(k) for k in range(depth // 3 + 1)}
+    b = {-3 * k: wk_q_coeff(k) for k in range(depth // 3 + 1)}
     return GrassmannPoint(
         LaurentSeries.from_dict(a, depth), LaurentSeries.from_dict(b, depth)
     )
@@ -192,8 +194,8 @@ def _require_windows(order_a: int | None, order_b: int | None, depth: int) -> No
 
 @lru_cache(maxsize=1)
 def wk_G(depth: int) -> MatrixSeries:
-    """The Witten-Kontsevich loop matrix G_0..G_depth, one object (and so one
-    inverse) while the same depth is read."""
+    """The Witten-Kontsevich loop matrix G_0..G_depth, one object while the
+    same depth is read."""
     return build_G(wk_point(2 * depth + 1), depth)
 
 
@@ -214,10 +216,9 @@ class ZTable(Record):
     E_{k+l+1} X_{k,l} on the grades E of `series`, the `MatrixSeries` it was
     solved on: the matrix-valued affine coordinates Z_{k,l} of G, or the
     3-spin V_{k,l} of R (`spin3.v_table`).  The recursion keeps the triangle
-    k + l < n it computes, or the rectangle a caller names, such as the
-    corner an affine export writes, after checking every row of the triangle
-    (`z_table_recursive`); the closed formula and the V table keep a
-    rectangle.  `holds` says whether a block is stored, and every reader
+    k + l < n, or the rectangle a caller names, such as the corner an affine
+    export writes (`z_table_recursive`); the closed formula and the V table
+    keep a rectangle.  `holds` says whether a block is stored, and every reader
     checks its reads by it.  `entry` lowers a block to `Fraction`s on
     each read; `affine` reads one A_{m,n}.  Equality compares the lifted
     blocks and the series, so two tables are equal when they hold the same
@@ -336,49 +337,39 @@ def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
 
 
 def z_table_recursive(G: MatrixSeries, max_k: int | None = None, max_l: int | None = None) -> ZTable:
-    """Z_{k,l} by the boundary-seeded recursion Z_{k+1,l} = Z_{k,l+1} +
-    Z_{k,0} Z_{0,l}: the triangle k + l < n, n = G.tail_order, or, when a
-    caller names its corner, the K x L rectangle k <= max_k, l <= max_l,
-    which G must reach (n > max_k + max_l).
+    """Z_{k,l} from G alone by the recursion Z_{k+1,l} = Z_{k,l+1} +
+    Z_{k,0} Z_{0,l} and the boundary Z_{k,0} = G_{k+1}: the triangle k + l <
+    n, n = G.tail_order, or, when a caller names its corner, the K x L
+    rectangle k <= max_k, l <= max_l, which G must reach (n > max_k + max_l).
 
-    The top row is seeded by Z_{0,l} = -U_{l+1} for l < n, and row k is
-    computed from row k-1 and the top row, one entry shorter than row k-1,
-    so row k holds Z_{k,l} for l < n - k: the triangle is what the recursion
-    computes.  With no corner named it is kept whole; with one, rows k <= K
-    are kept, each cut to its first L + 1 blocks as the loop passes it.
-    Every row k < n is computed either way, and each Z_{k,0} is checked
-    against the boundary data G_{k+1}.  With U the computed inverse, Z_{k,0}
-    = G_{k+1} for every k < n is (G U)_{k+1} = 0, so the check covers every
-    seed U_1..U_n; Z_{K,L} reads U_1..U_{K+L+1}, so a loop that stopped at
-    row K would leave the seeds past U_{K+1} unchecked.
+    One sweep per anti-diagonal s = k + l, from s = 0 up to n - 1 (K + L for a
+    corner): it starts at Z_{s,0} = G_{s+1} and walks up to the top row by
+    Z_{k,s-k} = Z_{k+1,s-k-1} - Z_{k,0} Z_{0,s-k-1}, whose last factor is on
+    the top row of an earlier anti-diagonal.  Only the top row and the current
+    entry are carried; the entries of the triangle, or of the corner, are
+    kept as the sweeps pass them.
 
-    The rows hold the graded lift z_{k,l} = E_{k+l+1} Z_{k,l}, so the step
-    is z_{k,l} = z_{k-1,l+1} + (E_{k+l+1} / (E_k E_{l+1})) z_{k-1,0} z_{0,l}
-    and the boundary check compares integers.
+    The entries are the graded lift z_{k,l} = E_{k+l+1} Z_{k,l}, so the step
+    is z_{k,s-k} = z_{k+1,s-k-1} - (E_{s+1} / (E_{k+1} E_{s-k})) g_{k+1} z_{0,s-k-1}.
     """
     n = G.tail_order
     if (max_k, max_l) == (None, None):
-        max_k, max_l = n - 1, n
+        max_k = max_l = n - 1
     else:
         _require_depth(G, max_k + max_l + 1)
-    top = tuple((-a11, -a12, -a21, -a22) for a11, a12, a21, a22 in G.inverse[1 : n + 1])
-    rows = []
-    row = top
-    for k in range(n):
-        if k:
-            row = tuple(
-                block_sum(((G.ratios[k + l + 1][k], row[0], top[l]),), row[l + 1])
-                for l in range(n - k)
-            )
-        if row[0] != G.lifted[k + 1]:
-            raise ExactComputationError(
-                f"recursion boundary mismatch at Z[{k},0]: "
-                f"{format_block(lower(row[0], G.grades[k + 1]))} vs {format_block(G.block(k + 1))}; "
-                "the seeds are inconsistent (G times its inverse is not the identity)"
-            )
-        if k <= max_k:
-            rows.append(row[: max_l + 1])
-    return ZTable(tuple(rows), G)
+        n = max_k + max_l + 1
+    g, ratios = G.lifted, G.ratios
+    rows: list[list[IntBlock]] = [[] for _ in range(max_k + 1)]
+    top: list[IntBlock] = []  # z_{0,l}
+    for s in range(n):
+        z = g[s + 1]
+        for k in range(s, -1, -1):
+            if k < s:
+                z = block_sum(((-ratios[s + 1][k + 1], g[k + 1], top[s - k - 1]),), z)
+            if k <= max_k and s - k <= max_l:
+                rows[k].append(z)
+        top.append(z)
+    return ZTable(tuple(map(tuple, rows)), G)
 
 
 # ---------------------------------------------------------------------------

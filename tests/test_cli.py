@@ -327,7 +327,7 @@ def test_v_table_forms_each_numerator_block_once(monkeypatch):
 def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
     # equal Witten-Kontsevich loop matrices, and equal R series, are one
     # memoised object, so each depth read by the suites is lifted once, and
-    # only the loop matrices have their inverse solved
+    # only the loop matrices a cross-check reads have their inverse solved
     from kdvtau.grassmann import wk_G, wk_z_table
     from kdvtau.series import MatrixSeries
     from kdvtau.spin3 import r_matrix
@@ -342,9 +342,10 @@ def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "all")
     assert code == 0
     # WK loop matrices at 6 (the tau's triangle), 21, 23, 31 and 41; R at 9
-    # (vmatrix), 12 (rmatrix) and 15 (thm2)
+    # (vmatrix), 12 (rmatrix) and 15 (thm2).  The inverses are those of the
+    # cross-checks: 21 (rmatrix), 31 (genfun) and 41 (recursion)
     assert sorted(s.tail_order for s in built) == [6, 9, 12, 15, 21, 23, 31, 41]
-    assert sorted(s.tail_order for s in built if "inverse" in vars(s)) == [6, 21, 23, 31, 41]
+    assert sorted(s.tail_order for s in built if "inverse" in vars(s)) == [21, 31, 41]
 
 
 @pytest.mark.parametrize("suite", ["vmatrix", "thm2", "all"])
@@ -565,10 +566,13 @@ def test_affine_export_keeps_only_its_corner(capsys, monkeypatch, M, fmt):
     (["--affine", "3", "7"], [4] * 2),
     (["--affine", "7", "3", "--tau", "6"], [5, 4, 3, 2, 1]),
     (["--affine", "7", "3", "--initial-data", "4"], [5, 4, 3, 2, 1]),
-], ids=["json", "csv", "wide", "with-tau", "with-initial-data"])
+    (["--affine", "9", "9", "--tau", "10", "--initial-data", "8"], [5] * 5),
+    (["--affine", "11", "11", "--tau", "12", "--initial-data", "10"], [6] * 6),
+], ids=["json", "csv", "wide", "with-tau", "with-initial-data", "tau-inside-10", "tau-inside-12"])
 def test_grassmann_affine_alone_keeps_only_its_corner(capsys, monkeypatch, tmp_path, tasks, shape):
-    # an export alone keeps the K x L corner it writes; a tau reads the
-    # triangle, so with one the table is the triangle of the larger order
+    # an export keeps the K x L corner it writes, unless a tau reads a
+    # triangle k + l < T that sticks out of it (T - 1 > min(K, L)): then the
+    # table is the triangle of the larger order
     path = tmp_path / "point.json"
     path.write_text(json.dumps(seeded_point_json(3, 29, True, False)))
     tables = spy_tables(monkeypatch)
@@ -577,19 +581,24 @@ def test_grassmann_affine_alone_keeps_only_its_corner(capsys, monkeypatch, tmp_p
     assert [len(row) for row in tables.pop().lifted] == shape and not tables
 
 
-@pytest.mark.parametrize("max_m,max_n", [(9, 4), (4, 9)])
-def test_affine_export_checks_the_seeds_past_its_corner(capsys, monkeypatch, max_m, max_n):
-    # the corner k <= 4, l <= 2 (or 2, 4) reads U_1..U_7 of wk_G(7), and the
-    # row it stops keeping is not where the check stops: U_7 off by one is
-    # caught by the boundary check on the last row, Z[6,0] = G_7
+def test_a_corrupt_inverse_fails_only_the_cross_checks(capsys, monkeypatch, request):
+    # the table is built from G alone: with U_3 off by one in every
+    # Witten-Kontsevich loop matrix, the grassmann exports and a correlator
+    # print the same bytes, while the checks that read the inverse fail
     import kdvtau.grassmann as gr
     from test_grassmann import corrupt_inverse_block
 
-    monkeypatch.setattr(gr, "wk_G", lambda depth: corrupt_inverse_block(depth, depth))
-    code, out, err = run(capsys, "affine", "--source", "grassmann", "--max-m", str(max_m),
-                         "--max-n", str(max_n))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: recursion boundary mismatch at Z[6,0]")
+    calls = [("affine", "--source", "grassmann", "--max-m", "9", "--max-n", "4"),
+             ("affine", "--source", "grassmann", "--max-m", "4", "--max-n", "9", "--format", "csv"),
+             ("intersect", "2,3,4")]
+    clean = [run(capsys, *call) for call in calls]
+    monkeypatch.setattr(gr, "wk_G", lambda depth: corrupt_inverse_block(3, depth))
+    gr.wk_z_table.cache_clear()
+    request.addfinalizer(gr.wk_z_table.cache_clear)
+    assert [run(capsys, *call) for call in calls] == clean
+    for suite in ("recursion", "genfun"):
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 1 and "FAIL" in out
 
 
 def test_verify_all_walks_odd_parts_only(capsys, monkeypatch):
