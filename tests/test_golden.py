@@ -4,7 +4,7 @@ The digests pin the exact bytes of intersection numbers, tau exports in both
 variable sets, initial data, affine tables of both sources in JSON and CSV,
 b_k and verifier verdicts, so a new route for any of them must reproduce the
 old output byte for byte; an --output file holds the bytes pinned for stdout.
-POINT1..POINT4 stand for point files written from `seeded_point_json`.
+POINT1..POINT5 stand for point files written from `seeded_point_json`.
 """
 
 import hashlib
@@ -13,6 +13,7 @@ import json
 import pytest
 
 from kdvtau.cli import main
+from kdvtau.grassmann import build_G, point_from_json
 
 from conftest import seeded_point_json
 
@@ -21,6 +22,7 @@ POINTS = {
     "POINT2": (12, 21, False, True),   # sparse, 8-digit integers
     "POINT3": (13, 21, True, True),    # dense, 8-digit integers
     "POINT4": (14, 30, True, False),   # dense, small fractions, deep enough for tau 14
+    "POINT5": (15, 21, True, False),   # dense, small fractions, grades not powers of E_1
 }
 
 GOLDEN = {
@@ -106,6 +108,10 @@ GOLDEN = {
     "grassmann POINT4 --affine 11 11 --format csv": (0, "31ba53649ded79eedd4e5d08128e3fe92a9866a0c7a9200b066846f259f444ae"),
     "grassmann POINT3 --affine 9 10 --format csv": (0, "772a08118d6f17ed7084c2f8cefce4f3635b731af69415e0ff7b89e1558a45a7"),
     "grassmann POINT3 --affine 9 10": (0, "42c15f518b9abe9eef04940e9453f34ebfa275769576a37428ccb80df9b90302"),
+    # a lift whose products are scaled by ratios E_{i+j} / (E_i E_j) other
+    # than 1 (the grades of WK and POINT1..4 are E_1^k), so a product scaled
+    # by the wrong ratio changes a digest
+    "grassmann POINT5 --affine 9 9 --tau 10 --initial-data 8": (0, "98fd46df639a56154954534d5d4e87434c749e64a439d37d89dbe4d5ec8cf78d"),
 }
 
 # commands whose --output file must hold the bytes GOLDEN pins for their stdout
@@ -134,6 +140,12 @@ def run_golden(command: str, tmp_path, capsys) -> tuple[int, str]:
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_golden_output(command, tmp_path, capsys):
     assert run_golden(command, tmp_path, capsys) == GOLDEN[command]
+
+
+def test_point5_lift_is_not_multiplicative():
+    # E_2 = 300 where E_1^2 = 100: the table's products read ratios other than 1
+    E = build_G(point_from_json(seeded_point_json(*POINTS["POINT5"]), 9), 9).grades
+    assert any(E[i + j] != E[i] * E[j] for i in range(len(E)) for j in range(len(E) - i))
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["wk-first", "point-first"])
