@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -145,6 +147,69 @@ def test_stdout_closed_early_is_an_output_error(tmp_path):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def run_process(argv: list[str], cwd: Path, redirect: str = "") -> subprocess.CompletedProcess:
+    """`python -m kdvtau.cli ARGV` in `cwd`, with the shell `redirect` applied
+    (">&-" starts it with fd 1 closed, "2>&-" with fd 2 closed)."""
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "kdvtau.cli", *argv],
+                          capture_output=True, cwd=cwd, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+@pytest.mark.parametrize("argv, redirect, code, out, err", [
+    (["intersect", "1"], ">&-", 2, b"", b"error: stdout is closed\n"),
+    (["--help"], ">&-", 2, b"", b"error: stdout is closed\n"),
+    (["intersect", "x"], "2>&-", 2, b"", b""),
+    (["intersect", "1"], ">&- 2>&-", 2, b"", b""),
+    (["intersect", "2,3"], "2>&-", 0, b'{"spec": [2, 3], "genus": 2, "value": "29/5760"}\n', b""),
+    (["affine", "--source", "zhou", "--max-m", "4", "--max-n", "4", "--output", "t.json"], ">&-", 0, b"", b""),
+], ids=["stdout", "help", "stderr-usage-error", "both", "stderr-unused", "stdout-unused"])
+def test_a_closed_stdout_or_stderr_is_an_output_error(tmp_path, argv, redirect, code, out, err):
+    # a stream closed when the process starts is None in sys: the output
+    # error exits 2 with no traceback, and its message is dropped when
+    # stderr is the closed one; a call that needs no closed stream exits 0
+    proc = run_process(argv, tmp_path, redirect)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if "--output" in argv:
+        assert (tmp_path / "t.json").read_text().startswith('{"max_m":4,"max_n":4,"source":"zhou"')
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["intersect", "2,3"], 0),
+    (["verify", "string", "--point", "point.json"], 1),
+    (["intersect", "x"], 2),
+    (["grassmann", "bad.json", "--tau", "6"], 2),
+    (["affine", "--source", "zhou", "--max-m", "121", "--max-n", "121", "--format", "json"], 0),
+    (["affine", "--source", "zhou", "--max-m", "45", "--max-n", "45", "--format", "csv", "--output", "t.csv"], 0),
+], ids=["pass", "verification-failure", "usage-error", "malformed-point", "pipe-1MB", "output-file"])
+def test_the_process_ends_as_main_returns(capsys, monkeypatch, tmp_path, argv, code):
+    # `python -m kdvtau.cli` flushes and leaves by os._exit: its stdout,
+    # stderr, exit code and output file are those of main(argv) in-process
+    runs = []
+    for where in ("process", "in-process"):
+        folder = tmp_path / where
+        folder.mkdir()
+        (folder / "point.json").write_text(json.dumps(seeded_point_json(1, 25, True, False)))
+        (folder / "bad.json").write_text('{"a": [1], "b": ')
+        if where == "process":
+            proc = run_process(argv, folder)
+            result = proc.returncode, proc.stdout, proc.stderr
+        else:
+            monkeypatch.chdir(folder)
+            result = main(argv), *(text.encode() for text in capsys.readouterr())
+        runs.append((*result, (folder / "t.csv").read_bytes() if "--output" in argv else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+
+
+def test_the_script_and_the_main_guard_call_one_entry():
+    # the installed `kdvtau` must end as `python -m kdvtau.cli` does, not by a
+    # slower sys.exit(main()); a regex, since tomllib is missing before 3.11
+    match = re.search(r'^kdvtau = "kdvtau\.cli:(\w+)"$', (SRC.parent / "pyproject.toml").read_text(), re.MULTILINE)
+    assert match, "pyproject.toml declares no kdvtau script in kdvtau.cli"
+    guards = [node for node in ast.parse((SRC / "kdvtau" / "cli.py").read_text()).body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for guard in guards for node in guard.body] == [f"{match[1]}()"]
 
 
 def test_affine_deterministic(capsys):
