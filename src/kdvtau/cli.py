@@ -16,8 +16,12 @@ for the corner k <= K, l <= L of an export or a suite, (D - 1)//2 + 1 for a
 tau of degree D (`tau.table_order`).  A tau or a suite keeps the triangle
 Z_{k,l}, k + l < n; an export keeps only the K x L corner it writes, and so
 does `grassmann` when the triangle its tau reads lies inside that corner.
-The suites read the Witten-Kontsevich tables of `grassmann.wk_z_table`;
-`intersect` passes only the spec, and `tau.correlator` sizes its own table.
+The suites read the Witten-Kontsevich tables of `grassmann.wk_z_table` and
+loop matrices of `grassmann.wk_G`, which lifts G once, at the deepest depth
+read, and serves every smaller depth as a prefix of that lift: `verify all`
+lifts and inverts G once, at depth 41, which the recursion suite reads
+first.  `intersect` passes only the spec, and `tau.correlator` sizes its own
+table.
 `grassmann` builds one table, of the largest order its tasks need, on a
 point file read only that deep.  `verify` prints its report lines once
 every suite has run, so a suite that raises leaves stdout empty.

@@ -30,7 +30,9 @@ Both table routes and the five Z-table verifiers work on the graded integer
 lift that G is stored as (`series.MatrixSeries`): a block of grade d
 (Z_{k,l} has grade k+l+1) is carried as E_d times itself, a product of
 blocks of grades i and j is scaled by the exact integer E_{i+j} / (E_i E_j),
-and a `ZTable` keeps the lifted blocks together with the series they were
+every sum of such products is one call of the kernel `series.block_sums`
+(per entry, or per anti-diagonal whose entries are its running totals: the
+recursion's sweep and the closed formula's anti-diagonal), and a `ZTable` keeps the lifted blocks together with the series they were
 solved on, which the verifiers read from it (so does the V table of `spin3`,
 on R, which shares the generating function's division,
 `series.linear_quotient`).  Only the cross-checks (the closed formula, the
@@ -54,9 +56,11 @@ spanning series c(lam) and q(lam) are power series in lam^-3:
 c is the unique solution of (S^2 - lam^2) c = 0 with c = 1 + O(1/lam) for
 the Kac-Schwarz operator S = (1/lam) d/dlam - 1/(2 lam^2) - lam, and
 q = -(1/lam) S c.  The c/q and Kac-Schwarz verifiers apply these facts to
-the coefficients of wk_point.  Its loop matrix (`wk_G`) and its Z table
-(`wk_z_table`) are memoised for the last depth read, so a loop over growing
-depths keeps one of each.
+the coefficients of wk_point.  Its loop matrix (`wk_G`) is lifted once at
+the deepest depth read so far, and read at every smaller depth as a prefix
+of that lift, inverse included; its Z table (`wk_z_table`) is memoised for
+the last order read.  So a loop over growing depths keeps one of each, and
+a loop over smaller or alternating depths lifts and inverts G once.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from .series import (
     LaurentSeries,
     IntBlock,
     MatrixSeries,
-    block_sum,
+    block_sums,
     format_block,
     linear_quotient,
     lower,
@@ -173,15 +177,16 @@ def build_G(p: GrassmannPoint, depth: int) -> MatrixSeries:
     The normal form spans the same subspace (a constant unitriangular change
     of frame) and has no lam^-1 term, so G_0 = I.  Needs a through lam^-2depth
     and b through lam^-(2depth+1); the normal form is then known through
-    min(O_b, O_a + 1) >= 2depth + 1.
+    min(O_b, O_a + 1) >= 2depth + 1.  With b_1 = 0 (the Witten-Kontsevich
+    point) b is its own normal form and no product is formed.
     """
     _require_windows(p.a.tail_order, p.b.tail_order, depth)
-    a, b = p.a.coeff, p.b.coeff
-    b1 = b(-1)
-    return MatrixSeries.from_blocks(
-        (a(-2 * k), b(-2 * k - 1) - b1 * a(-2 * k), a(1 - 2 * k), b(-2 * k) - b1 * a(1 - 2 * k))
-        for k in range(depth + 1)
-    )
+    a, b = p.a._map.get, p.b._map.get  # every exponent read lies inside the windows just checked
+    blocks = ((a(-2 * k, _ZERO), b(-2 * k - 1, _ZERO), a(1 - 2 * k, _ZERO), b(-2 * k, _ZERO))
+              for k in range(depth + 1))
+    if b1 := b(-1):
+        blocks = ((a11, b12 - b1 * a11, a21, b22 - b1 * a21) for a11, b12, a21, b22 in blocks)
+    return MatrixSeries.from_blocks(blocks)
 
 
 def _require_windows(order_a: int | None, order_b: int | None, depth: int) -> None:
@@ -192,11 +197,27 @@ def _require_windows(order_a: int | None, order_b: int | None, depth: int) -> No
             raise InsufficientDepthError(f"{name} is only valid through lam^-{order}, need lam^-{need}")
 
 
-@lru_cache(maxsize=1)
+_WK_G: list[MatrixSeries] = []  # the deepest lift read so far, then the last prefix of it read
+
+
 def wk_G(depth: int) -> MatrixSeries:
-    """The Witten-Kontsevich loop matrix G_0..G_depth, one object while the
-    same depth is read."""
-    return build_G(wk_point(2 * depth + 1), depth)
+    """The Witten-Kontsevich loop matrix G_0..G_depth.
+
+    Only the deepest loop matrix read so far is lifted (`build_G`); a read at
+    a depth it reaches is its prefix (`MatrixSeries.prefix`), whose ratios
+    and inverse are those of the deepest lift, each solved there at most
+    once.  The deepest lift and the last prefix read are kept, so repeated
+    reads of one depth return one object, and a loop over any depths holds
+    one lift and one prefix.  `wk_G.cache_clear()` drops both.
+    """
+    if not _WK_G or _WK_G[0].tail_order < depth:
+        _WK_G[:] = [build_G(wk_point(2 * depth + 1), depth)]
+    if _WK_G[-1].tail_order != depth:
+        _WK_G[1:] = [_WK_G[0].prefix(depth)]
+    return _WK_G[-1]
+
+
+wk_G.cache_clear = _WK_G.clear
 
 
 @lru_cache(maxsize=1)
@@ -318,22 +339,22 @@ def z_table_direct(G: MatrixSeries, max_k: int, max_l: int) -> ZTable:
     """Closed formula Z_{k,l} = -sum_{j=0..k} G_j U_{k+l+1-j} (U_0 = I), for
     k <= max_k, l <= max_l.
 
-    O(K^3) block products on the graded lift (grade d = k+l+1); the
+    On the graded lift (grade d = k+l+1) the entries Z_{k,d-1-k} of one
+    anti-diagonal d are minus the running totals of one sum over j, one
+    `block_sums` call: O(K (K + L)) block products, each once.  The
     cross-check for `z_table_recursive`.
     """
     need = max_k + max_l + 1
     _require_depth(G, need)
     g, ratios, u = G.lifted, G.ratios, G.inverse
-    rows = []
-    for k in range(max_k + 1):
-        row = []
-        for l in range(max_l + 1):
-            d = k + l + 1
-            ratio = ratios[d]
-            s11, s12, s21, s22 = block_sum((ratio[j], g[j], u[d - j]) for j in range(k + 1))
-            row.append((-s11, -s12, -s21, -s22))
-        rows.append(tuple(row))
-    return ZTable(tuple(rows), G)
+    rows: list[list[IntBlock]] = [[] for _ in range(max_k + 1)]
+    for d in range(1, need + 1):
+        last = min(max_k, d - 1)
+        totals = block_sums(ratios[d], g[: last + 1], u[d::-1])
+        for k in range(max(0, d - 1 - max_l), last + 1):
+            s11, s12, s21, s22 = totals[k]
+            rows[k].append((-s11, -s12, -s21, -s22))
+    return ZTable(tuple(map(tuple, rows)), G)
 
 
 def z_table_recursive(G: MatrixSeries, max_k: int | None = None, max_l: int | None = None) -> ZTable:
@@ -345,9 +366,10 @@ def z_table_recursive(G: MatrixSeries, max_k: int | None = None, max_l: int | No
     One sweep per anti-diagonal s = k + l, from s = 0 up to n - 1 (K + L for a
     corner): it starts at Z_{s,0} = G_{s+1} and walks up to the top row by
     Z_{k,s-k} = Z_{k+1,s-k-1} - Z_{k,0} Z_{0,s-k-1}, whose last factor is on
-    the top row of an earlier anti-diagonal.  Only the top row and the current
-    entry are carried; the entries of the triangle, or of the corner, are
-    kept as the sweeps pass them.
+    the top row of an earlier anti-diagonal.  So the sweep's entries are the
+    running totals of one sum, one `block_sums` call.  Only the top row is
+    carried between sweeps; the entries of the triangle, or of the corner,
+    are kept as the sweeps pass them.
 
     The entries are the graded lift z_{k,l} = E_{k+l+1} Z_{k,l}, so the step
     is z_{k,s-k} = z_{k+1,s-k-1} - (E_{s+1} / (E_{k+1} E_{s-k})) g_{k+1} z_{0,s-k-1}.
@@ -362,13 +384,11 @@ def z_table_recursive(G: MatrixSeries, max_k: int | None = None, max_l: int | No
     rows: list[list[IntBlock]] = [[] for _ in range(max_k + 1)]
     top: list[IntBlock] = []  # z_{0,l}
     for s in range(n):
-        z = g[s + 1]
-        for k in range(s, -1, -1):
-            if k < s:
-                z = block_sum(((-ratios[s + 1][k + 1], g[k + 1], top[s - k - 1]),), z)
-            if k <= max_k and s - k <= max_l:
-                rows[k].append(z)
-        top.append(z)
+        # z_{k,s-k} for k = s, s - 1, ..., 0
+        sweep = [g[s + 1], *block_sums([-r for r in ratios[s + 1][s:0:-1]], g[s:0:-1], top, g[s + 1])]
+        for k in range(min(s, max_k), max(-1, s - 1 - max_l), -1):
+            rows[k].append(sweep[s - k])
+        top.append(sweep[-1])
     return ZTable(tuple(map(tuple, rows)), G)
 
 
@@ -383,8 +403,9 @@ def verify_generating_function(table: ZTable, depth: int) -> VerificationReport:
 
     With x = 1/alpha, y = 1/beta, G(alpha) G(beta)^-1 - I = (x - y) sum Z_{k,l}
     x^k y^l has blocks N_{i,j} = G_i U_j ((i,j) != 0), kept on the lift at
-    grade i+j; `linear_quotient` checks its divisibility by x - y and solves
-    for the quotient, whose lifted blocks are compared with the table's.
+    grade i+j; `linear_quotient` forms each once, checks their divisibility
+    by x - y and solves for the quotient, whose lifted blocks are compared
+    with the table's.
     """
     suite = "generating-function"
     detail = f"bi-degree {depth}"
@@ -393,12 +414,7 @@ def verify_generating_function(table: ZTable, depth: int) -> VerificationReport:
     need, G = 2 * depth + 1, table.series
     _require_depth(G, need)
 
-    # N[i][j] on every anti-diagonal i + j <= need, each block product once
-    N = [[(0, 0, 0, 0) if i == j == 0
-          else block_sum(((G.ratios[i + j][i], G.lifted[i], G.inverse[j]),))
-          for j in range(need + 1 - i)]
-         for i in range(need + 1)]
-    quotient, remainder = linear_quotient(N, 1, depth)
+    quotient, remainder = linear_quotient(G.lifted, G.inverse, G.ratios, 1, depth)
     if remainder is not None:
         s, total = remainder  # of G G^-1 - I: the numerator is its negative
         return VerificationReport(
@@ -557,8 +573,8 @@ def verify_z_recursion_identity(table: ZTable) -> VerificationReport:
             for l in range(min(len(z[k]) - 1, len(z[k + 1]))):
                 d = k + l + 2
                 diff = tuple(a - b for a, b in zip(z[k + 1][l], z[k][l + 1]))
-                if tuple(e[k + 1] * e[l + 1] * v for v in diff) != block_sum(((e[d], z[k][0], z[0][l]),)):
-                    product = block_sum(((G.ratios[d][k + 1], z[k][0], z[0][l]),))
+                if tuple(e[k + 1] * e[l + 1] * v for v in diff) != block_sums((e[d],), (z[k][0],), (z[0][l],))[0]:
+                    (product,) = block_sums((G.ratios[d][k + 1],), (z[k][0],), (z[0][l],))
                     yield (f"(k,l)=({k},{l}): {format_block(lower(diff, e[d]))} "
                            f"vs {format_block(lower(product, e[d]))}")
 
@@ -573,8 +589,10 @@ def verify_z_generating_series(table: ZTable, k_max: int) -> VerificationReport:
     With G^-1 = sum U_j lam^-j the left side is sum_{j<=k} G(lam) U_j lam^(k-j),
     whose lam^e coefficient sum_j G_{k-j-e} U_j needs G through lam^-(k-e):
     with G known through lam^-O, the powers e >= k - O are checked.  Each
-    coefficient is an integer sum on the graded lift at grade k - e, compared
-    with the lifted right side of that grade.
+    coefficient is an integer sum on the graded lift at grade d = k - e,
+    compared with the lifted right side of that grade; the sums of one
+    grade, over j <= min(k, d), are the running totals of one `block_sums`
+    call, made when that grade is first read.
     """
     suite = "z-generating-series"
     G = table.series
@@ -583,6 +601,7 @@ def verify_z_generating_series(table: ZTable, k_max: int) -> VerificationReport:
         raise InsufficientDepthError("Z table narrower than requested k range")
     g, ratios, u = G.lifted, G.ratios, G.inverse
     windows: list[int] = []  # rows l checked for each k reached
+    sums: dict[int, list[IntBlock]] = {}  # d -> the coefficients of grade d, by min(k, d)
 
     def mismatches():
         for k in range(k_max + 1):
@@ -595,8 +614,9 @@ def verify_z_generating_series(table: ZTable, k_max: int) -> VerificationReport:
                 expect[-l - 1] = table.lifted[l][k]
             for e in range(-(l_top + 1), k + 1):
                 d = k - e
-                terms = ((ratios[d][j], g[d - j], u[j]) for j in range(min(k, d) + 1))
-                got = block_sum(terms)
+                if d not in sums:
+                    sums[d] = block_sums(ratios[d], g[d::-1], u[: min(k_max, d) + 1])
+                got = sums[d][min(k, d)]
                 want = expect.get(e, (0, 0, 0, 0))
                 if got != want:
                     e_d = G.grades[d]

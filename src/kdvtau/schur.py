@@ -38,7 +38,7 @@ from functools import lru_cache
 from .errors import DegreeExceededError, NonUnitError, OutOfRangeError
 from .exactnum import Record, RationalLike, _setattr, as_rational, format_rational
 from .grassmann import ZTable
-from .series import _order_min, _product_window
+from .series import _ZERO, _order_min, _product_window
 
 __all__ = [
     "frobenius",
@@ -130,11 +130,12 @@ class GradedPoly(Record):
         cls, kind: str, terms: dict[Monomial, RationalLike], bound: int | None
     ) -> "GradedPoly":
         clean: dict[Monomial, Fraction] = {}
+        degree = _VAR_DEGREE[kind]
         for mon, c in terms.items():
             c = as_rational(c)
-            if c == 0:
+            if not c:  # not `c == 0`, which a Fraction answers through the numbers ABCs
                 continue
-            if bound is not None and monomial_degree(kind, mon) > bound:
+            if bound is not None and sum(degree(var) * exp for var, exp in mon) > bound:
                 continue
             clean[mon] = c
         return cls(kind, clean, bound)
@@ -159,7 +160,7 @@ class GradedPoly(Record):
             raise DegreeExceededError(
                 f"coefficient at degree {deg} beyond reliable bound {self.bound}"
             )
-        return self.terms.get(mon, Fraction(0))
+        return self.terms.get(mon, _ZERO)
 
     @property
     def min_degree(self) -> int | None:
@@ -168,7 +169,7 @@ class GradedPoly(Record):
         return min(monomial_degree(self.kind, m) for m in self.terms)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), _ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -184,7 +185,7 @@ class GradedPoly(Record):
         bound = _order_min(self.bound, other.bound)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, _ZERO) + c
         return GradedPoly.make(self.kind, out, bound)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
@@ -225,7 +226,7 @@ class GradedPoly(Record):
                         new = mon[:pos] + mon[pos + 1:]
                     else:
                         new = mon[:pos] + ((var, exp - 1),) + mon[pos + 1:]
-                    out[new] = out.get(new, Fraction(0)) + c * exp
+                    out[new] = out.get(new, _ZERO) + c * exp
                     break
         return GradedPoly.make(self.kind, out, bound)
 
@@ -235,7 +236,7 @@ class GradedPoly(Record):
         for mon, c in self.terms.items():
             if any(drop(var) for var, _ in mon):
                 continue
-            out[mon] = out.get(mon, Fraction(0)) + c
+            out[mon] = out.get(mon, _ZERO) + c
         return GradedPoly(self.kind, out, self.bound)
 
     def truncate(self, bound: int | None) -> "GradedPoly":
@@ -360,10 +361,11 @@ def p_perp(vector: dict[int, int], r: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def giambelli_coeff(mu: tuple[int, ...], table: ZTable, top: int, minors: dict) -> int:
-    """E^k A_mu, A_mu = (-1)^(sum of legs) det(A_{m_i, n_j}) over the k hook
-    entries, E = `top`, a grade of the table's series that the grade E_d of
-    every entry read divides (`tau_truncated` passes the one its order fixes).
+def giambelli_coeff(arms: tuple[int, ...], legs: tuple[int, ...], table: ZTable, top: int, minors: dict) -> int:
+    """E^k A_mu for mu = (arms | legs) in Frobenius coordinates (`frobenius`),
+    A_mu = (-1)^(sum of legs) det(A_{m_i, n_j}) over the k hook entries,
+    E = `top`, a grade of the table's series that the grade E_d of every
+    entry read divides (`tau_truncated` passes the one its order fixes).
 
     Every A_{m,n} read is its lift times E / E_d over E (E_d divides E), so
     the determinant is an integer over E^k.  It is expanded along the
@@ -371,11 +373,10 @@ def giambelli_coeff(mu: tuple[int, ...], table: ZTable, top: int, minors: dict) 
     matrix of a partition of smaller weight, and every such minor is memoised
     in `minors` (one dict per table), so each costs k products.
     """
-    arms, legs = frobenius(mu)
     if not arms:
         return 1
     if not table.holds(arms[0] // 2, legs[0] // 2):
-        raise OutOfRangeError(f"Z table does not hold A[{arms[0]},{legs[0]}], read by the hooks of {mu}")
+        raise OutOfRangeError(f"Z table does not hold A[{arms[0]},{legs[0]}], read by the hooks {arms} | {legs}")
     det = _hook_minor(arms, legs, table, top, minors)
     return -det if sum(legs) % 2 else det
 

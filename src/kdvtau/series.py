@@ -29,20 +29,26 @@ for the loop matrix G(lam) (x = 1/lam), its inverse, and the 3-spin R(z)
 E_k per grade, with E_i E_j dividing E_{i+j}, so that E_k X_k, E_k U_k for
 the inverse U, and every sum of block products whose grades add up to k are
 integer blocks.  The inverse is solved in these integers when first read.
+A prefix X_0..X_m of a series (`MatrixSeries.prefix`) shares its grades,
+and reads its ratios and inverse off the whole series, solved there once.
 A table of blocks of grade k+l+1 (`grassmann.ZTable`: the Z table of G, or
 the V table of the 3-spin R) is built on a series and keeps it, convolving
-integer blocks (`block_sum`) with no gcd per rational add or multiply.  A
-block is reduced only when it is read, by a caller or for the text of a
-failed check, which is computed on the lift and then lowered.  Both
-bivariate quotients, (I - G(alpha) G(beta)^-1)/(alpha - beta) for Z and
-(R*(w) R(z) - I)/(w + z) for V, are one division on the lift
+integer blocks with no gcd per rational add or multiply.  Every convolution
+goes through one kernel, `block_sums`: the running totals of
+sum c_i (a_i @ b_i) over three sequences, one call per entry (an inverse
+block, a product checked in an identity) or per anti-diagonal whose entries
+are running totals of one sum (the closed formula, the recursion's sweep,
+the quotients below).  A block is reduced only when it is read, by a caller
+or for the text of a failed check, which is computed on the lift and then
+lowered.  Both bivariate quotients, (I - G(alpha) G(beta)^-1)/(alpha - beta)
+for Z and (R*(w) R(z) - I)/(w + z) for V, are one division on the lift
 (`linear_quotient`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -59,11 +65,14 @@ __all__ = [
     "Block",
     "lower",
     "format_block",
-    "block_sum",
+    "block_sums",
     "linear_quotient",
     "series_to_json",
     "series_from_json",
 ]
+
+
+_ZERO = Fraction(0)  # the shared zero coefficient, so a read of a missing term builds no Fraction
 
 
 def _order_min(*orders: int | None) -> int | None:
@@ -137,7 +146,7 @@ class LaurentSeries(Record):
             raise InsufficientDepthError(
                 f"coefficient of lam^{e} is beyond tail_order {self.tail_order}"
             )
-        return self._map.get(e, Fraction(0))
+        return self._map.get(e, _ZERO)
 
     @property
     def max_exponent(self) -> int | None:
@@ -251,8 +260,6 @@ def _json_text(value: object, where: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-_ZERO = Fraction(0)
-
 IntBlock = tuple[int, int, int, int]  # (a11, a12, a21, a22) of an integer 2x2 block
 Block = tuple[Fraction, Fraction, Fraction, Fraction]  # the same layout, exact entries
 
@@ -329,9 +336,26 @@ class MatrixSeries(Record):
     def blocks(self, through: int) -> list[Block]:
         return [self.block(k) for k in range(through + 1)]
 
+    def prefix(self, order: int) -> "MatrixSeries":
+        """The series X_0..X_order, on the same grades, with `ratios` and
+        `inverse` the prefixes of this series' (each solved at most once, on
+        this series, when a prefix first reads it); `order` = tail_order
+        gives this series itself."""
+        if not 0 <= order <= self.tail_order:
+            raise InsufficientDepthError(
+                f"prefix through block {order} requested, series known through block {self.tail_order}"
+            )
+        if order == self.tail_order:
+            return self
+        view = MatrixSeries(self.grades[: order + 1], self.lifted[: order + 1])
+        vars(view)["_whole"] = self  # not a field: equality and hash ignore it
+        return view
+
     @cached_property
     def ratios(self) -> tuple[tuple[int, ...], ...]:
         """ratios[d][i] = E_d / (E_i E_{d-i}), for i = 0..d."""
+        if whole := vars(self).get("_whole"):
+            return whole.ratios[: len(self.grades)]
         E, out = self.grades, []
         for d, e in enumerate(E):
             half = [e // (E[i] * E[d - i]) for i in range(d // 2 + 1)]
@@ -341,48 +365,63 @@ class MatrixSeries(Record):
     @cached_property
     def inverse(self) -> tuple[IntBlock, ...]:
         """u_k = E_k U_k for the inverse U = X^-1, on the grades of X: from
-        X U = I, u_k = -sum_{j=1..k} (E_k / (E_j E_{k-j})) x_j u_{k-j}."""
+        X U = I, u_k = -sum_{j=1..k} (E_k / (E_j E_{k-j})) x_j u_{k-j}, one
+        `block_sums` call per block."""
+        if whole := vars(self).get("_whole"):
+            return whole.inverse[: len(self.grades)]
         x, ratios, u = self.lifted, self.ratios, [(1, 0, 0, 1)]
         for k in range(1, len(x)):
-            s11, s12, s21, s22 = block_sum((ratios[k][j], x[j], u[k - j]) for j in range(1, k + 1))
+            s11, s12, s21, s22 = block_sums(ratios[k][1:], x[1:], u[::-1])[-1]
             u.append((-s11, -s12, -s21, -s22))
         return tuple(u)
 
 
-def block_sum(
-    terms: Iterable[tuple[int, IntBlock, IntBlock]], start: IntBlock = (0, 0, 0, 0)
-) -> IntBlock:
-    """start + sum c * (a @ b) over the terms (c, a, b), on integer blocks."""
+def block_sums(
+    coeffs: Sequence[int], left: Sequence[IntBlock], right: Sequence[IntBlock],
+    start: IntBlock = (0, 0, 0, 0),
+) -> list[IntBlock]:
+    """The running totals start + sum_{i<=n} coeffs[i] (left[i] @ right[i]),
+    n = 0, 1, ..., over the zipped sequences (as long as the shortest), on
+    integer blocks: one call per entry, or per anti-diagonal whose entries
+    are the running totals of one sum."""
     s11, s12, s21, s22 = start
-    for c, (a11, a12, a21, a22), (b11, b12, b21, b22) in terms:
+    out = []
+    for c, (a11, a12, a21, a22), (b11, b12, b21, b22) in zip(coeffs, left, right):
         s11 += c * (a11 * b11 + a12 * b21)
         s12 += c * (a11 * b12 + a12 * b22)
         s21 += c * (a21 * b11 + a22 * b21)
         s22 += c * (a21 * b12 + a22 * b22)
-    return s11, s12, s21, s22
+        out.append((s11, s12, s21, s22))
+    return out
 
 
-def linear_quotient(N: list[list[IntBlock]], sign: int, size: int) -> tuple:
-    """Divide sum N_{i,j} x^i y^j by x - sign*y (sign = +1 or -1) on a graded lift.
+def linear_quotient(
+    left: Sequence[IntBlock], right: Sequence[IntBlock], ratios: Sequence[Sequence[int]], sign: int, size: int
+) -> tuple:
+    """Divide N = L(x) R(y) - I by x - sign*y (sign = +1 or -1) on a graded lift.
 
-    N[i][j] is an integer block of grade i+j for i + j < len(N), N[0][0] = 0.
-    At the first s whose anti-diagonal sum sum_{i+j=s} sign^i N_{i,j} is not
-    zero (no quotient) the result is (None, (s, that sum)); else it is
-    (Q, None), Q[k][l] = sum_{r<=l} sign^r N_{k+1+r,l-r} (grade k+l+1) for
-    k, l <= size, the coefficient of x^k y^l; this needs len(N) > 2 size + 1.
+    left[i] and right[j] are integer blocks on grades E with
+    left[0] = right[0] = I, and ratios[d][i] = E_d / (E_i E_{d-i}), so that
+    N_{i,j} = ratios[i+j][i] left[i] right[j] ((i, j) != (0, 0)) is the
+    lifted coefficient of x^i y^j, of grade i+j.  Each anti-diagonal
+    s = 1..2 size + 1 is one `block_sums` call, from i = s down to 0, whose
+    running totals are the suffix sums S_s(k) = sum_{i>k} sign^i N_{i,s-i}.
+    At the first s whose anti-diagonal sum S_s(-1) is not zero (no quotient)
+    the result is (None, (s, that sum)); else it is (Q, None),
+    Q[k][l] = sum_{r<=l} sign^r N_{k+1+r,l-r} = sign^(k+1) S_{k+l+1}(k)
+    (grade k+l+1) for k, l <= size, the coefficient of x^k y^l; this needs
+    left and right through 2 size + 1.
     """
-    for s in range(1, len(N)):
-        if any(total := _signed_total((N[i][s - i] for i in range(s + 1)), sign)):
-            return None, (s, total)
-    return tuple(tuple(_signed_total((N[k + 1 + r][l - r] for r in range(l + 1)), sign)
-                       for l in range(size + 1)) for k in range(size + 1)), None
-
-
-def _signed_total(blocks: Iterable[IntBlock], sign: int) -> IntBlock:
-    """Entrywise sum_r sign^r blocks[r] of integer blocks."""
-    if sign < 0:
-        blocks = (b if r % 2 == 0 else tuple(-v for v in b) for r, b in enumerate(blocks))
-    return tuple(map(sum, zip(*blocks)))
+    Q = [[] for _ in range(size + 1)]
+    for s in range(1, 2 * size + 2):
+        coeffs = ratios[s] if sign > 0 else [-c if (s - m) % 2 else c for m, c in enumerate(ratios[s])]
+        totals = block_sums(coeffs, left[s::-1], right)  # ratios[s] is a palindrome
+        if any(totals[-1]):
+            return None, (s, totals[-1])
+        for k in range(max(0, s - 1 - size), min(size, s - 1) + 1):
+            total = totals[s - k - 1]
+            Q[k].append(total if sign > 0 or k % 2 else tuple(-v for v in total))
+    return tuple(map(tuple, Q)), None
 
 
 def matrix_series_inverse(G: MatrixSeries, order: int | None = None) -> MatrixSeries:

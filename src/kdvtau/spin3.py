@@ -40,7 +40,7 @@ from functools import lru_cache
 from .errors import InconsistentDivisionError, InsufficientDepthError
 from .grassmann import ZTable, wk_G, wk_c_coeff, wk_q_coeff
 from .report import VerificationReport, first_failures
-from .series import (IntBlock, MatrixSeries, block_sum, format_block, linear_quotient, lower,
+from .series import (IntBlock, MatrixSeries, block_sums, format_block, linear_quotient, lower,
                      matrix_series_inverse)
 
 __all__ = [
@@ -123,19 +123,17 @@ def v_table(size: int) -> ZTable:
     R = r_matrix(2 size + 1), which the table keeps.
 
     N_{i,j} = R*_i R_j (N_{0,0} = 0) is lifted at grade i+j, each block product
-    once; `linear_quotient` checks R*(-z) R(z) = I through z^(2 size + 1) and
-    returns Q_{k,l} = (-1)^(k+l) V_{k,l}.  At the first z^s, s > 0, with a
-    nonzero coefficient, InconsistentDivisionError compares Q_{0,s-1} with the
-    boundary block N_{0,s} = R_s it would equal.
+    once by `linear_quotient`, which checks R*(-z) R(z) = I through
+    z^(2 size + 1) and returns Q_{k,l} = (-1)^(k+l) V_{k,l}.  At the first
+    z^s, s > 0, with a nonzero coefficient, InconsistentDivisionError compares
+    Q_{0,s-1} with the boundary block N_{0,s} = R_s it would equal.
     """
     R = r_matrix(2 * size + 1)
-    r, ratios, need = R.lifted, R.ratios, R.tail_order
-    N = [[block_sum(((ratios[i + j][i], star, r[j]),)) if i + j else (0, 0, 0, 0)
-          for j in range(need + 1 - i)] for i, star in enumerate(map(_star, r))]
-    quotient, remainder = linear_quotient(N, -1, size)
+    r = R.lifted
+    quotient, remainder = linear_quotient([_star(b) for b in r], r, R.ratios, -1, size)
     if remainder is not None:
         s, total = remainder
-        lhs = tuple(n - t for n, t in zip(N[0][s], total))  # Q_{0,s-1}
+        lhs = tuple(n - t for n, t in zip(r[s], total))  # Q_{0,s-1}
         raise InconsistentDivisionError(
             f"numerator not divisible by w+z at boundary column {s}: "
             f"{format_block(lower(lhs, R.grades[s]))} vs {format_block(R.block(s))}")
@@ -165,8 +163,8 @@ def verify_v_relations(size: int) -> VerificationReport:
             for l in range(size + 1):
                 d = k + l + 2
                 total = tuple(a + b for a, b in zip(v[k][l + 1], v[k + 1][l]))
-                if tuple(e[k + 1] * e[l + 1] * t for t in total) != block_sum(((-e[d], v[k][0], v[0][l]),)):
-                    product = block_sum(((-R.ratios[d][k + 1], v[k][0], v[0][l]),))
+                if tuple(e[k + 1] * e[l + 1] * t for t in total) != block_sums((-e[d],), (v[k][0],), (v[0][l],))[0]:
+                    (product,) = block_sums((-R.ratios[d][k + 1],), (v[k][0],), (v[0][l],))
                     yield (f"pairwise sum at (k,l)=({k},{l}): {format_block(lower(total, e[d]))} "
                            f"vs {format_block(lower(product, e[d]))}")
                 if _star(v[k][l]) != v[l][k]:
@@ -178,7 +176,7 @@ def verify_v_relations(size: int) -> VerificationReport:
                 c = 1 if (i + j) % 2 else -1  # Q = (-1)^(k+l) V
                 left, right = v[i - 1][j] if i else zero, v[i][j - 1] if j else zero
                 acc = tuple(c * (a + b) for a, b in zip(left, right))
-                want = block_sum(((R.ratios[i + j][i], _star(R.lifted[i]), R.lifted[j]),))
+                (want,) = block_sums((R.ratios[i + j][i],), (_star(R.lifted[i]),), (R.lifted[j],))
                 if i + j and acc != want:
                     yield (f"reconstruction at w^{i} z^{j}: {format_block(lower(acc, e[i + j]))} "
                            f"vs {format_block(lower(want, e[i + j]))}")

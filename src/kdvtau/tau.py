@@ -112,10 +112,16 @@ class TauSeries(Record):
         return self.poly
 
     @cached_property
+    def in_t(self) -> GradedPoly:
+        """The series in t (`to_t_variables`), converted once per series: read
+        by `log` and by `verify_string_equation`."""
+        return to_t_variables(self)
+
+    @cached_property
     def log(self) -> GradedPoly:
         """log Z in t, computed once per series: the memo behind `free_energy`,
         which several verifiers of one tau read."""
-        return graded_log(to_t_variables(self))
+        return graded_log(self.in_t)
 
 
 def table_order(degree: int) -> int:
@@ -163,8 +169,9 @@ def tau_truncated(table: ZTable, degree: int, parts: Container[int] | None = Non
     terms: dict[Monomial, Fraction] = {}
     for weight, group in groupby(partitions_up_to(degree), key=sum):
         rank = math.isqrt(weight)
-        vector = {beads(mu, weight): a * top ** (rank - len(frobenius(mu)[0]))
-                  for mu in group if (a := giambelli_coeff(mu, table, top, minors))}
+        vector = {beads(mu, weight): a * top ** (rank - len(arms))
+                  for mu in group for arms, legs in [frobenius(mu)]
+                  if (a := giambelli_coeff(arms, legs, table, top, minors))}
         for lam, total in _rim_hook_walk(vector, weight, (), parts):
             mults = Counter(lam)
             scale = math.prod(math.factorial(m) for m in mults.values())
@@ -427,7 +434,7 @@ def log_tau_derivative(table: ZTable, thetas: list[int]) -> Fraction:
 def verify_string_equation(tau: TauSeries) -> VerificationReport:
     """Residual of  sum_{p>=1} t_p dZ/dt_{p-1} + (t_0^2/2) Z - dZ/dt_0."""
     suite = "string-equation"
-    Z = to_t_variables(tau)
+    Z = tau.in_t
     residual = -Z.derivative(0)
     t0sq = GradedPoly.make("t", {((0, 2),): Fraction(1, 2)}, None)
     residual = residual + t0sq * Z

@@ -89,7 +89,8 @@ def giambelli_value(mu: tuple[int, ...], table: ZTable, minors: dict) -> Fractio
     """A_mu: `giambelli_coeff`'s E^k A_mu over E^k, E the grade of the last
     block of the table's series, which the grade of every entry divides."""
     top = table.series.grades[-1]
-    return Fraction(giambelli_coeff(mu, table, top, minors), top ** len(frobenius(mu)[0]))
+    arms, legs = frobenius(mu)
+    return Fraction(giambelli_coeff(arms, legs, table, top, minors), top ** len(arms))
 
 
 def det_one_G(seed: int, depth: int = 9) -> MatrixSeries:

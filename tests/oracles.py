@@ -23,6 +23,14 @@ routes that share no code.
   Witten-Kontsevich c_k and q_k from their closed forms.
 * `v_matrices(size)`: V_{k,l} of the 3-spin R-matrix, as the quotient
   (R*(w) R(z) - I) / (w + z) solved block by block in `Fraction`s.
+* `block_sum(terms, start)`: the per-product sum of integer 2x2 blocks
+  start + sum c (a @ b), the package's kernel before it read sequences,
+  and on it, one sum or product per entry, the lifted routines the
+  package runs on running totals: `lifted_inverse`, `lifted_z_direct`,
+  `lifted_z_recursive` and `lifted_quotient` (the division by x - sign y
+  of N_{i,j} = ratios[i+j][i] left_i right_j, each quotient entry summed
+  on its own).  They read plain tuples: the grades E_k, ratios[d][i] =
+  E_d / (E_i E_{d-i}) and the lifted blocks E_k X_k.
 * Graded-polynomial helpers only tests use: `graded_exp`, `graded_log`
   (the power series log(1 + x) = sum (-1)^(i+1) x^i / i), `pow_int`,
   `evaluate`, `degree_slice`.  They take any object with the `GradedPoly`
@@ -245,6 +253,65 @@ def v_matrices(size: int) -> list:
             row.append(v)
         V.append(row)
     return V
+
+
+def block_sum(terms, start=(0, 0, 0, 0)) -> tuple:
+    """start + sum c * (a @ b) over the terms (c, a, b), on integer blocks."""
+    s11, s12, s21, s22 = start
+    for c, (a11, a12, a21, a22), (b11, b12, b21, b22) in terms:
+        s11 += c * (a11 * b11 + a12 * b21)
+        s12 += c * (a11 * b12 + a12 * b22)
+        s21 += c * (a21 * b11 + a22 * b21)
+        s22 += c * (a21 * b12 + a22 * b22)
+    return s11, s12, s21, s22
+
+
+def _neg(block) -> tuple:
+    return tuple(-v for v in block)
+
+
+def lifted_inverse(x, ratios) -> tuple:
+    """u_k = -sum_{j=1..k} ratios[k][j] x_j u_{k-j}, u_0 = I: the lift of X^-1."""
+    u = [(1, 0, 0, 1)]
+    for k in range(1, len(x)):
+        u.append(_neg(block_sum((ratios[k][j], x[j], u[k - j]) for j in range(1, k + 1))))
+    return tuple(u)
+
+
+def lifted_z_direct(g, ratios, u, max_k: int, max_l: int) -> tuple:
+    """z_{k,l} = -sum_{j=0..k} ratios[d][j] g_j u_{d-j}, d = k+l+1, one sum per entry."""
+    return tuple(tuple(_neg(block_sum((ratios[k + l + 1][j], g[j], u[k + l + 1 - j]) for j in range(k + 1)))
+                       for l in range(max_l + 1)) for k in range(max_k + 1))
+
+
+def lifted_z_recursive(g, ratios, n: int) -> tuple:
+    """The triangle z_{k,l}, k + l < n (row k holds l < n - k), by z_{k,0} = g_{k+1}
+    and z_{k,l+1} = z_{k+1,l} - ratios[k+l+2][k+1] g_{k+1} z_{0,l}, one product
+    per entry, column by column (column l is read by column l + 1)."""
+    z = {(k, 0): g[k + 1] for k in range(n)}
+    for l in range(n - 1):
+        for k in range(n - 1 - l):
+            z[k, l + 1] = block_sum(((-ratios[k + l + 2][k + 1], g[k + 1], z[0, l]),), z[k + 1, l])
+    return tuple(tuple(z[k, l] for l in range(n - k)) for k in range(n))
+
+
+def lifted_quotient(left, right, ratios, sign: int, size: int) -> tuple:
+    """Divide N_{i,j} = ratios[i+j][i] left_i right_j ((i, j) != 0) by x - sign*y:
+    (None, (s, sum_{i+j=s} sign^i N_{i,j})) at the first anti-diagonal s <= 2 size + 1
+    whose sum is not zero, else (Q, None) with Q[k][l] = sum_{r<=l} sign^r N_{k+1+r,l-r}
+    for k, l <= size; each N_{i,j} is one product, each Q[k][l] its own sum."""
+    need = 2 * size + 1
+    N = [[block_sum(((ratios[i + j][i], left[i], right[j]),)) for j in range(need + 1 - i)]
+         for i in range(need + 1)]
+
+    def signed(blocks):
+        return tuple(map(sum, zip(*(b if r % 2 == 0 or sign > 0 else _neg(b) for r, b in enumerate(blocks)))))
+
+    for s in range(1, need + 1):
+        if any(total := signed(N[i][s - i] for i in range(s + 1))):
+            return None, (s, total)
+    return tuple(tuple(signed(N[k + 1 + r][l - r] for r in range(l + 1)) for l in range(size + 1))
+                 for k in range(size + 1)), None
 
 
 _VAR_DEGREE = {"theta": lambda j: j, "t": lambda k: 2 * k + 1}

@@ -371,18 +371,18 @@ def test_verify_all_builds_one_wk_z_table_for_three_suites(capsys, monkeypatch):
 
 def test_v_table_forms_each_numerator_block_once(monkeypatch):
     # N_{i,j} = R*_i R_j on the lift of R: one block product per (i, j) with
-    # 0 < i + j <= 2 size + 1, and none twice
-    from kdvtau import spin3
+    # 0 < i + j <= 2 size + 1, and none twice, in one kernel call per
+    # anti-diagonal of the division
+    from kdvtau import series, spin3
 
     pairs = []
-    block_sum = spin3.block_sum
+    kernel = series.block_sums
 
-    def counting(terms):
-        terms = tuple(terms)
-        pairs.extend((a, b) for _, a, b in terms)
-        return block_sum(terms)
+    def counting(coeffs, left, right, *start):
+        pairs.extend((a, b) for _, a, b in zip(coeffs, left, right))
+        return kernel(coeffs, left, right, *start)
 
-    monkeypatch.setattr(spin3, "block_sum", counting)
+    monkeypatch.setattr(series, "block_sums", counting)
     size = 7
     spin3.v_table(size)
     need = 2 * size + 1
@@ -390,9 +390,10 @@ def test_v_table_forms_each_numerator_block_once(monkeypatch):
 
 
 def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
-    # equal Witten-Kontsevich loop matrices, and equal R series, are one
-    # memoised object, so each depth read by the suites is lifted once, and
-    # only the loop matrices a cross-check reads have their inverse solved
+    # the Witten-Kontsevich loop matrix is lifted once, at the deepest depth
+    # the suites read, which the recursion suite reads first; every other
+    # depth is a prefix of it, whose inverse is read off the deepest one.
+    # Equal R series are one memoised object
     from kdvtau.grassmann import wk_G, wk_z_table
     from kdvtau.series import MatrixSeries
     from kdvtau.spin3 import r_matrix
@@ -406,11 +407,13 @@ def test_verify_all_lifts_each_loop_matrix_once(capsys, monkeypatch):
     r_matrix.cache_clear()
     code, _, _ = run(capsys, "verify", "all")
     assert code == 0
-    # WK loop matrices at 6 (the tau's triangle), 21, 23, 31 and 41; R at 9
-    # (vmatrix), 12 (rmatrix) and 15 (thm2).  The inverses are those of the
-    # cross-checks: 21 (rmatrix), 31 (genfun) and 41 (recursion)
-    assert sorted(s.tail_order for s in built) == [6, 9, 12, 15, 21, 23, 31, 41]
-    assert sorted(s.tail_order for s in built if "inverse" in vars(s)) == [21, 31, 41]
+    # one WK loop matrix, at 41 (recursion), whose prefixes are read at 6
+    # (the tau's triangle), 21 (rmatrix), 23 (thm2) and 31 (symmetry, genfun,
+    # zhou-match); R at 9 (vmatrix), 12 (rmatrix) and 15 (thm2).  The one
+    # inverse solved is that of the depth-41 lift, which the cross-checks at
+    # 21 (rmatrix), 31 (genfun) and 41 (recursion) read
+    assert sorted(s.tail_order for s in built) == [9, 12, 15, 41]
+    assert [s.tail_order for s in built if "inverse" in vars(s)] == [41]
 
 
 @pytest.mark.parametrize("suite", ["vmatrix", "thm2", "all"])

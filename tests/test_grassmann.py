@@ -158,6 +158,34 @@ def test_wk_G_blocks():
     assert G.block(5) == (0, 0, wk_c_coeff(3), 0)
 
 
+@pytest.mark.parametrize("n", [9, 41, 69])
+def test_wk_G_reads_prefixes_of_the_deepest_lift(n):
+    # after wk_G(n), every wk_G(m), m <= n, is the loop matrix a fresh lift
+    # of depth m gives, ratios and inverse included, and one object while it
+    # is read; its ratios and inverse are read off the depth-n lift
+    wk_G.cache_clear()
+    deepest = wk_G(n)
+    for m in range(n, -1, -1):
+        G = wk_G(m)
+        assert G is wk_G(m)
+        fresh = build_G(wk_point(2 * m + 1), m)
+        assert G == fresh
+        assert G.ratios == fresh.ratios and G.inverse == fresh.inverse
+    assert wk_G(n) is deepest and "inverse" in vars(deepest)
+
+
+def test_wk_G_lifts_once_for_a_loop_over_shrinking_depths(monkeypatch):
+    built = []
+    from_blocks = MatrixSeries.from_blocks
+    monkeypatch.setattr(MatrixSeries, "from_blocks", lambda blocks: built.append(from_blocks(blocks)) or built[-1])
+    wk_G.cache_clear()
+    tables = [z_table_recursive(wk_G(m)) for m in range(20, 0, -1)]
+    assert [G.tail_order for G in built] == [20]
+    assert all(t.series.grades == built[0].grades[: len(t.series.grades)] for t in tables)
+    wk_G(21)  # a deeper read lifts anew
+    assert [G.tail_order for G in built] == [20, 21]
+
+
 def test_wk_G_mod3_sparsity():
     G = wk_G(13)
     U = matrix_series_inverse(G)

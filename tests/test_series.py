@@ -5,14 +5,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from kdvtau import series
 from kdvtau.errors import InsufficientDepthError, NonUnitError, NotNormalizedError
-from kdvtau.grassmann import _kac_schwarz, wk_point
+from kdvtau.grassmann import _kac_schwarz, build_G, point_from_json, wk_point, z_table_direct, z_table_recursive
+from kdvtau.spin3 import r_matrix, v_table
 
-from oracles import _matmul, loop_inverse, rows
+from conftest import det_one_G, seeded_point_json
+from test_golden import POINTS
+from oracles import (_matmul, block_sum, lifted_inverse, lifted_quotient, lifted_z_direct, lifted_z_recursive,
+                     loop_inverse, rows)
 from kdvtau.series import (
     LaurentSeries,
     MatrixSeries,
     _product_window,
-    block_sum,
+    block_sums,
     format_block,
     linear_quotient,
     lower,
@@ -238,14 +242,14 @@ def test_wk_loop_matrix_is_lifted_and_inverted_once(monkeypatch):
     assert wk_G(8) is G
     G = MatrixSeries(G.grades, G.lifted)  # a fresh object solves its own inverse, once
     solved = []
-    block_sum = series.block_sum
-    monkeypatch.setattr(series, "block_sum", lambda terms: solved.append(1) or block_sum(terms))
+    kernel = series.block_sums
+    monkeypatch.setattr(series, "block_sums", lambda *a: solved.append(1) or kernel(*a))
     assert "inverse" not in vars(G)
     U = matrix_series_inverse(G)
     assert U.tail_order == 8 and matrix_series_inverse(G, 20) == U  # capped at the window of G
     short = matrix_series_inverse(G, 5)
     assert short.tail_order == 5 and short.blocks(5) == U.blocks(5)
-    assert G.inverse is G.inverse and len(solved) == 8  # one block sum per inverse block
+    assert G.inverse is G.inverse and len(solved) == 8  # one kernel call per inverse block
     assert U.grades == G.grades and U.lifted == G.inverse  # on the grades of G, unreduced
 
 
@@ -269,17 +273,25 @@ BLOCK = st.tuples(ENTRY, ENTRY, ENTRY, ENTRY)
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_linear_quotient_divides_by_x_minus_sign_y(sign):
-    # P = (x - sign y) Q for Q_{k,l} = (k + 2l, -l, k * l, 1) at grade k + l + 1
-    n, size = 7, 3
-    Q = [[(k + 2 * l, -l, k * l, 1) for l in range(n)] for k in range(n)]
-    N = [[tuple((Q[i - 1][j][e] if i else 0) - sign * (Q[i][j - 1][e] if j else 0)
-                for e in range(4)) for j in range(n + 1 - i)] for i in range(n + 1)]
-    quotient, remainder = linear_quotient(N, sign, size)
+    # L(x) R(y) - I vanishes at y = sign x for L(x) = G(x), R = G^-1 (sign 1)
+    # and L(x) = G^-1(-x), R = G (sign -1), on a lift with non-multiplicative
+    # grades; the quotient Q times x - sign y gives back every numerator block
+    size = 3
+    G = build_G(point_from_json(seeded_point_json(*POINTS["POINT5"])), 2 * size + 1)
+    g, u, ratios = G.lifted, G.inverse, G.ratios
+    left, right = (g, u) if sign > 0 else ([b if i % 2 == 0 else tuple(-v for v in b) for i, b in enumerate(u)], g)
+    quotient, remainder = linear_quotient(left, right, ratios, sign, size)
     assert remainder is None
-    assert quotient == tuple(tuple(tuple(Q[k][l]) for l in range(size + 1)) for k in range(size + 1))
-    # a block moved on anti-diagonal 5 is reported there, with the sum it leaves
-    N[2][3] = tuple(v + 1 for v in N[2][3])
-    assert linear_quotient(N, sign, size) == (None, (5, (1, 1, 1, 1)))
+    for i in range(size + 1):
+        for j in range(size + 1 - i):
+            if i or j:
+                (n,) = block_sums((ratios[i + j][i],), (left[i],), (right[j],))
+                shifted = [quotient[i - 1][j] if i else (0, 0, 0, 0), quotient[i][j - 1] if j else (0, 0, 0, 0)]
+                assert n == tuple(a - sign * b for a, b in zip(*shifted)), (i, j)
+    # a block of L moved at x^5 is reported on anti-diagonal 5, with the sum it leaves
+    moved = list(left)
+    moved[5] = tuple(v + 1 for v in moved[5])
+    assert linear_quotient(moved, right, ratios, sign, size) == (None, (5, (sign,) * 4))
 
 
 @settings(max_examples=200, deadline=None)
@@ -290,7 +302,7 @@ def test_lifted_block_products_lower_to_fraction_products(x1, x2, x3):
     G = MatrixSeries.from_blocks((EYE, x1, x2, x3))
     assert G.blocks(3) == [EYE, x1, x2, x3]
     assert all(type(v) is Fraction for b in G.blocks(3) for v in b)
-    product = block_sum(((G.ratios[3][1], G.lifted[1], G.lifted[2]),))
+    (product,) = block_sums((G.ratios[3][1],), (G.lifted[1],), (G.lifted[2],))
     assert rows(lower(product, G.grades[3])) == _matmul(rows(x1), rows(x2))
 
 
@@ -335,3 +347,56 @@ def test_series_json_respects_window():
     s = S({0: 1}, 3)
     with pytest.raises(InsufficientDepthError):
         series_to_json(s, tail_order=5)
+
+
+# ---------------------------------------------------------------------------
+# the running-totals kernel against the per-product reference
+# ---------------------------------------------------------------------------
+
+
+def _exactness_points():
+    """Loop matrices G_0..G_25 of four seeded det G = 1 points and of a dense
+    seeded point, and G_0..G_10 of golden POINT5, whose grades are not
+    multiplicative (E_2 != E_1^2)."""
+    yield from (det_one_G(seed, 25) for seed in range(4))
+    yield build_G(point_from_json(seeded_point_json(7, 51, True, False)), 25)
+    yield build_G(point_from_json(seeded_point_json(*POINTS["POINT5"])), 10)
+
+
+@pytest.mark.parametrize("G", _exactness_points(), ids=["det1-0", "det1-1", "det1-2", "det1-3", "dense", "POINT5"])
+def test_block_sums_routes_equal_the_per_product_reference(G):
+    n = G.tail_order
+    g, ratios = G.lifted, G.ratios
+    fresh = MatrixSeries(G.grades, g)
+    assert fresh.inverse == lifted_inverse(g, ratios)
+    u = fresh.inverse
+    K = n // 3
+    for max_k, max_l in [(K, n - 1 - K), (n - 1 - K, K), (0, n - 1), (n - 1, 0)]:
+        assert z_table_direct(G, max_k, max_l).lifted == lifted_z_direct(g, ratios, u, max_k, max_l)
+        corner = lifted_z_recursive(g, ratios, max_k + max_l + 1)[: max_k + 1]
+        assert z_table_recursive(G, max_k, max_l).lifted == tuple(row[: max_l + 1] for row in corner)
+    assert z_table_recursive(G).lifted == lifted_z_recursive(g, ratios, n)
+    size = (n - 1) // 2
+    minus = [b if i % 2 == 0 else tuple(-v for v in b) for i, b in enumerate(u)]
+    for left, right, sign in [(g, u, 1), (minus, g, -1), (g, g, 1), (g, g, -1)]:
+        assert linear_quotient(left, right, ratios, sign, size) == lifted_quotient(left, right, ratios, sign, size)
+
+
+@pytest.mark.parametrize("size", [1, 4, 7, 12])
+def test_v_table_equals_the_per_product_reference(size):
+    R = r_matrix(2 * size + 1)
+    quotient, remainder = lifted_quotient([(d, b, c, a) for a, b, c, d in R.lifted], R.lifted, R.ratios, -1, size)
+    assert remainder is None
+    assert v_table(size).lifted == tuple(
+        tuple(q if (k + l) % 2 == 0 else tuple(-v for v in q) for l, q in enumerate(row))
+        for k, row in enumerate(quotient))
+
+
+def test_block_sums_are_the_running_totals_of_block_sum():
+    blocks = [(k, -2 * k, k * k - 3, 5 - k) for k in range(6)]
+    coeffs = [3, -1, 4, 1, -5, 9]
+    start = (7, 0, -2, 1)
+    totals = block_sums(coeffs, blocks, blocks[::-1], start)
+    assert totals == [block_sum(zip(coeffs[: n + 1], blocks, blocks[::-1]), start) for n in range(6)]
+    assert block_sums(coeffs[:2], blocks, blocks) == block_sums(coeffs, blocks[:2], blocks)  # the shortest
+    assert block_sums((), blocks, blocks, start) == []
